@@ -1122,7 +1122,8 @@ class Session:
                     "misses": i.misses,
                     "currsize": i.currsize,
                 }
-                for name, i in zip(("fft", "pruned", "real"), fft_info)
+                for name, i in zip(PlanCaches.CACHE_NAMES, fft_info,
+                                   strict=True)
             },
             "executor_pool": self.executor_pool_size(),
             "autotune": {"enabled": self.autotune, **self._tuner.stats()},

@@ -133,58 +133,84 @@ def _compile(cc: str, extra: list[str], tag: str) -> str | None:
         return None
 
 
+#: Kernel-name suffix per supported element type.
+_SUFFIX = {np.dtype(np.complex64): "f32", np.dtype(np.complex128): "f64"}
+
+
 class _Kernels:
-    """ctypes bindings for one loaded kernel library."""
+    """ctypes bindings for one loaded kernel library.
+
+    Array operands cross as ``void*`` from ``ndarray.ctypes.data``, which
+    costs about half of ``data_as`` — it matters once a small
+    contraction runs in a few microseconds.  The C side trusts its
+    sizes, so every operand is checked first (:meth:`_bind`).
+    """
 
     def __init__(self, lib_path: str, variant: str):
         lib = ctypes.CDLL(lib_path)
         self.path = lib_path
         self.variant = variant
         self._fn = {}
+        ptr = ctypes.c_void_p
         for suffix, ct in (("f32", ctypes.c_float), ("f64", ctypes.c_double)):
-            ptr = ctypes.POINTER(ct)
             fn = getattr(lib, f"stockham_{suffix}")
             fn.argtypes = [ptr, ptr, ptr, ptr, ctypes.c_long, ctypes.c_long,
                            ctypes.c_int, ct, ctypes.c_int, ct]
             fn.restype = None
-            self._fn["stockham", suffix] = (fn, ptr, ct)
+            self._fn["stockham", suffix] = fn
             for name, nlong in (("panel_contract", 4), ("decomp_reduce", 3),
                                 ("expand_mul", 3)):
                 fn = getattr(lib, f"{name}_{suffix}")
                 fn.argtypes = [ptr, ptr, ptr] + [ctypes.c_long] * nlong
                 fn.restype = None
-                self._fn[name, suffix] = (fn, ptr, ct)
+                self._fn[name, suffix] = fn
 
-    @staticmethod
-    def _suffix(dtype: np.dtype) -> str:
-        return "f32" if dtype == np.complex64 else "f64"
-
-    def _p(self, arr: np.ndarray, ptr_type):
-        return arr.ctypes.data_as(ptr_type)
+    def _bind(self, name: str, *operands):
+        """The ``name`` kernel for the first operand's dtype, and each
+        operand's address.  Every ``(array, count)`` must be a C-contiguous
+        array of that dtype holding at least ``count`` elements; anything
+        else raises before C could read or write past a buffer."""
+        dtype = operands[0][0].dtype
+        suffix = _SUFFIX.get(dtype)
+        if suffix is None:
+            raise TypeError(f"{name}: unsupported dtype {dtype}")
+        addresses = []
+        for arr, count in operands:
+            if (arr.dtype != dtype or not arr.flags.c_contiguous
+                    or arr.size < count):
+                raise ValueError(
+                    f"{name}: operand {arr.dtype}{arr.shape} is not a "
+                    f"C-contiguous {dtype} buffer of {count} elements"
+                )
+            addresses.append(arr.ctypes.data)
+        return self._fn[name, suffix], addresses
 
     def stockham(self, x: np.ndarray, out: np.ndarray, scratch: np.ndarray,
                  tw: np.ndarray, rows: int, n: int,
                  div_by: float | None, mul_by: float | None) -> None:
-        fn, ptr, ct = self._fn["stockham", self._suffix(x.dtype)]
-        fn(self._p(x, ptr), self._p(out, ptr), self._p(scratch, ptr),
-           self._p(tw, ptr), rows, n,
-           int(div_by is not None), ct(div_by if div_by is not None else 0),
-           int(mul_by is not None), ct(mul_by if mul_by is not None else 0))
+        fn, ptrs = self._bind("stockham", (x, rows * n), (out, rows * n),
+                              (scratch, rows * n), (tw, n - 1))
+        fn(*ptrs, rows, n,
+           div_by is not None, 0.0 if div_by is None else float(div_by),
+           mul_by is not None, 0.0 if mul_by is None else float(mul_by))
 
     def panel_contract(self, a: np.ndarray, w: np.ndarray, acc: np.ndarray,
                        bt: int, kt: int, m: int, o: int) -> None:
-        fn, ptr, _ = self._fn["panel_contract", self._suffix(a.dtype)]
-        fn(self._p(a, ptr), self._p(w, ptr), self._p(acc, ptr), bt, kt, m, o)
+        fn, ptrs = self._bind("panel_contract", (a, bt * kt * m),
+                              (w, kt * o), (acc, bt * o * m))
+        fn(*ptrs, bt, kt, m, o)
 
     def decomp_reduce(self, y: np.ndarray, wd: np.ndarray, out: np.ndarray,
                       batch: int, p: int, q: int) -> None:
-        fn, ptr, _ = self._fn["decomp_reduce", self._suffix(y.dtype)]
-        fn(self._p(y, ptr), self._p(wd, ptr), self._p(out, ptr), batch, p, q)
+        fn, ptrs = self._bind("decomp_reduce", (y, batch * p * q),
+                              (wd, p * q), (out, batch * q))
+        fn(*ptrs, batch, p, q)
 
     def expand_mul(self, x: np.ndarray, w: np.ndarray, out: np.ndarray,
                    batch: int, s: int, q: int) -> None:
-        fn, ptr, _ = self._fn["expand_mul", self._suffix(x.dtype)]
-        fn(self._p(x, ptr), self._p(w, ptr), self._p(out, ptr), batch, s, q)
+        fn, ptrs = self._bind("expand_mul", (x, batch * q), (w, s * q),
+                              (out, batch * s * q))
+        fn(*ptrs, batch, s, q)
 
 
 def _self_check(k: _Kernels) -> bool:
@@ -219,18 +245,20 @@ def _self_check(k: _Kernels) -> bool:
         k.stockham(x, out, scratch, np.ascontiguousarray(tw), 5, 8, 8.0, 0.5)
         if not np.array_equal(ref.view(ref.real.dtype), out.view(out.real.dtype)):
             return False
+        # The contraction kernels tile the unit-stride index: probe a
+        # full tile plus a tail (m = 64 + 6, q = 16 + 6).
         # panel contract == acc += einsum
-        a, w, acc0 = cplx(3, 4, 6), cplx(4, 5), cplx(3, 5, 6)
+        a, w, acc0 = cplx(3, 4, 70), cplx(4, 5), cplx(3, 5, 70)
         ref = acc0 + np.einsum("bkm,ko->bom", a, w)
         got = acc0.copy()
-        k.panel_contract(a, w, got, 3, 4, 6, 5)
+        k.panel_contract(a, w, got, 3, 4, 70, 5)
         if not np.array_equal(ref.view(ref.real.dtype), got.view(got.real.dtype)):
             return False
         # decomp reduce == einsum "...pk,pk->...k"
-        y, wd = cplx(4, 3, 6), cplx(3, 6)
+        y, wd = cplx(4, 3, 22), cplx(3, 22)
         ref = np.einsum("...pk,pk->...k", y, wd)
-        got = np.empty((4, 6), dtype)
-        k.decomp_reduce(y, wd, got, 4, 3, 6)
+        got = np.empty((4, 22), dtype)
+        k.decomp_reduce(y, wd, got, 4, 3, 22)
         if not np.array_equal(ref.view(ref.real.dtype), got.view(got.real.dtype)):
             return False
         # expand mul == x[..., None, :] * w
@@ -243,18 +271,12 @@ def _self_check(k: _Kernels) -> bool:
     return True
 
 
-def get_kernels() -> _Kernels | None:
-    """The loaded, validated kernel bindings — or None (NumPy fallback)."""
-    if _state["tried"]:
-        return _state["kernels"]
-    _state["tried"] = True
+def _build_blocker() -> str | None:
+    """Why this process must not build or load the kernels, or None."""
     if os.environ.get("REPRO_NO_CKERNELS"):
-        _state["info"] = "disabled via REPRO_NO_CKERNELS"
-        return None
-    cc = _find_cc()
-    if cc is None:
-        _state["info"] = "no C compiler found"
-        return None
+        return "disabled via REPRO_NO_CKERNELS"
+    if _find_cc() is None:
+        return "no C compiler found"
     if os.environ.get("REPRO_CKERNELS_SANITIZE") and (
         "asan" not in os.environ.get("LD_PRELOAD", "")
     ):
@@ -262,11 +284,23 @@ def get_kernels() -> _Kernels | None:
         # runtime initialised without ASan doesn't raise — ASan aborts
         # the whole interpreter.  Refuse up front and fall back to
         # NumPy (never to silently-unsanitized kernels).
-        _state["info"] = (
+        return (
             "REPRO_CKERNELS_SANITIZE=1 but no ASan runtime in LD_PRELOAD; "
             "run with LD_PRELOAD=$(gcc -print-file-name=libasan.so)"
         )
+    return None
+
+
+def get_kernels() -> _Kernels | None:
+    """The loaded, validated kernel bindings — or None (NumPy fallback)."""
+    if _state["tried"]:
+        return _state["kernels"]
+    _state["tried"] = True
+    blocker = _build_blocker()
+    if blocker is not None:
+        _state["info"] = blocker
         return None
+    cc = _find_cc()
     for extra, tag in _flag_variants():
         lib_path = _compile(cc, extra, tag)
         if lib_path is None:

@@ -11,6 +11,12 @@
  *     into an FMA; verified empirically for complex64 and complex128.)
  *   - einsum contractions      : naive rounded products, contracted
  *                                index summed sequentially from zero.
+ *     Only each output element's summation order is fixed; the loop nest
+ *     around it is free.  The contraction kernels therefore run the
+ *     contracted index OUTSIDE a unit-stride loop over a tile of output
+ *     elements whose partial sums sit in a stack array: the same adds in
+ *     the same order per element, but contiguous loads the compiler can
+ *     vectorize instead of one strided dot product per element.
  *   - scalar /= and *=         : independent per-component ops.
  *
  * The file is compiled with -ffp-contract=off and WITHOUT -mfma: GCC's
@@ -109,9 +115,36 @@ STOCKHAM(stockham_f64, double, fma)
 /* einsum replicas (naive products, sequential contraction)            */
 /* ------------------------------------------------------------------ */
 
+/* Output tiles of the contraction kernels: full tiles have a constant
+ * width, so the compiler vectorizes them with no trip-count checks; the
+ * tail tile of a row takes the remainder.  Widths fit the shapes the
+ * executors issue: m = 32..256 modes per panel row, q = 16..64 bins. */
+#define PANEL_TILE 64
+#define DECOMP_TILE 16
+
 /* acc[b,o,m] += sum_k a[b,k,m] * w[k,o]
  * == `acc += np.einsum("bkm,ko->bom", a, w)`: the panel sum is formed
- * from zero with naive rounded products, then added into acc. */
+ * from zero with naive rounded products, then added into acc.  k runs
+ * outside the unit-stride loop over a tile of W output modes. */
+#define PANEL_CONTRACT_TILE(T, W)                                        \
+    {                                                                    \
+        T tr[PANEL_TILE], ti[PANEL_TILE];                                \
+        for (long mm = 0; mm < (W); mm++) { tr[mm] = 0; ti[mm] = 0; }    \
+        for (long k = 0; k < kt; k++) {                                  \
+            const T* ap = ab + 2*(k*m + m0);                             \
+            T wr = w[2*(k*o+oo)], wi = w[2*(k*o+oo)+1];                  \
+            for (long mm = 0; mm < (W); mm++) {                          \
+                T ar = ap[2*mm], ai = ap[2*mm+1];                        \
+                tr[mm] += ar*wr - ai*wi;                                 \
+                ti[mm] += ar*wi + ai*wr;                                 \
+            }                                                            \
+        }                                                                \
+        T* cp = accp + 2*m0;                                             \
+        for (long mm = 0; mm < (W); mm++) {                              \
+            cp[2*mm] += tr[mm]; cp[2*mm+1] += ti[mm];                    \
+        }                                                                \
+    }
+
 #define PANEL_CONTRACT(NAME, T)                                          \
 void NAME(const T* a, const T* w, T* acc,                                \
           long bt, long kt, long m, long o) {                            \
@@ -120,18 +153,10 @@ void NAME(const T* a, const T* w, T* acc,                                \
         T* accb = acc + 2*b*o*m;                                         \
         for (long oo = 0; oo < o; oo++) {                                \
             T* accp = accb + 2*oo*m;                                     \
-            for (long mm = 0; mm < m; mm++) {                            \
-                T tr = 0, ti = 0;                                        \
-                for (long k = 0; k < kt; k++) {                          \
-                    const T* ap = ab + 2*(k*m + mm);                     \
-                    T wr = w[2*(k*o+oo)], wi = w[2*(k*o+oo)+1];          \
-                    T ar = ap[0], ai = ap[1];                            \
-                    tr += ar*wr - ai*wi;                                 \
-                    ti += ar*wi + ai*wr;                                 \
-                }                                                        \
-                accp[2*mm]   += tr;                                      \
-                accp[2*mm+1] += ti;                                      \
-            }                                                            \
+            long m0 = 0;                                                 \
+            for (; m0 + PANEL_TILE <= m; m0 += PANEL_TILE)               \
+                PANEL_CONTRACT_TILE(T, PANEL_TILE)                       \
+            if (m0 < m) PANEL_CONTRACT_TILE(T, m - m0)                   \
         }                                                                \
     }                                                                    \
 }
@@ -140,22 +165,36 @@ PANEL_CONTRACT(panel_contract_f32, float)
 PANEL_CONTRACT(panel_contract_f64, double)
 
 /* out[B,q] = sum_p y[B,p,q] * wd[p,q]
- * == `np.einsum("...pk,pk->...k", y, wd)`. */
+ * == `np.einsum("...pk,pk->...k", y, wd)`.  p runs outside the
+ * unit-stride loop over a tile of W bins. */
+#define DECOMP_REDUCE_TILE(T, W)                                         \
+    {                                                                    \
+        T tr[DECOMP_TILE], ti[DECOMP_TILE];                              \
+        for (long k = 0; k < (W); k++) { tr[k] = 0; ti[k] = 0; }         \
+        for (long pp = 0; pp < p; pp++) {                                \
+            const T* yp = yb + 2*(pp*q + k0);                            \
+            const T* wp = wd + 2*(pp*q + k0);                            \
+            for (long k = 0; k < (W); k++) {                             \
+                T yr = yp[2*k], yi = yp[2*k+1];                          \
+                T wr = wp[2*k], wi = wp[2*k+1];                          \
+                tr[k] += yr*wr - yi*wi;                                  \
+                ti[k] += yr*wi + yi*wr;                                  \
+            }                                                            \
+        }                                                                \
+        for (long k = 0; k < (W); k++) {                                 \
+            ob[2*(k0+k)] = tr[k]; ob[2*(k0+k)+1] = ti[k];                \
+        }                                                                \
+    }
+
 #define DECOMP_REDUCE(NAME, T)                                           \
 void NAME(const T* y, const T* wd, T* out, long B, long p, long q) {     \
     for (long b = 0; b < B; b++) {                                       \
         const T* yb = y + 2*b*p*q;                                       \
         T* ob = out + 2*b*q;                                             \
-        for (long k = 0; k < q; k++) {                                   \
-            T tr = 0, ti = 0;                                            \
-            for (long pp = 0; pp < p; pp++) {                            \
-                T yr = yb[2*(pp*q+k)], yi = yb[2*(pp*q+k)+1];            \
-                T wr = wd[2*(pp*q+k)], wi = wd[2*(pp*q+k)+1];            \
-                tr += yr*wr - yi*wi;                                     \
-                ti += yr*wi + yi*wr;                                     \
-            }                                                            \
-            ob[2*k] = tr; ob[2*k+1] = ti;                                \
-        }                                                                \
+        long k0 = 0;                                                     \
+        for (; k0 + DECOMP_TILE <= q; k0 += DECOMP_TILE)                 \
+            DECOMP_REDUCE_TILE(T, DECOMP_TILE)                           \
+        if (k0 < q) DECOMP_REDUCE_TILE(T, q - k0)                        \
     }                                                                    \
 }
 

@@ -933,6 +933,9 @@ class PlanCaches:
     fallback).  Outputs are byte-identical across backends.
     """
 
+    #: Names of :meth:`cache_info`'s entries, in its order.
+    CACHE_NAMES = ("fft", "pruned", "real", "pruned_real")
+
     def __init__(self, backend: str = "auto",
                  maxsize: int = FFT_PLAN_CACHE_SIZE):
         resolve_backend_kernels(backend)  # validate spelling/availability
@@ -1010,7 +1013,7 @@ class PlanCaches:
 
     def cache_info(self):
         """Cache statistics: (fft plans, pruned plans, r2c/c2r plans,
-        pruned r2c/c2r plans)."""
+        pruned r2c/c2r plans), named by :attr:`CACHE_NAMES`."""
         return (
             self._fft_cached.cache_info(),
             self._pruned_cached.cache_info(),

@@ -481,6 +481,23 @@ class TestWarmupAndStats:
         json.dumps(stats)  # JSON-ready
         s.close()
 
+    def test_stats_report_every_fft_plan_cache(self, rng):
+        """All four plan families appear in ``fft_plan_caches``: a
+        symmetric real layer is served by the pruned-R2C family, whose
+        counters must not be dropped."""
+        model = api.SpectralModel(_weight(rng), 16, symmetric=True)
+        x = rng.standard_normal((2, 8, 128)).astype(np.float32)
+        s = api.Session(private_caches=True)
+        s.infer(model, x)
+        caches = s.stats()["fft_plan_caches"]
+        assert list(caches) == ["fft", "pruned", "real", "pruned_real"]
+        for (name, entry), info in zip(caches.items(),
+                                       s.plan_caches.cache_info()):
+            assert entry == {"hits": info.hits, "misses": info.misses,
+                             "currsize": info.currsize}, name
+        assert caches["pruned_real"]["misses"] > 0
+        s.close()
+
 
 class TestThreadedStatsConsistency:
     """Satellite: per-geometry serving counters and autotune hit/miss

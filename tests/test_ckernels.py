@@ -1,0 +1,162 @@
+"""Kernel-level oracle for the C contraction kernels.
+
+``panel_contract`` and ``decomp_reduce`` promise each output element's
+einsum summation order: naive rounded products, contracted index summed
+sequentially from zero.  Their loop nests tile the unit-stride output
+index, so these tests pin that order directly — against a sequential
+NumPy replica, on data whose rounding depends on the order — at shapes
+below, on and across the tile widths, for every compiled flag variant.
+"""
+
+import numpy as np
+import pytest
+
+from repro.fft import _ckernels
+
+pytestmark = pytest.mark.skipif(
+    _ckernels._build_blocker() is not None,
+    reason=f"C kernels not built here: {_ckernels._build_blocker()}",
+)
+
+#: (bt, kt, m, o): m below, on, and across the 64-wide panel tile.
+PANEL_SHAPES = [(1, 1, 1, 1), (2, 3, 63, 2), (1, 8, 64, 3), (2, 5, 65, 4),
+                (1, 4, 129, 2), (3, 2, 200, 1), (1, 8, 256, 16)]
+#: (batch, p, q): q below, on, and across the 16-wide decomposition tile.
+DECOMP_SHAPES = [(1, 1, 1), (3, 4, 15), (2, 8, 16), (2, 3, 17), (1, 4, 33),
+                 (5, 8, 64), (2, 2, 100)]
+DTYPES = (np.complex64, np.complex128)
+
+
+VARIANTS = {tag: flags for flags, tag in _ckernels._flag_variants()}
+
+
+@pytest.fixture(scope="module", params=sorted(VARIANTS))
+def kernels(request):
+    """Each flag variant, built into (or reused from) the kernel cache.
+    It is tested even when the loader's self-check rejected it: the
+    oracle below needs only IEEE float adds and multiplies from NumPy,
+    so a failure here is the kernel's, not the host's."""
+    lib_path = _ckernels._compile(_ckernels._find_cc(),
+                                  VARIANTS[request.param], request.param)
+    if lib_path is None:
+        pytest.skip(f"variant {request.param} does not build here")
+    return _ckernels._Kernels(lib_path, request.param)
+
+
+def _adversarial(rng, shape, dtype):
+    """Complex values spanning twelve decades, so a reassociated sum
+    rounds differently from the sequential one."""
+    scale = 10.0 ** rng.integers(-6, 7, size=shape)
+    x = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
+    return x.astype(dtype)
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(x.real.dtype)
+
+
+def _complex(re, im):
+    out = np.empty(re.shape, np.result_type(re.dtype, np.complex64))
+    out.real, out.imag = re, im
+    return out
+
+
+def _panel_sequential(a, w, acc, order=None):
+    """``acc + einsum("bkm,ko->bom", a, w)``, summing k in ``order``."""
+    bt, kt, m = a.shape
+    tr = np.zeros((bt, w.shape[1], m), a.real.dtype)
+    ti = np.zeros_like(tr)
+    for k in (range(kt) if order is None else order):
+        ar, ai = a.real[:, k, None, :], a.imag[:, k, None, :]
+        wr, wi = w.real[k, None, :, None], w.imag[k, None, :, None]
+        tr = tr + (ar * wr - ai * wi)
+        ti = ti + (ar * wi + ai * wr)
+    return _complex(acc.real + tr, acc.imag + ti)
+
+
+def _decomp_sequential(y, wd):
+    """``einsum("bpk,pk->bk", y, wd)``, summing p in order."""
+    tr = np.zeros((y.shape[0], y.shape[2]), y.real.dtype)
+    ti = np.zeros_like(tr)
+    for p in range(y.shape[1]):
+        yr, yi = y.real[:, p], y.imag[:, p]
+        wr, wi = wd.real[p], wd.imag[p]
+        tr = tr + (yr * wr - yi * wi)
+        ti = ti + (yr * wi + yi * wr)
+    return _complex(tr, ti)
+
+
+def _guarded(shape, dtype, fill):
+    """An output array framed by sentinel elements, to catch a tile that
+    writes past its row."""
+    size = int(np.prod(shape))
+    buf = np.full(size + 2, fill, dtype)
+    return buf, buf[1:-1].reshape(shape)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("shape", PANEL_SHAPES)
+def test_panel_contract_keeps_sequential_order(kernels, dtype, shape):
+    bt, kt, m, o = shape
+    rng = np.random.default_rng(bt * 1000 + kt * 100 + m + o)
+    a = _adversarial(rng, (bt, kt, m), dtype)
+    w = _adversarial(rng, (kt, o), dtype)
+    acc0 = _adversarial(rng, (bt, o, m), dtype)
+    buf, acc = _guarded((bt, o, m), dtype, 7 + 7j)
+    acc[...] = acc0
+    kernels.panel_contract(a, w, acc, bt, kt, m, o)
+    assert np.array_equal(_bits(acc), _bits(_panel_sequential(a, w, acc0)))
+    assert np.array_equal(_bits(acc), _bits(acc0 + np.einsum(
+        "bkm,ko->bom", a, w)))
+    assert buf[0] == buf[-1] == 7 + 7j
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("shape", DECOMP_SHAPES)
+def test_decomp_reduce_keeps_sequential_order(kernels, dtype, shape):
+    batch, p, q = shape
+    rng = np.random.default_rng(batch * 1000 + p * 100 + q)
+    y = _adversarial(rng, (batch, p, q), dtype)
+    wd = _adversarial(rng, (p, q), dtype)
+    buf, out = _guarded((batch, q), dtype, 7 + 7j)
+    kernels.decomp_reduce(y, wd, out, batch, p, q)
+    assert np.array_equal(_bits(out), _bits(_decomp_sequential(y, wd)))
+    assert np.array_equal(_bits(out), _bits(np.einsum("bpk,pk->bk", y, wd)))
+    assert buf[0] == buf[-1] == 7 + 7j
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_order_oracle_detects_reassociation(dtype):
+    """The adversarial data makes the oracle order-sensitive: summing k
+    in reverse gives different bits, so a kernel that reassociated would
+    fail the tests above."""
+    rng = np.random.default_rng(11)
+    a = _adversarial(rng, (2, 8, 64), dtype)
+    w = _adversarial(rng, (8, 4), dtype)
+    acc0 = np.zeros((2, 4, 64), dtype)
+    forward = _panel_sequential(a, w, acc0)
+    backward = _panel_sequential(a, w, acc0, order=range(7, -1, -1))
+    assert not np.array_equal(_bits(forward), _bits(backward))
+
+
+def test_operands_are_checked_before_the_call(kernels):
+    """The C side trusts its sizes: a wrong dtype, a strided view or a
+    short buffer raises before any kernel touches memory."""
+    k = kernels
+    a = np.ones((2, 3, 8), np.complex64)
+    w = np.ones((3, 4), np.complex64)
+    acc = np.zeros((2, 4, 8), np.complex64)
+    with pytest.raises(TypeError, match="unsupported dtype"):
+        k.panel_contract(a.real.copy(), w, acc, 2, 3, 8, 4)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        k.panel_contract(a, w.astype(np.complex128), acc, 2, 3, 8, 4)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        k.panel_contract(a, w, acc[:, :, ::2], 2, 3, 4, 4)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        k.panel_contract(a, w, acc, 2, 3, 8, 5)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        k.decomp_reduce(a, w[:, :1], acc, 2, 3, 8)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        k.stockham(a.reshape(6, 8), acc.reshape(8, 8)[:5], acc,
+                   np.ones(7, np.complex64), 6, 8, None, None)
+    assert not acc.any()
