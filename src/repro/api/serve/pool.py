@@ -837,9 +837,6 @@ class ServePool:
                 raise _HandleDead
             pending.allocated = False
             handle.pending[pending.rid] = pending
-            push_model = pending.mid not in handle.pushed
-            if push_model:
-                handle.pushed.add(pending.mid)
             handle.warm_models[pending.mid] = (
                 pending.mid, spec.weight, spec.modes, spec.symmetric
             )
@@ -899,8 +896,25 @@ class ServePool:
         )
         view[...] = x  # the only parent-side copy: user array -> ring
         del view
+        # The header (checksummed: the worker refuses to dereference ring
+        # offsets from a header that does not verify).
+        if pending.steps is None:
+            kind = "req"
+            fields = (pending.rid, pending.mid, tuple(x.shape),
+                      str(x.dtype), req_off, resp_off, resp_cap,
+                      pending.deadline, pending.retries)
+        else:
+            kind = "roll"
+            fields = (pending.rid, pending.mid, tuple(x.shape),
+                      str(x.dtype), req_off, resp_off, resp_cap,
+                      pending.steps, pending.profile, pending.deadline,
+                      pending.retries)
         # 3. Publish offsets; a crash between admission and here retries
         # through the pending entry, which never frees unallocated slabs.
+        # 4. Enqueue, under the same lock: a model counts as pushed only
+        # once its message is queued, and no other dispatcher's header
+        # for it can overtake that message (the queue is unbounded: puts
+        # cannot block).
         with handle.lock:
             if pending.rid not in handle.pending:
                 # Crash handler took ownership while we staged: it
@@ -918,32 +932,21 @@ class ServePool:
             pending.resp_off = resp_off
             pending.resp_cap = resp_cap
             pending.allocated = True
-        # 4. The header (the queue is unbounded: puts cannot block).
-        # Checksummed: the worker refuses to dereference ring offsets
-        # from a header that does not verify.
-        if pending.steps is None:
-            kind = "req"
-            fields = (pending.rid, pending.mid, tuple(x.shape),
-                      str(x.dtype), req_off, resp_off, resp_cap,
-                      pending.deadline, pending.retries)
-        else:
-            kind = "roll"
-            fields = (pending.rid, pending.mid, tuple(x.shape),
-                      str(x.dtype), req_off, resp_off, resp_cap,
-                      pending.steps, pending.profile, pending.deadline,
-                      pending.retries)
-        try:
-            if push_model:
-                handle.queue.put(
-                    ("model", pending.mid, spec.weight, spec.modes,
-                     spec.symmetric)
-                )
-            handle.queue.put((kind, *fields, header_checksum(fields)))
-        except (ValueError, OSError):  # queue closed: worker is gone
-            if _abort(None):
-                handle.req_arena.free(req_off)
-                handle.resp_arena.free(resp_off)
-                raise _HandleDead from None
+            try:
+                if pending.mid not in handle.pushed:
+                    handle.queue.put(
+                        ("model", pending.mid, spec.weight, spec.modes,
+                         spec.symmetric)
+                    )
+                    handle.pushed.add(pending.mid)
+                handle.queue.put((kind, *fields, header_checksum(fields)))
+                queued = True
+            except (ValueError, OSError):  # queue closed: worker is gone
+                queued = False
+        if not queued and _abort(None):
+            handle.req_arena.free(req_off)
+            handle.resp_arena.free(resp_off)
+            raise _HandleDead
 
     # -- graceful degradation -------------------------------------------
 

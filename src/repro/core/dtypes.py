@@ -21,8 +21,9 @@ def complex_dtype_for(dtype: np.dtype | type) -> np.dtype:
     """Complex working dtype for an input dtype.
 
     complex64 for float32/complex64 inputs (the paper's FP32 setting),
-    complex128 otherwise.
+    complex128 otherwise.  Byte order does not count: ``'>f4'`` is
+    float32 too.
     """
-    if np.dtype(dtype) in _SINGLE:
+    if np.dtype(dtype).newbyteorder("=") in _SINGLE:
         return np.dtype(np.complex64)
     return np.dtype(np.complex128)

@@ -213,6 +213,24 @@ class _Kernels:
         fn(*ptrs, batch, s, q)
 
 
+#: (n, rows, inverse, div_by, mul_by) full-transform probes of the
+#: Stockham kernel.  Together they reach every pass kind of the AVX2
+#: build in both dtypes: the first stage pair (half = 1 and 2, narrower
+#: than a float vector), later pairs with one and several vectors per
+#: row, the odd last radix-2 stage, and the scalar fallback for rows
+#: shorter than four vectors (n < 16 float, n < 8 double); forward and
+#: inverse tables; div-only and div+mul scaling of a last pair and of a
+#: last radix-2 stage.
+_STOCKHAM_PROBES = [
+    (2, 3, False, None, None),
+    (4, 3, True, 4.0, None),
+    (8, 5, False, 8.0, 0.5),
+    (16, 3, True, 16.0, None),
+    (32, 3, True, 32.0, 0.375),
+    (64, 2, False, 64.0, None),
+]
+
+
 def _self_check(k: _Kernels) -> bool:
     """Validate every kernel's FP semantics against NumPy on probe data.
 
@@ -220,31 +238,33 @@ def _self_check(k: _Kernels) -> bool:
     path; any deviation (a toolchain that contracts differently, a NumPy
     build with different complex-multiply loops) must disable it.
     """
+    from repro.fft.legacy import _stockham_last_axis
+    from repro.fft.twiddle import stage_twiddles
+
     rng = np.random.default_rng(0xC0FFEE)
     for dtype in (np.complex64, np.complex128):
         cplx = lambda *s: (
             rng.standard_normal(s) + 1j * rng.standard_normal(s)
         ).astype(dtype)
-        # stockham: one span-4 stage of a 2-point pre-transformed array is
-        # awkward to probe in isolation; instead run a full length-8 FFT
-        # against the legacy NumPy stage loop.
-        from repro.fft.legacy import _stockham_last_axis
-
-        x = cplx(5, 8)
-        ref = _stockham_last_axis(x, inverse=False)
-        ref = ref / 8
-        ref = ref * 0.5
-        tw = np.concatenate(
-            [np.exp(-2j * np.pi * np.arange(h) / (2 * h)).astype(dtype)
-             for h in (1, 2, 4)]
-        )
-        # the forward reference above divides/multiplies after the loop,
-        # matching the chained-scale path of the kernel
-        out = np.empty_like(x)
-        scratch = np.empty_like(x)
-        k.stockham(x, out, scratch, np.ascontiguousarray(tw), 5, 8, 8.0, 0.5)
-        if not np.array_equal(ref.view(ref.real.dtype), out.view(out.real.dtype)):
-            return False
+        # stockham: full transforms against the legacy NumPy stage loop,
+        # scaled after the loop as the kernel's chained last stage does.
+        for n, rows, inverse, div_by, mul_by in _STOCKHAM_PROBES:
+            x = cplx(rows, n)
+            ref = _stockham_last_axis(x, inverse=inverse)
+            if div_by is not None:
+                ref = ref / div_by
+            if mul_by is not None:
+                ref = ref * mul_by
+            tw = np.concatenate([
+                stage_twiddles(2 << s, inverse=inverse).astype(dtype)
+                for s in range(n.bit_length() - 1)
+            ])
+            out = np.empty_like(x)
+            scratch = np.empty_like(x)
+            k.stockham(x, out, scratch, tw, rows, n, div_by, mul_by)
+            if not np.array_equal(ref.view(ref.real.dtype),
+                                  out.view(out.real.dtype)):
+                return False
         # The contraction kernels tile the unit-stride index: probe a
         # full tile plus a tail (m = 64 + 6, q = 16 + 6).
         # panel contract == acc += einsum

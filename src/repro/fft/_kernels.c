@@ -18,20 +18,32 @@
  *     the same order per element, but contiguous loads the compiler can
  *     vectorize instead of one strided dot product per element.
  *   - scalar /= and *=         : independent per-component ops.
+ *     (NumPy divides a complex array by a real through Smith's
+ *     algorithm, a multiply by the reciprocal: for the power-of-two
+ *     divisors the plans pass, the two agree except on signed zeros and
+ *     infinities.)
  *
  * The file is compiled with -ffp-contract=off and WITHOUT -mfma: GCC's
  * vectorizer introduces FMAs into plain expressions whenever the FMA ISA
  * is enabled globally (even under -ffp-contract=off), which would break
  * the einsum replicas.  The kernels that *need* FMA semantics opt in
  * per-function via the target attribute when REPRO_TARGET_FMA is set.
- * repro.fft._ckernels self-checks every pattern against NumPy at load
- * time and refuses the library if the host toolchain deviates.
+ * In that build the Stockham FFT is written in AVX2 intrinsics (GCC
+ * leaves the interleaved FMA butterfly scalar): every stage runs full
+ * vectors, including the half = 1 and 2 stages, and stages run in pairs
+ * through registers.  It keeps the scalar loop's bits on every non-NaN
+ * value; only NaN payloads and signs may differ.  The generic build
+ * runs the scalar loop.  repro.fft._ckernels self-checks every pattern
+ * against NumPy at load time and refuses the library if the host
+ * toolchain deviates.
  */
 
 #include <math.h>
 
 #if defined(__x86_64__) && defined(REPRO_TARGET_FMA)
+#include <immintrin.h>
 #define FMA_TARGET __attribute__((target("fma,avx2")))
+#define STOCKHAM_AVX2 1
 #else
 #define FMA_TARGET
 #endif
@@ -45,11 +57,13 @@
  * per-stage half tables (n-1 complex entries, stage span 2 first).  The
  * final stage writes `out`; `scratch` is the other ping-pong buffer.
  * do_div/do_mul chain the legacy `out /= div_by` and `out *= mul_by`
- * passes into the last stage's store (same roundings, one less pass). */
-#define STOCKHAM(NAME, T, FMAF)                                          \
-FMA_TARGET void NAME(const T* x, T* out, T* scratch, const T* tw,        \
-                     long rows, long n, int do_div, T div_by,            \
-                     int do_mul, T mul_by) {                             \
+ * passes into the last stage's store (same roundings, one less pass).
+ * This is the whole transform in the generic build, and the short-row
+ * fallback of the AVX2 one. */
+#define STOCKHAM_SCALAR(LINKAGE, NAME, T, FMAF)                          \
+LINKAGE FMA_TARGET void NAME(const T* x, T* out, T* scratch,             \
+                             const T* tw, long rows, long n, int do_div, \
+                             T div_by, int do_mul, T mul_by) {           \
     if (n == 1) {                                                        \
         for (long i = 0; i < 2*rows; i++) {                              \
             T v = x[i];                                                  \
@@ -108,8 +122,246 @@ FMA_TARGET void NAME(const T* x, T* out, T* scratch, const T* tw,        \
     }                                                                    \
 }
 
-STOCKHAM(stockham_f32, float, fmaf)
-STOCKHAM(stockham_f64, double, fma)
+#ifndef STOCKHAM_AVX2
+STOCKHAM_SCALAR(, stockham_f32, float, fmaf)
+STOCKHAM_SCALAR(, stockham_f64, double, fma)
+#else
+STOCKHAM_SCALAR(static, stockham_scalar_f32, float, fmaf)
+STOCKHAM_SCALAR(static, stockham_scalar_f64, double, fma)
+
+/* AVX2 transform, bit-identical to the scalar one on every non-NaN
+ * value.  A vector holds W = 4 (float) or 2 (double) interleaved complex
+ * values, and each step below is one vector of every operand:
+ *   - w*b: fmaddsub(wr, b, wi*swap(b)) is fma(wr, br, -(wi*bi)) in the
+ *     real lanes and fma(wr, bi, wi*br) in the imaginary lanes, the
+ *     scalar recurrence exactly (negating wi*bi is exact).
+ *   - Stages run in pairs (half h, then 2h) through registers, with the
+ *     same operations on the same operands as two radix-2 stages, so a
+ *     row is read and written once per two stages.  Row quarters x0..x3
+ *     at complex index i, n/4+i, n/2+i, 3n/4+i feed the four outputs
+ *     at 4i - 3j + {0, h, 2h, 3h} (j = i mod h).
+ *   - The first pair (h = 1, 2) is narrower than a vector: the loop
+ *     runs over i with broadcast twiddles, and a 4x4 (float) or 2x2
+ *     (double) transpose of complex values interleaves the outputs.
+ *     Later pairs (h >= 4) are plain vector loops.
+ *   - An odd stage count leaves a last radix-2 stage, half = n/2.
+ *   - div/mul are the same IEEE per-component ops as the scalar code.
+ * Rows shorter than 4W run the scalar transform.  Only NaN payloads and
+ * signs may differ from the scalar build. */
+
+static inline FMA_TARGET __m256 cmul_ps(__m256 wr, __m256 wi, __m256 b) {
+    __m256 bs = _mm256_permute_ps(b, 0xB1);          /* bi br per pair */
+    return _mm256_fmaddsub_ps(wr, b, _mm256_mul_ps(wi, bs));
+}
+
+static inline FMA_TARGET __m256d cmul_pd(__m256d wr, __m256d wi,
+                                         __m256d b) {
+    __m256d bs = _mm256_permute_pd(b, 0x5);
+    return _mm256_fmaddsub_pd(wr, b, _mm256_mul_pd(wi, bs));
+}
+
+/* *p = a + w*b, *m = a - w*b; wr/wi hold w's parts in every lane of
+ * its complex value. */
+static inline FMA_TARGET void bfly_ps(__m256 a, __m256 b, __m256 wr,
+                                      __m256 wi, __m256* p, __m256* m) {
+    __m256 wb = cmul_ps(wr, wi, b);
+    *p = _mm256_add_ps(a, wb);
+    *m = _mm256_sub_ps(a, wb);
+}
+
+static inline FMA_TARGET void bfly_pd(__m256d a, __m256d b, __m256d wr,
+                                      __m256d wi, __m256d* p, __m256d* m) {
+    __m256d wb = cmul_pd(wr, wi, b);
+    *p = _mm256_add_pd(a, wb);
+    *m = _mm256_sub_pd(a, wb);
+}
+
+/* The (wr, wi) lane split of one vector of twiddles at t. */
+static inline FMA_TARGET void tw_ps(const float* t, __m256* wr,
+                                    __m256* wi) {
+    __m256 w = _mm256_loadu_ps(t);
+    *wr = _mm256_moveldup_ps(w);
+    *wi = _mm256_movehdup_ps(w);
+}
+
+static inline FMA_TARGET void tw_pd(const double* t, __m256d* wr,
+                                    __m256d* wi) {
+    __m256d w = _mm256_loadu_pd(t);
+    *wr = _mm256_movedup_pd(w);
+    *wi = _mm256_permute_pd(w, 0xF);
+}
+
+static inline FMA_TARGET __m256 scale_ps(__m256 v, int do_div, __m256 d,
+                                         int do_mul, __m256 m) {
+    if (do_div) v = _mm256_div_ps(v, d);
+    if (do_mul) v = _mm256_mul_ps(v, m);
+    return v;
+}
+
+static inline FMA_TARGET __m256d scale_pd(__m256d v, int do_div,
+                                          __m256d d, int do_mul,
+                                          __m256d m) {
+    if (do_div) v = _mm256_div_pd(v, d);
+    if (do_mul) v = _mm256_mul_pd(v, m);
+    return v;
+}
+
+/* Stages h = 1, 2 (never the last: n >= 4W).  Lane k of (a, b, c, d)
+ * is out[4(i+k) + 0, 1, 2, 3]. */
+static FMA_TARGET void first_pair_f32(const float* cur, float* nxt,
+                                      const float* twp, long rows, long n) {
+    const __m256 wr = _mm256_set1_ps(twp[0]), wi = _mm256_set1_ps(twp[1]);
+    const __m256 ur = _mm256_set1_ps(twp[2]), ui = _mm256_set1_ps(twp[3]);
+    const __m256 vr = _mm256_set1_ps(twp[4]), vi = _mm256_set1_ps(twp[5]);
+    long q = n / 4;
+    for (long row = 0; row < rows; row++) {
+        const float* r = cur + 2*row*n;
+        float* o = nxt + 2*row*n;
+        for (long i = 0; i < q; i += 4) {
+            __m256 p0, m0, p1, m1, a, b, c, d;
+            bfly_ps(_mm256_loadu_ps(r + 2*i), _mm256_loadu_ps(r + 2*(2*q+i)),
+                    wr, wi, &p0, &m0);
+            bfly_ps(_mm256_loadu_ps(r + 2*(q+i)),
+                    _mm256_loadu_ps(r + 2*(3*q+i)), wr, wi, &p1, &m1);
+            bfly_ps(p0, p1, ur, ui, &a, &c);
+            bfly_ps(m0, m1, vr, vi, &b, &d);
+            __m256d ab0 = _mm256_unpacklo_pd(_mm256_castps_pd(a),
+                                             _mm256_castps_pd(b));
+            __m256d ab1 = _mm256_unpackhi_pd(_mm256_castps_pd(a),
+                                             _mm256_castps_pd(b));
+            __m256d cd0 = _mm256_unpacklo_pd(_mm256_castps_pd(c),
+                                             _mm256_castps_pd(d));
+            __m256d cd1 = _mm256_unpackhi_pd(_mm256_castps_pd(c),
+                                             _mm256_castps_pd(d));
+            _mm256_storeu_ps(o + 8*i, _mm256_castpd_ps(
+                _mm256_permute2f128_pd(ab0, cd0, 0x20)));
+            _mm256_storeu_ps(o + 8*i + 8, _mm256_castpd_ps(
+                _mm256_permute2f128_pd(ab1, cd1, 0x20)));
+            _mm256_storeu_ps(o + 8*i + 16, _mm256_castpd_ps(
+                _mm256_permute2f128_pd(ab0, cd0, 0x31)));
+            _mm256_storeu_ps(o + 8*i + 24, _mm256_castpd_ps(
+                _mm256_permute2f128_pd(ab1, cd1, 0x31)));
+        }
+    }
+}
+
+static FMA_TARGET void first_pair_f64(const double* cur, double* nxt,
+                                      const double* twp, long rows,
+                                      long n) {
+    const __m256d wr = _mm256_set1_pd(twp[0]), wi = _mm256_set1_pd(twp[1]);
+    const __m256d ur = _mm256_set1_pd(twp[2]), ui = _mm256_set1_pd(twp[3]);
+    const __m256d vr = _mm256_set1_pd(twp[4]), vi = _mm256_set1_pd(twp[5]);
+    long q = n / 4;
+    for (long row = 0; row < rows; row++) {
+        const double* r = cur + 2*row*n;
+        double* o = nxt + 2*row*n;
+        for (long i = 0; i < q; i += 2) {
+            __m256d p0, m0, p1, m1, a, b, c, d;
+            bfly_pd(_mm256_loadu_pd(r + 2*i), _mm256_loadu_pd(r + 2*(2*q+i)),
+                    wr, wi, &p0, &m0);
+            bfly_pd(_mm256_loadu_pd(r + 2*(q+i)),
+                    _mm256_loadu_pd(r + 2*(3*q+i)), wr, wi, &p1, &m1);
+            bfly_pd(p0, p1, ur, ui, &a, &c);
+            bfly_pd(m0, m1, vr, vi, &b, &d);
+            _mm256_storeu_pd(o + 8*i, _mm256_permute2f128_pd(a, b, 0x20));
+            _mm256_storeu_pd(o + 8*i + 4, _mm256_permute2f128_pd(c, d, 0x20));
+            _mm256_storeu_pd(o + 8*i + 8, _mm256_permute2f128_pd(a, b, 0x31));
+            _mm256_storeu_pd(o + 8*i + 12,
+                             _mm256_permute2f128_pd(c, d, 0x31));
+        }
+    }
+}
+
+/* Stages h and 2h (h >= W), or with pair = 0 the single radix-2 stage
+ * h = n/2; the last pass scales its stores. */
+#define AVX2_PASS(NAME, T, V, SFX, W)                                    \
+static FMA_TARGET void NAME(const T* cur, T* nxt, const T* twp,          \
+                            long rows, long n, long h, int pair,         \
+                            int do_div, T div_by, int do_mul,            \
+                            T mul_by) {                                  \
+    const V vd = _mm256_set1_##SFX(div_by);                              \
+    const V vm = _mm256_set1_##SFX(mul_by);                              \
+    long q = n / 4;                                                      \
+    for (long row = 0; row < rows; row++) {                              \
+        const T* r = cur + 2*row*n;                                      \
+        T* o = nxt + 2*row*n;                                            \
+        if (pair) {                                                      \
+            for (long i = 0; i < q; i += W) {                            \
+                long j = i & (h - 1);                                    \
+                V wr, wi, p0, m0, p1, m1, a, b, c, d;                    \
+                tw_##SFX(twp + 2*j, &wr, &wi);                           \
+                bfly_##SFX(_mm256_loadu_##SFX(r + 2*i),                  \
+                           _mm256_loadu_##SFX(r + 2*(2*q+i)),            \
+                           wr, wi, &p0, &m0);                            \
+                bfly_##SFX(_mm256_loadu_##SFX(r + 2*(q+i)),              \
+                           _mm256_loadu_##SFX(r + 2*(3*q+i)),            \
+                           wr, wi, &p1, &m1);                            \
+                tw_##SFX(twp + 2*(h+j), &wr, &wi);                       \
+                bfly_##SFX(p0, p1, wr, wi, &a, &c);                      \
+                tw_##SFX(twp + 2*(2*h+j), &wr, &wi);                     \
+                bfly_##SFX(m0, m1, wr, wi, &b, &d);                      \
+                T* op = o + 2*(4*i - 3*j);                               \
+                _mm256_storeu_##SFX(op,                                  \
+                    scale_##SFX(a, do_div, vd, do_mul, vm));             \
+                _mm256_storeu_##SFX(op + 2*h,                            \
+                    scale_##SFX(b, do_div, vd, do_mul, vm));             \
+                _mm256_storeu_##SFX(op + 4*h,                            \
+                    scale_##SFX(c, do_div, vd, do_mul, vm));             \
+                _mm256_storeu_##SFX(op + 6*h,                            \
+                    scale_##SFX(d, do_div, vd, do_mul, vm));             \
+            }                                                            \
+        } else {                                                         \
+            for (long i = 0; i < 2*q; i += W) {                          \
+                V wr, wi, p, m;                                          \
+                tw_##SFX(twp + 2*i, &wr, &wi);                           \
+                bfly_##SFX(_mm256_loadu_##SFX(r + 2*i),                  \
+                           _mm256_loadu_##SFX(r + 2*(2*q+i)),            \
+                           wr, wi, &p, &m);                              \
+                _mm256_storeu_##SFX(o + 2*i,                             \
+                    scale_##SFX(p, do_div, vd, do_mul, vm));             \
+                _mm256_storeu_##SFX(o + 2*(2*q+i),                       \
+                    scale_##SFX(m, do_div, vd, do_mul, vm));             \
+            }                                                            \
+        }                                                                \
+    }                                                                    \
+}
+
+AVX2_PASS(pass_f32, float, __m256, ps, 4)
+AVX2_PASS(pass_f64, double, __m256d, pd, 2)
+
+/* The first pair, then pairs of stages, then a last radix-2 stage when
+ * the stage count is odd; the last pass writes `out`. */
+#define STOCKHAM_VECTOR(NAME, T, W, SCALAR, FIRST, PASS)                 \
+FMA_TARGET void NAME(const T* x, T* out, T* scratch, const T* tw,        \
+                     long rows, long n, int do_div, T div_by,            \
+                     int do_mul, T mul_by) {                             \
+    if (n < 4*(W)) {                                                     \
+        SCALAR(x, out, scratch, tw, rows, n, do_div, div_by,             \
+               do_mul, mul_by);                                          \
+        return;                                                          \
+    }                                                                    \
+    long nstages = 0;                                                    \
+    for (long t = n; t > 1; t >>= 1) nstages++;                          \
+    long npass = (nstages + 1) / 2;                                      \
+    T* bufs[2];                                                          \
+    if (npass % 2 == 1) { bufs[0] = out; bufs[1] = scratch; }            \
+    else                { bufs[0] = scratch; bufs[1] = out; }            \
+    FIRST(x, bufs[0], tw, rows, n);                                      \
+    const T* twp = tw + 2*3;                                             \
+    for (long s = 2, p = 1; s < nstages; s += 2, p++) {                  \
+        long h = 1L << s;                                                \
+        int pair = s + 1 < nstages, last = p == npass - 1;               \
+        PASS(bufs[(p+1) % 2], bufs[p % 2], twp, rows, n, h, pair,        \
+             last && do_div, div_by, last && do_mul, mul_by);            \
+        twp += 2*(pair ? 3 : 1)*h;                                       \
+    }                                                                    \
+}
+
+STOCKHAM_VECTOR(stockham_f32, float, 4, stockham_scalar_f32,
+                first_pair_f32, pass_f32)
+STOCKHAM_VECTOR(stockham_f64, double, 2, stockham_scalar_f64,
+                first_pair_f64, pass_f64)
+#endif
 
 /* ------------------------------------------------------------------ */
 /* einsum replicas (naive products, sequential contraction)            */

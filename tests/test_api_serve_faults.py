@@ -406,8 +406,13 @@ class TestCorruptedHeaders:
             stats = pool.stats(timeout=10)
             # Recovery: the fault was one-shot, the next submit lands.
             y = pool.infer((w, 16), x, timeout=120)
+            after = pool.stats(timeout=10)
         assert stats["admission"]["rejected"] == 1
         assert np.array_equal(y, _ref((w, 16), x))
+        # The rejected first request never shipped the model, so the
+        # next one must: a worker sent a request for a model it does not
+        # hold would die on it.
+        assert after["admission"]["crashes"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,25 @@
-"""Kernel-level oracle for the C contraction kernels.
+"""Kernel-level oracles for the C kernels, for every compiled flag
+variant.
 
 ``panel_contract`` and ``decomp_reduce`` promise each output element's
 einsum summation order: naive rounded products, contracted index summed
 sequentially from zero.  Their loop nests tile the unit-stride output
 index, so these tests pin that order directly — against a sequential
 NumPy replica, on data whose rounding depends on the order — at shapes
-below, on and across the tile widths, for every compiled flag variant.
+below, on and across the tile widths.
+
+``stockham`` promises the legacy NumPy stage loop's bits on every
+non-NaN value, signed zeros and infinities included, and NaN in the
+same places.  The AVX2 build runs stages in pairs, with a different
+loop for the first pair, later pairs and an odd last stage, so the
+lengths cover all of them.
 """
 
 import numpy as np
 import pytest
 
-from repro.fft import _ckernels
+from repro.fft import _ckernels, legacy
+from repro.fft.twiddle import stage_twiddles
 
 pytestmark = pytest.mark.skipif(
     _ckernels._build_blocker() is not None,
@@ -123,6 +131,110 @@ def test_decomp_reduce_keeps_sequential_order(kernels, dtype, shape):
     assert np.array_equal(_bits(out), _bits(_decomp_sequential(y, wd)))
     assert np.array_equal(_bits(out), _bits(np.einsum("bpk,pk->bk", y, wd)))
     assert buf[0] == buf[-1] == 7 + 7j
+
+
+def _with_specials(rng, x, values):
+    """``x`` with about a tenth of its real components replaced by
+    ``values``."""
+    flat = x.copy().view(x.real.dtype).reshape(-1)
+    idx = rng.choice(flat.size, size=max(1, flat.size // 10), replace=False)
+    flat[idx] = rng.choice(np.array(values, flat.dtype), size=idx.size)
+    return flat.view(x.dtype).reshape(x.shape)
+
+
+def _stage_table(n, dtype, inverse):
+    """The concatenated per-stage half tables a compiled plan passes."""
+    if n == 1:
+        return np.zeros(0, dtype)
+    return np.concatenate([stage_twiddles(2 << s, inverse=inverse)
+                           .astype(dtype) for s in range(n.bit_length() - 1)])
+
+
+def _stockham_reference(x, inverse, div_by, mul_by):
+    """The legacy stage loop, then per-component ``/ div_by`` and
+    ``* mul_by`` — the kernel's scalar ``/=`` and ``*=``.  (NumPy's
+    complex-by-real division goes through Smith's algorithm, which for
+    a power-of-two ``div_by`` agrees on finite nonzero values but not on
+    signed zeros and infinities.)"""
+    ref = legacy._stockham_last_axis(x, inverse).view(x.real.dtype)
+    if div_by is not None:
+        ref = ref / div_by
+    if mul_by is not None:
+        ref = ref * mul_by
+    return ref
+
+
+def _same_bits_or_both_nan(got, ref):
+    """Bit-equal on every non-NaN component (as integers, so -0.0 is
+    not 0.0), NaN in the same places (NaN payload and sign are not part
+    of the contract)."""
+    got = _bits(got)
+    nan = np.isnan(ref)
+    ints = np.dtype(f"u{ref.itemsize}")
+    return (np.array_equal(np.isnan(got), nan)
+            and np.array_equal(got[~nan].view(ints), ref[~nan].view(ints)))
+
+
+def _run_stockham(kernels, x, inverse, div_by, mul_by):
+    """The kernel over every row of ``x``; out and scratch are guarded."""
+    rows, n = x.shape
+    buf, out = _guarded((rows, n), x.dtype, 7 + 7j)
+    sbuf, scratch = _guarded((rows, n), x.dtype, 7 + 7j)
+    kernels.stockham(x, out, scratch, _stage_table(n, x.dtype, inverse),
+                     rows, n, div_by, mul_by)
+    assert buf[0] == buf[-1] == sbuf[0] == sbuf[-1] == 7 + 7j
+    return out
+
+
+#: (div_by, mul_by) per n: none, the inverse normalisation, and the
+#: pruned-inverse rescale chained after it.
+STOCKHAM_SCALES = {"none": lambda n: (None, None),
+                   "div": lambda n: (float(n), None),
+                   "div_mul": lambda n: (float(n), 0.375)}
+
+
+@pytest.mark.parametrize("scale", sorted(STOCKHAM_SCALES))
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("rows", [1, 3, 17])
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32, 64, 512])
+def test_stockham_matches_legacy_stage_loop(kernels, n, rows, dtype,
+                                            inverse, scale):
+    """Every pass kind — the first stage pair (half = 1, 2), later pairs
+    with one and several vectors per row, an odd last radix-2 stage, rows
+    too short for the vector passes — against the legacy NumPy stage
+    loop, bit for bit, on twelve-decade data with signed zeros injected.
+    With several rows, row 1 holds only signed zeros and the last row
+    also infinities, whose NaNs stay in that row."""
+    rng = np.random.default_rng(n * 100 + rows * 10 + inverse)
+    x = _with_specials(rng, _adversarial(rng, (rows, n), dtype), [0.0, -0.0])
+    if rows > 2:
+        x[1] = (np.copysign(0.0, x[1].real)
+                + 1j * np.copysign(0.0, x[1].imag))
+    if rows > 1:
+        x[-1:] = _with_specials(rng, x[-1:], [np.inf, -np.inf])
+    div_by, mul_by = STOCKHAM_SCALES[scale](n)
+    with np.errstate(all="ignore"):
+        got = _run_stockham(kernels, x, inverse, div_by, mul_by)
+        ref = _stockham_reference(x, inverse, div_by, mul_by)
+    assert not np.isnan(ref[:max(rows - 1, 1)]).any()
+    assert _same_bits_or_both_nan(got, ref)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("n", [2, 8, 64])
+def test_stockham_keeps_nan_positions(kernels, n, dtype):
+    """A NaN input reaches the same output components as in the legacy
+    loop, and every other component keeps its bits."""
+    rng = np.random.default_rng(n)
+    x = _with_specials(rng, _adversarial(rng, (5, n), dtype), [0.0, -0.0])
+    x[0, n - 1] = complex(np.nan, 1.0)
+    x[1, 0] = complex(-np.inf, 0.0)
+    with np.errstate(all="ignore"):
+        got = _run_stockham(kernels, x, True, float(n), None)
+        ref = _stockham_reference(x, True, float(n), None)
+    assert np.isnan(ref[0]).any() and not np.isnan(ref[2:]).any()
+    assert _same_bits_or_both_nan(got, ref)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)

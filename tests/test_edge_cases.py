@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.api import Session
 from repro.core.config import FNO1DProblem, TurboFNOConfig
+from repro.core.dtypes import complex_dtype_for
 from repro.core.fused import fused_fft_gemm_ifft_1d
 from repro.core.pipeline_model import build_pipeline_1d, turbo_fft_kernel
 from repro.core.stages import FusionStage
@@ -77,6 +79,37 @@ class TestModelEdgeCases:
         c_full = build_pipeline_1d(full, FusionStage.FFT_OPT).counters()
         c_trunc = build_pipeline_1d(trunc, FusionStage.FFT_OPT).counters()
         assert c_trunc.global_bytes < c_full.global_bytes
+
+
+class TestByteOrder:
+    """Byte order is storage, not precision: a big-endian float32 input
+    computes in complex64 like a native one, with the same bits."""
+
+    @pytest.mark.parametrize("dt, expected", [
+        (">f4", np.complex64), ("<f4", np.complex64),
+        (">c8", np.complex64), ("<c8", np.complex64),
+        (">f8", np.complex128), (">c16", np.complex128),
+    ])
+    def test_complex_dtype_for_ignores_byte_order(self, dt, expected):
+        assert complex_dtype_for(dt) == np.dtype(expected)
+        assert complex_dtype_for(np.dtype(dt)) == np.dtype(expected)
+
+    @pytest.mark.parametrize("dt", [">f4", ">c8", ">f8"])
+    def test_big_endian_input_serves_like_native(self, rng, dt):
+        native = np.dtype(dt).newbyteorder("=")
+        x = rng.standard_normal((2, 4, 16)).astype(native)
+        w = (rng.standard_normal((4, 4))
+             + 1j * rng.standard_normal((4, 4))).astype(
+                 complex_dtype_for(native))
+        session = Session(private_caches=True)
+        try:
+            got = session.infer((w, 8), x.astype(dt))
+            ref = session.infer((w, 8), x)
+        finally:
+            session.close()
+        assert got.dtype == ref.dtype == complex_dtype_for(native)
+        assert np.array_equal(got.view(got.real.dtype),
+                              ref.view(ref.real.dtype))
 
 
 class TestNumericalRobustness:
