@@ -46,6 +46,7 @@ from repro.api.serve.health import (
     HealthPolicy,
     InfrastructureError,
     ResultTimeout,
+    UnknownModel,
 )
 from repro.api.serve.pool import (
     ServeError,
@@ -77,6 +78,7 @@ __all__ = [
     "Cancelled",
     "CorruptedHeader",
     "InfrastructureError",
+    "UnknownModel",
     "PoolSaturated",
     "HealthPolicy",
     "CircuitBreaker",

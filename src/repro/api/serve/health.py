@@ -62,6 +62,7 @@ __all__ = [
     "ResultTimeout",
     "Cancelled",
     "CorruptedHeader",
+    "UnknownModel",
     "InfrastructureError",
     "HealthPolicy",
     "HealthMonitor",
@@ -109,6 +110,13 @@ class CorruptedHeader(ServeError):
     """A request/response header failed its checksum and the retry
     budget is spent (checksummed headers are how a half-written or
     fault-injected control message is rejected instead of trusted)."""
+
+
+class UnknownModel(ServeError):
+    """The worker was asked to serve a model it does not hold.
+
+    The worker answers that one request with this error and serves the
+    rest of its batch; it does not die over it."""
 
 
 class InfrastructureError(ServeError):

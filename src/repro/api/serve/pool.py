@@ -82,6 +82,7 @@ from repro.api.serve.health import (
     InfrastructureError,
     ResultTimeout,
     ServeError,
+    UnknownModel,
     WorkerCrashed,
 )
 from repro.api.serve.router import (
@@ -1143,6 +1144,8 @@ class ServePool:
                 # Substrate fault on the worker: keep it typed so the
                 # caller can tell retry-worthy failures from model ones.
                 error = InfrastructureError(message)
+            elif name == "UnknownModel":
+                error = UnknownModel(message)
             elif name == "ServeError":
                 error = ServeError(message)
             else:

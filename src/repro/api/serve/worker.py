@@ -82,7 +82,7 @@ import time
 import numpy as np
 
 from repro.api.serve.faults import ChaosInjector
-from repro.api.serve.health import InfrastructureError
+from repro.api.serve.health import InfrastructureError, UnknownModel
 from repro.api.serve.shm import header_checksum
 
 __all__ = ["worker_main"]
@@ -180,16 +180,24 @@ class _WorkerBody:
         batch = self._admit(batch)
         if not batch:
             return
-        views = []
-        for msg in batch:
+        views: list = []
+        outs: list = [None] * len(batch)
+        for i, msg in enumerate(batch):
             _, rid, mid, shape, dtype, req_off = msg[:6]
+            model = self.models.get(mid)
+            if model is None:
+                # Answer this request typed; the rest of the batch runs.
+                outs[i] = UnknownModel(f"model {mid} is not loaded on "
+                                       f"this worker")
+                views.append(None)
+                continue
             x = np.ndarray(
                 shape, np.dtype(dtype), buffer=self.req_shm.buf,
                 offset=req_off,
             )
-            views.append((self.models[mid], x))
-        reqs = [i for i, msg in enumerate(batch) if msg[0] == "req"]
-        outs: list = [None] * len(batch)
+            views.append((model, x))
+        reqs = [i for i, msg in enumerate(batch)
+                if msg[0] == "req" and views[i] is not None]
         if reqs:
             pairs = [views[i] for i in reqs]
             try:
@@ -220,7 +228,7 @@ class _WorkerBody:
         # micro-batcher, state resident across the whole stream.
         groups: dict[tuple, list[int]] = {}
         for i, msg in enumerate(batch):
-            if msg[0] == "roll":
+            if msg[0] == "roll" and views[i] is not None:
                 groups.setdefault((msg[8], msg[9]), []).append(i)
         for (steps, profile), idxs in groups.items():
             streams = [views[i] for i in idxs]

@@ -59,12 +59,18 @@ import pathlib
 import tempfile
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.gpu.sharedmem import StagingOccupancy
+
+try:
+    import fcntl
+except ImportError:  # pragma: no cover - no advisory locks on this OS
+    fcntl = None
 
 __all__ = [
     "TUNE_STORE_VERSION",
@@ -329,6 +335,27 @@ def _valid_entry(entry) -> Tiles | None:
     return Tiles(st, ktb)
 
 
+@contextmanager
+def _store_lock(path: pathlib.Path):
+    """Hold an advisory exclusive ``flock`` on ``path``'s sidecar
+    ``.lock`` file for the block.  Where locking is unavailable (no
+    ``fcntl``, a read-only directory) the block runs unlocked."""
+    fd = None
+    if fcntl is not None:
+        try:
+            fd = os.open(f"{path}.lock", os.O_RDWR | os.O_CREAT, 0o644)
+            fcntl.flock(fd, fcntl.LOCK_EX)
+        except OSError:
+            if fd is not None:
+                os.close(fd)
+            fd = None
+    try:
+        yield
+    finally:
+        if fd is not None:
+            os.close(fd)  # releases the lock
+
+
 class TuneStore:
     """The on-disk winner cache: one versioned JSON file.
 
@@ -337,7 +364,9 @@ class TuneStore:
     exception; an unwritable path degrades writes to in-memory storage
     (the session keeps its winners, the disk is left alone).  Writes are
     atomic (tempfile + rename) so concurrent processes can share one
-    store without torn files.
+    store without torn files, and a write's read-merge-replace holds an
+    advisory lock on a sidecar ``<store>.lock`` file, so winners written
+    concurrently by several processes are all kept.
     """
 
     def __init__(self, path: str | os.PathLike | None = None):
@@ -380,30 +409,35 @@ class TuneStore:
             entry.update(extra)
         with self._lock:
             self._mem[key] = entry
-            entries = self._read_entries()
-            entries.update(self._mem)
-            payload = json.dumps(
-                {"version": TUNE_STORE_VERSION, "entries": entries},
-                indent=2, sort_keys=True,
-            )
+            path = self.path
             try:
-                path = self.path
                 path.parent.mkdir(parents=True, exist_ok=True)
-                fd, tmp = tempfile.mkstemp(
-                    dir=str(path.parent), prefix=path.name, suffix=".tmp"
-                )
-                try:
-                    with os.fdopen(fd, "w") as fh:
-                        fh.write(payload + "\n")
-                    os.replace(tmp, path)
-                except BaseException:
-                    try:
-                        os.unlink(tmp)
-                    except OSError:
-                        pass
-                    raise
             except OSError:
                 return  # read-only location: in-memory fallback
+            with _store_lock(path):
+                entries = self._read_entries()
+                entries.update(self._mem)
+                payload = json.dumps(
+                    {"version": TUNE_STORE_VERSION, "entries": entries},
+                    indent=2, sort_keys=True,
+                )
+                try:
+                    fd, tmp = tempfile.mkstemp(
+                        dir=str(path.parent), prefix=path.name,
+                        suffix=".tmp",
+                    )
+                    try:
+                        with os.fdopen(fd, "w") as fh:
+                            fh.write(payload + "\n")
+                        os.replace(tmp, path)
+                    except BaseException:
+                        try:
+                            os.unlink(tmp)
+                        except OSError:
+                            pass
+                        raise
+                except OSError:
+                    return  # read-only location: in-memory fallback
             # Flushed to disk: the memory copy would otherwise shadow
             # the file if the store path is later redirected.
             self._mem.clear()

@@ -10,8 +10,9 @@ falling back to the pure-NumPy execution path (same bytes, less speed).
 Because the kernels promise *byte-identical* results to the legacy NumPy
 path, the loader validates them at load time: each floating-point
 recurrence (FMA complex multiply, naive sequential einsum contraction,
-chained scalar scaling) is checked against NumPy on probe data, and the
-library is rejected on any mismatch.
+chained scalar scaling) is checked against NumPy on probe data, as are
+the pruned R2C/C2R staging kernels against the NumPy compositions they
+replace, and the library is rejected on any mismatch.
 
 Environment knobs
 -----------------
@@ -158,10 +159,12 @@ class _Kernels:
                            ctypes.c_int, ct, ctypes.c_int, ct]
             fn.restype = None
             self._fn["stockham", suffix] = fn
-            for name, nlong in (("panel_contract", 4), ("decomp_reduce", 3),
-                                ("expand_mul", 3)):
+            for name, nptr, nlong in (
+                    ("panel_contract", 3, 4), ("decomp_reduce", 3, 3),
+                    ("expand_mul", 3, 3), ("transpose", 2, 3),
+                    ("decomp_mirror", 4, 4), ("expand_head_tail", 6, 4)):
                 fn = getattr(lib, f"{name}_{suffix}")
-                fn.argtypes = [ptr, ptr, ptr] + [ctypes.c_long] * nlong
+                fn.argtypes = [ptr] * nptr + [ctypes.c_long] * nlong
                 fn.restype = None
                 self._fn[name, suffix] = fn
 
@@ -212,6 +215,32 @@ class _Kernels:
                               (out, batch * s * q))
         fn(*ptrs, batch, s, q)
 
+    def transpose(self, src: np.ndarray, dst: np.ndarray,
+                  batch: int, r: int, c: int) -> None:
+        fn, ptrs = self._bind("transpose", (src, batch * r * c),
+                              (dst, batch * r * c))
+        fn(*ptrs, batch, r, c)
+
+    def decomp_mirror(self, y: np.ndarray, u: np.ndarray, v: np.ndarray,
+                      out: np.ndarray, batch: int, p: int, q: int,
+                      m: int) -> None:
+        if not 0 <= m <= q:
+            raise ValueError(f"decomp_mirror: m={m} outside [0, {q}]")
+        fn, ptrs = self._bind("decomp_mirror", (y, batch * p * q),
+                              (u, p * q), (v, p * q), (out, batch * m))
+        fn(*ptrs, batch, p, q, m)
+
+    def expand_head_tail(self, x: np.ndarray, ch: np.ndarray,
+                         ct: np.ndarray, wdh: np.ndarray, wdt: np.ndarray,
+                         out: np.ndarray, batch: int, m: int, s: int,
+                         q: int) -> None:
+        if not 1 <= m <= q:
+            raise ValueError(f"expand_head_tail: m={m} outside [1, {q}]")
+        fn, ptrs = self._bind("expand_head_tail", (x, batch * m), (ch, m),
+                              (ct, m - 1), (wdh, s * q), (wdt, s * q),
+                              (out, batch * s * q))
+        fn(*ptrs, batch, m, s, q)
+
 
 #: (n, rows, inverse, div_by, mul_by) full-transform probes of the
 #: Stockham kernel.  Together they reach every pass kind of the AVX2
@@ -231,6 +260,30 @@ _STOCKHAM_PROBES = [
 ]
 
 
+def _unfused_tail_probe(dtype) -> tuple[np.ndarray, ...]:
+    """``expand_head_tail`` operands ``(x, ch, ct, wdh, wdt)`` for one
+    row and one tail bin, the shape whose tail product NumPy forms
+    without FMA, chosen so that FMA would change the output.
+
+    With ``e = 2**-(nmant//2 + 2)`` the tail product ``conj(x[1]) *
+    ct[0] = (1+e + 1i) * (1+e + (1+2e)i)`` has real part ``(1+e)**2 -
+    (1+2e)``: ``e**2`` when fused, ``0`` unfused (``(1+e)**2`` rounds to
+    ``1+2e``).  A zero head bin and a unit tail twiddle pass it straight
+    to ``out[:, :, 1]``.
+    """
+    e = np.ldexp(1.0, -(np.finfo(dtype).nmant // 2 + 2))
+    x = np.array([[0.75 + 0.5j, (1 + e) - 1j]], dtype)
+    ch = np.array([0.5 + 0.5j, 0], dtype)
+    ct = np.array([(1 + e) + (1 + 2 * e) * 1j], dtype)
+    wdh = np.array([[1, 1], [1, -1j]], dtype)
+    wdt = np.array([[1, 1], [-1j, 1]], dtype)
+    return x, ch, ct, wdh, wdt
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return np.array_equal(a.view(a.real.dtype), b.view(b.real.dtype))
+
+
 def _self_check(k: _Kernels) -> bool:
     """Validate every kernel's FP semantics against NumPy on probe data.
 
@@ -238,6 +291,7 @@ def _self_check(k: _Kernels) -> bool:
     path; any deviation (a toolchain that contracts differently, a NumPy
     build with different complex-multiply loops) must disable it.
     """
+    from repro.fft import compiled
     from repro.fft.legacy import _stockham_last_axis
     from repro.fft.twiddle import stage_twiddles
 
@@ -262,8 +316,7 @@ def _self_check(k: _Kernels) -> bool:
             out = np.empty_like(x)
             scratch = np.empty_like(x)
             k.stockham(x, out, scratch, tw, rows, n, div_by, mul_by)
-            if not np.array_equal(ref.view(ref.real.dtype),
-                                  out.view(out.real.dtype)):
+            if not _same_bits(ref, out):
                 return False
         # The contraction kernels tile the unit-stride index: probe a
         # full tile plus a tail (m = 64 + 6, q = 16 + 6).
@@ -272,22 +325,48 @@ def _self_check(k: _Kernels) -> bool:
         ref = acc0 + np.einsum("bkm,ko->bom", a, w)
         got = acc0.copy()
         k.panel_contract(a, w, got, 3, 4, 70, 5)
-        if not np.array_equal(ref.view(ref.real.dtype), got.view(got.real.dtype)):
+        if not _same_bits(ref, got):
             return False
         # decomp reduce == einsum "...pk,pk->...k"
         y, wd = cplx(4, 3, 22), cplx(3, 22)
         ref = np.einsum("...pk,pk->...k", y, wd)
         got = np.empty((4, 22), dtype)
         k.decomp_reduce(y, wd, got, 4, 3, 22)
-        if not np.array_equal(ref.view(ref.real.dtype), got.view(got.real.dtype)):
+        if not _same_bits(ref, got):
             return False
         # expand mul == x[..., None, :] * w
         x2, w2 = cplx(4, 6), cplx(3, 6)
         ref = x2[..., None, :] * w2
         got = np.empty((4, 3, 6), dtype)
         k.expand_mul(x2, w2, got, 4, 3, 6)
-        if not np.array_equal(ref.view(ref.real.dtype), got.view(got.real.dtype)):
+        if not _same_bits(ref, got):
             return False
+        # The pruned R2C/C2R staging kernels against the NumPy
+        # compositions they replace: a transpose; the mirrored pair
+        # across a full tile plus a tail of kept bins (m = 16 + 3 of
+        # q = 22); the head/tail expansion across a full 64-bin tile
+        # plus a tail (q = 70), and with one row and one tail bin.
+        src = cplx(3, 5, 7)
+        got = np.empty((3, 7, 5), dtype)
+        k.transpose(src, got, 3, 5, 7)
+        if not _same_bits(np.ascontiguousarray(np.swapaxes(src, 1, 2)), got):
+            return False
+        u, v = cplx(3, 22), cplx(3, 22)
+        ref, got = np.empty((4, 19), dtype), np.empty((4, 19), dtype)
+        compiled.decomp_mirror(y, u, v, ref, kernels=None)
+        k.decomp_mirror(y, u, v, got, 4, 3, 22, 19)
+        if not _same_bits(ref, got):
+            return False
+        x3, ch, ct = cplx(3, 37), cplx(37), cplx(36)
+        for ops in ((x3, ch, ct, cplx(2, 70), cplx(2, 70)),
+                    _unfused_tail_probe(dtype)):
+            (batch, m), (s, q) = ops[0].shape, ops[3].shape
+            ref = np.empty((batch, s, q), dtype)
+            got = np.empty((batch, s, q), dtype)
+            compiled.expand_head_tail(*ops, ref, kernels=None)
+            k.expand_head_tail(*ops, got, batch, m, s, q)
+            if not _same_bits(ref, got):
+                return False
     return True
 
 

@@ -23,6 +23,20 @@
  *     divisors the plans pass, the two agree except on signed zeros and
  *     infinities.)
  *
+ * The pruned R2C/C2R plans' "decomp" strategy runs whole in C through
+ * three staging kernels built from those recurrences, each replaying
+ * the NumPy expressions it replaced (repro.fft.compiled keeps them as
+ * the fallbacks transpose / decomp_mirror / expand_head_tail):
+ *   - transpose        : dst[...] = np.swapaxes(src, -1, -2), the R2C
+ *                        gather of the P subsequences and the C2R
+ *                        interleave into the packed output (a copy).
+ *   - decomp_mirror    : yr = conj(take(y, (q-k) % q, axis=2));
+ *                        out = (einsum(y, u) + einsum(yr, v))[:, :m],
+ *                        both einsums "bpk,pk->bk".
+ *   - expand_head_tail : hb[:, :m] = x * ch; hb[:, 0] = x[:, 0].real *
+ *                        ch[0]; tb[:, q - r] = conj(x[:, r]) * ct;
+ *                        out = hb[:, None] * wdh + tb[:, None] * wdt.
+ *
  * The file is compiled with -ffp-contract=off and WITHOUT -mfma: GCC's
  * vectorizer introduces FMAs into plain expressions whenever the FMA ISA
  * is enabled globally (even under -ffp-contract=off), which would break
@@ -481,3 +495,179 @@ FMA_TARGET void NAME(const T* x, const T* w, T* out,                     \
 
 EXPAND_MUL(expand_mul_f32, float, fmaf)
 EXPAND_MUL(expand_mul_f64, double, fma)
+
+/* ------------------------------------------------------------------ */
+/* Pruned R2C/C2R staging (the decomp strategy's gather and scatter)   */
+/* ------------------------------------------------------------------ */
+
+/* dst[b,c,r] = src[b,r,c] over complex values: a pure copy.  This is
+ * `dst[...] = np.swapaxes(src, -1, -2)`: the pruned R2C gather of the P
+ * subsequences and the pruned C2R interleave into the packed output. */
+#define TRANSPOSE(NAME, T)                                               \
+void NAME(const T* src, T* dst, long B, long R, long C) {                \
+    for (long b = 0; b < B; b++) {                                       \
+        const T* sb = src + 2*b*R*C;                                     \
+        T* db = dst + 2*b*R*C;                                           \
+        for (long c = 0; c < C; c++) {                                   \
+            T* dp = db + 2*c*R;                                          \
+            for (long r = 0; r < R; r++) {                               \
+                dp[2*r] = sb[2*(r*C + c)];                               \
+                dp[2*r+1] = sb[2*(r*C + c)+1];                           \
+            }                                                            \
+        }                                                                \
+    }                                                                    \
+}
+
+TRANSPOSE(transpose_f32, float)
+TRANSPOSE(transpose_f64, double)
+
+/* out[B,k] = sum_p u[p,k] y[B,p,k] + sum_p v[p,k] conj(y[B,p,(q-k)%q])
+ * for k < m.  This is the pruned R2C recombination
+ *     acc  = einsum("bpk,pk->bk", y, u)
+ *     acc2 = einsum("bpk,pk->bk", conj(take(y, (q-k)%q, axis=2)), v)
+ *     out  = (acc + acc2)[:, :m]
+ * with each sum the decomp_reduce replica (naive products, p summed
+ * sequentially from zero), conj an exact sign flip and one rounding per
+ * component for the final add.  Per tile and p, the mirrored values are
+ * first copied into an L1 buffer, so the products run the same
+ * unit-stride loop as decomp_reduce instead of a gather per element. */
+#define DECOMP_MIRROR_TILE(T, W)                                         \
+    {                                                                    \
+        T ar[DECOMP_TILE], ai[DECOMP_TILE];                              \
+        T br[DECOMP_TILE], bi[DECOMP_TILE];                              \
+        T mirror[2*DECOMP_TILE];                                         \
+        for (long k = 0; k < (W); k++) {                                 \
+            ar[k] = 0; ai[k] = 0; br[k] = 0; bi[k] = 0;                  \
+        }                                                                \
+        for (long pp = 0; pp < p; pp++) {                                \
+            const T* yrow = yb + 2*pp*q;                                 \
+            long j0 = k0 == 0 ? 0 : q - k0;  /* bin 0 mirrors itself */  \
+            mirror[0] = yrow[2*j0];                                      \
+            mirror[1] = -yrow[2*j0+1];                                   \
+            for (long k = 1; k < (W); k++) {                             \
+                mirror[2*k] = yrow[2*(q - k0 - k)];                      \
+                mirror[2*k+1] = -yrow[2*(q - k0 - k)+1];                 \
+            }                                                            \
+            const T* yp = yrow + 2*k0;                                   \
+            const T* up = u + 2*(pp*q + k0);                             \
+            const T* vp = v + 2*(pp*q + k0);                             \
+            for (long k = 0; k < (W); k++) {                             \
+                T yr = yp[2*k], yi = yp[2*k+1];                          \
+                T ur = up[2*k], ui = up[2*k+1];                          \
+                ar[k] += yr*ur - yi*ui;                                  \
+                ai[k] += yr*ui + yi*ur;                                  \
+                T cr = mirror[2*k], ci = mirror[2*k+1];                  \
+                T vr = vp[2*k], vi = vp[2*k+1];                          \
+                br[k] += cr*vr - ci*vi;                                  \
+                bi[k] += cr*vi + ci*vr;                                  \
+            }                                                            \
+        }                                                                \
+        for (long k = 0; k < (W); k++) {                                 \
+            ob[2*(k0+k)] = ar[k] + br[k];                                \
+            ob[2*(k0+k)+1] = ai[k] + bi[k];                              \
+        }                                                                \
+    }
+
+#define DECOMP_MIRROR(NAME, T)                                           \
+void NAME(const T* y, const T* u, const T* v, T* out,                    \
+          long B, long p, long q, long m) {                              \
+    for (long b = 0; b < B; b++) {                                       \
+        const T* yb = y + 2*b*p*q;                                       \
+        T* ob = out + 2*b*m;                                             \
+        long k0 = 0;                                                     \
+        for (; k0 + DECOMP_TILE <= m; k0 += DECOMP_TILE)                 \
+            DECOMP_MIRROR_TILE(T, DECOMP_TILE)                           \
+        if (k0 < m) DECOMP_MIRROR_TILE(T, m - k0)                        \
+    }                                                                    \
+}
+
+DECOMP_MIRROR(decomp_mirror_f32, float)
+DECOMP_MIRROR(decomp_mirror_f64, double)
+
+/* Sub-transform bins staged per tile of the head/tail expansion. */
+#define HEAD_TAIL_TILE 64
+
+/* out[B,s,t] = hb[B,t]*wdh[s,t] + tb[B,t]*wdt[s,t], ufunc complex
+ * multiplies (hb, tb the first operands) and one add per component,
+ * with the head and tail rows built from x[B,m]:
+ *     hb[t] = x[t]*ch[t] for 0 < t < m,  (Re x[0] + 0i)*ch[0] at t = 0
+ *     tb[q-r] = conj(x[r])*ct[r-1] for 0 < r < m
+ * and +0 everywhere else.  This is the pruned C2R scatter
+ *     hb[:, :m] = x * ch;  hb[:, 0] = x[:, 0].real * ch[0]
+ *     tb[:, q - r] = conj(x[:, r]) * ct
+ *     out = hb[:, None, :] * wdh;  out += tb[:, None, :] * wdt
+ * Both products are formed even where a row is zero: a zero times a
+ * twiddle is a signed zero, and the sum's sign depends on it.
+ * One NumPy quirk is replayed: with one row and one tail bin (B = 1,
+ * m = 2) the tail product is a (1, 1) by (1,) ufunc call, which NumPy
+ * runs in its scalar loop, and that loop does not contract: re = ar*br
+ * - ai*bi, im = ar*bi + ai*br.  (The DC product is the same either way:
+ * its imaginary operand is zero.) */
+#define CMUL_RE(FMAF, ar, ai, br, bi) FMAF(ar, br, -((ai)*(bi)))
+#define CMUL_IM(FMAF, ar, ai, br, bi) FMAF(ar, bi, (ai)*(br))
+
+/* NumPy's scalar-loop complex multiply.  It stays out of the FMA target
+ * functions: GCC contracts plain expressions inside them. */
+#define CMUL_UNFUSED(NAME, T)                                            \
+static __attribute__((noinline)) void NAME(T ar, T ai, T br, T bi,      \
+                                           T* re, T* im) {              \
+    *re = ar*br - ai*bi;                                                 \
+    *im = ar*bi + ai*br;                                                 \
+}
+
+CMUL_UNFUSED(cmul_unfused_f32, float)
+CMUL_UNFUSED(cmul_unfused_f64, double)
+
+#define EXPAND_HEAD_TAIL(NAME, T, FMAF, UNFUSED)                         \
+FMA_TARGET void NAME(const T* x, const T* ch, const T* ct,               \
+                     const T* wdh, const T* wdt, T* out,                 \
+                     long B, long m, long s, long q) {                   \
+    T hb[2*HEAD_TAIL_TILE], tb[2*HEAD_TAIL_TILE];                        \
+    int scalar_tail = B == 1 && m == 2;                                  \
+    T sr = 0, si = 0;                                                    \
+    if (scalar_tail) UNFUSED(x[2], -x[3], ct[0], ct[1], &sr, &si);       \
+    for (long b = 0; b < B; b++) {                                       \
+        const T* xb = x + 2*b*m;                                         \
+        T* ob = out + 2*b*s*q;                                           \
+        for (long t0 = 0; t0 < q; t0 += HEAD_TAIL_TILE) {                \
+            long w = q - t0 < HEAD_TAIL_TILE ? q - t0 : HEAD_TAIL_TILE;  \
+            for (long k = 0; k < w; k++) {                               \
+                long t = t0 + k, r = q - t;                              \
+                T hr = 0, hi = 0, tr = 0, ti = 0;                        \
+                if (t < m) {                                             \
+                    T xr = xb[2*t], xi = t ? xb[2*t+1] : 0;              \
+                    hr = CMUL_RE(FMAF, xr, xi, ch[2*t], ch[2*t+1]);      \
+                    hi = CMUL_IM(FMAF, xr, xi, ch[2*t], ch[2*t+1]);      \
+                }                                                        \
+                if (t > 0 && r < m && scalar_tail) {                     \
+                    tr = sr; ti = si;                                    \
+                } else if (t > 0 && r < m) {                             \
+                    T xr = xb[2*r], xi = -xb[2*r+1];                     \
+                    const T* c = ct + 2*(r-1);                           \
+                    tr = CMUL_RE(FMAF, xr, xi, c[0], c[1]);              \
+                    ti = CMUL_IM(FMAF, xr, xi, c[0], c[1]);              \
+                }                                                        \
+                hb[2*k] = hr; hb[2*k+1] = hi;                            \
+                tb[2*k] = tr; tb[2*k+1] = ti;                            \
+            }                                                            \
+            for (long ss = 0; ss < s; ss++) {                            \
+                const T* hp = wdh + 2*(ss*q + t0);                       \
+                const T* tp = wdt + 2*(ss*q + t0);                       \
+                T* op = ob + 2*(ss*q + t0);                              \
+                for (long k = 0; k < w; k++) {                           \
+                    T hr = hb[2*k], hi = hb[2*k+1];                      \
+                    T tr = tb[2*k], ti = tb[2*k+1];                      \
+                    T wr = hp[2*k], wi = hp[2*k+1];                      \
+                    T vr = tp[2*k], vi = tp[2*k+1];                      \
+                    op[2*k] = CMUL_RE(FMAF, hr, hi, wr, wi)              \
+                              + CMUL_RE(FMAF, tr, ti, vr, vi);           \
+                    op[2*k+1] = CMUL_IM(FMAF, hr, hi, wr, wi)            \
+                                + CMUL_IM(FMAF, tr, ti, vr, vi);         \
+                }                                                        \
+            }                                                            \
+        }                                                                \
+    }                                                                    \
+}
+
+EXPAND_HEAD_TAIL(expand_head_tail_f32, float, fmaf, cmul_unfused_f32)
+EXPAND_HEAD_TAIL(expand_head_tail_f64, double, fma, cmul_unfused_f64)

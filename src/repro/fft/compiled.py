@@ -110,6 +110,9 @@ __all__ = [
     "panel_contract",
     "decomp_reduce",
     "expand_mul",
+    "transpose",
+    "decomp_mirror",
+    "expand_head_tail",
     "workspace_empty",
     "workspace_zeros",
 ]
@@ -207,6 +210,67 @@ def expand_mul(
         k.expand_mul(x, wd, out, batch, s, q)
     else:
         np.multiply(x[:, None, :], wd, out=out)
+
+
+def transpose(src: np.ndarray, dst: np.ndarray, kernels=_SCOPED) -> None:
+    """``dst[...] = np.swapaxes(src, -1, -2)`` for contiguous
+    ``(batch, r, c)`` / ``(batch, c, r)`` operands."""
+    k = _scoped_kernels() if kernels is _SCOPED else kernels
+    batch, r, c = src.shape
+    if k is not None:
+        k.transpose(src, dst, batch, r, c)
+    else:
+        dst[...] = np.swapaxes(src, -1, -2)
+
+
+def decomp_mirror(
+    y: np.ndarray, u: np.ndarray, v: np.ndarray, out: np.ndarray,
+    kernels=_SCOPED,
+) -> None:
+    """``out[...] = (einsum("bpk,pk->bk", y, u) + einsum("bpk,pk->bk",
+    conj(y[:, :, (q-k) % q]), v))[:, :m]`` (contiguous operands; ``out``
+    is ``(batch, m)`` with ``m <= q``)."""
+    k = _scoped_kernels() if kernels is _SCOPED else kernels
+    batch, p, q = y.shape
+    m = out.shape[1]
+    if k is not None:
+        k.decomp_mirror(y, u, v, out, batch, p, q, m)
+        return
+    yr = np.conjugate(np.take(y, (q - np.arange(q)) % q, axis=2))
+    acc = np.empty((batch, q), y.dtype)
+    decomp_reduce(y, u, acc, kernels=None)
+    acc2 = np.empty((batch, q), y.dtype)
+    decomp_reduce(yr, v, acc2, kernels=None)
+    acc += acc2
+    out[...] = acc[:, :m]
+
+
+def expand_head_tail(
+    x: np.ndarray, ch: np.ndarray, ct: np.ndarray, wdh: np.ndarray,
+    wdt: np.ndarray, out: np.ndarray, kernels=_SCOPED,
+) -> None:
+    """``out[...] = hb[:, None, :] * wdh + tb[:, None, :] * wdt`` for the
+    head row ``hb[:, t] = x[:, t] * ch[t]`` (``t < m``, DC as
+    ``x[:, 0].real * ch[0]``) and the tail row ``tb[:, q-r] =
+    conj(x[:, r]) * ct[r-1]`` (``0 < r < m``), both zero elsewhere
+    (contiguous operands; ``x`` is ``(batch, m)``, ``out`` is
+    ``(batch, s, q)``)."""
+    k = _scoped_kernels() if kernels is _SCOPED else kernels
+    batch, m = x.shape
+    s, q = wdh.shape
+    if k is not None:
+        k.expand_head_tail(x, ch, ct, wdh, wdt, out, batch, m, s, q)
+        return
+    hb = np.zeros((batch, q), x.dtype)
+    np.multiply(x, ch, out=hb[:, :m])
+    hb[:, 0] = x[:, 0].real * ch[0]
+    tb = np.zeros((batch, q), x.dtype)
+    if m > 1:
+        tb[:, q - np.arange(1, m)] = np.conj(x[:, 1:m]) * ct
+    tail = np.empty_like(out)
+    expand_mul(hb, wdh, out, kernels=None)
+    expand_mul(tb, wdt, tail, kernels=None)
+    out += tail
 
 
 # ---------------------------------------------------------------------------
@@ -659,8 +723,9 @@ class CompiledPrunedRFFTPlan(_WorkspaceOwner):
     ``conj(Z[(h-k) mod h]) = FFT_h(conj z)[k]``) the mirror series
     ``sum_p W_h^{pk} conj(Y[p, (q-k) mod q])``.  Folding the Hermitian
     recombination weights into the decomposition twiddles turns the
-    whole forward path into one gather, one half-length-``q`` Stockham
-    batch, and two ``decomp_reduce`` contractions:
+    whole forward path into one gather (:func:`transpose`), one
+    half-length-``q`` Stockham batch, and one mirrored contraction pair
+    (:func:`decomp_mirror`):
 
     ``X[k] = sum_p U[p,k] Y[p,k] + sum_p V[p,k] conj(Y[p,(q-k)%q])``
 
@@ -713,7 +778,6 @@ class CompiledPrunedRFFTPlan(_WorkspaceOwner):
             v.setflags(write=False)
             self._u = u
             self._v = v
-            self._ridx = (q - k) % q  # Y[(q-k) mod q] gather
         self._init_workspaces()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -744,26 +808,18 @@ class CompiledPrunedRFFTPlan(_WorkspaceOwner):
                 f"expected contiguous {self.real_dtype.name} rows, "
                 f"got {flat.dtype.name}"
             )
-        h, q, p, m = self.half, self._q, self._split, self.part
+        h, q, p = self.half, self._q, self._split
+        kernels = self._kernels()
         with self._lock:
             z = flat.view(self.dtype)  # free (rows, h) packing
             # Gather the P subsequences: g[b, p, t] = z[b, t*P + p].
-            g = self._ws("gather", rows * h)[: rows * h]
-            gv = g.reshape(rows, p, q)
-            gv[...] = np.swapaxes(z.reshape(rows, q, p), -1, -2)
+            g = self._ws("gather", rows * h)[: rows * h].reshape(rows, p, q)
+            transpose(z.reshape(rows, q, p), g, kernels=kernels)
             y = self._ws("fft", rows * h)[: rows * h].reshape(rows * p, q)
             self._sub.execute(g.reshape(rows * p, q), out=y)
-            yv = y.reshape(rows, p, q)
-            # Mirror spectra: yr[b, p, k] = conj(Y[b, p, (q-k) mod q]).
-            yr = self._ws("rev", rows * h)[: rows * h].reshape(rows, p, q)
-            np.take(yv, self._ridx, axis=2, out=yr)
-            np.conjugate(yr, out=yr)
-            acc = np.empty((rows, q), self.dtype)
-            decomp_reduce(yv, self._u, acc, kernels=self._kernels())
-            acc2 = self._ws("acc", rows * q)[: rows * q].reshape(rows, q)
-            decomp_reduce(yr, self._v, acc2, kernels=self._kernels())
-            acc += acc2
-            out = np.ascontiguousarray(acc[:, :m]) if m < q else acc
+            out = np.empty((rows, self.part), self.dtype)
+            decomp_mirror(y.reshape(rows, p, q), self._u, self._v, out,
+                          kernels=kernels)
         return out
 
 
@@ -777,10 +833,11 @@ class CompiledPrunedIRFFTPlan(_WorkspaceOwner):
     (tail), with ``w_j[j] = (i/2) W_n^{-j}`` and Im(DC) dropped — so
     the input-pruned inverse decomposition scatters those ``2*part - 1``
     live bins into ``S = h/q`` weighted length-``q`` rows
-    (two ``expand_mul`` passes: ``W_h^{+s t}`` for the head,
+    (:func:`expand_head_tail`: ``W_h^{+s t}`` for the head,
     ``W_h^{+s (t - q)}`` for the tail aliases), runs the sub-inverse
-    batch with the ``1/h`` normalisation chained in, interleaves, and
-    unpacks even=Re / odd=Im into the real output.  The full Hermitian
+    batch with the ``1/h`` normalisation chained in, interleaves
+    (:func:`transpose`), and unpacks even=Re / odd=Im into the real
+    output.  The full Hermitian
     half is never materialised and the inverse butterflies stop
     ``log2(h/q)`` stages early.
 
@@ -826,8 +883,7 @@ class CompiledPrunedIRFFTPlan(_WorkspaceOwner):
             ch.setflags(write=False)
             ct.setflags(write=False)
             self._ch = ch
-            self._ct = ct
-            self._tidx = q - r  # tail alias t = (h - r) mod q = q - r
+            self._ct = ct  # tail bin r lands at t = (h - r) mod q = q - r
             ss, t = np.ogrid[0:s, 0:q]
             wdh = np.exp(+2j * np.pi * ss * t / h)
             wdt = np.exp(+2j * np.pi * ss * (t - q) / h)
@@ -876,26 +932,16 @@ class CompiledPrunedIRFFTPlan(_WorkspaceOwner):
         if self._strategy == "pad":
             return self._padded_full(flat)
         rows = flat.shape[0]
-        h, q, s, m = self.half, self._q, self._split, self.part
+        flat = np.ascontiguousarray(flat)
+        h, q, s = self.half, self._q, self._split
+        kernels = self._kernels()
         with self._lock:
-            # Head block: hb[b, t] = ch[t] X[b, t] for t < part (Im(DC)
-            # dropped), zero-padded to the q sub-transform bins.
-            hb = self._ws("head", rows * q)[: rows * q].reshape(rows, q)
-            hb[:, m:] = 0
-            np.multiply(flat, self._ch, out=hb[:, :m])
-            hb[:, 0] = flat[:, 0].real * self._ch[0]
-            # Tail block: tb[b, q-r] = ct[r] conj(X[b, r]), r in [1, part).
-            tb = self._ws("tail", rows * q)[: rows * q].reshape(rows, q)
-            tb[...] = 0
-            if m > 1:
-                tb[:, self._tidx] = np.conj(flat[:, 1:m]) * self._ct
-            # Scatter both blocks into the S weighted sub-rows.
-            sc = self._ws("scaled", rows * h)[: rows * h]
-            scv = sc.reshape(rows, s, q)
-            sc2 = self._ws("scaled2", rows * h)[: rows * h].reshape(rows, s, q)
-            expand_mul(hb, self._wdh, scv, kernels=self._kernels())
-            expand_mul(tb, self._wdt, sc2, kernels=self._kernels())
-            scv += sc2
+            # Head block hb[b, t] = ch[t] X[b, t] (t < part, Im(DC)
+            # dropped) and tail block tb[b, q-r] = ct[r] conj(X[b, r])
+            # (r in [1, part)), scattered into the S weighted sub-rows.
+            sc = self._ws("scaled", rows * h)[: rows * h].reshape(rows, s, q)
+            expand_head_tail(flat, self._ch, self._ct, self._wdh, self._wdt,
+                             sc, kernels=kernels)
             y = self._ws("fft", rows * h)[: rows * h].reshape(rows * s, q)
             self._sub.execute(
                 sc.reshape(rows * s, q), out=y,
@@ -904,9 +950,8 @@ class CompiledPrunedIRFFTPlan(_WorkspaceOwner):
             out = np.empty((rows, self.n), self.real_dtype)
             z = out.view(self.dtype)  # packed (rows, h): even=Re, odd=Im
             # Interleave: z[b, ss + S*t] = y[b, ss, t].
-            z.reshape(rows, q, s)[...] = np.swapaxes(
-                y.reshape(rows, s, q), -1, -2
-            )
+            transpose(y.reshape(rows, s, q), z.reshape(rows, q, s),
+                      kernels=kernels)
         return out
 
 

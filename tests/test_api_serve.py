@@ -462,3 +462,78 @@ class TestInfrastructureError:
 
         src = inspect.getsource(pool_mod.ServePool._complete)
         assert "InfrastructureError(message)" in src
+
+
+class TestUnknownModel:
+    """A request for a model the worker does not hold fails alone, typed;
+    the worker stays alive and serves the rest of its batch."""
+
+    def _body(self, models):
+        from repro.api.serve.faults import ChaosInjector
+        from repro.api.serve.worker import _WorkerBody
+
+        class Ring:
+            buf = bytearray(1 << 16)
+
+        class Conn:
+            def __init__(self):
+                self.sent = []
+
+            def send(self, msg):
+                self.sent.append(msg)
+
+        session = Session(backend="numpy")
+        body = _WorkerBody(session, models, Ring(), Ring(), Conn(), 8,
+                           ChaosInjector(None))
+        return body, session
+
+    def test_flush_answers_unknown_model_and_serves_the_batch(self):
+        from repro.api.serve.shm import header_checksum
+
+        w = _weight(4)
+        known = SpectralModel(w, 16)
+        body, session = self._body({0: known})
+        try:
+            xs = [_signal((1, 4, 64)) for _ in range(3)]
+            batch = []
+            for rid, (mid, x) in enumerate(zip((0, 7, 0), xs)):
+                off = rid * 4096
+                view = np.ndarray(x.shape, x.dtype, buffer=body.req_shm.buf,
+                                  offset=off)
+                view[...] = x
+                fields = (rid, mid, x.shape, str(x.dtype), off, off, 4096,
+                          None, 0)
+                batch.append(("req", *fields, header_checksum(fields)))
+            body.flush(batch)
+            sent = {msg[1]: msg for msg in body.conn.sent}
+            assert sent[1][0] == "err" and sent[1][2] == "UnknownModel"
+            for rid in (0, 2):
+                kind, _, shape, dtype, nbytes, _ = sent[rid]
+                assert kind == "res"
+                got = np.ndarray(shape, dtype, buffer=body.resp_shm.buf,
+                                 offset=rid * 4096)
+                want = session.infer(known, xs[rid])
+                assert np.array_equal(got, want)
+        finally:
+            session.close()
+
+    def test_pool_future_fails_typed_and_worker_survives(self):
+        from repro.api.serve import ServeError, UnknownModel
+
+        assert issubclass(UnknownModel, ServeError)
+        known, ghost = (_weight(4), 16), (_weight(4), 16)
+        x = _signal((2, 4, 64))
+        with ServePool(workers=1, backend="numpy") as pool:
+            want = pool.infer(known, x, timeout=120)
+            pid = pool.worker_pids()[0]
+            # Mark the next model id pushed without sending it: the worker
+            # then receives a request for a model it never saw.
+            pool._handles[0].pushed.add(len(pool._models))
+            lost = pool.submit(ghost, x)
+            kept = [pool.submit(known, x) for _ in range(3)]
+            with pytest.raises(UnknownModel, match="not loaded"):
+                lost.result(timeout=120)
+            for fut in kept:
+                assert np.array_equal(fut.result(timeout=120), want)
+            assert pool.worker_pids()[0] == pid
+            assert pool.stats()["admission"]["crashes"] == 0

@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -221,6 +224,39 @@ class TestTuneStore:
         assert store.get("k") == Tiles(8, 16)  # served from memory
         assert store.entries() == {"k": Tiles(8, 16)}
         assert not (tmp_path / "sub").exists()
+
+    def test_concurrent_writers_lose_no_update(self, tmp_path):
+        """Four processes writing ten distinct winners each, released
+        together: the store's read-merge-replace runs under a file lock,
+        so all forty survive.  A thousand existing entries make each
+        write slow enough for unlocked writers to overlap."""
+        path, go = tmp_path / "store.json", tmp_path / "go"
+        filler = {f"old-{i}": Tiles(4, 8) for i in range(1000)}
+        path.write_text(json.dumps({
+            "version": TUNE_STORE_VERSION,
+            "entries": {k: {"signal_tile": t.signal_tile, "k_tb": t.k_tb}
+                        for k, t in filler.items()},
+        }))
+        child = (
+            "import os, sys, time\n"
+            "from repro.core.autotune import Tiles, TuneStore\n"
+            "store = TuneStore(sys.argv[1])\n"
+            "while not os.path.exists(sys.argv[2]):\n"
+            "    time.sleep(0.001)\n"
+            "for i in range(10):\n"
+            "    store.put(f'w{sys.argv[3]}-{i}', Tiles(4 + i, 8))\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        procs = [subprocess.Popen([sys.executable, "-c", child, str(path),
+                                   str(go), str(w)], env=env)
+                 for w in range(4)]
+        time.sleep(0.5)  # let every writer import and start polling
+        go.touch()
+        assert [p.wait(timeout=120) for p in procs] == [0] * 4
+        assert TuneStore(path).entries() == filler | {
+            f"w{w}-{i}": Tiles(4 + i, 8) for w in range(4) for i in range(10)
+        }
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,17 @@ non-NaN value, signed zeros and infinities included, and NaN in the
 same places.  The AVX2 build runs stages in pairs, with a different
 loop for the first pair, later pairs and an odd last stage, so the
 lengths cover all of them.
+
+``transpose``, ``decomp_mirror`` and ``expand_head_tail`` (the pruned
+R2C/C2R plans' staging) promise the bits of the NumPy compositions they
+replace, which :mod:`repro.fft.compiled` keeps as their fallbacks, under
+the same contract as ``stockham``.
 """
 
 import numpy as np
 import pytest
 
-from repro.fft import _ckernels, legacy
+from repro.fft import _ckernels, compiled, legacy
 from repro.fft.twiddle import stage_twiddles
 
 pytestmark = pytest.mark.skipif(
@@ -271,4 +276,171 @@ def test_operands_are_checked_before_the_call(kernels):
     with pytest.raises(ValueError, match="C-contiguous"):
         k.stockham(a.reshape(6, 8), acc.reshape(8, 8)[:5], acc,
                    np.ones(7, np.complex64), 6, 8, None, None)
+    with pytest.raises(ValueError, match="outside"):
+        k.decomp_mirror(a, w, w, acc, 2, 3, 8, 9)
+    with pytest.raises(ValueError, match="outside"):
+        k.expand_head_tail(a[:, 0, :0], w[0, :0], w[0, :0], w, w, acc,
+                           2, 0, 3, 4)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        k.transpose(a, acc[:, :3, ::2], 2, 3, 8)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        k.expand_head_tail(a[:, 0, :2], w[0, :2], w[0, :1], w, w, acc,
+                           2, 2, 3, 4)
     assert not acc.any()
+
+
+# ---------------------------------------------------------------------------
+# Pruned R2C/C2R staging kernels against the NumPy compositions
+# ---------------------------------------------------------------------------
+
+#: (batch, r, c) transposes: the R2C gather is (rows, q, P) -> (rows, P,
+#: q) and the C2R interleave (rows, S, q) -> (rows, q, S).
+TRANSPOSE_SHAPES = [(1, 1, 1), (3, 16, 4), (17, 4, 16), (3, 1, 8),
+                    (1, 17, 3)]
+#: (p, q, m) mirrored pairs: part 1 (bin 0 mirrors itself), part below
+#: and at q, q below, on and across the 16-wide tile, split 1 and > 1.
+MIRROR_SHAPES = [(4, 1, 1), (1, 2, 2), (2, 8, 1), (4, 8, 5), (1, 8, 8),
+                 (4, 16, 9), (2, 16, 16), (4, 32, 17), (1, 32, 32),
+                 (3, 22, 19)]
+#: (m, s, q) head/tail expansions: part 1 (no tail), part 2 (one tail
+#: bin), part below and at q; q below, on and across the 64-wide tile;
+#: split 1 and > 1.
+HEAD_TAIL_SHAPES = [(1, 4, 1), (1, 2, 8), (2, 3, 2), (2, 1, 8),
+                    (5, 4, 8), (8, 2, 8), (9, 1, 16), (16, 3, 16),
+                    (33, 2, 64), (64, 1, 64), (65, 2, 128), (128, 2, 128)]
+ROWS = [1, 3, 17]
+
+
+def _staging_data(rng, shape, dtype):
+    """Twelve-decade values with signed zeros everywhere and, with
+    several rows, infinities in the last one."""
+    x = _with_specials(rng, _adversarial(rng, shape, dtype), [0.0, -0.0])
+    if shape[0] > 1:
+        x[-1:] = _with_specials(rng, x[-1:], [np.inf, -np.inf])
+    return x
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("shape", TRANSPOSE_SHAPES)
+def test_transpose_matches_swapaxes(kernels, dtype, shape):
+    batch, r, c = shape
+    rng = np.random.default_rng(batch * 100 + r * 10 + c)
+    src = _staging_data(rng, shape, dtype)
+    buf, dst = _guarded((batch, c, r), dtype, 7 + 7j)
+    kernels.transpose(src, dst, batch, r, c)
+    ref = np.empty_like(dst)
+    compiled.transpose(src, ref, kernels=None)
+    assert _same_bits_or_both_nan(dst, _bits(ref))
+    assert buf[0] == buf[-1] == 7 + 7j
+
+
+def _run_mirror(kernels, y, u, v, m):
+    batch, p, q = y.shape
+    buf, out = _guarded((batch, m), y.dtype, 7 + 7j)
+    kernels.decomp_mirror(y, u, v, out, batch, p, q, m)
+    assert buf[0] == buf[-1] == 7 + 7j
+    ref = np.empty_like(out)
+    compiled.decomp_mirror(y, u, v, ref, kernels=None)
+    return out, ref
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("rows", ROWS)
+@pytest.mark.parametrize("shape", MIRROR_SHAPES)
+def test_decomp_mirror_matches_numpy_composition(kernels, shape, rows, dtype):
+    """``take`` + ``conjugate`` + two ``decomp_reduce`` + ``+=`` + the
+    ``[:, :m]`` slice, bit for bit, on data whose sums depend on the
+    order of p."""
+    p, q, m = shape
+    rng = np.random.default_rng(p * 1000 + q * 10 + m + rows)
+    y = _staging_data(rng, (rows, p, q), dtype)
+    u, v = _adversarial(rng, (p, q), dtype), _adversarial(rng, (p, q), dtype)
+    with np.errstate(all="ignore"):
+        out, ref = _run_mirror(kernels, y, u, v, m)
+    assert not np.isnan(_bits(ref)[:max(rows - 1, 1)]).any()
+    assert _same_bits_or_both_nan(out, _bits(ref))
+
+
+def _run_head_tail(kernels, x, ch, ct, wdh, wdt):
+    batch, m = x.shape
+    s, q = wdh.shape
+    buf, out = _guarded((batch, s, q), x.dtype, 7 + 7j)
+    kernels.expand_head_tail(x, ch, ct, wdh, wdt, out, batch, m, s, q)
+    assert buf[0] == buf[-1] == 7 + 7j
+    ref = np.empty_like(out)
+    compiled.expand_head_tail(x, ch, ct, wdh, wdt, ref, kernels=None)
+    return out, ref
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("rows", ROWS)
+@pytest.mark.parametrize("shape", HEAD_TAIL_SHAPES)
+def test_expand_head_tail_matches_numpy_composition(kernels, shape, rows,
+                                                    dtype):
+    """The head/tail scatter, both ``expand_mul`` calls and ``+=``, bit
+    for bit, including signed zeros from the zero bins and the
+    one-row, one-tail-bin product NumPy forms without FMA."""
+    m, s, q = shape
+    rng = np.random.default_rng(m * 1000 + s * 100 + q + rows)
+    x = _staging_data(rng, (rows, m), dtype)
+    ch, ct = _adversarial(rng, m, dtype), _adversarial(rng, m - 1, dtype)
+    wdh = _adversarial(rng, (s, q), dtype)
+    wdt = _adversarial(rng, (s, q), dtype)
+    with np.errstate(all="ignore"):
+        out, ref = _run_head_tail(kernels, x, ch, ct, wdh, wdt)
+    assert not np.isnan(_bits(ref)[:max(rows - 1, 1)]).any()
+    assert _same_bits_or_both_nan(out, _bits(ref))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_staging_kernels_keep_nan_positions(kernels, dtype):
+    """A NaN input reaches the same outputs as in the NumPy composition,
+    and every other component keeps its bits."""
+    rng = np.random.default_rng(5)
+    y = _staging_data(rng, (4, 4, 16), dtype)
+    y[0, 1, 3] = complex(np.nan, 1.0)
+    u, v = _adversarial(rng, (4, 16), dtype), _adversarial(rng, (4, 16), dtype)
+    x = _staging_data(rng, (4, 9), dtype)
+    x[0, 4] = complex(1.0, np.nan)
+    ch, ct = _adversarial(rng, 9, dtype), _adversarial(rng, 8, dtype)
+    wdh, wdt = (_adversarial(rng, (2, 16), dtype),
+                _adversarial(rng, (2, 16), dtype))
+    with np.errstate(all="ignore"):
+        results = [_run_mirror(kernels, y, u, v, 9),
+                   _run_head_tail(kernels, x, ch, ct, wdh, wdt)]
+    for out, ref in results:
+        assert np.isnan(_bits(ref)[0]).any()
+        assert not np.isnan(_bits(ref)[1:-1]).any()
+        assert _same_bits_or_both_nan(out, _bits(ref))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_one_row_one_tail_bin_keeps_the_unfused_product(kernels, dtype):
+    """With one row and one tail bin NumPy forms the tail product in its
+    scalar loop, without FMA; with two rows it fuses.  On operands where
+    the two differ, the kernel matches the composition either way."""
+    x, *tables = _ckernels._unfused_tail_probe(dtype)
+    one, one_ref = _run_head_tail(kernels, x, *tables)
+    two, two_ref = _run_head_tail(kernels, np.repeat(x, 2, axis=0), *tables)
+    assert not np.array_equal(_bits(one_ref[0]), _bits(two_ref[0]))
+    assert np.array_equal(_bits(one), _bits(one_ref))
+    assert np.array_equal(_bits(two), _bits(two_ref))
+
+
+@pytest.mark.parametrize("name,out_arg", [("transpose", 1),
+                                          ("decomp_mirror", 3),
+                                          ("expand_head_tail", 5)])
+def test_self_check_probes_the_staging_kernels(kernels, name, out_arg,
+                                               monkeypatch):
+    """The loader's self-check rejects a library whose staging kernel is
+    off by one ulp in one output component."""
+    assert _ckernels._self_check(kernels)
+    real = getattr(kernels, name)
+
+    def off_by_one_ulp(*args):
+        real(*args)
+        last = args[out_arg].reshape(-1)[-1:].view(args[out_arg].real.dtype)
+        last[-1] = np.nextafter(last[-1], np.inf)
+
+    monkeypatch.setattr(kernels, name, off_by_one_ulp)
+    assert not _ckernels._self_check(kernels)

@@ -633,6 +633,42 @@ def test_pruned_scoped_numpy_caches_bit_identical():
     compiled.clear_fft_plan_cache()
 
 
+def _strided(a, layout):
+    """``a`` as a view with the same values and a non-contiguous layout."""
+    if layout == "sliced":
+        return np.repeat(a, 2, axis=0)[::2]
+    if layout == "F":
+        return np.asfortranarray(a)
+    return a[::-1].copy()[::-1]  # negative strides
+
+
+@pytest.mark.parametrize("layout", ["sliced", "F", "negative"])
+@pytest.mark.parametrize("dtype", REAL_DTYPES)
+@pytest.mark.parametrize("part", [1, 2, 9, 16])
+def test_pruned_decomp_strided_inputs_match_numpy_backend(part, dtype,
+                                                          layout):
+    """The decomp strategy (C staging kernels or NumPy) takes strided and
+    F-ordered inputs, complex128 included, with the bits of the
+    NumPy-backend plan on contiguous input: the C path copies its input
+    contiguous instead of raising from the kernel binding."""
+    n, rows = 128, 5
+    cdtype = np.complex64 if dtype == np.float32 else np.complex128
+    rng = np.random.default_rng(45 + part)
+    x = _real_data((rows, n), dtype, rng)
+    yk = _trunc_spectrum((rows,), part, cdtype, rng)
+    oracle = compiled.PlanCaches("numpy")
+    want = (oracle.pruned_rfft(n, part, dtype).execute(x),
+            oracle.pruned_irfft(n, part, cdtype).execute(yk))
+    for name in BACKENDS:
+        caches = compiled.PlanCaches(name)
+        plan = caches.pruned_irfft(n, part, cdtype)
+        assert plan._strategy == "decomp"
+        assert _bit_equal(plan.execute(_strided(yk, layout)), want[1])
+        with compiled.plan_cache_scope(caches):
+            got = truncated_rfft(_strided(x, layout), part)
+        assert _bit_equal(got, want[0])
+
+
 def test_pruned_interleaved_workspace_safety(backend):
     """Interleaved calls with different batch shapes and parts through
     the same cached pruned plans must not corrupt workspaces."""
