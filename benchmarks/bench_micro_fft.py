@@ -62,10 +62,3 @@ def test_pad_then_full_ifft(benchmark):
     out = benchmark(run)
     assert out.shape == (BATCH, N)
 
-
-def test_stockham_radix4(benchmark):
-    """Radix-4 stages halve the pass count (Table 1's per-thread sizes)."""
-    from repro.fft.radix import fft_radix4
-
-    out = benchmark(fft_radix4, X)
-    assert np.allclose(out, np.fft.fft(X, axis=-1), atol=1e-2)

@@ -40,18 +40,7 @@ Layout
 ``repro.analysis``
     Parameter sweeps and per-figure series builders, all routed through
     ``repro.api`` so repeated geometries hit the plan cache.
-
-Deprecated names
-----------------
-The pre-facade, dimension-suffixed entry points — ``build_pipeline_1d``,
-``build_pipeline_2d``, ``best_stage_1d``, ``best_stage_2d``,
-``spectral_conv_1d``, ``spectral_conv_2d`` — remain importable from this
-package root but emit a one-time :class:`DeprecationWarning`; use
-``repro.api.plan`` / ``repro.api.spectral_conv`` instead.
 """
-
-import importlib
-import warnings
 
 from repro import api
 from repro.api import ExecutionPlan, Runner, Session, plan, spectral_conv
@@ -81,53 +70,3 @@ __all__ = [
     "DeviceSpec",
     "__version__",
 ]
-# The deprecated shims (build_pipeline_1d/_2d, best_stage_1d/_2d,
-# spectral_conv_1d/_2d) stay importable via __getattr__ but are kept out
-# of __all__ so `from repro import *` doesn't fire their warnings.
-
-#: name -> (home module, attribute, suggested replacement)
-_DEPRECATED = {
-    "build_pipeline_1d": (
-        "repro.core.pipeline_model", "build_pipeline_1d",
-        "repro.api.plan(problem, stage=...)",
-    ),
-    "build_pipeline_2d": (
-        "repro.core.pipeline_model", "build_pipeline_2d",
-        "repro.api.plan(problem, stage=...)",
-    ),
-    "best_stage_1d": (
-        "repro.core.pipeline_model", "best_stage_1d",
-        "repro.api.plan(problem)  # stage defaults to BEST",
-    ),
-    "best_stage_2d": (
-        "repro.core.pipeline_model", "best_stage_2d",
-        "repro.api.plan(problem)  # stage defaults to BEST",
-    ),
-    "spectral_conv_1d": (
-        "repro.core.spectral", "spectral_conv_1d", "repro.api.spectral_conv",
-    ),
-    "spectral_conv_2d": (
-        "repro.core.spectral", "spectral_conv_2d", "repro.api.spectral_conv",
-    ),
-}
-
-#: Names whose deprecation warning has already fired (once per process).
-_warned: set = set()
-
-
-def __getattr__(name: str):
-    """Resolve deprecated legacy names, warning once per name."""
-    try:
-        home, attr, replacement = _DEPRECATED[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    if name not in _warned:
-        _warned.add(name)
-        warnings.warn(
-            f"repro.{name} is deprecated; use {replacement}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    return getattr(importlib.import_module(home), attr)

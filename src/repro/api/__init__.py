@@ -50,9 +50,6 @@ registries
 :func:`spectral_conv`
     Rank-dispatched numeric Fourier layer (the exact-arithmetic twin of
     the modelled pipelines).
-
-The legacy ``_1d``/``_2d`` names remain importable from :mod:`repro` as
-deprecated shims.
 """
 
 from repro.api.ops import spectral_conv

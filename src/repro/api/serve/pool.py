@@ -20,12 +20,14 @@ converts those per-core wins into multi-core throughput:
 * **backpressure** — bounded per-worker queues and ring arenas;
   ``submit`` blocks (default) or raises :class:`PoolSaturated`
   (``saturation="raise"``);
-* **rollout serving** — :meth:`ServePool.rollout` /
-  :meth:`ServePool.rollout_many` route whole autoregressive streams to
-  their geometry's shard: one ``"roll"`` header crosses the queue per
-  stream, the worker's warm session steps the state in place (and
-  micro-batches concurrent same-geometry streams), and only the final
-  state crosses back through the ring;
+* **one stream path** — every request is a stream: ``submit`` sends a
+  one-step ``"exact"`` stream and :meth:`ServePool.rollout` /
+  :meth:`ServePool.rollout_many` send whole autoregressive streams, each
+  as one ``"req"`` header carrying ``(steps, profile)`` to its
+  geometry's shard.  The worker's warm session steps the state in place
+  (micro-batching concurrent same-geometry streams that share
+  ``(steps, profile)``), and only the final state crosses back through
+  the ring;
 * **failure enforcement** (:mod:`repro.api.serve.health`) — workers
   heartbeat over the control pipe; a monitor thread kills hung-but-
   alive workers (deadlock, ``SIGSTOP``, runaway loop) so they take the
@@ -203,11 +205,11 @@ class _Pending:
     __slots__ = (
         "rid", "spec", "mid", "x", "gkey", "shard", "future", "req_off",
         "resp_off", "resp_cap", "allocated", "t_submit", "t_dispatch",
-        "retries", "deadline", "abandoned", "steps", "profile",
+        "retries", "deadline", "abandoned", "steps", "profile", "stream",
     )
 
     def __init__(self, rid, spec, mid, x, gkey, shard, future, deadline,
-                 steps=None, profile=None):
+                 steps=1, profile="exact", stream=False):
         self.rid = rid
         self.spec = spec
         self.mid = mid
@@ -224,9 +226,11 @@ class _Pending:
         #: Future already resolved (deadline sweep / cancel); the worker
         #: answer only frees slabs, never delivers.
         self.abandoned = False
-        #: Rollout stream: step count + profile (None: plain inference).
+        #: Step count + profile; plain inference is a one-step exact
+        #: stream, and ``stream`` marks a ``submit_rollout`` stream.
         self.steps = steps
         self.profile = profile
+        self.stream = stream
 
     def expired(self, now: float | None = None) -> bool:
         return (
@@ -289,6 +293,8 @@ class _WorkerHandle:
         self.closing = False
         self.ready = threading.Event()
         self.warmed = threading.Event()
+        #: The response pipe closed: the process is gone.
+        self.exited = False
         self.pid: int | None = None
         self.backend: str | None = None  #: actual substrate ("ready" reports)
         #: Health bookkeeping (collector writes, monitor reads).
@@ -465,7 +471,8 @@ class ServePool:
                 self._start_collector(handle)
                 self._handles[handle.shard] = handle
             for handle in handles:
-                self._await(handle.ready, f"worker {handle.shard} startup")
+                self._await(handle, handle.ready,
+                            f"worker {handle.shard} startup")
         except BaseException:
             self._closed = True
             self._teardown(list(self._handles.values()))
@@ -497,9 +504,12 @@ class ServePool:
             raise RuntimeError("serve pool is closed")
 
     @staticmethod
-    def _await(event: threading.Event, what: str) -> None:
+    def _await(handle: _WorkerHandle, event: threading.Event,
+               what: str) -> None:
         if not event.wait(_LIFECYCLE_TIMEOUT):
             raise RuntimeError(f"timed out waiting for {what}")
+        if handle.exited:
+            raise RuntimeError(f"worker exited before {what}")
 
     def _spawn_handle(self, shard: int, rings=None) -> _WorkerHandle:
         if rings is None:
@@ -705,10 +715,10 @@ class ServePool:
                 f"{ROLLOUT_PROFILES}"
             )
         return self._admit(model, x0, block, timeout, deadline,
-                           steps=steps, profile=profile)
+                           steps=steps, profile=profile, stream=True)
 
     def _admit(self, model, x, block, timeout, deadline,
-               steps=None, profile=None) -> ServeFuture:
+               steps=1, profile="exact", stream=False) -> ServeFuture:
         self._check_open()
         spec = self._spec_of(model)
         x = np.asarray(x)
@@ -734,7 +744,7 @@ class ServePool:
         future = ServeFuture(format_geometry(gkey), shard, abs_deadline)
         pending = _Pending(next(self._rid), spec, mid, x, gkey, shard,
                            future, abs_deadline, steps=steps,
-                           profile=profile)
+                           profile=profile, stream=stream)
         future._cancel_hook = lambda: self._cancel_pending(pending)
         try:
             self._submit_pending(pending, block, timeout)
@@ -899,17 +909,9 @@ class ServePool:
         del view
         # The header (checksummed: the worker refuses to dereference ring
         # offsets from a header that does not verify).
-        if pending.steps is None:
-            kind = "req"
-            fields = (pending.rid, pending.mid, tuple(x.shape),
-                      str(x.dtype), req_off, resp_off, resp_cap,
-                      pending.deadline, pending.retries)
-        else:
-            kind = "roll"
-            fields = (pending.rid, pending.mid, tuple(x.shape),
-                      str(x.dtype), req_off, resp_off, resp_cap,
-                      pending.steps, pending.profile, pending.deadline,
-                      pending.retries)
+        fields = (pending.rid, pending.mid, tuple(x.shape), str(x.dtype),
+                  req_off, resp_off, resp_cap, pending.steps,
+                  pending.profile, pending.deadline, pending.retries)
         # 3. Publish offsets; a crash between admission and here retries
         # through the pending entry, which never frees unallocated slabs.
         # 4. Enqueue, under the same lock: a model counts as pushed only
@@ -940,7 +942,7 @@ class ServePool:
                          spec.symmetric)
                     )
                     handle.pushed.add(pending.mid)
-                handle.queue.put((kind, *fields, header_checksum(fields)))
+                handle.queue.put(("req", *fields, header_checksum(fields)))
                 queued = True
             except (ValueError, OSError):  # queue closed: worker is gone
                 queued = False
@@ -990,15 +992,10 @@ class ServePool:
                 ))
                 continue
             try:
-                if pending.steps is None:
-                    out = self._fallback_session.infer(
-                        pending.spec, pending.x
-                    )
-                else:
-                    out = self._fallback_session.rollout(
-                        pending.spec, pending.x, pending.steps,
-                        profile=pending.profile,
-                    )
+                out = self._fallback_session.rollout(
+                    pending.spec, pending.x, pending.steps,
+                    profile=pending.profile,
+                )
             except Exception as exc:  # noqa: BLE001 - typed per-request
                 won = pending.future._set_exception(
                     ServeError(f"{type(exc).__name__}: {exc}")
@@ -1020,7 +1017,7 @@ class ServePool:
                     stats.latency.record(latency)
                     self._latency.record(latency)
                     stats.degraded += 1
-                    if pending.steps is not None:
+                    if pending.stream:
                         self._rollout_streams += 1
                         self._rollout_steps += pending.steps
 
@@ -1107,6 +1104,11 @@ class ServePool:
                 if waiter is not None:
                     waiter[1].append(msg[2])
                     waiter[0].set()
+        # Wake a startup or warmup-handoff wait on this worker: it fails
+        # at once instead of sitting out the lifecycle timeout.
+        handle.exited = True
+        handle.ready.set()
+        handle.warmed.set()
         if not (handle.closing or self._closed):
             self._on_worker_death(handle)
 
@@ -1168,7 +1170,7 @@ class ServePool:
                         stats.latency.record(latency)
                         self._latency.record(latency)
                         self._admission["completed"] += 1
-                        if pending.steps is not None:
+                        if pending.stream:
                             self._rollout_streams += 1
                             self._rollout_steps += pending.steps
             # A worker answer is proof of life: feed the breaker.
@@ -1220,7 +1222,7 @@ class ServePool:
 
     def _warm_handoff(self, old: _WorkerHandle, new: _WorkerHandle) -> None:
         """Prime ``new`` with everything ``old`` served, before traffic."""
-        self._await(new.ready, f"worker {new.shard} startup")
+        self._await(new, new.ready, f"worker {new.shard} startup")
         with old.lock:
             models = list(old.warm_models.values())
             geoms = sorted(old.warm_geoms)
@@ -1230,7 +1232,7 @@ class ServePool:
             return
         new.queue.put(("warm", models, geoms), block=True,
                       timeout=_LIFECYCLE_TIMEOUT)
-        self._await(new.warmed, f"worker {new.shard} warmup handoff")
+        self._await(new, new.warmed, f"worker {new.shard} warmup handoff")
         new.pushed = {m[0] for m in models}
 
     def _recycle(self, shard: int) -> _WorkerHandle:
@@ -1244,7 +1246,19 @@ class ServePool:
         old.closing = True
         new = self._spawn_handle(shard, rings=old.rings())
         self._start_collector(new)
-        self._warm_handoff(old, new)
+        try:
+            self._warm_handoff(old, new)
+        except RuntimeError:
+            # The replacement died (or hung) before taking traffic: drop
+            # it and keep serving on the old worker; the next admission
+            # tries the recycle again.
+            new.closing = True
+            new.process.kill()
+            new.process.join(1.0)
+            new.queue.close()
+            new.queue.cancel_join_thread()
+            old.closing = False
+            return old
         new.completed = 0
         self._handles[shard] = new
         self._admission["recycles"] += 1

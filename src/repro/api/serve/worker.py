@@ -13,23 +13,17 @@ Parent -> worker, over the request queue
     ``("model", mid, weight, modes, symmetric)``
         register one served model (weights cross once per worker).
     ``("req", rid, mid, shape, dtype, req_off, resp_off, resp_cap,
-    deadline, retries, csum)``
-        one inference request; the input lives at ``req_off`` in the
-        request ring, the output must land at ``resp_off``.
+    steps, profile, deadline, retries, csum)``
+        one stream: the input lives at ``req_off`` in the request ring
+        and the *final* state (``keep="last"``) must land at
+        ``resp_off``.  A plain inference request is a one-step
+        ``"exact"`` stream (``steps=1, profile="exact"``); an
+        autoregressive rollout carries its own ``(steps, profile)``.
         ``deadline`` is an absolute ``time.monotonic()`` instant (or
         None); requests already past it are *skipped*, not executed
         late.  ``csum`` is :func:`~repro.api.serve.shm.header_checksum`
         over every preceding field — a mismatched header is rejected,
         never dereferenced into the rings.
-    ``("roll", rid, mid, shape, dtype, req_off, resp_off, resp_cap,
-    steps, profile, deadline, retries, csum)``
-        one autoregressive rollout stream: the initial state lives at
-        ``req_off``, the *final* state (``keep="last"``) lands at
-        ``resp_off``.  Consecutive ``"roll"`` headers with the same
-        ``(steps, profile)`` drain into one
-        :meth:`~repro.api.Session.rollout` call, which micro-batches
-        the streams by geometry — the stepping loop stays warm and
-        state stays resident for the whole stream.
     ``("warm", models, geometries)``
         warmup handoff: pre-build executors (and, on an autotune
         session, pre-tune tiles) for the geometries the predecessor
@@ -64,11 +58,17 @@ at spawn drives scripted crash/hang/latency/corruption at exact request
 indices (see :mod:`repro.api.serve.faults`); a worker with no plan pays
 one ``None`` check per request.
 
-Consecutive ``"req"`` messages are drained opportunistically (up to
-``max_batch``) and flushed through ``session.infer_many`` — the same
-deterministic geometry micro-batcher the in-process serving path uses,
-so pooled results are bit-identical to a serial one-worker session no
-matter how requests interleave.
+Consecutive ``"req"`` headers are drained opportunistically (up to
+``max_batch``).  The drain groups them by ``(steps, profile)`` and sends
+each group through one :meth:`~repro.api.Session.rollout` call — the
+same deterministic geometry micro-batcher the in-process
+``Session.infer_many``/``rollout`` use, so pooled results are
+bit-identical to a serial one-worker session no matter how requests
+interleave; if a group's call fails, each stream is retried alone so
+one bad geometry fails by itself.  Because plain requests are one-step
+streams, the per-worker ``session.stats()["rollout"]`` counts them too;
+the parent's ``ServePool.stats()["rollout"]`` counts only
+``submit_rollout`` streams.
 """
 
 from __future__ import annotations
@@ -134,9 +134,8 @@ class _WorkerBody:
     def _admit(self, batch: list[tuple]) -> list[tuple]:
         """Checksum/deadline/fault gate: the headers that will execute.
 
-        Layout-agnostic over ``"req"`` and ``"roll"`` headers: both end
-        in ``(..., deadline, retries, csum)`` with the checksum taken
-        over every field between the kind tag and itself.
+        A header ends in ``(..., deadline, retries, csum)`` with the
+        checksum taken over every field between the kind tag and itself.
         """
         live = []
         for msg in batch:
@@ -196,39 +195,12 @@ class _WorkerBody:
                 offset=req_off,
             )
             views.append((model, x))
-        reqs = [i for i, msg in enumerate(batch)
-                if msg[0] == "req" and views[i] is not None]
-        if reqs:
-            pairs = [views[i] for i in reqs]
-            try:
-                results = self.session.infer_many(
-                    pairs, max_batch=self.max_batch
-                )
-            except _INFRA_ERRORS as exc:
-                # A substrate fault (OOM, OS, shm buffer) poisons the
-                # whole batch and retrying per-request would just repeat
-                # it: fail every request with the typed error instead of
-                # masking it as a per-request model error.
-                err = InfrastructureError(f"{type(exc).__name__}: {exc}")
-                results = [err] * len(pairs)
-            except Exception:  # noqa: BLE001 - per-request fallback below
-                # A poisoned micro-batch: fall back to per-request
-                # execution so one bad geometry fails alone instead of
-                # failing its whole batch.
-                results = [
-                    self._serve_one(
-                        lambda m=model, a=x: self.session.infer(m, a)
-                    )
-                    for model, x in pairs
-                ]
-            for i, out in zip(reqs, results):
-                outs[i] = out
-        # Rollout streams: consecutive headers sharing (steps, profile)
-        # drain into one session.rollout call — the same geometry
-        # micro-batcher, state resident across the whole stream.
+        # Every header is a stream: live headers sharing (steps,
+        # profile) drain into one session.rollout call — the geometry
+        # micro-batcher, with state resident across the whole stream.
         groups: dict[tuple, list[int]] = {}
         for i, msg in enumerate(batch):
-            if msg[0] == "roll" and views[i] is not None:
+            if views[i] is not None:
                 groups.setdefault((msg[8], msg[9]), []).append(i)
         for (steps, profile), idxs in groups.items():
             streams = [views[i] for i in idxs]
@@ -238,11 +210,16 @@ class _WorkerBody:
                     max_batch=self.max_batch,
                 )
             except _INFRA_ERRORS as exc:
-                # Substrate fault: fail the whole stream group typed.
+                # A substrate fault (OOM, OS, shm buffer) poisons the
+                # whole group and retrying per stream would just repeat
+                # it: fail every stream with the typed error instead of
+                # masking it as a per-stream model error.
                 err = InfrastructureError(f"{type(exc).__name__}: {exc}")
                 results = [err] * len(streams)
             except Exception:  # noqa: BLE001 - per-stream fallback below
-                # Per-stream fallback, mirroring the infer path.
+                # A poisoned micro-batch: fall back to per-stream
+                # execution so one bad geometry fails alone instead of
+                # failing its whole group.
                 results = [
                     self._serve_one(
                         lambda m=model, a=x: self.session.rollout(
@@ -417,7 +394,7 @@ def worker_main(
                 batch = []
                 break
             kind = msg[0]
-            if kind in ("req", "roll"):
+            if kind == "req":
                 batch.append(msg)
                 if len(batch) >= max_batch:
                     body.flush(batch)

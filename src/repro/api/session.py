@@ -691,6 +691,11 @@ class Session:
         batches sharing an executor serialise on its lock, so threads
         help when the stream mixes geometries/models.  Results are
         identical regardless of ``workers``.
+
+        Each request is served as a one-step ``"exact"`` stream through
+        the same grouped engine as :meth:`rollout`; a one-step stream
+        needs no shape-preserving model, so any ``C_in -> C_out`` layer
+        or callable is served.
         """
         self._check_open()
         if max_batch < 1:
@@ -699,45 +704,14 @@ class Session:
             raise ValueError(
                 f"queue_depth must be >= 1, got {queue_depth}"
             )
-        items = [
-            (model, self._apply_dtype_policy(np.asarray(x)))
-            for model, x in requests
-        ]
-        results: list[np.ndarray | None] = [None] * len(items)
-        jobs = self._group_requests(items, max_batch)
-
-        def run_job(idxs: list[int]) -> None:
-            model = items[idxs[0]][0]
-            xs = [items[i][1] for i in idxs]
-            t0 = time.perf_counter()
-            if len(xs) == 1:
-                outs = [self._execute(model, xs[0])]
-            else:
-                batch = np.concatenate(xs, axis=0)
-                out = self._execute(model, batch)
-                outs, off = [], 0
-                for x in xs:
-                    # Copy each request's rows out: a view would pin the
-                    # whole micro-batch output alive for as long as any
-                    # one result survives.
-                    outs.append(np.array(out[off : off + x.shape[0]]))
-                    off += x.shape[0]
-            seconds = time.perf_counter() - t0
-            self._record(xs[0].shape[1:], len(idxs), seconds)
-            for i, y in zip(idxs, outs):
-                results[i] = y
-
-        if workers is not None and workers > 1 and len(jobs) > 1:
-            self._drain_jobs(jobs, run_job, workers, queue_depth)
-        else:
-            for job in jobs:
-                run_job(job)
-        return results  # type: ignore[return-value]
+        return self._serve_streams(
+            requests, 1, "exact", "last", max_batch, workers, queue_depth,
+        )
 
     def _group_requests(self, items, max_batch: int) -> list[list[int]]:
         """Deterministic micro-batching: group by (model, geometry,
         dtype) in arrival order, flushing a group at ``max_batch``
-        requests.  Shared by :meth:`infer_many` and :meth:`rollout`."""
+        requests."""
         jobs: list[list[int]] = []
         open_groups: dict[tuple, list[int]] = {}
         for i, (model, x) in enumerate(items):
@@ -870,41 +844,49 @@ class Session:
                 "check_rtol asserts the fast profile against the exact "
                 "loop; it does not apply to profile='exact'"
             )
-        if streams is None:
+        single = streams is None
+        if single:
             if model is None or x0 is None:
                 raise ValueError(
                     "rollout needs (model, x0) or streams=[(model, x0), ...]"
                 )
-            return self._rollout_streams_impl(
-                [(model, x0)], steps, profile, keep, max_batch, workers,
-                check_rtol,
-            )[0]
-        if model is not None or x0 is not None:
+            streams = [(model, x0)]
+        elif model is not None or x0 is not None:
             raise ValueError(
                 "pass either (model, x0) or streams=, not both"
             )
-        return self._rollout_streams_impl(
-            list(streams), steps, profile, keep, max_batch, workers,
+        streams = list(streams)
+        for _, x in streams:
+            if np.ndim(x) < 3:
+                raise ValueError(
+                    f"rollout state must be (batch, C, *spatial), "
+                    f"got shape {np.shape(x)}"
+                )
+        results = self._serve_streams(
+            streams, steps, profile, keep, max_batch, workers, None,
             check_rtol,
         )
+        with self._stats_lock:
+            self._rollout_streams += len(results)
+            self._rollout_steps += steps * len(results)
+        return results[0] if single else results
 
     def rollout_many(self, streams, steps: int = 1, **kwargs):
         """Serve many concurrent rollout streams (see :meth:`rollout`);
         returns the per-stream results in stream order."""
         return self.rollout(steps=steps, streams=streams, **kwargs)
 
-    def _rollout_streams_impl(self, streams, steps, profile, keep,
-                              max_batch, workers, check_rtol) -> list:
+    def _serve_streams(self, streams, steps, profile, keep, max_batch,
+                       workers, queue_depth, check_rtol=None) -> list:
+        """The one serving engine behind :meth:`infer_many` (one-step
+        exact streams) and :meth:`rollout`: group the ``(model, x)``
+        streams by (model, geometry, dtype), step each group once
+        through one executor call per step, and copy every stream's
+        rows back out in stream order."""
         items = [
-            (model, self._apply_dtype_policy(np.asarray(x0)))
-            for model, x0 in streams
+            (model, self._apply_dtype_policy(np.asarray(x)))
+            for model, x in streams
         ]
-        for _, x0 in items:
-            if x0.ndim < 3:
-                raise ValueError(
-                    f"rollout state must be (batch, C, *spatial), "
-                    f"got shape {x0.shape}"
-                )
         results: list = [None] * len(items)
         jobs = self._group_requests(items, max_batch)
 
@@ -913,9 +895,11 @@ class Session:
             xs = [items[i][1] for i in idxs]
             state0 = xs[0] if len(xs) == 1 else np.concatenate(xs, axis=0)
             if profile == "fast":
-                kept = self._rollout_fast(model, state0, steps, keep)
+                kept = self._rollout_fast(model, state0, steps, keep,
+                                          len(idxs))
                 if check_rtol is not None:
-                    ref = self._rollout_exact(model, state0, steps, "last")
+                    ref = self._rollout_exact(model, state0, steps, "last",
+                                              len(idxs))
                     if not np.allclose(kept[-1], ref[-1], rtol=check_rtol,
                                        atol=check_rtol):
                         raise ValueError(
@@ -923,47 +907,41 @@ class Session:
                             f"beyond rtol={check_rtol} after {steps} steps"
                         )
             else:
-                kept = self._rollout_exact(model, state0, steps, keep)
-            with self._stats_lock:
-                self._rollout_streams += len(idxs)
-                self._rollout_steps += steps * len(idxs)
-            offs = [0]
-            for x in xs:
-                offs.append(offs[-1] + x.shape[0])
-            for j, i in enumerate(idxs):
-                if len(xs) == 1:
-                    results[i] = (np.stack(kept) if keep == "all"
-                                  else kept[-1])
-                    continue
-                sl = slice(offs[j], offs[j + 1])
+                kept = self._rollout_exact(model, state0, steps, keep,
+                                           len(idxs))
+            if len(xs) == 1:
+                results[idxs[0]] = (np.stack(kept) if keep == "all"
+                                    else kept[-1])
+                return
+            off = 0
+            for i, x in zip(idxs, xs):
+                sl = slice(off, off + x.shape[0])
+                off += x.shape[0]
                 # Copy each stream's rows out: a view would pin the
                 # whole concatenated state alive per surviving result.
-                if keep == "all":
-                    results[i] = np.stack([np.array(s[sl]) for s in kept])
-                else:
-                    results[i] = np.array(kept[-1][sl])
+                results[i] = (np.stack([s[sl] for s in kept])
+                              if keep == "all" else np.array(kept[-1][sl]))
 
         if workers is not None and workers > 1 and len(jobs) > 1:
-            self._drain_jobs(jobs, run_job, workers, None)
+            self._drain_jobs(jobs, run_job, workers, queue_depth)
         else:
             for job in jobs:
                 run_job(job)
         return results
 
     def _rollout_exact(self, model, state: np.ndarray, steps: int,
-                       keep: str) -> list[np.ndarray]:
+                       keep: str, requests: int) -> list[np.ndarray]:
         """The default stepping loop: the model applied once per step
         through :meth:`_execute` — the same pooled-executor call the
-        eager loop makes, hence bit-identical to it."""
+        eager loop makes, hence bit-identical to it.  Only an output
+        that feeds a further step must keep the input's shape."""
         geometry = state.shape[1:]
-        n = state.shape[0]
         kept: list[np.ndarray] = []
         for step in range(steps):
             t0 = time.perf_counter()
-            out = self._execute(model, state)
-            self._record(geometry, n, time.perf_counter() - t0)
-            out = np.asarray(out)
-            if out.shape != state.shape:
+            out = np.asarray(self._execute(model, state))
+            self._record(geometry, requests, time.perf_counter() - t0)
+            if step + 1 < steps and out.shape != state.shape:
                 raise ValueError(
                     f"rollout requires a shape-preserving model: step "
                     f"{step + 1} mapped {state.shape} -> {out.shape}"
@@ -1025,13 +1003,12 @@ class Session:
         )
 
     def _rollout_fast(self, model, state: np.ndarray, steps: int,
-                      keep: str) -> list[np.ndarray]:
+                      keep: str, requests: int) -> list[np.ndarray]:
         """The spectrum-resident loop: forward transform once, CGEMM
         per step, inverse transform only at kept states."""
         executor, layer = self._fast_stepper(model)
         geometry = state.shape[1:]
         spatial = state.shape[2:]
-        n = state.shape[0]
         kept: list[np.ndarray] = []
         # Per step: synthesize kept output from the *pre-projection*
         # output spectrum yk, then feed forward its reanalysis — the
@@ -1049,7 +1026,7 @@ class Session:
                 for _ in range(steps):
                     t0 = time.perf_counter()
                     yk = executor.step_spectrum(sk)
-                    self._record(geometry, n, time.perf_counter() - t0)
+                    self._record(geometry, requests, time.perf_counter() - t0)
                     if keep == "all":
                         kept.append(
                             executor.inverse_spectrum(yk, spatial_arg)
@@ -1065,7 +1042,7 @@ class Session:
             for _ in range(steps):
                 t0 = time.perf_counter()
                 yk = layer.apply_modes(sk)
-                self._record(geometry, n, time.perf_counter() - t0)
+                self._record(geometry, requests, time.perf_counter() - t0)
                 if keep == "all":
                     kept.append(layer.from_spectrum(yk, spatial_arg))
                 sk = layer.reanalyze_spectrum(yk, spatial_arg)
@@ -1083,7 +1060,8 @@ class Session:
         (every pooled-executor call on an ``autotune=True`` session
         resolves its tiles through the tuner exactly once);
         ``per_geometry`` maps each served spatial geometry to
-        request/batch counts, measured throughput and latency
+        request/batch counts (a rollout step counts each of its streams
+        as one request), measured throughput and latency
         percentiles (p50/p95/p99 seconds from a bounded reservoir — one
         sample per executed micro-batch or rollout step); ``latency``
         aggregates the same across all geometries; ``rollout`` counts

@@ -47,7 +47,6 @@ from repro.fft.compiled import (
 from repro.fft.opcount import butterfly_ops, pruned_fraction, PruneCensus
 from repro.fft.plan import FFTPlan
 from repro.fft.pruned import truncated_fft, truncated_ifft, zero_padded_fft
-from repro.fft.radix import fft_radix4, ifft_radix4
 from repro.fft.real import (
     hermitian_pad,
     irfft,
@@ -65,8 +64,6 @@ __all__ = [
     "ifft",
     "fft2",
     "ifft2",
-    "fft_radix4",
-    "ifft_radix4",
     "rfft",
     "irfft",
     "hermitian_pad",

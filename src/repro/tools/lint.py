@@ -505,8 +505,8 @@ def _queued_tags(tree: ast.AST) -> set[str]:
     """First elements of tuples the pool enqueues via ``<x>.queue.put``.
 
     A first element that is a plain name (``kind``) resolves through the
-    string-literal assignments of the enclosing function, so the
-    ``kind = "req" / "roll"`` dispatch spelling is covered.
+    string-literal assignments of the enclosing function, so a
+    ``kind = "<tag>"`` dispatch spelling is covered.
     """
     tags = set()
     for func in _functions(tree):

@@ -2,8 +2,8 @@
 
 Covers the Problem protocol, plan-cache hit/miss behavior, registry
 lookups, the Runner sweep drivers, byte-identical agreement with the
-legacy ``build_pipeline_{1,2}d`` paths, and the once-only deprecation
-shims at the package root.
+legacy ``build_pipeline_{1,2}d`` paths, and the package root's
+attribute surface.
 """
 
 from __future__ import annotations
@@ -380,24 +380,8 @@ class TestSpectralConvFacade:
 
 
 class TestDeprecationShims:
-    @pytest.mark.parametrize("name,home,attr", [
-        ("build_pipeline_1d", "repro.core.pipeline_model", "build_pipeline_1d"),
-        ("build_pipeline_2d", "repro.core.pipeline_model", "build_pipeline_2d"),
-        ("best_stage_1d", "repro.core.pipeline_model", "best_stage_1d"),
-        ("best_stage_2d", "repro.core.pipeline_model", "best_stage_2d"),
-        ("spectral_conv_1d", "repro.core.spectral", "spectral_conv_1d"),
-        ("spectral_conv_2d", "repro.core.spectral", "spectral_conv_2d"),
-    ])
-    def test_shim_warns_exactly_once_and_forwards(self, name, home, attr):
-        import importlib
-
-        repro._warned.discard(name)  # reset: other tests may have fired it
-        with pytest.warns(DeprecationWarning, match=f"repro.{name} is deprecated"):
-            obj = getattr(repro, name)
-        assert obj is getattr(importlib.import_module(home), attr)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # second access must be silent
-            assert getattr(repro, name) is obj
+    """The package root resolves only its exports; the removed legacy
+    shims leave no warning behind."""
 
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError, match="frobnicate"):
@@ -410,8 +394,7 @@ class TestDeprecationShims:
             from repro.core.spectral import spectral_conv_1d  # noqa: F401
 
     def test_star_import_does_not_warn(self):
-        """Shims are excluded from __all__, so `from repro import *` stays
-        silent under -W error."""
+        """`from repro import *` stays silent under -W error."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             exec("from repro import *", {})

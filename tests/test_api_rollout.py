@@ -211,6 +211,21 @@ class TestRolloutValidation:
             with pytest.raises(ValueError, match="streams"):
                 s.rollout(steps=1)
 
+    def test_one_step_of_shape_changing_model_is_infer(self, rng):
+        """The shape check guards only an output that feeds a further
+        step: a one-step stream of a non-square layer is ``infer``."""
+        w = ((rng.standard_normal((8, 4))
+              + 1j * rng.standard_normal((8, 4))) / 8).astype(np.complex64)
+        model = SpectralModel(w, 16)  # 8 channels in, 4 out
+        x0 = rng.standard_normal((2, 8, 64)).astype(np.float32)
+        with Session() as s:
+            want = s.infer(model, x0)
+            got = s.rollout(model, x0, steps=1)
+            trajectory = s.rollout(model, x0, steps=1, keep="all")
+        assert got.shape == (2, 4, 64)
+        assert np.array_equal(got, want)
+        assert np.array_equal(trajectory, want[None])
+
     def test_rejects_shape_changing_model(self, rng):
         w = ((rng.standard_normal((8, 4))
               + 1j * rng.standard_normal((8, 4))) / 8).astype(np.complex64)
@@ -287,6 +302,45 @@ class TestServePoolRollout:
         assert top["count"] == 5 and top["p50"] > 0
         geo = next(iter(stats["per_geometry"].values()))
         assert geo["latency"]["count"] > 0
+
+    def test_one_drain_mixes_requests_and_streams(self, rng):
+        """Plain requests (one non-square) and rollout streams of two
+        (steps, profile) pairs share one worker's drain and return the
+        in-process Session's bits; only the streams count as rollouts."""
+        square = SpectralModel(_weight(rng), 16)
+        narrow = SpectralModel(
+            ((rng.standard_normal((8, 4))
+              + 1j * rng.standard_normal((8, 4))) / 8).astype(np.complex64),
+            16,
+        )
+
+        def x():
+            return rng.standard_normal((1, 8, 64)).astype(np.float32)
+
+        plain = [(square, x()), (narrow, x()), (square, x())]
+        exact = [(square, x()) for _ in range(2)]
+        fast = [(square, x()) for _ in range(2)]
+        with Session(backend="numpy") as s:
+            want = (
+                [s.infer(m, a) for m, a in plain]
+                + s.rollout_many(exact, steps=3)
+                + s.rollout_many(fast, steps=4, profile="fast")
+            )
+        with ServePool(workers=1, backend="numpy") as pool:
+            futures = [pool.submit(m, a) for m, a in plain[:2]]
+            futures += [pool.submit_rollout(m, a, 3) for m, a in exact]
+            futures += [pool.submit(*plain[2])]
+            futures += [pool.submit_rollout(m, a, 4, profile="fast")
+                        for m, a in fast]
+            got = [f.result(timeout=120) for f in futures]
+            stats = pool.stats()
+        got = got[:2] + got[4:5] + got[2:4] + got[5:]
+        for ref, out in zip(want, got, strict=True):
+            assert out.dtype == ref.dtype
+            assert np.array_equal(out, ref)
+        assert got[1].shape == (1, 4, 64)
+        assert stats["rollout"] == {"streams": 4, "steps": 14}
+        assert stats["admission"]["completed"] == 7
 
     def test_stream_routes_to_geometry_shard(self, rng):
         """A whole stream lands on the one shard its geometry hashes

@@ -502,7 +502,7 @@ class TestUnknownModel:
                                   offset=off)
                 view[...] = x
                 fields = (rid, mid, x.shape, str(x.dtype), off, off, 4096,
-                          None, 0)
+                          1, "exact", None, 0)
                 batch.append(("req", *fields, header_checksum(fields)))
             body.flush(batch)
             sent = {msg[1]: msg for msg in body.conn.sent}

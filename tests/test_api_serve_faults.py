@@ -266,6 +266,86 @@ class TestScriptedCrashes:
         assert np.array_equal(y, _ref((w, 16), x))
 
 
+class TestReplacementDiesBeforeWarm:
+    """A replacement worker that exits before its ``"warmed"`` reply
+    fails the warmup handoff as soon as its pipe closes, not after the
+    120 s lifecycle timeout."""
+
+    @pytest.fixture
+    def warm_dies_once(self, monkeypatch, tmp_path):
+        """The first worker to receive a warmup directive exits; later
+        ones warm normally (workers fork from the patched parent)."""
+        import os
+
+        from repro.api.serve import worker
+
+        flag = tmp_path / "warm-died"
+        original = worker._WorkerBody.warm
+
+        def warm(self, model_specs, geometries):
+            if not flag.exists():
+                flag.touch()
+                os._exit(72)
+            original(self, model_specs, geometries)
+
+        monkeypatch.setattr(worker._WorkerBody, "warm", warm)
+        return flag
+
+    def test_crash_handoff_fails_fast_and_retries(self, warm_dies_once):
+        w, x = _weight(), _signal((2, 4, 128))
+        plan = FaultPlan([Fault("crash_before", 0)])
+        with ServePool(workers=1, backend="numpy", faults=plan,
+                       on_crash="retry", max_retries=2,
+                       start_method="fork") as pool:
+            t0 = time.monotonic()
+            y = pool.infer((w, 16), x, timeout=120)
+            elapsed = time.monotonic() - t0
+            stats = pool.stats(timeout=10)
+        assert warm_dies_once.exists()
+        assert elapsed < 20
+        assert stats["admission"]["crashes"] == 2
+        assert stats["admission"]["retried"] >= 1
+        assert np.array_equal(y, _ref((w, 16), x))
+
+    def test_crash_handoff_fails_fast_with_fail_policy(self, warm_dies_once):
+        w, x = _weight(), _signal((2, 4, 128))
+        plan = FaultPlan([Fault("crash_before", 0)])
+        with ServePool(workers=1, backend="numpy", faults=plan,
+                       on_crash="fail", start_method="fork") as pool:
+            t0 = time.monotonic()
+            with pytest.raises(WorkerCrashed):
+                pool.submit((w, 16), x).result(120)
+            assert time.monotonic() - t0 < 20
+            # Once the dead replacement's own crash is handled, a second
+            # replacement warms normally and serves.
+            deadline = time.monotonic() + 60
+            while (pool._admission["crashes"] < 2
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            y = pool.infer((w, 16), x, timeout=120)
+        assert warm_dies_once.exists()
+        assert np.array_equal(y, _ref((w, 16), x))
+
+    def test_recycle_keeps_the_old_worker_serving(self, warm_dies_once):
+        w, x = _weight(), _signal((2, 4, 128))
+        with ServePool(workers=1, backend="numpy",
+                       max_requests_per_worker=1,
+                       start_method="fork") as pool:
+            want = pool.infer((w, 16), x, timeout=120)
+            pid = pool.worker_pids()[0]
+            t0 = time.monotonic()
+            y = pool.infer((w, 16), x, timeout=120)
+            assert time.monotonic() - t0 < 20
+            assert pool.worker_pids()[0] == pid  # recycle was abandoned
+            z = pool.infer((w, 16), x, timeout=120)
+            assert pool.worker_pids()[0] != pid  # the next one succeeds
+            stats = pool.stats(timeout=10)
+        assert warm_dies_once.exists()
+        assert stats["admission"]["recycles"] == 1
+        assert stats["admission"]["crashes"] == 0
+        assert np.array_equal(y, want) and np.array_equal(z, want)
+
+
 class TestHangDetection:
     def test_hung_worker_is_killed_and_request_retried(self):
         w, x = _weight(), _signal((2, 4, 128))

@@ -364,6 +364,25 @@ class TestInference:
         assert geo["batches"] == 3  # ceil(20 / 8)
         s.close()
 
+    def test_infer_many_serves_non_square_model(self, rng):
+        """A C_in != C_out layer: each request is a one-step stream, so
+        no shape-preserving check applies; bits and per-geometry
+        accounting match serial infer."""
+        w = ((rng.standard_normal((8, 4))
+              + 1j * rng.standard_normal((8, 4))) / 8).astype(np.complex64)
+        reqs = _requests(rng, w, n_requests=20, geometries=((128, 32),))
+        with api.Session() as serial_session:
+            serial = [serial_session.infer(m, x) for m, x in reqs]
+        with api.Session() as s:
+            got = s.infer_many(reqs, max_batch=8)
+            geo = s.stats()["per_geometry"]["8x128"]
+            rollout = s.stats()["rollout"]
+        assert all(a.shape == (2, 4, 128) for a in got)
+        assert all(np.array_equal(a, b) for a, b in zip(serial, got))
+        assert geo["requests"] == 20
+        assert geo["batches"] == 3  # ceil(20 / 8)
+        assert rollout == {"streams": 0, "steps": 0}
+
     def test_infer_many_rejects_bad_max_batch(self, rng):
         s = api.Session()
         with pytest.raises(ValueError, match="max_batch"):

@@ -32,19 +32,11 @@ class TestTopLevel:
         fused = api.plan(prob, FusionStage.FUSED_ALL).total_time
         assert fused < base
 
-    def test_legacy_workflow_still_importable(self):
-        """Pre-facade imports keep working (as deprecated shims)."""
-        from repro import FNO1DProblem, FusionStage, build_pipeline_1d
-
-        prob = FNO1DProblem.from_m_spatial(2**16, 64, 128, 64)
-        pipe = build_pipeline_1d(prob, FusionStage.FUSED_ALL)
-        assert pipe.total_time() > 0
-
 
 class TestSubpackageExports:
     @pytest.mark.parametrize("module,names", [
         ("repro.fft", ["fft", "ifft", "fft2", "truncated_fft", "rfft",
-                       "fft_radix4", "FFTPlan", "butterfly_ops"]),
+                       "FFTPlan", "butterfly_ops"]),
         ("repro.gemm", ["blocked_cgemm", "GemmParams", "TABLE1_CGEMM",
                         "gemm_counters"]),
         ("repro.gpu", ["A100_SPEC", "DeviceSpec", "KernelSpec", "Pipeline",
