@@ -387,6 +387,27 @@ class TestDeprecationShims:
         with pytest.raises(AttributeError, match="frobnicate"):
             repro.frobnicate
 
+    @pytest.mark.parametrize("name,home", [
+        ("build_pipeline_1d", "repro.core.pipeline_model"),
+        ("build_pipeline_2d", "repro.core.pipeline_model"),
+        ("best_stage_1d", "repro.core.pipeline_model"),
+        ("best_stage_2d", "repro.core.pipeline_model"),
+        ("spectral_conv_1d", "repro.core.spectral"),
+        ("spectral_conv_2d", "repro.core.spectral"),
+    ])
+    def test_legacy_name_lives_only_at_home(self, name, home):
+        """A pre-facade name is no longer a root attribute — plain
+        AttributeError, no warning — but stays importable, silently,
+        from the module that defines it."""
+        import importlib
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AttributeError, match=name):
+                getattr(repro, name)
+            assert callable(getattr(importlib.import_module(home), name))
+        assert name not in repro.__all__
+
     def test_core_imports_do_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -235,6 +235,30 @@ class TestRolloutValidation:
             with pytest.raises(ValueError, match="shape-preserving"):
                 s.rollout(model, x0, steps=2)
 
+    @pytest.mark.parametrize("steps", [3, 5])
+    @pytest.mark.parametrize("keep", ["last", "all"])
+    def test_shape_check_guards_every_fed_step(self, rng, steps, keep):
+        """Any stream longer than one step fails on a shape-changing
+        model, whatever it keeps, and a failed call counts no rollout."""
+        w = ((rng.standard_normal((8, 4))
+              + 1j * rng.standard_normal((8, 4))) / 8).astype(np.complex64)
+        model = SpectralModel(w, 16)
+        x0 = rng.standard_normal((2, 8, 64)).astype(np.float32)
+        with Session() as s:
+            with pytest.raises(ValueError, match="shape-preserving"):
+                s.rollout(model, x0, steps=steps, keep=keep)
+            assert s.stats()["rollout"] == {"streams": 0, "steps": 0}
+
+    @pytest.mark.parametrize("shape", [(64,), (8, 64)])
+    def test_rejects_low_rank_state(self, rng, shape):
+        model = SpectralModel(_weight(rng), 16)
+        x0 = rng.standard_normal(shape).astype(np.float32)
+        with Session() as s:
+            with pytest.raises(ValueError, match="rollout state"):
+                s.rollout(model, x0, steps=1)
+            with pytest.raises(ValueError, match="rollout state"):
+                s.rollout(streams=[(model, x0)], steps=2)
+
 
 class TestLatencyReservoir:
     def test_empty(self):

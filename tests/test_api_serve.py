@@ -517,6 +517,56 @@ class TestUnknownModel:
         finally:
             session.close()
 
+    @pytest.mark.parametrize("max_batch", [1, 8])
+    def test_flush_groups_headers_by_steps_and_profile(self, max_batch):
+        """One drain holding plain requests (one of a non-square model)
+        and streams of two (steps, profile) pairs answers every header
+        with the in-process Session's bits; the worker's own session
+        counts each header as a stream."""
+        from repro.api.serve.shm import header_checksum
+
+        square = SpectralModel(_weight(4), 16)
+        narrow = SpectralModel(
+            ((RNG.standard_normal((4, 2))
+              + 1j * RNG.standard_normal((4, 2))) / 4).astype(np.complex64),
+            16,
+        )
+        body, session = self._body({0: square, 1: narrow})
+        body.max_batch = max_batch
+        # (model id, steps, profile) per header, interleaved on purpose.
+        plan = [(0, 1, "exact"), (0, 3, "exact"), (1, 1, "exact"),
+                (0, 2, "fast"), (0, 3, "exact"), (0, 1, "exact"),
+                (0, 2, "fast")]
+        try:
+            xs = [_signal((1, 4, 64)) for _ in plan]
+            batch = []
+            for rid, ((mid, steps, profile), x) in enumerate(zip(plan, xs)):
+                off = rid * 2048
+                view = np.ndarray(x.shape, x.dtype, buffer=body.req_shm.buf,
+                                  offset=off)
+                view[...] = x
+                fields = (rid, mid, x.shape, str(x.dtype), off, off, 2048,
+                          steps, profile, None, 0)
+                batch.append(("req", *fields, header_checksum(fields)))
+            body.flush(batch)
+            assert session.stats()["rollout"] == {"streams": 7, "steps": 13}
+            sent = {msg[1]: msg for msg in body.conn.sent}
+            assert sorted(sent) == list(range(len(plan)))
+            models = {0: square, 1: narrow}
+            with Session(backend="numpy") as ref_session:
+                for rid, (mid, steps, profile) in enumerate(plan):
+                    kind, _, shape, dtype, _, _ = sent[rid]
+                    assert kind == "res"
+                    got = np.ndarray(shape, dtype, buffer=body.resp_shm.buf,
+                                     offset=rid * 2048)
+                    want = ref_session.rollout(models[mid], xs[rid], steps,
+                                               profile=profile)
+                    assert np.array_equal(got, want)
+                    if mid == 1:
+                        assert shape == (1, 2, 64)
+        finally:
+            session.close()
+
     def test_pool_future_fails_typed_and_worker_survives(self):
         from repro.api.serve import ServeError, UnknownModel
 

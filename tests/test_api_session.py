@@ -21,12 +21,14 @@ from repro.api.runner import default_workers
 from repro.core.compiled import CompiledSpectralConv1D
 from repro.core.config import FNO1DProblem, FNO2DProblem
 from repro.core.stages import FusionStage
+from repro.fft._ckernels import kernels_available
 from repro.fft.compiled import current_plan_caches, default_plan_caches
 from repro.nn.fno import FNO1d
 
 PROB_1D = FNO1DProblem.from_m_spatial(2**16, 64, 128, 64)
 PROB_2D = FNO2DProblem(batch=8, hidden=32, dim_x=256, dim_y=128,
                        modes_x=64, modes_y=64)
+BACKENDS = ["ckernels", "numpy"] if kernels_available() else ["numpy"]
 
 
 def _weight(rng, k=8):
@@ -427,6 +429,109 @@ class TestInference:
         with pytest.raises(TypeError):
             s.infer_many(bad, max_batch=1, workers=2)
         s.close()
+
+
+class TestOneServingPath:
+    """``infer_many`` and ``rollout`` share one grouped engine: a plain
+    request is a one-step exact stream, and only ``rollout`` counts as
+    rollout traffic."""
+
+    #: kind -> (C_in, C_out, spatial, modes)
+    KINDS = {
+        "square-1d": (8, 8, (64,), 16),
+        "narrow-1d": (8, 4, (64,), 16),
+        "wide-1d": (4, 8, (64,), 16),
+        "square-2d": (8, 8, (32, 32), (8, 8)),
+        "narrow-2d": (8, 4, (32, 32), (8, 8)),
+    }
+
+    def _streams(self, rng, kind, n=7):
+        c_in, c_out, spatial, modes = self.KINDS[kind]
+        w = ((rng.standard_normal((c_in, c_out))
+              + 1j * rng.standard_normal((c_in, c_out))) / c_in
+             ).astype(np.complex64)
+        model = api.SpectralModel(w, modes)
+        # Batch sizes 1 and 2 interleaved: grouped streams concatenate
+        # rows of unequal counts.
+        return [
+            (model, rng.standard_normal((1 + i % 2, c_in, *spatial))
+             .astype(np.float32))
+            for i in range(n)
+        ], c_out
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_infer_many_is_one_step_rollout(self, rng, backend, kind):
+        streams, c_out = self._streams(rng, kind)
+        with api.Session(backend=backend, private_caches=True) as s:
+            serial = [s.infer(m, x) for m, x in streams]
+            many = s.infer_many(streams, max_batch=3)
+            one_step = s.rollout(streams=streams, steps=1, max_batch=3)
+        for x, ref, a, b in zip([x for _, x in streams], serial, many,
+                                one_step, strict=True):
+            assert a.shape == (x.shape[0], c_out, *x.shape[2:])
+            assert a.dtype == ref.dtype == b.dtype
+            assert np.array_equal(a, ref)
+            assert np.array_equal(b, ref)
+
+    @pytest.mark.parametrize("workers", [None, 1, 2, 4])
+    def test_infer_many_accounting_independent_of_workers(self, rng,
+                                                          workers):
+        w = _weight(rng)
+        reqs = _requests(rng, w, n_requests=20)
+        with api.Session() as serial_session:
+            serial = [serial_session.infer(m, x) for m, x in reqs]
+        with api.Session() as s:
+            got = s.infer_many(reqs, max_batch=4, workers=workers,
+                               queue_depth=1)
+            stats = s.stats()
+        assert all(np.array_equal(a, b) for a, b in zip(serial, got))
+        for geometry in ("8x128", "8x256"):
+            geo = stats["per_geometry"][geometry]
+            assert geo["requests"] == 10
+            assert geo["batches"] == 3  # ceil(10 / 4)
+        assert stats["rollout"] == {"streams": 0, "steps": 0}
+
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_only_rollout_counts_streams(self, rng, steps):
+        streams, _ = self._streams(rng, "square-1d", n=3)
+        with api.Session() as s:
+            s.infer_many(streams)
+            assert s.stats()["rollout"] == {"streams": 0, "steps": 0}
+            s.rollout(*streams[0], steps=steps)
+            assert s.stats()["rollout"] == {"streams": 1, "steps": steps}
+            s.rollout_many(streams, steps=steps)
+            assert s.stats()["rollout"] == {"streams": 4,
+                                            "steps": 4 * steps}
+            s.infer_many(streams)
+            assert s.stats()["rollout"]["streams"] == 4
+
+    def test_rollout_step_records_one_request_per_stream(self, rng):
+        """The engine records one request per stream per step, however
+        many rows each stream carries."""
+        w = _weight(rng)
+        model = api.SpectralModel(w, 16)
+        streams = [(model, rng.standard_normal((3, 8, 64))
+                    .astype(np.float32)) for _ in range(2)]
+        with api.Session() as s:
+            s.rollout(streams=streams, steps=2)
+            geo = s.stats()["per_geometry"]["8x64"]
+        assert geo["requests"] == 4  # 2 streams x 2 steps
+        assert geo["batches"] == 2  # one grouped executor call per step
+
+    def test_infer_many_serves_low_rank_callable(self, rng):
+        """``infer_many`` serves opaque callables of any rank; only
+        ``rollout`` demands a ``(batch, C, *spatial)`` state."""
+        def double(x):
+            return 2 * x
+
+        reqs = [(double, rng.standard_normal(n)) for n in (3, 1, 2)]
+        with api.Session() as s:
+            got = s.infer_many(reqs)
+            with pytest.raises(ValueError, match="rollout state"):
+                s.rollout(double, reqs[0][1], steps=1)
+        for (_, x), out in zip(reqs, got, strict=True):
+            assert np.array_equal(out, 2 * x)
 
 
 class TestDtypePolicy:

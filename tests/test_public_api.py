@@ -32,6 +32,28 @@ class TestTopLevel:
         fused = api.plan(prob, FusionStage.FUSED_ALL).total_time
         assert fused < base
 
+    def test_legacy_workflow_from_home_modules(self):
+        """The pre-facade pipeline builders still work, imported from
+        the module that defines them."""
+        from repro import FNO1DProblem, FusionStage
+        from repro.core.pipeline_model import build_pipeline_1d
+
+        prob = FNO1DProblem.from_m_spatial(2**16, 64, 128, 64)
+        pipe = build_pipeline_1d(prob, FusionStage.FUSED_ALL)
+        assert pipe.total_time() > 0
+
+    def test_numpy_radix4_is_gone(self):
+        """The NumPy radix-4 FFT had no runtime caller and was removed:
+        neither the module nor its ``repro.fft`` export remains."""
+        import importlib
+
+        import repro.fft
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.fft.radix")
+        assert not hasattr(repro.fft, "fft_radix4")
+        assert "fft_radix4" not in repro.fft.__all__
+
 
 class TestSubpackageExports:
     @pytest.mark.parametrize("module,names", [
