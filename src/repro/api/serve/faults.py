@@ -26,6 +26,11 @@ Fault kinds
 ``backend_fail``   the worker for shard ``shard`` fails its C-kernel
                    self-check at startup and must fall back to numpy
 
+*rid* counts request headers in admission order: one per ``submit``,
+one per (model, geometry, dtype) group of an ``infer_many`` or
+``rollout_many`` burst, so a fault on a group's header hits every
+request the group carries.
+
 Faults fire **once** by default and only on first attempts
 (``retries == 0``), so a retried request does not re-hit its fault and
 recovery converges.  ``always=True`` (spelled ``!`` in the string form)

@@ -20,6 +20,17 @@ converts those per-core wins into multi-core throughput:
 * **backpressure** — bounded per-worker queues and ring arenas;
   ``submit`` blocks (default) or raises :class:`PoolSaturated`
   (``saturation="raise"``);
+* **bursts ship as groups** — :meth:`ServePool.infer_many` and
+  :meth:`ServePool.rollout_many` group a burst by (model, geometry,
+  dtype) in arrival order, up to ``max_batch`` requests a group (the
+  :meth:`Session.infer_many` rule), and admit each group as *one*
+  request: one slab per ring, one ``"req"`` header whose shape carries
+  the group's rows, one checksum and one collector message.  Each
+  request's rows are copied straight into the request slab and back
+  out of the response slab into the request's own array.  The group's
+  ``deadline`` counts from its admission, a failure fails each of its
+  requests, and every parent-side counter still counts requests.  A
+  single :meth:`ServePool.submit` remains one request per header;
 * **one stream path** — every request is a stream: ``submit`` sends a
   one-step ``"exact"`` stream and :meth:`ServePool.rollout` /
   :meth:`ServePool.rollout_many` send whole autoregressive streams, each
@@ -64,6 +75,7 @@ runs, never its arithmetic.
 from __future__ import annotations
 
 import itertools
+import math
 import multiprocessing as mp
 import queue as queue_mod
 import threading
@@ -182,11 +194,16 @@ class ServeFuture:
             return False
         return hook()
 
-    def _set_result(self, value: np.ndarray) -> bool:
+    # Resolving drops the cancel hook: it closes over the pending
+    # record, which holds this future, and the cycle would keep every
+    # served result alive until the cyclic GC ran.
+
+    def _set_result(self, value) -> bool:
         with self._lock:
             if self._event.is_set():
                 return False
             self._value = value
+            self._cancel_hook = None
             self._event.set()
             return True
 
@@ -195,25 +212,42 @@ class ServeFuture:
             if self._event.is_set():
                 return False
             self._exc = exc
+            self._cancel_hook = None
             self._event.set()
             return True
 
 
 class _Pending:
-    """Parent-side record of one in-flight request (retry source of truth)."""
+    """Parent-side record of one in-flight header (retry source of truth).
+
+    A header carries the rows of one ``submit`` request, or of a whole
+    (model, geometry, dtype) group of an ``infer_many``/``rollout_many``
+    burst.  ``parts`` holds the callers' arrays in row order: dispatch
+    (and a crash retry) writes them into the request slab, and
+    completion copies each one's rows back out of the response slab.
+    """
 
     __slots__ = (
-        "rid", "spec", "mid", "x", "gkey", "shard", "future", "req_off",
-        "resp_off", "resp_cap", "allocated", "t_submit", "t_dispatch",
-        "retries", "deadline", "abandoned", "steps", "profile", "stream",
+        "rid", "spec", "mid", "parts", "grouped", "shape", "dtype",
+        "nbytes", "gkey", "shard", "future", "req_off", "resp_off",
+        "resp_cap", "allocated", "t_submit", "t_dispatch", "retries",
+        "deadline", "abandoned", "steps", "profile", "stream",
     )
 
-    def __init__(self, rid, spec, mid, x, gkey, shard, future, deadline,
-                 steps=1, profile="exact", stream=False):
+    def __init__(self, rid, spec, mid, parts, grouped, gkey, shard, future,
+                 deadline, steps=1, profile="exact", stream=False):
         self.rid = rid
         self.spec = spec
         self.mid = mid
-        self.x = x
+        self.parts = parts
+        #: The future resolves to one array per part (a burst group)
+        #: rather than to the single request's array.
+        self.grouped = grouped
+        first = parts[0]
+        rows = sum(len(p) for p in parts)
+        self.shape = (rows, *first.shape[1:])
+        self.dtype = first.dtype
+        self.nbytes = rows * first.itemsize * math.prod(first.shape[1:])
         self.gkey = gkey
         self.shard = shard
         self.future = future
@@ -237,6 +271,41 @@ class _Pending:
             self.deadline is not None
             and (now if now is not None else time.monotonic())
             >= self.deadline
+        )
+
+    def write_rows(self, slab: np.ndarray) -> None:
+        """Copy every part's rows into ``slab`` (the header's input)."""
+        row = 0
+        for part in self.parts:
+            slab[row:row + len(part)] = part
+            row += len(part)
+
+    def split(self, out: np.ndarray):
+        """The future's value from the header's output rows: a copy per
+        request, since ``out`` may be a slab about to be freed."""
+        outs, row = [], 0
+        for part in self.parts:
+            outs.append(np.array(out[row:row + len(part)]))
+            row += len(part)
+        return outs if self.grouped else outs[0]
+
+
+class _Group:
+    """One (model, geometry, dtype) group of a burst being assembled."""
+
+    __slots__ = ("spec", "idxs", "parts", "rows", "row_bytes")
+
+    def __init__(self, pool: "ServePool", spec: SpectralModel,
+                 x: np.ndarray) -> None:
+        self.spec = spec
+        self.idxs: list[int] = []
+        self.parts: list[np.ndarray] = []
+        self.rows = 0
+        #: Slab bytes per row, request or response side, whichever is
+        #: larger: a group never outgrows one ring.
+        self.row_bytes = max(
+            x.itemsize * math.prod(x.shape[1:]),
+            pool._response_capacity(spec, (1, *x.shape[1:]), x.dtype),
         )
 
 
@@ -288,7 +357,10 @@ class _WorkerHandle:
         self.depth = threading.Condition(self.lock)
         self.pending: dict[int, _Pending] = {}
         self.pushed: set[int] = set()
+        #: Requests answered (the recycle budget) and answered with a
+        #: result; a grouped header counts each request it carries.
         self.completed = 0
+        self.served = 0
         self.dead = False
         self.closing = False
         self.ready = threading.Event()
@@ -305,6 +377,7 @@ class _WorkerHandle:
         #: What this worker has served — the warmup-handoff inventory
         #: its replacement is primed with before taking traffic.
         self.warm_models: dict[int, tuple] = {}
+        #: ``(mid, per-row shape, dtype)``: batch size is not a geometry.
         self.warm_geoms: set[tuple] = set()
         self.stats_waiters: dict[int, tuple[threading.Event, list]] = {}
         self.collector: threading.Thread | None = None
@@ -649,7 +722,8 @@ class ServePool:
             self._models[key] = entry
         return entry
 
-    def _response_capacity(self, spec: SpectralModel, x: np.ndarray) -> int:
+    def _response_capacity(self, spec: SpectralModel, shape: tuple,
+                           dtype: np.dtype) -> int:
         # Upper bound: batch x C_out x spatial at complex working
         # precision (covers real->complex promotion and dtype policy).
         if self.dtype_policy == "float32":
@@ -657,10 +731,10 @@ class ServePool:
         elif self.dtype_policy == "float64":
             target = np.dtype(np.float64)
         else:
-            target = x.dtype
+            target = dtype
         itemsize = np.dtype(complex_dtype_for(target)).itemsize
-        spatial = int(np.prod(x.shape[2:], dtype=np.int64)) if x.ndim > 2 else 1
-        return int(x.shape[0]) * int(spec.weight.shape[1]) * spatial * itemsize
+        return (int(shape[0]) * int(spec.weight.shape[1])
+                * math.prod(shape[2:]) * itemsize)
 
     # -- submission -----------------------------------------------------
 
@@ -671,6 +745,8 @@ class ServePool:
         block: bool | None = None,
         timeout: float | None = None,
         deadline: float | None = None,
+        *,
+        _rows: tuple | None = None,
     ) -> ServeFuture:
         """Admit one request; returns a :class:`ServeFuture`.
 
@@ -685,7 +761,10 @@ class ServePool:
         executing them (never served late).  ``deadline=0`` expires
         immediately (useful to test the path).
         """
-        return self._admit(model, x, block, timeout, deadline)
+        # ``_rows`` is :meth:`infer_many`'s group admission: the group's
+        # arrays (``x`` is the first), carried by one header, and the
+        # future resolves to their outputs as a list.
+        return self._admit(model, x, block, timeout, deadline, rows=_rows)
 
     def submit_rollout(
         self,
@@ -696,6 +775,8 @@ class ServePool:
         block: bool | None = None,
         timeout: float | None = None,
         deadline: float | None = None,
+        *,
+        _rows: tuple | None = None,
     ) -> ServeFuture:
         """Admit one autoregressive rollout stream; resolves to the
         final state (``keep="last"``).
@@ -715,47 +796,55 @@ class ServePool:
                 f"{ROLLOUT_PROFILES}"
             )
         return self._admit(model, x0, block, timeout, deadline,
-                           steps=steps, profile=profile, stream=True)
+                           steps=steps, profile=profile, stream=True,
+                           rows=_rows)
 
-    def _admit(self, model, x, block, timeout, deadline,
-               steps=1, profile="exact", stream=False) -> ServeFuture:
-        self._check_open()
-        spec = self._spec_of(model)
+    @staticmethod
+    def _request_tensor(x) -> np.ndarray:
         x = np.asarray(x)
         if x.ndim < 3:
             raise ValueError(
                 f"request tensors are (batch, channels, *spatial); got "
                 f"shape {x.shape}"
             )
+        return x
+
+    def _admit(self, model, x, block, timeout, deadline, steps=1,
+               profile="exact", stream=False, rows=None) -> ServeFuture:
+        self._check_open()
+        spec = self._spec_of(model)
+        x = self._request_tensor(x)
         if deadline is not None and deadline < 0:
             raise ValueError(f"deadline must be >= 0 seconds, got {deadline}")
         if block is None:
             block = self.saturation == "block"
         gkey = geometry_key(spec, x)
         shard = shard_for(gkey, self.workers)
+        parts = (x,) if rows is None else tuple(rows)
         with self._lock:
             self._check_open()
             mid, spec = self._model_id(spec)
         with self._stats_lock:
-            self._admission["submitted"] += 1
+            self._admission["submitted"] += len(parts)
         abs_deadline = (
             None if deadline is None else time.monotonic() + deadline
         )
         future = ServeFuture(format_geometry(gkey), shard, abs_deadline)
-        pending = _Pending(next(self._rid), spec, mid, x, gkey, shard,
-                           future, abs_deadline, steps=steps,
-                           profile=profile, stream=stream)
+        pending = _Pending(next(self._rid), spec, mid, parts,
+                           rows is not None, gkey, shard, future,
+                           abs_deadline, steps=steps, profile=profile,
+                           stream=stream)
         future._cancel_hook = lambda: self._cancel_pending(pending)
         try:
             self._submit_pending(pending, block, timeout)
         except PoolSaturated:
             with self._stats_lock:
-                self._admission["rejected"] += 1
+                self._admission["rejected"] += len(parts)
             raise
         return future
 
     def _cancel_pending(self, pending: _Pending) -> bool:
-        """``ServeFuture.cancel()`` body: abandon one in-flight request."""
+        """``ServeFuture.cancel()`` body: abandon one in-flight header."""
         pending.abandoned = True
         won = pending.future._set_exception(Cancelled(
             f"request {pending.rid} ({format_geometry(pending.gkey)}) "
@@ -763,16 +852,49 @@ class ServePool:
         ))
         if won:
             with self._stats_lock:
-                self._admission["cancelled"] += 1
+                self._admission["cancelled"] += len(pending.parts)
         return won
 
     def _fail_expired(self, pending: _Pending, exc: DeadlineExceeded) -> None:
         pending.abandoned = True
         won = pending.future._set_exception(exc)
         if won:
+            n = len(pending.parts)
             with self._stats_lock:
-                self._admission["expired"] += 1
-                self._geo(pending).expired += 1
+                self._admission["expired"] += n
+                self._geo(pending).expired += n
+
+    def _fail(self, pending: _Pending, exc: BaseException) -> None:
+        """Resolve ``pending`` with a terminal failure, counted once per
+        request it carries."""
+        if pending.future._set_exception(exc):
+            n = len(pending.parts)
+            with self._stats_lock:
+                self._admission["failed"] += n
+                self._geo(pending).failed += n
+
+    def _deliver(self, pending: _Pending, value,
+                 degraded: bool = False) -> None:
+        """Resolve ``pending`` with ``value`` (:meth:`_Pending.split`);
+        one latency sample per request."""
+        if not pending.future._set_result(value):
+            return
+        n = len(pending.parts)
+        latency = time.perf_counter() - pending.t_submit
+        with self._stats_lock:
+            stats = self._geo(pending)
+            stats.requests += n
+            stats.seconds += latency * n
+            for _ in range(n):
+                stats.latency.record(latency)
+                self._latency.record(latency)
+            self._admission["completed"] += n
+            if degraded:
+                self._admission["degraded"] += n
+                stats.degraded += n
+            if pending.stream:
+                self._rollout_streams += n
+                self._rollout_steps += pending.steps * n
 
     def _geo(self, pending: _Pending) -> _GeoStats:
         """Per-geometry counters (call with ``_stats_lock`` held)."""
@@ -809,7 +931,6 @@ class ServePool:
                 return
 
     def _dispatch(self, handle, pending: _Pending, block, timeout) -> None:
-        x = pending.x
         spec = pending.spec
         now = time.monotonic()
         if pending.expired(now):
@@ -851,7 +972,9 @@ class ServePool:
             handle.warm_models[pending.mid] = (
                 pending.mid, spec.weight, spec.modes, spec.symmetric
             )
-            handle.warm_geoms.add((pending.mid, tuple(x.shape), str(x.dtype)))
+            handle.warm_geoms.add(
+                (pending.mid, pending.shape[1:], str(pending.dtype))
+            )
 
         def _abort(exc: BaseException | None):
             with handle.depth:
@@ -890,11 +1013,13 @@ class ServePool:
             ))
             return
         try:
-            req_off = handle.req_arena.alloc(x.nbytes, block, _alloc_timeout())
+            req_off = handle.req_arena.alloc(pending.nbytes, block,
+                                             _alloc_timeout())
         except PoolSaturated as exc:
             _abort(_saturation(exc))
             return
-        resp_cap = self._response_capacity(spec, x)
+        resp_cap = self._response_capacity(spec, pending.shape,
+                                           pending.dtype)
         try:
             resp_off = handle.resp_arena.alloc(resp_cap, block,
                                                _alloc_timeout())
@@ -903,13 +1028,14 @@ class ServePool:
             _abort(_saturation(exc))
             return
         view = np.ndarray(
-            x.shape, x.dtype, buffer=handle.req_shm.buf, offset=req_off
+            pending.shape, pending.dtype, buffer=handle.req_shm.buf,
+            offset=req_off,
         )
-        view[...] = x  # the only parent-side copy: user array -> ring
+        pending.write_rows(view)  # the only parent-side copy: user -> ring
         del view
         # The header (checksummed: the worker refuses to dereference ring
         # offsets from a header that does not verify).
-        fields = (pending.rid, pending.mid, tuple(x.shape), str(x.dtype),
+        fields = (pending.rid, pending.mid, pending.shape, str(pending.dtype),
                   req_off, resp_off, resp_cap, pending.steps,
                   pending.profile, pending.deadline, pending.retries)
         # 3. Publish offsets; a crash between admission and here retries
@@ -993,33 +1119,13 @@ class ServePool:
                 continue
             try:
                 out = self._fallback_session.rollout(
-                    pending.spec, pending.x, pending.steps,
-                    profile=pending.profile,
+                    pending.spec, np.concatenate(pending.parts),
+                    pending.steps, profile=pending.profile,
                 )
             except Exception as exc:  # noqa: BLE001 - typed per-request
-                won = pending.future._set_exception(
-                    ServeError(f"{type(exc).__name__}: {exc}")
-                )
-                if won:
-                    with self._stats_lock:
-                        self._admission["failed"] += 1
-                        self._geo(pending).failed += 1
+                self._fail(pending, ServeError(f"{type(exc).__name__}: {exc}"))
                 continue
-            won = pending.future._set_result(out)
-            if won:
-                latency = time.perf_counter() - pending.t_submit
-                with self._stats_lock:
-                    self._admission["completed"] += 1
-                    self._admission["degraded"] += 1
-                    stats = self._geo(pending)
-                    stats.requests += 1
-                    stats.seconds += latency
-                    stats.latency.record(latency)
-                    self._latency.record(latency)
-                    stats.degraded += 1
-                    if pending.stream:
-                        self._rollout_streams += 1
-                        self._rollout_steps += pending.steps
+            self._deliver(pending, pending.split(out), degraded=True)
 
     # -- health enforcement ---------------------------------------------
 
@@ -1113,15 +1219,16 @@ class ServePool:
             self._on_worker_death(handle)
 
     def _complete(self, handle: _WorkerHandle, msg: tuple) -> None:
-        rid = msg[1]
+        rid, kind = msg[1], msg[0]
         with handle.depth:
             pending = handle.pending.pop(rid, None)
             if pending is not None:
-                handle.completed += 1
+                handle.completed += len(pending.parts)
+                if kind == "res":
+                    handle.served += len(pending.parts)
                 handle.depth.notify_all()  # an admission slot opened
         if pending is None:
             return  # raced a crash handover; the retry path owns it
-        kind = msg[0]
         out = error = None
         corrupt = False
         if kind == "res":
@@ -1129,7 +1236,8 @@ class ServePool:
             if csum != header_checksum((rid, shape, dtype, nbytes)):
                 corrupt = True  # never dereference a bad header
             elif not pending.abandoned:
-                out = np.array(np.ndarray(
+                # Copy each request's rows out before the slab is freed.
+                out = pending.split(np.ndarray(
                     shape, np.dtype(dtype), buffer=handle.resp_shm.buf,
                     offset=pending.resp_off,
                 ))
@@ -1160,30 +1268,14 @@ class ServePool:
             return
         if error is None:
             if out is not None:
-                won = pending.future._set_result(out)
-                if won:
-                    latency = time.perf_counter() - pending.t_submit
-                    with self._stats_lock:
-                        stats = self._geo(pending)
-                        stats.requests += 1
-                        stats.seconds += latency
-                        stats.latency.record(latency)
-                        self._latency.record(latency)
-                        self._admission["completed"] += 1
-                        if pending.stream:
-                            self._rollout_streams += 1
-                            self._rollout_steps += pending.steps
+                self._deliver(pending, out)
             # A worker answer is proof of life: feed the breaker.
             self._breakers[pending.shard].record_success()
             self._routes.restore(pending.shard)
         elif isinstance(error, DeadlineExceeded):
             self._fail_expired(pending, error)
         else:
-            won = pending.future._set_exception(error)
-            if won:
-                with self._stats_lock:
-                    self._geo(pending).failed += 1
-                    self._admission["failed"] += 1
+            self._fail(pending, error)
 
     def _reject_corrupt(self, pending: _Pending) -> None:
         """A response header failed its checksum: retry-or-fail.
@@ -1199,24 +1291,26 @@ class ServePool:
         if pending.abandoned:
             return
         if self.on_crash == "retry" and pending.retries < self.max_retries:
-            pending.retries += 1
-            with self._stats_lock:
-                self._admission["retried"] += 1
-                self._geo(pending).retried += 1
-            try:
-                self._submit_pending(pending, True, _LIFECYCLE_TIMEOUT)
-            except (PoolSaturated, RuntimeError) as exc:
-                pending.future._set_exception(exc)
+            self._retry(pending)
             return
-        won = pending.future._set_exception(CorruptedHeader(
+        self._fail(pending, CorruptedHeader(
             f"response header for request {pending.rid} failed its "
             f"checksum (policy {self.on_crash!r}, retries "
             f"{pending.retries}/{self.max_retries})"
         ))
-        if won:
-            with self._stats_lock:
-                self._geo(pending).failed += 1
-                self._admission["failed"] += 1
+
+    def _retry(self, pending: _Pending) -> None:
+        """Re-dispatch ``pending``: its slab is rewritten from the
+        callers' arrays, so the retry is bit-identical."""
+        pending.retries += 1
+        n = len(pending.parts)
+        with self._stats_lock:
+            self._admission["retried"] += n
+            self._geo(pending).retried += n
+        try:
+            self._submit_pending(pending, True, _LIFECYCLE_TIMEOUT)
+        except (PoolSaturated, RuntimeError) as exc:
+            pending.future._set_exception(exc)
 
     # -- worker lifecycle -----------------------------------------------
 
@@ -1332,29 +1426,14 @@ class ServePool:
                     f"{handle.shard} replacement"
                 ))
                 continue
-            retry = (
-                self.on_crash == "retry"
-                and pending.retries < self.max_retries
-            )
-            if not retry:
-                won = pending.future._set_exception(WorkerCrashed(
+            if self.on_crash == "retry" and pending.retries < self.max_retries:
+                self._retry(pending)
+            else:
+                self._fail(pending, WorkerCrashed(
                     f"worker {handle.shard} died with this request in "
                     f"flight (policy {self.on_crash!r}, "
                     f"retries {pending.retries}/{self.max_retries})"
                 ))
-                if won:
-                    with self._stats_lock:
-                        self._admission["failed"] += 1
-                        self._geo(pending).failed += 1
-                continue
-            pending.retries += 1
-            with self._stats_lock:
-                self._admission["retried"] += 1
-                self._geo(pending).retried += 1
-            try:
-                self._submit_pending(pending, True, _LIFECYCLE_TIMEOUT)
-            except (PoolSaturated, RuntimeError) as exc:
-                pending.future._set_exception(exc)
 
     # -- serving --------------------------------------------------------
 
@@ -1365,17 +1444,28 @@ class ServePool:
 
     def infer_many(self, requests, timeout: float | None = None,
                    deadline: float | None = None) -> list:
-        """Serve a stream of ``(model, x)`` requests.
+        """Serve a burst of ``(model, x)`` requests.
 
-        Every request is admitted under the pool's backpressure policy
-        and routed to its geometry's worker; results return in request
+        The burst ships in groups, not requests: requests sharing
+        (model, geometry, dtype) group in arrival order, up to
+        ``max_batch`` requests (and one ring's worth of rows) a group —
+        the rule :meth:`Session.infer_many` batches by — and each group
+        is admitted as one request: one ring slab each way, one
+        ``"req"`` header whose shape carries the group's rows, one
+        collector message.  Each request's rows are copied straight
+        into and out of the group's slabs.  Results return in request
         order, bit-identical to a serial one-worker
-        :class:`~repro.api.Session` over the same stream.  ``deadline``
-        applies per request (seconds from its submission).
+        :class:`~repro.api.Session` over the same burst (every operator
+        is row-independent).  ``deadline`` (seconds) counts from each
+        group's admission, and a failed group fails each of its
+        requests; the first failing request's error, in request order,
+        is raised.  ``stats()`` counts requests, not groups.
         """
-        futures = [self.submit(model, x, deadline=deadline)
-                   for model, x in requests]
-        return [f.result(timeout) for f in futures]
+        return self._serve_groups(
+            requests, timeout,
+            lambda spec, parts: self.submit(spec, parts[0],
+                                            deadline=deadline, _rows=parts),
+        )
 
     def rollout(self, model, x0: np.ndarray, steps: int = 1,
                 profile: str = "exact", timeout: float | None = None,
@@ -1397,17 +1487,67 @@ class ServePool:
                      deadline: float | None = None) -> list:
         """Serve concurrent ``(model, x0)`` rollout streams.
 
-        All streams are admitted before any result is awaited, so
-        streams sharing a geometry land on the same worker's drain and
-        micro-batch through one stepping loop; results return in stream
-        order.
+        Streams group and ship like :meth:`infer_many`'s requests: each
+        (model, geometry, dtype) group of up to ``max_batch`` streams is
+        one header, stepped as one state on its geometry's worker;
+        ``deadline`` covers each group's whole stream.  Results return
+        in stream order.
         """
-        futures = [
-            self.submit_rollout(model, x0, steps, profile=profile,
-                                deadline=deadline)
-            for model, x0 in streams
-        ]
-        return [f.result(timeout) for f in futures]
+        return self._serve_groups(
+            streams, timeout,
+            lambda spec, parts: self.submit_rollout(
+                spec, parts[0], steps, profile=profile, deadline=deadline,
+                _rows=parts),
+        )
+
+    def _serve_groups(self, requests, timeout, admit) -> list:
+        """Admit a burst as one header per (model, geometry, dtype)
+        group via ``admit(spec, parts)``, then gather the per-request
+        results in request order.
+
+        A group flushes at ``max_batch`` requests, or before its rows
+        would outgrow a ring slab.  Each distinct model object resolves
+        once; the per-request work is the grouping key.
+        """
+        items = list(requests)  # pins every model: ids stay unique
+        specs: dict[int, tuple] = {}
+        open_groups: dict[tuple, _Group] = {}
+        admitted: list[tuple] = []
+
+        def flush(group: _Group) -> None:
+            admitted.append((group.idxs, admit(group.spec, group.parts)))
+            group.idxs, group.parts, group.rows = [], [], 0
+
+        for i, (model, x) in enumerate(items):
+            resolved = specs.get(id(model))
+            if resolved is None:
+                spec = self._spec_of(model)
+                resolved = specs[id(model)] = (spec, (
+                    id(spec.weight), spec.weight.shape, spec.modes,
+                    spec.symmetric,
+                ))
+            x = self._request_tensor(x)
+            key = (resolved[1], x.shape[1:], x.dtype)
+            group = open_groups.get(key)
+            if group is None:
+                group = open_groups[key] = _Group(self, resolved[0], x)
+            elif group.idxs and (
+                    (group.rows + len(x)) * group.row_bytes > self.ring_bytes):
+                flush(group)
+            group.idxs.append(i)
+            group.parts.append(x)
+            group.rows += len(x)
+            if len(group.idxs) >= self.max_batch:
+                flush(group)
+        for group in open_groups.values():
+            if group.idxs:
+                flush(group)
+        admitted.sort(key=lambda entry: entry[0][0])
+        out: list = [None] * len(items)
+        for idxs, future in admitted:
+            for i, y in zip(idxs, future.result(timeout)):
+                out[i] = y
+        return out
 
     # -- observability --------------------------------------------------
 
@@ -1439,9 +1579,14 @@ class ServePool:
         embeds each live
         worker's own ``Session.stats()`` snapshot (``None`` if the
         worker was too busy to answer within ``timeout``) plus its
-        actual ``backend`` and heartbeat age.  ``degraded`` reports the
-        graceful-degradation state: open shards, per-shard breaker
-        snapshots, and how many requests the fallback session served.
+        actual ``backend`` and heartbeat age.  Every parent-side
+        counter (``admission``, ``per_geometry``, ``per_worker``'s
+        ``completed``/``served``) counts requests; a worker's own
+        ``session`` snapshot sees each grouped ``infer_many`` header as
+        one request, so its rows per batch read about 1 there.
+        ``degraded`` reports the graceful-degradation state: open
+        shards, per-shard breaker snapshots, and how many requests the
+        fallback session served.
         """
         with self._lock:
             handles = (
@@ -1482,7 +1627,7 @@ class ServePool:
                     None if handle.last_heartbeat is None
                     else now - handle.last_heartbeat
                 ),
-                "served": payload["served"] if payload else None,
+                "served": handle.served,
                 "session": payload["session"] if payload else None,
             })
         with self._stats_lock:

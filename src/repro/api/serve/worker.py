@@ -19,15 +19,23 @@ Parent -> worker, over the request queue
         ``resp_off``.  A plain inference request is a one-step
         ``"exact"`` stream (``steps=1, profile="exact"``); an
         autoregressive rollout carries its own ``(steps, profile)``.
-        ``deadline`` is an absolute ``time.monotonic()`` instant (or
-        None); requests already past it are *skipped*, not executed
+        ``shape``'s rows may belong to several requests: the parent's
+        ``infer_many``/``rollout_many`` ship each (model, geometry,
+        dtype) group of a burst as one header and split the answer per
+        request themselves, while a single ``submit`` still sends one
+        request per header.  Either way the worker serves one header
+        as one stream, so its ``session.stats()`` counts a group as one
+        request.  ``deadline`` is an absolute ``time.monotonic()``
+        instant (or None) — for a group, counted from the group's
+        admission; headers already past it are *skipped*, not executed
         late.  ``csum`` is :func:`~repro.api.serve.shm.header_checksum`
         over every preceding field — a mismatched header is rejected,
         never dereferenced into the rings.
     ``("warm", models, geometries)``
         warmup handoff: pre-build executors (and, on an autotune
-        session, pre-tune tiles) for the geometries the predecessor
-        served, *before* taking traffic.
+        session, pre-tune tiles) for the ``(mid, per-row shape,
+        dtype)`` geometries the predecessor served, *before* taking
+        traffic.
     ``("stats", token)``
         snapshot request.
     ``None``
@@ -91,11 +99,6 @@ __all__ = ["worker_main"]
 #: Mapped to the typed ``InfrastructureError`` so the parent (and the
 #: caller's future) can tell a retry-worthy fault from a model error.
 _INFRA_ERRORS = (MemoryError, OSError, BufferError)
-
-
-def _probe_shape(shape: tuple) -> tuple:
-    """A 1-row probe of a recorded request shape (warmup input)."""
-    return (1,) + tuple(shape[1:])
 
 
 class _WorkerBody:
@@ -267,8 +270,8 @@ class _WorkerBody:
     def warm(self, model_specs: list, geometries: list) -> None:
         """Warmup handoff: stage executors for the predecessor's traffic.
 
-        Each (model, geometry, dtype) runs a 1-row probe through the
-        pooled executor — staging weight panels, building the FFT/rfft
+        Each ``(mid, per-row shape, dtype)`` runs a 1-row probe through
+        the pooled executor — staging weight panels, building the FFT/rfft
         plan family, and (on an ``autotune=True`` session) resolving the
         tuned tiles — without touching serving stats.
         """
@@ -278,14 +281,14 @@ class _WorkerBody:
 
                 self.models[mid] = SpectralModel(weight, modes, symmetric)
         count = 0
-        for mid, shape, dtype in geometries:
+        for mid, row_shape, dtype in geometries:
             model = self.models.get(mid)
             if model is None:
                 continue
             executor = self.session.executor(
                 model.weight, model.modes, model.symmetric
             )
-            executor(np.zeros(_probe_shape(shape), np.dtype(dtype)))
+            executor(np.zeros((1, *row_shape), np.dtype(dtype)))
             count += 1
         self.send(("warmed", count))
 

@@ -366,6 +366,36 @@ class TestServePoolRollout:
         assert stats["rollout"] == {"streams": 4, "steps": 14}
         assert stats["admission"]["completed"] == 7
 
+    @pytest.mark.parametrize("profile", ["exact", "fast"])
+    def test_grouped_streams_bit_identical_to_one_by_one(self, rng,
+                                                         profile):
+        """``rollout_many`` ships each (model, geometry, dtype) group as
+        one header, split at ``max_batch`` streams: mixed geometries,
+        batch > 1 streams and fresh model tuples still return each
+        stream's solo-rollout bits, and stats count streams."""
+        w = _weight(rng)
+        streams = []
+        for i in range(11):
+            n = 64 if i % 3 else 32
+            x0 = rng.standard_normal((1 + i % 2, 8, n)).astype(np.float32)
+            streams.append(((w, 16), x0))
+        with Session(backend="numpy") as s:
+            refs = [s.rollout(m, x0, 4, profile=profile)
+                    for m, x0 in streams]
+        with ServePool(workers=2, backend="numpy", max_batch=3) as pool:
+            outs = pool.rollout_many(streams, steps=4, profile=profile,
+                                     timeout=120)
+            stats = pool.stats()
+        for ref, out in zip(refs, outs, strict=True):
+            assert out.dtype == ref.dtype
+            assert np.array_equal(out, ref)
+        # 7 streams of n=64 and 4 of n=32: ceil(7/3) + ceil(4/3) headers.
+        headers = sum(worker["session"]["rollout"]["streams"]
+                      for worker in stats["per_worker"])
+        assert headers == 5
+        assert stats["rollout"] == {"streams": 11, "steps": 44}
+        assert stats["latency"]["count"] == 11
+
     def test_stream_routes_to_geometry_shard(self, rng):
         """A whole stream lands on the one shard its geometry hashes
         to — per-geometry stats record exactly one worker."""

@@ -22,9 +22,12 @@ worker cannot poison a neighbour.
 
 from __future__ import annotations
 
+import gc
 import os
 import signal
+import threading
 import time
+import weakref
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -214,6 +217,168 @@ class TestServePoolStats:
             entry = st["per_geometry"]["1d:128:m64:complex64"]
             assert entry["worker"] == expect
             assert entry["requests"] == 5
+
+
+# ---------------------------------------------------------------------------
+# grouped admission: infer_many ships one header per group
+# ---------------------------------------------------------------------------
+
+def _one_by_one(reqs, backend="numpy"):
+    """Each request alone through a serial session: no batching at all."""
+    with Session(backend=backend) as session:
+        return [session.infer(model, x) for model, x in reqs]
+
+
+def _worker_requests(stats):
+    """Requests the workers' own sessions saw: one per header."""
+    return sum(w["session"]["requests"] for w in stats["per_worker"])
+
+
+def _wait_in_flight(pool, seconds=60.0):
+    """Until shard 0 holds an admitted header, then a little longer."""
+    deadline = time.monotonic() + seconds
+    while not pool._handles[0].pending:
+        assert time.monotonic() < deadline, "no header was admitted"
+        time.sleep(0.01)
+    time.sleep(0.1)
+
+
+def _burst(n=20):
+    """Mixed models, geometries, dtypes and batch sizes, every model
+    passed as a fresh tuple."""
+    w4, w8 = _weight(4), _weight(8)
+    reqs = []
+    for i in range(n):
+        batch = 1 + i % 3
+        if i % 5 == 4:
+            x = RNG.standard_normal((batch, 4, 128)).astype(np.float32)
+            reqs.append(((w4, 16), x))
+        elif i % 2:
+            reqs.append(((w8, 32), _signal((batch, 8, 128))))
+        else:
+            reqs.append(((w4, (8, 8)), _signal((batch, 4, 32, 32))))
+    return reqs
+
+
+class TestGroupedAdmission:
+    @pytest.mark.parametrize("backend", ["numpy", "auto"])
+    def test_mixed_burst_bit_identical_one_header_per_group(self, backend):
+        reqs = _burst(20)
+        refs = _one_by_one(reqs, backend)
+        with ServePool(workers=2, backend=backend, max_batch=16) as pool:
+            outs = pool.infer_many(reqs, timeout=120)
+            st = pool.stats(timeout=30)
+        _assert_identical(refs, outs)
+        # Three (model, geometry, dtype) groups, each under max_batch:
+        # three headers carried all twenty requests.
+        assert _worker_requests(st) == 3
+        assert st["admission"]["submitted"] == len(reqs)
+        assert st["admission"]["completed"] == len(reqs)
+        assert sum(g["requests"] for g in st["per_geometry"].values()) == 20
+        assert sum(g["latency"]["count"]
+                   for g in st["per_geometry"].values()) == 20
+        assert sum(w["completed"] for w in st["per_worker"]) == 20
+        assert sum(w["served"] for w in st["per_worker"]) == 20
+
+    def test_group_longer_than_max_batch_splits(self):
+        model = (_weight(), 32)
+        reqs = [(model, _signal((1 + i % 2, 4, 128))) for i in range(11)]
+        with ServePool(workers=1, backend="numpy", max_batch=4) as pool:
+            outs = pool.infer_many(reqs, timeout=120)
+            st = pool.stats(timeout=30)
+        _assert_identical(_one_by_one(reqs), outs)
+        assert _worker_requests(st) == 3  # 4 + 4 + 3 requests
+        assert st["requests"] == 11
+
+    def test_group_never_outgrows_a_ring(self):
+        # Each request's slab is 16 KiB against a 64 KiB ring: the group
+        # flushes before its rows would overflow one slab.
+        model = (_weight(), 32)
+        reqs = [(model, _signal((4, 4, 128))) for _ in range(8)]
+        with ServePool(workers=1, backend="numpy",
+                       ring_bytes=1 << 16) as pool:
+            outs = pool.infer_many(reqs, timeout=120)
+            st = pool.stats(timeout=30)
+        _assert_identical(_one_by_one(reqs), outs)
+        assert 1 < _worker_requests(st) < len(reqs)
+
+    def test_warm_inventory_keyed_by_geometry(self):
+        model = (_weight(), 32)
+        with ServePool(workers=1, backend="numpy", max_batch=4) as pool:
+            for sizes in ((1, 2, 3), (5,), (1, 1, 1, 1, 1, 1)):
+                pool.infer_many([(model, _signal((b, 4, 128)))
+                                 for b in sizes], timeout=120)
+                pool.infer(model, _signal((sizes[0], 4, 64)), timeout=120)
+            assert pool._handles[0].warm_geoms == {
+                (0, (4, 128), "complex64"), (0, (4, 64), "complex64"),
+            }
+
+    def test_served_result_is_freed_without_the_cyclic_gc(self):
+        model = (_weight(), 32)
+        x = _signal((2, 4, 128))
+        with ServePool(workers=1, backend="numpy") as pool:
+            gc.disable()
+            try:
+                y = pool.infer(model, x, timeout=120)
+                (z,) = pool.infer_many([(model, x)], timeout=120)
+                refs = [weakref.ref(y), weakref.ref(z)]
+                del y, z
+                assert [r() for r in refs] == [None, None]
+            finally:
+                gc.enable()
+
+    def test_sigkill_with_a_group_in_flight_retries_it(self):
+        model = (_weight(), 32)
+        reqs = [(model, _signal((1 + i % 2, 4, 128))) for i in range(6)]
+        with ServePool(workers=1, backend="numpy",
+                       on_crash="retry") as pool:
+            pool.infer(model, reqs[0][1], timeout=120)  # warm
+            pid = pool.worker_pids()[0]
+            os.kill(pid, signal.SIGSTOP)
+            box: list = []
+            runner = threading.Thread(target=lambda: box.append(
+                pool.infer_many(reqs, timeout=120)))
+            runner.start()
+            _wait_in_flight(pool)
+            os.kill(pid, signal.SIGKILL)
+            os.kill(pid, signal.SIGCONT)
+            runner.join(120)
+            assert not runner.is_alive()
+            st = pool.stats(timeout=30)
+        _assert_identical(_one_by_one(reqs), box[0])
+        assert st["admission"]["crashes"] == 1
+        assert st["admission"]["retried"] == len(reqs)
+        assert st["admission"]["completed"] == len(reqs) + 1
+
+    def test_sigkill_with_a_group_in_flight_fails_each_request(self):
+        model = (_weight(), 32)
+        reqs = [(model, _signal((2, 4, 128))) for _ in range(5)]
+        with ServePool(workers=1, backend="numpy", on_crash="fail") as pool:
+            pool.infer(model, reqs[0][1], timeout=120)
+            pid = pool.worker_pids()[0]
+            os.kill(pid, signal.SIGSTOP)
+            box: list = []
+
+            def serve():
+                try:
+                    pool.infer_many(reqs, timeout=120)
+                except WorkerCrashed as exc:
+                    box.append(exc)
+
+            runner = threading.Thread(target=serve)
+            runner.start()
+            _wait_in_flight(pool)
+            os.kill(pid, signal.SIGKILL)
+            os.kill(pid, signal.SIGCONT)
+            runner.join(120)
+            assert not runner.is_alive()
+            st = pool.stats(timeout=30)
+            # The warmed replacement serves the same burst.
+            outs = pool.infer_many(reqs, timeout=120)
+        assert len(box) == 1
+        assert st["admission"]["failed"] == len(reqs)
+        assert st["admission"]["retried"] == 0
+        _assert_identical(_one_by_one(reqs), outs)
 
 
 # ---------------------------------------------------------------------------

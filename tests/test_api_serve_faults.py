@@ -545,6 +545,101 @@ class TestDegradation:
 
 
 # ---------------------------------------------------------------------------
+# Grouped admission: a burst's group succeeds or fails as one header
+# ---------------------------------------------------------------------------
+
+class TestGroupedFailures:
+    def test_deadline_zero_fails_every_request_of_the_burst(self):
+        w = _weight()
+        reqs = [((w, 16), _signal((1 + i % 2, 4, 128 if i % 3 else 64)))
+                for i in range(7)]
+        with ServePool(workers=2, backend="numpy") as pool:
+            with pytest.raises(DeadlineExceeded):
+                pool.infer_many(reqs, timeout=30, deadline=0.0)
+            stats = pool.stats(timeout=10)
+        assert stats["admission"]["submitted"] == len(reqs)
+        assert stats["admission"]["expired"] == len(reqs)
+        assert stats["admission"]["completed"] == 0
+        assert sum(g["expired"]
+                   for g in stats["per_geometry"].values()) == len(reqs)
+
+    @pytest.mark.parametrize("kind", ["crash_before", "crash_after"])
+    def test_scripted_crash_retries_the_whole_group(self, kind):
+        w = _weight()
+        reqs = [((w, 16), _signal((1 + i % 3, 4, 128))) for i in range(5)]
+        plan = FaultPlan([Fault(kind, 0)])  # header 0 carries the group
+        with ServePool(workers=1, backend="numpy", faults=plan,
+                       on_crash="retry") as pool:
+            outs = pool.infer_many(reqs, timeout=120)
+            stats = pool.stats(timeout=10)
+        assert stats["admission"]["crashes"] == 1
+        assert stats["admission"]["retried"] == len(reqs)
+        for (model, x), y in zip(reqs, outs, strict=True):
+            assert np.array_equal(y, _ref(model, x))
+
+    def test_scripted_crash_fails_each_request_of_the_group(self):
+        w = _weight()
+        reqs = [((w, 16), _signal((2, 4, 128))) for _ in range(5)]
+        plan = FaultPlan([Fault("crash_before", 0)])
+        with ServePool(workers=1, backend="numpy", faults=plan,
+                       on_crash="fail") as pool:
+            with pytest.raises(WorkerCrashed):
+                pool.infer_many(reqs, timeout=120)
+            stats = pool.stats(timeout=10)
+        assert stats["admission"]["failed"] == len(reqs)
+        assert stats["per_geometry"]["1d:128:m16:complex64"]["failed"] == 5
+
+    def test_degraded_shard_serves_groups_bit_identically(self):
+        """With the breaker open, groups run on the in-parent fallback
+        session: concatenated, served, split back per request."""
+        w = _weight()
+        plan = FaultPlan([Fault("crash_before", 0, always=True),
+                          Fault("crash_before", 1, always=True)])
+        reqs = [((w, 16), _signal((1 + i % 2, 4, 128 if i % 3 else 64)))
+                for i in range(7)]
+        with ServePool(workers=1, backend="numpy", faults=plan,
+                       on_crash="fail", breaker_threshold=2,
+                       breaker_cooldown=600.0) as pool:
+            for _ in range(2):
+                with pytest.raises(WorkerCrashed):
+                    pool.submit(*reqs[0]).result(120)
+            outs = pool.infer_many(reqs, timeout=120)
+            stats = pool.stats(timeout=10)
+        assert stats["degraded"]["open_shards"] == [0]
+        assert stats["admission"]["degraded"] == len(reqs)
+        assert stats["admission"]["completed"] == len(reqs)
+        for (model, x), y in zip(reqs, outs, strict=True):
+            assert np.array_equal(y, _ref(model, x))
+
+    def test_first_failing_request_raises_in_request_order(self):
+        """Request 1's group is admitted after request 2's (which fills
+        at ``max_batch``); both fail, and request 1's error is raised."""
+        from repro.api.serve import UnknownModel
+        from repro.api.session import SpectralModel
+
+        known = SpectralModel(_weight(), 16)
+        ghost1 = SpectralModel(_weight(), 16)
+        ghost2 = SpectralModel(_weight(), 16)
+        x = _signal((1, 4, 64))
+        reqs = [(known, x), (ghost1, x), (ghost2, x), (ghost2, x),
+                (known, x)]
+        with ServePool(workers=1, backend="numpy", max_batch=2) as pool:
+            want = pool.infer(known, x, timeout=120)
+            # Mark both ghosts pushed without sending them: the worker
+            # answers their headers UnknownModel.
+            mids = [pool._model_id(g)[0] for g in (ghost1, ghost2)]
+            pool._handles[0].pushed.update(mids)
+            with pytest.raises(UnknownModel, match=f"model {mids[0]} "):
+                pool.infer_many(reqs, timeout=120)
+            stats = pool.stats(timeout=10)
+            # The failures stayed with their groups: the shard serves on.
+            outs = pool.infer_many([reqs[0], reqs[4]], timeout=120)
+        assert stats["admission"]["failed"] == 3
+        assert stats["admission"]["completed"] == 3
+        assert all(np.array_equal(y, want) for y in outs)
+
+
+# ---------------------------------------------------------------------------
 # Close budget
 # ---------------------------------------------------------------------------
 

@@ -188,3 +188,47 @@ class TestInstrumentPool:
         inverted = POOL_LOCK_ORDER[::-1]
         assert not rec.has_edge(*inverted)
         rec.assert_clean()
+
+    def test_grouped_admission_counters_respect_documented_order(self):
+        """Grouped ``infer_many``, single ``submit``, ``cancel()`` and a
+        deadline expiry all update per-group counters under
+        ``_stats_lock``; none may nest it outside ``_lock``."""
+        from repro.api import ServePool
+        from repro.api.serve import (
+            Cancelled, DeadlineExceeded, Fault, FaultPlan,
+        )
+        from repro.api.session import SpectralModel
+
+        hidden = 4
+        w = ((RNG.standard_normal((hidden, hidden))
+              + 1j * RNG.standard_normal((hidden, hidden)))
+             / hidden).astype(np.complex64)
+        model = SpectralModel(w, 8)
+
+        def x(n=32):
+            return (RNG.standard_normal((2, hidden, n))
+                    + 1j * RNG.standard_normal((2, hidden, n))
+                    ).astype(np.complex64)
+
+        burst = [(model, x((32, 64)[i % 2])) for i in range(24)]
+        # Request 0 stalls in the worker, so its cancel() always lands
+        # while it is in flight.
+        plan = FaultPlan([Fault("latency", 0, seconds=0.3)])
+        with ServePool(workers=1, backend="numpy", max_batch=8,
+                       faults=plan) as pool:
+            rec = instrument_pool(pool)
+            doomed = pool.submit(model, x())
+            assert doomed.cancel()
+            with pytest.raises(Cancelled):
+                doomed.result(0)
+            pool.infer_many(burst)
+            pool.submit(model, x()).result(120)
+            with pytest.raises(DeadlineExceeded):
+                pool.infer_many(burst[:3], deadline=0.0)
+            stats = pool.stats()
+        assert stats["admission"]["completed"] == 25
+        assert stats["admission"]["cancelled"] == 1
+        assert stats["admission"]["expired"] == 3
+        assert rec.total_acquisitions() > 0
+        assert not rec.has_edge(*POOL_LOCK_ORDER[::-1])
+        rec.assert_clean()
