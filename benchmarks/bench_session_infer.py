@@ -5,7 +5,7 @@ Measures the serving path the ``repro.api.Session`` tentpole adds: a
 mixed-geometry stream of Fourier-layer inference requests served three
 ways —
 
-1. **per-call** — ``api.spectral_conv(x, w, modes, engine="turbo")``
+1. **per-call** — ``api.spectral_conv(x, w, modes)``
    per request: the pre-session hot path, which restages a throwaway
    executor (weight casts, plan lookups) on every call;
 2. **session, cold** — the first ``session.infer_many`` pass on a fresh
@@ -107,8 +107,7 @@ def bench_case(case, backend, max_batch, workers, repeats, rng):
         # session's caches via the activation scope).
         with session.activate():
             return [
-                api.spectral_conv(x, model.weight, model.modes[0],
-                                  engine="turbo")
+                api.spectral_conv(x, model.weight, model.modes[0])
                 for model, x in requests
             ]
 

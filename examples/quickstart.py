@@ -20,8 +20,9 @@ compiled-executor pool:
   per session (outputs are byte-identical across backends); devices are
   named, so a second session can re-ask every question of an H100.
 
-The module-level ``api.plan`` / ``api.spectral_conv`` remain available
-as thin wrappers over a default session.
+The module-level ``api.plan`` remains available as a thin wrapper over
+a default session; ``api.spectral_conv`` runs one layer through a
+compiled executor built for the call.
 
 Run:  python examples/quickstart.py
 """

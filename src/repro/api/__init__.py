@@ -49,7 +49,9 @@ registries
     builders (:func:`register_pipeline_builder` opens 3-D and beyond).
 :func:`spectral_conv`
     Rank-dispatched numeric Fourier layer (the exact-arithmetic twin of
-    the modelled pipelines).
+    the modelled pipelines): a compiled executor built per call, with
+    no pooling and no engine choice.  The staged PyTorch-style oracle
+    is :mod:`repro.baselines.pytorch_fno`.
 """
 
 from repro.api.ops import spectral_conv

@@ -1,8 +1,10 @@
 """Dimension-agnostic numeric operators.
 
-:func:`spectral_conv` dispatches on the input's array rank, replacing the
-``spectral_conv_1d`` / ``spectral_conv_2d`` pair at call sites that handle
-both (trainers, examples, benchmarks).
+:func:`spectral_conv` dispatches on the input's array rank and runs the
+fused FFT-CGEMM-iFFT through a compiled executor
+(:func:`repro.core.compiled.compile_spectral_conv`) built for the call.
+The staged PyTorch-style pipeline it is checked against lives in
+:mod:`repro.baselines.pytorch_fno`.
 """
 
 from __future__ import annotations
@@ -11,16 +13,15 @@ import numbers
 
 import numpy as np
 
-from repro.core.spectral import ENGINES, spectral_conv_1d, spectral_conv_2d
+from repro.core.compiled import compile_spectral_conv
 
-__all__ = ["spectral_conv", "ENGINES"]
+__all__ = ["spectral_conv"]
 
 
 def spectral_conv(
     x: np.ndarray,
     weight: np.ndarray,
     modes: int | tuple[int, ...],
-    engine: str = "turbo",
 ) -> np.ndarray:
     """The paper's Fourier layer, any supported dimensionality.
 
@@ -34,8 +35,12 @@ def spectral_conv(
     modes:
         Kept low-frequency bins: an int (same along every axis) or one
         int per spatial axis.
-    engine:
-        One of ``"turbo" | "reference" | "pytorch"``.
+
+    Returns the complex ``(batch, C_out, *spatial)`` output.  The
+    executor is built per call and never pooled: a caller may mutate
+    ``weight`` in place between calls.  Hold a
+    :func:`~repro.core.compiled.compile_spectral_conv` executor (or
+    serve through a :class:`repro.api.Session`) to amortise its staging.
     """
     x = np.asarray(x)
 
@@ -72,6 +77,4 @@ def spectral_conv(
                 f"modes has {len(per_axis)} entries but the input has "
                 f"{spatial} spatial axis(es); pass one int per axis"
             )
-    if x.ndim == 3:
-        return spectral_conv_1d(x, weight, per_axis[0], engine=engine)
-    return spectral_conv_2d(x, weight, per_axis[0], per_axis[1], engine=engine)
+    return compile_spectral_conv(weight, per_axis)(x)

@@ -122,11 +122,11 @@ class ExecutionPlan:
         Returns a :class:`repro.core.compiled.CompiledSpectralConv1D` or
         ``...2D`` whose staging (weight casts, FFT plans, workspaces) is
         paid once, so ``plan -> compile -> execute many`` amortises all
-        per-call setup.  The executor uses the functional path's default
-        k-tiling, so its output is byte-identical to
-        ``repro.api.spectral_conv`` with the turbo engine; pass a custom
-        ``k_tb`` to :func:`repro.core.compiled.compile_spectral_conv`
-        directly if you want the accumulation grouped differently.
+        per-call setup.  The executor uses the default k-tiling, so its
+        output is byte-identical to ``repro.api.spectral_conv``; pass a
+        custom ``k_tb`` to
+        :func:`repro.core.compiled.compile_spectral_conv` directly if you
+        want the accumulation grouped differently.
 
         ``symmetric=True`` compiles the original-FNO rfft/irfft filter
         convention instead: real input, half spectrum through the cached

@@ -11,7 +11,8 @@ complex ``(C_in, C_out)`` weight matrix is shared across all kept modes
 (§3.1: "M = BatchSize x DimX x DimY, N = OutputDim, K = HiddenDim" — one
 tall-and-skinny CGEMM, not per-mode matrices).
 
-These functions are the correctness oracle for :mod:`repro.core.fused`.
+These functions are the correctness oracle for the fused executors of
+:mod:`repro.core.compiled` (and so for :func:`repro.api.spectral_conv`).
 The stage temporaries the baseline is defined by (the truncation copy of
 Step 2, the zero-pad buffer of Step 4) never escape a call, so they are
 drawn from the compiled layer's workspace arena

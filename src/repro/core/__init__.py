@@ -9,19 +9,17 @@
 * :mod:`repro.core.fft_variant` — the k-loop FFT variant: the second FFT
   stage re-interpreted along the hidden dimension so a thread block's
   iteration order matches CGEMM's k-loop (Figure 6).
-* :mod:`repro.core.fused` — numerically exact fused operators (NumPy
-  execution of the single-kernel dataflow).
-* :mod:`repro.core.compiled` — build-once/execute-many spectral-conv
-  executors over the compiled FFT plan layer (byte-identical to the
-  functional path; :mod:`repro.core.legacy` preserves the original
-  loops as oracle and benchmark baseline).
+* :mod:`repro.core.compiled` — the numerically exact fused operator:
+  build-once/execute-many spectral-conv executors over the compiled FFT
+  plan layer, the one path every shared-weight Fourier layer executes
+  on (plus the stage-B/C partial fusions of Table 2);
+  :mod:`repro.core.legacy` preserves the original loops as oracle and
+  benchmark baseline.
 * :mod:`repro.core.autotune` — plan-time tile autotuning for the
   compiled executors (candidate grids seeded by an analytic
   cache-footprint model, a persistent versioned tune store, and the
   in-session :class:`~repro.core.autotune.Tuner`).
 * :mod:`repro.core.dtypes` — the shared complex-precision policy.
-* :mod:`repro.core.spectral` — the public spectral-convolution API with
-  selectable engine.
 * :mod:`repro.core.pipeline_model` — compiles every stage (and the
   PyTorch baseline) into :class:`repro.gpu.timeline.Pipeline` kernel
   sequences; this is what regenerates the paper's figures.
@@ -35,12 +33,7 @@ from repro.core.compiled import (
 )
 from repro.core.config import FNO1DProblem, FNO2DProblem, TurboFNOConfig
 from repro.core.dtypes import complex_dtype_for
-from repro.core.fused import (
-    fused_fft_gemm_ifft_1d,
-    fused_fft_gemm_ifft_2d,
-)
 from repro.core.pipeline_model import build_pipeline_1d, build_pipeline_2d
-from repro.core.spectral import spectral_conv_1d, spectral_conv_2d
 from repro.core.stages import FusionStage
 
 __all__ = [
@@ -48,10 +41,6 @@ __all__ = [
     "FNO2DProblem",
     "TurboFNOConfig",
     "FusionStage",
-    "spectral_conv_1d",
-    "spectral_conv_2d",
-    "fused_fft_gemm_ifft_1d",
-    "fused_fft_gemm_ifft_2d",
     "CompiledSpectralConv1D",
     "CompiledSpectralConv2D",
     "compile_spectral_conv",

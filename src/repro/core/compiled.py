@@ -12,10 +12,13 @@ to the legacy loops (property-tested): the executors replay the same
 tile/panel accumulation order, so not a single floating-point operation
 changes, only where the operands live.
 
-The functional API (:mod:`repro.core.fused`) builds a throwaway executor
-per call, which still hoists every redundant cast out of the loops; hold
-an executor (or get one from ``repro.api.plan(...).compile_executor``)
-to amortise the staging across calls.
+Every shared-weight Fourier layer outside :class:`repro.api.Session`
+runs through these executors: :func:`repro.api.spectral_conv` and the
+shared-weight :mod:`repro.nn` layers build one per call, which still
+hoists every redundant cast out of the loops; hold an executor (or get
+one from ``repro.api.plan(...).compile_executor``) to amortise the
+staging across calls.  :func:`fused_fft_gemm_1d` and :func:`fused_gemm_ifft_1d` are the
+partially fused stage-B/C dataflows of Table 2, on the same staging.
 
 Executors own mutable tile workspaces and are **not** thread-safe; share
 one per thread (the plan caches underneath serialise themselves).
@@ -68,6 +71,8 @@ __all__ = [
     "CompiledSpectralConv1D",
     "CompiledSpectralConv2D",
     "compile_spectral_conv",
+    "fused_fft_gemm_1d",
+    "fused_gemm_ifft_1d",
 ]
 
 _DEFAULT_K_TB = 8
@@ -278,6 +283,57 @@ class _StagedFused1D:
                 a = fbuf.reshape(batch, kt, modes)
             panel_contract(a, wp, acc, kernels=self.plans.kernels())
         return acc
+
+
+def fused_fft_gemm_1d(
+    x: np.ndarray,
+    weight: np.ndarray,
+    modes: int,
+    k_tb: int = _DEFAULT_K_TB,
+) -> np.ndarray:
+    """Stage B dataflow: FFT fused into the CGEMM k-loop.
+
+    Input ``(batch, C_in, X)``; returns the truncated-frequency product
+    ``(batch, C_out, modes)`` — what the fused kernel would hand to a
+    separate iFFT kernel.
+    """
+    x = np.asarray(x)
+    weight = np.asarray(weight)
+    _check_inputs(x, weight, 3)
+    staged = _StagedFused1D(
+        weight, modes, x.shape[2], k_tb, _DEFAULT_SIGNAL_TILE,
+        complex_dtype_for(x.dtype),
+    )
+    return staged.run_fft_gemm(x)
+
+
+def fused_gemm_ifft_1d(
+    xk_low: np.ndarray,
+    weight: np.ndarray,
+    dim_x: int,
+    k_tb: int = _DEFAULT_K_TB,
+) -> np.ndarray:
+    """Stage C dataflow: iFFT as the CGEMM epilogue.
+
+    Input is the already-truncated spectrum ``(batch, C_in, modes)``;
+    returns the spatial output ``(batch, C_out, X)``.  The zero-padding
+    never materialises: the epilogue's pruned inverse transform consumes
+    the C tile straight from "shared memory".
+    """
+    xk_low = np.asarray(xk_low)
+    weight = np.asarray(weight)
+    _check_inputs(xk_low, weight, 3)
+    batch, c_in, modes = xk_low.shape
+    c_out = weight.shape[1]
+    dtype = complex_dtype_for(xk_low.dtype)
+    wc = weight.astype(dtype)  # hoisted out of the k-loop
+    acc = np.zeros((batch, c_out, modes), dtype=dtype)
+    for k0 in range(0, c_in, k_tb):
+        k1 = min(k0 + k_tb, c_in)
+        a = np.ascontiguousarray(xk_low[:, k0:k1, :], dtype=dtype)
+        panel_contract(a, np.ascontiguousarray(wc[k0:k1]), acc)
+    return truncated_ifft(acc, dim_x, axis=-1)
+
 
 def _project_dc_real(sk: np.ndarray) -> np.ndarray:
     """The half-spectrum irfft->rfft round trip, as a spectrum-resident

@@ -10,8 +10,9 @@ column per hidden channel).
 
 :func:`kloop_fft_schedule` yields exactly that iteration order, and
 :func:`assemble_a_tile` produces the column-major tile a k-iteration hands
-to the CGEMM inner loop.  The fused operators in :mod:`repro.core.fused`
-are built on these, so tests can check both the schedule (each k-slice
+to the CGEMM inner loop.  The fused executors in
+:mod:`repro.core.compiled` walk the same order (one ``k_tb`` panel per
+k-iteration), so tests can check both the schedule (each k-slice
 visited once, in k order) and the tile contents (equal to the truncated
 FFT of the right slices).
 """

@@ -1,8 +1,9 @@
 """Frozen pre-compiled-layer fused operators (the seed code).
 
-The original loop implementations of :mod:`repro.core.fused`, kept
-verbatim — including the per-tile, per-k-iteration ``astype`` of the
-weight panel that the compiled executors hoist — as
+The original loop implementations of the fused operators (now the
+executors of :mod:`repro.core.compiled`), kept verbatim — including the
+per-tile, per-k-iteration ``astype`` of the weight panel that the
+compiled executors hoist — as
 
 * the **benchmark baseline** for ``benchmarks/bench_compiled_vs_legacy.py``,
 * the **bit-exactness oracle** for the executor property tests.
@@ -47,7 +48,7 @@ def fused_fft_gemm_1d(
     modes: int,
     k_tb: int = _DEFAULT_K_TB,
 ) -> np.ndarray:
-    """Stage B dataflow, legacy execution (see :mod:`repro.core.fused`)."""
+    """Stage B dataflow, legacy execution (see :mod:`repro.core.compiled`)."""
     x = np.asarray(x)
     weight = np.asarray(weight)
     _check_inputs(x, weight, 3)
@@ -68,7 +69,7 @@ def fused_gemm_ifft_1d(
     dim_x: int,
     k_tb: int = _DEFAULT_K_TB,
 ) -> np.ndarray:
-    """Stage C dataflow, legacy execution (see :mod:`repro.core.fused`)."""
+    """Stage C dataflow, legacy execution (see :mod:`repro.core.compiled`)."""
     xk_low = np.asarray(xk_low)
     weight = np.asarray(weight)
     _check_inputs(xk_low, weight, 3)
@@ -91,7 +92,7 @@ def fused_fft_gemm_ifft_1d(
     k_tb: int = _DEFAULT_K_TB,
     signal_tile: int = _DEFAULT_SIGNAL_TILE,
 ) -> np.ndarray:
-    """Stage D dataflow, legacy execution (see :mod:`repro.core.fused`).
+    """Stage D dataflow, legacy execution (see :mod:`repro.core.compiled`).
 
     Note the per-tile, per-panel ``weight[k0:k1].astype(dtype)`` — the
     redundant re-cast the compiled executors stage once at plan time.
@@ -124,7 +125,8 @@ def fused_fft_gemm_ifft_2d(
     k_tb: int = _DEFAULT_K_TB,
     signal_tile: int = _DEFAULT_SIGNAL_TILE,
 ) -> np.ndarray:
-    """2-D stage D dataflow, legacy execution (see :mod:`repro.core.fused`)."""
+    """2-D stage D dataflow, legacy execution (see
+    :mod:`repro.core.compiled`)."""
     x = np.asarray(x)
     weight = np.asarray(weight)
     _check_inputs(x, weight, 4)

@@ -90,9 +90,10 @@ def truncated_fft_auto(x: np.ndarray, modes: int, axis: int = -1,
 
     Falls back to the full transform plus a slice when ``modes`` is not a
     power of two dividing the length — numerically identical, just
-    without the work savings.  The one truncation helper shared by the
-    spectral layers (:mod:`repro.nn.modules`) and the compiled executors
-    (:mod:`repro.core.compiled`).
+    without the work savings.  The one C2C truncation helper, shared by
+    the spectral layers (:mod:`repro.nn.modules`) and the compiled
+    executors (:mod:`repro.core.compiled`); its R2C counterpart is
+    :func:`repro.fft.real.truncated_rfft`, which needs no fallback.
     """
     if is_power_of_two(modes) and modes <= x.shape[axis]:
         return truncated_fft(x, modes, axis=axis, caches=caches)

@@ -6,11 +6,18 @@ for a C-linear map ``y = A x`` the input cotangent is ``A^H g_y`` and the
 weight cotangent is ``conj(x) g_y``.  The adjoint of "truncate-to-modes
 after FFT" is "zero-pad then (unnormalised) inverse FFT", which is why the
 backward passes below reuse the *pruned* transforms of
-:mod:`repro.fft.pruned` — TurboFNO's built-in truncation/padding
-accelerates training's backward pass for free.
+:mod:`repro.fft.pruned` and :mod:`repro.fft.real` — TurboFNO's built-in
+truncation/padding accelerates training's backward pass for free.
 
 All forward spectral math goes through this package's own FFTs, never
-``numpy.fft``.
+``numpy.fft``.  A shared-weight layer (``per_mode=False``) runs its
+forward pass on the compiled executor of :mod:`repro.core.compiled`,
+the same operator :func:`repro.api.spectral_conv` and
+:class:`repro.api.Session` execute.  The executor is built per call:
+the optimizer mutates the weight in place between steps, so held
+staging would go stale.  Per-mode layers, and C2C layers whose mode
+counts the pruned transforms cannot split, contract the truncated
+spectrum with ``einsum`` instead.
 """
 
 from __future__ import annotations
@@ -20,55 +27,26 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.core.fused import fused_fft_gemm_ifft_1d, fused_fft_gemm_ifft_2d
+from repro.core.compiled import (
+    CompiledSpectralConv1D,
+    CompiledSpectralConv2D,
+    _project_herm_x,
+)
 from repro.fft.pruned import padded_ifft_auto as _pad_ifft
 from repro.fft.pruned import truncated_fft_auto as _trunc_fft
-from repro.fft.real import irfft, padded_irfft, rfft, truncated_rfft
+from repro.fft.real import padded_irfft, truncated_rfft
 from repro.fft.stockham import is_power_of_two
 
 __all__ = ["Parameter", "Module", "Dense", "GELU", "SpectralConv1d", "SpectralConv2d"]
 
 
-def _prunable(n: int, modes: int) -> bool:
-    """True when the pruned transforms apply (power-of-two mode count
-    dividing the grid).  Otherwise the layers fall back to full transforms
-    plus slicing — numerically identical, just without the work savings."""
-    return is_power_of_two(modes) and modes <= n
-
-
-def _trunc_rfft(x: np.ndarray, modes: int, axis: int) -> np.ndarray:
-    """First ``modes`` bins of the half spectrum.
-
-    Routed through the pruned-R2C plan family
-    (:func:`repro.fft.real.truncated_rfft`) whenever the truncation is
-    genuine (``modes < n//2 + 1``): truncation is fused into the
-    packed-real decomposition, so the discarded bins are never
-    recombined.  Otherwise the full compiled R2C plan runs (and at
-    ``modes == n//2 + 1`` the pruned plan *is* that plan, bit-exactly).
-    """
-    n = x.shape[axis]
-    if is_power_of_two(n) and modes <= n // 2 + 1:
-        return truncated_rfft(x, modes, axis=axis)
-    sl = [slice(None)] * x.ndim
-    sl[axis] = slice(0, modes)
-    return rfft(x, axis=axis)[tuple(sl)]
-
-
-def _pad_irfft(yk: np.ndarray, n_out: int, axis: int) -> np.ndarray:
-    """Real signal from a truncated half spectrum: ``yk`` supplies the
-    first bins of the ``n_out//2 + 1`` half spectrum.  The pruned C2R
-    plan (:func:`repro.fft.real.padded_irfft`) synthesises straight
-    from the kept bins — neither the Hermitian completion nor the
-    zero-padded half spectrum is ever built."""
-    if is_power_of_two(n_out) and yk.shape[axis] <= n_out // 2 + 1:
-        return padded_irfft(yk, n_out, axis=axis)
-    shape = list(yk.shape)
-    shape[axis] = n_out // 2 + 1
-    padded = np.zeros(shape, dtype=yk.dtype)
-    sl = [slice(None)] * yk.ndim
-    sl[axis] = slice(0, yk.shape[axis])
-    padded[tuple(sl)] = yk
-    return irfft(padded, n_out, axis=axis)
+def _executor_applies(symmetric: bool, modes: tuple[int, ...]) -> bool:
+    """Whether a shared-weight layer's forward runs on the compiled
+    executor.  The symmetric executors take any validated mode count;
+    the paper's C2C executor prunes every axis, which needs a
+    power-of-two mode count (``spectrum()`` has already bounded it by
+    the grid)."""
+    return symmetric or all(is_power_of_two(m) for m in modes)
 
 
 class Parameter:
@@ -255,9 +233,22 @@ class SpectralConv1d(Module):
     # non-executor paths.
 
     def spectrum(self, x: np.ndarray) -> np.ndarray:
-        """Truncated spectrum of ``x`` under this layer's convention."""
+        """Truncated spectrum of ``x`` under this layer's convention.
+
+        The one check of ``modes`` against the grid: ``forward`` (and
+        so ``backward``) and the spectrum-resident rollout all pass
+        through here.
+        """
+        dim_x = x.shape[-1]
+        if self.modes > dim_x:
+            raise ValueError(f"modes={self.modes} exceeds spatial size {dim_x}")
         if self.symmetric:
-            return np.ascontiguousarray(_trunc_rfft(x, self.modes, axis=-1))
+            if self.modes > dim_x // 2:
+                raise ValueError(
+                    f"symmetric filtering needs modes <= X/2, got "
+                    f"{self.modes} on a length-{dim_x} grid"
+                )
+            return truncated_rfft(x, self.modes, axis=-1)
         return _trunc_fft(x, self.modes, axis=-1)
 
     def apply_modes(self, xk: np.ndarray) -> np.ndarray:
@@ -270,7 +261,7 @@ class SpectralConv1d(Module):
     def from_spectrum(self, yk: np.ndarray, n_out: int) -> np.ndarray:
         """Spatial-domain output from a truncated output spectrum."""
         if self.symmetric:
-            return _pad_irfft(yk, n_out, axis=-1)
+            return padded_irfft(yk, n_out, axis=-1)
         return _pad_ifft(yk, n_out, axis=-1).real
 
     def reanalyze_spectrum(self, yk: np.ndarray, n_out: int = 0) -> np.ndarray:
@@ -294,44 +285,20 @@ class SpectralConv1d(Module):
         if x.ndim != 3 or x.shape[1] != self.c_in:
             raise ValueError(f"expected (batch, {self.c_in}, X), got {x.shape}")
         dim_x = x.shape[2]
-        if self.modes > dim_x:
-            raise ValueError(f"modes={self.modes} exceeds spatial size {dim_x}")
-        if self.symmetric and self.modes > dim_x // 2:
-            raise ValueError(
-                f"symmetric filtering needs modes <= X/2, got {self.modes} "
-                f"on a length-{dim_x} grid"
-            )
-        self._dim_x = dim_x
-        if self.symmetric:
-            # Original-FNO convention on the half spectrum: the compiled
-            # R2C plan replaces "full C2C then mirror-and-double".  The
-            # copy drops the full-half-spectrum base the slice would
-            # otherwise pin until backward.
-            xk = self.spectrum(x)
-            self._xk = xk
-            if not self.per_mode:
-                # One CGEMM shared across modes -> the compiled
-                # symmetric executor (panel CGEMM on the half spectrum,
-                # fed the spectrum already cached for backward).  Built
-                # per call: the optimizer mutates the weight buffer
-                # between steps, so held staging would go stale — same
-                # tradeoff as the fused functional path below.
-                from repro.core.compiled import CompiledSpectralConv1D
-
-                conv = CompiledSpectralConv1D(
-                    self.weight.value, self.modes, symmetric=True
-                )
-                return np.ascontiguousarray(conv(x, xk_trunc=xk))
-            return self.from_spectrum(self.apply_modes(xk), dim_x)
-        if not self.per_mode and _prunable(dim_x, self.modes):
-            # The paper's formulation: one CGEMM shared across modes ->
-            # use the fused FFT-CGEMM-iFFT dataflow directly.
-            self._xk = self.spectrum(x)
-            y = fused_fft_gemm_ifft_1d(x, self.weight.value, self.modes)
-            return np.ascontiguousarray(y.real)
         xk = self.spectrum(x)
         self._xk = xk
-        return self.from_spectrum(self.apply_modes(xk), dim_x)
+        self._dim_x = dim_x
+        modes = (self.modes,)
+        if self.per_mode or not _executor_applies(self.symmetric, modes):
+            return self.from_spectrum(self.apply_modes(xk), dim_x)
+        # The paper's formulation: one CGEMM shared across modes -> the
+        # compiled fused executor.  The symmetric executor is fed the
+        # spectrum already cached for backward.
+        conv = CompiledSpectralConv1D(
+            self.weight.value, self.modes, symmetric=self.symmetric
+        )
+        y = conv(x, xk_trunc=xk if self.symmetric else None)
+        return np.ascontiguousarray(y.real)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._xk is None:
@@ -340,7 +307,7 @@ class SpectralConv1d(Module):
         if self.symmetric:
             # y = irfft(pad(yk)) => g_yk = (2/N) rfft(grad) with the DC
             # bin un-doubled (it is never mirrored).
-            g_yk = _trunc_rfft(grad, self.modes, axis=-1)
+            g_yk = truncated_rfft(grad, self.modes, axis=-1)
             g_yk *= 2.0 / dim_x
             g_yk[..., 0] *= 0.5
         else:
@@ -357,7 +324,7 @@ class SpectralConv1d(Module):
             # bin except DC, then the (unnormalised) C2R inverse.
             g_xk *= 0.5
             g_xk[..., 0] *= 2.0
-            return _pad_irfft(g_xk, dim_x, axis=-1) * dim_x
+            return padded_irfft(g_xk, dim_x, axis=-1) * dim_x
         # xk = truncate(fft(x)), x real => g_x = Re(N * ifft(pad(g_xk))).
         g_x = _pad_ifft(g_xk, dim_x, axis=-1).real * dim_x
         return g_x
@@ -405,7 +372,7 @@ class SpectralConv2d(Module):
 
     def _truncate_fft2(self, x: np.ndarray) -> np.ndarray:
         if self.symmetric:
-            xk = _trunc_rfft(x, self.modes_y, axis=3)
+            xk = truncated_rfft(x, self.modes_y, axis=3)
             return _trunc_fft(xk, self.modes_x, axis=2)
         xk = _trunc_fft(x, self.modes_x, axis=2)
         return _trunc_fft(xk, self.modes_y, axis=3)
@@ -416,14 +383,23 @@ class SpectralConv2d(Module):
 
     def _pad_irfft2(self, yk: np.ndarray, dim_x: int, dim_y: int) -> np.ndarray:
         y = _pad_ifft(yk, dim_x, axis=2)
-        return _pad_irfft(y, dim_y, axis=3)
+        return padded_irfft(y, dim_y, axis=3)
 
     # -- spectral-step split (see SpectralConv1d) -----------------------
 
     def spectrum(self, x: np.ndarray) -> np.ndarray:
         """Truncated spectrum corner of ``x`` under this layer's
-        convention."""
+        convention — and the one check of the modes against the grid
+        (see :meth:`SpectralConv1d.spectrum`)."""
+        dim_x, dim_y = x.shape[-2], x.shape[-1]
+        if self.modes_x > dim_x or self.modes_y > dim_y:
+            raise ValueError("modes exceed the spatial grid")
         if self.symmetric:
+            if self.modes_y > dim_y // 2:
+                raise ValueError(
+                    f"symmetric filtering needs modes_y <= Y/2, got "
+                    f"{self.modes_y} on a length-{dim_y} grid"
+                )
             # contiguous copy: the fallback truncation path can return a
             # view pinning the full spectrum until backward
             return np.ascontiguousarray(self._truncate_fft2(x))
@@ -455,42 +431,23 @@ class SpectralConv2d(Module):
                 "reanalysis (the spatial .real projection mixes bins); "
                 "use the exact rollout profile"
             )
-        from repro.core.compiled import _project_herm_x
-
         return _project_herm_x(np.asarray(yk), int(shape[0]))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.c_in:
             raise ValueError(f"expected (batch, {self.c_in}, X, Y), got {x.shape}")
-        dim_x, dim_y = x.shape[2], x.shape[3]
-        if self.modes_x > dim_x or self.modes_y > dim_y:
-            raise ValueError("modes exceed the spatial grid")
-        if self.symmetric and self.modes_y > dim_y // 2:
-            raise ValueError(
-                f"symmetric filtering needs modes_y <= Y/2, got "
-                f"{self.modes_y} on a length-{dim_y} grid"
-            )
-        self._shape = (dim_x, dim_y)
-        if self.symmetric:
-            xk = self.spectrum(x)
-            self._xk = xk
-            if not self.per_mode:
-                from repro.core.compiled import CompiledSpectralConv2D
-
-                conv = CompiledSpectralConv2D(
-                    self.weight.value, self.modes_x, self.modes_y,
-                    symmetric=True,
-                )
-                return np.ascontiguousarray(conv(x, xk_trunc=xk))
-            return self.from_spectrum(self.apply_modes(xk), (dim_x, dim_y))
-        if not self.per_mode:
-            self._xk = self.spectrum(x)
-            y = fused_fft_gemm_ifft_2d(x, self.weight.value, self.modes_x,
-                                       self.modes_y)
-            return np.ascontiguousarray(y.real)
+        shape = (x.shape[2], x.shape[3])
         xk = self.spectrum(x)
         self._xk = xk
-        return self.from_spectrum(self.apply_modes(xk), (dim_x, dim_y))
+        self._shape = shape
+        modes = (self.modes_x, self.modes_y)
+        if self.per_mode or not _executor_applies(self.symmetric, modes):
+            return self.from_spectrum(self.apply_modes(xk), shape)
+        conv = CompiledSpectralConv2D(
+            self.weight.value, *modes, symmetric=self.symmetric
+        )
+        y = conv(x, xk_trunc=xk if self.symmetric else None)
+        return np.ascontiguousarray(y.real)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._xk is None:
@@ -500,7 +457,7 @@ class SpectralConv2d(Module):
         if self.symmetric:
             # y = irfft_y(ifft_x(pad(yk))) => the Y adjoint doubles every
             # kept bin except DC, the X adjoint is the plain 1/X FFT.
-            g_f = _trunc_rfft(grad, self.modes_y, axis=3)
+            g_f = truncated_rfft(grad, self.modes_y, axis=3)
             g_f *= 2.0 / dim_y
             g_f[..., 0] *= 0.5
             g_yk = _trunc_fft(g_f, self.modes_x, axis=2) / dim_x
@@ -520,5 +477,5 @@ class SpectralConv2d(Module):
             t = _pad_ifft(g_xk, dim_x, axis=2) * dim_x
             t *= 0.5
             t[..., 0] *= 2.0
-            return _pad_irfft(t, dim_y, axis=3) * dim_y
+            return padded_irfft(t, dim_y, axis=3) * dim_y
         return self._pad_ifft2(g_xk, dim_x, dim_y).real * n_total

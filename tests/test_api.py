@@ -24,7 +24,11 @@ from repro.core.pipeline_model import (
     build_pipeline_1d,
     build_pipeline_2d,
 )
-from repro.core.spectral import spectral_conv_1d, spectral_conv_2d
+from repro.baselines.pytorch_fno import (
+    pytorch_like_spectral_conv_1d,
+    pytorch_like_spectral_conv_2d,
+)
+from repro.core.compiled import CompiledSpectralConv1D, CompiledSpectralConv2D
 from repro.core.stages import FusionStage
 from repro.gpu.device import A100_SPEC, H100_SPEC, DeviceSpec
 from repro.gpu.timeline import Pipeline, speedup_percent
@@ -347,15 +351,15 @@ class TestSpectralConvFacade:
         x = (rng.standard_normal((2, 8, 32)) + 0j).astype(np.complex64)
         w = (np.eye(8) + 0j).astype(np.complex64)
         assert np.array_equal(api.spectral_conv(x, w, 8),
-                              spectral_conv_1d(x, w, 8))
+                              CompiledSpectralConv1D(w, 8)(x))
 
     def test_2d_dispatch_int_and_tuple_modes(self, rng):
         x = (rng.standard_normal((2, 4, 16, 16)) + 0j).astype(np.complex64)
         w = (np.eye(4) + 0j).astype(np.complex64)
-        expected = spectral_conv_2d(x, w, 8, 4)
+        expected = CompiledSpectralConv2D(w, 8, 4)(x)
         assert np.array_equal(api.spectral_conv(x, w, (8, 4)), expected)
         assert np.array_equal(api.spectral_conv(x, w, 8),
-                              spectral_conv_2d(x, w, 8, 8))
+                              CompiledSpectralConv2D(w, 8, 8)(x))
 
     def test_numpy_integer_modes(self, rng):
         """modes from numpy arithmetic (sweep arrays) must dispatch as
@@ -363,11 +367,21 @@ class TestSpectralConvFacade:
         x = (rng.standard_normal((2, 8, 32)) + 0j).astype(np.complex64)
         w = (np.eye(8) + 0j).astype(np.complex64)
         assert np.array_equal(api.spectral_conv(x, w, np.int64(8)),
-                              spectral_conv_1d(x, w, 8))
+                              CompiledSpectralConv1D(w, 8)(x))
         x2 = (rng.standard_normal((2, 4, 16, 16)) + 0j).astype(np.complex64)
         w2 = (np.eye(4) + 0j).astype(np.complex64)
         assert np.array_equal(api.spectral_conv(x2, w2, np.int64(8)),
-                              spectral_conv_2d(x2, w2, 8, 8))
+                              CompiledSpectralConv2D(w2, 8, 8)(x2))
+
+    def test_engine_keyword_is_gone(self, rng):
+        """One operator, one path: the ``engine=`` switch was removed, so
+        passing it is a plain ``TypeError``, not a silent no-op."""
+        x = (rng.standard_normal((2, 8, 32)) + 0j).astype(np.complex64)
+        w = (np.eye(8) + 0j).astype(np.complex64)
+        with pytest.raises(TypeError, match="engine"):
+            api.spectral_conv(x, w, 8, engine="turbo")
+        with pytest.raises(TypeError):
+            api.spectral_conv(x, w, 8, "pytorch")
 
     def test_non_integral_modes_rejected(self, rng):
         x = (rng.standard_normal((2, 8, 32)) + 0j).astype(np.complex64)
@@ -377,6 +391,61 @@ class TestSpectralConvFacade:
     def test_bad_rank_rejected(self, rng):
         with pytest.raises(ValueError, match="ndim=2"):
             api.spectral_conv(np.zeros((4, 4)), np.eye(4), 2)
+
+
+class TestSpectralConvMatchesBaseline1D:
+    @pytest.fixture
+    def case(self, rng):
+        x = rng.standard_normal((3, 10, 64)) + 1j * rng.standard_normal((3, 10, 64))
+        w = (rng.standard_normal((10, 8)) + 1j * rng.standard_normal((10, 8))) / 4
+        return x, w
+
+    def test_matches_pytorch_baseline(self, case):
+        x, w = case
+        out = api.spectral_conv(x, w, 16)
+        assert np.allclose(out, pytorch_like_spectral_conv_1d(x, w, 16),
+                           atol=1e-9)
+
+    def test_output_shape(self, case):
+        x, w = case
+        assert api.spectral_conv(x, w, 16).shape == (3, 8, 64)
+
+    def test_real_input_accepted(self, rng):
+        x = rng.standard_normal((2, 4, 32))
+        w = np.eye(4, dtype=complex)
+        out = api.spectral_conv(x, w, 8)
+        ref = pytorch_like_spectral_conv_1d(x + 0j, w, 8)
+        assert np.allclose(out, ref, atol=1e-9)
+
+    def test_identity_weight_is_lowpass(self, rng):
+        x = rng.standard_normal((1, 2, 64)) + 0j
+        w = np.eye(2, dtype=complex)
+        out = api.spectral_conv(x, w, 64)  # keep everything
+        assert np.allclose(out, x, atol=1e-9)
+
+
+class TestSpectralConvMatchesBaseline2D:
+    @pytest.fixture
+    def case(self, rng):
+        x = rng.standard_normal((2, 6, 16, 32)) + 0j
+        w = (rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))) / 3
+        return x, w
+
+    def test_matches_pytorch_baseline(self, case):
+        x, w = case
+        out = api.spectral_conv(x, w, (4, 8))
+        assert np.allclose(out, pytorch_like_spectral_conv_2d(x, w, 4, 8),
+                           atol=1e-9)
+
+    def test_output_shape(self, case):
+        x, w = case
+        assert api.spectral_conv(x, w, (4, 8)).shape == (2, 5, 16, 32)
+
+    def test_full_modes_identity(self, rng):
+        x = rng.standard_normal((1, 3, 16, 16)) + 0j
+        w = np.eye(3, dtype=complex)
+        out = api.spectral_conv(x, w, (16, 16))
+        assert np.allclose(out, x, atol=1e-9)
 
 
 class TestDeprecationShims:
@@ -392,8 +461,6 @@ class TestDeprecationShims:
         ("build_pipeline_2d", "repro.core.pipeline_model"),
         ("best_stage_1d", "repro.core.pipeline_model"),
         ("best_stage_2d", "repro.core.pipeline_model"),
-        ("spectral_conv_1d", "repro.core.spectral"),
-        ("spectral_conv_2d", "repro.core.spectral"),
     ])
     def test_legacy_name_lives_only_at_home(self, name, home):
         """A pre-facade name is no longer a root attribute — plain
@@ -408,11 +475,31 @@ class TestDeprecationShims:
             assert callable(getattr(importlib.import_module(home), name))
         assert name not in repro.__all__
 
+    @pytest.mark.parametrize("name", ["spectral_conv_1d", "spectral_conv_2d"])
+    def test_engine_switch_name_is_gone(self, name):
+        """The ``engine=`` front ends went with their module: neither the
+        package root, ``repro.core``, nor a ``repro.core.spectral``
+        module provides them any more."""
+        import importlib
+
+        import repro.core
+
+        with pytest.raises(AttributeError, match=name):
+            getattr(repro, name)
+        assert not hasattr(repro.core, name)
+        assert name not in repro.core.__all__
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.core.spectral")
+
     def test_core_imports_do_not_warn(self):
+        import importlib
+
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             from repro.core.pipeline_model import build_pipeline_1d  # noqa: F401
-            from repro.core.spectral import spectral_conv_1d  # noqa: F401
+            for gone in ("repro.core.spectral", "repro.core.fused"):
+                with pytest.raises(ModuleNotFoundError):
+                    importlib.import_module(gone)
 
     def test_star_import_does_not_warn(self):
         """`from repro import *` stays silent under -W error."""

@@ -162,6 +162,25 @@ class TestFastProfile:
         for f, e in zip(fast, exact):
             np.testing.assert_allclose(f, e, rtol=1e-4, atol=1e-4)
 
+    @pytest.mark.parametrize("profile", ["exact", "fast"])
+    @pytest.mark.parametrize("layer_args", [
+        (SpectralConv1d, (4, 4, 9), (2, 4, 16)),
+        (SpectralConv1d, (4, 4, 12), (2, 4, 16)),
+        (SpectralConv2d, (4, 4, 4, 9), (2, 4, 16, 16)),
+    ])
+    def test_symmetric_layer_modes_beyond_half_grid_refused(
+        self, rng, profile, layer_args
+    ):
+        """Both profiles share the layer's one modes-vs-grid check: the
+        fast profile used to serve a filter built from a silently
+        shortened half spectrum."""
+        cls, args, shape = layer_args
+        layer = cls(*args, rng, per_mode=False, symmetric=True)
+        x0 = rng.standard_normal(shape)
+        with Session() as s:
+            with pytest.raises(ValueError, match="symmetric filtering"):
+                s.rollout(layer, x0, steps=3, profile=profile)
+
     def test_refuses_nonsymmetric_layer(self, rng):
         layer = SpectralConv1d(8, 8, 16, rng, symmetric=False)
         x0 = rng.standard_normal((2, 8, 64)).astype(np.float32)

@@ -308,7 +308,7 @@ class TestInference:
              + 1j * rng.standard_normal((3, 8, 128))).astype(np.complex64)
         s = api.Session()
         got = s.infer((w, 32), x)
-        ref = api.spectral_conv(x, w, 32, engine="turbo")
+        ref = api.spectral_conv(x, w, 32)
         assert np.array_equal(got, ref)
         s.close()
 
@@ -541,8 +541,7 @@ class TestDtypePolicy:
              + 1j * rng.standard_normal((2, 8, 64))).astype(np.complex64)
         s = api.Session(dtype_policy="float64")
         got = s.infer((w, 16), x)
-        ref = api.spectral_conv(x.astype(np.complex128), w, 16,
-                                engine="turbo")
+        ref = api.spectral_conv(x.astype(np.complex128), w, 16)
         assert got.dtype == np.complex128
         assert np.array_equal(got, ref)
         s.close()
@@ -552,7 +551,7 @@ class TestDtypePolicy:
         x = rng.standard_normal((2, 8, 64))  # float64 request
         s = api.Session(dtype_policy="float32")
         got = s.infer((w, 16), x)
-        ref = api.spectral_conv(x.astype(np.float32), w, 16, engine="turbo")
+        ref = api.spectral_conv(x.astype(np.float32), w, 16)
         assert np.array_equal(got, ref)
         s.close()
 

@@ -4,9 +4,9 @@ loops, executor reuse, plan attachment, and the parallel sweep runner."""
 import numpy as np
 import pytest
 
-from repro.api import Runner, clear_plan_cache, plan
+from repro.api import Runner, clear_plan_cache, plan, spectral_conv
 from repro.core import compiled as core_compiled
-from repro.core import fused, legacy
+from repro.core import legacy
 from repro.core.compiled import (
     CompiledSpectralConv1D,
     CompiledSpectralConv2D,
@@ -69,8 +69,8 @@ def test_executor_1d_bit_identical(backend, dtype, batch, c_in, c_out,
     conv = CompiledSpectralConv1D(w, modes)
     ref = legacy.fused_fft_gemm_ifft_1d(x, w, modes)
     assert _bit_equal(conv(x), ref)
-    # the functional wrapper takes the same compiled path
-    assert _bit_equal(fused.fused_fft_gemm_ifft_1d(x, w, modes), ref)
+    # the facade takes the same compiled path
+    assert _bit_equal(spectral_conv(x, w, modes), ref)
 
 
 @pytest.mark.parametrize("dtype", (np.float32, np.complex64))
@@ -87,7 +87,7 @@ def test_executor_2d_bit_identical(backend, dtype, batch, c_in, c_out,
     conv = CompiledSpectralConv2D(w, mx, my)
     ref = legacy.fused_fft_gemm_ifft_2d(x, w, mx, my)
     assert _bit_equal(conv(x), ref)
-    assert _bit_equal(fused.fused_fft_gemm_ifft_2d(x, w, mx, my), ref)
+    assert _bit_equal(spectral_conv(x, w, (mx, my)), ref)
 
 
 @pytest.mark.parametrize("dtype", (np.float32, np.complex64))
@@ -96,13 +96,34 @@ def test_stage_b_and_c_wrappers_bit_identical(backend, dtype):
     x = _x((9, 11, 64), dtype, rng)
     w = _weight(11, 5, np.complex64, rng)
     assert _bit_equal(
-        fused.fused_fft_gemm_1d(x, w, 16), legacy.fused_fft_gemm_1d(x, w, 16)
+        core_compiled.fused_fft_gemm_1d(x, w, 16),
+        legacy.fused_fft_gemm_1d(x, w, 16),
     )
     xk = _x((9, 11, 16), np.complex64, rng)
     assert _bit_equal(
-        fused.fused_gemm_ifft_1d(xk, w, 64),
+        core_compiled.fused_gemm_ifft_1d(xk, w, 64),
         legacy.fused_gemm_ifft_1d(xk, w, 64),
     )
+
+
+@pytest.mark.parametrize("dtype", (np.float32, np.float64))
+def test_one_layer_path_bit_identical_to_legacy(backend, dtype):
+    """The facade and the shared-weight non-symmetric nn layers run the
+    same compiled executor: both equal the frozen legacy loops byte for
+    byte, on either backend."""
+    from repro.nn.modules import SpectralConv1d, SpectralConv2d
+
+    rng = np.random.default_rng(4)
+    x1 = _x((5, 6, 32), dtype, rng)
+    x2 = _x((3, 6, 16, 32), dtype, rng)
+    l1 = SpectralConv1d(6, 4, 8, rng, per_mode=False)
+    l2 = SpectralConv2d(6, 4, 4, 8, rng, per_mode=False)
+    ref1 = legacy.fused_fft_gemm_ifft_1d(x1, l1.weight.value, 8)
+    ref2 = legacy.fused_fft_gemm_ifft_2d(x2, l2.weight.value, 4, 8)
+    assert _bit_equal(spectral_conv(x1, l1.weight.value, 8), ref1)
+    assert _bit_equal(spectral_conv(x2, l2.weight.value, (4, 8)), ref2)
+    assert _bit_equal(l1(x1), np.ascontiguousarray(ref1.real))
+    assert _bit_equal(l2(x2), np.ascontiguousarray(ref2.real))
 
 
 def test_executor_reuse_across_calls_and_shapes(backend):

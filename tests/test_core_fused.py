@@ -1,4 +1,9 @@
-"""Tests for the fused operators: single-kernel dataflow == staged oracle."""
+"""Tests for the fused operators: single-kernel dataflow == staged oracle.
+
+The stage-D operator is the compiled executor
+(:class:`~repro.core.compiled.CompiledSpectralConv1D` / ``2D``); the
+stage-B/C partial fusions live beside it in :mod:`repro.core.compiled`.
+"""
 
 import numpy as np
 import pytest
@@ -7,13 +12,13 @@ from repro.baselines.pytorch_fno import (
     pytorch_like_spectral_conv_1d,
     pytorch_like_spectral_conv_2d,
 )
-from repro.core.fft_variant import assemble_a_tile, kloop_fft_schedule
-from repro.core.fused import (
+from repro.core.compiled import (
+    CompiledSpectralConv1D,
+    CompiledSpectralConv2D,
     fused_fft_gemm_1d,
-    fused_fft_gemm_ifft_1d,
-    fused_fft_gemm_ifft_2d,
     fused_gemm_ifft_1d,
 )
+from repro.core.fft_variant import assemble_a_tile, kloop_fft_schedule
 from repro.fft.pruned import truncated_fft
 
 
@@ -34,7 +39,7 @@ class TestFused1D:
             (batch, c_in, dim_x)
         )
         w = _weights(rng, c_in, c_out)
-        fused = fused_fft_gemm_ifft_1d(x, w, modes)
+        fused = CompiledSpectralConv1D(w, modes)(x)
         oracle = pytorch_like_spectral_conv_1d(x, w, modes)
         assert np.allclose(fused, oracle, atol=1e-9)
 
@@ -42,8 +47,8 @@ class TestFused1D:
     def test_k_tile_size_irrelevant_to_result(self, rng, k_tb):
         x = rng.standard_normal((2, 12, 64)) + 0j
         w = _weights(rng, 12, 10)
-        ref = fused_fft_gemm_ifft_1d(x, w, 16, k_tb=8)
-        out = fused_fft_gemm_ifft_1d(x, w, 16, k_tb=k_tb)
+        ref = CompiledSpectralConv1D(w, 16, k_tb=8)(x)
+        out = CompiledSpectralConv1D(w, 16, k_tb=k_tb)(x)
         assert np.allclose(out, ref, atol=1e-10)
 
     @pytest.mark.parametrize("signal_tile", [1, 2, 7, 100])
@@ -51,13 +56,13 @@ class TestFused1D:
         x = rng.standard_normal((5, 6, 32)) + 0j
         w = _weights(rng, 6, 6)
         ref = pytorch_like_spectral_conv_1d(x, w, 8)
-        out = fused_fft_gemm_ifft_1d(x, w, 8, signal_tile=signal_tile)
+        out = CompiledSpectralConv1D(w, 8, signal_tile=signal_tile)(x)
         assert np.allclose(out, ref, atol=1e-10)
 
     def test_complex64_pipeline(self, rng):
         x = (rng.standard_normal((2, 8, 64)) + 0j).astype(np.complex64)
         w = _weights(rng, 8, 8).astype(np.complex64)
-        out = fused_fft_gemm_ifft_1d(x, w, 16)
+        out = CompiledSpectralConv1D(w, 16)(x)
         assert out.dtype == np.complex64
         oracle = pytorch_like_spectral_conv_1d(x, w, 16)
         assert np.allclose(out, oracle, atol=1e-4)
@@ -77,19 +82,19 @@ class TestFused1D:
         # B then a pruned iFFT on the spectrum equals the fully fused D.
         spectrum = truncated_fft(x, 16, axis=-1)
         via_c = fused_gemm_ifft_1d(spectrum, w, 64)
-        via_d = fused_fft_gemm_ifft_1d(x, w, 16)
+        via_d = CompiledSpectralConv1D(w, 16)(x)
         assert np.allclose(via_c, via_d, atol=1e-9)
 
     @pytest.mark.parametrize("modes", [0, 65])
     def test_modes_validation(self, rng, modes):
         x = rng.standard_normal((1, 4, 64)) + 0j
         with pytest.raises(ValueError):
-            fused_fft_gemm_ifft_1d(x, _weights(rng, 4, 4), modes)
+            CompiledSpectralConv1D(_weights(rng, 4, 4), modes)(x)
 
     def test_weight_mismatch_rejected(self, rng):
         x = rng.standard_normal((1, 4, 64)) + 0j
         with pytest.raises(ValueError):
-            fused_fft_gemm_ifft_1d(x, _weights(rng, 5, 4), 16)
+            CompiledSpectralConv1D(_weights(rng, 5, 4), 16)(x)
 
 
 class TestFused2D:
@@ -101,22 +106,23 @@ class TestFused2D:
     def test_matches_pytorch_oracle(self, rng, shape, modes):
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         w = _weights(rng, shape[1], shape[1] - 1)
-        fused = fused_fft_gemm_ifft_2d(x, w, *modes)
+        fused = CompiledSpectralConv2D(w, *modes)(x)
         oracle = pytorch_like_spectral_conv_2d(x, w, *modes)
         assert np.allclose(fused, oracle, atol=1e-9)
 
     def test_tiling_invariance(self, rng):
         x = rng.standard_normal((2, 6, 16, 32)) + 0j
         w = _weights(rng, 6, 6)
-        ref = fused_fft_gemm_ifft_2d(x, w, 4, 8)
+        ref = CompiledSpectralConv2D(w, 4, 8)(x)
         for k_tb, tile in [(2, 3), (6, 1), (8, 100)]:
-            out = fused_fft_gemm_ifft_2d(x, w, 4, 8, k_tb=k_tb, signal_tile=tile)
+            out = CompiledSpectralConv2D(w, 4, 8, k_tb=k_tb,
+                                         signal_tile=tile)(x)
             assert np.allclose(out, ref, atol=1e-10)
 
     def test_modes_validation(self, rng):
         x = rng.standard_normal((1, 4, 16, 16)) + 0j
         with pytest.raises(ValueError):
-            fused_fft_gemm_ifft_2d(x, _weights(rng, 4, 4), 32, 8)
+            CompiledSpectralConv2D(_weights(rng, 4, 4), 32, 8)(x)
 
 
 class TestKLoopVariant:

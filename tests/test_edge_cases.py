@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.api import Session
+from repro.core.compiled import CompiledSpectralConv1D
 from repro.core.config import FNO1DProblem, TurboFNOConfig
 from repro.core.dtypes import complex_dtype_for
-from repro.core.fused import fused_fft_gemm_ifft_1d
 from repro.core.pipeline_model import build_pipeline_1d, turbo_fft_kernel
 from repro.core.stages import FusionStage
 from repro.fft.plan import FFTPlan
@@ -21,28 +21,28 @@ class TestDegenerateShapes:
     def test_single_signal_single_channel(self, rng):
         x = rng.standard_normal((1, 1, 4)) + 0j
         w = np.ones((1, 1), dtype=complex)
-        out = fused_fft_gemm_ifft_1d(x, w, 4)
+        out = CompiledSpectralConv1D(w, 4)(x)
         assert np.allclose(out, x, atol=1e-10)  # identity low-pass
 
     def test_modes_equal_one(self, rng):
         """Keeping one bin projects onto the mean (DC) component."""
         x = rng.standard_normal((2, 3, 16)) + 0j
         w = np.eye(3, dtype=complex)
-        out = fused_fft_gemm_ifft_1d(x, w, 1)
+        out = CompiledSpectralConv1D(w, 1)(x)
         expected = np.mean(x, axis=-1, keepdims=True) * np.ones_like(x)
         assert np.allclose(out, expected, atol=1e-10)
 
     def test_length_two_fft_pipeline(self, rng):
         x = rng.standard_normal((1, 2, 2)) + 0j
         w = np.eye(2, dtype=complex)
-        out = fused_fft_gemm_ifft_1d(x, w, 2)
+        out = CompiledSpectralConv1D(w, 2)(x)
         assert np.allclose(out, x, atol=1e-12)
 
     def test_wide_output_projection(self, rng):
         """C_out >> C_in works (rectangular weights)."""
         x = rng.standard_normal((2, 2, 8)) + 0j
         w = rng.standard_normal((2, 17)) + 0j
-        assert fused_fft_gemm_ifft_1d(x, w, 4).shape == (2, 17, 8)
+        assert CompiledSpectralConv1D(w, 4)(x).shape == (2, 17, 8)
 
 
 class TestModelEdgeCases:
@@ -116,13 +116,13 @@ class TestNumericalRobustness:
     def test_fused_with_zero_input(self):
         x = np.zeros((2, 4, 16), dtype=complex)
         w = np.ones((4, 4), dtype=complex)
-        out = fused_fft_gemm_ifft_1d(x, w, 8)
+        out = CompiledSpectralConv1D(w, 8)(x)
         assert np.all(out == 0)
 
     def test_fused_with_large_magnitudes(self, rng):
         x = (rng.standard_normal((2, 4, 32)) * 1e6) + 0j
         w = np.eye(4, dtype=complex) * 1e-6
-        out = fused_fft_gemm_ifft_1d(x, w, 16)
+        out = CompiledSpectralConv1D(w, 16)(x)
         assert np.all(np.isfinite(out))
 
     def test_truncated_fft_preserves_nan_policy(self):

@@ -8,9 +8,9 @@ by the same problem geometry the numerics ran.
 import numpy as np
 import pytest
 
+from repro import api
 from repro.core.config import FNO1DProblem
 from repro.core.pipeline_model import build_pipeline_1d
-from repro.core.spectral import spectral_conv_1d
 from repro.core.stages import FusionStage
 from repro.nn import Adam, CosineLR, FNO1d, clip_grad_norm, train
 from repro.nn.trainer import evaluate
@@ -63,7 +63,7 @@ class TestNumericsMeetModel:
         batch, hidden, dim_x = 4, 16, 64
         x = rng.standard_normal((batch, hidden, dim_x)) + 0j
         w = np.eye(hidden, dtype=complex)
-        y = spectral_conv_1d(x, w, modes, engine="turbo")
+        y = api.spectral_conv(x, w, modes)
         assert y.shape == (batch, hidden, dim_x)
 
         prob = FNO1DProblem(batch=batch, hidden=hidden, dim_x=dim_x,
@@ -76,7 +76,7 @@ class TestNumericsMeetModel:
     def test_truncation_shrinks_both_sides_together(self, rng):
         """Fewer modes => numerics produce a smaller spectrum AND the model
         moves proportionally fewer intermediate bytes."""
-        from repro.core.fused import fused_fft_gemm_1d
+        from repro.core.compiled import fused_fft_gemm_1d
 
         batch, hidden, dim_x = 4, 16, 64
         x = rng.standard_normal((batch, hidden, dim_x)) + 0j

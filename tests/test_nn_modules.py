@@ -8,6 +8,10 @@ complex spectral weights).
 import numpy as np
 import pytest
 
+from repro.baselines.pytorch_fno import (
+    pytorch_like_spectral_conv_1d,
+    pytorch_like_spectral_conv_2d,
+)
 from repro.nn.modules import GELU, Dense, Parameter, SpectralConv1d, SpectralConv2d
 
 EPS = 1e-6
@@ -139,6 +143,15 @@ class TestSpectralConv1d:
         with pytest.raises(ValueError):
             SpectralConv1d(0, 2, 4, rng)
 
+    @pytest.mark.parametrize("modes", [3, 5])
+    def test_shared_weight_non_power_of_two_modes(self, rng, modes):
+        """The C2C executor cannot prune a non-power-of-two mode count;
+        the layer falls back to the einsum path, same operator."""
+        m = SpectralConv1d(3, 4, modes, rng, per_mode=False)
+        x = rng.standard_normal((2, 3, 16))
+        ref = pytorch_like_spectral_conv_1d(x, m.weight.value, modes).real
+        assert np.allclose(m(x), ref, atol=1e-10)
+
 
 class TestSpectralConv2d:
     @pytest.mark.parametrize("per_mode", [True, False])
@@ -150,6 +163,17 @@ class TestSpectralConv2d:
     def test_weight_gradient(self, rng, per_mode):
         m = SpectralConv2d(2, 2, 2, 4, rng, per_mode=per_mode)
         _param_gradcheck(m, rng.standard_normal((2, 2, 8, 16)), m.weight, rng)
+
+    @pytest.mark.parametrize("modes", [(3, 4), (4, 3), (6, 5)])
+    def test_shared_weight_non_power_of_two_modes(self, rng, modes):
+        """Shared-weight C2C layers take the executor only when every
+        axis prunes; otherwise the einsum path (these used to raise
+        ``n_keep must be a power of two``)."""
+        m = SpectralConv2d(3, 4, *modes, rng, per_mode=False)
+        x = rng.standard_normal((2, 3, 16, 16))
+        ref = pytorch_like_spectral_conv_2d(x, m.weight.value, *modes).real
+        assert np.allclose(m(x), ref, atol=1e-10)
+        _input_gradcheck(m, x, rng)
 
     def test_rectangular_modes(self, rng):
         m = SpectralConv2d(2, 5, 2, 8, rng)

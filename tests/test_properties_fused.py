@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.pytorch_fno import pytorch_like_spectral_conv_1d
+from repro.core.compiled import CompiledSpectralConv1D
 from repro.core.config import FNO1DProblem, FNO2DProblem
-from repro.core.fused import fused_fft_gemm_ifft_1d
 from repro.core.pipeline_model import build_pipeline_1d, build_pipeline_2d
 from repro.core.stages import FusionStage
 
@@ -47,8 +47,8 @@ class TestFusedEqualsOracle:
         )
         w = (rng.standard_normal((c_in, c_out))
              + 1j * rng.standard_normal((c_in, c_out))) / max(c_in, 1)
-        fused = fused_fft_gemm_ifft_1d(x, w, modes, k_tb=k_tb,
-                                       signal_tile=tile)
+        fused = CompiledSpectralConv1D(w, modes, k_tb=k_tb,
+                                       signal_tile=tile)(x)
         oracle = pytorch_like_spectral_conv_1d(x, w, modes)
         scale = 1 + np.abs(oracle).max()
         assert np.allclose(fused, oracle, atol=1e-8 * scale)

@@ -19,12 +19,13 @@ class TestTopLevel:
     def test_headline_workflow(self):
         """The README's quickstart snippet, condensed — via the facade."""
         from repro import FNO1DProblem, FusionStage, api
+        from repro.baselines import pytorch_like_spectral_conv_1d
 
         rng = np.random.default_rng(0)
         x = rng.standard_normal((2, 8, 32)).astype(np.complex64)
         w = (np.eye(8) + 0j).astype(np.complex64)
-        y1 = api.spectral_conv(x, w, modes=8, engine="turbo")
-        y2 = api.spectral_conv(x, w, modes=8, engine="pytorch")
+        y1 = api.spectral_conv(x, w, modes=8)
+        y2 = pytorch_like_spectral_conv_1d(x, w, 8)
         assert np.allclose(y1, y2, atol=1e-4)
 
         prob = FNO1DProblem.from_m_spatial(2**16, 64, 128, 64)
@@ -54,6 +55,23 @@ class TestTopLevel:
         assert not hasattr(repro.fft, "fft_radix4")
         assert "fft_radix4" not in repro.fft.__all__
 
+    def test_engine_switch_modules_are_gone(self):
+        """``repro.core.spectral`` (the ``engine=`` switch) and
+        ``repro.core.fused`` (wrappers over the compiled executors) were
+        removed: neither module nor their ``repro.core`` exports
+        remain."""
+        import importlib
+
+        import repro.core
+
+        for module in ("repro.core.spectral", "repro.core.fused"):
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(module)
+        for name in ("spectral_conv_1d", "spectral_conv_2d",
+                     "fused_fft_gemm_ifft_1d", "fused_fft_gemm_ifft_2d"):
+            assert not hasattr(repro.core, name), name
+            assert name not in repro.core.__all__
+
 
 class TestSubpackageExports:
     @pytest.mark.parametrize("module,names", [
@@ -63,9 +81,8 @@ class TestSubpackageExports:
                         "gemm_counters"]),
         ("repro.gpu", ["A100_SPEC", "DeviceSpec", "KernelSpec", "Pipeline",
                        "SharedMemoryBankModel"]),
-        ("repro.core", ["spectral_conv_1d", "spectral_conv_2d",
-                        "fused_fft_gemm_ifft_1d", "FusionStage",
-                        "TurboFNOConfig"]),
+        ("repro.core", ["CompiledSpectralConv1D", "compile_spectral_conv",
+                        "FusionStage", "TurboFNOConfig"]),
         ("repro.nn", ["FNO1d", "FNO2d", "Adam", "SGD", "StepLR", "CosineLR",
                       "clip_grad_norm", "train"]),
         ("repro.pde", ["grf_1d", "grf_2d", "solve_burgers", "solve_darcy",
@@ -96,8 +113,8 @@ class TestSubpackageExports:
         import inspect
 
         for module in ("repro.fft.stockham", "repro.fft.pruned",
-                       "repro.gemm.blocked", "repro.core.fused",
-                       "repro.core.spectral", "repro.gpu.kernel",
+                       "repro.gemm.blocked", "repro.core.compiled",
+                       "repro.gpu.kernel",
                        "repro.nn.modules", "repro.pde.burgers",
                        "repro.api.planner", "repro.api.registry",
                        "repro.api.runner", "repro.api.ops",
