@@ -12,6 +12,13 @@ to the legacy loops (property-tested): the executors replay the same
 tile/panel accumulation order, so not a single floating-point operation
 changes, only where the operands live.
 
+The fused C2C dataflow (the 1-D executor, and the 2-D executor's
+per-pencil stage) runs each signal tile as one call into the C tile
+driver ``fused_tile_c2c_1d`` when the C kernels are loaded — TurboFNO's
+one FFT -> CGEMM -> iFFT kernel, with each signal row streamed through
+the stages in cache.  Without them the same tiles run through a Python
+loop over NumPy stages, which is also the driver's oracle.
+
 Every shared-weight Fourier layer outside :class:`repro.api.Session`
 runs through these executors: :func:`repro.api.spectral_conv` and the
 shared-weight :mod:`repro.nn` layers build one per call, which still
@@ -94,13 +101,23 @@ def _check_inputs(x: np.ndarray, weight: np.ndarray, ndim: int) -> None:
         )
 
 
+def _check_k_tb(k_tb: int) -> None:
+    # k_tb <= 0 would otherwise surface as a ZeroDivisionError, a NumPy
+    # shape error or, with no k-panels at all, an all-zero output.
+    if k_tb < 1:
+        raise ValueError(f"k_tb must be positive, got {k_tb}")
+
+
 class _StagedFused1D:
     """Everything a fused 1-D pass needs, staged for one (dtype, dim_x).
 
     Replays the exact legacy dataflow (tile loop -> k-loop -> epilogue)
     with all per-call setup hoisted: pre-cast weight panels, cached FFT
     plans for the kept-mode length, pre-cast decomposition twiddles, and
-    tile-sized reusable workspaces.
+    reusable workspaces.  With the C kernels loaded, :meth:`run_fused`
+    makes one tile-driver call per signal tile (workspaces for one
+    streamed row); otherwise it runs the Python stage loop (workspaces
+    for one tile), the NumPy fallback and the driver's oracle.
 
     ``k_block`` widens the *staging* granularity without touching the
     arithmetic: up to ``k_block`` channels (a whole multiple of the
@@ -141,8 +158,11 @@ class _StagedFused1D:
         self.c_out = c_out
         self.p = dim_x // modes
         self.plans = plans if plans is not None else current_plan_caches()
-        # the hoisted weight cast: once at staging, not per tile
-        self.panels = _weight_panels(weight, k_tb, dtype)
+        # the hoisted weight cast: once at staging, not per tile; the C
+        # tile driver takes the whole (C_in, C_out) cast, the Python
+        # loop its k-panels
+        self.weight = weight.astype(dtype, order="C")
+        self.panels = _weight_panels(self.weight, k_tb, dtype)
         # Consecutive same-width panels grouped per staging pass.  Only
         # the last panel can be ragged, so it always forms its own
         # (singleton) group and every other group is uniform-width.
@@ -154,25 +174,34 @@ class _StagedFused1D:
             )
         else:
             self.wd_f = None
-        # The inverse side and the tile workspaces are staged lazily:
-        # the forward-only stage-B pass never touches them.
+        # The inverse side and the workspaces are staged lazily: the
+        # forward-only stage-B pass never touches them, and each backend
+        # sizes its own.
         self.inv = None
         self.wd_i = None
         self._gather = None
+        self._driver_ops = None
+        self._x_tile = None
 
-    def _ensure_tiles(self) -> None:
-        """Stage the epilogue tables and per-tile workspaces (lazily:
-        only the fully fused pass needs them)."""
-        if self._gather is not None:
+    def _ensure_inverse(self) -> None:
+        """Stage the epilogue's inverse plan and twiddles."""
+        if self.inv is not None:
             return
-        dtype, modes = self.dtype, self.modes
-        self.inv = self.plans.fft(modes, dtype, inverse=True)
+        self.inv = self.plans.fft(self.modes, self.dtype, inverse=True)
         if self.p > 1:
             self.wd_i = np.ascontiguousarray(
                 decomposition_twiddles(
-                    self.dim_x, self.p, modes, inverse=True
-                ).astype(dtype)
+                    self.dim_x, self.p, self.modes, inverse=True
+                ).astype(self.dtype)
             )
+
+    def _ensure_tiles(self) -> None:
+        """Stage the epilogue tables and the Python loop's per-tile
+        workspaces (lazily: only the fully fused pass needs them)."""
+        if self._gather is not None:
+            return
+        self._ensure_inverse()
+        dtype, modes = self.dtype, self.modes
         # Reusable ping-pong workspaces, sized for one signal tile.
         rows = self.signal_tile * max(self.k_block, self.c_out) * self.p
         self._gather = np.empty((rows, modes), dtype)
@@ -242,8 +271,53 @@ class _StagedFused1D:
 
     # -- whole passes ---------------------------------------------------
 
+    def _run_driver(self, x: np.ndarray, kernels) -> np.ndarray:
+        """:meth:`run_fused` on the C tile driver: one checked kernel
+        call runs a whole signal tile, streaming its rows through every
+        stage, so the workspaces hold one row (see ``_kernels.c``)."""
+        if self._driver_ops is None:
+            self._ensure_inverse()
+            dtype, p, modes = self.dtype, self.p, self.modes
+            row = max(self.k_block, self.c_out) * self.dim_x
+            none = np.empty(0, dtype)
+            self._driver_ops = (
+                self.fwd.twiddles, self.inv.twiddles,
+                none if p == 1 else self.wd_f, none if p == 1 else self.wd_i,
+                np.empty(row, dtype), np.empty(row, dtype),
+                np.empty(row, dtype),
+                np.empty(self.k_block * modes if p > 1 else 0, dtype),
+                np.empty(self.c_out * modes, dtype),
+            )
+        batch = x.shape[0]
+        out = np.empty((batch, self.c_out, self.dim_x), self.dtype)
+        geometry = (self.c_in, self.c_out, self.dim_x, self.modes,
+                    self.k_tb, self.k_block)
+        # Other layouts and dtypes are copied one tile at a time into a
+        # reusable tile buffer; a real input widens exactly.
+        convert = x.dtype != self.dtype or not x.flags.c_contiguous
+        if convert and self._x_tile is None:
+            self._x_tile = np.empty(
+                (self.signal_tile, self.c_in, self.dim_x), self.dtype
+            )
+        for b0 in range(0, batch, self.signal_tile):
+            b1 = min(b0 + self.signal_tile, batch)
+            tile = x[b0:b1]
+            if convert:
+                tile = self._x_tile[: b1 - b0]
+                np.copyto(tile, x[b0:b1], casting="unsafe")
+            kernels.fused_tile_c2c_1d(tile, self.weight, *self._driver_ops,
+                                      out[b0:b1], b1 - b0, *geometry)
+        return out
+
     def run_fused(self, x: np.ndarray) -> np.ndarray:
-        """Stage D: the fully fused FFT -> CGEMM -> iFFT pass."""
+        """Stage D: the fully fused FFT -> CGEMM -> iFFT pass.
+
+        With the C kernels loaded each signal tile is one driver call;
+        otherwise the Python stage loop below runs it, which is also the
+        oracle the driver is tested against."""
+        kernels = self.plans.kernels()
+        if kernels is not None:
+            return self._run_driver(x, kernels)
         self._ensure_tiles()
         batch = x.shape[0]
         out = np.empty((batch, self.c_out, self.dim_x), self.dtype)
@@ -297,6 +371,7 @@ def fused_fft_gemm_1d(
     ``(batch, C_out, modes)`` — what the fused kernel would hand to a
     separate iFFT kernel.
     """
+    _check_k_tb(k_tb)
     x = np.asarray(x)
     weight = np.asarray(weight)
     _check_inputs(x, weight, 3)
@@ -320,6 +395,7 @@ def fused_gemm_ifft_1d(
     never materialises: the epilogue's pruned inverse transform consumes
     the C tile straight from "shared memory".
     """
+    _check_k_tb(k_tb)
     xk_low = np.asarray(xk_low)
     weight = np.asarray(weight)
     _check_inputs(xk_low, weight, 3)
@@ -775,6 +851,7 @@ class CompiledSpectralConv1D:
             )
         if modes < 1:
             raise ValueError(f"modes must be positive, got {modes}")
+        _check_k_tb(k_tb)
         self.weight = weight
         self.modes = modes
         self.k_tb = k_tb
@@ -1022,6 +1099,7 @@ class CompiledSpectralConv2D:
             raise ValueError(
                 f"modes must be positive, got ({modes_x}, {modes_y})"
             )
+        _check_k_tb(k_tb)
         self.weight = weight
         self.modes_x = modes_x
         self.modes_y = modes_y

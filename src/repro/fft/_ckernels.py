@@ -8,11 +8,22 @@ all result in :func:`get_kernels` returning ``None`` and the plan layer
 falling back to the pure-NumPy execution path (same bytes, less speed).
 
 Because the kernels promise *byte-identical* results to the legacy NumPy
-path, the loader validates them at load time: each floating-point
-recurrence (FMA complex multiply, naive sequential einsum contraction,
-chained scalar scaling) is checked against NumPy on probe data, as are
-the pruned R2C/C2R staging kernels against the NumPy compositions they
-replace, and the library is rejected on any mismatch.
+path, the loader validates them at load time (:func:`_self_check`) and
+rejects the library on any mismatch:
+
+* ``stockham`` against the legacy NumPy stage loop, forward and
+  inverse, with and without the chained ``/ div_by`` and ``* mul_by``;
+* ``panel_contract`` and ``decomp_reduce`` against their einsums (naive
+  sequential contraction) across a full tile plus a tail, and
+  ``expand_mul`` against the ufunc's FMA complex multiply;
+* the pruned R2C/C2R staging kernels (``transpose``, ``decomp_mirror``,
+  ``expand_head_tail``) against the NumPy compositions they replace;
+* the fused C2C tile driver ``fused_tile_c2c_1d`` against the same tile
+  composed from the per-stage kernels above, for ``p = 1`` and
+  ``p > 1``, a ragged tail panel, ``k_block = 2 * k_tb`` and a partial
+  last tile.
+
+Every probe runs in both precisions.
 
 Environment knobs
 -----------------
@@ -162,7 +173,8 @@ class _Kernels:
             for name, nptr, nlong in (
                     ("panel_contract", 3, 4), ("decomp_reduce", 3, 3),
                     ("expand_mul", 3, 3), ("transpose", 2, 3),
-                    ("decomp_mirror", 4, 4), ("expand_head_tail", 6, 4)):
+                    ("decomp_mirror", 4, 4), ("expand_head_tail", 6, 4),
+                    ("fused_tile_c2c_1d", 12, 7)):
                 fn = getattr(lib, f"{name}_{suffix}")
                 fn.argtypes = [ptr] * nptr + [ctypes.c_long] * nlong
                 fn.restype = None
@@ -241,6 +253,53 @@ class _Kernels:
                               (out, batch * s * q))
         fn(*ptrs, batch, m, s, q)
 
+    def fused_tile_c2c_1d(self, x: np.ndarray, w: np.ndarray,
+                          tw_fwd: np.ndarray, tw_inv: np.ndarray,
+                          wd_fwd: np.ndarray, wd_inv: np.ndarray,
+                          gather: np.ndarray, fftbuf: np.ndarray,
+                          scratch: np.ndarray, spec: np.ndarray,
+                          acc: np.ndarray, out: np.ndarray, bt: int,
+                          c_in: int, c_out: int, dim_x: int, modes: int,
+                          k_tb: int, k_block: int) -> None:
+        """One signal tile of the fused 1-D C2C pass: ``out[bt, c_out,
+        dim_x]`` from ``x[bt, c_in, dim_x]`` and the ``(c_in, c_out)``
+        weight ``w``, with ``dim_x = p * modes`` (see ``_kernels.c``).
+        ``tw_*`` are the Stockham stage tables of length ``modes``,
+        ``wd_*`` the ``(p, modes)`` decomposition twiddles (unused, and
+        may be empty, when ``p == 1``); the workspaces hold one signal
+        row: ``gather``, ``fftbuf`` and ``scratch`` ``max(k_block,
+        c_out) * dim_x`` elements, ``spec`` ``k_block * modes`` (``p >
+        1``) and ``acc`` ``c_out * modes``."""
+        if modes < 1 or modes & (modes - 1):
+            raise ValueError(
+                f"fused_tile_c2c_1d: modes={modes} is not a power of two"
+            )
+        p = dim_x // modes
+        if p < 1 or dim_x != p * modes:
+            raise ValueError(
+                f"fused_tile_c2c_1d: dim_x={dim_x} is not a multiple of "
+                f"modes={modes}"
+            )
+        if not 1 <= k_tb <= k_block or k_block % k_tb:
+            raise ValueError(
+                f"fused_tile_c2c_1d: k_block={k_block} is not a whole "
+                f"multiple of k_tb={k_tb} >= 1"
+            )
+        if bt < 0 or c_in < 1 or c_out < 1:
+            raise ValueError(
+                f"fused_tile_c2c_1d: bad extents bt={bt}, c_in={c_in}, "
+                f"c_out={c_out}"
+            )
+        row = max(k_block, c_out) * dim_x
+        wd = p * modes if p > 1 else 0
+        fn, ptrs = self._bind(
+            "fused_tile_c2c_1d", (x, bt * c_in * dim_x), (w, c_in * c_out),
+            (tw_fwd, modes - 1), (tw_inv, modes - 1), (wd_fwd, wd),
+            (wd_inv, wd), (gather, row), (fftbuf, row), (scratch, row),
+            (spec, k_block * modes if p > 1 else 0), (acc, c_out * modes),
+            (out, bt * c_out * dim_x))
+        fn(*ptrs, bt, c_in, c_out, dim_x, modes, k_tb, k_block)
+
 
 #: (n, rows, inverse, div_by, mul_by) full-transform probes of the
 #: Stockham kernel.  Together they reach every pass kind of the AVX2
@@ -258,6 +317,64 @@ _STOCKHAM_PROBES = [
     (32, 3, True, 32.0, 0.375),
     (64, 2, False, 64.0, None),
 ]
+
+
+#: (batch, c_in, c_out, modes, p, k_tb, k_block, signal_tile) probes of
+#: the fused C2C tile driver: p = 1 and p > 1, each with a ragged tail
+#: panel (c_in = 5 at k_tb = 2), k_block = 2 * k_tb, and a partial last
+#: tile (3 rows in tiles of 2).
+_FUSED_TILE_PROBES = [
+    (3, 5, 3, 16, 1, 2, 4, 2),
+    (3, 5, 3, 16, 4, 2, 4, 2),
+]
+
+
+def _stage_table(n: int, dtype, inverse: bool) -> np.ndarray:
+    """The concatenated per-stage half tables a compiled plan passes."""
+    from repro.fft.twiddle import stage_twiddles
+
+    return np.concatenate([
+        stage_twiddles(2 << s, inverse=inverse).astype(dtype)
+        for s in range(n.bit_length() - 1)
+    ])
+
+
+def _fused_tile_by_stages(k: _Kernels, x: np.ndarray, w: np.ndarray,
+                          tables, modes: int, k_tb: int) -> np.ndarray:
+    """One tile of the fused C2C pass composed from the per-stage
+    kernels, one ``k_tb`` panel at a time with NumPy gathers and scatters,
+    as the executor's Python stage loop runs it: the driver's oracle.
+    ``tables`` is ``(tw_fwd, tw_inv, wd_fwd, wd_inv)``."""
+    tw_fwd, tw_inv, wd_fwd, wd_inv = tables
+    bt, c_in, dim_x = x.shape
+    c_out, p = w.shape[1], dim_x // modes
+    acc = np.zeros((bt, c_out, modes), x.dtype)
+    for k0 in range(0, c_in, k_tb):
+        kt = min(k_tb, c_in - k0)
+        rows = bt * kt * p
+        gat = np.ascontiguousarray(
+            x[:, k0:k0 + kt].reshape(bt, kt, modes, p).swapaxes(2, 3)
+        )
+        a = np.empty((rows, modes), x.dtype)
+        k.stockham(gat, a, np.empty_like(a), tw_fwd, rows, modes,
+                   None, None)
+        if p > 1:
+            f, a = a, np.empty((bt * kt, modes), x.dtype)
+            k.decomp_reduce(f, wd_fwd, a, bt * kt, p, modes)
+        k.panel_contract(a, np.ascontiguousarray(w[k0:k0 + kt]), acc,
+                         bt, kt, modes, c_out)
+    rows = bt * c_out * p
+    e = np.empty((rows, modes), x.dtype)
+    if p > 1:
+        k.expand_mul(acc, wd_inv, e, bt * c_out, p, modes)
+    else:
+        e[...] = acc.reshape(rows, modes)
+    y = np.empty_like(e)
+    k.stockham(e, y, np.empty_like(e), tw_inv, rows, modes, float(modes),
+               float(modes / dim_x) if p > 1 else None)
+    return y.reshape(bt, c_out, p, modes).swapaxes(2, 3).reshape(
+        bt, c_out, dim_x
+    )
 
 
 def _unfused_tail_probe(dtype) -> tuple[np.ndarray, ...]:
@@ -293,7 +410,7 @@ def _self_check(k: _Kernels) -> bool:
     """
     from repro.fft import compiled
     from repro.fft.legacy import _stockham_last_axis
-    from repro.fft.twiddle import stage_twiddles
+    from repro.fft.twiddle import decomposition_twiddles
 
     rng = np.random.default_rng(0xC0FFEE)
     for dtype in (np.complex64, np.complex128):
@@ -309,10 +426,7 @@ def _self_check(k: _Kernels) -> bool:
                 ref = ref / div_by
             if mul_by is not None:
                 ref = ref * mul_by
-            tw = np.concatenate([
-                stage_twiddles(2 << s, inverse=inverse).astype(dtype)
-                for s in range(n.bit_length() - 1)
-            ])
+            tw = _stage_table(n, dtype, inverse)
             out = np.empty_like(x)
             scratch = np.empty_like(x)
             k.stockham(x, out, scratch, tw, rows, n, div_by, mul_by)
@@ -367,6 +481,29 @@ def _self_check(k: _Kernels) -> bool:
             k.expand_head_tail(*ops, got, batch, m, s, q)
             if not _same_bits(ref, got):
                 return False
+        # The fused C2C tile driver against the per-stage composition,
+        # one tile at a time.
+        for (batch, c_in, c_out, modes, p, k_tb, k_block,
+             tile) in _FUSED_TILE_PROBES:
+            dim_x = p * modes
+            x, w = cplx(batch, c_in, dim_x), cplx(c_in, c_out)
+            tables = [_stage_table(modes, dtype, inv) for inv in (False, True)]
+            tables += [np.ascontiguousarray(decomposition_twiddles(
+                dim_x, p, modes, inverse=inv).astype(dtype))
+                for inv in (False, True)]
+            row = max(k_block, c_out) * dim_x
+            work = [np.empty(size, dtype) for size in
+                    (row, row, row, k_block * modes, c_out * modes)]
+            got = np.empty((batch, c_out, dim_x), dtype)
+            for b0 in range(0, batch, tile):
+                b1 = min(b0 + tile, batch)
+                k.fused_tile_c2c_1d(x[b0:b1], w, *tables, *work,
+                                    got[b0:b1], b1 - b0, c_in, c_out,
+                                    dim_x, modes, k_tb, k_block)
+                ref = _fused_tile_by_stages(k, x[b0:b1], w, tables,
+                                            modes, k_tb)
+                if not _same_bits(ref, got[b0:b1]):
+                    return False
     return True
 
 

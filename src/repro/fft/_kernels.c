@@ -37,6 +37,17 @@
  *                        ch[0]; tb[:, q - r] = conj(x[:, r]) * ct;
  *                        out = hb[:, None] * wdh + tb[:, None] * wdt.
  *
+ * The fused 1-D C2C executor runs one signal tile per call through the
+ * driver fused_tile_c2c_1d at the end of this file: gather, forward
+ * Stockham, decomp_reduce, panel_contract in canonical k_tb panel order,
+ * expand_mul, inverse Stockham and scatter, calling the kernels above
+ * on the operands the executor's Python stage loop passes them.  It
+ * streams each signal row through all stages, so a row's working set
+ * stays in cache; every stage is row-independent and each row's panels
+ * keep their order, so the bits are the stage loop's.  The driver is
+ * not FMA_TARGET, so it can never contract the einsum replicas it
+ * calls (see there).
+ *
  * The file is compiled with -ffp-contract=off and WITHOUT -mfma: GCC's
  * vectorizer introduces FMAs into plain expressions whenever the FMA ISA
  * is enabled globally (even under -ffp-contract=off), which would break
@@ -502,12 +513,24 @@ EXPAND_MUL(expand_mul_f64, double, fma)
 
 /* dst[b,c,r] = src[b,r,c] over complex values: a pure copy.  This is
  * `dst[...] = np.swapaxes(src, -1, -2)`: the pruned R2C gather of the P
- * subsequences and the pruned C2R interleave into the packed output. */
+ * subsequences, the pruned C2R interleave into the packed output, and
+ * the fused C2C tile driver's gather and scatter.  The inner loop runs
+ * over the longer of the two axes (the other is often a split of 2-8). */
 #define TRANSPOSE(NAME, T)                                               \
 void NAME(const T* src, T* dst, long B, long R, long C) {                \
     for (long b = 0; b < B; b++) {                                       \
         const T* sb = src + 2*b*R*C;                                     \
         T* db = dst + 2*b*R*C;                                           \
+        if (C > R) {                                                     \
+            for (long r = 0; r < R; r++) {                               \
+                const T* sp = sb + 2*r*C;                                \
+                for (long c = 0; c < C; c++) {                           \
+                    db[2*(c*R + r)] = sp[2*c];                           \
+                    db[2*(c*R + r)+1] = sp[2*c+1];                       \
+                }                                                        \
+            }                                                            \
+            continue;                                                    \
+        }                                                                \
         for (long c = 0; c < C; c++) {                                   \
             T* dp = db + 2*c*R;                                          \
             for (long r = 0; r < R; r++) {                               \
@@ -671,3 +694,87 @@ FMA_TARGET void NAME(const T* x, const T* ch, const T* ct,               \
 
 EXPAND_HEAD_TAIL(expand_head_tail_f32, float, fmaf, cmul_unfused_f32)
 EXPAND_HEAD_TAIL(expand_head_tail_f64, double, fma, cmul_unfused_f64)
+
+/* ------------------------------------------------------------------ */
+/* Fused C2C tile driver (FFT -> CGEMM -> iFFT in one call)            */
+/* ------------------------------------------------------------------ */
+
+/* One signal tile of the fused 1-D C2C pass, x[bt, c_in, dim_x] ->
+ * out[bt, c_out, dim_x] with dim_x = p * modes: the stage loop of
+ * repro.core.compiled._StagedFused1D.run_fused, one kernel call per
+ * stage replaced by one call per tile.  Each signal row streams through
+ * the stages, so its working set stays in cache:
+ *   for each group of up to k_block input channels:
+ *     gather   : g[k, j, m] = x[b, g0+k, m*p + j]         (transpose)
+ *     FFT      : forward Stockham over the group's k*p rows
+ *     reduce   : a[k, m] = sum_j f[k, j, m] * wd_fwd[j, m] (decomp_reduce)
+ *     contract : acc[o, m] += sum_k a[k, m] * w[g0+k, o], one k_tb
+ *                panel at a time in channel order           (panel_contract)
+ *   expand   : g[o, j, m] = acc[o, m] * wd_inv[j, m]        (expand_mul)
+ *   iFFT     : inverse Stockham, / modes then * (modes / dim_x)
+ *   scatter  : out[b, o, m*p + j] = f[o, j, m]              (transpose)
+ * With p = 1 the FFT reads x and the iFFT writes out directly (the
+ * gather and the staging copy are pure copies) and there is no reduce,
+ * expand or scatter; the iFFT only divides.  acc starts at +0 per row,
+ * as the tile loop's `acc[...] = 0` does.
+ *
+ * Bits: every stage above is row-independent, and every panel of a row
+ * is contracted in the same order as in the tile loop, so each output
+ * element sees the same kernel operations on the same operands in the
+ * same order as there; only the loop order across rows changes.
+ *
+ * The driver is deliberately not FMA_TARGET.  GCC will not inline a
+ * function whose target is wider than its caller's, so Stockham and
+ * expand_mul stay out-of-line FMA code, while panel_contract,
+ * decomp_reduce and transpose may be inlined without being contracted;
+ * an FMA_TARGET driver could inline the einsum replicas and fuse their
+ * products, which would change their bits.
+ *
+ * Workspaces hold one streamed row: g, f and s (Stockham scratch) take
+ * max(k_block, c_out) * dim_x elements, a takes k_block * modes (p > 1
+ * only) and acc takes c_out * modes. */
+#define FUSED_TILE_C2C_1D(NAME, T, SFX)                                  \
+void NAME(const T* x, const T* w, const T* tw_fwd, const T* tw_inv,      \
+          const T* wd_fwd, const T* wd_inv, T* g, T* f, T* s, T* a,      \
+          T* acc, T* out, long bt, long c_in, long c_out, long dim_x,    \
+          long modes, long k_tb, long k_block) {                         \
+    long p = dim_x / modes;                                              \
+    T div_by = (T)modes, mul_by = (T)((double)modes / (double)dim_x);    \
+    for (long b = 0; b < bt; b++) {                                      \
+        const T* xb = x + 2*b*c_in*dim_x;                                \
+        for (long i = 0; i < 2*c_out*modes; i++) acc[i] = 0;             \
+        for (long g0 = 0; g0 < c_in; g0 += k_block) {                    \
+            long gw = c_in - g0 < k_block ? c_in - g0 : k_block;         \
+            const T* spec = f;                                           \
+            if (p > 1) {                                                 \
+                transpose_##SFX(xb + 2*g0*dim_x, g, gw, modes, p);       \
+                stockham_##SFX(g, f, s, tw_fwd, gw*p, modes,             \
+                               0, 0, 0, 0);                              \
+                decomp_reduce_##SFX(f, wd_fwd, a, gw, p, modes);         \
+                spec = a;                                                \
+            } else {                                                     \
+                stockham_##SFX(xb + 2*g0*dim_x, f, s, tw_fwd, gw, modes, \
+                               0, 0, 0, 0);                              \
+            }                                                            \
+            for (long k0 = 0; k0 < gw; k0 += k_tb) {                     \
+                long kt = gw - k0 < k_tb ? gw - k0 : k_tb;               \
+                panel_contract_##SFX(spec + 2*k0*modes,                  \
+                                     w + 2*(g0+k0)*c_out, acc,           \
+                                     1, kt, modes, c_out);               \
+            }                                                            \
+        }                                                                \
+        T* ob = out + 2*b*c_out*dim_x;                                   \
+        if (p > 1) {                                                     \
+            expand_mul_##SFX(acc, wd_inv, g, c_out, p, modes);           \
+            stockham_##SFX(g, f, s, tw_inv, c_out*p, modes,              \
+                           1, div_by, 1, mul_by);                        \
+            transpose_##SFX(f, ob, c_out, p, modes);                     \
+        } else {                                                         \
+            stockham_##SFX(acc, ob, s, tw_inv, c_out, modes,             \
+                           1, div_by, 0, 0);                             \
+        }                                                                \
+    }                                                                    \
+}
+
+FUSED_TILE_C2C_1D(fused_tile_c2c_1d_f32, float, f32)
+FUSED_TILE_C2C_1D(fused_tile_c2c_1d_f64, double, f64)

@@ -337,6 +337,12 @@ class CompiledFFTPlan:
         self._lock = threading.Lock()
         self._scratch = np.zeros(0, self.dtype)
 
+    @property
+    def twiddles(self) -> np.ndarray:
+        """The concatenated per-stage half tables the Stockham kernel
+        reads."""
+        return self._tw_concat
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         d = "ifft" if self.inverse else "fft"
         return f"CompiledFFTPlan({d}, n={self.n}, {self.dtype.name})"

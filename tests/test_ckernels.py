@@ -18,11 +18,16 @@ lengths cover all of them.
 R2C/C2R plans' staging) promise the bits of the NumPy compositions they
 replace, which :mod:`repro.fft.compiled` keeps as their fallbacks, under
 the same contract as ``stockham``.
+
+``fused_tile_c2c_1d`` (one signal tile of the fused 1-D C2C executor)
+promises the bits of the executor's Python stage loop, which runs on
+the NumPy fallback.
 """
 
 import numpy as np
 import pytest
 
+from repro.core.compiled import _StagedFused1D
 from repro.fft import _ckernels, compiled, legacy
 from repro.fft.twiddle import stage_twiddles
 
@@ -257,8 +262,9 @@ def test_order_oracle_detects_reassociation(dtype):
 
 
 def test_operands_are_checked_before_the_call(kernels):
-    """The C side trusts its sizes: a wrong dtype, a strided view or a
-    short buffer raises before any kernel touches memory."""
+    """The C side trusts its sizes: a wrong dtype, a strided view, a
+    short buffer or a bad geometry scalar raises before any kernel
+    touches memory."""
     k = kernels
     a = np.ones((2, 3, 8), np.complex64)
     w = np.ones((3, 4), np.complex64)
@@ -287,6 +293,43 @@ def test_operands_are_checked_before_the_call(kernels):
         k.expand_head_tail(a[:, 0, :2], w[0, :2], w[0, :1], w, w, acc,
                            2, 2, 3, 4)
     assert not acc.any()
+    # The tile driver: its geometry first, then every operand against
+    # the counts that geometry implies.
+    c64 = np.complex64
+    ops = dict(
+        x=np.ones((2, 3, 16), c64), w=np.ones((3, 4), c64),
+        tw_fwd=np.ones(7, c64), tw_inv=np.ones(7, c64),
+        wd_fwd=np.ones((2, 8), c64), wd_inv=np.ones((2, 8), c64),
+        gather=np.zeros(64, c64), fftbuf=np.zeros(64, c64),
+        scratch=np.zeros(64, c64), spec=np.zeros(16, c64),
+        acc=np.zeros(32, c64), out=np.zeros((2, 4, 16), c64),
+        bt=2, c_in=3, c_out=4, dim_x=16, modes=8, k_tb=1, k_block=2,
+    )
+    bad = [
+        (TypeError, "unsupported dtype", dict(x=ops["x"].real.copy())),
+        (ValueError, "C-contiguous", dict(w=ops["w"].astype(np.complex128))),
+        (ValueError, "C-contiguous",
+         dict(x=np.ones((2, 3, 32), c64)[:, :, ::2])),
+        (ValueError, "C-contiguous", dict(scratch=np.zeros(63, c64))),
+        (ValueError, "C-contiguous", dict(spec=np.zeros(15, c64))),
+        (ValueError, "C-contiguous", dict(bt=3)),
+        (ValueError, "power of two", dict(modes=6, dim_x=12)),
+        (ValueError, "power of two", dict(modes=0)),
+        (ValueError, "multiple of modes", dict(dim_x=20)),
+        (ValueError, "multiple of modes", dict(dim_x=4)),
+        (ValueError, "k_tb", dict(k_tb=0)),
+        (ValueError, "k_tb", dict(k_tb=-1)),
+        (ValueError, "k_tb", dict(k_tb=3)),
+        (ValueError, "k_tb", dict(k_tb=2, k_block=3)),
+        (ValueError, "extents", dict(bt=-1)),
+        (ValueError, "extents", dict(c_in=0)),
+        (ValueError, "extents", dict(c_out=0)),
+    ]
+    for exc, match, change in bad:
+        with pytest.raises(exc, match=match):
+            k.fused_tile_c2c_1d(**{**ops, **change})
+    for name in ("gather", "fftbuf", "scratch", "spec", "acc", "out"):
+        assert not ops[name].any(), name
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +472,8 @@ def test_one_row_one_tail_bin_keeps_the_unfused_product(kernels, dtype):
 
 @pytest.mark.parametrize("name,out_arg", [("transpose", 1),
                                           ("decomp_mirror", 3),
-                                          ("expand_head_tail", 5)])
+                                          ("expand_head_tail", 5),
+                                          ("fused_tile_c2c_1d", 11)])
 def test_self_check_probes_the_staging_kernels(kernels, name, out_arg,
                                                monkeypatch):
     """The loader's self-check rejects a library whose staging kernel is
@@ -444,3 +488,59 @@ def test_self_check_probes_the_staging_kernels(kernels, name, out_arg,
 
     monkeypatch.setattr(kernels, name, off_by_one_ulp)
     assert not _ckernels._self_check(kernels)
+
+
+# ---------------------------------------------------------------------------
+# The fused C2C tile driver against the executor's Python stage loop
+# ---------------------------------------------------------------------------
+
+#: C_in -> C_out at k_tb = 4: full panels only (32), a ragged tail
+#: panel after three full ones (13) and after one (5); never square.
+FUSED_CHANNELS = {32: 24, 13: 7, 5: 9}
+FUSED_MODES, FUSED_K_TB = 16, 4
+_numpy_plans = compiled.PlanCaches(backend="numpy")
+
+
+def _fused_tile(kernels, staged, x):
+    """The driver over ``x`` as one tile, with every workspace sized as
+    documented and framed by sentinels."""
+    bt, c_in, dim_x = x.shape
+    c_out, modes, p = staged.c_out, staged.modes, staged.p
+    staged._ensure_inverse()
+    row = max(staged.k_block, c_out) * dim_x
+    sizes = (row, row, row, staged.k_block * modes if p > 1 else 0,
+             c_out * modes, bt * c_out * dim_x)
+    bufs = [_guarded((size,), x.dtype, 7 + 7j) for size in sizes]
+    none = np.empty(0, x.dtype)
+    kernels.fused_tile_c2c_1d(
+        x, staged.weight, staged.fwd.twiddles, staged.inv.twiddles,
+        staged.wd_f if p > 1 else none, staged.wd_i if p > 1 else none,
+        *(view for _, view in bufs), bt, c_in, c_out, dim_x, modes,
+        staged.k_tb, staged.k_block)
+    assert all(buf[0] == buf[-1] == 7 + 7j for buf, _ in bufs)
+    return bufs[-1][1].reshape(bt, c_out, dim_x)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("bt", [1, 7, 16])
+@pytest.mark.parametrize("k_mult", [1, 2, 3])
+@pytest.mark.parametrize("c_in", sorted(FUSED_CHANNELS))
+@pytest.mark.parametrize("p", [1, 2, 4, 8])
+def test_fused_tile_matches_python_stage_loop(kernels, p, c_in, k_mult, bt,
+                                              dtype):
+    """One call per tile is byte-identical to the executor's NumPy stage
+    loop, on twelve-decade data with signed zeros: p = 1 (no
+    decomposition) and p > 1, ragged tail panels, staging groups of one
+    to three panels, one to sixteen rows."""
+    c_out, dim_x = FUSED_CHANNELS[c_in], p * FUSED_MODES
+    rng = np.random.default_rng(p * 1000 + c_in * 10 + k_mult + bt)
+    x = _with_specials(rng, _adversarial(rng, (bt, c_in, dim_x), dtype),
+                       [0.0, -0.0])
+    w = _with_specials(rng, _adversarial(rng, (c_in, c_out), dtype),
+                       [0.0, -0.0])
+    staged = _StagedFused1D(w, FUSED_MODES, dim_x, FUSED_K_TB, 16,
+                            np.dtype(dtype), plans=_numpy_plans,
+                            k_block=k_mult * FUSED_K_TB)
+    ref = staged.run_fused(x)
+    got = _fused_tile(kernels, staged, x)
+    assert np.array_equal(_bits(got), _bits(ref))

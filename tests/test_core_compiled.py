@@ -126,6 +126,22 @@ def test_one_layer_path_bit_identical_to_legacy(backend, dtype):
     assert _bit_equal(l2(x2), np.ascontiguousarray(ref2.real))
 
 
+@pytest.mark.parametrize("dtype", (np.float32, np.float64, np.complex64))
+def test_executor_1d_layouts_bit_identical(backend, dtype):
+    """An empty batch and inputs the C tile driver converts tile by
+    tile (a strided view, a Fortran-ordered array, a real input widened
+    to complex; several tiles, the last one partial) give the legacy
+    loops' bytes on either backend."""
+    rng = np.random.default_rng(6)
+    wdtype = np.complex128 if dtype == np.float64 else np.complex64
+    w = _weight(9, 5, wdtype, rng)
+    conv = CompiledSpectralConv1D(w, 16)
+    base = _x((41, 9, 128), dtype, rng)
+    for x in (base[:0], base[::2, :, ::2], np.asfortranarray(base[:, :, :64])):
+        ref = legacy.fused_fft_gemm_ifft_1d(x, w, 16)
+        assert _bit_equal(conv(x), ref)
+
+
 def test_executor_reuse_across_calls_and_shapes(backend):
     """One executor, many inputs: staging reuse must not leak state."""
     rng = np.random.default_rng(3)
@@ -153,6 +169,32 @@ def test_executor_rejects_bad_inputs():
         CompiledSpectralConv1D(w, 64)(np.ones((2, 4, 16), np.float32))
     with pytest.raises(ValueError, match="power of two"):
         CompiledSpectralConv1D(w, 3)(np.ones((2, 4, 16), np.float32))
+
+
+@pytest.mark.parametrize("k_tb", [0, -1, -8])
+@pytest.mark.parametrize("entry", ["1d", "1d_symmetric", "2d", "2d_symmetric",
+                                   "factory", "fft_gemm", "gemm_ifft"])
+def test_nonpositive_k_tb_is_rejected(entry, k_tb):
+    """``k_tb <= 0`` raises a typed error at construction, not a
+    ZeroDivisionError, a NumPy shape error or a silent all-zero output
+    (no k-panels at all)."""
+    w = np.ones((4, 3), np.complex64)
+    x1, x2 = np.ones((2, 4, 16), np.float32), np.ones((2, 4, 8, 8), np.float32)
+    run = {
+        "1d": lambda: CompiledSpectralConv1D(w, 4, k_tb=k_tb)(x1),
+        "1d_symmetric": lambda: CompiledSpectralConv1D(
+            w, 4, k_tb=k_tb, symmetric=True)(x1),
+        "2d": lambda: CompiledSpectralConv2D(w, 4, 4, k_tb=k_tb)(x2),
+        "2d_symmetric": lambda: CompiledSpectralConv2D(
+            w, 4, 2, k_tb=k_tb, symmetric=True)(x2),
+        "factory": lambda: compile_spectral_conv(w, 4, k_tb=k_tb)(x1),
+        "fft_gemm": lambda: core_compiled.fused_fft_gemm_1d(
+            x1, w, 4, k_tb=k_tb),
+        "gemm_ifft": lambda: core_compiled.fused_gemm_ifft_1d(
+            np.ones((2, 4, 4), np.complex64), w, 16, k_tb=k_tb),
+    }[entry]
+    with pytest.raises(ValueError, match="k_tb must be positive"):
+        run()
 
 
 def test_compile_spectral_conv_factory():
