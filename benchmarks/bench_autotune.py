@@ -12,10 +12,11 @@ The search space is bit-exact by construction (signal tiles partition
 row-independent work; staging ``k_tb`` is a whole multiple of the
 accumulation width), and this benchmark **hard-asserts** it: every
 autotuned output must be byte-identical to the default-tile output and
-— for the fused dataflows — to the frozen :mod:`repro.core.legacy`
-oracle.  Tune time is reported separately: it is plan-time cost, paid
-once per (geometry, dtype, backend, batch bucket) and amortised by the
-persistent store.
+to the frozen :mod:`repro.core.legacy` oracle.  Symmetric
+(half-spectrum) executors are untiled, so they have no row here.  Tune
+time is reported separately: it is plan-time cost, paid once per
+(geometry, dtype, backend, batch bucket) and amortised by the persistent
+store.
 
 Exit status is the CI gate: non-zero unless the geomean autotuned
 speedup over the gated (fused) cases reaches the floor on at least one
@@ -52,8 +53,8 @@ RESULTS = pathlib.Path(__file__).parent / "results"
 #: (kind, batch, hidden K = C_in = C_out, spatial, modes, gated).
 #: Serving-shaped geometries — many signals over few channels — where
 #: the fixed signal_tile=16 leaves dispatch amortisation on the table,
-#: plus a channel-heavy case and (full mode) a 2-D and a symmetric
-#: case.  ``gated`` marks the fused cases the geomean gate runs over.
+#: plus a channel-heavy case and (full mode) a 2-D case.  ``gated``
+#: marks the cases the geomean gate runs over.
 CASES = {
     "quick": [
         ("fused1d", 512, 8, (64,), (32,), True),
@@ -65,7 +66,6 @@ CASES = {
         ("fused1d", 384, 8, (128,), (32,), True),
         ("fused1d", 256, 32, (128,), (64,), True),
         ("fused2d", 32, 8, (32, 64), (8, 32), True),
-        ("sym1d", 256, 16, (128,), (32,), False),
     ],
 }
 
@@ -86,14 +86,11 @@ def _timeit(fn, repeats: int) -> float:
 def _oracle(kind, x, weight, modes):
     if kind == "fused1d":
         return legacy.fused_fft_gemm_ifft_1d(x, weight, modes[0])
-    if kind == "fused2d":
-        return legacy.fused_fft_gemm_ifft_2d(x, weight, *modes)
-    return None  # symmetric: no frozen legacy twin; default-tile twin used
+    return legacy.fused_fft_gemm_ifft_2d(x, weight, *modes)
 
 
 def bench_case(case, plans, tuner, repeats, rng):
     kind, batch, hidden, spatial, modes, gated = case
-    symmetric = kind.startswith("sym")
     weight = (
         (rng.standard_normal((hidden, hidden))
          + 1j * rng.standard_normal((hidden, hidden))) / hidden
@@ -101,12 +98,9 @@ def bench_case(case, plans, tuner, repeats, rng):
     x = probe_signal((batch, hidden, *spatial), np.float32)
     modes_arg = modes if len(modes) > 1 else modes[0]
 
-    default_ex = compile_spectral_conv(
-        weight, modes_arg, symmetric=symmetric, plans=plans
-    )
+    default_ex = compile_spectral_conv(weight, modes_arg, plans=plans)
     tuned_ex = compile_spectral_conv(
-        weight, modes_arg, symmetric=symmetric, plans=plans,
-        tiles="auto", tuner=tuner,
+        weight, modes_arg, plans=plans, tiles="auto", tuner=tuner,
     )
     t0 = time.perf_counter()
     tiles = tuned_ex.resolve_tiles(batch, spatial, dtype=np.float32)
@@ -118,8 +112,7 @@ def bench_case(case, plans, tuner, repeats, rng):
         raise SystemExit(
             f"FATAL: autotuned output != default-tile output ({kind})"
         )
-    oracle = _oracle(kind, x, weight, modes)
-    if oracle is not None and not np.array_equal(got, oracle):
+    if not np.array_equal(got, _oracle(kind, x, weight, modes)):
         raise SystemExit(
             f"FATAL: autotuned output != core.legacy oracle ({kind})"
         )

@@ -18,7 +18,8 @@ Commands
     Warm the persistent tile-tune store (``~/.cache/repro``;
     ``REPRO_TUNE_CACHE`` overrides): for every geometry in the chosen
     grid, time the autotune candidate tiles of the compiled
-    spectral-conv executor and record the winner, printing the measured
+    spectral-conv executor's fused dataflow (symmetric executors are
+    untiled) and record the winner, printing the measured
     default-vs-tuned speedup.  Tiling never changes output bits; a
     warmed store means ``Session(autotune=True)`` serving never pays
     the timed search inline.  ``--retune`` overwrites stored winners.
@@ -436,20 +437,19 @@ def _cmd_chaos_soak(args: argparse.Namespace) -> int:
     return 0 if report["ok"] else 1
 
 
-#: ``tune`` geometry grids: (kind, batch, hidden in/out, spatial, modes).
-#: Serving-shaped — many signals over few channels — plus one 2-D case
-#: and one symmetric (half-spectrum) case per grid.
+#: ``tune`` geometry grids of the fused dataflow (the only tiled one):
+#: (batch, hidden in/out, spatial, modes).  Serving-shaped — many
+#: signals over few channels — plus one 2-D case in the full grid.
 _TUNE_GRIDS = {
     "quick": [
-        ("fused", 256, 8, (64,), (32,)),
-        ("fused", 128, 16, (128,), (32,)),
+        (256, 8, (64,), (32,)),
+        (128, 16, (128,), (32,)),
     ],
     "full": [
-        ("fused", 256, 8, (64,), (32,)),
-        ("fused", 128, 16, (128,), (32,)),
-        ("fused", 256, 32, (128,), (64,)),
-        ("fused", 64, 16, (32, 64), (8, 32)),
-        ("sym", 128, 16, (128,), (32,)),
+        (256, 8, (64,), (32,)),
+        (128, 16, (128,), (32,)),
+        (256, 32, (128,), (64,)),
+        (64, 16, (32, 64), (8, 32)),
     ],
 }
 
@@ -460,7 +460,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     import numpy as np
 
     from repro.core.autotune import (
-        Tiles,
         Tuner,
         default_tune_store,
         measure_seconds,
@@ -477,23 +476,21 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     store = default_tune_store()
     tuner = Tuner(store=store)
     rows = []
-    for kind, batch, hidden, spatial, modes in _TUNE_GRIDS[args.grid]:
-        symmetric = kind == "sym"
+    for batch, hidden, spatial, modes in _TUNE_GRIDS[args.grid]:
         weight = probe_signal((hidden, hidden), np.complex64)
         dtype = np.float32
         x = probe_signal((batch, hidden, *spatial), dtype)
         t0 = time.perf_counter()
         tuned_ex = compile_spectral_conv(
             weight, modes if len(modes) > 1 else modes[0],
-            symmetric=symmetric, plans=plans, tiles="auto", tuner=tuner,
+            plans=plans, tiles="auto", tuner=tuner,
         )
         tiles = tuned_ex.resolve_tiles(
             batch, spatial, dtype=dtype, retune=args.retune
         )
         tune_s = time.perf_counter() - t0
         default_ex = compile_spectral_conv(
-            weight, modes if len(modes) > 1 else modes[0],
-            symmetric=symmetric, plans=plans,
+            weight, modes if len(modes) > 1 else modes[0], plans=plans,
         )
         t_def = measure_seconds(lambda: default_ex(x), repeats=3)
         t_tuned = measure_seconds(lambda: tuned_ex(x), repeats=3)
@@ -501,7 +498,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
             print("error: tuned output != default output", file=sys.stderr)
             return 1
         rows.append({
-            "kind": kind,
             "geometry": (
                 f"B={batch} K={hidden} "
                 f"spatial={'x'.join(map(str, spatial))} "
@@ -528,7 +524,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
           f"store={store.path})")
     for row in rows:
         st, ktb = row["tiles"]
-        print(f"  [{row['kind']:>5s}] {row['geometry']:<40s} "
+        print(f"  {row['geometry']:<40s} "
               f"tiles=(st={st}, k_tb={ktb})  "
               f"{row['default_ms']:8.2f} ms -> {row['tuned_ms']:8.2f} ms "
               f"({row['speedup']:.2f}x)  [bit-identical]")

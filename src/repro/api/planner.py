@@ -133,11 +133,13 @@ class ExecutionPlan:
         packed-real R2C/C2R plans, real output (the training-stack hot
         path of :mod:`repro.nn`).
 
-        ``tiles`` selects the executor tiling: ``"default"``,
+        ``tiles`` selects the fused dataflow's tiling: ``"default"``,
         ``"auto"`` (plan-time tile autotuning, byte-identical — see
         :mod:`repro.core.autotune`) or a concrete ``(signal_tile,
         k_tb)`` pair.  ``None`` follows the owning session's
-        ``autotune`` setting (``"default"`` outside a session).
+        ``autotune`` setting (``"default"`` outside a session).  A
+        symmetric executor is untiled: it takes ``"auto"`` as
+        ``"default"`` and rejects a pair.
 
         Plans built by a :class:`repro.api.Session` compile executors
         against that session's plan caches, backend and tuner.

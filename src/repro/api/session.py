@@ -263,9 +263,10 @@ class Session:
         non-auto backend — gives the session its own isolated set.
     autotune:
         ``True`` (or ``"on"``) builds every pooled compiled executor
-        with ``tiles="auto"``: the tiling of each served geometry is
-        resolved through this session's :class:`repro.core.autotune.Tuner`
-        — in-memory memo, then the persistent tune store
+        with ``tiles="auto"``: the tiling of each served geometry's
+        fused dataflow (symmetric executors are untiled) is resolved
+        through this session's :class:`repro.core.autotune.Tuner` —
+        in-memory memo, then the persistent tune store
         (``~/.cache/repro``, ``REPRO_TUNE_CACHE`` to override), then a
         timed search whose winner is cached in both.  Outputs are
         byte-identical to the default tiling; only throughput changes.
@@ -444,9 +445,9 @@ class Session:
         the half-length decomposition) — is built in this session's
         caches for each working precision in ``dtypes``.  On an ``autotune=True``
         session the tiling of each problem geometry is resolved (tuned
-        on a miss) here too — every reachable batch bucket, fused and
-        (where applicable) symmetric dataflows — so serving never pays
-        the timed search inline.  Returns ``{"problems": ...,
+        on a miss) here too — every reachable batch bucket of the fused
+        dataflow (symmetric executors are untiled) — so serving never
+        pays the timed search inline.  Returns ``{"problems": ...,
         "plans": ..., "fft_plans": ..., "tuned": ...}`` counts, with
         ``tuned`` the number of tile resolutions.
         """
@@ -482,9 +483,8 @@ class Session:
         ``hidden x hidden`` probe weight warms the exact entries the
         served executors will recall.  Every batch bucket up to the
         problem's is tuned (micro-batching serves smaller
-        concatenations than the nominal batch), for both the fused
-        dataflow and — where the geometry admits it — the symmetric
-        half-spectrum one.
+        concatenations than the nominal batch).  Only the fused dataflow
+        is tiled; symmetric executors have nothing to tune.
         """
         hidden = getattr(problem, "hidden", None)
         batch = getattr(problem, "batch", None)
@@ -497,14 +497,7 @@ class Session:
             weight, modes_arg,
             plans=self.plan_caches, tiles="auto", tuner=self._tuner,
         )
-        tuned = executor.warm_tiles(batch, spatial, dtype=dt)
-        if modes[-1] <= spatial[-1] // 2:  # the symmetric family applies
-            symmetric = compile_spectral_conv(
-                weight, modes_arg, symmetric=True,
-                plans=self.plan_caches, tiles="auto", tuner=self._tuner,
-            )
-            tuned += symmetric.warm_tiles(batch, spatial, dtype=dt)
-        return tuned
+        return executor.warm_tiles(batch, spatial, dtype=dt)
 
     def _warm_geometry(self, spatial: tuple, modes: tuple, cdt) -> None:
         caches = self.plan_caches

@@ -1,7 +1,8 @@
 """Plan-time tile autotuning for the compiled spectral-conv executors.
 
-The compiled executors inherited the legacy loops' fixed tiling —
-``signal_tile=16`` signals per tile, ``k_tb=8`` channels per
+The compiled executors' fused C2C dataflow (the 1-D executor and the
+2-D executor's per-pencil stage) inherited the legacy loops' fixed
+tiling — ``signal_tile=16`` signals per tile, ``k_tb=8`` channels per
 accumulation panel — but the measured contraction throughput depends on
 the geometry: small-channel serving workloads want large signal tiles
 (Python/ctypes dispatch amortisation), large accumulators want small
@@ -15,7 +16,7 @@ candidates once, remember the winner.
 
 Crucially the search is **free of correctness risk**: every candidate
 this module proposes changes only *where* operands live, never one
-floating-point operation.  Signal/batch tiles partition row-independent
+floating-point operation.  Signal tiles partition row-independent
 work, and the staging ``k_tb`` is constrained to whole multiples of the
 executor's accumulation width, so the ``panel_contract`` accumulation
 order — the only tiling-sensitive arithmetic in the stack — is replayed
@@ -27,9 +28,8 @@ Pieces
 ------
 :class:`Tiles`
     One candidate: ``(signal_tile, k_tb)``.  ``signal_tile`` is the
-    batch-tile in signals (``0`` = untiled, the symmetric executors'
-    default); ``k_tb`` is the *staging* block in channels, a whole
-    multiple of the accumulation panel width.
+    batch tile in signals; ``k_tb`` is the *staging* block in channels,
+    a whole multiple of the accumulation panel width.
 :func:`candidate_tiles`
     The search grid for one geometry, ordered by
     :func:`predicted_cost` — an analytic cache-footprint model built on
@@ -45,10 +45,11 @@ Pieces
     hits/misses (surfaced by :meth:`repro.api.Session.stats`), and runs
     the timed search on a miss.
 
-Executors consult a tuner when built with ``tiles="auto"``
-(:mod:`repro.core.compiled`); a :class:`repro.api.Session` created with
-``autotune=True`` owns one tuner for all its pooled executors, and the
-``python -m repro tune`` command warms the persistent store offline.
+Fused executors consult a tuner when built with ``tiles="auto"``
+(:mod:`repro.core.compiled`); symmetric executors are untiled and never
+do.  A :class:`repro.api.Session` created with ``autotune=True`` owns
+one tuner for all its pooled executors, and the ``python -m repro
+tune`` command warms the persistent store offline.
 """
 
 from __future__ import annotations
@@ -116,12 +117,11 @@ MEASURE_REPEATS = 2
 
 
 class Tiles(NamedTuple):
-    """One tiling configuration of a compiled executor.
+    """One tiling configuration of the fused dataflow.
 
-    ``signal_tile``: signals per batch tile (``0`` = whole batch, the
-    symmetric executors' untiled default).  ``k_tb``: channels staged
-    per gather/FFT pass — for the fused executors a whole multiple of
-    the accumulation panel width, so accumulation order (and therefore
+    ``signal_tile``: signals per batch tile (at least 1).  ``k_tb``:
+    channels staged per gather/FFT pass — a whole multiple of the
+    accumulation panel width, so accumulation order (and therefore
     every output bit) is independent of the choice.
     """
 
@@ -162,8 +162,9 @@ def bucket_ladder(batch: int) -> list[int]:
 class TuneKey:
     """Everything a tile winner is allowed to depend on.
 
-    ``kind`` names the executor dataflow (``"fused1d"`` — also the 2-D
-    executor's per-pencil fused stage — ``"sym1d"``, ``"sym2d"``);
+    Winners belong to the one tiled dataflow, the fused 1-D pass (also
+    the 2-D executor's per-pencil fused stage); its store keys keep the
+    ``"fused1d"`` prefix they always had, so stored winners still hit.
     ``k_tb`` is the executor's *accumulation* panel width (winners are
     measured under one accumulation grouping and constrain the staging
     width to its multiples — executors with different ``k_tb`` must
@@ -173,7 +174,6 @@ class TuneKey:
     winners.
     """
 
-    kind: str
     spatial: tuple[int, ...]
     modes: tuple[int, ...]
     c_in: int
@@ -186,7 +186,7 @@ class TuneKey:
     def as_string(self) -> str:
         """The store key: stable, human-readable, one line."""
         return "|".join((
-            self.kind,
+            "fused1d",
             "x".join(map(str, self.spatial)),
             "m" + "x".join(map(str, self.modes)),
             f"cin{self.c_in}",
@@ -211,7 +211,7 @@ def _working_set_bytes(tiles: Tiles, *, c_in: int, c_out: int, modes: int,
     epilogue, the C accumulator, the decomposition buffer, and the
     pre-cast weight panels (all panels are touched every tile).
     """
-    st = max(tiles.signal_tile, 1)
+    st = tiles.signal_tile
     rows = st * max(tiles.k_tb, c_out) * p
     gather_pair = 2 * rows * modes * itemsize
     acc = st * c_out * modes * itemsize
@@ -239,7 +239,7 @@ def predicted_cost(tiles: Tiles, *, batch: int, c_in: int, c_out: int,
     The absolute value is meaningless; only the ordering is consumed
     (measurement decides the winner).
     """
-    st = max(tiles.signal_tile, 1) or 1
+    st = tiles.signal_tile
     n_tiles = -(-batch // st)
     n_panels = max(1, -(-c_in // 8))  # panel count is k_tb-invariant
     n_groups = max(1, -(-(c_in) // max(tiles.k_tb, 1)))
@@ -258,8 +258,6 @@ def predicted_cost(tiles: Tiles, *, batch: int, c_in: int, c_out: int,
 
 def candidate_tiles(*, batch: int, c_in: int, c_out: int, modes: int,
                     p: int = 1, k_tb: int = 8, itemsize: int = 8,
-                    allow_untiled: bool = False,
-                    k_multipliers: Sequence[int] = K_BLOCK_MULTIPLIERS,
                     max_candidates: int = MAX_MEASURED_CANDIDATES,
                     default: Tiles | None = None) -> list[Tiles]:
     """The model-ordered candidate grid for one geometry.
@@ -267,21 +265,18 @@ def candidate_tiles(*, batch: int, c_in: int, c_out: int, modes: int,
     ``k_tb`` is the executor's accumulation panel width: staging-block
     candidates are its whole multiples (clamped to the panel-covering
     width of ``c_in``), so every candidate is bit-identical by
-    construction.  ``allow_untiled`` adds ``signal_tile=0`` (the
-    symmetric executors' whole-batch default).  ``default`` (when given)
+    construction.  ``default`` (when given)
     always survives the truncation, as the measured safety baseline.
     """
     if k_tb < 1:
         raise ValueError(f"k_tb must be positive, got {k_tb}")
     covering = -(-max(c_in, 1) // k_tb) * k_tb
     k_cands = sorted({
-        min(k_tb * mult, covering) for mult in k_multipliers
+        min(k_tb * mult, covering) for mult in K_BLOCK_MULTIPLIERS
     })
     st_cands = [st for st in SIGNAL_TILE_CANDIDATES if st <= max(batch, 1)]
     if not st_cands:
         st_cands = [1]
-    if allow_untiled:
-        st_cands = [0] + st_cands
     grid = {Tiles(st, kb) for st in st_cands for kb in k_cands}
     if default is not None:
         grid.add(default)
@@ -330,7 +325,7 @@ def _valid_entry(entry) -> Tiles | None:
         return None
     if not isinstance(st, int) or not isinstance(ktb, int):
         return None
-    if st < 0 or ktb < 1:
+    if st < 1 or ktb < 1:
         return None
     return Tiles(st, ktb)
 
@@ -493,15 +488,17 @@ class Tuner:
         self,
         key: TuneKey,
         default: Tiles,
-        candidates: Sequence[Tiles],
+        candidates: Sequence[Tiles] | Callable[[], Sequence[Tiles]],
         measure: Callable[[Tiles], float],
         is_valid: Callable[[Tiles], bool] | None = None,
         retune: bool = False,
     ) -> Tiles:
         """The winning tiles for ``key``.
 
-        ``measure`` times one candidate (seconds, lower is better) and
-        runs only on a miss.  ``is_valid`` guards entries recalled from
+        ``candidates`` is the search grid, or a zero-argument callable
+        building it; like ``measure``, which times one candidate
+        (seconds, lower is better), it runs only on a miss, so a hit
+        costs no grid construction.  ``is_valid`` guards entries recalled from
         the memo/store against a caller whose constraints changed (an
         incompatible recalled entry is treated as a miss and re-tuned).
         ``retune`` forces a fresh search, overwriting the stored winner
@@ -543,6 +540,8 @@ class Tuner:
             pending.wait()
             retune = False
         try:
+            if callable(candidates):
+                candidates = candidates()
             best, best_t, default_t = default, None, None
             for cand in candidates:
                 if not ok(cand):

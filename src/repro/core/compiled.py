@@ -17,7 +17,15 @@ per-pencil stage) runs each signal tile as one call into the C tile
 driver ``fused_tile_c2c_1d`` when the C kernels are loaded — TurboFNO's
 one FFT -> CGEMM -> iFFT kernel, with each signal row streamed through
 the stages in cache.  Without them the same tiles run through a Python
-loop over NumPy stages, which is also the driver's oracle.
+loop over NumPy stages, which is also the driver's oracle.  Only this
+dataflow is tiled (and autotuned, :mod:`repro.core.autotune`).
+
+The symmetric (rfft/irfft) convention has one untiled dataflow: its
+``__call__`` runs the same three staged halves as its spectrum entry
+points — pruned R2C analysis, the k-panel CGEMM shared with every
+``step_spectrum``, pruned C2R synthesis — so ``self(x)`` and
+``inverse_spectrum(step_spectrum(forward_spectrum(x)))`` are the same
+computation, byte for byte.
 
 Every shared-weight Fourier layer outside :class:`repro.api.Session`
 runs through these executors: :func:`repro.api.spectral_conv` and the
@@ -40,6 +48,8 @@ sessions; staging captures the set once per geometry.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -487,198 +497,31 @@ def _require_part(plan, modes: int, what: str) -> None:
         )
 
 
-class _StagedSymmetric1D:
-    """Everything a symmetric (rfft/irfft) 1-D pass needs, staged once.
-
-    The original-FNO filter convention on real input: truncated half
-    spectrum straight from the cached pruned-R2C plan (truncation fused
-    into the packed-real decomposition — the discarded bins are never
-    recombined), one shared CGEMM over the kept modes (the same
-    ``panel_contract`` k-panel accumulation the fused path uses), then
-    the pruned C2R plan synthesising from exactly those modes — the
-    half spectrum is consumed end-to-end, never Hermitian-completed and
-    never materialised beyond the kept bins.
-    """
-
-    def __init__(self, weight: np.ndarray, modes: int, dim_x: int,
-                 k_tb: int, dtype: np.dtype,
-                 plans: PlanCaches | None = None,
-                 batch_tile: int = 0):
-        _check_length(dim_x)
-        if modes > dim_x // 2:
-            raise ValueError(
-                f"symmetric filtering needs modes <= X/2, got {modes} "
-                f"on a length-{dim_x} grid"
-            )
-        if batch_tile < 0:
-            raise ValueError(
-                f"batch_tile must be >= 0, got {batch_tile}"
-            )
-        self.modes = modes
-        self.dim_x = dim_x
-        self.dtype = dtype
-        self.batch_tile = batch_tile  # 0 = whole batch (the default)
-        self.c_in, self.c_out = weight.shape
-        self.plans = plans if plans is not None else current_plan_caches()
-        self.panels = _weight_panels(weight, k_tb, dtype)
-        self.rfft = self.plans.pruned_rfft(dim_x, modes, dtype)
-        self.irfft = self.plans.pruned_irfft(dim_x, modes, dtype)
-        _require_part(self.rfft, modes, "symmetric 1-D forward")
-        _require_part(self.irfft, modes, "symmetric 1-D inverse")
-
-    def run(self, x: np.ndarray,
-            xk_trunc: np.ndarray | None = None) -> np.ndarray:
-        batch, c_in, n = x.shape
-        if xk_trunc is not None and xk_trunc.shape[-1] != self.rfft.part:
-            raise PrunedPartMismatchError(
-                f"xk_trunc carries {xk_trunc.shape[-1]} bins but the "
-                f"staged plans truncate to part={self.rfft.part}"
-            )
-        if xk_trunc is not None and xk_trunc.shape != (
-            batch, c_in, self.modes
-        ):
-            raise ValueError(
-                f"xk_trunc must have shape {(batch, c_in, self.modes)}, "
-                f"got {xk_trunc.shape}"
-            )
-        tile = self.batch_tile
-        if not tile or tile >= batch:
-            return self._run_block(x, xk_trunc)
-        # Every stage is row-independent along the batch axis, so batch
-        # tiling is a pure working-set knob: the output bits match the
-        # untiled pass exactly.
-        out = np.empty((batch, self.c_out, n), self.rfft.real_dtype)
-        for b0 in range(0, batch, tile):
-            b1 = min(b0 + tile, batch)
-            out[b0:b1] = self._run_block(
-                x[b0:b1],
-                None if xk_trunc is None else xk_trunc[b0:b1],
-            )
-        return out
-
-    def _run_block(self, x: np.ndarray,
-                   xk_trunc: np.ndarray | None) -> np.ndarray:
-        batch, c_in, n = x.shape
-        m = self.modes
-        if xk_trunc is None:
-            flat = np.ascontiguousarray(
-                x, dtype=self.rfft.real_dtype
-            ).reshape(batch * c_in, n)
-            xk_trunc = self.rfft.execute(flat).reshape(batch, c_in, m)
-        acc = np.zeros((batch, self.c_out, m), self.dtype)
-        for (k0, k1, wp) in self.panels:
-            a = np.ascontiguousarray(
-                xk_trunc[:, k0:k1, :m], dtype=self.dtype
-            )
-            panel_contract(a, wp, acc, kernels=self.plans.kernels())
-        out = self.irfft.execute(acc.reshape(batch * self.c_out, m))
-        return out.reshape(batch, self.c_out, n)
+def _real_pair(plans: PlanCaches, n: int, part: int, dtype, what: str):
+    """The pruned R2C/C2R plan pair along a symmetric executor's
+    half-spectrum axis, checked to truncate to exactly ``part`` bins."""
+    rfft = plans.pruned_rfft(n, part, dtype)
+    irfft = plans.pruned_irfft(n, part, dtype)
+    _require_part(rfft, part, f"{what} forward")
+    _require_part(irfft, part, f"{what} inverse")
+    return rfft, irfft
 
 
-class _StagedSymmetric2D:
-    """Symmetric 2-D pass: pruned R2C along Y (truncation fused into
-    the packed-real decomposition), pruned C2C along X, one shared
-    CGEMM over the kept corner, then the inverse chain (pruned C2C
-    inverse along X, pruned C2R along Y — synthesised straight from the
-    kept modes, no Hermitian-half zero-pad)."""
-
-    def __init__(self, weight: np.ndarray, modes_x: int, modes_y: int,
-                 dim_x: int, dim_y: int, k_tb: int, dtype: np.dtype,
-                 plans: PlanCaches | None = None,
-                 batch_tile: int = 0):
-        _check_length(dim_x)
-        _check_length(dim_y)
-        if modes_x > dim_x:
-            raise ValueError(
-                f"modes_x={modes_x} exceeds spatial size {dim_x}"
-            )
-        if modes_y > dim_y // 2:
-            raise ValueError(
-                f"symmetric filtering needs modes_y <= Y/2, got {modes_y} "
-                f"on a length-{dim_y} grid"
-            )
-        if batch_tile < 0:
-            raise ValueError(
-                f"batch_tile must be >= 0, got {batch_tile}"
-            )
-        self.modes_x = modes_x
-        self.modes_y = modes_y
-        self.dim_x = dim_x
-        self.dim_y = dim_y
-        self.dtype = dtype
-        self.batch_tile = batch_tile  # 0 = whole batch (the default)
-        self.c_in, self.c_out = weight.shape
-        self.plans = plans if plans is not None else current_plan_caches()
-        self.panels = _weight_panels(weight, k_tb, dtype)
-        self.rfft = self.plans.pruned_rfft(dim_y, modes_y, dtype)
-        self.irfft = self.plans.pruned_irfft(dim_y, modes_y, dtype)
-        _require_part(self.rfft, modes_y, "symmetric 2-D forward")
-        _require_part(self.irfft, modes_y, "symmetric 2-D inverse")
-
-    def run(self, x: np.ndarray,
-            xk_trunc: np.ndarray | None = None) -> np.ndarray:
-        batch, c_in = x.shape[:2]
-        if xk_trunc is not None and xk_trunc.shape[-1] != self.rfft.part:
-            raise PrunedPartMismatchError(
-                f"xk_trunc carries {xk_trunc.shape[-1]} bins but the "
-                f"staged plans truncate to part={self.rfft.part}"
-            )
-        if xk_trunc is not None and xk_trunc.shape != (
-            batch, c_in, self.modes_x, self.modes_y
-        ):
-            raise ValueError(
-                f"xk_trunc must have shape "
-                f"{(batch, c_in, self.modes_x, self.modes_y)}, "
-                f"got {xk_trunc.shape}"
-            )
-        tile = self.batch_tile
-        if not tile or tile >= batch:
-            return self._run_block(x, xk_trunc)
-        # Row-independent along the batch axis: tiling changes the
-        # working set, never the bits.
-        out = np.empty(
-            (batch, self.c_out, x.shape[2], x.shape[3]),
-            self.rfft.real_dtype,
+def _check_spectrum(sk: np.ndarray, modes: tuple, channels=None) -> None:
+    """Typed guard on a spectral state: its rank and kept-mode dims (and,
+    given ``channels``, its channel count) must match the executor."""
+    if (sk.ndim != 2 + len(modes) or sk.shape[2:] != modes
+            or (channels is not None and sk.shape[1] != channels)):
+        want = ", ".join(map(str, (
+            "batch", "C" if channels is None else channels, *modes
+        )))
+        raise ValueError(
+            f"expected spectrum of shape ({want}), got {sk.shape}"
         )
-        for b0 in range(0, batch, tile):
-            b1 = min(b0 + tile, batch)
-            out[b0:b1] = self._run_block(
-                x[b0:b1],
-                None if xk_trunc is None else xk_trunc[b0:b1],
-            )
-        return out
-
-    def _run_block(self, x: np.ndarray,
-                   xk_trunc: np.ndarray | None) -> np.ndarray:
-        batch, c_in, dim_x, dim_y = x.shape
-        mx, my = self.modes_x, self.modes_y
-        if xk_trunc is None:
-            flat = np.ascontiguousarray(
-                x, dtype=self.rfft.real_dtype
-            ).reshape(batch * c_in * dim_x, dim_y)
-            xk_y = self.rfft.execute(flat).reshape(batch, c_in, dim_x, my)
-            xk_trunc = truncated_fft_auto(
-                xk_y, mx, axis=2, caches=self.plans,
-            )
-        a_full = np.ascontiguousarray(
-            xk_trunc, dtype=self.dtype
-        ).reshape(batch, c_in, mx * my)
-        acc = np.zeros((batch, self.c_out, mx * my), self.dtype)
-        for (k0, k1, wp) in self.panels:
-            a = np.ascontiguousarray(a_full[:, k0:k1])
-            panel_contract(a, wp, acc, kernels=self.plans.kernels())
-        yk = acc.reshape(batch, self.c_out, mx, my)
-        y_x = padded_ifft_auto(yk, dim_x, axis=2, caches=self.plans)
-        out = self.irfft.execute(
-            np.ascontiguousarray(y_x, dtype=self.dtype).reshape(
-                batch * self.c_out * dim_x, my
-            )
-        )
-        return out.reshape(batch, self.c_out, dim_x, dim_y)
 
 
 # ---------------------------------------------------------------------------
-# Tile resolution (the autotune front end of the executors)
+# Tile resolution (the autotune front end of the fused dataflow)
 # ---------------------------------------------------------------------------
 
 def _resolved_backend(plans: PlanCaches) -> str:
@@ -692,8 +535,7 @@ def _normalise_tiles(tiles, k_tb: int, symmetric: bool):
     Returns ``"default"``, ``"auto"`` or a concrete :class:`Tiles`.
     Concrete pairs are constrained to the bit-identical search space:
     the staging ``k_tb`` must be a whole multiple of the accumulation
-    width (symmetric executors fix it there), and only the symmetric
-    executors accept ``signal_tile=0`` (whole batch).
+    width.  Symmetric executors are untiled, so they take no pair.
     """
     if isinstance(tiles, str):
         if tiles not in TILE_MODES:
@@ -703,29 +545,20 @@ def _normalise_tiles(tiles, k_tb: int, symmetric: bool):
             )
         return tiles
     if isinstance(tiles, (tuple, list)) and len(tiles) == 2:
-        st, ktb = int(tiles[0]), int(tiles[1])
         if symmetric:
-            if st < 0:
-                raise ValueError(
-                    f"signal_tile must be >= 0, got {st}"
-                )
-            if ktb != k_tb:
-                raise ValueError(
-                    f"symmetric executors accumulate at k_tb={k_tb}; "
-                    f"tiles k_tb={ktb} would change the accumulation "
-                    f"order (and the bits)"
-                )
-        else:
-            if st < 1:
-                raise ValueError(
-                    f"signal_tile must be positive, got {st}"
-                )
-            if ktb < k_tb or ktb % k_tb != 0:
-                raise ValueError(
-                    f"tiles k_tb={ktb} must be a whole multiple of the "
-                    f"accumulation width k_tb={k_tb} (anything else "
-                    f"would change the accumulation order and the bits)"
-                )
+            raise ValueError(
+                f"symmetric executors are untiled; tiles must be "
+                f"'default' or 'auto', got {tiles!r}"
+            )
+        st, ktb = int(tiles[0]), int(tiles[1])
+        if st < 1:
+            raise ValueError(f"signal_tile must be positive, got {st}")
+        if ktb < k_tb or ktb % k_tb != 0:
+            raise ValueError(
+                f"tiles k_tb={ktb} must be a whole multiple of the "
+                f"accumulation width k_tb={k_tb} (anything else "
+                f"would change the accumulation order and the bits)"
+            )
         return Tiles(st, ktb)
     raise ValueError(
         f"tiles must be 'default', 'auto' or a (signal_tile, k_tb) "
@@ -740,21 +573,24 @@ def _autotune_fused_tiles(weight, modes, dim_x, k_tb, default, dtype,
     per-pencil fused stage (which is the same computation on a
     ``batch * modes_x`` pencil batch)."""
     c_in, c_out = weight.shape
-    p = dim_x // modes
     dtype = np.dtype(dtype)
     bucket = batch_bucket(batch)
-    key = TuneKey("fused1d", (dim_x,), (modes,), c_in, c_out, k_tb,
-                  bucket, dtype.name, _resolved_backend(plans))
-    cands = candidate_tiles(
-        batch=bucket, c_in=c_in, c_out=c_out, modes=modes, p=p,
-        k_tb=k_tb, itemsize=dtype.itemsize, default=default,
-    )
-    pb = probe_batch(bucket)
+    key = TuneKey((dim_x,), (modes,), c_in, c_out, k_tb, bucket,
+                  dtype.name, _resolved_backend(plans))
     probe: dict = {}
+
+    def candidates() -> list[Tiles]:  # built only if a search runs
+        return candidate_tiles(
+            batch=bucket, c_in=c_in, c_out=c_out, modes=modes,
+            p=dim_x // modes, k_tb=k_tb, itemsize=dtype.itemsize,
+            default=default,
+        )
 
     def measure(tiles: Tiles) -> float:
         if "x" not in probe:  # built once, only if a search runs
-            probe["x"] = probe_signal((pb, c_in, dim_x), dtype)
+            probe["x"] = probe_signal(
+                (probe_batch(bucket), c_in, dim_x), dtype
+            )
         staged = _StagedFused1D(
             weight, modes, dim_x, k_tb, tiles.signal_tile, dtype,
             plans=plans, k_block=tiles.k_tb,
@@ -762,7 +598,7 @@ def _autotune_fused_tiles(weight, modes, dim_x, k_tb, default, dtype,
         return measure_seconds(lambda: staged.run_fused(probe["x"]))
 
     return tuner.tiles_for(
-        key, default, cands, measure,
+        key, default, candidates, measure,
         is_valid=lambda t: (
             t.signal_tile >= 1 and t.k_tb >= k_tb and t.k_tb % k_tb == 0
         ),
@@ -770,48 +606,86 @@ def _autotune_fused_tiles(weight, modes, dim_x, k_tb, default, dtype,
     )
 
 
-def _autotune_symmetric_tiles(kind, weight, modes, spatial, k_tb, dtype,
-                              plans, tuner, batch, build,
-                              retune=False) -> Tiles:
-    """Resolve the batch tile for a symmetric (half-spectrum) executor.
+# ---------------------------------------------------------------------------
+# The executors
+# ---------------------------------------------------------------------------
 
-    Only ``signal_tile`` is searched (0 = whole batch, the seed
-    behaviour); the accumulation width is pinned, so every candidate is
-    byte-identical.  ``build(batch_tile)`` constructs the staged pass to
-    time; the probe input is real, matching the symmetric contract.
+class _SpectralExecutor:
+    """Staging the 1-D and 2-D executors share.
+
+    Holds the construction-time ``k_tb``/``tiles`` checks, the plan-cache
+    set, the weight k-panels (cast once per working dtype), the fused
+    stages (one per dtype, length and tiles) and, for the symmetric
+    convention, the pruned R2C/C2R plan pair (checked and resolved once
+    per dtype and grid).
+
+    Both conventions run their spectrum entry points through three
+    private staged halves: ``_analyse`` (truncated forward transform),
+    :meth:`_step` (the k-panel CGEMM) and ``_synthesise`` (zero-padded
+    inverse).  A symmetric ``__call__`` is exactly those three halves
+    in a row, so it is ``inverse_spectrum(step_spectrum(
+    forward_spectrum(x)))`` by construction.  The public entry points
+    are defined on each executor class and never call one another.
     """
-    c_in, c_out = weight.shape
-    dtype = np.dtype(dtype)
-    bucket = batch_bucket(batch)
-    key = TuneKey(kind, tuple(spatial), tuple(modes), c_in, c_out,
-                  k_tb, bucket, dtype.name, _resolved_backend(plans))
-    eff_modes = 1
-    for m in modes:
-        eff_modes *= m
-    cands = candidate_tiles(
-        batch=bucket, c_in=c_in, c_out=c_out, modes=eff_modes, p=1,
-        k_tb=k_tb, itemsize=dtype.itemsize, allow_untiled=True,
-        k_multipliers=(1,), default=Tiles(0, k_tb),
-    )
-    pb = probe_batch(bucket)
-    probe: dict = {}
 
-    def measure(tiles: Tiles) -> float:
-        if "x" not in probe:
-            real = np.dtype(np.float32 if dtype == np.complex64
-                            else np.float64)
-            probe["x"] = probe_signal((pb, c_in, *spatial), real)
-        staged = build(tiles.signal_tile)
-        return measure_seconds(lambda: staged.run(probe["x"]))
+    def __init__(self, weight: np.ndarray, modes: tuple, k_tb: int,
+                 signal_tile: int, symmetric: bool,
+                 plans: PlanCaches | None, tiles, tuner: Tuner | None):
+        _check_k_tb(k_tb)
+        self.weight = weight
+        self.k_tb = k_tb
+        self.signal_tile = signal_tile
+        self.symmetric = symmetric
+        self.tiles = _normalise_tiles(tiles, k_tb, symmetric)
+        self._modes = modes
+        self._tuner = tuner
+        self._plans = plans
+        self._staged: dict[tuple, _StagedFused1D] = {}
+        self._panels: dict = {}
+        self._real: dict = {}
 
-    return tuner.tiles_for(
-        key, Tiles(0, k_tb), cands, measure,
-        is_valid=lambda t: t.signal_tile >= 0 and t.k_tb == k_tb,
-        retune=retune,
-    )
+    def _plan_caches(self) -> PlanCaches:
+        return self._plans if self._plans is not None else current_plan_caches()
+
+    def _step(self, sk: np.ndarray, dtype: np.dtype) -> np.ndarray:
+        """The middle staged half: one k-panel CGEMM over the kept
+        spectrum (a 2-D corner flattened), accumulated panel by panel in
+        the canonical ``k_tb`` order the fused tile loop uses."""
+        panels = self._panels.get(dtype)
+        if panels is None:
+            panels = _weight_panels(self.weight, self.k_tb, dtype)
+            self._panels[dtype] = panels
+        batch, c_out = sk.shape[0], self.weight.shape[1]
+        m = math.prod(self._modes)
+        flat = sk.reshape(batch, sk.shape[1], m)
+        acc = np.zeros((batch, c_out, m), dtype)
+        kernels = self._plan_caches().kernels()
+        for (k0, k1, wp) in panels:
+            a = np.ascontiguousarray(flat[:, k0:k1], dtype=dtype)
+            panel_contract(a, wp, acc, kernels=kernels)
+        return acc.reshape((batch, c_out) + self._modes)
+
+    def _symmetric_spectrum(self, x: np.ndarray, xk_trunc, dtype):
+        """The forward half of a symmetric ``__call__``: the R2C
+        analysis of ``x``, or the caller's precomputed ``xk_trunc``
+        checked against the staged plans."""
+        rfft, _ = self._real_plans(dtype, x.shape[2:])
+        if xk_trunc is None:
+            return self._analyse(x, dtype)
+        if xk_trunc.shape[-1] != rfft.part:
+            raise PrunedPartMismatchError(
+                f"xk_trunc carries {xk_trunc.shape[-1]} bins but the "
+                f"staged plans truncate to part={rfft.part}"
+            )
+        want = x.shape[:2] + self._modes
+        if xk_trunc.shape != want:
+            raise ValueError(
+                f"xk_trunc must have shape {want}, got {xk_trunc.shape}"
+            )
+        return xk_trunc
 
 
-class CompiledSpectralConv1D:
+class CompiledSpectralConv1D(_SpectralExecutor):
     """Reusable executor for the fused 1-D spectral convolution.
 
     Build once per weight matrix; call with any ``(batch, C_in, X)``
@@ -821,18 +695,22 @@ class CompiledSpectralConv1D:
 
     ``symmetric=True`` selects the original FNO's rfft/irfft filter
     convention instead of the paper's first-bins C2C filter: real input,
-    half spectrum via the cached packed-real plans, Hermitian-mirrored
-    kept modes — a genuine real->real low-pass operator returning a real
-    array.  Requires ``modes <= X/2``.
+    truncated half spectrum straight from the cached pruned-R2C plan,
+    one shared CGEMM over the kept modes, and the pruned C2R plan
+    synthesising from exactly those modes — a genuine real->real
+    low-pass operator returning a real array.  Requires
+    ``modes <= X/2``.
 
-    ``tiles`` selects the tiling: ``"default"`` (the constructor's
-    ``signal_tile``/``k_tb``, the seed behaviour), a concrete
-    ``(signal_tile, k_tb)`` pair, or ``"auto"`` — resolve the tiles per
-    (geometry, dtype, backend, batch bucket) through ``tuner`` (the
-    process default when None), timing a small candidate grid on first
-    use and recalling the winner from the in-memory/persistent tune
-    stores afterwards.  Every legal tiling is **byte-identical**: tiles
-    move operands, never arithmetic.
+    ``tiles`` selects the fused dataflow's tiling: ``"default"`` (the
+    constructor's ``signal_tile``/``k_tb``, the seed behaviour), a
+    concrete ``(signal_tile, k_tb)`` pair, or ``"auto"`` — resolve the
+    tiles per (geometry, dtype, backend, batch bucket) through ``tuner``
+    (the process default when None), timing a small candidate grid on
+    first use and recalling the winner from the in-memory/persistent
+    tune stores afterwards.  Every legal tiling is **byte-identical**:
+    tiles move operands, never arithmetic.  Symmetric executors are
+    untiled: they accept ``"default"`` and ``"auto"`` (which never
+    consults the tuner) and reject a concrete pair.
     """
 
     ndim = 1
@@ -851,27 +729,65 @@ class CompiledSpectralConv1D:
             )
         if modes < 1:
             raise ValueError(f"modes must be positive, got {modes}")
-        _check_k_tb(k_tb)
-        self.weight = weight
         self.modes = modes
-        self.k_tb = k_tb
-        self.signal_tile = signal_tile
-        self.symmetric = symmetric
-        self.tiles = _normalise_tiles(tiles, k_tb, symmetric)
-        self._tuner = tuner
-        self._plans = plans
-        self._staged: dict[tuple, object] = {}
-        self._spec_panels: dict = {}
+        super().__init__(weight, (modes,), k_tb, signal_tile, symmetric,
+                         plans, tiles, tuner)
 
-    def _plan_caches(self) -> PlanCaches:
-        return self._plans if self._plans is not None else current_plan_caches()
+    # -- the staged halves ----------------------------------------------
 
-    def _spectrum_panels(self, dtype: np.dtype):
-        panels = self._spec_panels.get(dtype)
-        if panels is None:
-            panels = _weight_panels(self.weight, self.k_tb, dtype)
-            self._spec_panels[dtype] = panels
-        return panels
+    def _real_plans(self, dtype: np.dtype, spatial: tuple):
+        pair = self._real.get((dtype, spatial))
+        if pair is None:
+            (dim_x,) = spatial
+            _check_length(dim_x)
+            if self.modes > dim_x // 2:
+                raise ValueError(
+                    f"symmetric filtering needs modes <= X/2, got "
+                    f"{self.modes} on a length-{dim_x} grid"
+                )
+            pair = _real_pair(self._plan_caches(), dim_x, self.modes,
+                              dtype, "symmetric 1-D")
+            self._real[(dtype, spatial)] = pair
+        return pair
+
+    def _analyse(self, x: np.ndarray, dtype: np.dtype) -> np.ndarray:
+        """The forward staged half: the truncated spectrum of a checked
+        input — pruned R2C (symmetric) or pruned C2C."""
+        if self.symmetric:
+            batch, c_in, n = x.shape
+            rfft, _ = self._real_plans(dtype, (n,))
+            flat = np.ascontiguousarray(
+                x, dtype=rfft.real_dtype
+            ).reshape(batch * c_in, n)
+            return rfft.execute(flat).reshape(batch, c_in, self.modes)
+        return truncated_fft_auto(
+            x.astype(dtype, copy=False), self.modes, axis=2,
+            caches=self._plan_caches(),
+        )
+
+    def _synthesise(self, yk: np.ndarray, spatial: tuple) -> np.ndarray:
+        """The inverse staged half: pruned C2R (symmetric, real output)
+        or the pruned zero-padded C2C inverse (complex output).  Checks
+        the state's rank and kept modes against the executor and the
+        grid against the modes."""
+        _check_spectrum(yk, self._modes)
+        (dim_x,) = spatial
+        dtype = complex_dtype_for(yk.dtype)
+        if self.symmetric:
+            _, irfft = self._real_plans(dtype, spatial)
+            batch, c = yk.shape[:2]
+            flat = np.ascontiguousarray(yk, dtype=dtype).reshape(
+                batch * c, self.modes
+            )
+            return irfft.execute(flat).reshape(batch, c, dim_x)
+        if self.modes > dim_x:
+            raise ValueError(
+                f"modes must be in [1, {dim_x}], got {self.modes}"
+            )
+        return padded_ifft_auto(
+            yk.astype(dtype, copy=False), dim_x, axis=2,
+            caches=self._plan_caches(),
+        )
 
     # -- spectrum-in / spectrum-out entry points (rollout serving) ------
 
@@ -881,7 +797,9 @@ class CompiledSpectralConv1D:
 
         ``inverse_spectrum(step_spectrum(forward_spectrum(x)), X)``
         computes the same convolution as ``self(x)`` without paying the
-        inverse/forward transform pair between consecutive steps.
+        inverse/forward transform pair between consecutive steps (byte
+        for byte in the symmetric convention, whose ``__call__`` runs
+        these very stages).
         """
         x = np.asarray(x)
         _check_inputs(x, self.weight, 3)
@@ -890,20 +808,9 @@ class CompiledSpectralConv1D:
             raise ValueError(
                 f"modes must be in [1, {dim_x}], got {self.modes}"
             )
-        dtype = complex_dtype_for(x.dtype)
-        plans = self._plan_caches()
-        if self.symmetric:
-            if np.iscomplexobj(x):
-                raise ValueError("symmetric executor expects real input")
-            batch, c_in, n = x.shape
-            rfft = plans.pruned_rfft(dim_x, self.modes, dtype)
-            flat = np.ascontiguousarray(
-                x, dtype=rfft.real_dtype
-            ).reshape(batch * c_in, n)
-            return rfft.execute(flat).reshape(batch, c_in, self.modes)
-        return truncated_fft_auto(
-            x.astype(dtype, copy=False), self.modes, axis=2, caches=plans
-        )
+        if self.symmetric and np.iscomplexobj(x):
+            raise ValueError("symmetric executor expects real input")
+        return self._analyse(x, complex_dtype_for(x.dtype))
 
     def step_spectrum(self, sk: np.ndarray) -> np.ndarray:
         """One spectral-conv application entirely in the spectrum: the
@@ -915,45 +822,17 @@ class CompiledSpectralConv1D:
         inverse transform.
         """
         sk = np.asarray(sk)
-        c_in, c_out = self.weight.shape
-        if sk.ndim != 3 or sk.shape[1] != c_in or sk.shape[2] != self.modes:
-            raise ValueError(
-                f"expected spectrum of shape (batch, {c_in}, "
-                f"{self.modes}), got {sk.shape}"
-            )
-        dtype = complex_dtype_for(sk.dtype)
-        plans = self._plan_caches()
-        acc = np.zeros((sk.shape[0], c_out, self.modes), dtype)
-        for (k0, k1, wp) in self._spectrum_panels(dtype):
-            a = np.ascontiguousarray(sk[:, k0:k1], dtype=dtype)
-            panel_contract(a, wp, acc, kernels=plans.kernels())
-        return acc
+        _check_spectrum(sk, self._modes, self.weight.shape[0])
+        return self._step(sk, complex_dtype_for(sk.dtype))
 
     def inverse_spectrum(self, sk: np.ndarray, spatial) -> np.ndarray:
-        """Spatial-domain signal of a spectral state: the pruned
-        zero-padded inverse (complex output, like the fused pass), or —
-        symmetric — the C2R half-spectrum inverse (real output)."""
-        sk = np.asarray(sk)
+        """Spatial-domain signal of a ``(batch, C, modes)`` spectral
+        state: the pruned zero-padded inverse (complex output, like the
+        fused pass), or — symmetric — the C2R half-spectrum inverse
+        (real output)."""
         dim_x = (int(spatial[0]) if isinstance(spatial, (tuple, list))
                  else int(spatial))
-        dtype = complex_dtype_for(sk.dtype)
-        plans = self._plan_caches()
-        if self.symmetric:
-            if self.modes > dim_x // 2:
-                raise ValueError(
-                    f"symmetric filtering needs modes <= X/2, got "
-                    f"{self.modes} on a length-{dim_x} grid"
-                )
-            batch, c = sk.shape[0], sk.shape[1]
-            irfft = plans.pruned_irfft(dim_x, self.modes, dtype)
-            flat = np.ascontiguousarray(sk, dtype=dtype).reshape(
-                batch * c, sk.shape[2]
-            )
-            out = irfft.execute(flat)
-            return out.reshape(batch, c, dim_x)
-        return padded_ifft_auto(
-            sk.astype(dtype, copy=False), dim_x, axis=2, caches=plans
-        )
+        return self._synthesise(np.asarray(sk), (dim_x,))
 
     def reanalyze_spectrum(self, sk: np.ndarray, spatial=None) -> np.ndarray:
         """The output spectrum as the *next* step's forward analysis
@@ -963,40 +842,35 @@ class CompiledSpectralConv1D:
         symmetric convention projects the DC bin real."""
         if not self.symmetric:
             return sk
-        return _project_dc_real(np.asarray(sk))
+        sk = np.asarray(sk)
+        _check_spectrum(sk, self._modes)
+        return _project_dc_real(sk)
+
+    # -- tiling (the fused dataflow only) -------------------------------
 
     def _tiles_for(self, dtype: np.dtype, dim_x: int, batch: int,
                    retune: bool = False) -> Tiles:
         if self.tiles == "default":
-            return (Tiles(0, self.k_tb) if self.symmetric
-                    else Tiles(self.signal_tile, self.k_tb))
+            return Tiles(self.signal_tile, self.k_tb)
         if isinstance(self.tiles, Tiles):
             return self.tiles
         tuner = self._tuner if self._tuner is not None else default_tuner()
-        plans = self._plan_caches()
-        if self.symmetric:
-            return _autotune_symmetric_tiles(
-                "sym1d", self.weight, (self.modes,), (dim_x,), self.k_tb,
-                dtype, plans, tuner, batch,
-                build=lambda bt: _StagedSymmetric1D(
-                    self.weight, self.modes, dim_x, self.k_tb, dtype,
-                    plans=plans, batch_tile=bt,
-                ),
-                retune=retune,
-            )
         return _autotune_fused_tiles(
             self.weight, self.modes, dim_x, self.k_tb,
-            Tiles(self.signal_tile, self.k_tb), dtype, plans, tuner, batch,
-            retune=retune,
+            Tiles(self.signal_tile, self.k_tb), dtype,
+            self._plan_caches(), tuner, batch, retune=retune,
         )
 
     def resolve_tiles(self, batch: int, spatial,
-                      dtype=np.float32, retune: bool = False) -> Tiles:
+                      dtype=np.float32, retune: bool = False):
         """Resolve (and for ``tiles="auto"`` tune, on a miss) the tiling
         this executor will use for one ``(batch, C_in, X)`` geometry —
         the warmup hook :meth:`repro.api.Session.warmup` calls so
         serving never pays the tune inline.  ``retune`` forces a fresh
-        timed search, overwriting memo and store."""
+        timed search, overwriting memo and store.  ``None`` for a
+        symmetric executor, which is untiled."""
+        if self.symmetric:
+            return None
         dim_x = spatial[0] if isinstance(spatial, (tuple, list)) else spatial
         return self._tiles_for(
             complex_dtype_for(dtype), int(dim_x), batch, retune=retune
@@ -1007,8 +881,8 @@ class CompiledSpectralConv1D:
         signals can resolve to (micro-batching serves smaller
         concatenations than the nominal problem batch), so no serving
         call ever runs the timed search inline.  Returns the number of
-        resolutions; 0 unless ``tiles="auto"``."""
-        if self.tiles != "auto":
+        resolutions; 0 unless a fused executor has ``tiles="auto"``."""
+        if self.tiles != "auto" or self.symmetric:
             return 0
         dim_x = spatial[0] if isinstance(spatial, (tuple, list)) else spatial
         cdt = complex_dtype_for(dtype)
@@ -1017,22 +891,16 @@ class CompiledSpectralConv1D:
             self._tiles_for(cdt, int(dim_x), bucket)
         return len(buckets)
 
-    def _stage_for(self, dtype: np.dtype, dim_x: int, tiles: Tiles):
+    def _stage_for(self, dtype: np.dtype, dim_x: int,
+                   tiles: Tiles) -> _StagedFused1D:
         key = (dtype, dim_x, tiles)
         staged = self._staged.get(key)
         if staged is None:
-            if self.symmetric:
-                staged = _StagedSymmetric1D(
-                    self.weight, self.modes, dim_x, self.k_tb, dtype,
-                    plans=self._plan_caches(),
-                    batch_tile=tiles.signal_tile,
-                )
-            else:
-                staged = _StagedFused1D(
-                    self.weight, self.modes, dim_x,
-                    self.k_tb, tiles.signal_tile, dtype,
-                    plans=self._plan_caches(), k_block=tiles.k_tb,
-                )
+            staged = _StagedFused1D(
+                self.weight, self.modes, dim_x,
+                self.k_tb, tiles.signal_tile, dtype,
+                plans=self._plan_caches(), k_block=tiles.k_tb,
+            )
             self._staged[key] = staged
         return staged
 
@@ -1054,14 +922,14 @@ class CompiledSpectralConv1D:
         if xk_trunc is not None and not self.symmetric:
             raise ValueError("xk_trunc applies to symmetric executors only")
         dtype = complex_dtype_for(x.dtype)
-        tiles = self._tiles_for(dtype, dim_x, max(x.shape[0], 1))
-        staged = self._stage_for(dtype, dim_x, tiles)
         if self.symmetric:
-            return staged.run(x, xk_trunc)
-        return staged.run_fused(x)
+            sk = self._symmetric_spectrum(x, xk_trunc, dtype)
+            return self._synthesise(self._step(sk, dtype), (dim_x,))
+        tiles = self._tiles_for(dtype, dim_x, max(x.shape[0], 1))
+        return self._stage_for(dtype, dim_x, tiles).run_fused(x)
 
 
-class CompiledSpectralConv2D:
+class CompiledSpectralConv2D(_SpectralExecutor):
     """Reusable executor for the fused 2-D spectral convolution.
 
     The width FFT and width inverse run through the cached pruned plans;
@@ -1070,15 +938,17 @@ class CompiledSpectralConv2D:
     :func:`repro.core.legacy.fused_fft_gemm_ifft_2d`.
 
     ``symmetric=True`` selects the half-spectrum convention on real
-    input: R2C along Y (packed-real plans), the paper's first-bins C2C
-    filter along X, and a real-valued output via the C2R inverse.
-    Requires ``modes_y <= Y/2``.
+    input: pruned R2C along Y, the paper's first-bins C2C filter along
+    X, one shared CGEMM over the kept corner, then the inverse chain
+    (pruned C2C inverse along X, pruned C2R along Y — synthesised
+    straight from the kept modes, no Hermitian-half zero-pad) and a
+    real-valued output.  Requires ``modes_y <= Y/2``.
 
     ``tiles`` works exactly as on :class:`CompiledSpectralConv1D`; the
     fused (non-symmetric) dataflow applies it to the per-pencil fused
     stage along Y (a ``batch * modes_x`` pencil batch of the 1-D
-    computation, sharing its tune entries), the symmetric dataflow to
-    the whole-pass batch tile.
+    computation, sharing its tune entries).  Symmetric executors are
+    untiled.
     """
 
     ndim = 2
@@ -1099,51 +969,41 @@ class CompiledSpectralConv2D:
             raise ValueError(
                 f"modes must be positive, got ({modes_x}, {modes_y})"
             )
-        _check_k_tb(k_tb)
-        self.weight = weight
         self.modes_x = modes_x
         self.modes_y = modes_y
-        self.k_tb = k_tb
-        self.signal_tile = signal_tile
-        self.symmetric = symmetric
-        self.tiles = _normalise_tiles(tiles, k_tb, symmetric)
-        self._tuner = tuner
-        self._plans = plans
-        self._staged: dict[tuple, object] = {}
-        self._spec_panels: dict = {}
+        super().__init__(weight, (modes_x, modes_y), k_tb, signal_tile,
+                         symmetric, plans, tiles, tuner)
 
-    def _plan_caches(self) -> PlanCaches:
-        return self._plans if self._plans is not None else current_plan_caches()
+    # -- the staged halves ----------------------------------------------
 
-    def _spectrum_panels(self, dtype: np.dtype):
-        panels = self._spec_panels.get(dtype)
-        if panels is None:
-            panels = _weight_panels(self.weight, self.k_tb, dtype)
-            self._spec_panels[dtype] = panels
-        return panels
+    def _real_plans(self, dtype: np.dtype, spatial: tuple):
+        pair = self._real.get((dtype, spatial))
+        if pair is None:
+            dim_x, dim_y = spatial
+            _check_length(dim_x)
+            _check_length(dim_y)
+            if self.modes_x > dim_x:
+                raise ValueError(
+                    f"modes_x={self.modes_x} exceeds spatial size {dim_x}"
+                )
+            if self.modes_y > dim_y // 2:
+                raise ValueError(
+                    f"symmetric filtering needs modes_y <= Y/2, got "
+                    f"{self.modes_y} on a length-{dim_y} grid"
+                )
+            pair = _real_pair(self._plan_caches(), dim_y, self.modes_y,
+                              dtype, "symmetric 2-D")
+            self._real[(dtype, spatial)] = pair
+        return pair
 
-    # -- spectrum-in / spectrum-out entry points (rollout serving) ------
-
-    def forward_spectrum(self, x: np.ndarray) -> np.ndarray:
-        """Truncated ``(batch, C_in, modes_x, modes_y)`` spectrum corner
-        of ``x`` — the rollout state (see
-        :meth:`CompiledSpectralConv1D.forward_spectrum`)."""
-        x = np.asarray(x)
-        _check_inputs(x, self.weight, 4)
-        batch, c_in, dim_x, dim_y = x.shape
-        if not (1 <= self.modes_x <= dim_x) or not (
-            1 <= self.modes_y <= dim_y
-        ):
-            raise ValueError(
-                f"modes ({self.modes_x}, {self.modes_y}) out of range "
-                f"for ({dim_x}, {dim_y})"
-            )
-        dtype = complex_dtype_for(x.dtype)
+    def _analyse(self, x: np.ndarray, dtype: np.dtype) -> np.ndarray:
+        """The forward staged half: the truncated corner of a checked
+        input — pruned R2C along Y then pruned C2C along X (symmetric),
+        or pruned C2C along X then Y."""
         plans = self._plan_caches()
+        batch, c_in, dim_x, dim_y = x.shape
         if self.symmetric:
-            if np.iscomplexobj(x):
-                raise ValueError("symmetric executor expects real input")
-            rfft = plans.pruned_rfft(dim_y, self.modes_y, dtype)
+            rfft, _ = self._real_plans(dtype, (dim_x, dim_y))
             flat = np.ascontiguousarray(
                 x, dtype=rfft.real_dtype
             ).reshape(batch * c_in * dim_x, dim_y)
@@ -1156,62 +1016,72 @@ class CompiledSpectralConv2D:
         xk_x = truncated_fft_auto(
             x.astype(dtype, copy=False), self.modes_x, axis=2, caches=plans
         )
-        return truncated_fft_auto(
-            xk_x, self.modes_y, axis=3, caches=plans
+        return truncated_fft_auto(xk_x, self.modes_y, axis=3, caches=plans)
+
+    def _synthesise(self, yk: np.ndarray, spatial: tuple) -> np.ndarray:
+        """The inverse staged half, mirroring :meth:`_analyse`: pruned
+        C2C inverse along X then pruned C2R along Y (symmetric, real
+        output), or zero-padded C2C inverses along Y then X.  Checks the
+        state's rank and kept corner and the grid against the modes."""
+        _check_spectrum(yk, self._modes)
+        dim_x, dim_y = spatial
+        dtype = complex_dtype_for(yk.dtype)
+        plans = self._plan_caches()
+        if self.symmetric:
+            _, irfft = self._real_plans(dtype, spatial)
+            batch, c = yk.shape[:2]
+            y_x = padded_ifft_auto(
+                np.ascontiguousarray(yk, dtype=dtype), dim_x, axis=2,
+                caches=plans,
+            )
+            flat = np.ascontiguousarray(y_x, dtype=dtype).reshape(
+                batch * c * dim_x, self.modes_y
+            )
+            return irfft.execute(flat).reshape(batch, c, dim_x, dim_y)
+        if self.modes_x > dim_x or self.modes_y > dim_y:
+            raise ValueError(
+                f"modes ({self.modes_x}, {self.modes_y}) out of range "
+                f"for ({dim_x}, {dim_y})"
+            )
+        y_y = padded_ifft_auto(
+            yk.astype(dtype, copy=False), dim_y, axis=3, caches=plans
         )
+        return padded_ifft_auto(y_y, dim_x, axis=2, caches=plans)
+
+    # -- spectrum-in / spectrum-out entry points (rollout serving) ------
+
+    def forward_spectrum(self, x: np.ndarray) -> np.ndarray:
+        """Truncated ``(batch, C_in, modes_x, modes_y)`` spectrum corner
+        of ``x`` — the rollout state (see
+        :meth:`CompiledSpectralConv1D.forward_spectrum`)."""
+        x = np.asarray(x)
+        _check_inputs(x, self.weight, 4)
+        dim_x, dim_y = x.shape[2:]
+        if not (1 <= self.modes_x <= dim_x) or not (
+            1 <= self.modes_y <= dim_y
+        ):
+            raise ValueError(
+                f"modes ({self.modes_x}, {self.modes_y}) out of range "
+                f"for ({dim_x}, {dim_y})"
+            )
+        if self.symmetric and np.iscomplexobj(x):
+            raise ValueError("symmetric executor expects real input")
+        return self._analyse(x, complex_dtype_for(x.dtype))
 
     def step_spectrum(self, sk: np.ndarray) -> np.ndarray:
         """One spectral-conv application entirely in the spectrum: the
         shared CGEMM over the flattened kept corner, no transforms."""
         sk = np.asarray(sk)
-        c_in, c_out = self.weight.shape
-        if sk.ndim != 4 or sk.shape[1:] != (
-            c_in, self.modes_x, self.modes_y
-        ):
-            raise ValueError(
-                f"expected spectrum of shape (batch, {c_in}, "
-                f"{self.modes_x}, {self.modes_y}), got {sk.shape}"
-            )
-        dtype = complex_dtype_for(sk.dtype)
-        plans = self._plan_caches()
-        batch = sk.shape[0]
-        m = self.modes_x * self.modes_y
-        flat = np.ascontiguousarray(sk, dtype=dtype).reshape(batch, c_in, m)
-        acc = np.zeros((batch, c_out, m), dtype)
-        for (k0, k1, wp) in self._spectrum_panels(dtype):
-            a = np.ascontiguousarray(flat[:, k0:k1])
-            panel_contract(a, wp, acc, kernels=plans.kernels())
-        return acc.reshape(batch, c_out, self.modes_x, self.modes_y)
+        _check_spectrum(sk, self._modes, self.weight.shape[0])
+        return self._step(sk, complex_dtype_for(sk.dtype))
 
     def inverse_spectrum(self, sk: np.ndarray, spatial) -> np.ndarray:
-        """Spatial-domain signal of a spectral state (complex output;
-        symmetric executors return the real C2R inverse)."""
-        sk = np.asarray(sk)
-        dim_x, dim_y = int(spatial[0]), int(spatial[1])
-        dtype = complex_dtype_for(sk.dtype)
-        plans = self._plan_caches()
-        if self.symmetric:
-            if self.modes_y > dim_y // 2:
-                raise ValueError(
-                    f"symmetric filtering needs modes_y <= Y/2, got "
-                    f"{self.modes_y} on a length-{dim_y} grid"
-                )
-            batch, c = sk.shape[0], sk.shape[1]
-            y_x = padded_ifft_auto(
-                np.ascontiguousarray(sk, dtype=dtype), dim_x, axis=2,
-                caches=plans,
-            )
-            irfft = plans.pruned_irfft(dim_y, self.modes_y, dtype)
-            out = irfft.execute(
-                np.ascontiguousarray(y_x, dtype=dtype).reshape(
-                    batch * c * dim_x, y_x.shape[-1]
-                )
-            )
-            return out.reshape(batch, c, dim_x, dim_y)
-        y_y = padded_ifft_auto(
-            sk.astype(dtype, copy=False), dim_y, axis=3, caches=plans
+        """Spatial-domain signal of a ``(batch, C, modes_x, modes_y)``
+        spectral state (complex output; symmetric executors return the
+        real C2R inverse)."""
+        return self._synthesise(
+            np.asarray(sk), (int(spatial[0]), int(spatial[1]))
         )
-        return padded_ifft_auto(y_y, dim_x, axis=2, caches=plans)
 
     def reanalyze_spectrum(self, sk: np.ndarray, spatial=None) -> np.ndarray:
         """The output spectrum as the next step's forward analysis would
@@ -1224,72 +1094,57 @@ class CompiledSpectralConv2D:
             raise ValueError(
                 "symmetric reanalysis needs the spatial shape (dim_x, dim_y)"
             )
-        return _project_herm_x(np.asarray(sk), int(spatial[0]))
+        sk = np.asarray(sk)
+        _check_spectrum(sk, self._modes)
+        dim_x = int(spatial[0])
+        if self.modes_x > dim_x:
+            raise ValueError(
+                f"modes_x={self.modes_x} exceeds spatial size {dim_x}"
+            )
+        return _project_herm_x(sk, dim_x)
 
-    def _tiles_for(self, dtype: np.dtype, dim_x: int, dim_y: int,
-                   batch: int, retune: bool = False) -> Tiles:
+    # -- tiling (the fused dataflow only) -------------------------------
+
+    def _tiles_for(self, dtype: np.dtype, dim_y: int, batch: int,
+                   retune: bool = False) -> Tiles:
+        """Tiles of the fused stage along Y, which runs over ``batch``
+        pencils — tuned as exactly that 1-D computation."""
         if self.tiles == "default":
-            return (Tiles(0, self.k_tb) if self.symmetric
-                    else Tiles(self.signal_tile, self.k_tb))
+            return Tiles(self.signal_tile, self.k_tb)
         if isinstance(self.tiles, Tiles):
             return self.tiles
         tuner = self._tuner if self._tuner is not None else default_tuner()
-        plans = self._plan_caches()
-        if self.symmetric:
-            return _autotune_symmetric_tiles(
-                "sym2d", self.weight, (self.modes_x, self.modes_y),
-                (dim_x, dim_y), self.k_tb, dtype, plans, tuner, batch,
-                build=lambda bt: _StagedSymmetric2D(
-                    self.weight, self.modes_x, self.modes_y,
-                    dim_x, dim_y, self.k_tb, dtype, plans=plans,
-                    batch_tile=bt,
-                ),
-                retune=retune,
-            )
-        # The fused stage runs along Y over (batch * modes_x) pencils —
-        # tune exactly that 1-D computation.
         return _autotune_fused_tiles(
             self.weight, self.modes_y, dim_y, self.k_tb,
-            Tiles(self.signal_tile, self.k_tb), dtype, plans, tuner,
-            batch * self.modes_x,
-            retune=retune,
+            Tiles(self.signal_tile, self.k_tb), dtype,
+            self._plan_caches(), tuner, batch, retune=retune,
         )
 
     def resolve_tiles(self, batch: int, spatial,
-                      dtype=np.float32, retune: bool = False) -> Tiles:
+                      dtype=np.float32, retune: bool = False):
         """Resolve (and for ``tiles="auto"`` tune, on a miss) the tiling
         for one ``(batch, C_in, X, Y)`` geometry — the
         :meth:`repro.api.Session.warmup` hook.  ``retune`` forces a
-        fresh timed search."""
-        dim_x, dim_y = (int(spatial[0]), int(spatial[1]))
+        fresh timed search.  ``None`` for a symmetric executor."""
+        if self.symmetric:
+            return None
         return self._tiles_for(
-            complex_dtype_for(dtype), dim_x, dim_y, batch, retune=retune
+            complex_dtype_for(dtype), int(spatial[1]),
+            batch * self.modes_x, retune=retune,
         )
 
     def warm_tiles(self, batch: int, spatial, dtype=np.float32) -> int:
         """Pre-tune every batch bucket reachable by a stream of up to
         ``batch`` requests (see :meth:`CompiledSpectralConv1D.warm_tiles`).
-        The fused dataflow enumerates *pencil*-batch buckets — the fused
-        stage runs over ``batch * modes_x`` pencils, and smaller
-        micro-batches land in smaller pencil buckets."""
-        if self.tiles != "auto":
+        The fused stage runs over ``batch * modes_x`` pencils, so the
+        *pencil*-batch buckets are enumerated — smaller micro-batches
+        land in smaller pencil buckets."""
+        if self.tiles != "auto" or self.symmetric:
             return 0
-        dim_x, dim_y = (int(spatial[0]), int(spatial[1]))
         cdt = complex_dtype_for(dtype)
-        if self.symmetric:
-            buckets = bucket_ladder(batch)
-            for bucket in buckets:
-                self._tiles_for(cdt, dim_x, dim_y, bucket)
-            return len(buckets)
-        tuner = self._tuner if self._tuner is not None else default_tuner()
-        plans = self._plan_caches()
         buckets = bucket_ladder(batch * self.modes_x)
         for bucket in buckets:
-            _autotune_fused_tiles(
-                self.weight, self.modes_y, dim_y, self.k_tb,
-                Tiles(self.signal_tile, self.k_tb), cdt, plans, tuner,
-                bucket,
-            )
+            self._tiles_for(cdt, int(spatial[1]), bucket)
         return len(buckets)
 
     def _stage_for(self, dtype: np.dtype, dim_y: int,
@@ -1301,20 +1156,6 @@ class CompiledSpectralConv2D:
                 self.weight, self.modes_y, dim_y,
                 self.k_tb, tiles.signal_tile, dtype,
                 plans=self._plan_caches(), k_block=tiles.k_tb,
-            )
-            self._staged[key] = staged
-        return staged
-
-    def _stage_symmetric(self, dtype: np.dtype, dim_x: int,
-                         dim_y: int, tiles: Tiles) -> _StagedSymmetric2D:
-        key = (dtype, dim_x, dim_y, tiles, "sym")
-        staged = self._staged.get(key)
-        if staged is None:
-            staged = _StagedSymmetric2D(
-                self.weight, self.modes_x, self.modes_y,
-                dim_x, dim_y, self.k_tb, dtype,
-                plans=self._plan_caches(),
-                batch_tile=tiles.signal_tile,
             )
             self._staged[key] = staged
         return staged
@@ -1336,13 +1177,11 @@ class CompiledSpectralConv2D:
         if xk_trunc is not None and not self.symmetric:
             raise ValueError("xk_trunc applies to symmetric executors only")
         dtype = complex_dtype_for(x.dtype)
-        tiles = self._tiles_for(dtype, dim_x, dim_y, max(batch, 1))
         if self.symmetric:
             if np.iscomplexobj(x):
                 raise ValueError("symmetric executor expects real input")
-            return self._stage_symmetric(
-                dtype, dim_x, dim_y, tiles
-            ).run(x, xk_trunc)
+            sk = self._symmetric_spectrum(x, xk_trunc, dtype)
+            return self._synthesise(self._step(sk, dtype), (dim_x, dim_y))
         c_out = self.weight.shape[1]
         plans = self._plan_caches()
 
@@ -1355,8 +1194,8 @@ class CompiledSpectralConv2D:
         pencils = xk_x.transpose(0, 2, 1, 3).reshape(
             batch * self.modes_x, c_in, dim_y
         )
-        staged = self._stage_for(dtype, dim_y, tiles)
-        out_pencils = staged.run_fused(pencils)
+        tiles = self._tiles_for(dtype, dim_y, max(batch, 1) * self.modes_x)
+        out_pencils = self._stage_for(dtype, dim_y, tiles).run_fused(pencils)
 
         yk_x = out_pencils.reshape(
             batch, self.modes_x, c_out, dim_y
@@ -1383,9 +1222,9 @@ def compile_spectral_conv(
     rfft/irfft half-spectrum convention (real input, real output).
     ``plans`` pins the executor to one plan-cache set (a session's);
     ``None`` resolves the set active on the staging thread.
-    ``tiles``/``tuner`` select the tiling (``"auto"`` autotunes per
-    geometry — byte-identical output, see
-    :mod:`repro.core.autotune`).
+    ``tiles``/``tuner`` select the fused dataflow's tiling (``"auto"``
+    autotunes per geometry — byte-identical output, see
+    :mod:`repro.core.autotune`); symmetric executors are untiled.
     """
     if isinstance(modes, tuple):
         if len(modes) == 1:

@@ -48,9 +48,8 @@ def _weight(rng, c_in=8, c_out=8):
 
 
 def _key(**overrides) -> TuneKey:
-    base = dict(kind="fused1d", spatial=(32,), modes=(16,), c_in=8,
-                c_out=8, k_tb=8, batch_bucket=32, dtype="complex64",
-                backend="numpy")
+    base = dict(spatial=(32,), modes=(16,), c_in=8, c_out=8, k_tb=8,
+                batch_bucket=32, dtype="complex64", backend="numpy")
     base.update(overrides)
     return TuneKey(**base)
 
@@ -86,16 +85,6 @@ class TestGridAndModel:
                                 k_tb=8, max_candidates=4, default=default)
         assert len(cands) == 4
         assert default in cands
-
-    def test_untiled_candidate_only_when_allowed(self):
-        with_untiled = candidate_tiles(batch=64, c_in=8, c_out=8, modes=16,
-                                       k_tb=8, allow_untiled=True,
-                                       k_multipliers=(1,),
-                                       max_candidates=None)
-        without = candidate_tiles(batch=64, c_in=8, c_out=8, modes=16,
-                                  k_tb=8, max_candidates=None)
-        assert any(t.signal_tile == 0 for t in with_untiled)
-        assert all(t.signal_tile >= 1 for t in without)
 
     def test_model_penalises_cache_spill(self):
         # Same dispatch structure, working set far beyond the budget:
@@ -187,6 +176,7 @@ class TestTuneStore:
         {"signal_tile": "4", "k_tb": 8},         # wrong type
         {"signal_tile": True, "k_tb": 8},        # bool is not a tile
         {"signal_tile": -1, "k_tb": 8},          # out of range
+        {"signal_tile": 0, "k_tb": 8},           # no untiled winners
         {"signal_tile": 4, "k_tb": 0},
     ])
     def test_malformed_entries_ignored(self, tmp_path, entry):
@@ -384,15 +374,60 @@ class TestExecutorTilesArgument:
             CompiledSpectralConv1D(w, 4, tiles=(16, 12))
         with pytest.raises(ValueError, match="whole multiple"):
             CompiledSpectralConv1D(w, 4, tiles=(16, 4))  # below k_tb
-        with pytest.raises(ValueError, match="accumulation order"):
+        with pytest.raises(ValueError, match="untiled"):
             CompiledSpectralConv1D(w, 4, symmetric=True, tiles=(16, 16))
         with pytest.raises(ValueError):
             compile_spectral_conv(w, (4, 4), tiles=(16, 12))
 
-    def test_symmetric_accepts_untiled_and_batch_tiles(self, rng):
+    @pytest.mark.parametrize("tiles", [(0, 8), (7, 8), (16, 8)])
+    def test_symmetric_rejects_concrete_tiles(self, rng, tiles):
         w = _weight(rng)
-        CompiledSpectralConv1D(w, 4, symmetric=True, tiles=(0, 8))
-        CompiledSpectralConv2D(w, 4, 4, symmetric=True, tiles=(7, 8))
+        with pytest.raises(ValueError, match="untiled"):
+            CompiledSpectralConv1D(w, 4, symmetric=True, tiles=tiles)
+        with pytest.raises(ValueError, match="untiled"):
+            CompiledSpectralConv2D(w, 4, 4, symmetric=True, tiles=tiles)
+
+    def test_symmetric_auto_never_consults_the_tuner(self, tmp_path, rng):
+        w = _weight(rng)
+        tuner = Tuner(store=TuneStore(tmp_path / "t.json"))
+        x1 = rng.standard_normal((6, 8, 32)).astype(np.float32)
+        x2 = rng.standard_normal((3, 8, 16, 32)).astype(np.float32)
+        for modes, x, spatial in [((8,), x1, 32), ((4, 8), x2, (16, 32))]:
+            conv = compile_spectral_conv(w, modes, symmetric=True,
+                                         tiles="auto", tuner=tuner)
+            plain = compile_spectral_conv(w, modes, symmetric=True)
+            assert np.array_equal(conv(x), plain(x))
+            assert conv.resolve_tiles(32, spatial) is None
+            assert conv.warm_tiles(256, spatial) == 0
+        assert tuner.stats() == {"hits": 0, "misses": 0, "entries": 0}
+        assert not (tmp_path / "t.json").exists()
+
+    def test_auto_hit_builds_no_candidate_grid(self, tmp_path, monkeypatch,
+                                               rng):
+        """A memoised winner is recalled without rebuilding (and
+        re-costing) the candidate grid: warm calls only hit."""
+        from repro.core import compiled
+
+        built = []
+        real = compiled.candidate_tiles
+
+        def counting(**kwargs):
+            built.append(kwargs)
+            return real(**kwargs)
+
+        monkeypatch.setattr(compiled, "candidate_tiles", counting)
+        tuner = Tuner(store=TuneStore(tmp_path / "t.json"))
+        w = _weight(rng)
+        conv = CompiledSpectralConv1D(w, 16, tiles="auto", tuner=tuner)
+        x = rng.standard_normal((8, 8, 32)).astype(np.float32)
+        conv(x)  # the one search
+        assert len(built) == 1
+        hits = tuner.stats()["hits"]
+        for _ in range(5):
+            conv(x)
+        assert len(built) == 1
+        assert tuner.stats()["hits"] == hits + 5
+        assert tuner.stats()["misses"] == 1
 
     def test_staging_cached_per_tiles(self, rng):
         w = _weight(rng)
@@ -408,7 +443,7 @@ class TestExecutorTilesArgument:
             Tiles(16, 8)
         assert CompiledSpectralConv1D(
             w, 8, symmetric=True
-        ).resolve_tiles(32, 32) == Tiles(0, 8)
+        ).resolve_tiles(32, 32) is None
         assert CompiledSpectralConv1D(
             w, 8, tiles=(64, 16)
         ).resolve_tiles(32, 32) == Tiles(64, 16)
@@ -483,10 +518,11 @@ class TestSessionAutotune:
         prob = FNO1DProblem(batch=16, hidden=8, dim_x=32, modes=16)
         with api.Session(autotune=True) as s:
             info = s.warmup([prob])
-            # one bucket (<=32), fused + symmetric (modes == dim_x/2)
-            assert info["tuned"] == 2
+            # one bucket (<=32) of the fused dataflow; symmetric
+            # executors are untiled
+            assert info["tuned"] == 1
             misses = s.stats()["autotune"]["misses"]
-            assert misses == 2
+            assert misses == 1
             # serving the warmed geometry — at the problem batch AND at
             # smaller micro-batch sizes — never searches inline
             w = _weight(rng)

@@ -190,15 +190,24 @@ def _sym_oracle_2d(x, w, mx, my):
 _SYM_ATOL = {np.dtype(np.float32): 1e-3, np.dtype(np.float64): 1e-9}
 
 
+def _spectrum_path(conv, x, xk=None):
+    """``conv(x)`` recomposed from the spectrum entry points."""
+    sk = conv.forward_spectrum(x) if xk is None else xk
+    spatial = x.shape[2:] if conv.ndim == 2 else x.shape[2]
+    return conv.inverse_spectrum(conv.step_spectrum(sk), spatial)
+
+
 class TestFuzzSymmetric:
     """Symmetric executors fuzz the *pruned* R2C/C2R plan family: modes
     draws cover the whole legal range [1, X/2] — non-powers of two and
     the decomposition/slice/pad strategy boundaries included — and every
-    trial is checked against the numpy.fft oracle on top of the tiled
-    byte-identity."""
+    trial is checked against the numpy.fft oracle, and byte for byte
+    against the same convolution recomposed from the spectrum entry
+    points (the executor is untiled: ``__call__`` runs those stages)."""
 
     @pytest.mark.parametrize("trial", range(14))
-    def test_randomized_batch_tiles_match_untiled_1d(self, backend, trial):
+    def test_randomized_call_matches_oracle_and_spectrum_path_1d(
+            self, backend, trial):
         rng = np.random.default_rng(3000 + trial)
         dim_x = int(rng.choice([8, 16, 32, 64, 128]))
         # any legal truncation, not just power-of-two divisors: odd
@@ -207,7 +216,6 @@ class TestFuzzSymmetric:
         batch = int(rng.integers(1, 33))
         c_in = int(rng.integers(1, 13))
         c_out = int(rng.integers(1, 9))
-        tile = int(rng.integers(0, 41))
         dtype = rng.choice([np.float32, np.float64])
         wdtype = np.complex128 if dtype == np.float64 else np.complex64
         w = _weight(rng, c_in, c_out, wdtype)
@@ -219,23 +227,21 @@ class TestFuzzSymmetric:
             err_msg=f"oracle mismatch for B={batch} C={c_in} X={dim_x} "
                     f"m={modes} [{backend}]",
         )
-        tiled = CompiledSpectralConv1D(
-            w, modes, symmetric=True, tiles=(tile, 8)
-        )(x)
-        assert _bit_equal(tiled, ref), (
-            f"batch tile {tile} changed bits for B={batch} C={c_in} "
+        conv = CompiledSpectralConv1D(w, modes, symmetric=True)
+        assert _bit_equal(_spectrum_path(conv, x), ref), (
+            f"spectrum path changed bits for B={batch} C={c_in} "
             f"X={dim_x} m={modes} [{backend}]"
         )
 
     @pytest.mark.parametrize("trial", range(8))
-    def test_randomized_batch_tiles_match_untiled_2d(self, backend, trial):
+    def test_randomized_call_matches_oracle_and_spectrum_path_2d(
+            self, backend, trial):
         rng = np.random.default_rng(4000 + trial)
         dim_x, dim_y = int(rng.choice([8, 16])), int(rng.choice([16, 32, 64]))
         mx = int(rng.integers(1, dim_x + 1))
         my = int(rng.integers(1, dim_y // 2 + 1))
         batch = int(rng.integers(1, 17))
         c_in = int(rng.integers(1, 9))
-        tile = int(rng.integers(0, 21))
         w = _weight(rng, c_in, 5, np.complex64)
         x = _signal(rng, (batch, c_in, dim_x, dim_y), np.float32,
                     "contiguous")
@@ -246,23 +252,18 @@ class TestFuzzSymmetric:
             err_msg=f"oracle mismatch for B={batch} C={c_in} "
                     f"grid={dim_x}x{dim_y} m={mx}x{my} [{backend}]",
         )
-        tiled = CompiledSpectralConv2D(
-            w, mx, my, symmetric=True, tiles=(tile, 8)
-        )(x)
-        assert _bit_equal(tiled, ref)
+        conv = CompiledSpectralConv2D(w, mx, my, symmetric=True)
+        assert _bit_equal(_spectrum_path(conv, x), ref)
 
-    def test_tiled_symmetric_with_precomputed_spectrum(self, backend):
+    def test_precomputed_spectrum_matches_spectrum_path(self, backend):
         rng = np.random.default_rng(5)
         w = _weight(rng, 6, 4, np.complex64)
         x = _signal(rng, (9, 6, 32), np.float32, "contiguous")
         xk = np.fft.rfft(x.astype(np.float64), axis=-1)[..., :8].astype(
             np.complex64
         )
-        ref = CompiledSpectralConv1D(w, 8, symmetric=True)(x, xk_trunc=xk)
-        tiled = CompiledSpectralConv1D(
-            w, 8, symmetric=True, tiles=(4, 8)
-        )(x, xk_trunc=xk)
-        assert _bit_equal(tiled, ref)
+        conv = CompiledSpectralConv1D(w, 8, symmetric=True)
+        assert _bit_equal(conv(x, xk_trunc=xk), _spectrum_path(conv, x, xk))
 
 
 class TestFuzzAutotuned:
@@ -304,3 +305,5 @@ class TestFuzzAutotuned:
         assert _bit_equal(
             autos(xs), CompiledSpectralConv1D(w, 8, symmetric=True)(xs)
         )
+        # symmetric executors are untiled: only the 2-D fused stage tuned
+        assert tuner.stats()["misses"] == 1

@@ -260,8 +260,8 @@ def test_symmetric_executor_2d_matches_oracle(backend, dtype, atol):
 
 
 def test_symmetric_executor_reuse_bit_identical(backend):
-    """Staging is cached per (dtype, geometry); repeated and interleaved
-    calls through the shared rfft/irfft plans are deterministic."""
+    """The R2C/C2R plans are resolved once per (dtype, geometry);
+    repeated and interleaved calls through them are deterministic."""
     rng = np.random.default_rng(8)
     w = _weight(3, 3, np.complex64, rng)
     conv = CompiledSpectralConv1D(w, 4, symmetric=True)
@@ -270,7 +270,7 @@ def test_symmetric_executor_reuse_bit_identical(backend):
     second = [conv(x) for x in reversed(xs)][::-1]
     for g1, g2 in zip(first, second):
         assert _bit_equal(g1, g2)
-    assert len(conv._staged) == 1
+    assert len(conv._real) == 1
 
 
 def test_symmetric_executor_validation():
@@ -320,6 +320,123 @@ def test_symmetric_executor_rejects_malformed_xk_trunc():
     x2 = _x((2, 4, 16, 32), np.float32, rng)
     with pytest.raises(ValueError, match="xk_trunc"):
         conv2(x2, xk_trunc=np.zeros((2, 4, 8, 4), np.complex64))
+
+
+# ---------------------------------------------------------------------------
+# the spectrum entry points
+# ---------------------------------------------------------------------------
+
+def _is_pow2(n):
+    return n & (n - 1) == 0
+
+
+#: (batch, C_in, C_out, spatial, modes).  The symmetric rows reach the
+#: pruned R2C/C2R "decomp" and "slice"/"pad" strategies (the "full"
+#: one needs X/2 + 1 kept bins, past the executor's modes <= X/2), with
+#: modes 1, non-powers of two and non-square weights; the fused C2C
+#: pass runs the power-of-two rows.
+_SPECTRUM_CASES = [
+    (5, 6, 4, (32,), (16,)),
+    (3, 9, 9, (64,), (1,)),
+    (4, 7, 5, (64,), (13,)),
+    (3, 5, 5, (64,), (31,)),
+    (2, 12, 12, (128,), (32,)),
+    (6, 3, 8, (16,), (8,)),
+    (4, 10, 3, (128,), (3,)),
+    (2, 4, 4, (16, 32), (8, 16)),
+    (3, 5, 3, (8, 64), (5, 7)),
+    (2, 6, 6, (16, 16), (16, 8)),
+    (1, 3, 5, (32, 32), (1, 1)),
+    (2, 4, 6, (16, 32), (4, 3)),
+]
+
+
+def _runs(case, symmetric):
+    """Symmetric executors need modes <= X/2 on the last axis; the
+    fused C2C pass needs power-of-two modes."""
+    spatial, modes = case[3], case[4]
+    if symmetric:
+        return modes[-1] <= spatial[-1] // 2
+    return all(map(_is_pow2, modes))
+
+
+@pytest.mark.parametrize("case,symmetric", [
+    (case, symmetric)
+    for case in _SPECTRUM_CASES for symmetric in (False, True)
+    if _runs(case, symmetric)
+])
+@pytest.mark.parametrize("dtype", (np.float32, np.float64))
+def test_spectrum_path_is_the_call_path(backend, case, symmetric, dtype):
+    """``inverse_spectrum(step_spectrum(forward_spectrum(x)))`` is
+    ``conv(x)`` byte for byte, in both conventions."""
+    batch, c_in, c_out, spatial, modes = case
+    rng = np.random.default_rng(sum(spatial) + sum(modes))
+    wdtype = np.complex64 if dtype == np.float32 else np.complex128
+    w = _weight(c_in, c_out, wdtype, rng)
+    x = _x((batch, c_in) + spatial, dtype, rng)
+    conv = compile_spectral_conv(w, modes, symmetric=symmetric)
+    sk = conv.forward_spectrum(x)
+    assert sk.shape == (batch, c_in) + modes
+    yk = conv.step_spectrum(sk)
+    assert yk.shape == (batch, c_out) + modes
+    arg = spatial if len(spatial) == 2 else spatial[0]
+    assert _bit_equal(conv.inverse_spectrum(yk, arg), conv(x))
+
+
+def test_spectrum_cases_reach_every_executor_strategy():
+    from repro.fft.compiled import PlanCaches
+
+    caches = PlanCaches(backend="numpy")
+    reached = {
+        (caches.pruned_rfft(spatial[-1], modes[-1])._strategy,
+         caches.pruned_irfft(spatial[-1], modes[-1])._strategy)
+        for (_, _, _, spatial, modes) in _SPECTRUM_CASES
+        if modes[-1] <= spatial[-1] // 2
+    }
+    assert reached == {("decomp", "decomp"), ("slice", "pad")}
+
+
+#: (label, modes, symmetric, method, spectrum shape, spatial)
+_BAD_SPECTRA = [
+    ("1d-c2c-too-few-bins", (8,), False, "inverse", (2, 4, 4), 32),
+    ("1d-c2c-grid-below-modes", (8,), False, "inverse", (2, 4, 8), 4),
+    ("1d-c2c-rank", (8,), False, "inverse", (2, 4, 8, 1), 32),
+    ("1d-sym-too-few-bins", (8,), True, "inverse", (2, 4, 4), 32),
+    ("1d-sym-reanalyze-bins", (8,), True, "reanalyze", (2, 4, 4), 32),
+    ("2d-c2c-wrong-corner", (4, 8), False, "inverse", (2, 4, 3, 8),
+     (16, 32)),
+    ("2d-c2c-grid-below-modes", (4, 8), False, "inverse", (2, 4, 4, 8),
+     (2, 32)),
+    ("2d-sym-wrong-corner", (4, 8), True, "inverse", (2, 4, 3, 8),
+     (16, 32)),
+    ("2d-sym-rank", (4, 8), True, "inverse", (2, 4, 32), (16, 32)),
+    ("2d-sym-grid-below-modes", (4, 8), True, "inverse", (2, 4, 4, 8),
+     (2, 32)),
+    ("2d-sym-reanalyze-corner", (4, 8), True, "reanalyze", (2, 4, 3, 8),
+     (16, 32)),
+    ("2d-sym-reanalyze-grid", (4, 8), True, "reanalyze", (2, 4, 4, 8),
+     (2, 32)),
+]
+
+
+@pytest.mark.parametrize(
+    "modes,symmetric,method,shape,spatial",
+    [case[1:] for case in _BAD_SPECTRA], ids=[c[0] for c in _BAD_SPECTRA],
+)
+def test_inverse_and_reanalysis_check_the_spectrum(modes, symmetric, method,
+                                                   shape, spatial):
+    """A spectral state whose rank or kept modes disagree with the
+    executor, or a grid smaller than the kept modes, raises a typed
+    ``ValueError`` instead of a mis-shaped result or a raw NumPy
+    error."""
+    conv = compile_spectral_conv(
+        np.ones((4, 4), np.complex64), modes, symmetric=symmetric
+    )
+    sk = np.ones(shape, np.complex64)
+    fn = (conv.inverse_spectrum if method == "inverse"
+          else conv.reanalyze_spectrum)
+    with pytest.raises(ValueError, match=r"expected spectrum|modes"):
+        fn(sk, spatial)
 
 
 def test_symmetric_layer_spectrum_cache_owns_its_memory(backend):
