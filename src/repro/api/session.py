@@ -1010,13 +1010,14 @@ class Session:
         # not the identity for the symmetric convention (it projects the
         # DC bin real in 1D and Hermitian-symmetrises the y-DC column in
         # 2D), and projecting *before* synthesis would change the kept
-        # output, so the order matters.
+        # output, so the order matters.  The last step's reanalysis would
+        # feed no step, so it is skipped.
         if executor is not None:
             spatial_arg = spatial if executor.ndim == 2 else spatial[0]
             with self._serve_lock_for(executor):
                 sk = executor.forward_spectrum(state)
                 yk = sk
-                for _ in range(steps):
+                for step in range(steps):
                     t0 = time.perf_counter()
                     yk = executor.step_spectrum(sk)
                     self._record(geometry, requests, time.perf_counter() - t0)
@@ -1024,7 +1025,8 @@ class Session:
                         kept.append(
                             executor.inverse_spectrum(yk, spatial_arg)
                         )
-                    sk = executor.reanalyze_spectrum(yk, spatial_arg)
+                    if step + 1 < steps:
+                        sk = executor.reanalyze_spectrum(yk, spatial_arg)
                 if keep == "last":
                     kept.append(executor.inverse_spectrum(yk, spatial_arg))
             return kept
@@ -1032,13 +1034,14 @@ class Session:
         with self._serve_lock_for(layer), self.activate():
             sk = layer.spectrum(state)
             yk = sk
-            for _ in range(steps):
+            for step in range(steps):
                 t0 = time.perf_counter()
                 yk = layer.apply_modes(sk)
                 self._record(geometry, requests, time.perf_counter() - t0)
                 if keep == "all":
                     kept.append(layer.from_spectrum(yk, spatial_arg))
-                sk = layer.reanalyze_spectrum(yk, spatial_arg)
+                if step + 1 < steps:
+                    sk = layer.reanalyze_spectrum(yk, spatial_arg)
             if keep == "last":
                 kept.append(layer.from_spectrum(yk, spatial_arg))
         return kept

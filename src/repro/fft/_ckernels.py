@@ -12,10 +12,11 @@ path, the loader validates them at load time (:func:`_self_check`) and
 rejects the library on any mismatch:
 
 * ``stockham`` against the legacy NumPy stage loop, forward and
-  inverse, with and without the chained ``/ div_by`` and ``* mul_by``;
+  inverse, with and without the chained ``/ div_by`` and ``* mul_by``
+  (NumPy's complex ufuncs, fed signed zeros as well);
 * ``panel_contract`` and ``decomp_reduce`` against their einsums (naive
-  sequential contraction) across a full tile plus a tail, and
-  ``expand_mul`` against the ufunc's FMA complex multiply;
+  sequential contraction) across a full tile or register block plus
+  tails, and ``expand_mul`` against the ufunc's FMA complex multiply;
 * the pruned R2C/C2R staging kernels (``transpose``, ``decomp_mirror``,
   ``expand_head_tail``) against the NumPy compositions they replace;
 * the fused C2C tile driver ``fused_tile_c2c_1d`` against the same tile
@@ -318,6 +319,9 @@ _STOCKHAM_PROBES = [
     (64, 2, False, 64.0, None),
 ]
 
+#: The signed values of the scaling probe.
+_SIGNED = (0.0, -0.0, 1.0, -1.0)
+
 
 #: (batch, c_in, c_out, modes, p, k_tb, k_block, signal_tile) probes of
 #: the fused C2C tile driver: p = 1 and p > 1, each with a ragged tail
@@ -333,7 +337,7 @@ def _stage_table(n: int, dtype, inverse: bool) -> np.ndarray:
     """The concatenated per-stage half tables a compiled plan passes."""
     from repro.fft.twiddle import stage_twiddles
 
-    return np.concatenate([
+    return np.concatenate([np.zeros(0, dtype)] + [
         stage_twiddles(2 << s, inverse=inverse).astype(dtype)
         for s in range(n.bit_length() - 1)
     ])
@@ -398,7 +402,27 @@ def _unfused_tail_probe(dtype) -> tuple[np.ndarray, ...]:
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return np.array_equal(a.view(a.real.dtype), b.view(b.real.dtype))
+    """Equal as unsigned integers, so ``-0.0`` is not ``0.0``."""
+    ints = np.dtype(f"u{a.real.dtype.itemsize}")
+    return np.array_equal(a.view(ints), b.view(ints))
+
+
+def _stockham_matches(k: _Kernels, x: np.ndarray, inverse: bool,
+                      div_by: float | None, mul_by: float | None) -> bool:
+    """The kernel over every row of ``x`` against the legacy stage loop
+    followed by the NumPy fallback's in-place ``/=`` and ``*=``."""
+    from repro.fft.legacy import _stockham_last_axis
+
+    rows, n = x.shape
+    ref = _stockham_last_axis(x, inverse=inverse).copy()
+    if div_by is not None:
+        ref /= div_by
+    if mul_by is not None:
+        ref *= mul_by
+    out, scratch = np.empty_like(x), np.empty_like(x)
+    k.stockham(x, out, scratch, _stage_table(n, x.dtype, inverse), rows, n,
+               div_by, mul_by)
+    return _same_bits(ref, out)
 
 
 def _self_check(k: _Kernels) -> bool:
@@ -409,7 +433,6 @@ def _self_check(k: _Kernels) -> bool:
     build with different complex-multiply loops) must disable it.
     """
     from repro.fft import compiled
-    from repro.fft.legacy import _stockham_last_axis
     from repro.fft.twiddle import decomposition_twiddles
 
     rng = np.random.default_rng(0xC0FFEE)
@@ -420,20 +443,22 @@ def _self_check(k: _Kernels) -> bool:
         # stockham: full transforms against the legacy NumPy stage loop,
         # scaled after the loop as the kernel's chained last stage does.
         for n, rows, inverse, div_by, mul_by in _STOCKHAM_PROBES:
-            x = cplx(rows, n)
-            ref = _stockham_last_axis(x, inverse=inverse)
-            if div_by is not None:
-                ref = ref / div_by
-            if mul_by is not None:
-                ref = ref * mul_by
-            tw = _stage_table(n, dtype, inverse)
-            out = np.empty_like(x)
-            scratch = np.empty_like(x)
-            k.stockham(x, out, scratch, tw, rows, n, div_by, mul_by)
-            if not _same_bits(ref, out):
+            if not _stockham_matches(k, cplx(rows, n), inverse, div_by,
+                                     mul_by):
+                return False
+        # Signed zeros through the scaling, whose signs NumPy's complex
+        # /= and *= set: every (re, im) of {+-0, +-1} as one-bin rows
+        # (the scalar path) and as constant rows of 16 (vector passes).
+        grid = np.array([complex(re, im) for re in _SIGNED for im in _SIGNED],
+                        dtype)
+        for x in (grid[:, None], np.repeat(grid[:, None], 16, axis=1)):
+            if not _stockham_matches(k, x, True, float(x.shape[1]), 0.375):
                 return False
         # The contraction kernels tile the unit-stride index: probe a
-        # full tile plus a tail (m = 64 + 6, q = 16 + 6).
+        # full tile plus a tail (m = 64 + 6, q = 16 + 6).  The panel
+        # probe also runs the AVX2 build's 8 (4 in double) mode by 4
+        # channel register blocks with both tails: m = 70 leaves 6 (2)
+        # modes, o = 5 one channel.
         # panel contract == acc += einsum
         a, w, acc0 = cplx(3, 4, 70), cplx(4, 5), cplx(3, 5, 70)
         ref = acc0 + np.einsum("bkm,ko->bom", a, w)

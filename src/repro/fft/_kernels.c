@@ -12,16 +12,22 @@
  *   - einsum contractions      : naive rounded products, contracted
  *                                index summed sequentially from zero.
  *     Only each output element's summation order is fixed; the loop nest
- *     around it is free.  The contraction kernels therefore run the
+ *     around it is free.  The generic build's contraction kernels run the
  *     contracted index OUTSIDE a unit-stride loop over a tile of output
  *     elements whose partial sums sit in a stack array: the same adds in
  *     the same order per element, but contiguous loads the compiler can
- *     vectorize instead of one strided dot product per element.
- *   - scalar /= and *=         : independent per-component ops.
- *     (NumPy divides a complex array by a real through Smith's
- *     algorithm, a multiply by the reciprocal: for the power-of-two
- *     divisors the plans pass, the two agree except on signed zeros and
- *     infinities.)
+ *     vectorize instead of one strided dot product per element.  The
+ *     AVX2 build's panel_contract goes further and keeps a block of
+ *     modes by output channels of partial sums in registers (see there).
+ *   - scalar /= and *=         : NumPy's complex ufuncs with a real
+ *                                scalar promoted to s + 0i.
+ *     `out /= d` is Smith's division by d + 0i: with rat = 0/d and
+ *     scl = 1/(d + 0*rat), re = (re + im*rat)*scl and im = (im -
+ *     re*rat)*scl.  `out *= s` is the complex multiply above by s + 0i:
+ *     re = fma(re, s, -(im*0)), im = fma(re, 0, im*s), except on a
+ *     one-element array, which NumPy multiplies in its scalar loop
+ *     without FMA.  The zero terms are what make the signs of zeros and
+ *     the NaNs from infinities NumPy's.
  *
  * The pruned R2C/C2R plans' "decomp" strategy runs whole in C through
  * three staging kernels built from those recurrences, each replaying
@@ -53,14 +59,19 @@
  * is enabled globally (even under -ffp-contract=off), which would break
  * the einsum replicas.  The kernels that *need* FMA semantics opt in
  * per-function via the target attribute when REPRO_TARGET_FMA is set.
- * In that build the Stockham FFT is written in AVX2 intrinsics (GCC
- * leaves the interleaved FMA butterfly scalar): every stage runs full
- * vectors, including the half = 1 and 2 stages, and stages run in pairs
- * through registers.  It keeps the scalar loop's bits on every non-NaN
- * value; only NaN payloads and signs may differ.  The generic build
- * runs the scalar loop.  repro.fft._ckernels self-checks every pattern
- * against NumPy at load time and refuses the library if the host
- * toolchain deviates.
+ * That build (AVX2_KERNELS) writes two kernels in AVX2 intrinsics:
+ *   - the Stockham FFT (GCC leaves the interleaved FMA butterfly
+ *     scalar): every stage runs full vectors, including the half = 1
+ *     and 2 stages, and stages run in pairs through registers;
+ *   - panel_contract (GCC's vectorized tile loop reloads its partial
+ *     sums every k): a register block of modes by output channels,
+ *     with plain multiplies and adds only and no FMA target, so nothing
+ *     can be contracted.
+ * Both keep the scalar loops' bits on every non-NaN value; only NaN
+ * payloads and signs may differ.  The generic build runs the scalar
+ * loops, which stay the reference.  repro.fft._ckernels self-checks
+ * every pattern against NumPy at load time and refuses the library if
+ * the host toolchain deviates.
  */
 
 #include <math.h>
@@ -68,14 +79,45 @@
 #if defined(__x86_64__) && defined(REPRO_TARGET_FMA)
 #include <immintrin.h>
 #define FMA_TARGET __attribute__((target("fma,avx2")))
-#define STOCKHAM_AVX2 1
+#define AVX2_KERNELS 1
 #else
 #define FMA_TARGET
 #endif
 
+/* NumPy's scalar-loop complex multiply.  It stays out of the FMA target
+ * functions: GCC contracts plain expressions inside them. */
+#define CMUL_UNFUSED(NAME, T)                                            \
+static __attribute__((noinline)) void NAME(T ar, T ai, T br, T bi,       \
+                                           T* re, T* im) {               \
+    *re = ar*br - ai*bi;                                                 \
+    *im = ar*bi + ai*br;                                                 \
+}
+
+CMUL_UNFUSED(cmul_unfused_f32, float)
+CMUL_UNFUSED(cmul_unfused_f64, double)
+
 /* ------------------------------------------------------------------ */
 /* Stockham stage loop                                                 */
 /* ------------------------------------------------------------------ */
+
+/* `out /= div_by` then `out *= mul_by` on one complex value, as NumPy's
+ * ufuncs do them (see the top of this file); rat and scl are div_by's
+ * Smith terms, and `unfused` selects the scalar-loop multiply. */
+#define SCALE_COMPLEX(T, FMAF, UNFUSED, re, im, unfused)                 \
+    {                                                                    \
+        if (do_div) {                                                    \
+            T dr = (re + im*rat)*scl;                                    \
+            im = (im - re*rat)*scl;                                      \
+            re = dr;                                                     \
+        }                                                                \
+        if (do_mul && (unfused)) {                                       \
+            UNFUSED(re, im, mul_by, 0, &re, &im);                        \
+        } else if (do_mul) {                                             \
+            T mr_ = FMAF(re, mul_by, -(im*(T)0));                        \
+            im = FMAF(re, (T)0, im*mul_by);                              \
+            re = mr_;                                                    \
+        }                                                                \
+    }
 
 /* Full radix-2 Stockham FFT over `rows` independent signals of length n
  * (power of two), complex interleaved.  tw holds the concatenated
@@ -85,16 +127,17 @@
  * passes into the last stage's store (same roundings, one less pass).
  * This is the whole transform in the generic build, and the short-row
  * fallback of the AVX2 one. */
-#define STOCKHAM_SCALAR(LINKAGE, NAME, T, FMAF)                          \
+#define STOCKHAM_SCALAR(LINKAGE, NAME, T, FMAF, UNFUSED)                 \
 LINKAGE FMA_TARGET void NAME(const T* x, T* out, T* scratch,             \
                              const T* tw, long rows, long n, int do_div, \
                              T div_by, int do_mul, T mul_by) {           \
+    T rat = 0, scl = 0;                                                  \
+    if (do_div) { rat = (T)0 / div_by; scl = (T)1 / (div_by + 0*rat); }  \
     if (n == 1) {                                                        \
-        for (long i = 0; i < 2*rows; i++) {                              \
-            T v = x[i];                                                  \
-            if (do_div) v = v / div_by;                                  \
-            if (do_mul) v = v * mul_by;                                  \
-            out[i] = v;                                                  \
+        for (long i = 0; i < rows; i++) {                                \
+            T re = x[2*i], im = x[2*i+1];                                \
+            SCALE_COMPLEX(T, FMAF, UNFUSED, re, im, rows == 1)           \
+            out[2*i] = re; out[2*i+1] = im;                              \
         }                                                                \
         return;                                                          \
     }                                                                    \
@@ -129,14 +172,8 @@ LINKAGE FMA_TARGET void NAME(const T* x, T* out, T* scratch,             \
                     T pr = ar + wbr, pi = ai + wbi;                      \
                     T mr = ar - wbr, mi = ai - wbi;                      \
                     if (last) {                                          \
-                        if (do_div) {                                    \
-                            pr /= div_by; pi /= div_by;                  \
-                            mr /= div_by; mi /= div_by;                  \
-                        }                                                \
-                        if (do_mul) {                                    \
-                            pr *= mul_by; pi *= mul_by;                  \
-                            mr *= mul_by; mi *= mul_by;                  \
-                        }                                                \
+                        SCALE_COMPLEX(T, FMAF, UNFUSED, pr, pi, 0)       \
+                        SCALE_COMPLEX(T, FMAF, UNFUSED, mr, mi, 0)       \
                     }                                                    \
                     op0[2*j] = pr; op0[2*j+1] = pi;                      \
                     op1[2*j] = mr; op1[2*j+1] = mi;                      \
@@ -147,12 +184,12 @@ LINKAGE FMA_TARGET void NAME(const T* x, T* out, T* scratch,             \
     }                                                                    \
 }
 
-#ifndef STOCKHAM_AVX2
-STOCKHAM_SCALAR(, stockham_f32, float, fmaf)
-STOCKHAM_SCALAR(, stockham_f64, double, fma)
+#ifndef AVX2_KERNELS
+STOCKHAM_SCALAR(, stockham_f32, float, fmaf, cmul_unfused_f32)
+STOCKHAM_SCALAR(, stockham_f64, double, fma, cmul_unfused_f64)
 #else
-STOCKHAM_SCALAR(static, stockham_scalar_f32, float, fmaf)
-STOCKHAM_SCALAR(static, stockham_scalar_f64, double, fma)
+STOCKHAM_SCALAR(static, stockham_scalar_f32, float, fmaf, cmul_unfused_f32)
+STOCKHAM_SCALAR(static, stockham_scalar_f64, double, fma, cmul_unfused_f64)
 
 /* AVX2 transform, bit-identical to the scalar one on every non-NaN
  * value.  A vector holds W = 4 (float) or 2 (double) interleaved complex
@@ -170,7 +207,7 @@ STOCKHAM_SCALAR(static, stockham_scalar_f64, double, fma)
  *     (double) transpose of complex values interleaves the outputs.
  *     Later pairs (h >= 4) are plain vector loops.
  *   - An odd stage count leaves a last radix-2 stage, half = n/2.
- *   - div/mul are the same IEEE per-component ops as the scalar code.
+ *   - div/mul are the scalar code's complex ops on every lane.
  * Rows shorter than 4W run the scalar transform.  Only NaN payloads and
  * signs may differ from the scalar build. */
 
@@ -216,18 +253,31 @@ static inline FMA_TARGET void tw_pd(const double* t, __m256d* wr,
     *wi = _mm256_permute_pd(w, 0xF);
 }
 
-static inline FMA_TARGET __m256 scale_ps(__m256 v, int do_div, __m256 d,
-                                         int do_mul, __m256 m) {
-    if (do_div) v = _mm256_div_ps(v, d);
-    if (do_mul) v = _mm256_mul_ps(v, m);
+/* SCALE_COMPLEX on one vector.  rat holds (rat, -rat) per complex
+ * value, so v + swap(v)*rat is (re + im*rat, im - re*rat); mb holds
+ * (mul_by, 0), and multiplying v by it is the ufunc multiply of cmul.
+ * The vector passes never see a one-element array. */
+static inline FMA_TARGET __m256 scale_ps(__m256 v, int do_div, __m256 rat,
+                                         __m256 scl, int do_mul,
+                                         __m256 mb) {
+    if (do_div) {
+        __m256 t = _mm256_mul_ps(_mm256_permute_ps(v, 0xB1), rat);
+        v = _mm256_mul_ps(_mm256_add_ps(v, t), scl);
+    }
+    if (do_mul)
+        v = cmul_ps(_mm256_moveldup_ps(v), _mm256_movehdup_ps(v), mb);
     return v;
 }
 
 static inline FMA_TARGET __m256d scale_pd(__m256d v, int do_div,
-                                          __m256d d, int do_mul,
-                                          __m256d m) {
-    if (do_div) v = _mm256_div_pd(v, d);
-    if (do_mul) v = _mm256_mul_pd(v, m);
+                                          __m256d rat, __m256d scl,
+                                          int do_mul, __m256d mb) {
+    if (do_div) {
+        __m256d t = _mm256_mul_pd(_mm256_permute_pd(v, 0x5), rat);
+        v = _mm256_mul_pd(_mm256_add_pd(v, t), scl);
+    }
+    if (do_mul)
+        v = cmul_pd(_mm256_movedup_pd(v), _mm256_permute_pd(v, 0xF), mb);
     return v;
 }
 
@@ -299,13 +349,15 @@ static FMA_TARGET void first_pair_f64(const double* cur, double* nxt,
 
 /* Stages h and 2h (h >= W), or with pair = 0 the single radix-2 stage
  * h = n/2; the last pass scales its stores. */
-#define AVX2_PASS(NAME, T, V, SFX, W)                                    \
+#define AVX2_PASS(NAME, T, V, SFX, W, PAIRS)                             \
 static FMA_TARGET void NAME(const T* cur, T* nxt, const T* twp,          \
                             long rows, long n, long h, int pair,         \
                             int do_div, T div_by, int do_mul,            \
                             T mul_by) {                                  \
-    const V vd = _mm256_set1_##SFX(div_by);                              \
-    const V vm = _mm256_set1_##SFX(mul_by);                              \
+    T rat = 0, scl = 0;                                                  \
+    if (do_div) { rat = (T)0 / div_by; scl = (T)1 / (div_by + 0*rat); }  \
+    V vr = PAIRS(rat, -rat), vs = _mm256_set1_##SFX(scl);                \
+    V vm = PAIRS(mul_by, (T)0);                                          \
     long q = n / 4;                                                      \
     for (long row = 0; row < rows; row++) {                              \
         const T* r = cur + 2*row*n;                                      \
@@ -327,13 +379,13 @@ static FMA_TARGET void NAME(const T* cur, T* nxt, const T* twp,          \
                 bfly_##SFX(m0, m1, wr, wi, &b, &d);                      \
                 T* op = o + 2*(4*i - 3*j);                               \
                 _mm256_storeu_##SFX(op,                                  \
-                    scale_##SFX(a, do_div, vd, do_mul, vm));             \
+                    scale_##SFX(a, do_div, vr, vs, do_mul, vm));         \
                 _mm256_storeu_##SFX(op + 2*h,                            \
-                    scale_##SFX(b, do_div, vd, do_mul, vm));             \
+                    scale_##SFX(b, do_div, vr, vs, do_mul, vm));         \
                 _mm256_storeu_##SFX(op + 4*h,                            \
-                    scale_##SFX(c, do_div, vd, do_mul, vm));             \
+                    scale_##SFX(c, do_div, vr, vs, do_mul, vm));         \
                 _mm256_storeu_##SFX(op + 6*h,                            \
-                    scale_##SFX(d, do_div, vd, do_mul, vm));             \
+                    scale_##SFX(d, do_div, vr, vs, do_mul, vm));         \
             }                                                            \
         } else {                                                         \
             for (long i = 0; i < 2*q; i += W) {                          \
@@ -343,16 +395,20 @@ static FMA_TARGET void NAME(const T* cur, T* nxt, const T* twp,          \
                            _mm256_loadu_##SFX(r + 2*(2*q+i)),            \
                            wr, wi, &p, &m);                              \
                 _mm256_storeu_##SFX(o + 2*i,                             \
-                    scale_##SFX(p, do_div, vd, do_mul, vm));             \
+                    scale_##SFX(p, do_div, vr, vs, do_mul, vm));         \
                 _mm256_storeu_##SFX(o + 2*(2*q+i),                       \
-                    scale_##SFX(m, do_div, vd, do_mul, vm));             \
+                    scale_##SFX(m, do_div, vr, vs, do_mul, vm));         \
             }                                                            \
         }                                                                \
     }                                                                    \
 }
 
-AVX2_PASS(pass_f32, float, __m256, ps, 4)
-AVX2_PASS(pass_f64, double, __m256d, pd, 2)
+/* A vector of (re, im) repeated over its complex values. */
+#define PAIRS_PS(re, im) _mm256_setr_ps(re, im, re, im, re, im, re, im)
+#define PAIRS_PD(re, im) _mm256_setr_pd(re, im, re, im)
+
+AVX2_PASS(pass_f32, float, __m256, ps, 4, PAIRS_PS)
+AVX2_PASS(pass_f64, double, __m256d, pd, 2, PAIRS_PD)
 
 /* The first pair, then pairs of stages, then a last radix-2 stage when
  * the stage count is odd; the last pass writes `out`. */
@@ -422,6 +478,7 @@ STOCKHAM_VECTOR(stockham_f64, double, 2, stockham_scalar_f64,
         }                                                                \
     }
 
+#ifndef AVX2_KERNELS
 #define PANEL_CONTRACT(NAME, T)                                          \
 void NAME(const T* a, const T* w, T* acc,                                \
           long bt, long kt, long m, long o) {                            \
@@ -440,6 +497,97 @@ void NAME(const T* a, const T* w, T* acc,                                \
 
 PANEL_CONTRACT(panel_contract_f32, float)
 PANEL_CONTRACT(panel_contract_f64, double)
+#else
+/* The AVX2 contraction: register blocks of MB modes (one vector of real
+ * parts) by PANEL_OB output channels.  Per k, the block's a values are
+ * loaded as two interleaved vectors and split once into real and
+ * imaginary parts (in a lane order shared by both, undone at the store);
+ * each channel then broadcasts its w[k, oo] and updates its two partial
+ * sum vectors.  Each element's ops are PANEL_CONTRACT_TILE's: sums from
+ * +0, t += ar*wr - ai*wi and t += ar*wi + ai*wr for k in order, then
+ * acc += t, as plain vector multiplies, subtracts and adds.  The m % MB
+ * modes of the full channel blocks and the o % PANEL_OB trailing
+ * channels run through PANEL_CONTRACT_TILE. */
+#define PANEL_OB 4
+
+static inline void split_ps(const float* p, __m256* re, __m256* im) {
+    __m256 v0 = _mm256_loadu_ps(p), v1 = _mm256_loadu_ps(p + 8);
+    *re = _mm256_shuffle_ps(v0, v1, 0x88);
+    *im = _mm256_shuffle_ps(v0, v1, 0xDD);
+}
+
+static inline void add_split_ps(float* p, __m256 re, __m256 im) {
+    _mm256_storeu_ps(p, _mm256_add_ps(_mm256_loadu_ps(p),
+                                      _mm256_unpacklo_ps(re, im)));
+    _mm256_storeu_ps(p + 8, _mm256_add_ps(_mm256_loadu_ps(p + 8),
+                                          _mm256_unpackhi_ps(re, im)));
+}
+
+static inline void split_pd(const double* p, __m256d* re, __m256d* im) {
+    __m256d v0 = _mm256_loadu_pd(p), v1 = _mm256_loadu_pd(p + 4);
+    *re = _mm256_unpacklo_pd(v0, v1);
+    *im = _mm256_unpackhi_pd(v0, v1);
+}
+
+static inline void add_split_pd(double* p, __m256d re, __m256d im) {
+    _mm256_storeu_pd(p, _mm256_add_pd(_mm256_loadu_pd(p),
+                                      _mm256_unpacklo_pd(re, im)));
+    _mm256_storeu_pd(p + 4, _mm256_add_pd(_mm256_loadu_pd(p + 4),
+                                          _mm256_unpackhi_pd(re, im)));
+}
+
+/* acc[b, oo..oo+PANEL_OB, m0..m0+MB] += the block's panel sums. */
+#define PANEL_BLOCK(NAME, T, V, SFX)                                     \
+static inline void NAME(const T* ab, const T* w, T* accb, long kt,       \
+                        long m, long o, long oo, long m0) {              \
+    V tr[PANEL_OB], ti[PANEL_OB];                                        \
+    for (int j = 0; j < PANEL_OB; j++)                                   \
+        tr[j] = ti[j] = _mm256_setzero_##SFX();                          \
+    for (long k = 0; k < kt; k++) {                                      \
+        V ar, ai;                                                        \
+        split_##SFX(ab + 2*(k*m + m0), &ar, &ai);                        \
+        const T* wk = w + 2*(k*o + oo);                                  \
+        for (int j = 0; j < PANEL_OB; j++) {                             \
+            V wr = _mm256_set1_##SFX(wk[2*j]);                           \
+            V wi = _mm256_set1_##SFX(wk[2*j+1]);                         \
+            tr[j] = _mm256_add_##SFX(tr[j], _mm256_sub_##SFX(            \
+                _mm256_mul_##SFX(ar, wr), _mm256_mul_##SFX(ai, wi)));    \
+            ti[j] = _mm256_add_##SFX(ti[j], _mm256_add_##SFX(            \
+                _mm256_mul_##SFX(ar, wi), _mm256_mul_##SFX(ai, wr)));    \
+        }                                                                \
+    }                                                                    \
+    for (int j = 0; j < PANEL_OB; j++)                                   \
+        add_split_##SFX(accb + 2*((oo + j)*m + m0), tr[j], ti[j]);       \
+}
+
+PANEL_BLOCK(panel_block_f32, float, __m256, ps)
+PANEL_BLOCK(panel_block_f64, double, __m256d, pd)
+
+/* The blocks, then every mode outside them: the last m % MB of each
+ * blocked channel, all m of the trailing channels. */
+#define PANEL_CONTRACT(NAME, T, MB, BLOCK)                               \
+void NAME(const T* a, const T* w, T* acc,                                \
+          long bt, long kt, long m, long o) {                            \
+    long m_full = m - m % (MB), o_full = o - o % PANEL_OB;               \
+    for (long b = 0; b < bt; b++) {                                      \
+        const T* ab = a + 2*b*kt*m;                                      \
+        T* accb = acc + 2*b*o*m;                                         \
+        for (long o0 = 0; o0 < o_full; o0 += PANEL_OB)                   \
+            for (long m0 = 0; m0 < m_full; m0 += (MB))                   \
+                BLOCK(ab, w, accb, kt, m, o, o0, m0);                    \
+        for (long oo = 0; oo < o; oo++) {                                \
+            T* accp = accb + 2*oo*m;                                     \
+            long m0 = oo < o_full ? m_full : 0;                          \
+            for (; m0 + PANEL_TILE <= m; m0 += PANEL_TILE)               \
+                PANEL_CONTRACT_TILE(T, PANEL_TILE)                       \
+            if (m0 < m) PANEL_CONTRACT_TILE(T, m - m0)                   \
+        }                                                                \
+    }                                                                    \
+}
+
+PANEL_CONTRACT(panel_contract_f32, float, 8, panel_block_f32)
+PANEL_CONTRACT(panel_contract_f64, double, 4, panel_block_f64)
+#endif
 
 /* out[B,q] = sum_p y[B,p,q] * wd[p,q]
  * == `np.einsum("...pk,pk->...k", y, wd)`.  p runs outside the
@@ -628,18 +776,6 @@ DECOMP_MIRROR(decomp_mirror_f64, double)
  * its imaginary operand is zero.) */
 #define CMUL_RE(FMAF, ar, ai, br, bi) FMAF(ar, br, -((ai)*(bi)))
 #define CMUL_IM(FMAF, ar, ai, br, bi) FMAF(ar, bi, (ai)*(br))
-
-/* NumPy's scalar-loop complex multiply.  It stays out of the FMA target
- * functions: GCC contracts plain expressions inside them. */
-#define CMUL_UNFUSED(NAME, T)                                            \
-static __attribute__((noinline)) void NAME(T ar, T ai, T br, T bi,      \
-                                           T* re, T* im) {              \
-    *re = ar*br - ai*bi;                                                 \
-    *im = ar*bi + ai*br;                                                 \
-}
-
-CMUL_UNFUSED(cmul_unfused_f32, float)
-CMUL_UNFUSED(cmul_unfused_f64, double)
 
 #define EXPAND_HEAD_TAIL(NAME, T, FMAF, UNFUSED)                         \
 FMA_TARGET void NAME(const T* x, const T* ch, const T* ct,               \

@@ -23,6 +23,7 @@ import pytest
 from repro import api
 from repro.api import LatencyReservoir, Session, SpectralModel
 from repro.api.serve import ServePool
+from repro.core.compiled import compile_spectral_conv
 from repro.fft._ckernels import kernels_available
 from repro.nn.fno import FNO1d, FNO2d
 from repro.nn.modules import SpectralConv1d, SpectralConv2d
@@ -161,6 +162,42 @@ class TestFastProfile:
             exact = s.rollout(model, x0, steps=4, keep="all")
         for f, e in zip(fast, exact):
             np.testing.assert_allclose(f, e, rtol=1e-4, atol=1e-4)
+
+    @pytest.mark.parametrize("keep", ["last", "all"])
+    @pytest.mark.parametrize("steps", [1, 2, 5])
+    def test_no_reanalysis_after_the_last_step(self, rng, monkeypatch,
+                                               steps, keep):
+        """``steps`` steps make ``steps - 1`` reanalyses, through the
+        executor and the nn-layer branch, and keep the states of a loop
+        that reanalyses after every step, bit for bit."""
+        x0 = rng.standard_normal((2, 8, 64)).astype(np.float32)
+        executor = compile_spectral_conv(_weight(rng), 16, symmetric=True)
+        layer = SpectralConv1d(8, 8, 16, rng, symmetric=True)
+        for model, (fwd, step, inv) in (
+                (executor, ("forward_spectrum", "step_spectrum",
+                            "inverse_spectrum")),
+                (layer, ("spectrum", "apply_modes", "from_spectrum"))):
+            fwd, step, inv = (getattr(model, name) for name in (fwd, step,
+                                                                inv))
+            sk, ref = fwd(x0), []
+            for _ in range(steps):
+                yk = step(sk)
+                ref.append(inv(yk, 64))
+                sk = model.reanalyze_spectrum(yk, 64)
+            calls = []
+            real = model.reanalyze_spectrum
+
+            def spy(*args, real=real):
+                calls.append(args)
+                return real(*args)
+
+            monkeypatch.setattr(model, "reanalyze_spectrum", spy)
+            with Session() as s:
+                out = s.rollout(model, x0, steps=steps, keep=keep,
+                                profile="fast")
+            assert len(calls) == steps - 1
+            assert np.array_equal(out, np.stack(ref) if keep == "all"
+                                  else ref[-1])
 
     @pytest.mark.parametrize("profile", ["exact", "fast"])
     @pytest.mark.parametrize("layer_args", [

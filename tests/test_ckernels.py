@@ -4,13 +4,15 @@ variant.
 ``panel_contract`` and ``decomp_reduce`` promise each output element's
 einsum summation order: naive rounded products, contracted index summed
 sequentially from zero.  Their loop nests tile the unit-stride output
-index, so these tests pin that order directly — against a sequential
-NumPy replica, on data whose rounding depends on the order — at shapes
-below, on and across the tile widths.
+index (and the AVX2 ``panel_contract`` blocks modes by output channels
+in registers), so these tests pin that order directly — against a
+sequential NumPy replica, on data whose rounding depends on the order
+— at shapes below, on and across the tile and block widths.
 
-``stockham`` promises the legacy NumPy stage loop's bits on every
-non-NaN value, signed zeros and infinities included, and NaN in the
-same places.  The AVX2 build runs stages in pairs, with a different
+``stockham`` promises the bits of the legacy NumPy stage loop followed
+by the NumPy fallback's complex ``/=`` and ``*=`` on every non-NaN
+value, signed zeros and infinities included, and NaN in the same
+places.  The AVX2 build runs stages in pairs, with a different
 loop for the first pair, later pairs and an odd last stage, so the
 lengths cover all of them.
 
@@ -36,9 +38,15 @@ pytestmark = pytest.mark.skipif(
     reason=f"C kernels not built here: {_ckernels._build_blocker()}",
 )
 
-#: (bt, kt, m, o): m below, on, and across the 64-wide panel tile.
+#: (bt, kt, m, o): m below, on, and across the 64-wide panel tile; m at
+#: every residue mod 8 and o = 3, 5, 9, 33 with bt > 1, which straddle
+#: the AVX2 build's register block of 8 modes (4 in double) by 4
+#: output channels on both axes.
 PANEL_SHAPES = [(1, 1, 1, 1), (2, 3, 63, 2), (1, 8, 64, 3), (2, 5, 65, 4),
-                (1, 4, 129, 2), (3, 2, 200, 1), (1, 8, 256, 16)]
+                (1, 4, 129, 2), (3, 2, 200, 1), (1, 8, 256, 16),
+                (2, 3, 7, 3), (3, 2, 9, 5), (2, 4, 23, 9), (2, 3, 70, 33),
+                (2, 2, 10, 4), (3, 3, 11, 5), (2, 5, 12, 8), (2, 2, 13, 9),
+                (2, 3, 14, 4)]
 #: (batch, p, q): q below, on, and across the 16-wide decomposition tile.
 DECOMP_SHAPES = [(1, 1, 1), (3, 4, 15), (2, 8, 16), (2, 3, 17), (1, 4, 33),
                  (5, 8, 64), (2, 2, 100)]
@@ -130,6 +138,29 @@ def test_panel_contract_keeps_sequential_order(kernels, dtype, shape):
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("shape", [(2, 5, 70, 9), (3, 8, 16, 4)])
+def test_panel_contract_keeps_special_values(kernels, dtype, shape):
+    """Signed zeros, infinities, NaNs and subnormals in ``a``, ``w``
+    and ``acc`` give the sequential replica's bits on every non-NaN
+    component and NaN in the same places, inside the register blocks
+    and in both tails."""
+    bt, kt, m, o = shape
+    rng = np.random.default_rng(bt * 1000 + kt * 100 + m + o)
+    tiny = np.finfo(dtype).smallest_subnormal
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 3 * tiny]
+    a, w, acc0 = (_with_specials(rng, _adversarial(rng, s, dtype), specials)
+                  for s in ((bt, kt, m), (kt, o), (bt, o, m)))
+    buf, acc = _guarded((bt, o, m), dtype, 7 + 7j)
+    acc[...] = acc0
+    with np.errstate(all="ignore"):
+        kernels.panel_contract(a, w, acc, bt, kt, m, o)
+        ref = _bits(_panel_sequential(a, w, acc0))
+    assert np.isnan(ref).any() and not np.isnan(ref).all()
+    assert _same_bits_or_both_nan(acc, ref)
+    assert buf[0] == buf[-1] == 7 + 7j
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("shape", DECOMP_SHAPES)
 def test_decomp_reduce_keeps_sequential_order(kernels, dtype, shape):
     batch, p, q = shape
@@ -161,17 +192,17 @@ def _stage_table(n, dtype, inverse):
 
 
 def _stockham_reference(x, inverse, div_by, mul_by):
-    """The legacy stage loop, then per-component ``/ div_by`` and
-    ``* mul_by`` — the kernel's scalar ``/=`` and ``*=``.  (NumPy's
-    complex-by-real division goes through Smith's algorithm, which for
-    a power-of-two ``div_by`` agrees on finite nonzero values but not on
-    signed zeros and infinities.)"""
-    ref = legacy._stockham_last_axis(x, inverse).view(x.real.dtype)
+    """The legacy stage loop, then the NumPy fallback's complex ``out /=
+    div_by`` and ``out *= mul_by``, as real components.  (Those are
+    Smith's division and the ufunc multiply by a real promoted to
+    ``s + 0i``, which set the signs of zeros and turn infinities into
+    NaNs differently from per-component scaling.)"""
+    ref = legacy._stockham_last_axis(x, inverse).copy()
     if div_by is not None:
-        ref = ref / div_by
+        ref /= div_by
     if mul_by is not None:
-        ref = ref * mul_by
-    return ref
+        ref *= mul_by
+    return ref.view(x.real.dtype)
 
 
 def _same_bits_or_both_nan(got, ref):
@@ -245,6 +276,56 @@ def test_stockham_keeps_nan_positions(kernels, n, dtype):
         ref = _stockham_reference(x, True, float(n), None)
     assert np.isnan(ref[0]).any() and not np.isnan(ref[2:]).any()
     assert _same_bits_or_both_nan(got, ref)
+
+
+#: Every (re, im) pair of {+-0, +-1, +-inf}.
+SIGNED_GRID = np.array([complex(re, im)
+                        for re in (0.0, -0.0, 1.0, -1.0, np.inf, -np.inf)
+                        for im in (0.0, -0.0, 1.0, -1.0, np.inf, -np.inf)])
+
+
+def _grid_rows(n, dtype):
+    """Each grid value as a constant row and as an impulse at bin 0."""
+    const = np.repeat(SIGNED_GRID[:, None], n, axis=1)
+    impulse = np.zeros((SIGNED_GRID.size, n), complex)
+    impulse[:, 0] = SIGNED_GRID
+    return np.ascontiguousarray(np.concatenate([const, impulse]), dtype)
+
+
+@pytest.mark.parametrize("scale", ["div", "div_mul"])
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 64])
+def test_stockham_scaling_matches_numpy_fallback_on_signed_grid(
+        kernels, n, dtype, scale):
+    """The inverse transform's ``/ div_by`` and ``* mul_by`` give the
+    NumPy fallback's bits and NaNs on signed zeros and infinities: its
+    complex ufuncs set the signs of zeros, and turn an infinite
+    component into NaN in the other, where per-component scaling would
+    not."""
+    x = _grid_rows(n, dtype)
+    div_by, mul_by = (float(n), None if scale == "div" else 0.5)
+    plan = compiled.PlanCaches(backend="numpy").fft(n, dtype, inverse=True)
+    with np.errstate(all="ignore"):
+        got = _run_stockham(kernels, x, True, div_by, mul_by)
+        ref = plan.execute(x, div_by=div_by, mul_by=mul_by)
+    assert _same_bits_or_both_nan(got, _bits(ref))
+
+
+@pytest.mark.skipif(not _ckernels.kernels_available(),
+                    reason="the C kernels did not load here")
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("n", [2, 4, 8, 64])
+def test_pruned_irfft_part_one_matches_across_backends(n, dtype):
+    """A one-bin C2R synthesis gives the same bits and NaNs on both
+    backends over the signed grid: its length-1 sub-inverse scales by
+    ``div_by`` and ``mul_by`` there."""
+    x = np.ascontiguousarray(SIGNED_GRID[:, None], dtype)
+    outs = []
+    with np.errstate(all="ignore"):
+        for backend in ("ckernels", "numpy"):
+            plans = compiled.PlanCaches(backend=backend)
+            outs.append(plans.pruned_irfft(n, 1, dtype).execute(x))
+    assert _same_bits_or_both_nan(*outs)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -473,11 +554,14 @@ def test_one_row_one_tail_bin_keeps_the_unfused_product(kernels, dtype):
 @pytest.mark.parametrize("name,out_arg", [("transpose", 1),
                                           ("decomp_mirror", 3),
                                           ("expand_head_tail", 5),
-                                          ("fused_tile_c2c_1d", 11)])
+                                          ("fused_tile_c2c_1d", 11),
+                                          ("panel_contract", 2),
+                                          ("stockham", 1)])
 def test_self_check_probes_the_staging_kernels(kernels, name, out_arg,
                                                monkeypatch):
-    """The loader's self-check rejects a library whose staging kernel is
-    off by one ulp in one output component."""
+    """The loader's self-check rejects a library whose staging,
+    contraction or FFT kernel is off by one ulp in one output
+    component."""
     assert _ckernels._self_check(kernels)
     real = getattr(kernels, name)
 
@@ -487,6 +571,26 @@ def test_self_check_probes_the_staging_kernels(kernels, name, out_arg,
         last[-1] = np.nextafter(last[-1], np.inf)
 
     monkeypatch.setattr(kernels, name, off_by_one_ulp)
+    assert not _ckernels._self_check(kernels)
+
+
+def test_self_check_rejects_per_component_scaling(kernels, monkeypatch):
+    """A Stockham kernel that scales each component on its own, as
+    this one once did, agrees with NumPy on every finite nonzero value
+    at a power-of-two divisor; the self-check's signed-zero probe still
+    rejects it."""
+    real = kernels.stockham
+
+    def per_component(x, out, scratch, tw, rows, n, div_by, mul_by):
+        real(x, out, scratch, tw, rows, n, None, None)
+        parts = out.reshape(-1).view(out.real.dtype)
+        if div_by is not None:
+            parts /= div_by
+        if mul_by is not None:
+            parts *= mul_by
+
+    assert _ckernels._self_check(kernels)
+    monkeypatch.setattr(kernels, "stockham", per_component)
     assert not _ckernels._self_check(kernels)
 
 
