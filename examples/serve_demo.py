@@ -4,7 +4,7 @@
 Serves a mixed-geometry stream of Fourier-layer inference requests
 through a pool of shared-nothing worker processes — one warm
 `repro.api.Session` per worker, requests routed by a stable geometry
-hash so each worker's executor/tune caches stay hot, tensors carried
+hash so each worker's executor caches stay hot, tensors carried
 through shared-memory ring segments — and verifies the pooled results
 are *bit-identical* to a serial one-worker session.
 

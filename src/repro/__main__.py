@@ -13,16 +13,6 @@ Commands
 ``claims [--json]``
     Print the exact-arithmetic paper claims (Figs. 5/7/8) and their
     reproduced values.
-``tune [--grid {quick,full}] [--backend {auto,ckernels,numpy}]
-[--retune] [--json]``
-    Warm the persistent tile-tune store (``~/.cache/repro``;
-    ``REPRO_TUNE_CACHE`` overrides): for every geometry in the chosen
-    grid, time the autotune candidate tiles of the compiled
-    spectral-conv executor's fused dataflow (symmetric executors are
-    untiled) and record the winner, printing the measured
-    default-vs-tuned speedup.  Tiling never changes output bits; a
-    warmed store means ``Session(autotune=True)`` serving never pays
-    the timed search inline.  ``--retune`` overwrites stored winners.
 ``serve-bench [--requests N] [--max-batch B] [--workers W] [--procs P]
 [--backend {auto,ckernels,numpy}] [--json]``
     Micro-benchmark the serving paths: a mixed-geometry stream of
@@ -437,101 +427,6 @@ def _cmd_chaos_soak(args: argparse.Namespace) -> int:
     return 0 if report["ok"] else 1
 
 
-#: ``tune`` geometry grids of the fused dataflow (the only tiled one):
-#: (batch, hidden in/out, spatial, modes).  Serving-shaped — many
-#: signals over few channels — plus one 2-D case in the full grid.
-_TUNE_GRIDS = {
-    "quick": [
-        (256, 8, (64,), (32,)),
-        (128, 16, (128,), (32,)),
-    ],
-    "full": [
-        (256, 8, (64,), (32,)),
-        (128, 16, (128,), (32,)),
-        (256, 32, (128,), (64,)),
-        (64, 16, (32, 64), (8, 32)),
-    ],
-}
-
-
-def _cmd_tune(args: argparse.Namespace) -> int:
-    import time
-
-    import numpy as np
-
-    from repro.core.autotune import (
-        Tuner,
-        default_tune_store,
-        measure_seconds,
-        probe_signal,
-    )
-    from repro.core.compiled import compile_spectral_conv
-    from repro.fft.compiled import PlanCaches
-
-    try:
-        plans = PlanCaches(backend=args.backend)
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    store = default_tune_store()
-    tuner = Tuner(store=store)
-    rows = []
-    for batch, hidden, spatial, modes in _TUNE_GRIDS[args.grid]:
-        weight = probe_signal((hidden, hidden), np.complex64)
-        dtype = np.float32
-        x = probe_signal((batch, hidden, *spatial), dtype)
-        t0 = time.perf_counter()
-        tuned_ex = compile_spectral_conv(
-            weight, modes if len(modes) > 1 else modes[0],
-            plans=plans, tiles="auto", tuner=tuner,
-        )
-        tiles = tuned_ex.resolve_tiles(
-            batch, spatial, dtype=dtype, retune=args.retune
-        )
-        tune_s = time.perf_counter() - t0
-        default_ex = compile_spectral_conv(
-            weight, modes if len(modes) > 1 else modes[0], plans=plans,
-        )
-        t_def = measure_seconds(lambda: default_ex(x), repeats=3)
-        t_tuned = measure_seconds(lambda: tuned_ex(x), repeats=3)
-        if not np.array_equal(default_ex(x), tuned_ex(x)):
-            print("error: tuned output != default output", file=sys.stderr)
-            return 1
-        rows.append({
-            "geometry": (
-                f"B={batch} K={hidden} "
-                f"spatial={'x'.join(map(str, spatial))} "
-                f"modes={'x'.join(map(str, modes))}"
-            ),
-            "tiles": tuple(tiles),
-            "default_ms": t_def * 1e3,
-            "tuned_ms": t_tuned * 1e3,
-            "speedup": t_def / t_tuned,
-            "tune_seconds": tune_s,
-            "outputs_equal": True,
-        })
-    payload = {
-        "backend": args.backend,
-        "grid": args.grid,
-        "store": str(store.path),
-        "tuner": tuner.stats(),
-        "results": rows,
-    }
-    if args.json:
-        print(json.dumps(payload, indent=2))
-        return 0
-    print(f"# tile autotune ({args.grid} grid, backend={args.backend}, "
-          f"store={store.path})")
-    for row in rows:
-        st, ktb = row["tiles"]
-        print(f"  {row['geometry']:<40s} "
-              f"tiles=(st={st}, k_tb={ktb})  "
-              f"{row['default_ms']:8.2f} ms -> {row['tuned_ms']:8.2f} ms "
-              f"({row['speedup']:.2f}x)  [bit-identical]")
-    print(f"  tuner: {tuner.stats()}")
-    return 0
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.tools.lint import main as lint_main
 
@@ -580,20 +475,6 @@ def main(argv: list[str] | None = None) -> int:
     p_cl.add_argument("--json", action="store_true",
                       help="machine-readable claim values")
     p_cl.set_defaults(func=_cmd_claims)
-
-    p_tn = sub.add_parser(
-        "tune", help="warm the persistent executor tile-tune store"
-    )
-    p_tn.add_argument("--grid", default="quick", choices=("quick", "full"),
-                      help="geometry grid to tune (default quick)")
-    p_tn.add_argument("--backend", default="auto",
-                      choices=("auto", "ckernels", "numpy"),
-                      help="executor substrate to tune for (default auto)")
-    p_tn.add_argument("--retune", action="store_true",
-                      help="re-measure even when the store has a winner")
-    p_tn.add_argument("--json", action="store_true",
-                      help="machine-readable report incl. chosen tiles")
-    p_tn.set_defaults(func=_cmd_tune)
 
     p_sv = sub.add_parser("serve-bench",
                           help="session batched-inference micro-benchmark")

@@ -113,8 +113,7 @@ class ExecutionPlan:
             )
         return self._speedup
 
-    def compile_executor(self, weight, symmetric: bool = False,
-                         tiles: object | None = None):
+    def compile_executor(self, weight, symmetric: bool = False):
         """Build the compiled numeric executor for this plan's geometry.
 
         ``weight`` is the complex ``(C_in, C_out)`` spectral weight
@@ -133,16 +132,8 @@ class ExecutionPlan:
         packed-real R2C/C2R plans, real output (the training-stack hot
         path of :mod:`repro.nn`).
 
-        ``tiles`` selects the fused dataflow's tiling: ``"default"``,
-        ``"auto"`` (plan-time tile autotuning, byte-identical — see
-        :mod:`repro.core.autotune`) or a concrete ``(signal_tile,
-        k_tb)`` pair.  ``None`` follows the owning session's
-        ``autotune`` setting (``"default"`` outside a session).  A
-        symmetric executor is untiled: it takes ``"auto"`` as
-        ``"default"`` and rejects a pair.
-
         Plans built by a :class:`repro.api.Session` compile executors
-        against that session's plan caches, backend and tuner.
+        against that session's plan caches and backend.
         """
         from repro.core.compiled import compile_spectral_conv
 
@@ -155,15 +146,9 @@ class ExecutionPlan:
             )
         session = self._live_session()
         plans = session.plan_caches if session is not None else None
-        tuner = session._tuner if session is not None else None
-        if tiles is None:
-            tiles = (
-                "auto" if session is not None and session.autotune
-                else "default"
-            )
         return compile_spectral_conv(
             weight, tuple(self.problem.modes_shape), symmetric=symmetric,
-            plans=plans, tiles=tiles, tuner=tuner,
+            plans=plans,
         )
 
     def to_dict(self) -> dict:

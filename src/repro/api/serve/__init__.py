@@ -3,7 +3,7 @@
 The multi-core counterpart of :class:`repro.api.Session`'s in-process
 serving path.  A :class:`ServePool` forks N worker processes, each
 owning one warm session; requests route by a stable geometry hash so
-every worker's plan/tune/executor caches stay hot, and tensors move
+every worker's plan and executor caches stay hot, and tensors move
 through shared-memory ring segments instead of pipes.
 
 >>> from repro.api.serve import ServePool            # doctest: +SKIP

@@ -1,14 +1,14 @@
 """``ServePool``: the shared-nothing multi-process serving front-end.
 
 PR 4's ``Session.infer_many`` micro-batches inside one process — thread
-drains under the GIL, so the compiled-kernel and autotune wins of PRs
-2-5 never scale past one core at serve time.  A :class:`ServePool`
-converts those per-core wins into multi-core throughput:
+drains under the GIL, so the compiled-kernel wins of PRs 2-5 never
+scale past one core at serve time.  A :class:`ServePool` converts those
+per-core wins into multi-core throughput:
 
 * **N worker processes, shared-nothing** — each worker owns one warm
   :class:`repro.api.Session` (plan cache, FFT/rfft plan caches,
-  executor pool, autotune memo) and shares only its request queue and
-  two ring segments with the parent;
+  executor pool) and shares only its request queue and two ring
+  segments with the parent;
 * **geometry-hash sharding** — requests route by the stable hash of
   ``(ndim, spatial_shape, modes, dtype)`` (:mod:`repro.api.serve.router`),
   so a given geometry always lands on the same worker and that worker's
@@ -53,9 +53,8 @@ converts those per-core wins into multi-core throughput:
   ``stats()["degraded"]``) until a half-open probe succeeds;
 * **graceful lifecycle** — workers recycle after
   ``max_requests_per_worker`` requests or on crash, and every
-  replacement is *warmed first*: it pre-builds (and, with autotune,
-  pre-tunes) the geometries its predecessor served before taking
-  traffic.  In-flight requests on a crashed worker are retried once on
+  replacement is *warmed first*: it pre-builds the geometries its
+  predecessor served before taking traffic.  In-flight requests on a crashed worker are retried once on
   the replacement (``on_crash="retry"``) or failed with
   :class:`WorkerCrashed` (``"fail"``) — deterministically either way;
 * **chaos testability** (:mod:`repro.api.serve.faults`) — a scripted
@@ -395,7 +394,7 @@ class ServePool:
         Worker-process count; ``None`` resolves through
         :func:`repro.api.runner.default_workers` (the single
         ``REPRO_WORKERS`` parser — serve does not re-implement it).
-    backend, autotune, dtype_policy:
+    backend, dtype_policy:
         Forwarded to each worker's :class:`~repro.api.Session`
         (validated up front in the parent).  A worker whose C-kernel
         self-check fails at startup falls back to the NumPy substrate
@@ -446,7 +445,6 @@ class ServePool:
         self,
         workers: int | None = None,
         backend: str = "auto",
-        autotune: bool | str = False,
         dtype_policy: str = "preserve",
         max_batch: int = 32,
         queue_depth: int = 8,
@@ -485,7 +483,6 @@ class ServePool:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.backend = backend
-        self.autotune = autotune
         self.dtype_policy = dtype_policy
         self.max_batch = int(max_batch)
         self.queue_depth = int(queue_depth)
@@ -598,7 +595,7 @@ class ServePool:
             target=worker_main,
             args=(
                 shard, queue, send_conn, rings[0].name, rings[2].name,
-                self.backend, self.autotune, self.dtype_policy,
+                self.backend, self.dtype_policy,
                 self.max_batch, self.health.heartbeat_interval,
                 self._fault_plan,
             ),
@@ -1093,8 +1090,7 @@ class ServePool:
         if self._fallback_thread is not None:
             return
         self._fallback_session = Session(
-            backend=self.backend, autotune=self.autotune,
-            dtype_policy=self.dtype_policy,
+            backend=self.backend, dtype_policy=self.dtype_policy,
         )
         self._fallback_thread = threading.Thread(
             target=self._fallback_loop, name="repro-serve-fallback",

@@ -3,18 +3,17 @@
 The pool's whole performance story rests on one invariant: *a given
 geometry always lands on the same worker*.  Each worker owns one warm
 :class:`repro.api.Session`, and everything expensive in the stack —
-compiled executors, FFT/rfft plan families, autotune winners — is keyed
-on geometry, so stable routing means every worker's caches stay hot and
-no plan is ever built twice across the pool.
+compiled executors and FFT/rfft plan families — is keyed on geometry,
+so stable routing means every worker's caches stay hot and no plan is
+ever built twice across the pool.
 
 The routing key is ``(ndim, spatial_shape, modes, dtype)`` — exactly the
-tuple the plan caches and the tune store key on (conf_sc_WuZDZHC25's
-plan/execute split is what makes "route by geometry, reuse the plan"
-work at all; this mirrors how cuFFT deployments pin plan caches per
-device context).  The hash is :func:`hashlib.blake2b`-based — stable
+tuple the plan caches key on (conf_sc_WuZDZHC25's plan/execute split is
+what makes "route by geometry, reuse the plan" work at all; this
+mirrors how cuFFT deployments pin plan caches per device context).  The hash is :func:`hashlib.blake2b`-based — stable
 across processes, interpreter runs and ``PYTHONHASHSEED``, unlike
-builtin ``hash()`` — so a recycled or restarted pool shards identically
-and on-disk tune stores warmed by one run serve the next.
+builtin ``hash()`` — so a recycled or restarted pool shards
+identically.
 """
 
 from __future__ import annotations

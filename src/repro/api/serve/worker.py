@@ -1,7 +1,7 @@
 """The worker-process body: one warm :class:`~repro.api.Session` per shard.
 
 Shared-nothing by construction — a worker owns its session (plan cache,
-FFT/rfft plan caches, compiled-executor pool, autotune memo) and shares
+FFT/rfft plan caches, compiled-executor pool) and shares
 only the two ring segments and its request queue with the parent.  The
 geometry-hash router guarantees every geometry this worker ever sees is
 one it has served before, so after the first request (or a warmup
@@ -32,10 +32,9 @@ Parent -> worker, over the request queue
         over every preceding field — a mismatched header is rejected,
         never dereferenced into the rings.
     ``("warm", models, geometries)``
-        warmup handoff: pre-build executors (and, on an autotune
-        session, pre-tune tiles) for the ``(mid, per-row shape,
-        dtype)`` geometries the predecessor served, *before* taking
-        traffic.
+        warmup handoff: pre-build executors for the ``(mid, per-row
+        shape, dtype)`` geometries the predecessor served, *before*
+        taking traffic.
     ``("stats", token)``
         snapshot request.
     ``None``
@@ -271,9 +270,8 @@ class _WorkerBody:
         """Warmup handoff: stage executors for the predecessor's traffic.
 
         Each ``(mid, per-row shape, dtype)`` runs a 1-row probe through
-        the pooled executor — staging weight panels, building the FFT/rfft
-        plan family, and (on an ``autotune=True`` session) resolving the
-        tuned tiles — without touching serving stats.
+        the pooled executor — staging weight panels and building the
+        FFT/rfft plan family — without touching serving stats.
         """
         for mid, weight, modes, symmetric in model_specs:
             if mid not in self.models:
@@ -305,7 +303,7 @@ class _WorkerBody:
         ))
 
 
-def _make_session(index: int, backend: str, autotune, dtype_policy,
+def _make_session(index: int, backend: str, dtype_policy,
                   injector: ChaosInjector):
     """Build the worker's session, degrading ckernels -> numpy.
 
@@ -324,12 +322,10 @@ def _make_session(index: int, backend: str, autotune, dtype_policy,
                 raise RuntimeError(
                     "injected backend_fail: C kernel self-check failed"
                 )
-            return Session(backend=backend, autotune=autotune,
-                           dtype_policy=dtype_policy)
+            return Session(backend=backend, dtype_policy=dtype_policy)
         except RuntimeError:
             pass  # fall through to the numpy substrate
-    return Session(backend="numpy", autotune=autotune,
-                   dtype_policy=dtype_policy)
+    return Session(backend="numpy", dtype_policy=dtype_policy)
 
 
 def worker_main(
@@ -339,7 +335,6 @@ def worker_main(
     req_segment: str,
     resp_segment: str,
     backend: str,
-    autotune: bool,
     dtype_policy: str,
     max_batch: int,
     hb_interval: float = 0.25,
@@ -359,7 +354,7 @@ def worker_main(
     injector = ChaosInjector(fault_plan)
     req_shm = attach_segment(req_segment)
     resp_shm = attach_segment(resp_segment)
-    session = _make_session(index, backend, autotune, dtype_policy, injector)
+    session = _make_session(index, backend, dtype_policy, injector)
     body = _WorkerBody(session, {}, req_shm, resp_shm, conn, max_batch,
                        injector)
     body.send(("ready", os.getpid(), session.backend))

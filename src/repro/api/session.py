@@ -51,7 +51,6 @@ import numpy as np
 from repro.api.planner import PLAN_CACHE_SIZE, ExecutionPlan, build_plan
 from repro.api.problem import Problem
 from repro.api.registry import get_device, resolve_stage
-from repro.core.autotune import Tuner, probe_signal
 from repro.core.compiled import (
     CompiledSpectralConv1D,
     CompiledSpectralConv2D,
@@ -261,19 +260,6 @@ class Session:
         FFT plan-cache set (so the default session and the functional
         API pool plans, exactly like the seed).  ``True`` — or any
         non-auto backend — gives the session its own isolated set.
-    autotune:
-        ``True`` (or ``"on"``) builds every pooled compiled executor
-        with ``tiles="auto"``: the tiling of each served geometry's
-        fused dataflow (symmetric executors are untiled) is resolved
-        through this session's :class:`repro.core.autotune.Tuner` —
-        in-memory memo, then the persistent tune store
-        (``~/.cache/repro``, ``REPRO_TUNE_CACHE`` to override), then a
-        timed search whose winner is cached in both.  Outputs are
-        byte-identical to the default tiling; only throughput changes.
-        :meth:`warmup` pre-tunes problem geometries so serving never
-        pays the search inline; tune hits/misses appear in
-        :meth:`stats` and the memo is dropped by
-        :meth:`clear_all_caches`.  Default off (``False``/``"off"``).
 
     Sessions are context managers (``with api.Session() as s:``) and
     :meth:`close` is idempotent.  The plan cache and executor pool are
@@ -290,7 +276,6 @@ class Session:
         plan_cache_size: int = PLAN_CACHE_SIZE,
         fft_cache_size: int | None = None,
         private_caches: bool = False,
-        autotune: bool | str = False,
     ) -> None:
         resolve_backend_kernels(backend)  # validate spelling/availability
         if dtype_policy not in DTYPE_POLICIES:
@@ -298,15 +283,6 @@ class Session:
                 f"unknown dtype_policy {dtype_policy!r}; expected one of "
                 f"{DTYPE_POLICIES}"
             )
-        if isinstance(autotune, str):
-            if autotune not in ("on", "off"):
-                raise ValueError(
-                    f"unknown autotune spelling {autotune!r}; expected "
-                    f"'on', 'off' or a bool"
-                )
-            autotune = autotune == "on"
-        self.autotune = bool(autotune)
-        self._tuner = Tuner()
         self.config = config if config is not None else TurboFNOConfig()
         self.device = get_device(device)
         self.backend = backend
@@ -368,15 +344,12 @@ class Session:
         ``backend="auto"`` default) leaves that set alone — clearing it
         would cold-start every other session sharing it; use
         :func:`repro.api.clear_all_caches` to flush the shared set too.
-        The autotune memo is evicted with everything else (the
-        *persistent* tune store is shared process state and stays).
         """
         self._plan_cache.cache_clear()
         if self._owns_plan_caches:
             self.plan_caches.clear()
         with self._pool_lock:
             self._executors.clear()
-        self._tuner.clear_memo()
 
     def close(self) -> None:
         """Release every cache and mark the session closed (idempotent).
@@ -443,19 +416,13 @@ class Session:
         (where the half-spectrum convention applies) the packed-real
         R2C/C2R plans plus their pruned variants (truncation fused into
         the half-length decomposition) — is built in this session's
-        caches for each working precision in ``dtypes``.  On an ``autotune=True``
-        session the tiling of each problem geometry is resolved (tuned
-        on a miss) here too — every reachable batch bucket of the fused
-        dataflow (symmetric executors are untiled) — so serving never
-        pays the timed search inline.  Returns ``{"problems": ...,
-        "plans": ..., "fft_plans": ..., "tuned": ...}`` counts, with
-        ``tuned`` the number of tile resolutions.
+        caches for each working precision in ``dtypes``.  Returns
+        ``{"problems": ..., "plans": ..., "fft_plans": ...}`` counts.
         """
         self._check_open()
         problems = list(problems)
         fft_before = sum(i.currsize for i in self.plan_caches.cache_info())
         plans = 0
-        tuned = 0
         for problem in problems:
             for stage in stages:
                 self.plan(problem, stage)
@@ -465,39 +432,12 @@ class Session:
             for dt in dtypes:
                 cdt = complex_dtype_for(dt)
                 self._warm_geometry(spatial, modes, cdt)
-                if self.autotune:
-                    tuned += self._warm_tiles(problem, spatial, modes, dt)
         fft_after = sum(i.currsize for i in self.plan_caches.cache_info())
         return {
             "problems": len(problems),
             "plans": plans,
             "fft_plans": fft_after - fft_before,
-            "tuned": tuned,
         }
-
-    def _warm_tiles(self, problem, spatial: tuple, modes: tuple, dt) -> int:
-        """Pre-resolve the tiling for one problem geometry.
-
-        Tune winners are keyed on (geometry, dtype, backend, batch
-        bucket), never on weight values, so a synthetic
-        ``hidden x hidden`` probe weight warms the exact entries the
-        served executors will recall.  Every batch bucket up to the
-        problem's is tuned (micro-batching serves smaller
-        concatenations than the nominal batch).  Only the fused dataflow
-        is tiled; symmetric executors have nothing to tune.
-        """
-        hidden = getattr(problem, "hidden", None)
-        batch = getattr(problem, "batch", None)
-        if hidden is None or not batch:
-            return 0
-        cdt = complex_dtype_for(dt)
-        weight = probe_signal((hidden, hidden), cdt)
-        modes_arg = modes if len(modes) > 1 else modes[0]
-        executor = compile_spectral_conv(
-            weight, modes_arg,
-            plans=self.plan_caches, tiles="auto", tuner=self._tuner,
-        )
-        return executor.warm_tiles(batch, spatial, dtype=dt)
 
     def _warm_geometry(self, spatial: tuple, modes: tuple, cdt) -> None:
         caches = self.plan_caches
@@ -558,8 +498,6 @@ class Session:
                 executor = compile_spectral_conv(
                     model.weight, modes, symmetric=model.symmetric,
                     plans=self.plan_caches,
-                    tiles="auto" if self.autotune else "default",
-                    tuner=self._tuner,
                 )
                 self._executors[key] = executor
                 if len(self._executors) > EXECUTOR_POOL_SIZE:
@@ -1052,9 +990,7 @@ class Session:
         """Serving and cache statistics (JSON-ready).
 
         ``plan_cache`` / ``fft_plan_caches`` expose LRU hit/miss
-        accounting; ``autotune`` the session tuner's hit/miss counters
-        (every pooled-executor call on an ``autotune=True`` session
-        resolves its tiles through the tuner exactly once);
+        accounting;
         ``per_geometry`` maps each served spatial geometry to
         request/batch counts (a rollout step counts each of its streams
         as one request), measured throughput and latency
@@ -1100,7 +1036,6 @@ class Session:
                                    strict=True)
             },
             "executor_pool": self.executor_pool_size(),
-            "autotune": {"enabled": self.autotune, **self._tuner.stats()},
             "requests": requests,
             "batches": batches,
             "latency": latency,

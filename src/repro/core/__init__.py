@@ -15,17 +15,12 @@
   on (plus the stage-B/C partial fusions of Table 2);
   :mod:`repro.core.legacy` preserves the original loops as oracle and
   benchmark baseline.
-* :mod:`repro.core.autotune` — plan-time tile autotuning for the
-  compiled executors (candidate grids seeded by an analytic
-  cache-footprint model, a persistent versioned tune store, and the
-  in-session :class:`~repro.core.autotune.Tuner`).
 * :mod:`repro.core.dtypes` — the shared complex-precision policy.
 * :mod:`repro.core.pipeline_model` — compiles every stage (and the
   PyTorch baseline) into :class:`repro.gpu.timeline.Pipeline` kernel
   sequences; this is what regenerates the paper's figures.
 """
 
-from repro.core.autotune import Tiles, Tuner, TuneStore, default_tuner
 from repro.core.compiled import (
     CompiledSpectralConv1D,
     CompiledSpectralConv2D,
@@ -44,10 +39,6 @@ __all__ = [
     "CompiledSpectralConv1D",
     "CompiledSpectralConv2D",
     "compile_spectral_conv",
-    "Tiles",
-    "Tuner",
-    "TuneStore",
-    "default_tuner",
     "complex_dtype_for",
     "build_pipeline_1d",
     "build_pipeline_2d",

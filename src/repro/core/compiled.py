@@ -13,12 +13,12 @@ tile/panel accumulation order, so not a single floating-point operation
 changes, only where the operands live.
 
 The fused C2C dataflow (the 1-D executor, and the 2-D executor's
-per-pencil stage) runs each signal tile as one call into the C tile
+per-pencil stage) runs the whole batch as one call into the C tile
 driver ``fused_tile_c2c_1d`` when the C kernels are loaded — TurboFNO's
 one FFT -> CGEMM -> iFFT kernel, with each signal row streamed through
-the stages in cache.  Without them the same tiles run through a Python
-loop over NumPy stages, which is also the driver's oracle.  Only this
-dataflow is tiled (and autotuned, :mod:`repro.core.autotune`).
+the stages in cache.  Without them the batch runs through a Python loop
+over NumPy stages in tiles of ``signal_tile`` rows, which is also the
+driver's oracle.
 
 The symmetric (rfft/irfft) convention has one untiled dataflow: its
 ``__call__`` runs the same three staged halves as its spectrum entry
@@ -50,21 +50,10 @@ sessions; staging captures the set once per geometry.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
-from repro.core.autotune import (
-    Tiles,
-    TuneKey,
-    Tuner,
-    batch_bucket,
-    bucket_ladder,
-    candidate_tiles,
-    default_tuner,
-    measure_seconds,
-    probe_batch,
-    probe_signal,
-)
 from repro.core.dtypes import complex_dtype_for
 from repro.fft.compiled import (
     PlanCaches,
@@ -95,10 +84,6 @@ __all__ = [
 _DEFAULT_K_TB = 8
 _DEFAULT_SIGNAL_TILE = 16
 
-#: ``tiles=`` spellings accepted by the executors (besides a concrete
-#: ``(signal_tile, k_tb)`` pair).
-TILE_MODES = ("default", "auto")
-
 
 def _check_inputs(x: np.ndarray, weight: np.ndarray, ndim: int) -> None:
     if x.ndim != ndim:
@@ -111,11 +96,22 @@ def _check_inputs(x: np.ndarray, weight: np.ndarray, ndim: int) -> None:
         )
 
 
-def _check_k_tb(k_tb: int) -> None:
-    # k_tb <= 0 would otherwise surface as a ZeroDivisionError, a NumPy
-    # shape error or, with no k-panels at all, an all-zero output.
-    if k_tb < 1:
-        raise ValueError(f"k_tb must be positive, got {k_tb}")
+def _positive_int(name: str, value) -> int:
+    """Check a tile extent (``k_tb``, ``signal_tile``) and return it as
+    a Python int."""
+    # A non-integer would otherwise surface as a raw TypeError from
+    # range() at the first call, or pass unchecked on the C backend;
+    # value <= 0 as a ZeroDivisionError, a NumPy shape error or, with no
+    # k-panels at all, an all-zero output.
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(
+            f"{name} must be an integer, got {value!r}"
+        ) from None
+    if value < 1:
+        raise ValueError(f"{name} must be positive, got {value}")
+    return value
 
 
 class _StagedFused1D:
@@ -125,43 +121,25 @@ class _StagedFused1D:
     with all per-call setup hoisted: pre-cast weight panels, cached FFT
     plans for the kept-mode length, pre-cast decomposition twiddles, and
     reusable workspaces.  With the C kernels loaded, :meth:`run_fused`
-    makes one tile-driver call per signal tile (workspaces for one
-    streamed row); otherwise it runs the Python stage loop (workspaces
-    for one tile), the NumPy fallback and the driver's oracle.
-
-    ``k_block`` widens the *staging* granularity without touching the
-    arithmetic: up to ``k_block`` channels (a whole multiple of the
-    accumulation width ``k_tb``) are gathered, transformed and
-    decomposition-reduced in one pass, then contracted panel-by-panel in
-    the canonical ``k_tb`` order.  The FFT and the decomposition reduce
-    are row-independent, so any legal ``k_block`` produces byte-identical
-    output — only the dispatch count and the staging working set change.
+    makes one tile-driver call for the whole batch (workspaces for one
+    streamed row); otherwise it runs the Python stage loop over
+    ``signal_tile``-row tiles (workspaces for one tile), the NumPy
+    fallback and the driver's oracle.
     """
 
     def __init__(self, weight: np.ndarray, modes: int, dim_x: int,
                  k_tb: int, signal_tile: int, dtype: np.dtype,
-                 plans: PlanCaches | None = None,
-                 k_block: int | None = None):
+                 plans: PlanCaches | None = None):
         # Same split validation (and messages) the first inner
         # truncated_fft of the legacy loop would have raised.
         if modes == dim_x:
             _check_length(dim_x)
         else:
             _validate_split(dim_x, modes, "n_keep")
-        if signal_tile < 1:
-            raise ValueError(
-                f"signal_tile must be positive, got {signal_tile}"
-            )
         c_in, c_out = weight.shape
         self.modes = modes
         self.dim_x = dim_x
         self.k_tb = k_tb
-        kb = k_tb if k_block is None else k_block
-        if kb < k_tb or kb % k_tb != 0:
-            raise ValueError(
-                f"k_block must be a whole multiple of k_tb={k_tb}, got {kb}"
-            )
-        self.k_block = kb
         self.signal_tile = signal_tile
         self.dtype = dtype
         self.c_in = c_in
@@ -173,10 +151,6 @@ class _StagedFused1D:
         # loop its k-panels
         self.weight = weight.astype(dtype, order="C")
         self.panels = _weight_panels(self.weight, k_tb, dtype)
-        # Consecutive same-width panels grouped per staging pass.  Only
-        # the last panel can be ragged, so it always forms its own
-        # (singleton) group and every other group is uniform-width.
-        self.groups = _panel_groups(self.panels, kb // k_tb)
         self.fwd = self.plans.fft(modes, dtype, inverse=False)
         if self.p > 1:
             self.wd_f = np.ascontiguousarray(
@@ -191,7 +165,7 @@ class _StagedFused1D:
         self.wd_i = None
         self._gather = None
         self._driver_ops = None
-        self._x_tile = None
+        self._x_stage = np.empty(0, dtype)
 
     def _ensure_inverse(self) -> None:
         """Stage the epilogue's inverse plan and twiddles."""
@@ -213,47 +187,36 @@ class _StagedFused1D:
         self._ensure_inverse()
         dtype, modes = self.dtype, self.modes
         # Reusable ping-pong workspaces, sized for one signal tile.
-        rows = self.signal_tile * max(self.k_block, self.c_out) * self.p
+        rows = self.signal_tile * max(self.k_tb, self.c_out) * self.p
         self._gather = np.empty((rows, modes), dtype)
         self._fftbuf = np.empty((rows, modes), dtype)
         self._acc = np.empty((self.signal_tile, self.c_out, modes), dtype)
-        self._dec = np.empty(self.signal_tile * self.k_block * modes, dtype)
+        self._dec = np.empty(self.signal_tile * self.k_tb * modes, dtype)
 
     # -- one signal tile ------------------------------------------------
 
-    def _forward_group(self, x, b0, b1, group):
-        """Truncated FFT of one (tile, panel-group) slice.
-
-        Returns ``(nsub, bt, kt, modes)`` — one contiguous slab per
-        accumulation panel in the group.  One gather, one FFT execution
-        and one decomposition reduce cover the whole group; all three
-        are row-independent, so the per-panel slabs hold exactly the
-        values the panel-at-a-time path would have produced.
-        """
-        bt = b1 - b0
-        k0, k1 = group[0][0], group[-1][1]
-        nsub = len(group)
-        kt = group[0][1] - group[0][0]
+    def _forward_panel(self, x, b0, b1, k0, k1):
+        """Truncated FFT of one (tile, k-panel) slice: ``(bt, kt,
+        modes)``, one gather, one FFT execution and (p > 1) one
+        decomposition reduce."""
+        bt, kt = b1 - b0, k1 - k0
         p, modes = self.p, self.modes
-        rows = bt * nsub * kt * p
+        rows = bt * kt * p
         gat = self._gather[:rows]
         if p > 1:
-            src = x[b0:b1, k0:k1, :].reshape(bt, nsub, kt, modes, p)
-            gat.reshape(nsub, bt, kt, p, modes)[...] = (
-                src.transpose(1, 0, 2, 4, 3)
-            )
+            src = x[b0:b1, k0:k1, :].reshape(bt, kt, modes, p)
+            gat.reshape(bt, kt, p, modes)[...] = src.transpose(0, 1, 3, 2)
         else:
-            src = x[b0:b1, k0:k1, :].reshape(bt, nsub, kt, modes)
-            gat.reshape(nsub, bt, kt, modes)[...] = src.transpose(1, 0, 2, 3)
+            gat.reshape(bt, kt, modes)[...] = x[b0:b1, k0:k1, :]
         fbuf = self._fftbuf[:rows]
         self.fwd.execute(gat, out=fbuf)
         if p > 1:
-            dec = self._dec[: bt * nsub * kt * modes]
-            decomp_reduce(fbuf.reshape(bt * nsub * kt, p, modes), self.wd_f,
-                          dec.reshape(bt * nsub * kt, modes),
+            dec = self._dec[: bt * kt * modes]
+            decomp_reduce(fbuf.reshape(bt * kt, p, modes), self.wd_f,
+                          dec.reshape(bt * kt, modes),
                           kernels=self.plans.kernels())
-            return dec.reshape(nsub, bt, kt, modes)
-        return fbuf.reshape(nsub, bt, kt, modes)
+            return dec.reshape(bt, kt, modes)
+        return fbuf.reshape(bt, kt, modes)
 
     def _epilogue(self, acc, out, b0, b1):
         """Pruned inverse transform of the accumulated C tile."""
@@ -283,50 +246,46 @@ class _StagedFused1D:
 
     def _run_driver(self, x: np.ndarray, kernels) -> np.ndarray:
         """:meth:`run_fused` on the C tile driver: one checked kernel
-        call runs a whole signal tile, streaming its rows through every
+        call runs the whole batch, streaming each row through every
         stage, so the workspaces hold one row (see ``_kernels.c``)."""
         if self._driver_ops is None:
             self._ensure_inverse()
             dtype, p, modes = self.dtype, self.p, self.modes
-            row = max(self.k_block, self.c_out) * self.dim_x
+            row = max(self.k_tb, self.c_out) * self.dim_x
             none = np.empty(0, dtype)
             self._driver_ops = (
                 self.fwd.twiddles, self.inv.twiddles,
                 none if p == 1 else self.wd_f, none if p == 1 else self.wd_i,
                 np.empty(row, dtype), np.empty(row, dtype),
                 np.empty(row, dtype),
-                np.empty(self.k_block * modes if p > 1 else 0, dtype),
+                np.empty(self.k_tb * modes if p > 1 else 0, dtype),
                 np.empty(self.c_out * modes, dtype),
             )
         batch = x.shape[0]
         out = np.empty((batch, self.c_out, self.dim_x), self.dtype)
-        geometry = (self.c_in, self.c_out, self.dim_x, self.modes,
-                    self.k_tb, self.k_block)
-        # Other layouts and dtypes are copied one tile at a time into a
-        # reusable tile buffer; a real input widens exactly.
-        convert = x.dtype != self.dtype or not x.flags.c_contiguous
-        if convert and self._x_tile is None:
-            self._x_tile = np.empty(
-                (self.signal_tile, self.c_in, self.dim_x), self.dtype
-            )
-        for b0 in range(0, batch, self.signal_tile):
-            b1 = min(b0 + self.signal_tile, batch)
-            tile = x[b0:b1]
-            if convert:
-                tile = self._x_tile[: b1 - b0]
-                np.copyto(tile, x[b0:b1], casting="unsafe")
-            kernels.fused_tile_c2c_1d(tile, self.weight, *self._driver_ops,
-                                      out[b0:b1], b1 - b0, *geometry)
+        if x.dtype != self.dtype or not x.flags.c_contiguous:
+            # Other layouts and dtypes are converted once into a reusable
+            # staging buffer; a real input widens exactly.
+            if self._x_stage.size < x.size:
+                self._x_stage = np.empty(x.size, self.dtype)
+            staged = self._x_stage[: x.size].reshape(x.shape)
+            np.copyto(staged, x, casting="unsafe")
+            x = staged
+        kernels.fused_tile_c2c_1d(x, self.weight, *self._driver_ops, out,
+                                  batch, self.c_in, self.c_out, self.dim_x,
+                                  self.modes, self.k_tb)
         return out
 
     def run_fused(self, x: np.ndarray) -> np.ndarray:
         """Stage D: the fully fused FFT -> CGEMM -> iFFT pass.
 
-        With the C kernels loaded each signal tile is one driver call;
+        With the C kernels loaded the whole batch is one driver call;
         otherwise the Python stage loop below runs it, which is also the
-        oracle the driver is tested against."""
+        oracle the driver is tested against.  A weight with no input or
+        no output channels always takes the loop: the driver requires
+        both extents."""
         kernels = self.plans.kernels()
-        if kernels is not None:
+        if kernels is not None and self.c_in and self.c_out:
             return self._run_driver(x, kernels)
         self._ensure_tiles()
         batch = x.shape[0]
@@ -335,11 +294,9 @@ class _StagedFused1D:
             b1 = min(b0 + self.signal_tile, batch)
             acc = self._acc[: b1 - b0]
             acc[...] = 0
-            for group in self.groups:
-                a = self._forward_group(x, b0, b1, group)
-                for s, (k0, k1, wp) in enumerate(group):
-                    panel_contract(a[s], wp, acc,
-                                   kernels=self.plans.kernels())
+            for (k0, k1, wp) in self.panels:
+                panel_contract(self._forward_panel(x, b0, b1, k0, k1), wp,
+                               acc, kernels=kernels)
             self._epilogue(acc, out, b0, b1)
         return out
 
@@ -381,7 +338,7 @@ def fused_fft_gemm_1d(
     ``(batch, C_out, modes)`` — what the fused kernel would hand to a
     separate iFFT kernel.
     """
-    _check_k_tb(k_tb)
+    k_tb = _positive_int("k_tb", k_tb)
     x = np.asarray(x)
     weight = np.asarray(weight)
     _check_inputs(x, weight, 3)
@@ -405,7 +362,7 @@ def fused_gemm_ifft_1d(
     never materialises: the epilogue's pruned inverse transform consumes
     the C tile straight from "shared memory".
     """
-    _check_k_tb(k_tb)
+    k_tb = _positive_int("k_tb", k_tb)
     xk_low = np.asarray(xk_low)
     weight = np.asarray(weight)
     _check_inputs(xk_low, weight, 3)
@@ -461,29 +418,6 @@ def _weight_panels(weight: np.ndarray, k_tb: int, dtype: np.dtype):
     ]
 
 
-def _panel_groups(panels, panels_per_group: int):
-    """Chunk consecutive *same-width* panels into staging groups.
-
-    Groups never mix widths (the single possibly-ragged tail panel ends
-    up alone), so one gather/FFT pass per group can view its slab as a
-    uniform ``(nsub, bt, kt, ...)`` block.
-    """
-    groups: list[list] = []
-    cur: list = []
-    for panel in panels:
-        width = panel[1] - panel[0]
-        if cur and (
-            len(cur) >= panels_per_group
-            or width != cur[0][1] - cur[0][0]
-        ):
-            groups.append(cur)
-            cur = []
-        cur.append(panel)
-    if cur:
-        groups.append(cur)
-    return groups
-
-
 def _require_part(plan, modes: int, what: str) -> None:
     """Typed guard: a staged pruned real plan must truncate to exactly
     the executor's kept modes — a disagreement means the truncation the
@@ -521,101 +455,15 @@ def _check_spectrum(sk: np.ndarray, modes: tuple, channels=None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Tile resolution (the autotune front end of the fused dataflow)
-# ---------------------------------------------------------------------------
-
-def _resolved_backend(plans: PlanCaches) -> str:
-    """The substrate a tune result is keyed on (never ``"auto"``)."""
-    return "ckernels" if plans.kernels() is not None else "numpy"
-
-
-def _normalise_tiles(tiles, k_tb: int, symmetric: bool):
-    """Validate a ``tiles=`` argument at construction time.
-
-    Returns ``"default"``, ``"auto"`` or a concrete :class:`Tiles`.
-    Concrete pairs are constrained to the bit-identical search space:
-    the staging ``k_tb`` must be a whole multiple of the accumulation
-    width.  Symmetric executors are untiled, so they take no pair.
-    """
-    if isinstance(tiles, str):
-        if tiles not in TILE_MODES:
-            raise ValueError(
-                f"unknown tiles mode {tiles!r}; expected one of "
-                f"{TILE_MODES} or a (signal_tile, k_tb) pair"
-            )
-        return tiles
-    if isinstance(tiles, (tuple, list)) and len(tiles) == 2:
-        if symmetric:
-            raise ValueError(
-                f"symmetric executors are untiled; tiles must be "
-                f"'default' or 'auto', got {tiles!r}"
-            )
-        st, ktb = int(tiles[0]), int(tiles[1])
-        if st < 1:
-            raise ValueError(f"signal_tile must be positive, got {st}")
-        if ktb < k_tb or ktb % k_tb != 0:
-            raise ValueError(
-                f"tiles k_tb={ktb} must be a whole multiple of the "
-                f"accumulation width k_tb={k_tb} (anything else "
-                f"would change the accumulation order and the bits)"
-            )
-        return Tiles(st, ktb)
-    raise ValueError(
-        f"tiles must be 'default', 'auto' or a (signal_tile, k_tb) "
-        f"pair, got {tiles!r}"
-    )
-
-
-def _autotune_fused_tiles(weight, modes, dim_x, k_tb, default, dtype,
-                          plans, tuner, batch, retune=False) -> Tiles:
-    """Resolve (tuning on a miss) the fused-dataflow tiles for one
-    geometry.  Shared by the 1-D executor and the 2-D executor's
-    per-pencil fused stage (which is the same computation on a
-    ``batch * modes_x`` pencil batch)."""
-    c_in, c_out = weight.shape
-    dtype = np.dtype(dtype)
-    bucket = batch_bucket(batch)
-    key = TuneKey((dim_x,), (modes,), c_in, c_out, k_tb, bucket,
-                  dtype.name, _resolved_backend(plans))
-    probe: dict = {}
-
-    def candidates() -> list[Tiles]:  # built only if a search runs
-        return candidate_tiles(
-            batch=bucket, c_in=c_in, c_out=c_out, modes=modes,
-            p=dim_x // modes, k_tb=k_tb, itemsize=dtype.itemsize,
-            default=default,
-        )
-
-    def measure(tiles: Tiles) -> float:
-        if "x" not in probe:  # built once, only if a search runs
-            probe["x"] = probe_signal(
-                (probe_batch(bucket), c_in, dim_x), dtype
-            )
-        staged = _StagedFused1D(
-            weight, modes, dim_x, k_tb, tiles.signal_tile, dtype,
-            plans=plans, k_block=tiles.k_tb,
-        )
-        return measure_seconds(lambda: staged.run_fused(probe["x"]))
-
-    return tuner.tiles_for(
-        key, default, candidates, measure,
-        is_valid=lambda t: (
-            t.signal_tile >= 1 and t.k_tb >= k_tb and t.k_tb % k_tb == 0
-        ),
-        retune=retune,
-    )
-
-
-# ---------------------------------------------------------------------------
 # The executors
 # ---------------------------------------------------------------------------
 
 class _SpectralExecutor:
     """Staging the 1-D and 2-D executors share.
 
-    Holds the construction-time ``k_tb``/``tiles`` checks, the plan-cache
-    set, the weight k-panels (cast once per working dtype), the fused
-    stages (one per dtype, length and tiles) and, for the symmetric
+    Holds the construction-time ``k_tb``/``signal_tile`` checks, the
+    plan-cache set, the weight k-panels (cast once per working dtype),
+    the fused stages (one per dtype and length) and, for the symmetric
     convention, the pruned R2C/C2R plan pair (checked and resolved once
     per dtype and grid).
 
@@ -630,15 +478,14 @@ class _SpectralExecutor:
 
     def __init__(self, weight: np.ndarray, modes: tuple, k_tb: int,
                  signal_tile: int, symmetric: bool,
-                 plans: PlanCaches | None, tiles, tuner: Tuner | None):
-        _check_k_tb(k_tb)
+                 plans: PlanCaches | None):
+        k_tb = _positive_int("k_tb", k_tb)
+        signal_tile = _positive_int("signal_tile", signal_tile)
         self.weight = weight
         self.k_tb = k_tb
         self.signal_tile = signal_tile
         self.symmetric = symmetric
-        self.tiles = _normalise_tiles(tiles, k_tb, symmetric)
         self._modes = modes
-        self._tuner = tuner
         self._plans = plans
         self._staged: dict[tuple, _StagedFused1D] = {}
         self._panels: dict = {}
@@ -646,6 +493,19 @@ class _SpectralExecutor:
 
     def _plan_caches(self) -> PlanCaches:
         return self._plans if self._plans is not None else current_plan_caches()
+
+    def _stage_for(self, dtype: np.dtype, length: int) -> _StagedFused1D:
+        """The fused stage over signals of ``length`` (X in 1-D, the
+        pencil length Y in 2-D), staged once per ``(dtype, length)``."""
+        key = (dtype, length)
+        staged = self._staged.get(key)
+        if staged is None:
+            staged = _StagedFused1D(
+                self.weight, self._modes[-1], length, self.k_tb,
+                self.signal_tile, dtype, plans=self._plan_caches(),
+            )
+            self._staged[key] = staged
+        return staged
 
     def _step(self, sk: np.ndarray, dtype: np.dtype) -> np.ndarray:
         """The middle staged half: one k-panel CGEMM over the kept
@@ -701,16 +561,10 @@ class CompiledSpectralConv1D(_SpectralExecutor):
     low-pass operator returning a real array.  Requires
     ``modes <= X/2``.
 
-    ``tiles`` selects the fused dataflow's tiling: ``"default"`` (the
-    constructor's ``signal_tile``/``k_tb``, the seed behaviour), a
-    concrete ``(signal_tile, k_tb)`` pair, or ``"auto"`` — resolve the
-    tiles per (geometry, dtype, backend, batch bucket) through ``tuner``
-    (the process default when None), timing a small candidate grid on
-    first use and recalling the winner from the in-memory/persistent
-    tune stores afterwards.  Every legal tiling is **byte-identical**:
-    tiles move operands, never arithmetic.  Symmetric executors are
-    untiled: they accept ``"default"`` and ``"auto"`` (which never
-    consults the tuner) and reject a concrete pair.
+    ``k_tb`` is the CGEMM's k-panel width: it fixes the accumulation
+    order, and so the output bits.  ``signal_tile`` sizes the NumPy
+    fallback's tile workspaces; every value gives the same bytes, and
+    the C driver runs the whole batch in one call regardless.
     """
 
     ndim = 1
@@ -719,9 +573,7 @@ class CompiledSpectralConv1D(_SpectralExecutor):
                  k_tb: int = _DEFAULT_K_TB,
                  signal_tile: int = _DEFAULT_SIGNAL_TILE,
                  symmetric: bool = False,
-                 plans: PlanCaches | None = None,
-                 tiles="default",
-                 tuner: Tuner | None = None):
+                 plans: PlanCaches | None = None):
         weight = np.asarray(weight)
         if weight.ndim != 2:
             raise ValueError(
@@ -731,7 +583,7 @@ class CompiledSpectralConv1D(_SpectralExecutor):
             raise ValueError(f"modes must be positive, got {modes}")
         self.modes = modes
         super().__init__(weight, (modes,), k_tb, signal_tile, symmetric,
-                         plans, tiles, tuner)
+                         plans)
 
     # -- the staged halves ----------------------------------------------
 
@@ -846,64 +698,6 @@ class CompiledSpectralConv1D(_SpectralExecutor):
         _check_spectrum(sk, self._modes)
         return _project_dc_real(sk)
 
-    # -- tiling (the fused dataflow only) -------------------------------
-
-    def _tiles_for(self, dtype: np.dtype, dim_x: int, batch: int,
-                   retune: bool = False) -> Tiles:
-        if self.tiles == "default":
-            return Tiles(self.signal_tile, self.k_tb)
-        if isinstance(self.tiles, Tiles):
-            return self.tiles
-        tuner = self._tuner if self._tuner is not None else default_tuner()
-        return _autotune_fused_tiles(
-            self.weight, self.modes, dim_x, self.k_tb,
-            Tiles(self.signal_tile, self.k_tb), dtype,
-            self._plan_caches(), tuner, batch, retune=retune,
-        )
-
-    def resolve_tiles(self, batch: int, spatial,
-                      dtype=np.float32, retune: bool = False):
-        """Resolve (and for ``tiles="auto"`` tune, on a miss) the tiling
-        this executor will use for one ``(batch, C_in, X)`` geometry —
-        the warmup hook :meth:`repro.api.Session.warmup` calls so
-        serving never pays the tune inline.  ``retune`` forces a fresh
-        timed search, overwriting memo and store.  ``None`` for a
-        symmetric executor, which is untiled."""
-        if self.symmetric:
-            return None
-        dim_x = spatial[0] if isinstance(spatial, (tuple, list)) else spatial
-        return self._tiles_for(
-            complex_dtype_for(dtype), int(dim_x), batch, retune=retune
-        )
-
-    def warm_tiles(self, batch: int, spatial, dtype=np.float32) -> int:
-        """Pre-tune *every* batch bucket a stream of up to ``batch``
-        signals can resolve to (micro-batching serves smaller
-        concatenations than the nominal problem batch), so no serving
-        call ever runs the timed search inline.  Returns the number of
-        resolutions; 0 unless a fused executor has ``tiles="auto"``."""
-        if self.tiles != "auto" or self.symmetric:
-            return 0
-        dim_x = spatial[0] if isinstance(spatial, (tuple, list)) else spatial
-        cdt = complex_dtype_for(dtype)
-        buckets = bucket_ladder(batch)
-        for bucket in buckets:
-            self._tiles_for(cdt, int(dim_x), bucket)
-        return len(buckets)
-
-    def _stage_for(self, dtype: np.dtype, dim_x: int,
-                   tiles: Tiles) -> _StagedFused1D:
-        key = (dtype, dim_x, tiles)
-        staged = self._staged.get(key)
-        if staged is None:
-            staged = _StagedFused1D(
-                self.weight, self.modes, dim_x,
-                self.k_tb, tiles.signal_tile, dtype,
-                plans=self._plan_caches(), k_block=tiles.k_tb,
-            )
-            self._staged[key] = staged
-        return staged
-
     def __call__(self, x: np.ndarray,
                  xk_trunc: np.ndarray | None = None) -> np.ndarray:
         """Run the convolution.  ``xk_trunc`` (symmetric mode only) is an
@@ -925,8 +719,7 @@ class CompiledSpectralConv1D(_SpectralExecutor):
         if self.symmetric:
             sk = self._symmetric_spectrum(x, xk_trunc, dtype)
             return self._synthesise(self._step(sk, dtype), (dim_x,))
-        tiles = self._tiles_for(dtype, dim_x, max(x.shape[0], 1))
-        return self._stage_for(dtype, dim_x, tiles).run_fused(x)
+        return self._stage_for(dtype, dim_x).run_fused(x)
 
 
 class CompiledSpectralConv2D(_SpectralExecutor):
@@ -944,11 +737,10 @@ class CompiledSpectralConv2D(_SpectralExecutor):
     straight from the kept modes, no Hermitian-half zero-pad) and a
     real-valued output.  Requires ``modes_y <= Y/2``.
 
-    ``tiles`` works exactly as on :class:`CompiledSpectralConv1D`; the
-    fused (non-symmetric) dataflow applies it to the per-pencil fused
+    ``k_tb`` and ``signal_tile`` work as on
+    :class:`CompiledSpectralConv1D`, applied to the per-pencil fused
     stage along Y (a ``batch * modes_x`` pencil batch of the 1-D
-    computation, sharing its tune entries).  Symmetric executors are
-    untiled.
+    computation).
     """
 
     ndim = 2
@@ -957,9 +749,7 @@ class CompiledSpectralConv2D(_SpectralExecutor):
                  k_tb: int = _DEFAULT_K_TB,
                  signal_tile: int = _DEFAULT_SIGNAL_TILE,
                  symmetric: bool = False,
-                 plans: PlanCaches | None = None,
-                 tiles="default",
-                 tuner: Tuner | None = None):
+                 plans: PlanCaches | None = None):
         weight = np.asarray(weight)
         if weight.ndim != 2:
             raise ValueError(
@@ -972,7 +762,7 @@ class CompiledSpectralConv2D(_SpectralExecutor):
         self.modes_x = modes_x
         self.modes_y = modes_y
         super().__init__(weight, (modes_x, modes_y), k_tb, signal_tile,
-                         symmetric, plans, tiles, tuner)
+                         symmetric, plans)
 
     # -- the staged halves ----------------------------------------------
 
@@ -1103,63 +893,6 @@ class CompiledSpectralConv2D(_SpectralExecutor):
             )
         return _project_herm_x(sk, dim_x)
 
-    # -- tiling (the fused dataflow only) -------------------------------
-
-    def _tiles_for(self, dtype: np.dtype, dim_y: int, batch: int,
-                   retune: bool = False) -> Tiles:
-        """Tiles of the fused stage along Y, which runs over ``batch``
-        pencils — tuned as exactly that 1-D computation."""
-        if self.tiles == "default":
-            return Tiles(self.signal_tile, self.k_tb)
-        if isinstance(self.tiles, Tiles):
-            return self.tiles
-        tuner = self._tuner if self._tuner is not None else default_tuner()
-        return _autotune_fused_tiles(
-            self.weight, self.modes_y, dim_y, self.k_tb,
-            Tiles(self.signal_tile, self.k_tb), dtype,
-            self._plan_caches(), tuner, batch, retune=retune,
-        )
-
-    def resolve_tiles(self, batch: int, spatial,
-                      dtype=np.float32, retune: bool = False):
-        """Resolve (and for ``tiles="auto"`` tune, on a miss) the tiling
-        for one ``(batch, C_in, X, Y)`` geometry — the
-        :meth:`repro.api.Session.warmup` hook.  ``retune`` forces a
-        fresh timed search.  ``None`` for a symmetric executor."""
-        if self.symmetric:
-            return None
-        return self._tiles_for(
-            complex_dtype_for(dtype), int(spatial[1]),
-            batch * self.modes_x, retune=retune,
-        )
-
-    def warm_tiles(self, batch: int, spatial, dtype=np.float32) -> int:
-        """Pre-tune every batch bucket reachable by a stream of up to
-        ``batch`` requests (see :meth:`CompiledSpectralConv1D.warm_tiles`).
-        The fused stage runs over ``batch * modes_x`` pencils, so the
-        *pencil*-batch buckets are enumerated — smaller micro-batches
-        land in smaller pencil buckets."""
-        if self.tiles != "auto" or self.symmetric:
-            return 0
-        cdt = complex_dtype_for(dtype)
-        buckets = bucket_ladder(batch * self.modes_x)
-        for bucket in buckets:
-            self._tiles_for(cdt, int(spatial[1]), bucket)
-        return len(buckets)
-
-    def _stage_for(self, dtype: np.dtype, dim_y: int,
-                   tiles: Tiles) -> _StagedFused1D:
-        key = (dtype, dim_y, tiles)
-        staged = self._staged.get(key)
-        if staged is None:
-            staged = _StagedFused1D(
-                self.weight, self.modes_y, dim_y,
-                self.k_tb, tiles.signal_tile, dtype,
-                plans=self._plan_caches(), k_block=tiles.k_tb,
-            )
-            self._staged[key] = staged
-        return staged
-
     def __call__(self, x: np.ndarray,
                  xk_trunc: np.ndarray | None = None) -> np.ndarray:
         """Run the convolution.  ``xk_trunc`` (symmetric mode only) is an
@@ -1194,8 +927,7 @@ class CompiledSpectralConv2D(_SpectralExecutor):
         pencils = xk_x.transpose(0, 2, 1, 3).reshape(
             batch * self.modes_x, c_in, dim_y
         )
-        tiles = self._tiles_for(dtype, dim_y, max(batch, 1) * self.modes_x)
-        out_pencils = self._stage_for(dtype, dim_y, tiles).run_fused(pencils)
+        out_pencils = self._stage_for(dtype, dim_y).run_fused(pencils)
 
         yk_x = out_pencils.reshape(
             batch, self.modes_x, c_out, dim_y
@@ -1211,8 +943,6 @@ def compile_spectral_conv(
     signal_tile: int = _DEFAULT_SIGNAL_TILE,
     symmetric: bool = False,
     plans: PlanCaches | None = None,
-    tiles="default",
-    tuner: Tuner | None = None,
 ):
     """Build the executor matching ``modes``' dimensionality.
 
@@ -1222,25 +952,22 @@ def compile_spectral_conv(
     rfft/irfft half-spectrum convention (real input, real output).
     ``plans`` pins the executor to one plan-cache set (a session's);
     ``None`` resolves the set active on the staging thread.
-    ``tiles``/``tuner`` select the fused dataflow's tiling (``"auto"``
-    autotunes per geometry — byte-identical output, see
-    :mod:`repro.core.autotune`); symmetric executors are untiled.
     """
     if isinstance(modes, tuple):
         if len(modes) == 1:
             return CompiledSpectralConv1D(
                 weight, modes[0], k_tb, signal_tile, symmetric=symmetric,
-                plans=plans, tiles=tiles, tuner=tuner,
+                plans=plans,
             )
         if len(modes) == 2:
             return CompiledSpectralConv2D(
                 weight, modes[0], modes[1], k_tb, signal_tile,
-                symmetric=symmetric, plans=plans, tiles=tiles, tuner=tuner,
+                symmetric=symmetric, plans=plans,
             )
         raise ValueError(
             f"modes must have 1 or 2 entries, got {len(modes)}"
         )
     return CompiledSpectralConv1D(
         weight, int(modes), k_tb, signal_tile, symmetric=symmetric,
-        plans=plans, tiles=tiles, tuner=tuner,
+        plans=plans,
     )

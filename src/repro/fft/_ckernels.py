@@ -21,8 +21,7 @@ rejects the library on any mismatch:
   ``expand_head_tail``) against the NumPy compositions they replace;
 * the fused C2C tile driver ``fused_tile_c2c_1d`` against the same tile
   composed from the per-stage kernels above, for ``p = 1`` and
-  ``p > 1``, a ragged tail panel, ``k_block = 2 * k_tb`` and a partial
-  last tile.
+  ``p > 1``, a ragged tail panel and a partial last tile.
 
 Every probe runs in both precisions.
 
@@ -175,7 +174,7 @@ class _Kernels:
                     ("panel_contract", 3, 4), ("decomp_reduce", 3, 3),
                     ("expand_mul", 3, 3), ("transpose", 2, 3),
                     ("decomp_mirror", 4, 4), ("expand_head_tail", 6, 4),
-                    ("fused_tile_c2c_1d", 12, 7)):
+                    ("fused_tile_c2c_1d", 12, 6)):
                 fn = getattr(lib, f"{name}_{suffix}")
                 fn.argtypes = [ptr] * nptr + [ctypes.c_long] * nlong
                 fn.restype = None
@@ -261,16 +260,16 @@ class _Kernels:
                           scratch: np.ndarray, spec: np.ndarray,
                           acc: np.ndarray, out: np.ndarray, bt: int,
                           c_in: int, c_out: int, dim_x: int, modes: int,
-                          k_tb: int, k_block: int) -> None:
-        """One signal tile of the fused 1-D C2C pass: ``out[bt, c_out,
+                          k_tb: int) -> None:
+        """``bt`` signal rows of the fused 1-D C2C pass: ``out[bt, c_out,
         dim_x]`` from ``x[bt, c_in, dim_x]`` and the ``(c_in, c_out)``
         weight ``w``, with ``dim_x = p * modes`` (see ``_kernels.c``).
         ``tw_*`` are the Stockham stage tables of length ``modes``,
         ``wd_*`` the ``(p, modes)`` decomposition twiddles (unused, and
         may be empty, when ``p == 1``); the workspaces hold one signal
-        row: ``gather``, ``fftbuf`` and ``scratch`` ``max(k_block,
-        c_out) * dim_x`` elements, ``spec`` ``k_block * modes`` (``p >
-        1``) and ``acc`` ``c_out * modes``."""
+        row: ``gather``, ``fftbuf`` and ``scratch`` ``max(k_tb, c_out) *
+        dim_x`` elements, ``spec`` ``k_tb * modes`` (``p > 1``) and
+        ``acc`` ``c_out * modes``."""
         if modes < 1 or modes & (modes - 1):
             raise ValueError(
                 f"fused_tile_c2c_1d: modes={modes} is not a power of two"
@@ -281,25 +280,22 @@ class _Kernels:
                 f"fused_tile_c2c_1d: dim_x={dim_x} is not a multiple of "
                 f"modes={modes}"
             )
-        if not 1 <= k_tb <= k_block or k_block % k_tb:
-            raise ValueError(
-                f"fused_tile_c2c_1d: k_block={k_block} is not a whole "
-                f"multiple of k_tb={k_tb} >= 1"
-            )
+        if k_tb < 1:
+            raise ValueError(f"fused_tile_c2c_1d: k_tb={k_tb} is not >= 1")
         if bt < 0 or c_in < 1 or c_out < 1:
             raise ValueError(
                 f"fused_tile_c2c_1d: bad extents bt={bt}, c_in={c_in}, "
                 f"c_out={c_out}"
             )
-        row = max(k_block, c_out) * dim_x
+        row = max(k_tb, c_out) * dim_x
         wd = p * modes if p > 1 else 0
         fn, ptrs = self._bind(
             "fused_tile_c2c_1d", (x, bt * c_in * dim_x), (w, c_in * c_out),
             (tw_fwd, modes - 1), (tw_inv, modes - 1), (wd_fwd, wd),
             (wd_inv, wd), (gather, row), (fftbuf, row), (scratch, row),
-            (spec, k_block * modes if p > 1 else 0), (acc, c_out * modes),
+            (spec, k_tb * modes if p > 1 else 0), (acc, c_out * modes),
             (out, bt * c_out * dim_x))
-        fn(*ptrs, bt, c_in, c_out, dim_x, modes, k_tb, k_block)
+        fn(*ptrs, bt, c_in, c_out, dim_x, modes, k_tb)
 
 
 #: (n, rows, inverse, div_by, mul_by) full-transform probes of the
@@ -323,13 +319,12 @@ _STOCKHAM_PROBES = [
 _SIGNED = (0.0, -0.0, 1.0, -1.0)
 
 
-#: (batch, c_in, c_out, modes, p, k_tb, k_block, signal_tile) probes of
-#: the fused C2C tile driver: p = 1 and p > 1, each with a ragged tail
-#: panel (c_in = 5 at k_tb = 2), k_block = 2 * k_tb, and a partial last
-#: tile (3 rows in tiles of 2).
+#: (batch, c_in, c_out, modes, p, k_tb, signal_tile) probes of the
+#: fused C2C tile driver: p = 1 and p > 1, each with a ragged tail panel
+#: (c_in = 5 at k_tb = 2) and a partial last tile (3 rows in tiles of 2).
 _FUSED_TILE_PROBES = [
-    (3, 5, 3, 16, 1, 2, 4, 2),
-    (3, 5, 3, 16, 4, 2, 4, 2),
+    (3, 5, 3, 16, 1, 2, 2),
+    (3, 5, 3, 16, 4, 2, 2),
 ]
 
 
@@ -508,7 +503,7 @@ def _self_check(k: _Kernels) -> bool:
                 return False
         # The fused C2C tile driver against the per-stage composition,
         # one tile at a time.
-        for (batch, c_in, c_out, modes, p, k_tb, k_block,
+        for (batch, c_in, c_out, modes, p, k_tb,
              tile) in _FUSED_TILE_PROBES:
             dim_x = p * modes
             x, w = cplx(batch, c_in, dim_x), cplx(c_in, c_out)
@@ -516,15 +511,15 @@ def _self_check(k: _Kernels) -> bool:
             tables += [np.ascontiguousarray(decomposition_twiddles(
                 dim_x, p, modes, inverse=inv).astype(dtype))
                 for inv in (False, True)]
-            row = max(k_block, c_out) * dim_x
+            row = max(k_tb, c_out) * dim_x
             work = [np.empty(size, dtype) for size in
-                    (row, row, row, k_block * modes, c_out * modes)]
+                    (row, row, row, k_tb * modes, c_out * modes)]
             got = np.empty((batch, c_out, dim_x), dtype)
             for b0 in range(0, batch, tile):
                 b1 = min(b0 + tile, batch)
                 k.fused_tile_c2c_1d(x[b0:b1], w, *tables, *work,
                                     got[b0:b1], b1 - b0, c_in, c_out,
-                                    dim_x, modes, k_tb, k_block)
+                                    dim_x, modes, k_tb)
                 ref = _fused_tile_by_stages(k, x[b0:b1], w, tables,
                                             modes, k_tb)
                 if not _same_bits(ref, got[b0:b1]):

@@ -43,7 +43,7 @@
  *                        ch[0]; tb[:, q - r] = conj(x[:, r]) * ct;
  *                        out = hb[:, None] * wdh + tb[:, None] * wdt.
  *
- * The fused 1-D C2C executor runs one signal tile per call through the
+ * The fused 1-D C2C executor runs its whole batch in one call to the
  * driver fused_tile_c2c_1d at the end of this file: gather, forward
  * Stockham, decomp_reduce, panel_contract in canonical k_tb panel order,
  * expand_mul, inverse Stockham and scatter, calling the kernels above
@@ -835,17 +835,16 @@ EXPAND_HEAD_TAIL(expand_head_tail_f64, double, fma, cmul_unfused_f64)
 /* Fused C2C tile driver (FFT -> CGEMM -> iFFT in one call)            */
 /* ------------------------------------------------------------------ */
 
-/* One signal tile of the fused 1-D C2C pass, x[bt, c_in, dim_x] ->
+/* A batch of the fused 1-D C2C pass, x[bt, c_in, dim_x] ->
  * out[bt, c_out, dim_x] with dim_x = p * modes: the stage loop of
  * repro.core.compiled._StagedFused1D.run_fused, one kernel call per
- * stage replaced by one call per tile.  Each signal row streams through
- * the stages, so its working set stays in cache:
- *   for each group of up to k_block input channels:
- *     gather   : g[k, j, m] = x[b, g0+k, m*p + j]         (transpose)
- *     FFT      : forward Stockham over the group's k*p rows
+ * stage replaced by one call per batch.  Each signal row streams
+ * through the stages, so its working set stays in cache:
+ *   for each k_tb panel of input channels, in channel order:
+ *     gather   : g[k, j, m] = x[b, k0+k, m*p + j]         (transpose)
+ *     FFT      : forward Stockham over the panel's k*p rows
  *     reduce   : a[k, m] = sum_j f[k, j, m] * wd_fwd[j, m] (decomp_reduce)
- *     contract : acc[o, m] += sum_k a[k, m] * w[g0+k, o], one k_tb
- *                panel at a time in channel order           (panel_contract)
+ *     contract : acc[o, m] += sum_k a[k, m] * w[k0+k, o]   (panel_contract)
  *   expand   : g[o, j, m] = acc[o, m] * wd_inv[j, m]        (expand_mul)
  *   iFFT     : inverse Stockham, / modes then * (modes / dim_x)
  *   scatter  : out[b, o, m*p + j] = f[o, j, m]              (transpose)
@@ -867,37 +866,33 @@ EXPAND_HEAD_TAIL(expand_head_tail_f64, double, fma, cmul_unfused_f64)
  * products, which would change their bits.
  *
  * Workspaces hold one streamed row: g, f and s (Stockham scratch) take
- * max(k_block, c_out) * dim_x elements, a takes k_block * modes (p > 1
- * only) and acc takes c_out * modes. */
+ * max(k_tb, c_out) * dim_x elements, a takes k_tb * modes (p > 1 only)
+ * and acc takes c_out * modes. */
 #define FUSED_TILE_C2C_1D(NAME, T, SFX)                                  \
 void NAME(const T* x, const T* w, const T* tw_fwd, const T* tw_inv,      \
           const T* wd_fwd, const T* wd_inv, T* g, T* f, T* s, T* a,      \
           T* acc, T* out, long bt, long c_in, long c_out, long dim_x,    \
-          long modes, long k_tb, long k_block) {                         \
+          long modes, long k_tb) {                                       \
     long p = dim_x / modes;                                              \
     T div_by = (T)modes, mul_by = (T)((double)modes / (double)dim_x);    \
     for (long b = 0; b < bt; b++) {                                      \
         const T* xb = x + 2*b*c_in*dim_x;                                \
         for (long i = 0; i < 2*c_out*modes; i++) acc[i] = 0;             \
-        for (long g0 = 0; g0 < c_in; g0 += k_block) {                    \
-            long gw = c_in - g0 < k_block ? c_in - g0 : k_block;         \
+        for (long k0 = 0; k0 < c_in; k0 += k_tb) {                       \
+            long kt = c_in - k0 < k_tb ? c_in - k0 : k_tb;               \
             const T* spec = f;                                           \
             if (p > 1) {                                                 \
-                transpose_##SFX(xb + 2*g0*dim_x, g, gw, modes, p);       \
-                stockham_##SFX(g, f, s, tw_fwd, gw*p, modes,             \
+                transpose_##SFX(xb + 2*k0*dim_x, g, kt, modes, p);       \
+                stockham_##SFX(g, f, s, tw_fwd, kt*p, modes,             \
                                0, 0, 0, 0);                              \
-                decomp_reduce_##SFX(f, wd_fwd, a, gw, p, modes);         \
+                decomp_reduce_##SFX(f, wd_fwd, a, kt, p, modes);         \
                 spec = a;                                                \
             } else {                                                     \
-                stockham_##SFX(xb + 2*g0*dim_x, f, s, tw_fwd, gw, modes, \
+                stockham_##SFX(xb + 2*k0*dim_x, f, s, tw_fwd, kt, modes, \
                                0, 0, 0, 0);                              \
             }                                                            \
-            for (long k0 = 0; k0 < gw; k0 += k_tb) {                     \
-                long kt = gw - k0 < k_tb ? gw - k0 : k_tb;               \
-                panel_contract_##SFX(spec + 2*k0*modes,                  \
-                                     w + 2*(g0+k0)*c_out, acc,           \
-                                     1, kt, modes, c_out);               \
-            }                                                            \
+            panel_contract_##SFX(spec, w + 2*k0*c_out, acc,              \
+                                 1, kt, modes, c_out);                   \
         }                                                                \
         T* ob = out + 2*b*c_out*dim_x;                                   \
         if (p > 1) {                                                     \

@@ -25,7 +25,6 @@ __all__ = [
     "WarpAccess",
     "SharedMemoryBankModel",
     "AccessReport",
-    "StagingOccupancy",
 ]
 
 
@@ -98,47 +97,6 @@ class AccessReport:
         if self.ideal_cycles == 0:
             return 1.0
         return self.actual_cycles / self.ideal_cycles
-
-
-@dataclass(frozen=True)
-class StagingOccupancy:
-    """Occupancy of a fixed-capacity staging memory by one tile.
-
-    The paper sizes its fused-kernel tiles so every live buffer — FFT
-    ping-pong workspaces, the A/B panels and the C accumulator — stays
-    resident in shared memory for the tile's whole lifetime; a tile
-    whose working set exceeds the capacity spills and replays traffic
-    from the next level down.  The same reasoning transfers to any
-    staging memory with a hard capacity: GPU shared memory per SM, or a
-    CPU core's last-level-cache slice under the compiled executors.
-    :class:`repro.core.autotune` instantiates this model with the CPU
-    cache budget to seed its tile search.
-
-    ``occupancy`` is the fraction of the tile's working set the staging
-    memory keeps resident (1.0 = the whole tile fits); ``spill_factor``
-    is the implied traffic multiplier for the non-resident remainder.
-    """
-
-    capacity_bytes: int
-
-    def __post_init__(self) -> None:
-        if self.capacity_bytes <= 0:
-            raise ValueError("capacity_bytes must be positive")
-
-    def fits(self, working_set_bytes: int) -> bool:
-        """Whether the whole working set stays resident."""
-        return working_set_bytes <= self.capacity_bytes
-
-    def occupancy(self, working_set_bytes: int) -> float:
-        """Resident fraction of the working set, in (0, 1]."""
-        if working_set_bytes <= self.capacity_bytes:
-            return 1.0
-        return self.capacity_bytes / working_set_bytes
-
-    def spill_factor(self, working_set_bytes: int) -> float:
-        """Traffic multiplier implied by the non-resident remainder
-        (1.0 when the tile fits; grows with the spilled fraction)."""
-        return 2.0 - self.occupancy(working_set_bytes)
 
 
 class SharedMemoryBankModel:

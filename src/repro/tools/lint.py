@@ -9,9 +9,7 @@ a real bug:
     byte-identical outputs across runs and backends.  Wall-clock reads,
     unseeded ``np.random.default_rng()``, the stdlib ``random`` module
     and the legacy global-state ``np.random.*`` API all smuggle
-    nondeterminism into that promise.  (``core/autotune.py`` is
-    allowlisted: its *timing* probes pick tile shapes, which never
-    change output bits.)
+    nondeterminism into that promise.  The rule has no allowlist.
 ``rng-truthiness``
     ``rng = rng or np.random.default_rng()`` relies on ``Generator``
     truthiness — a ``Generator`` is always truthy today, but the idiom
@@ -639,11 +637,6 @@ RULES: dict[str, Rule] = {
                 "(fft/, core/, nn/)"
             ),
             includes=_BIT_IDENTITY_SCOPE,
-            allow=(
-                ("src/repro/core/autotune.py",
-                 "timed tile search: timing picks tile shapes, which never "
-                 "change output bits"),
-            ),
             check=_check_determinism,
         ),
         Rule(

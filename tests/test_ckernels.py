@@ -384,7 +384,7 @@ def test_operands_are_checked_before_the_call(kernels):
         gather=np.zeros(64, c64), fftbuf=np.zeros(64, c64),
         scratch=np.zeros(64, c64), spec=np.zeros(16, c64),
         acc=np.zeros(32, c64), out=np.zeros((2, 4, 16), c64),
-        bt=2, c_in=3, c_out=4, dim_x=16, modes=8, k_tb=1, k_block=2,
+        bt=2, c_in=3, c_out=4, dim_x=16, modes=8, k_tb=2,
     )
     bad = [
         (TypeError, "unsupported dtype", dict(x=ops["x"].real.copy())),
@@ -400,8 +400,6 @@ def test_operands_are_checked_before_the_call(kernels):
         (ValueError, "multiple of modes", dict(dim_x=4)),
         (ValueError, "k_tb", dict(k_tb=0)),
         (ValueError, "k_tb", dict(k_tb=-1)),
-        (ValueError, "k_tb", dict(k_tb=3)),
-        (ValueError, "k_tb", dict(k_tb=2, k_block=3)),
         (ValueError, "extents", dict(bt=-1)),
         (ValueError, "extents", dict(c_in=0)),
         (ValueError, "extents", dict(c_out=0)),
@@ -598,10 +596,12 @@ def test_self_check_rejects_per_component_scaling(kernels, monkeypatch):
 # The fused C2C tile driver against the executor's Python stage loop
 # ---------------------------------------------------------------------------
 
-#: C_in -> C_out at k_tb = 4: full panels only (32), a ragged tail
-#: panel after three full ones (13) and after one (5); never square.
+#: C_in -> C_out, never square.  At k_tb = 4: full panels only (32), a
+#: ragged tail panel after three full ones (13) and after one (5); at
+#: k_tb = 3 every count ends ragged, and at k_tb = 8, C_in = 5 is one
+#: panel narrower than k_tb.
 FUSED_CHANNELS = {32: 24, 13: 7, 5: 9}
-FUSED_MODES, FUSED_K_TB = 16, 4
+FUSED_MODES = 16
 _numpy_plans = compiled.PlanCaches(backend="numpy")
 
 
@@ -611,8 +611,8 @@ def _fused_tile(kernels, staged, x):
     bt, c_in, dim_x = x.shape
     c_out, modes, p = staged.c_out, staged.modes, staged.p
     staged._ensure_inverse()
-    row = max(staged.k_block, c_out) * dim_x
-    sizes = (row, row, row, staged.k_block * modes if p > 1 else 0,
+    row = max(staged.k_tb, c_out) * dim_x
+    sizes = (row, row, row, staged.k_tb * modes if p > 1 else 0,
              c_out * modes, bt * c_out * dim_x)
     bufs = [_guarded((size,), x.dtype, 7 + 7j) for size in sizes]
     none = np.empty(0, x.dtype)
@@ -620,31 +620,30 @@ def _fused_tile(kernels, staged, x):
         x, staged.weight, staged.fwd.twiddles, staged.inv.twiddles,
         staged.wd_f if p > 1 else none, staged.wd_i if p > 1 else none,
         *(view for _, view in bufs), bt, c_in, c_out, dim_x, modes,
-        staged.k_tb, staged.k_block)
+        staged.k_tb)
     assert all(buf[0] == buf[-1] == 7 + 7j for buf, _ in bufs)
     return bufs[-1][1].reshape(bt, c_out, dim_x)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("bt", [1, 7, 16])
-@pytest.mark.parametrize("k_mult", [1, 2, 3])
+@pytest.mark.parametrize("k_tb", [3, 4, 8])
 @pytest.mark.parametrize("c_in", sorted(FUSED_CHANNELS))
 @pytest.mark.parametrize("p", [1, 2, 4, 8])
-def test_fused_tile_matches_python_stage_loop(kernels, p, c_in, k_mult, bt,
+def test_fused_tile_matches_python_stage_loop(kernels, p, c_in, k_tb, bt,
                                               dtype):
-    """One call per tile is byte-identical to the executor's NumPy stage
-    loop, on twelve-decade data with signed zeros: p = 1 (no
-    decomposition) and p > 1, ragged tail panels, staging groups of one
-    to three panels, one to sixteen rows."""
+    """One call per batch is byte-identical to the executor's NumPy
+    stage loop, on twelve-decade data with signed zeros: p = 1 (no
+    decomposition) and p > 1, full and ragged tail panels, a panel
+    wider than C_in, one to sixteen rows."""
     c_out, dim_x = FUSED_CHANNELS[c_in], p * FUSED_MODES
-    rng = np.random.default_rng(p * 1000 + c_in * 10 + k_mult + bt)
+    rng = np.random.default_rng(p * 1000 + c_in * 10 + k_tb + bt)
     x = _with_specials(rng, _adversarial(rng, (bt, c_in, dim_x), dtype),
                        [0.0, -0.0])
     w = _with_specials(rng, _adversarial(rng, (c_in, c_out), dtype),
                        [0.0, -0.0])
-    staged = _StagedFused1D(w, FUSED_MODES, dim_x, FUSED_K_TB, 16,
-                            np.dtype(dtype), plans=_numpy_plans,
-                            k_block=k_mult * FUSED_K_TB)
+    staged = _StagedFused1D(w, FUSED_MODES, dim_x, k_tb, 16,
+                            np.dtype(dtype), plans=_numpy_plans)
     ref = staged.run_fused(x)
     got = _fused_tile(kernels, staged, x)
     assert np.array_equal(_bits(got), _bits(ref))

@@ -125,6 +125,12 @@ class TestFigures:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    def test_tune_command_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["tune", "--quick"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'tune'" in capsys.readouterr().err
+
 
 class TestLint:
     def test_repo_lints_clean(self, capsys):
@@ -145,7 +151,7 @@ class TestLint:
                      "lock-order", "serve-except", "worker-protocol",
                      "no-assert", "rng-truthiness"):
             assert name in out
-        assert "allow src/repro/core/autotune.py" in out
+        assert "allow src/repro/core/" not in out
 
     def test_findings_exit_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "src" / "repro" / "core"

@@ -197,6 +197,31 @@ def test_nonpositive_k_tb_is_rejected(entry, k_tb):
         run()
 
 
+@pytest.mark.parametrize("k_tb", [2.5, "8"])
+@pytest.mark.parametrize("entry", ["1d", "1d_symmetric", "2d", "2d_symmetric",
+                                   "factory", "fft_gemm", "gemm_ifft"])
+def test_non_integer_k_tb_is_rejected(entry, k_tb):
+    """A non-integer ``k_tb`` raises a typed error naming it, not a raw
+    ``range()`` or comparison TypeError."""
+    w = np.ones((4, 3), np.complex64)
+    x1, x2 = np.ones((2, 4, 16), np.float32), np.ones((2, 4, 8, 8), np.float32)
+    run = {
+        "1d": lambda: CompiledSpectralConv1D(w, 4, k_tb=k_tb)(x1),
+        "1d_symmetric": lambda: CompiledSpectralConv1D(
+            w, 4, k_tb=k_tb, symmetric=True)(x1),
+        "2d": lambda: CompiledSpectralConv2D(w, 4, 4, k_tb=k_tb)(x2),
+        "2d_symmetric": lambda: CompiledSpectralConv2D(
+            w, 4, 2, k_tb=k_tb, symmetric=True)(x2),
+        "factory": lambda: compile_spectral_conv(w, 4, k_tb=k_tb)(x1),
+        "fft_gemm": lambda: core_compiled.fused_fft_gemm_1d(
+            x1, w, 4, k_tb=k_tb),
+        "gemm_ifft": lambda: core_compiled.fused_gemm_ifft_1d(
+            np.ones((2, 4, 4), np.complex64), w, 16, k_tb=k_tb),
+    }[entry]
+    with pytest.raises(TypeError, match="k_tb must be an integer"):
+        run()
+
+
 def test_compile_spectral_conv_factory():
     w = np.ones((4, 4), np.complex64)
     assert isinstance(compile_spectral_conv(w, 8), CompiledSpectralConv1D)

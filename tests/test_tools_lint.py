@@ -77,14 +77,18 @@ class TestDeterminism:
             """)
         assert run_lint(tmp_path, ["determinism"]) == []
 
-    def test_autotune_allowlisted(self, tmp_path):
-        _write(tmp_path, "src/repro/core/autotune.py", """\
+    def test_rule_has_no_allowlist(self, tmp_path):
+        """No module in the bit-identity scope may read the clock: the
+        rule has no allowlist entry, so a timed probe anywhere in
+        ``core/`` is a finding."""
+        assert RULES["determinism"].allow == ()
+        _write(tmp_path, "src/repro/core/probe.py", """\
             import time
 
             def measure():
                 return time.perf_counter()
             """)
-        assert run_lint(tmp_path, ["determinism"]) == []
+        assert len(run_lint(tmp_path, ["determinism"])) == 1
 
 
 class TestRngTruthiness:
