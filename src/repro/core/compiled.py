@@ -441,6 +441,32 @@ def _real_pair(plans: PlanCaches, n: int, part: int, dtype, what: str):
     return rfft, irfft
 
 
+def _check_spatial(spatial, ndim: int) -> tuple:
+    """The ``spatial`` grid of a spectrum entry point as a tuple of
+    ``ndim`` lengths: 1-D takes an int or a 1-sequence, 2-D a
+    2-sequence, and every length must be an integer >= 1."""
+    if ndim == 1 and not isinstance(spatial, (tuple, list)):
+        spatial = (spatial,)
+    if not isinstance(spatial, (tuple, list)):
+        raise TypeError(
+            f"spatial must be a {ndim}-sequence of grid lengths, got "
+            f"{spatial!r}"
+        )
+    if len(spatial) != ndim:
+        raise ValueError(
+            f"spatial must hold {ndim} grid length(s), got {spatial!r}"
+        )
+    try:
+        lengths = tuple(operator.index(s) for s in spatial)
+    except TypeError:
+        raise TypeError(
+            f"spatial lengths must be integers, got {spatial!r}"
+        ) from None
+    if min(lengths) < 1:
+        raise ValueError(f"spatial lengths must be positive, got {lengths}")
+    return lengths
+
+
 def _check_spectrum(sk: np.ndarray, modes: tuple, channels=None) -> None:
     """Typed guard on a spectral state: its rank and kept-mode dims (and,
     given ``channels``, its channel count) must match the executor."""
@@ -541,6 +567,11 @@ class _SpectralExecutor:
         if xk_trunc.shape != want:
             raise ValueError(
                 f"xk_trunc must have shape {want}, got {xk_trunc.shape}"
+            )
+        if xk_trunc.dtype != dtype:
+            raise ValueError(
+                f"xk_trunc must be {dtype.name} for {x.dtype.name} input, "
+                f"got {xk_trunc.dtype.name}"
             )
         return xk_trunc
 
@@ -682,9 +713,7 @@ class CompiledSpectralConv1D(_SpectralExecutor):
         state: the pruned zero-padded inverse (complex output, like the
         fused pass), or — symmetric — the C2R half-spectrum inverse
         (real output)."""
-        dim_x = (int(spatial[0]) if isinstance(spatial, (tuple, list))
-                 else int(spatial))
-        return self._synthesise(np.asarray(sk), (dim_x,))
+        return self._synthesise(np.asarray(sk), _check_spatial(spatial, 1))
 
     def reanalyze_spectrum(self, sk: np.ndarray, spatial=None) -> np.ndarray:
         """The output spectrum as the *next* step's forward analysis
@@ -692,6 +721,8 @@ class CompiledSpectralConv1D(_SpectralExecutor):
         transform pair applies between rollout steps.  Identity for the
         paper's C2C convention (complex output, nothing discarded); the
         symmetric convention projects the DC bin real."""
+        if spatial is not None:
+            _check_spatial(spatial, 1)
         if not self.symmetric:
             return sk
         sk = np.asarray(sk)
@@ -869,15 +900,15 @@ class CompiledSpectralConv2D(_SpectralExecutor):
         """Spatial-domain signal of a ``(batch, C, modes_x, modes_y)``
         spectral state (complex output; symmetric executors return the
         real C2R inverse)."""
-        return self._synthesise(
-            np.asarray(sk), (int(spatial[0]), int(spatial[1]))
-        )
+        return self._synthesise(np.asarray(sk), _check_spatial(spatial, 2))
 
     def reanalyze_spectrum(self, sk: np.ndarray, spatial=None) -> np.ndarray:
         """The output spectrum as the next step's forward analysis would
         see it (see :meth:`CompiledSpectralConv1D.reanalyze_spectrum`).
         The symmetric convention needs ``spatial`` — the Hermitian
         projection of the y-DC column depends on the padded X length."""
+        if spatial is not None:
+            spatial = _check_spatial(spatial, 2)
         if not self.symmetric:
             return sk
         if spatial is None:
@@ -886,7 +917,7 @@ class CompiledSpectralConv2D(_SpectralExecutor):
             )
         sk = np.asarray(sk)
         _check_spectrum(sk, self._modes)
-        dim_x = int(spatial[0])
+        dim_x = spatial[0]
         if self.modes_x > dim_x:
             raise ValueError(
                 f"modes_x={self.modes_x} exceeds spatial size {dim_x}"

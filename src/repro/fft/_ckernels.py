@@ -18,7 +18,12 @@ rejects the library on any mismatch:
   sequential contraction) across a full tile or register block plus
   tails, and ``expand_mul`` against the ufunc's FMA complex multiply;
 * the pruned R2C/C2R staging kernels (``transpose``, ``decomp_mirror``,
-  ``expand_head_tail``) against the NumPy compositions they replace;
+  ``expand_head_tail``) against the NumPy compositions they replace,
+  across a full AVX2 block of bins plus a scalar tail and with one row
+  and one tail bin;
+* the pruned R2C/C2R row drivers ``pruned_rfft_rows`` and
+  ``pruned_irfft_rows`` against the staged kernel sequence they stream,
+  across a full block plus a tail and (C2R) the one-row ``m = 2`` call;
 * the fused C2C tile driver ``fused_tile_c2c_1d`` against the same tile
   composed from the per-stage kernels above, for ``p = 1`` and
   ``p > 1``, a ragged tail panel and a partial last tile.
@@ -174,7 +179,9 @@ class _Kernels:
                     ("panel_contract", 3, 4), ("decomp_reduce", 3, 3),
                     ("expand_mul", 3, 3), ("transpose", 2, 3),
                     ("decomp_mirror", 4, 4), ("expand_head_tail", 6, 4),
-                    ("fused_tile_c2c_1d", 12, 6)):
+                    ("fused_tile_c2c_1d", 12, 6),
+                    ("pruned_rfft_rows", 8, 4),
+                    ("pruned_irfft_rows", 10, 4)):
                 fn = getattr(lib, f"{name}_{suffix}")
                 fn.argtypes = [ptr] * nptr + [ctypes.c_long] * nlong
                 fn.restype = None
@@ -297,6 +304,60 @@ class _Kernels:
             (out, bt * c_out * dim_x))
         fn(*ptrs, bt, c_in, c_out, dim_x, modes, k_tb)
 
+    @staticmethod
+    def _split(name: str, rows: int, n: int, q: int, m: int) -> int:
+        """Check a pruned real plan's geometry; return its split
+        ``n/2 / q``."""
+        if q < 1 or q & (q - 1):
+            raise ValueError(f"{name}: q={q} is not a power of two")
+        h = n // 2
+        split = h // q
+        if split < 1 or n != 2 * split * q:
+            raise ValueError(f"{name}: n={n} is not 2 * split * q={q}")
+        if not 1 <= m <= q:
+            raise ValueError(f"{name}: m={m} outside [1, {q}]")
+        if rows < 0:
+            raise ValueError(f"{name}: rows={rows} is negative")
+        return split
+
+    def pruned_rfft_rows(self, z: np.ndarray, u: np.ndarray, v: np.ndarray,
+                         tw: np.ndarray, gather: np.ndarray,
+                         fftbuf: np.ndarray, scratch: np.ndarray,
+                         out: np.ndarray, rows: int, n: int, q: int,
+                         m: int) -> None:
+        """The pruned R2C plan's decomp strategy over ``rows`` real rows
+        of length ``n``, packed as complex ``z[rows, n/2]``: the first
+        ``m`` recombined bins into ``out[rows, m]`` (see ``_kernels.c``).
+        ``u``/``v`` are the ``(n/2/q, q)`` recombination weights, ``tw``
+        the length-``q`` forward stage table; the workspaces hold one
+        row, ``n/2`` elements each."""
+        p = self._split("pruned_rfft_rows", rows, n, q, m)
+        h = p * q
+        fn, ptrs = self._bind(
+            "pruned_rfft_rows", (z, rows * h), (u, h), (v, h), (tw, q - 1),
+            (gather, h), (fftbuf, h), (scratch, h), (out, rows * m))
+        fn(*ptrs, rows, p, q, m)
+
+    def pruned_irfft_rows(self, x: np.ndarray, ch: np.ndarray,
+                          ct: np.ndarray, wdh: np.ndarray, wdt: np.ndarray,
+                          tw: np.ndarray, expand: np.ndarray,
+                          fftbuf: np.ndarray, scratch: np.ndarray,
+                          out: np.ndarray, rows: int, n: int, q: int,
+                          m: int) -> None:
+        """The pruned C2R plan's decomp strategy: real rows of length
+        ``n``, packed as complex ``out[rows, n/2]``, from the ``m`` kept
+        bins ``x[rows, m]`` (see ``_kernels.c``).  ``ch``/``ct`` are the
+        head and tail weights, ``wdh``/``wdt`` the ``(n/2/q, q)``
+        expansion twiddles, ``tw`` the length-``q`` inverse stage table;
+        the workspaces hold one row, ``n/2`` elements each."""
+        s = self._split("pruned_irfft_rows", rows, n, q, m)
+        h = s * q
+        fn, ptrs = self._bind(
+            "pruned_irfft_rows", (x, rows * m), (ch, m), (ct, m - 1),
+            (wdh, h), (wdt, h), (tw, q - 1), (expand, h), (fftbuf, h),
+            (scratch, h), (out, rows * h))
+        fn(*ptrs, rows, s, q, m)
+
 
 #: (n, rows, inverse, div_by, mul_by) full-transform probes of the
 #: Stockham kernel.  Together they reach every pass kind of the AVX2
@@ -374,6 +435,37 @@ def _fused_tile_by_stages(k: _Kernels, x: np.ndarray, w: np.ndarray,
     return y.reshape(bt, c_out, p, modes).swapaxes(2, 3).reshape(
         bt, c_out, dim_x
     )
+
+
+def _rfft_rows_by_stages(k: _Kernels, z: np.ndarray, u: np.ndarray,
+                         v: np.ndarray, tw: np.ndarray,
+                         m: int) -> np.ndarray:
+    """The pruned R2C plan's staged kernel sequence over the whole batch
+    of packed rows ``z[rows, p*q]``: the row driver's oracle."""
+    rows, (p, q) = z.shape[0], u.shape
+    g = np.empty((rows, p, q), z.dtype)
+    k.transpose(z, g, rows, q, p)
+    f = np.empty_like(g)
+    k.stockham(g, f, np.empty_like(g), tw, rows * p, q, None, None)
+    out = np.empty((rows, m), z.dtype)
+    k.decomp_mirror(f, u, v, out, rows, p, q, m)
+    return out
+
+
+def _irfft_rows_by_stages(k: _Kernels, x: np.ndarray, ch: np.ndarray,
+                          ct: np.ndarray, wdh: np.ndarray, wdt: np.ndarray,
+                          tw: np.ndarray) -> np.ndarray:
+    """The pruned C2R plan's staged kernel sequence over the whole batch
+    ``x[rows, m]``, returning packed rows ``(rows, s*q)``: the row
+    driver's oracle."""
+    (rows, m), (s, q) = x.shape, wdh.shape
+    e = np.empty((rows, s, q), x.dtype)
+    k.expand_head_tail(x, ch, ct, wdh, wdt, e, rows, m, s, q)
+    f = np.empty_like(e)
+    k.stockham(e, f, np.empty_like(e), tw, rows * s, q, float(q), 1.0 / s)
+    out = np.empty((rows, s * q), x.dtype)
+    k.transpose(f, out, rows, s, q)
+    return out
 
 
 def _unfused_tail_probe(dtype) -> tuple[np.ndarray, ...]:
@@ -478,8 +570,10 @@ def _self_check(k: _Kernels) -> bool:
         # The pruned R2C/C2R staging kernels against the NumPy
         # compositions they replace: a transpose; the mirrored pair
         # across a full tile plus a tail of kept bins (m = 16 + 3 of
-        # q = 22); the head/tail expansion across a full 64-bin tile
-        # plus a tail (q = 70), and with one row and one tail bin.
+        # q = 22, in the AVX2 build 2 blocks of 8, 4 of 4 in double,
+        # plus 3); the head/tail expansion across a full 64-bin tile
+        # (8 or 16 blocks) plus a 6-bin scalar tail (q = 70), and with
+        # one row and one tail bin.
         src = cplx(3, 5, 7)
         got = np.empty((3, 7, 5), dtype)
         k.transpose(src, got, 3, 5, 7)
@@ -487,7 +581,7 @@ def _self_check(k: _Kernels) -> bool:
             return False
         u, v = cplx(3, 22), cplx(3, 22)
         ref, got = np.empty((4, 19), dtype), np.empty((4, 19), dtype)
-        compiled.decomp_mirror(y, u, v, ref, kernels=None)
+        compiled.decomp_mirror(y, u, v, ref)
         k.decomp_mirror(y, u, v, got, 4, 3, 22, 19)
         if not _same_bits(ref, got):
             return False
@@ -497,9 +591,29 @@ def _self_check(k: _Kernels) -> bool:
             (batch, m), (s, q) = ops[0].shape, ops[3].shape
             ref = np.empty((batch, s, q), dtype)
             got = np.empty((batch, s, q), dtype)
-            compiled.expand_head_tail(*ops, ref, kernels=None)
+            compiled.expand_head_tail(*ops, ref)
             k.expand_head_tail(*ops, got, batch, m, s, q)
             if not _same_bits(ref, got):
+                return False
+        # The pruned R2C/C2R row drivers against their staged kernel
+        # sequences: 11 kept bins of q = 16 (a full AVX2 block plus a
+        # tail) over split 2, and the one-row, one-tail-bin C2R call.
+        tw_f, tw_i = (_stage_table(16, dtype, inv) for inv in (False, True))
+        z, u, v = cplx(3, 32), cplx(2, 16), cplx(2, 16)
+        work = [np.empty(32, dtype) for _ in range(3)]
+        got = np.empty((3, 11), dtype)
+        k.pruned_rfft_rows(z, u, v, tw_f, *work, got, 3, 64, 16, 11)
+        if not _same_bits(_rfft_rows_by_stages(k, z, u, v, tw_f, 11), got):
+            return False
+        x1, *probe = _unfused_tail_probe(dtype)
+        x1[0, 0] = 0  # a zero head bin keeps the tail product's bits
+        for ops, tw in (((cplx(3, 11), cplx(11), cplx(10), cplx(2, 16),
+                          cplx(2, 16)), tw_i),
+                        ((x1, *probe), _stage_table(2, dtype, True))):
+            (rows, m), (s, q) = ops[0].shape, ops[3].shape
+            got = np.empty((rows, s * q), dtype)
+            k.pruned_irfft_rows(*ops, tw, *work, got, rows, 2 * s * q, q, m)
+            if not _same_bits(_irfft_rows_by_stages(k, *ops, tw), got):
                 return False
         # The fused C2C tile driver against the per-stage composition,
         # one tile at a time.

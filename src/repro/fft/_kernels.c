@@ -42,6 +42,10 @@
  *   - expand_head_tail : hb[:, :m] = x * ch; hb[:, 0] = x[:, 0].real *
  *                        ch[0]; tb[:, q - r] = conj(x[:, r]) * ct;
  *                        out = hb[:, None] * wdh + tb[:, None] * wdt.
+ * The compiled plans run them through the row drivers pruned_rfft_rows
+ * and pruned_irfft_rows at the end of this file, which stream each row
+ * through the staging kernels and Stockham in L1-sized workspaces; the
+ * staged kernels stay exported as the drivers' oracle.
  *
  * The fused 1-D C2C executor runs its whole batch in one call to the
  * driver fused_tile_c2c_1d at the end of this file: gather, forward
@@ -59,15 +63,20 @@
  * is enabled globally (even under -ffp-contract=off), which would break
  * the einsum replicas.  The kernels that *need* FMA semantics opt in
  * per-function via the target attribute when REPRO_TARGET_FMA is set.
- * That build (AVX2_KERNELS) writes two kernels in AVX2 intrinsics:
+ * That build (AVX2_KERNELS) writes four kernels in AVX2 intrinsics:
  *   - the Stockham FFT (GCC leaves the interleaved FMA butterfly
  *     scalar): every stage runs full vectors, including the half = 1
  *     and 2 stages, and stages run in pairs through registers;
  *   - panel_contract (GCC's vectorized tile loop reloads its partial
  *     sums every k): a register block of modes by output channels,
  *     with plain multiplies and adds only and no FMA target, so nothing
- *     can be contracted.
- * Both keep the scalar loops' bits on every non-NaN value; only NaN
+ *     can be contracted;
+ *   - decomp_mirror: blocks of 8 (4 in double) kept bins with re/im
+ *     split, plain multiplies and adds, p summed in order;
+ *   - expand_head_tail's product loop: the same blocks, with the
+ *     ufunc multiply's explicit fmsub/fmadd.
+ * Their tails (and blocks wider than the data) run the scalar tiles.
+ * All four keep the scalar loops' bits on every non-NaN value; only NaN
  * payloads and signs may differ.  The generic build runs the scalar
  * loops, which stay the reference.  repro.fft._ckernels self-checks
  * every pattern against NumPy at load time and refuses the library if
@@ -739,21 +748,112 @@ TRANSPOSE(transpose_f64, double)
         }                                                                \
     }
 
-#define DECOMP_MIRROR(NAME, T)                                           \
+#ifdef AVX2_KERNELS
+/* The AVX2 recombination: a block of MB kept bins (one vector of real
+ * parts) per register set.  Per p, the y, u, v and mirrored values are
+ * split into real and imaginary parts (split_ps order, undone at the
+ * store).  The mirror is two reversed vector loads with an explicit
+ * index, never an integer modulo; bin 0 mirrors itself and is blended
+ * in, and conj flips the sign bit.  Each bin's ops are
+ * DECOMP_MIRROR_TILE's: four sums from +0, the products as plain
+ * multiplies, subtracts and adds with p in order, then one add per
+ * component. */
+static inline void store_split_ps(float* p, __m256 re, __m256 im) {
+    _mm256_storeu_ps(p, _mm256_unpacklo_ps(re, im));
+    _mm256_storeu_ps(p + 8, _mm256_unpackhi_ps(re, im));
+}
+
+static inline void store_split_pd(double* p, __m256d re, __m256d im) {
+    _mm256_storeu_pd(p, _mm256_unpacklo_pd(re, im));
+    _mm256_storeu_pd(p + 4, _mm256_unpackhi_pd(re, im));
+}
+
+/* conj(y[(q - k0 - k) % q]) for k = 0..7, split.  A complex float is
+ * one 64-bit lane: lanes k = 0..3 are bins q-k0 .. q-k0-3 (at k0 = 0,
+ * bin 0 then q-1 .. q-3), lanes k = 4..7 bins q-k0-4 .. q-k0-7. */
+static inline void mirror_ps(const float* y, long q, long k0, __m256* re,
+                             __m256* im) {
+    __m256d m0, m1 = _mm256_permute4x64_pd(
+        _mm256_castps_pd(_mm256_loadu_ps(y + 2*(q - k0 - 7))), 0x1B);
+    if (k0 == 0)
+        m0 = _mm256_blend_pd(_mm256_permute4x64_pd(
+                 _mm256_castps_pd(_mm256_loadu_ps(y + 2*(q - 4))), 0x6C),
+             _mm256_castps_pd(_mm256_loadu_ps(y)), 0x1);
+    else
+        m0 = _mm256_permute4x64_pd(
+            _mm256_castps_pd(_mm256_loadu_ps(y + 2*(q - k0 - 3))), 0x1B);
+    __m256 v0 = _mm256_castpd_ps(m0), v1 = _mm256_castpd_ps(m1);
+    *re = _mm256_shuffle_ps(v0, v1, 0x88);
+    *im = _mm256_xor_ps(_mm256_shuffle_ps(v0, v1, 0xDD),
+                        _mm256_set1_ps(-0.0f));
+}
+
+/* The same for k = 0..3 in double, one complex per 128-bit half. */
+static inline void mirror_pd(const double* y, long q, long k0, __m256d* re,
+                             __m256d* im) {
+    __m256d m0, m1 = _mm256_permute4x64_pd(
+        _mm256_loadu_pd(y + 2*(q - k0 - 3)), 0x4E);
+    if (k0 == 0)
+        m0 = _mm256_blend_pd(_mm256_loadu_pd(y),
+                             _mm256_loadu_pd(y + 2*(q - 2)), 0xC);
+    else
+        m0 = _mm256_permute4x64_pd(_mm256_loadu_pd(y + 2*(q - k0 - 1)),
+                                   0x4E);
+    *re = _mm256_unpacklo_pd(m0, m1);
+    *im = _mm256_xor_pd(_mm256_unpackhi_pd(m0, m1), _mm256_set1_pd(-0.0));
+}
+
+#define MIRROR_BLOCK(NAME, T, V, SFX)                                    \
+static inline void NAME(const T* yb, const T* u, const T* v, T* ob,      \
+                        long p, long q, long k0) {                       \
+    V ar = _mm256_setzero_##SFX(), ai = ar, br = ar, bi = ar;            \
+    for (long pp = 0; pp < p; pp++) {                                    \
+        const T* yrow = yb + 2*pp*q;                                     \
+        V yr, yi, ur, ui, cr, ci, vr, vi;                                \
+        split_##SFX(yrow + 2*k0, &yr, &yi);                              \
+        split_##SFX(u + 2*(pp*q + k0), &ur, &ui);                        \
+        mirror_##SFX(yrow, q, k0, &cr, &ci);                             \
+        split_##SFX(v + 2*(pp*q + k0), &vr, &vi);                        \
+        ar = _mm256_add_##SFX(ar, _mm256_sub_##SFX(                      \
+            _mm256_mul_##SFX(yr, ur), _mm256_mul_##SFX(yi, ui)));        \
+        ai = _mm256_add_##SFX(ai, _mm256_add_##SFX(                      \
+            _mm256_mul_##SFX(yr, ui), _mm256_mul_##SFX(yi, ur)));        \
+        br = _mm256_add_##SFX(br, _mm256_sub_##SFX(                      \
+            _mm256_mul_##SFX(cr, vr), _mm256_mul_##SFX(ci, vi)));        \
+        bi = _mm256_add_##SFX(bi, _mm256_add_##SFX(                      \
+            _mm256_mul_##SFX(cr, vi), _mm256_mul_##SFX(ci, vr)));        \
+    }                                                                    \
+    store_split_##SFX(ob + 2*k0, _mm256_add_##SFX(ar, br),               \
+                      _mm256_add_##SFX(ai, bi));                         \
+}
+
+MIRROR_BLOCK(mirror_block_f32, float, __m256, ps)
+MIRROR_BLOCK(mirror_block_f64, double, __m256d, pd)
+
+#define MIRROR_BLOCKS(SFX, MB)                                           \
+    for (; k0 + (MB) <= m; k0 += (MB))                                   \
+        mirror_block_##SFX(yb, u, v, ob, p, q, k0);
+#else
+#define MIRROR_BLOCKS(SFX, MB)
+#endif
+
+/* The blocks (AVX2 build), then the remaining bins in scalar tiles. */
+#define DECOMP_MIRROR(NAME, T, SFX, MB)                                  \
 void NAME(const T* y, const T* u, const T* v, T* out,                    \
           long B, long p, long q, long m) {                              \
     for (long b = 0; b < B; b++) {                                       \
         const T* yb = y + 2*b*p*q;                                       \
         T* ob = out + 2*b*m;                                             \
         long k0 = 0;                                                     \
+        MIRROR_BLOCKS(SFX, MB)                                           \
         for (; k0 + DECOMP_TILE <= m; k0 += DECOMP_TILE)                 \
             DECOMP_MIRROR_TILE(T, DECOMP_TILE)                           \
         if (k0 < m) DECOMP_MIRROR_TILE(T, m - k0)                        \
     }                                                                    \
 }
 
-DECOMP_MIRROR(decomp_mirror_f32, float)
-DECOMP_MIRROR(decomp_mirror_f64, double)
+DECOMP_MIRROR(decomp_mirror_f32, float, f32, 8)
+DECOMP_MIRROR(decomp_mirror_f64, double, f64, 4)
 
 /* Sub-transform bins staged per tile of the head/tail expansion. */
 #define HEAD_TAIL_TILE 64
@@ -777,59 +877,108 @@ DECOMP_MIRROR(decomp_mirror_f64, double)
 #define CMUL_RE(FMAF, ar, ai, br, bi) FMAF(ar, br, -((ai)*(bi)))
 #define CMUL_IM(FMAF, ar, ai, br, bi) FMAF(ar, bi, (ai)*(br))
 
-#define EXPAND_HEAD_TAIL(NAME, T, FMAF, UNFUSED)                         \
-FMA_TARGET void NAME(const T* x, const T* ch, const T* ct,               \
-                     const T* wdh, const T* wdt, T* out,                 \
-                     long B, long m, long s, long q) {                   \
+#ifdef AVX2_KERNELS
+/* The AVX2 product loop: MB bins of every sub-row per step, every
+ * operand split into real and imaginary parts (split_ps order, undone
+ * at the store); the head and tail values are split once per step.
+ * fmsub(hr, wr, hi*wi) and fmadd(hr, wi, hi*wr) are CMUL_RE and CMUL_IM
+ * exactly (one rounding of the inner product, one of the fused op),
+ * then one add per component. */
+#define HEAD_TAIL_BLOCK(NAME, T, V, SFX)                                 \
+static inline FMA_TARGET void NAME(const T* hb, const T* tb,             \
+                                   const T* wdh, const T* wdt, T* ob,    \
+                                   long s, long q) {                     \
+    V hr, hi, tr, ti;                                                    \
+    split_##SFX(hb, &hr, &hi);                                           \
+    split_##SFX(tb, &tr, &ti);                                           \
+    for (long ss = 0; ss < s; ss++) {                                    \
+        V wr, wi, vr, vi;                                                \
+        split_##SFX(wdh + 2*ss*q, &wr, &wi);                             \
+        split_##SFX(wdt + 2*ss*q, &vr, &vi);                             \
+        V re = _mm256_add_##SFX(                                         \
+            _mm256_fmsub_##SFX(hr, wr, _mm256_mul_##SFX(hi, wi)),        \
+            _mm256_fmsub_##SFX(tr, vr, _mm256_mul_##SFX(ti, vi)));       \
+        V im = _mm256_add_##SFX(                                         \
+            _mm256_fmadd_##SFX(hr, wi, _mm256_mul_##SFX(hi, wr)),        \
+            _mm256_fmadd_##SFX(tr, vi, _mm256_mul_##SFX(ti, vr)));       \
+        store_split_##SFX(ob + 2*ss*q, re, im);                          \
+    }                                                                    \
+}
+
+HEAD_TAIL_BLOCK(head_tail_block_f32, float, __m256, ps)
+HEAD_TAIL_BLOCK(head_tail_block_f64, double, __m256d, pd)
+
+#define HEAD_TAIL_BLOCKS(SFX, MB)                                        \
+    for (; kv + (MB) <= w; kv += (MB))                                   \
+        head_tail_block_##SFX(hb + 2*kv, tb + 2*kv, wdh + 2*(t0 + kv),   \
+                              wdt + 2*(t0 + kv), ob + 2*(t0 + kv), s, q);
+#else
+#define HEAD_TAIL_BLOCKS(SFX, MB)
+#endif
+
+/* One row of the expansion, x[m] -> out[s, q].  scalar_tail belongs to
+ * the whole call (B == 1 && m == 2), not to the row. */
+#define HEAD_TAIL_ROW(NAME, T, FMAF, UNFUSED, SFX, MB)                   \
+static FMA_TARGET void NAME(const T* xb, const T* ch, const T* ct,       \
+                            const T* wdh, const T* wdt, T* ob,           \
+                            long m, long s, long q, int scalar_tail) {   \
     T hb[2*HEAD_TAIL_TILE], tb[2*HEAD_TAIL_TILE];                        \
-    int scalar_tail = B == 1 && m == 2;                                  \
     T sr = 0, si = 0;                                                    \
-    if (scalar_tail) UNFUSED(x[2], -x[3], ct[0], ct[1], &sr, &si);       \
-    for (long b = 0; b < B; b++) {                                       \
-        const T* xb = x + 2*b*m;                                         \
-        T* ob = out + 2*b*s*q;                                           \
-        for (long t0 = 0; t0 < q; t0 += HEAD_TAIL_TILE) {                \
-            long w = q - t0 < HEAD_TAIL_TILE ? q - t0 : HEAD_TAIL_TILE;  \
-            for (long k = 0; k < w; k++) {                               \
-                long t = t0 + k, r = q - t;                              \
-                T hr = 0, hi = 0, tr = 0, ti = 0;                        \
-                if (t < m) {                                             \
-                    T xr = xb[2*t], xi = t ? xb[2*t+1] : 0;              \
-                    hr = CMUL_RE(FMAF, xr, xi, ch[2*t], ch[2*t+1]);      \
-                    hi = CMUL_IM(FMAF, xr, xi, ch[2*t], ch[2*t+1]);      \
-                }                                                        \
-                if (t > 0 && r < m && scalar_tail) {                     \
-                    tr = sr; ti = si;                                    \
-                } else if (t > 0 && r < m) {                             \
-                    T xr = xb[2*r], xi = -xb[2*r+1];                     \
-                    const T* c = ct + 2*(r-1);                           \
-                    tr = CMUL_RE(FMAF, xr, xi, c[0], c[1]);              \
-                    ti = CMUL_IM(FMAF, xr, xi, c[0], c[1]);              \
-                }                                                        \
-                hb[2*k] = hr; hb[2*k+1] = hi;                            \
-                tb[2*k] = tr; tb[2*k+1] = ti;                            \
+    if (scalar_tail) UNFUSED(xb[2], -xb[3], ct[0], ct[1], &sr, &si);     \
+    for (long t0 = 0; t0 < q; t0 += HEAD_TAIL_TILE) {                    \
+        long w = q - t0 < HEAD_TAIL_TILE ? q - t0 : HEAD_TAIL_TILE;      \
+        for (long k = 0; k < w; k++) {                                   \
+            long t = t0 + k, r = q - t;                                  \
+            T hr = 0, hi = 0, tr = 0, ti = 0;                            \
+            if (t < m) {                                                 \
+                T xr = xb[2*t], xi = t ? xb[2*t+1] : 0;                  \
+                hr = CMUL_RE(FMAF, xr, xi, ch[2*t], ch[2*t+1]);          \
+                hi = CMUL_IM(FMAF, xr, xi, ch[2*t], ch[2*t+1]);          \
             }                                                            \
-            for (long ss = 0; ss < s; ss++) {                            \
-                const T* hp = wdh + 2*(ss*q + t0);                       \
-                const T* tp = wdt + 2*(ss*q + t0);                       \
-                T* op = ob + 2*(ss*q + t0);                              \
-                for (long k = 0; k < w; k++) {                           \
-                    T hr = hb[2*k], hi = hb[2*k+1];                      \
-                    T tr = tb[2*k], ti = tb[2*k+1];                      \
-                    T wr = hp[2*k], wi = hp[2*k+1];                      \
-                    T vr = tp[2*k], vi = tp[2*k+1];                      \
-                    op[2*k] = CMUL_RE(FMAF, hr, hi, wr, wi)              \
-                              + CMUL_RE(FMAF, tr, ti, vr, vi);           \
-                    op[2*k+1] = CMUL_IM(FMAF, hr, hi, wr, wi)            \
-                                + CMUL_IM(FMAF, tr, ti, vr, vi);         \
-                }                                                        \
+            if (t > 0 && r < m && scalar_tail) {                         \
+                tr = sr; ti = si;                                        \
+            } else if (t > 0 && r < m) {                                 \
+                T xr = xb[2*r], xi = -xb[2*r+1];                         \
+                const T* c = ct + 2*(r-1);                               \
+                tr = CMUL_RE(FMAF, xr, xi, c[0], c[1]);                  \
+                ti = CMUL_IM(FMAF, xr, xi, c[0], c[1]);                  \
+            }                                                            \
+            hb[2*k] = hr; hb[2*k+1] = hi;                                \
+            tb[2*k] = tr; tb[2*k+1] = ti;                                \
+        }                                                                \
+        long kv = 0;                                                     \
+        HEAD_TAIL_BLOCKS(SFX, MB)                                        \
+        for (long ss = 0; ss < s; ss++) {                                \
+            const T* hp = wdh + 2*(ss*q + t0);                           \
+            const T* tp = wdt + 2*(ss*q + t0);                           \
+            T* op = ob + 2*(ss*q + t0);                                  \
+            for (long k = kv; k < w; k++) {                              \
+                T hr = hb[2*k], hi = hb[2*k+1];                          \
+                T tr = tb[2*k], ti = tb[2*k+1];                          \
+                T wr = hp[2*k], wi = hp[2*k+1];                          \
+                T vr = tp[2*k], vi = tp[2*k+1];                          \
+                op[2*k] = CMUL_RE(FMAF, hr, hi, wr, wi)                  \
+                          + CMUL_RE(FMAF, tr, ti, vr, vi);               \
+                op[2*k+1] = CMUL_IM(FMAF, hr, hi, wr, wi)                \
+                            + CMUL_IM(FMAF, tr, ti, vr, vi);             \
             }                                                            \
         }                                                                \
     }                                                                    \
 }
 
-EXPAND_HEAD_TAIL(expand_head_tail_f32, float, fmaf, cmul_unfused_f32)
-EXPAND_HEAD_TAIL(expand_head_tail_f64, double, fma, cmul_unfused_f64)
+HEAD_TAIL_ROW(head_tail_row_f32, float, fmaf, cmul_unfused_f32, f32, 8)
+HEAD_TAIL_ROW(head_tail_row_f64, double, fma, cmul_unfused_f64, f64, 4)
+
+#define EXPAND_HEAD_TAIL(NAME, T, SFX)                                   \
+void NAME(const T* x, const T* ch, const T* ct, const T* wdh,            \
+          const T* wdt, T* out, long B, long m, long s, long q) {        \
+    for (long b = 0; b < B; b++)                                         \
+        head_tail_row_##SFX(x + 2*b*m, ch, ct, wdh, wdt, out + 2*b*s*q,  \
+                            m, s, q, B == 1 && m == 2);                  \
+}
+
+EXPAND_HEAD_TAIL(expand_head_tail_f32, float, f32)
+EXPAND_HEAD_TAIL(expand_head_tail_f64, double, f64)
 
 /* ------------------------------------------------------------------ */
 /* Fused C2C tile driver (FFT -> CGEMM -> iFFT in one call)            */
@@ -909,3 +1058,59 @@ void NAME(const T* x, const T* w, const T* tw_fwd, const T* tw_inv,      \
 
 FUSED_TILE_C2C_1D(fused_tile_c2c_1d_f32, float, f32)
 FUSED_TILE_C2C_1D(fused_tile_c2c_1d_f64, double, f64)
+
+/* ------------------------------------------------------------------ */
+/* Pruned R2C/C2R row drivers (the decomp strategy in one call)        */
+/* ------------------------------------------------------------------ */
+
+/* The pruned R2C plan over `rows` packed rows z[rows, h] (h = p*q, the
+ * real rows viewed as complex) -> out[rows, m], one row at a time:
+ *   gather : g[j, t] = z[b, t*p + j]                    (transpose)
+ *   FFT    : forward Stockham over the p sub-rows of length q
+ *   mirror : out[b] = the recombined m kept bins         (decomp_mirror)
+ * and the pruned C2R plan, x[rows, m] -> out[rows, h]:
+ *   expand : e[ss, t] = head/tail rows times wdh, wdt    (expand_head_tail)
+ *   iFFT   : inverse Stockham over the s sub-rows, / q then * (q / h)
+ *   scatter: out[b, t*s + ss] = f[ss, t]                 (transpose)
+ * Each stage is row-independent, so every output element sees the same
+ * kernel operations on the same operands in the same order as the
+ * plans' staged kernel sequence over the whole batch; only the loop
+ * order across rows changes.  The one batch-wide choice, expand_head_
+ * tail's unfused tail product (rows == 1 && m == 2), is made for the
+ * whole call.  The Stockham calls see p (or s) rows instead of rows*p:
+ * its only row-count choice, the scalar-loop multiply of a one-element
+ * array, needs rows*s == 1, which a decomposition (s >= 2) never has.
+ *
+ * Workspaces hold one row: g, f and the Stockham scratch take h
+ * elements each, so a row's working set stays in L1.  Like the C2C tile
+ * driver these are not FMA_TARGET (see there). */
+#define PRUNED_RFFT_ROWS(NAME, T, SFX)                                   \
+void NAME(const T* z, const T* u, const T* v, const T* tw, T* g, T* f,   \
+          T* s, T* out, long rows, long p, long q, long m) {             \
+    for (long b = 0; b < rows; b++) {                                    \
+        transpose_##SFX(z + 2*b*p*q, g, 1, q, p);                        \
+        stockham_##SFX(g, f, s, tw, p, q, 0, 0, 0, 0);                   \
+        decomp_mirror_##SFX(f, u, v, out + 2*b*m, 1, p, q, m);           \
+    }                                                                    \
+}
+
+PRUNED_RFFT_ROWS(pruned_rfft_rows_f32, float, f32)
+PRUNED_RFFT_ROWS(pruned_rfft_rows_f64, double, f64)
+
+#define PRUNED_IRFFT_ROWS(NAME, T, SFX)                                  \
+void NAME(const T* x, const T* ch, const T* ct, const T* wdh,            \
+          const T* wdt, const T* tw, T* g, T* f, T* s, T* out,           \
+          long rows, long sp, long q, long m) {                          \
+    long h = sp*q;                                                       \
+    T div_by = (T)q, mul_by = (T)((double)q / (double)h);                \
+    int scalar_tail = rows == 1 && m == 2;                               \
+    for (long b = 0; b < rows; b++) {                                    \
+        head_tail_row_##SFX(x + 2*b*m, ch, ct, wdh, wdt, g, m, sp, q,    \
+                            scalar_tail);                                \
+        stockham_##SFX(g, f, s, tw, sp, q, 1, div_by, 1, mul_by);        \
+        transpose_##SFX(f, out + 2*b*h, 1, sp, q);                       \
+    }                                                                    \
+}
+
+PRUNED_IRFFT_ROWS(pruned_irfft_rows_f32, float, f32)
+PRUNED_IRFFT_ROWS(pruned_irfft_rows_f64, double, f64)

@@ -41,9 +41,11 @@ same plan/execute split for the NumPy substrate:
     ``q = next_pow2(part)`` and recombines only the kept bins, and the
     C2R adjoint synthesises a real signal from the truncated half
     spectrum without ever materialising the full Hermitian half.
-    ``part == n//2 + 1`` degenerates to the plain packed-real plans
-    (bit-exact alias); ``part > n//4`` falls back to transform-then-
-    slice (bit-exact vs :class:`CompiledRFFTPlan` plus a slice), since
+    On the C backend the decomposition runs as one row-streaming
+    driver call per execution.  ``part == n//2 + 1`` degenerates to the
+    plain packed-real plans (bit-exact alias); ``part > n//4`` falls
+    back to transform-then-slice (bit-exact vs
+    :class:`CompiledRFFTPlan` plus a slice), since
     the decomposition only saves work once a whole sub-transform stage
     can be dropped.
 
@@ -212,30 +214,24 @@ def expand_mul(
         np.multiply(x[:, None, :], wd, out=out)
 
 
-def transpose(src: np.ndarray, dst: np.ndarray, kernels=_SCOPED) -> None:
+# The pruned R2C/C2R plans' staging, in NumPy: the NumPy backend runs
+# these, and they are the references the C staging kernels (and through
+# them the row drivers) must match bit for bit.
+
+def transpose(src: np.ndarray, dst: np.ndarray) -> None:
     """``dst[...] = np.swapaxes(src, -1, -2)`` for contiguous
     ``(batch, r, c)`` / ``(batch, c, r)`` operands."""
-    k = _scoped_kernels() if kernels is _SCOPED else kernels
-    batch, r, c = src.shape
-    if k is not None:
-        k.transpose(src, dst, batch, r, c)
-    else:
-        dst[...] = np.swapaxes(src, -1, -2)
+    dst[...] = np.swapaxes(src, -1, -2)
 
 
 def decomp_mirror(
     y: np.ndarray, u: np.ndarray, v: np.ndarray, out: np.ndarray,
-    kernels=_SCOPED,
 ) -> None:
     """``out[...] = (einsum("bpk,pk->bk", y, u) + einsum("bpk,pk->bk",
     conj(y[:, :, (q-k) % q]), v))[:, :m]`` (contiguous operands; ``out``
     is ``(batch, m)`` with ``m <= q``)."""
-    k = _scoped_kernels() if kernels is _SCOPED else kernels
-    batch, p, q = y.shape
+    batch, _, q = y.shape
     m = out.shape[1]
-    if k is not None:
-        k.decomp_mirror(y, u, v, out, batch, p, q, m)
-        return
     yr = np.conjugate(np.take(y, (q - np.arange(q)) % q, axis=2))
     acc = np.empty((batch, q), y.dtype)
     decomp_reduce(y, u, acc, kernels=None)
@@ -247,7 +243,7 @@ def decomp_mirror(
 
 def expand_head_tail(
     x: np.ndarray, ch: np.ndarray, ct: np.ndarray, wdh: np.ndarray,
-    wdt: np.ndarray, out: np.ndarray, kernels=_SCOPED,
+    wdt: np.ndarray, out: np.ndarray,
 ) -> None:
     """``out[...] = hb[:, None, :] * wdh + tb[:, None, :] * wdt`` for the
     head row ``hb[:, t] = x[:, t] * ch[t]`` (``t < m``, DC as
@@ -255,12 +251,8 @@ def expand_head_tail(
     conj(x[:, r]) * ct[r-1]`` (``0 < r < m``), both zero elsewhere
     (contiguous operands; ``x`` is ``(batch, m)``, ``out`` is
     ``(batch, s, q)``)."""
-    k = _scoped_kernels() if kernels is _SCOPED else kernels
     batch, m = x.shape
-    s, q = wdh.shape
-    if k is not None:
-        k.expand_head_tail(x, ch, ct, wdh, wdt, out, batch, m, s, q)
-        return
+    q = wdh.shape[1]
     hb = np.zeros((batch, q), x.dtype)
     np.multiply(x, ch, out=hb[:, :m])
     hb[:, 0] = x[:, 0].real * ch[0]
@@ -739,6 +731,14 @@ class CompiledPrunedRFFTPlan(_WorkspaceOwner):
     and ``w_m[k] = -(i/2) W_n^k`` — only the kept bins are ever
     recombined, and the sub-transforms stop ``log2(h/q)`` stages early.
 
+    On the C backend the whole ``decomp`` strategy is one call to the
+    row driver ``pruned_rfft_rows``: each row streams through the
+    gather, the Stockham batch over its P sub-rows and the mirrored
+    recombination in workspaces of ``h`` elements each, so its working
+    set stays in L1 and no ``rows * h`` intermediate is retained.  The
+    NumPy backend runs the same three stages over the whole batch, and
+    the driver must match that staged sequence bit for bit.
+
     ``part == n//2 + 1`` delegates to the plain
     :class:`CompiledRFFTPlan` (bit-exact alias); ``q > h/2`` (no whole
     stage to drop) falls back to transform-then-slice, bit-exact versus
@@ -816,16 +816,23 @@ class CompiledPrunedRFFTPlan(_WorkspaceOwner):
             )
         h, q, p = self.half, self._q, self._split
         kernels = self._kernels()
+        out = np.empty((rows, self.part), self.dtype)
         with self._lock:
             z = flat.view(self.dtype)  # free (rows, h) packing
+            if kernels is not None:
+                work = self._ws("row", 3 * h)
+                kernels.pruned_rfft_rows(
+                    z, self._u, self._v, self._sub.twiddles, work[:h],
+                    work[h:2 * h], work[2 * h:3 * h], out, rows, self.n, q,
+                    self.part,
+                )
+                return out
             # Gather the P subsequences: g[b, p, t] = z[b, t*P + p].
             g = self._ws("gather", rows * h)[: rows * h].reshape(rows, p, q)
-            transpose(z.reshape(rows, q, p), g, kernels=kernels)
+            transpose(z.reshape(rows, q, p), g)
             y = self._ws("fft", rows * h)[: rows * h].reshape(rows * p, q)
             self._sub.execute(g.reshape(rows * p, q), out=y)
-            out = np.empty((rows, self.part), self.dtype)
-            decomp_mirror(y.reshape(rows, p, q), self._u, self._v, out,
-                          kernels=kernels)
+            decomp_mirror(y.reshape(rows, p, q), self._u, self._v, out)
         return out
 
 
@@ -845,7 +852,11 @@ class CompiledPrunedIRFFTPlan(_WorkspaceOwner):
     (:func:`transpose`), and unpacks even=Re / odd=Im into the real
     output.  The full Hermitian
     half is never materialised and the inverse butterflies stop
-    ``log2(h/q)`` stages early.
+    ``log2(h/q)`` stages early.  On the C backend the row driver
+    ``pruned_irfft_rows`` runs expansion, sub-inverse and interleave
+    one row at a time in ``h``-element workspaces, straight into the
+    output; the NumPy backend runs the same stages over the whole
+    batch.
 
     Degenerate/fallback strategies and the bit-identity contract mirror
     the forward plan (``part == n//2 + 1`` aliases
@@ -941,23 +952,30 @@ class CompiledPrunedIRFFTPlan(_WorkspaceOwner):
         flat = np.ascontiguousarray(flat)
         h, q, s = self.half, self._q, self._split
         kernels = self._kernels()
+        out = np.empty((rows, self.n), self.real_dtype)
+        z = out.view(self.dtype)  # packed (rows, h): even=Re, odd=Im
         with self._lock:
+            if kernels is not None:
+                work = self._ws("row", 3 * h)
+                kernels.pruned_irfft_rows(
+                    flat, self._ch, self._ct, self._wdh, self._wdt,
+                    self._sub.twiddles, work[:h], work[h:2 * h],
+                    work[2 * h:3 * h], z, rows, self.n, q, self.part,
+                )
+                return out
             # Head block hb[b, t] = ch[t] X[b, t] (t < part, Im(DC)
             # dropped) and tail block tb[b, q-r] = ct[r] conj(X[b, r])
             # (r in [1, part)), scattered into the S weighted sub-rows.
             sc = self._ws("scaled", rows * h)[: rows * h].reshape(rows, s, q)
             expand_head_tail(flat, self._ch, self._ct, self._wdh, self._wdt,
-                             sc, kernels=kernels)
+                             sc)
             y = self._ws("fft", rows * h)[: rows * h].reshape(rows * s, q)
             self._sub.execute(
                 sc.reshape(rows * s, q), out=y,
                 div_by=float(q), mul_by=float(q / h),
             )
-            out = np.empty((rows, self.n), self.real_dtype)
-            z = out.view(self.dtype)  # packed (rows, h): even=Re, odd=Im
             # Interleave: z[b, ss + S*t] = y[b, ss, t].
-            transpose(y.reshape(rows, s, q), z.reshape(rows, q, s),
-                      kernels=kernels)
+            transpose(y.reshape(rows, s, q), z.reshape(rows, q, s))
         return out
 
 

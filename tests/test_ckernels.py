@@ -451,7 +451,7 @@ def test_transpose_matches_swapaxes(kernels, dtype, shape):
     buf, dst = _guarded((batch, c, r), dtype, 7 + 7j)
     kernels.transpose(src, dst, batch, r, c)
     ref = np.empty_like(dst)
-    compiled.transpose(src, ref, kernels=None)
+    compiled.transpose(src, ref)
     assert _same_bits_or_both_nan(dst, _bits(ref))
     assert buf[0] == buf[-1] == 7 + 7j
 
@@ -462,7 +462,7 @@ def _run_mirror(kernels, y, u, v, m):
     kernels.decomp_mirror(y, u, v, out, batch, p, q, m)
     assert buf[0] == buf[-1] == 7 + 7j
     ref = np.empty_like(out)
-    compiled.decomp_mirror(y, u, v, ref, kernels=None)
+    compiled.decomp_mirror(y, u, v, ref)
     return out, ref
 
 
@@ -490,7 +490,7 @@ def _run_head_tail(kernels, x, ch, ct, wdh, wdt):
     kernels.expand_head_tail(x, ch, ct, wdh, wdt, out, batch, m, s, q)
     assert buf[0] == buf[-1] == 7 + 7j
     ref = np.empty_like(out)
-    compiled.expand_head_tail(x, ch, ct, wdh, wdt, ref, kernels=None)
+    compiled.expand_head_tail(x, ch, ct, wdh, wdt, ref)
     return out, ref
 
 
@@ -553,13 +553,15 @@ def test_one_row_one_tail_bin_keeps_the_unfused_product(kernels, dtype):
                                           ("decomp_mirror", 3),
                                           ("expand_head_tail", 5),
                                           ("fused_tile_c2c_1d", 11),
+                                          ("pruned_rfft_rows", 7),
+                                          ("pruned_irfft_rows", 9),
                                           ("panel_contract", 2),
                                           ("stockham", 1)])
 def test_self_check_probes_the_staging_kernels(kernels, name, out_arg,
                                                monkeypatch):
     """The loader's self-check rejects a library whose staging,
-    contraction or FFT kernel is off by one ulp in one output
-    component."""
+    contraction or FFT kernel, or tile or row driver, is off by one ulp
+    in one output component."""
     assert _ckernels._self_check(kernels)
     real = getattr(kernels, name)
 

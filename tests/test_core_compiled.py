@@ -464,6 +464,82 @@ def test_inverse_and_reanalysis_check_the_spectrum(modes, symmetric, method,
         fn(sk, spatial)
 
 
+#: (ndim, spatial, error): grids with a non-integer length, the wrong
+#: arity, or a non-positive length.
+_BAD_SPATIAL = [
+    (1, 64.7, TypeError),
+    (1, (64.0,), TypeError),
+    (1, "64", TypeError),
+    (1, (64, 5), ValueError),
+    (1, (), ValueError),
+    (1, 0, ValueError),
+    (2, 16, TypeError),
+    (2, (16.9, 64), TypeError),
+    (2, (16, None), TypeError),
+    (2, (16, 64, 3), ValueError),
+    (2, (16,), ValueError),
+    (2, (16, -64), ValueError),
+]
+
+
+@pytest.mark.parametrize("method", ["inverse", "reanalyze"])
+@pytest.mark.parametrize("symmetric", [False, True])
+@pytest.mark.parametrize("ndim,spatial,error", _BAD_SPATIAL)
+def test_spectrum_entry_points_check_spatial(backend, ndim, spatial, error,
+                                             symmetric, method):
+    """A ``spatial`` grid that is not one integer length per axis (an
+    int or a 1-sequence in 1-D, a 2-sequence in 2-D) raises a typed
+    error naming ``spatial``, instead of a raw NumPy error, a silently
+    dropped axis or a truncated length."""
+    modes = (8,) if ndim == 1 else (4, 8)
+    conv = compile_spectral_conv(
+        np.ones((4, 4), np.complex64), modes, symmetric=symmetric
+    )
+    sk = np.ones((2, 4) + modes, np.complex64)
+    fn = (conv.inverse_spectrum if method == "inverse"
+          else conv.reanalyze_spectrum)
+    with pytest.raises(error, match="spatial"):
+        fn(sk, spatial)
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_spectrum_entry_points_take_integer_like_spatial(backend, symmetric):
+    """NumPy integers and lists are integer lengths like any other."""
+    rng = np.random.default_rng(13)
+    w = _weight(4, 3, np.complex64, rng)
+    for modes, spatial in (((8,), (32,)), ((4, 8), (16, 32))):
+        conv = compile_spectral_conv(w, modes, symmetric=symmetric)
+        x = _x((2, 4) + spatial, np.float32, rng)
+        yk = conv.step_spectrum(conv.forward_spectrum(x))
+        want = conv.inverse_spectrum(yk, spatial)
+        as_numpy = [np.int64(s) for s in spatial]
+        assert _bit_equal(conv.inverse_spectrum(yk, as_numpy), want)
+        assert _bit_equal(conv.reanalyze_spectrum(yk, as_numpy),
+                          conv.reanalyze_spectrum(yk, spatial))
+        if len(spatial) == 1:
+            assert _bit_equal(conv.inverse_spectrum(yk, np.int64(32)), want)
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_symmetric_executor_rejects_xk_trunc_of_another_dtype(backend,
+                                                              ndim):
+    """``xk_trunc`` must be the input's complex dtype: a complex128
+    spectrum with float32 input is not downcast (nor a complex64 one
+    with float64 input upcast), and a real spectrum is refused."""
+    rng = np.random.default_rng(14)
+    w = _weight(4, 3, np.complex128, rng)
+    modes, spatial = ((8,), (32,)) if ndim == 1 else ((4, 8), (16, 32))
+    conv = compile_spectral_conv(w, modes, symmetric=True)
+    for dtype, other in ((np.float32, np.complex128),
+                         (np.float64, np.complex64)):
+        x = _x((2, 4) + spatial, dtype, rng)
+        xk = conv.forward_spectrum(x)
+        assert _bit_equal(conv(x, xk_trunc=xk), conv(x))
+        for bad in (xk.astype(other), xk.real.copy()):
+            with pytest.raises(ValueError, match="xk_trunc"):
+                conv(x, xk_trunc=bad)
+
+
 def test_symmetric_layer_spectrum_cache_owns_its_memory(backend):
     """The cached activation spectrum must not pin the full half
     spectrum (it is held across the whole optimizer step).  The pruned
