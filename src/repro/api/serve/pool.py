@@ -115,6 +115,7 @@ from repro.api.serve.shm import (
 from repro.api.serve.worker import worker_main
 from repro.api.session import DTYPE_POLICIES, LatencyReservoir, \
     ROLLOUT_PROFILES, Session, SpectralModel, _as_spectral_model
+from repro.core.compiled import _positive_int
 from repro.core.dtypes import complex_dtype_for
 from repro.fft.compiled import resolve_backend_kernels
 
@@ -784,9 +785,7 @@ class ServePool:
         :meth:`repro.api.Session.rollout`.  ``deadline`` covers the
         entire stream.
         """
-        steps = int(steps)
-        if steps < 1:
-            raise ValueError(f"steps must be >= 1, got {steps}")
+        steps = _positive_int("steps", steps)
         if profile not in ROLLOUT_PROFILES:
             raise ValueError(
                 f"unknown rollout profile {profile!r}; expected one of "
@@ -1489,6 +1488,7 @@ class ServePool:
         ``deadline`` covers each group's whole stream.  Results return
         in stream order.
         """
+        steps = _positive_int("steps", steps)
         return self._serve_groups(
             streams, timeout,
             lambda spec, parts: self.submit_rollout(

@@ -54,6 +54,7 @@ from repro.api.registry import get_device, resolve_stage
 from repro.core.compiled import (
     CompiledSpectralConv1D,
     CompiledSpectralConv2D,
+    _positive_int,
     compile_spectral_conv,
 )
 from repro.core.config import TurboFNOConfig
@@ -543,19 +544,23 @@ class Session:
             target = np.complex128 if np.iscomplexobj(x) else np.float64
         return x.astype(target, copy=False)
 
-    def _record(self, geometry: tuple, requests: int, seconds: float) -> None:
+    def _record(self, geometry: tuple, requests: int, seconds: float,
+                calls: int = 1) -> None:
+        """Account ``calls`` serving calls of ``requests`` requests,
+        each taking ``seconds``."""
         with self._stats_lock:
             stats = self._geometry_stats.get(geometry)
             if stats is None:
                 stats = self._geometry_stats[geometry] = _GeometryStats()
-            stats.requests += requests
-            stats.batches += 1
-            stats.seconds += seconds
+            stats.requests += requests * calls
+            stats.batches += calls
+            stats.seconds += seconds * calls
             # One latency sample per serving call: every request in a
             # micro-batch (every stream in a rollout step) experienced
             # this wall time.
-            stats.latency.record(seconds)
-            self._latency.record(seconds)
+            for _ in range(calls):
+                stats.latency.record(seconds)
+                self._latency.record(seconds)
 
     def _execute(self, model, x: np.ndarray) -> np.ndarray:
         """Run one (possibly concatenated) batch through ``model``."""
@@ -629,8 +634,7 @@ class Session:
         or callable is served.
         """
         self._check_open()
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
+        max_batch = _positive_int("max_batch", max_batch)
         if queue_depth is not None and queue_depth < 1:
             raise ValueError(
                 f"queue_depth must be >= 1, got {queue_depth}"
@@ -739,7 +743,10 @@ class Session:
         spectrum: one forward transform up front, then only the spectral
         CGEMM per step, and one inverse transform per *kept* state —
         the redundant inverse/forward pair between consecutive steps is
-        skipped outright.  Valid where the inter-step path is linear: a
+        skipped outright.  An executor group runs all of its steps in
+        one ``rollout_spectrum`` call (one C call on the C backend),
+        and each stream's result is synthesised from its own rows of
+        the kept spectra.  Valid where the inter-step path is linear: a
         :class:`SpectralModel` / compiled executor (either filter
         convention; the spectrum of each step's output *is* the stepped
         spectrum) or a symmetric ``SpectralConv1d/2d`` layer.
@@ -754,11 +761,12 @@ class Session:
         ``keep="last"`` returns the final state per stream;
         ``keep="all"`` the whole ``(steps, *state.shape)`` trajectory.
         Per-step latencies land in the stats reservoirs
-        (:meth:`stats` ``["latency"]`` / ``["per_geometry"][g]["latency"]``).
+        (:meth:`stats` ``["latency"]`` / ``["per_geometry"][g]["latency"]``);
+        where one call runs every step of a fast rollout, each step's
+        sample is that call's wall time divided by ``steps``.
         """
         self._check_open()
-        if steps < 1:
-            raise ValueError(f"steps must be >= 1, got {steps}")
+        steps = _positive_int("steps", steps)
         if profile not in ROLLOUT_PROFILES:
             raise ValueError(
                 f"unknown rollout profile {profile!r}; expected one of "
@@ -768,8 +776,7 @@ class Session:
             raise ValueError(
                 f"keep must be 'last' or 'all', got {keep!r}"
             )
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
+        max_batch = _positive_int("max_batch", max_batch)
         if check_rtol is not None and profile != "fast":
             raise ValueError(
                 "check_rtol asserts the fast profile against the exact "
@@ -811,9 +818,11 @@ class Session:
                        workers, queue_depth, check_rtol=None) -> list:
         """The one serving engine behind :meth:`infer_many` (one-step
         exact streams) and :meth:`rollout`: group the ``(model, x)``
-        streams by (model, geometry, dtype), step each group once
-        through one executor call per step, and copy every stream's
-        rows back out in stream order."""
+        streams by (model, geometry, dtype) and step each group as one
+        state.  The exact profile runs one executor call per step and
+        copies every stream's rows back out; the fast profile
+        synthesises each stream's result from its own rows of the
+        group's kept spectra."""
         items = [
             (model, self._apply_dtype_policy(np.asarray(x)))
             for model, x in streams
@@ -826,20 +835,24 @@ class Session:
             xs = [items[i][1] for i in idxs]
             state0 = xs[0] if len(xs) == 1 else np.concatenate(xs, axis=0)
             if profile == "fast":
-                kept = self._rollout_fast(model, state0, steps, keep,
-                                          len(idxs))
+                outs = self._rollout_fast(model, state0, steps, keep,
+                                          [len(x) for x in xs])
                 if check_rtol is not None:
                     ref = self._rollout_exact(model, state0, steps, "last",
-                                              len(idxs))
-                    if not np.allclose(kept[-1], ref[-1], rtol=check_rtol,
-                                       atol=check_rtol):
+                                              len(idxs))[-1]
+                    last = [out[-1] if keep == "all" else out
+                            for out in outs]
+                    if not np.allclose(np.concatenate(last), ref,
+                                       rtol=check_rtol, atol=check_rtol):
                         raise ValueError(
                             f"fast rollout diverged from the exact loop "
                             f"beyond rtol={check_rtol} after {steps} steps"
                         )
-            else:
-                kept = self._rollout_exact(model, state0, steps, keep,
-                                           len(idxs))
+                for i, out in zip(idxs, outs):
+                    results[i] = out
+                return
+            kept = self._rollout_exact(model, state0, steps, keep,
+                                       len(idxs))
             if len(xs) == 1:
                 results[idxs[0]] = (np.stack(kept) if keep == "all"
                                     else kept[-1])
@@ -934,55 +947,51 @@ class Session:
         )
 
     def _rollout_fast(self, model, state: np.ndarray, steps: int,
-                      keep: str, requests: int) -> list[np.ndarray]:
-        """The spectrum-resident loop: forward transform once, CGEMM
-        per step, inverse transform only at kept states."""
+                      keep: str, sizes: list[int]) -> list[np.ndarray]:
+        """The spectrum-resident loop over a group's concatenated
+        streams of ``sizes`` rows: forward transform once, CGEMM per
+        step, and each stream's kept states synthesised from its own
+        rows of the kept spectra."""
         executor, layer = self._fast_stepper(model)
         geometry = state.shape[1:]
         spatial = state.shape[2:]
-        kept: list[np.ndarray] = []
-        # Per step: synthesize kept output from the *pre-projection*
-        # output spectrum yk, then feed forward its reanalysis — the
-        # spectrum the next step's forward transform would compute from
-        # the synthesized field.  The skipped inverse/forward pair is
-        # not the identity for the symmetric convention (it projects the
-        # DC bin real in 1D and Hermitian-symmetrises the y-DC column in
-        # 2D), and projecting *before* synthesis would change the kept
-        # output, so the order matters.  The last step's reanalysis would
-        # feed no step, so it is skipped.
+        spatial_arg = spatial if len(spatial) == 2 else spatial[0]
+        requests = len(sizes)
+        # Every kept state is synthesised from the *pre-projection*
+        # output spectrum yk, and the next step is fed its reanalysis —
+        # the spectrum the next step's forward transform would compute
+        # from the synthesised field.  The skipped inverse/forward pair
+        # is not the identity for the symmetric convention (it projects
+        # the DC bin real in 1D and Hermitian-symmetrises the y-DC
+        # column in 2D), and projecting *before* synthesis would change
+        # the kept output, so the order matters.  The last step's
+        # reanalysis would feed no step, so it is skipped.
         if executor is not None:
-            spatial_arg = spatial if executor.ndim == 2 else spatial[0]
             with self._serve_lock_for(executor):
                 sk = executor.forward_spectrum(state)
-                yk = sk
-                for step in range(steps):
-                    t0 = time.perf_counter()
-                    yk = executor.step_spectrum(sk)
-                    self._record(geometry, requests, time.perf_counter() - t0)
-                    if keep == "all":
-                        kept.append(
-                            executor.inverse_spectrum(yk, spatial_arg)
-                        )
-                    if step + 1 < steps:
-                        sk = executor.reanalyze_spectrum(yk, spatial_arg)
-                if keep == "last":
-                    kept.append(executor.inverse_spectrum(yk, spatial_arg))
-            return kept
-        spatial_arg = spatial if len(spatial) == 2 else spatial[0]
+                t0 = time.perf_counter()
+                spectra = executor.rollout_spectrum(sk, steps, spatial_arg,
+                                                    keep)
+                # One call runs every step: each step's sample is an
+                # equal share of its wall time.
+                self._record(geometry, requests,
+                             (time.perf_counter() - t0) / steps, steps)
+                return _synthesise_streams(executor.inverse_spectrum,
+                                           spectra, sizes, keep, spatial_arg)
         with self._serve_lock_for(layer), self.activate():
             sk = layer.spectrum(state)
-            yk = sk
+            kept = []
             for step in range(steps):
                 t0 = time.perf_counter()
                 yk = layer.apply_modes(sk)
                 self._record(geometry, requests, time.perf_counter() - t0)
                 if keep == "all":
-                    kept.append(layer.from_spectrum(yk, spatial_arg))
+                    kept.append(yk)
                 if step + 1 < steps:
                     sk = layer.reanalyze_spectrum(yk, spatial_arg)
-            if keep == "last":
-                kept.append(layer.from_spectrum(yk, spatial_arg))
-        return kept
+            spectra = np.stack(kept) if keep == "all" else yk
+            return _synthesise_streams(layer.from_spectrum, spectra, sizes,
+                                       keep, spatial_arg)
 
     # -- observability --------------------------------------------------
 
@@ -995,9 +1004,11 @@ class Session:
         request/batch counts (a rollout step counts each of its streams
         as one request), measured throughput and latency
         percentiles (p50/p95/p99 seconds from a bounded reservoir — one
-        sample per executed micro-batch or rollout step); ``latency``
-        aggregates the same across all geometries; ``rollout`` counts
-        streams and stream-steps served by :meth:`rollout`.
+        sample per executed micro-batch or rollout step; the steps of a
+        fast rollout that run in one call each record an equal share of
+        its wall time); ``latency`` aggregates the same across all
+        geometries; ``rollout`` counts streams and stream-steps served
+        by :meth:`rollout`.
         """
         info = self.plan_cache_info()
         fft_info = self.plan_caches.cache_info()
@@ -1042,6 +1053,32 @@ class Session:
             "rollout": rollout,
             "per_geometry": per_geometry,
         }
+
+
+def _synthesise_streams(synthesise, spectra: np.ndarray, sizes: list[int],
+                        keep: str, spatial) -> list[np.ndarray]:
+    """Each stream's spatial result from its own rows of a group's kept
+    spectra — ``(batch, C, *modes)`` for ``keep="last"``, ``(steps,
+    batch, C, *modes)`` for ``keep="all"`` — in one ``synthesise(rows,
+    spatial)`` call per stream, so a stream's bits never depend on the
+    streams grouped with it.  The result owns its buffer, so no stream
+    pins the group's state."""
+    results, off = [], 0
+    for n in sizes:
+        if keep == "last":
+            results.append(synthesise(spectra[off:off + n], spatial))
+        elif n * spectra.shape[2] > 1:
+            rows = spectra[:, off:off + n]
+            y = synthesise(rows.reshape((-1,) + rows.shape[2:]), spatial)
+            results.append(y.reshape(rows.shape[:2] + y.shape[1:]))
+        else:
+            # A one-row state synthesises frame by frame: NumPy forms a
+            # one-row C2R call's tail product unfused (and the kernels
+            # replay it), so stacking the frames would change its bits.
+            results.append(np.stack([synthesise(frame, spatial)
+                                     for frame in spectra[:, off:off + n]]))
+        off += n
+    return results
 
 
 # ---------------------------------------------------------------------------

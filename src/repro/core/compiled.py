@@ -407,6 +407,21 @@ def _project_herm_x(sk: np.ndarray, dim_x: int) -> np.ndarray:
     return sk
 
 
+def _rollout_loop(sk: np.ndarray, steps: int, keep: str, step,
+                  reanalyze) -> np.ndarray:
+    """The rollout loop of :meth:`_SpectralExecutor.rollout_spectrum` in
+    Python: ``step`` every state, ``reanalyze`` every output but the
+    last; the kept outputs as the method returns them."""
+    kept = []
+    for i in range(steps):
+        yk = step(sk)
+        if keep == "all":
+            kept.append(yk)
+        if i + 1 < steps:
+            sk = reanalyze(yk)
+    return np.stack(kept) if keep == "all" else yk
+
+
 def _weight_panels(weight: np.ndarray, k_tb: int, dtype: np.dtype):
     """Pre-cast contiguous k-panels of a (C_in, C_out) weight matrix."""
     c_in = weight.shape[0]
@@ -499,7 +514,10 @@ class _SpectralExecutor:
     inverse).  A symmetric ``__call__`` is exactly those three halves
     in a row, so it is ``inverse_spectrum(step_spectrum(
     forward_spectrum(x)))`` by construction.  The public entry points
-    are defined on each executor class and never call one another.
+    are defined on each executor class and never call one another;
+    :meth:`rollout_spectrum`, shared by both, steps through
+    ``step_spectrum`` and ``reanalyze_spectrum`` only where a subclass
+    or an instance replaces them.
     """
 
     def __init__(self, weight: np.ndarray, modes: tuple, k_tb: int,
@@ -515,6 +533,7 @@ class _SpectralExecutor:
         self._plans = plans
         self._staged: dict[tuple, _StagedFused1D] = {}
         self._panels: dict = {}
+        self._cast: dict = {}
         self._real: dict = {}
 
     def _plan_caches(self) -> PlanCaches:
@@ -550,6 +569,88 @@ class _SpectralExecutor:
             a = np.ascontiguousarray(flat[:, k0:k1], dtype=dtype)
             panel_contract(a, wp, acc, kernels=kernels)
         return acc.reshape((batch, c_out) + self._modes)
+
+    def _project(self, yk: np.ndarray, dim_x: int) -> np.ndarray:
+        """The reanalysis of a checked output spectrum: the identity for
+        the C2C convention, else the symmetric projection."""
+        if not self.symmetric:
+            return yk
+        if self.ndim == 1:
+            return _project_dc_real(yk)
+        return _project_herm_x(yk, dim_x)
+
+    def _replays_steps(self) -> bool:
+        """Whether ``step_spectrum`` and ``reanalyze_spectrum`` are the
+        stock methods, which the step driver and the private loop
+        replay.  A subclass or an instance attribute that replaces
+        either is stepped through the replacement instead."""
+        stock = (CompiledSpectralConv1D if self.ndim == 1
+                 else CompiledSpectralConv2D)
+        return not any(
+            name in vars(self)
+            or getattr(type(self), name) is not getattr(stock, name)
+            for name in ("step_spectrum", "reanalyze_spectrum")
+        )
+
+    def rollout_spectrum(self, sk: np.ndarray, steps: int, spatial,
+                         keep: str = "last") -> np.ndarray:
+        """``steps`` spectrum-resident rollout steps from the state
+        ``sk``: each step is :meth:`step_spectrum`, and every step but
+        the last feeds the :meth:`reanalyze_spectrum` of its output to
+        the next.  Returns the kept output spectra, before reanalysis:
+        the last ``(batch, C, *modes)`` one for ``keep="last"``, all of
+        them stacked ``(steps, batch, C, *modes)`` for ``keep="all"``.
+
+        With the C kernels loaded the whole loop is one checked
+        ``spectral_steps`` call; otherwise it runs as a Python loop over
+        the same staged halves, which is the driver's oracle.  Both
+        give the loop's bytes.  An executor whose ``step_spectrum`` or
+        ``reanalyze_spectrum`` is replaced (by a subclass or an instance
+        attribute) loops through the replacements instead.  The weight
+        must be square.
+        """
+        sk = np.asarray(sk)
+        c_in, c_out = self.weight.shape
+        _check_spectrum(sk, self._modes, c_in)
+        steps = _positive_int("steps", steps)
+        if keep not in ("last", "all"):
+            raise ValueError(f"keep must be 'last' or 'all', got {keep!r}")
+        spatial = _check_spatial(spatial, self.ndim)
+        if c_in != c_out:
+            raise ValueError(
+                f"a rollout feeds the output spectrum back in, which needs "
+                f"a square (C, C) weight; got ({c_in}, {c_out})"
+            )
+        dim_x = spatial[0]
+        if self._modes[0] > dim_x:
+            raise ValueError(
+                f"modes {self._modes} out of range for the grid {spatial}"
+            )
+        dtype = complex_dtype_for(sk.dtype)
+        if not self._replays_steps():
+            return _rollout_loop(
+                sk, steps, keep, self.step_spectrum,
+                lambda yk: self.reanalyze_spectrum(yk, spatial),
+            )
+        kernels = self._plan_caches().kernels()
+        if kernels is None or not c_in:
+            return _rollout_loop(
+                sk, steps, keep, lambda s: self._step(s, dtype),
+                lambda yk: self._project(yk, dim_x),
+            )
+        weight = self._cast.get(dtype)
+        if weight is None:
+            weight = self._cast[dtype] = self.weight.astype(dtype, order="C")
+        out = np.empty(((steps,) if keep == "all" else ()) + sk.shape, dtype)
+        mx, my = (self._modes + (1,))[:2]
+        projection = ("none" if not self.symmetric
+                      else "dc_real" if self.ndim == 1 else "herm_x")
+        kernels.spectral_steps(
+            np.ascontiguousarray(sk, dtype=dtype), weight,
+            np.empty(sk.shape, dtype), out, sk.shape[0], c_in, mx, my,
+            self.k_tb, steps, dim_x, projection, keep,
+        )
+        return out
 
     def _symmetric_spectrum(self, x: np.ndarray, xk_trunc, dtype):
         """The forward half of a symmetric ``__call__``: the R2C
@@ -723,11 +824,9 @@ class CompiledSpectralConv1D(_SpectralExecutor):
         symmetric convention projects the DC bin real."""
         if spatial is not None:
             _check_spatial(spatial, 1)
-        if not self.symmetric:
-            return sk
         sk = np.asarray(sk)
         _check_spectrum(sk, self._modes)
-        return _project_dc_real(sk)
+        return self._project(sk, 0)
 
     def __call__(self, x: np.ndarray,
                  xk_trunc: np.ndarray | None = None) -> np.ndarray:
@@ -909,20 +1008,20 @@ class CompiledSpectralConv2D(_SpectralExecutor):
         projection of the y-DC column depends on the padded X length."""
         if spatial is not None:
             spatial = _check_spatial(spatial, 2)
+        sk = np.asarray(sk)
+        _check_spectrum(sk, self._modes)
         if not self.symmetric:
             return sk
         if spatial is None:
             raise ValueError(
                 "symmetric reanalysis needs the spatial shape (dim_x, dim_y)"
             )
-        sk = np.asarray(sk)
-        _check_spectrum(sk, self._modes)
         dim_x = spatial[0]
         if self.modes_x > dim_x:
             raise ValueError(
                 f"modes_x={self.modes_x} exceeds spatial size {dim_x}"
             )
-        return _project_herm_x(sk, dim_x)
+        return self._project(sk, dim_x)
 
     def __call__(self, x: np.ndarray,
                  xk_trunc: np.ndarray | None = None) -> np.ndarray:

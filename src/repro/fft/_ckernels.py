@@ -26,7 +26,11 @@ rejects the library on any mismatch:
   across a full block plus a tail and (C2R) the one-row ``m = 2`` call;
 * the fused C2C tile driver ``fused_tile_c2c_1d`` against the same tile
   composed from the per-stage kernels above, for ``p = 1`` and
-  ``p > 1``, a ragged tail panel and a partial last tile.
+  ``p > 1``, a ragged tail panel and a partial last tile;
+* the rollout step driver ``spectral_steps`` against the executors'
+  Python step loop (``panel_contract`` per copied k-panel, then the
+  NumPy reanalysis): a 2-D Hermitian case with a k-panel tail and
+  overlapping mirror bins, and the 1-D DC case with signed zeros.
 
 Every probe runs in both precisions.
 
@@ -150,6 +154,11 @@ def _compile(cc: str, extra: list[str], tag: str) -> str | None:
         return None
 
 
+#: The reanalysis kinds of ``spectral_steps`` and their C codes: the
+#: C2C identity, the symmetric 1-D DC bin made real, and the symmetric
+#: 2-D Hermitian y-DC column.
+SPECTRAL_PROJECTIONS = {"none": 0, "dc_real": 1, "herm_x": 2}
+
 #: Kernel-name suffix per supported element type.
 _SUFFIX = {np.dtype(np.complex64): "f32", np.dtype(np.complex128): "f64"}
 
@@ -181,7 +190,8 @@ class _Kernels:
                     ("decomp_mirror", 4, 4), ("expand_head_tail", 6, 4),
                     ("fused_tile_c2c_1d", 12, 6),
                     ("pruned_rfft_rows", 8, 4),
-                    ("pruned_irfft_rows", 10, 4)):
+                    ("pruned_irfft_rows", 10, 4),
+                    ("spectral_steps", 4, 9)):
                 fn = getattr(lib, f"{name}_{suffix}")
                 fn.argtypes = [ptr] * nptr + [ctypes.c_long] * nlong
                 fn.restype = None
@@ -303,6 +313,45 @@ class _Kernels:
             (spec, k_tb * modes if p > 1 else 0), (acc, c_out * modes),
             (out, bt * c_out * dim_x))
         fn(*ptrs, bt, c_in, c_out, dim_x, modes, k_tb)
+
+    def spectral_steps(self, sk: np.ndarray, w: np.ndarray, work: np.ndarray,
+                       out: np.ndarray, bt: int, c: int, mx: int, my: int,
+                       k_tb: int, steps: int, dim_x: int, projection: str,
+                       keep: str) -> None:
+        """``steps`` spectrum-resident rollout steps of the square
+        ``(c, c)`` weight ``w`` from the state ``sk[bt, c, mx*my]`` (see
+        ``_kernels.c``): each step a ``k_tb``-panel contraction, every
+        step but the last followed by the ``projection`` (one of
+        :data:`SPECTRAL_PROJECTIONS`) over a column padded to ``dim_x``
+        bins.  ``out`` receives every step's output (``keep="all"``,
+        ``steps * bt*c*mx*my`` elements) or the last one (``"last"``);
+        ``work`` holds one state.  No two of ``sk``, ``work`` and
+        ``out`` may overlap."""
+        kind = SPECTRAL_PROJECTIONS.get(projection)
+        if kind is None:
+            raise ValueError(
+                f"spectral_steps: unknown projection {projection!r}; "
+                f"expected one of {tuple(SPECTRAL_PROJECTIONS)}"
+            )
+        if keep not in ("last", "all"):
+            raise ValueError(f"spectral_steps: unknown keep {keep!r}")
+        if steps < 1 or k_tb < 1:
+            raise ValueError(
+                f"spectral_steps: steps={steps} and k_tb={k_tb} must be >= 1"
+            )
+        if bt < 0 or c < 1 or mx < 1 or my < 1 or not mx <= dim_x:
+            raise ValueError(
+                f"spectral_steps: bad extents bt={bt}, c={c}, mx={mx}, "
+                f"my={my}, dim_x={dim_x}"
+            )
+        n = bt * c * mx * my
+        fn, ptrs = self._bind(
+            "spectral_steps", (sk, n), (w, c * c), (work, n),
+            (out, (steps if keep == "all" else 1) * n))
+        for a, b in ((sk, work), (sk, out), (work, out)):
+            if np.may_share_memory(a, b):
+                raise ValueError("spectral_steps: operands overlap")
+        fn(*ptrs, bt, c, mx, my, k_tb, steps, dim_x, kind, keep == "all")
 
     @staticmethod
     def _split(name: str, rows: int, n: int, q: int, m: int) -> int:
@@ -466,6 +515,37 @@ def _irfft_rows_by_stages(k: _Kernels, x: np.ndarray, ch: np.ndarray,
     out = np.empty((rows, s * q), x.dtype)
     k.transpose(f, out, rows, s, q)
     return out
+
+
+def _spectral_steps_by_kernels(k: _Kernels, sk: np.ndarray, w: np.ndarray,
+                               k_tb: int, steps: int, dim_x: int,
+                               projection: str, keep: str) -> np.ndarray:
+    """``spectral_steps`` as the executors' Python rollout loop runs it:
+    per step, one ``panel_contract`` per copied ``k_tb`` panel of the
+    state's channels into a zeroed output, then (but after the last
+    step) the NumPy reanalysis.  ``sk`` is ``(bt, c, *modes)``: the
+    driver's oracle."""
+    from repro.core.compiled import _project_dc_real, _project_herm_x
+
+    project = {
+        "none": lambda y: y,
+        "dc_real": _project_dc_real,
+        "herm_x": lambda y: _project_herm_x(y, dim_x),
+    }[projection]
+    bt, c = sk.shape[:2]
+    kept = []
+    for step in range(steps):
+        flat = sk.reshape(bt, c, -1)
+        acc = np.zeros_like(flat)
+        for k0 in range(0, c, k_tb):
+            k1 = min(k0 + k_tb, c)
+            k.panel_contract(np.ascontiguousarray(flat[:, k0:k1]),
+                             np.ascontiguousarray(w[k0:k1]), acc, bt,
+                             k1 - k0, flat.shape[2], c)
+        kept.append(acc.reshape(sk.shape))
+        if step + 1 < steps:
+            sk = project(kept[-1])
+    return np.stack(kept) if keep == "all" else kept[-1]
 
 
 def _unfused_tail_probe(dtype) -> tuple[np.ndarray, ...]:
@@ -638,6 +718,25 @@ def _self_check(k: _Kernels) -> bool:
                                             modes, k_tb)
                 if not _same_bits(ref, got[b0:b1]):
                     return False
+        # The rollout step driver against the Python step loop: a 2-D
+        # Hermitian column with a k-panel tail (c = 5 at k_tb = 2) and
+        # mirror bins inside the kept corner (mx = 3 of dim_x = 4), all
+        # steps kept; and the 1-D DC projection on signed zeros.
+        signed = np.array([complex(re, im) for re in _SIGNED
+                          for im in _SIGNED], dtype)
+        for sk, w, k_tb, dim_x, projection, keep in (
+                (cplx(2, 5, 3, 4), cplx(5, 5), 2, 4, "herm_x", "all"),
+                (signed[:12].reshape(1, 3, 4), signed[4:13].reshape(3, 3), 2,
+                 8, "dc_real", "last")):
+            bt, c, mx = sk.shape[:3]
+            my = sk.shape[3] if sk.ndim == 4 else 1
+            got = np.empty((3 if keep == "all" else 1,) + sk.shape, dtype)
+            k.spectral_steps(sk, w, np.empty_like(sk), got, bt, c, mx, my,
+                             k_tb, 3, dim_x, projection, keep)
+            ref = _spectral_steps_by_kernels(k, sk, w, k_tb, 3, dim_x,
+                                             projection, keep)
+            if not _same_bits(ref, got.reshape(ref.shape)):
+                return False
     return True
 
 

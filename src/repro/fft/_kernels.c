@@ -58,6 +58,12 @@
  * not FMA_TARGET, so it can never contract the einsum replicas it
  * calls (see there).
  *
+ * A spectrum-resident ("fast") rollout runs all of its steps in one call
+ * to spectral_steps at the end of this file: per step, panel_contract in
+ * canonical k_tb panel order straight on the state's channel rows, then
+ * the executor's reanalysis (identity, DC made real, or the Hermitian
+ * y-DC column replayed from its NumPy expression).
+ *
  * The file is compiled with -ffp-contract=off and WITHOUT -mfma: GCC's
  * vectorizer introduces FMAs into plain expressions whenever the FMA ISA
  * is enabled globally (even under -ffp-contract=off), which would break
@@ -1114,3 +1120,112 @@ void NAME(const T* x, const T* ch, const T* ct, const T* wdh,            \
 
 PRUNED_IRFFT_ROWS(pruned_irfft_rows_f32, float, f32)
 PRUNED_IRFFT_ROWS(pruned_irfft_rows_f64, double, f64)
+
+/* ------------------------------------------------------------------ */
+/* Spectrum-resident rollout driver (K steps in one call)              */
+/* ------------------------------------------------------------------ */
+
+/* The symmetric 2-D reanalysis of one y-DC column, v[k] at stride my for
+ * k < mx, in place:
+ *     full = zeros(n); full[:mx] = v
+ *     v = (0.5 * (full + conj(roll(full[::-1], 1))))[:mx]
+ * i.e. v[k] -> 0.5 * (v[k] + conj(v[(n - k) % n])), a mirror index >= mx
+ * reading +0+0i (whose conj is +0-0i).  Each mirror pair (k, n - k) is
+ * formed from the old values before either is stored.  `0.5 * z` is the
+ * ufunc complex multiply by 0.5 + 0i (see the top of this file), or its
+ * scalar loop on a one-element array (`unfused`). */
+#define HALF_OF_SUM(T, FMAF, UNFUSED, ar, ai, br, bi, dst, unfused)      \
+    {                                                                    \
+        T sr = (ar) + (br), si = (ai) + -(bi);                           \
+        if (unfused) {                                                   \
+            UNFUSED((T)0.5, (T)0, sr, si, &(dst)[0], &(dst)[1]);         \
+        } else {                                                         \
+            (dst)[0] = FMAF((T)0.5, sr, -((T)0*si));                     \
+            (dst)[1] = FMAF((T)0.5, si, (T)0*sr);                        \
+        }                                                                \
+    }
+
+#define HERM_COLUMN(NAME, T, FMAF, UNFUSED)                              \
+static FMA_TARGET void NAME(T* v, long mx, long my, long n,              \
+                            int unfused) {                               \
+    for (long k = 0; k < mx; k++) {                                      \
+        long j = k ? n - k : 0;                                          \
+        if (j < k) continue;  /* stored with its pair */                 \
+        T* a = v + 2*k*my;                                               \
+        T ar = a[0], ai = a[1], br = 0, bi = 0;                          \
+        if (j < mx) { br = v[2*j*my]; bi = v[2*j*my+1]; }                \
+        HALF_OF_SUM(T, FMAF, UNFUSED, ar, ai, br, bi, a, unfused)        \
+        if (j != k && j < mx)                                            \
+            HALF_OF_SUM(T, FMAF, UNFUSED, br, bi, ar, ai, v + 2*j*my,    \
+                        unfused)                                         \
+    }                                                                    \
+}
+
+HERM_COLUMN(herm_column_f32, float, fmaf, cmul_unfused_f32)
+HERM_COLUMN(herm_column_f64, double, fma, cmul_unfused_f64)
+
+/* Projection kinds of spectral_steps (repro.fft._ckernels names them). */
+#define PROJ_NONE 0
+#define PROJ_DC_REAL 1
+#define PROJ_HERM_X 2
+
+/* `steps` applications of a square spectral convolution to a state held
+ * in the truncated spectrum, sk[bt, c, m] with m = mx * my kept bins per
+ * channel (a 2-D corner row-major, my = 1 in 1-D).  This is the rollout
+ * loop of repro.core.compiled's executors in one call:
+ *   for each step:
+ *     y = 0;  y[b] += the k_tb panels of state[b] times w  (panel_contract)
+ *     unless last: state = the reanalysis of y (proj)
+ * with the canonical panel order of their step_spectrum, each panel read
+ * in place from the state's k0:k1 channel rows (no copy), and the
+ * reanalysis kinds of their reanalyze_spectrum:
+ *   - PROJ_NONE    : the identity (the C2C convention);
+ *   - PROJ_DC_REAL : bin 0's imaginary part set to +0, as
+ *                    `sk[..., 0] = sk[..., 0].real` does (symmetric 1-D);
+ *   - PROJ_HERM_X  : herm_column on each y-DC column (symmetric 2-D),
+ *                    unfused when the padded column array has one element
+ *                    (bt * c * dim_x == 1).
+ * Every step's output goes to out[step] when keep_all, else only the last
+ * step's to out.  The state ping-pongs between out and `work` (bt*c*m
+ * elements) so that the last step lands in out; with keep_all each kept
+ * output is copied into work before a projection changes it.  sk, work
+ * and out must not overlap.
+ *
+ * Bits: each step's panel sums are step_spectrum's (the same kernel on
+ * the same operands in the same order) and the projections replay the
+ * NumPy expressions exactly.  Like the tile drivers this is not
+ * FMA_TARGET (see fused_tile_c2c_1d); only herm_column is. */
+#define SPECTRAL_STEPS(NAME, T, SFX)                                     \
+void NAME(const T* sk, const T* w, T* work, T* out, long bt, long c,     \
+          long mx, long my, long k_tb, long steps, long dim_x,           \
+          long proj, long keep_all) {                                    \
+    long m = mx*my, n = bt*c*m;                                          \
+    int unfused = bt*c*dim_x == 1;                                       \
+    const T* cur = sk;                                                   \
+    for (long st = 0; st < steps; st++) {                                \
+        T* y = keep_all ? out + 2*st*n                                   \
+                        : ((steps - 1 - st) % 2 ? work : out);           \
+        for (long i = 0; i < 2*n; i++) y[i] = 0;                         \
+        for (long b = 0; b < bt; b++)                                    \
+            for (long k0 = 0; k0 < c; k0 += k_tb) {                      \
+                long kt = c - k0 < k_tb ? c - k0 : k_tb;                 \
+                panel_contract_##SFX(cur + 2*(b*c + k0)*m,               \
+                                     w + 2*k0*c, y + 2*b*c*m,            \
+                                     1, kt, m, c);                       \
+            }                                                            \
+        if (st == steps - 1) break;                                      \
+        if (keep_all && proj != PROJ_NONE) {                             \
+            for (long i = 0; i < 2*n; i++) work[i] = y[i];               \
+            y = work;                                                    \
+        }                                                                \
+        if (proj == PROJ_DC_REAL)                                        \
+            for (long r = 0; r < bt*c; r++) y[2*r*m + 1] = 0;            \
+        else if (proj == PROJ_HERM_X)                                    \
+            for (long r = 0; r < bt*c; r++)                              \
+                herm_column_##SFX(y + 2*r*m, mx, my, dim_x, unfused);    \
+        cur = y;                                                         \
+    }                                                                    \
+}
+
+SPECTRAL_STEPS(spectral_steps_f32, float, f32)
+SPECTRAL_STEPS(spectral_steps_f64, double, f64)

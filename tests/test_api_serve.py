@@ -413,6 +413,23 @@ class TestServePoolConfig:
             with pytest.raises(ValueError):
                 pool.submit((_weight(), 32), _signal((4, 128)))
 
+    @pytest.mark.parametrize("steps", [2.5, "3", None])
+    def test_rollout_steps_must_be_integers(self, steps):
+        """``int(steps)`` used to run 2.5 as 2 steps and accept "3"."""
+        model, x = (_weight(), 32), _signal((1, 4, 128))
+        with ServePool(workers=1, backend="numpy") as pool:
+            for call in (pool.submit_rollout, pool.rollout):
+                with pytest.raises(TypeError,
+                                   match="steps must be an integer"):
+                    call(model, x, steps)
+            with pytest.raises(TypeError, match="steps must be an integer"):
+                pool.rollout_many([(model, x)], steps)
+            with pytest.raises(ValueError, match="steps"):
+                pool.rollout(model, x, 0)
+            assert pool.stats()["admission"]["completed"] == 0
+            assert pool.rollout(model, x, np.int64(2), timeout=120).shape == (
+                1, 4, 128)
+
     def test_closed_pool_rejects_work(self):
         pool = ServePool(workers=1, backend="numpy")
         pool.close()

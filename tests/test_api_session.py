@@ -391,6 +391,25 @@ class TestInference:
             s.infer_many([], max_batch=0)
         s.close()
 
+    @pytest.mark.parametrize("value", [2.5, "3", None])
+    def test_non_integer_counts_are_rejected(self, rng, value):
+        """``steps`` and ``max_batch`` must be integers: 2.5 used to
+        flush groups at 3 or leak a raw ``range()`` error."""
+        model = api.SpectralModel(_weight(rng), 16)
+        x = rng.standard_normal((2, 8, 64)).astype(np.float32)
+        with api.Session() as s:
+            with pytest.raises(TypeError, match="max_batch must be an int"):
+                s.infer_many([(model, x)] * 3, max_batch=value)
+            with pytest.raises(TypeError, match="max_batch must be an int"):
+                s.rollout(model, x, steps=2, max_batch=value)
+            with pytest.raises(TypeError, match="steps must be an integer"):
+                s.rollout(model, x, steps=value)
+            with pytest.raises(TypeError, match="steps must be an integer"):
+                s.rollout_many([(model, x)], steps=value, profile="fast")
+            assert s.stats()["requests"] == 0
+            out = s.rollout(model, x, steps=np.int64(2), max_batch=np.int8(3))
+        assert out.shape == x.shape
+
     def test_infer_nn_module_under_session(self, rng):
         """A repro.nn model serves through the session (activation
         scope) and micro-batches bit-identically."""

@@ -555,6 +555,7 @@ def test_one_row_one_tail_bin_keeps_the_unfused_product(kernels, dtype):
                                           ("fused_tile_c2c_1d", 11),
                                           ("pruned_rfft_rows", 7),
                                           ("pruned_irfft_rows", 9),
+                                          ("spectral_steps", 3),
                                           ("panel_contract", 2),
                                           ("stockham", 1)])
 def test_self_check_probes_the_staging_kernels(kernels, name, out_arg,

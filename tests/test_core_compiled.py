@@ -464,6 +464,23 @@ def test_inverse_and_reanalysis_check_the_spectrum(modes, symmetric, method,
         fn(sk, spatial)
 
 
+@pytest.mark.parametrize("modes,shape", [
+    ((4,), (1, 3, 5)), ((4,), (2,)), ((4, 4), (1, 3, 5, 5)),
+    ((4, 4), (1, 3, 4)),
+])
+def test_c2c_reanalysis_checks_the_spectrum(modes, shape):
+    """The C2C reanalysis is the identity on a checked spectrum only:
+    it used to hand back a list, or a state of the wrong corner,
+    unchanged."""
+    conv = compile_spectral_conv(np.ones((3, 3), np.complex64), modes)
+    with pytest.raises(ValueError, match="expected spectrum"):
+        conv.reanalyze_spectrum(np.zeros(shape, np.complex64))
+    with pytest.raises(ValueError, match="expected spectrum"):
+        conv.reanalyze_spectrum([1, 2])
+    sk = np.ones((2, 3) + modes, np.complex64)
+    assert conv.reanalyze_spectrum(sk) is sk
+
+
 #: (ndim, spatial, error): grids with a non-integer length, the wrong
 #: arity, or a non-positive length.
 _BAD_SPATIAL = [
