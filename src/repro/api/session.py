@@ -152,6 +152,11 @@ class SpectralModel:
         )
 
 
+def _optional_positive_int(name: str, value) -> int | None:
+    """``value`` checked as a positive integer, or None (the default)."""
+    return None if value is None else _positive_int(name, value)
+
+
 def _as_spectral_model(model) -> SpectralModel | None:
     """Coerce a request's model to a poolable spec (None: not poolable)."""
     if isinstance(model, SpectralModel):
@@ -562,14 +567,22 @@ class Session:
                 stats.latency.record(seconds)
                 self._latency.record(seconds)
 
-    def _execute(self, model, x: np.ndarray) -> np.ndarray:
-        """Run one (possibly concatenated) batch through ``model``."""
+    def _resolve_executor(self, model):
+        """The compiled executor that serves ``model``, or None for an
+        arbitrary callable."""
         spec = _as_spectral_model(model)
         if spec is not None:
-            executor = self._pooled_executor(spec)
-        elif isinstance(model, _COMPILED_EXECUTORS):
-            executor = model
-        else:
+            return self._pooled_executor(spec)
+        if isinstance(model, _COMPILED_EXECUTORS):
+            return model
+        return None
+
+    def _execute(self, model, x: np.ndarray) -> np.ndarray:
+        """Run one batch through ``model``: a single request, or the
+        concatenated requests of a group that is not served in place
+        (see :meth:`_serve_streams`)."""
+        executor = self._resolve_executor(model)
+        if executor is None:
             # An arbitrary model (e.g. a repro.nn Module): run it under
             # this session's cache scope so its spectral layers resolve
             # plans from the session's caches and backend.  Serialised
@@ -611,22 +624,32 @@ class Session:
     ) -> list[np.ndarray]:
         """Serve a stream of ``(model, x)`` requests, micro-batched.
 
-        Requests sharing (model, spatial geometry, dtype) are
-        concatenated along the batch axis — up to ``max_batch`` requests
-        per micro-batch — and each micro-batch runs its pooled executor
-        *once*, amortising staging, plan lookups and Python dispatch
-        that the per-request path pays per call.  Grouping preserves
-        arrival order within a group and results are returned in request
-        order, **bit-identical** to serial per-request execution: every
-        operator in the stack is row-independent along the batch axis,
-        so concatenation changes where rows live, not one floating-point
-        operation.
+        Requests sharing (model, spatial geometry, dtype) form
+        micro-batches of up to ``max_batch`` requests, and each
+        micro-batch runs its pooled executor *once*, amortising staging,
+        plan lookups and Python dispatch that the per-request path pays
+        per call.  A micro-batch of a 1-D C2C executor on the C backend
+        is served in place: one driver call reads every request where it
+        lies and writes each result straight into its own rows of one
+        new buffer per micro-batch.  Any other micro-batch (2-D or
+        symmetric executors, callables, the NumPy fallback) is
+        concatenated along the batch axis and each result copied out.
+        Grouping preserves arrival order within a group and
+        results are returned in request order, **bit-identical** to
+        serial per-request execution either way: every operator in the
+        stack is row-independent along the batch axis, so batching
+        changes where rows live, not one floating-point operation.  No
+        result shares memory with a request or with another result,
+        though an in-place result held alone keeps its micro-batch's
+        buffer alive.
 
         ``workers > 1`` drains the micro-batch queue (bounded at
         ``queue_depth``, default ``2 * workers``) with a thread pool;
         batches sharing an executor serialise on its lock, so threads
         help when the stream mixes geometries/models.  Results are
-        identical regardless of ``workers``.
+        identical regardless of ``workers``.  ``workers`` and
+        ``queue_depth`` must be positive integers, or None for the
+        default (serial; ``2 * workers``).
 
         Each request is served as a one-step ``"exact"`` stream through
         the same grouped engine as :meth:`rollout`; a one-step stream
@@ -635,10 +658,8 @@ class Session:
         """
         self._check_open()
         max_batch = _positive_int("max_batch", max_batch)
-        if queue_depth is not None and queue_depth < 1:
-            raise ValueError(
-                f"queue_depth must be >= 1, got {queue_depth}"
-            )
+        workers = _optional_positive_int("workers", workers)
+        queue_depth = _optional_positive_int("queue_depth", queue_depth)
         return self._serve_streams(
             requests, 1, "exact", "last", max_batch, workers, queue_depth,
         )
@@ -649,14 +670,20 @@ class Session:
         requests."""
         jobs: list[list[int]] = []
         open_groups: dict[tuple, list[int]] = {}
+        # Each distinct model object is keyed once per call (``items``
+        # holds it, so its id is not reused meanwhile).
+        mkeys: dict[int, tuple] = {}
         for i, (model, x) in enumerate(items):
-            spec = _as_spectral_model(model)
-            if spec is not None:
-                mkey = self._model_key(spec)
-            elif isinstance(model, _COMPILED_EXECUTORS):
-                mkey = ("executor", id(model))
-            else:
-                mkey = ("opaque", id(model))
+            mkey = mkeys.get(id(model))
+            if mkey is None:
+                spec = _as_spectral_model(model)
+                if spec is not None:
+                    mkey = self._model_key(spec)
+                elif isinstance(model, _COMPILED_EXECUTORS):
+                    mkey = ("executor", id(model))
+                else:
+                    mkey = ("opaque", id(model))
+                mkeys[id(model)] = mkey
             key = (mkey, x.shape[1:], x.dtype)
             group = open_groups.setdefault(key, [])
             group.append(i)
@@ -777,6 +804,7 @@ class Session:
                 f"keep must be 'last' or 'all', got {keep!r}"
             )
         max_batch = _positive_int("max_batch", max_batch)
+        workers = _optional_positive_int("workers", workers)
         if check_rtol is not None and profile != "fast":
             raise ValueError(
                 "check_rtol asserts the fast profile against the exact "
@@ -819,10 +847,15 @@ class Session:
         """The one serving engine behind :meth:`infer_many` (one-step
         exact streams) and :meth:`rollout`: group the ``(model, x)``
         streams by (model, geometry, dtype) and step each group as one
-        state.  The exact profile runs one executor call per step and
-        copies every stream's rows back out; the fast profile
-        synthesises each stream's result from its own rows of the
-        group's kept spectra."""
+        state.
+
+        A one-step exact group of a 1-D C2C executor on the C backend is
+        served in place (:meth:`_serve_rows`): no concatenated state and
+        no copy-out.  Every other exact group is concatenated along the
+        batch axis, runs one executor call per step and has every
+        stream's rows copied back out; that path is also the in-place
+        one's oracle.  The fast profile synthesises each stream's result
+        from its own rows of the group's kept spectra."""
         items = [
             (model, self._apply_dtype_policy(np.asarray(x)))
             for model, x in streams
@@ -833,6 +866,12 @@ class Session:
         def run_job(idxs: list[int]) -> None:
             model = items[idxs[0]][0]
             xs = [items[i][1] for i in idxs]
+            if steps == 1 and profile == "exact":
+                outs = self._serve_rows(model, xs)
+                if outs is not None:
+                    for i, out in zip(idxs, outs):
+                        results[i] = out[None] if keep == "all" else out
+                    return
             state0 = xs[0] if len(xs) == 1 else np.concatenate(xs, axis=0)
             if profile == "fast":
                 outs = self._rollout_fast(model, state0, steps, keep,
@@ -873,6 +912,28 @@ class Session:
                 run_job(job)
         return results
 
+    def _serve_rows(self, model, xs: list) -> list | None:
+        """One model application over a group's requests ``xs`` served
+        in place, or None where the group takes the concatenating path.
+
+        Only a non-symmetric :class:`CompiledSpectralConv1D` (pooled, or
+        passed as the model) on the C backend qualifies: its fused
+        driver reads every request where it lies and writes each result
+        into its own rows of one new buffer, in one call through row
+        tables, so the results are the call's only large allocation.  The
+        bytes are those of ``executor(np.concatenate(xs))`` split per
+        request."""
+        executor = self._resolve_executor(model)
+        if (type(executor) is not CompiledSpectralConv1D
+                or executor.symmetric
+                or executor._plan_caches().kernels() is None):
+            return None
+        t0 = time.perf_counter()
+        with self._serve_lock_for(executor):
+            outs = executor._call_rows(xs)
+        self._record(xs[0].shape[1:], len(xs), time.perf_counter() - t0)
+        return outs
+
     def _rollout_exact(self, model, state: np.ndarray, steps: int,
                        keep: str, requests: int) -> list[np.ndarray]:
         """The default stepping loop: the model applied once per step
@@ -905,13 +966,7 @@ class Session:
         ``ValueError`` for models whose inter-step path is not linear in
         the spectrum.
         """
-        spec = _as_spectral_model(model)
-        if spec is not None:
-            executor = self._pooled_executor(spec)
-        elif isinstance(model, _COMPILED_EXECUTORS):
-            executor = model
-        else:
-            executor = None
+        executor = self._resolve_executor(model)
         if executor is not None:
             c_in, c_out = executor.weight.shape
             if c_in != c_out:

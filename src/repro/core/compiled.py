@@ -97,13 +97,16 @@ def _check_inputs(x: np.ndarray, weight: np.ndarray, ndim: int) -> None:
 
 
 def _positive_int(name: str, value) -> int:
-    """Check a tile extent (``k_tb``, ``signal_tile``) and return it as
-    a Python int."""
+    """Check a count (``k_tb``, ``signal_tile``, ``steps``, ``workers``,
+    ...) and return it as a Python int."""
     # A non-integer would otherwise surface as a raw TypeError from
     # range() at the first call, or pass unchecked on the C backend;
     # value <= 0 as a ZeroDivisionError, a NumPy shape error or, with no
-    # k-panels at all, an all-zero output.
+    # k-panels at all, an all-zero output.  A bool is a flag, not a
+    # count, although operator.index accepts it.
     try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise TypeError(
@@ -120,9 +123,10 @@ class _StagedFused1D:
     Replays the exact legacy dataflow (tile loop -> k-loop -> epilogue)
     with all per-call setup hoisted: pre-cast weight panels, cached FFT
     plans for the kept-mode length, pre-cast decomposition twiddles, and
-    reusable workspaces.  With the C kernels loaded, :meth:`run_fused`
-    makes one tile-driver call for the whole batch (workspaces for one
-    streamed row); otherwise it runs the Python stage loop over
+    reusable workspaces.  With the C kernels loaded, :meth:`run_rows`
+    makes one tile-driver call for a whole list of requests, read and
+    written in place through row tables (workspaces for one streamed
+    row); otherwise it runs the Python stage loop over
     ``signal_tile``-row tiles (workspaces for one tile), the NumPy
     fallback and the driver's oracle.
     """
@@ -244,10 +248,10 @@ class _StagedFused1D:
 
     # -- whole passes ---------------------------------------------------
 
-    def _run_driver(self, x: np.ndarray, kernels) -> np.ndarray:
-        """:meth:`run_fused` on the C tile driver: one checked kernel
-        call runs the whole batch, streaming each row through every
-        stage, so the workspaces hold one row (see ``_kernels.c``)."""
+    def _run_driver(self, xs: list, kernels) -> list:
+        """:meth:`run_rows` on the C tile driver: one checked kernel call
+        runs every request, streaming each row through every stage, so
+        the workspaces hold one row (see ``_kernels.c``)."""
         if self._driver_ops is None:
             self._ensure_inverse()
             dtype, p, modes = self.dtype, self.p, self.modes
@@ -261,32 +265,48 @@ class _StagedFused1D:
                 np.empty(self.k_tb * modes if p > 1 else 0, dtype),
                 np.empty(self.c_out * modes, dtype),
             )
-        batch = x.shape[0]
-        out = np.empty((batch, self.c_out, self.dim_x), self.dtype)
-        if x.dtype != self.dtype or not x.flags.c_contiguous:
+        dtype = self.dtype
+        # One block holds every result, each request's its own rows.
+        # One allocation per request would be too small to lift glibc's
+        # dynamic mmap and trim thresholds, so freeing a burst's results
+        # would trim the heap and the next burst would fault the pages
+        # back in: about 430 minor faults per warm 48-request burst of
+        # three 16-request groups, against none with one block each.
+        block = np.empty((sum(x.shape[0] for x in xs), self.c_out,
+                          self.dim_x), dtype)
+        convert = [i for i, x in enumerate(xs)
+                   if x.dtype != dtype or not x.flags.c_contiguous
+                   or not x.flags.aligned]
+        if convert:
             # Other layouts and dtypes are converted once into a reusable
-            # staging buffer; a real input widens exactly.
-            if self._x_stage.size < x.size:
-                self._x_stage = np.empty(x.size, self.dtype)
-            staged = self._x_stage[: x.size].reshape(x.shape)
-            np.copyto(staged, x, casting="unsafe")
-            x = staged
-        kernels.fused_tile_c2c_1d(x, self.weight, *self._driver_ops, out,
-                                  batch, self.c_in, self.c_out, self.dim_x,
-                                  self.modes, self.k_tb)
-        return out
+            # staging buffer, one slice per request; a real input widens
+            # exactly.  Every other request is read where it lies.
+            xs = list(xs)
+            need = sum(xs[i].size for i in convert)
+            if self._x_stage.size < need:
+                self._x_stage = np.empty(need, dtype)
+            off = 0
+            for i in convert:
+                x = xs[i]
+                staged = self._x_stage[off: off + x.size].reshape(x.shape)
+                np.copyto(staged, x, casting="unsafe")
+                xs[i] = staged
+                off += x.size
+        kernels.fused_tile_c2c_1d(xs[0] if len(xs) == 1 else xs,
+                                  self.weight, *self._driver_ops, block,
+                                  len(block), self.c_in, self.c_out,
+                                  self.dim_x, self.modes, self.k_tb)
+        if len(xs) == 1:
+            return [block]
+        outs, off = [], 0
+        for x in xs:
+            outs.append(block[off: off + len(x)])
+            off += len(x)
+        return outs
 
-    def run_fused(self, x: np.ndarray) -> np.ndarray:
-        """Stage D: the fully fused FFT -> CGEMM -> iFFT pass.
-
-        With the C kernels loaded the whole batch is one driver call;
-        otherwise the Python stage loop below runs it, which is also the
-        oracle the driver is tested against.  A weight with no input or
-        no output channels always takes the loop: the driver requires
-        both extents."""
-        kernels = self.plans.kernels()
-        if kernels is not None and self.c_in and self.c_out:
-            return self._run_driver(x, kernels)
+    def _run_loop(self, x: np.ndarray, kernels) -> np.ndarray:
+        """The Python stage loop over ``signal_tile``-row tiles: the
+        NumPy fallback and the driver's oracle."""
         self._ensure_tiles()
         batch = x.shape[0]
         out = np.empty((batch, self.c_out, self.dim_x), self.dtype)
@@ -299,6 +319,28 @@ class _StagedFused1D:
                                acc, kernels=kernels)
             self._epilogue(acc, out, b0, b1)
         return out
+
+    def run_rows(self, xs: list) -> list:
+        """Stage D over separate requests: the fully fused FFT -> CGEMM
+        -> iFFT pass of each ``(rows, C_in, X)`` array in ``xs``.  The
+        results are consecutive, disjoint row ranges of one new buffer
+        (the buffer itself for a single request).
+
+        With the C kernels loaded every request runs in one driver call
+        that reads it in place and writes its result directly (only a
+        request in another dtype or layout is converted first, into a
+        reused staging buffer); otherwise each runs through the Python
+        stage loop, which is also the oracle the driver is tested
+        against.  A weight with no input or no output channels always
+        takes the loop: the driver requires both extents."""
+        kernels = self.plans.kernels()
+        if kernels is not None and self.c_in and self.c_out:
+            return self._run_driver(xs, kernels)
+        return [self._run_loop(x, kernels) for x in xs]
+
+    def run_fused(self, x: np.ndarray) -> np.ndarray:
+        """Stage D over one batch: :meth:`run_rows` of ``[x]``."""
+        return self.run_rows([x])[0]
 
     def run_fft_gemm(self, x: np.ndarray) -> np.ndarray:
         """Stage B: FFT fused into the k-loop, full batch per panel."""
@@ -828,13 +870,8 @@ class CompiledSpectralConv1D(_SpectralExecutor):
         _check_spectrum(sk, self._modes)
         return self._project(sk, 0)
 
-    def __call__(self, x: np.ndarray,
-                 xk_trunc: np.ndarray | None = None) -> np.ndarray:
-        """Run the convolution.  ``xk_trunc`` (symmetric mode only) is an
-        optional precomputed truncated half spectrum ``(batch, C_in,
-        modes)`` — callers that already hold it (the training layers
-        cache it for backward) skip the forward R2C pass."""
-        x = np.asarray(x)
+    def _check_call(self, x: np.ndarray) -> int:
+        """Check a ``__call__`` input; return its length X."""
         _check_inputs(x, self.weight, 3)
         dim_x = x.shape[2]
         if not (1 <= self.modes <= dim_x):
@@ -843,6 +880,16 @@ class CompiledSpectralConv1D(_SpectralExecutor):
             )
         if self.symmetric and np.iscomplexobj(x):
             raise ValueError("symmetric executor expects real input")
+        return dim_x
+
+    def __call__(self, x: np.ndarray,
+                 xk_trunc: np.ndarray | None = None) -> np.ndarray:
+        """Run the convolution.  ``xk_trunc`` (symmetric mode only) is an
+        optional precomputed truncated half spectrum ``(batch, C_in,
+        modes)`` — callers that already hold it (the training layers
+        cache it for backward) skip the forward R2C pass."""
+        x = np.asarray(x)
+        dim_x = self._check_call(x)
         if xk_trunc is not None and not self.symmetric:
             raise ValueError("xk_trunc applies to symmetric executors only")
         dtype = complex_dtype_for(x.dtype)
@@ -850,6 +897,25 @@ class CompiledSpectralConv1D(_SpectralExecutor):
             sk = self._symmetric_spectrum(x, xk_trunc, dtype)
             return self._synthesise(self._step(sk, dtype), (dim_x,))
         return self._stage_for(dtype, dim_x).run_fused(x)
+
+    def _call_rows(self, xs: list) -> list:
+        """``[self(x) for x in xs]`` for C2C requests sharing one dtype
+        and ``(C_in, X)``, byte for byte, as one fused pass: on the C
+        backend one driver call reads every request in place and writes
+        each result into its own rows of one new buffer (see
+        :meth:`_StagedFused1D.run_rows`)."""
+        if self.symmetric:
+            raise ValueError("_call_rows serves the C2C convention only")
+        first = xs[0]
+        dim_x = self._check_call(first)
+        for x in xs[1:]:
+            if x.dtype != first.dtype or x.shape[1:] != first.shape[1:]:
+                raise ValueError(
+                    f"_call_rows needs one dtype and geometry; got "
+                    f"{x.dtype}{x.shape} after {first.dtype}{first.shape}"
+                )
+        dtype = complex_dtype_for(first.dtype)
+        return self._stage_for(dtype, dim_x).run_rows(xs)
 
 
 class CompiledSpectralConv2D(_SpectralExecutor):

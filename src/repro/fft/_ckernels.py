@@ -26,7 +26,9 @@ rejects the library on any mismatch:
   across a full block plus a tail and (C2R) the one-row ``m = 2`` call;
 * the fused C2C tile driver ``fused_tile_c2c_1d`` against the same tile
   composed from the per-stage kernels above, for ``p = 1`` and
-  ``p > 1``, a ragged tail panel and a partial last tile;
+  ``p > 1``, a ragged tail panel and a partial last tile, in one call
+  whose row table holds every tile (and an empty entry) as its own
+  array;
 * the rollout step driver ``spectral_steps`` against the executors'
   Python step loop (``panel_contract`` per copied k-panel, then the
   NumPy reanalysis): a 2-D Hermitian case with a k-panel tail and
@@ -162,14 +164,137 @@ SPECTRAL_PROJECTIONS = {"none": 0, "dc_real": 1, "herm_x": 2}
 #: Kernel-name suffix per supported element type.
 _SUFFIX = {np.dtype(np.complex64): "f32", np.dtype(np.complex128): "f64"}
 
+#: The NumPy dtype of a C ``long`` (a row table's row counts).
+_C_LONG = np.dtype(f"i{ctypes.sizeof(ctypes.c_long)}")
+
+
+def _address(arr: np.ndarray) -> int:
+    """The address of a C-contiguous array's first element."""
+    if arr.nbytes and arr.flags.writeable:
+        # A fifth of the cost of ``arr.ctypes.data``, which builds the
+        # array interface dict; it needs a writable, non-empty buffer.
+        return ctypes.addressof(ctypes.c_char.from_buffer(arr))
+    return arr.ctypes.data
+
+
+def _bad_entry(name: str, role: str, i: int, arr, dtype: np.dtype,
+               want: str) -> ValueError:
+    what = (f"{arr.dtype}{arr.shape}" if isinstance(arr, np.ndarray)
+            else f"a {type(arr).__name__}")
+    writable = ", writable" if role == "output" else ""
+    return ValueError(
+        f"{name}: {role} entry {i} {what} is not a C-contiguous, "
+        f"aligned{writable} {dtype} {want}"
+    )
+
+
+def _buffer_entry(name: str, role: str, arr, dtype: np.dtype,
+                  count: int) -> int:
+    """Check a one-array table operand of at least ``count`` elements;
+    return its address (0 when ``count`` is 0: C never touches it)."""
+    if (not isinstance(arr, np.ndarray) or arr.dtype != dtype
+            or not arr.flags.c_contiguous or not arr.flags.aligned
+            or (role == "output" and not arr.flags.writeable)
+            or arr.size < count):
+        raise _bad_entry(name, role, 0, arr, dtype,
+                         f"buffer of {count} elements")
+    return _address(arr) if count else 0
+
+
+def _table_entries(name: str, role: str, arrs, dtype: np.dtype, c: int,
+                   dim_x: int, spans: list) -> tuple[list, list]:
+    """Check a list of ``(rows, c, dim_x)`` table entries; return their
+    base addresses (0 for an empty entry) and row counts, and add each
+    entry's touched byte range to ``spans``."""
+    bases, counts = [], []
+    tail, row = (c, dim_x), c * dim_x * dtype.itemsize
+    is_out = role == "output"
+    for i, arr in enumerate(arrs):
+        if not isinstance(arr, np.ndarray):
+            raise _bad_entry(name, role, i, arr, dtype, "array")
+        shape, flags = arr.shape, arr.flags
+        if (arr.dtype != dtype or len(shape) != 3 or shape[1:] != tail
+                or not flags.c_contiguous or not flags.aligned
+                or (is_out and not flags.writeable)):
+            raise _bad_entry(name, role, i, arr, dtype,
+                             f"array of shape (rows, {c}, {dim_x})")
+        n, base = shape[0], 0
+        if n:
+            # The inline form of _address: this loop runs per request.
+            base = (ctypes.addressof(ctypes.c_char.from_buffer(arr))
+                    if flags.writeable else arr.ctypes.data)
+            spans.append((base, base + n * row, is_out))
+        bases.append(base)
+        counts.append(n)
+    return bases, counts
+
+
+def _row_tables(name: str, x, out, bt: int, dtype: np.dtype, c_in: int,
+                c_out: int, dim_x: int) -> tuple[list[int], list[int]]:
+    """Check and build the row tables of a fused driver call: the
+    entries' source and destination base addresses, and their row
+    counts (see :meth:`_Kernels.fused_tile_c2c_1d`).
+
+    No output may overlap an input or another output: the driver
+    writes each row as it goes, so an overlap would feed it its own
+    results."""
+    spans: list = []
+    item = dtype.itemsize
+    if isinstance(x, np.ndarray):
+        srcs = [_buffer_entry(name, "input", x, dtype, bt * c_in * dim_x)]
+        counts = [bt]
+        if srcs[0]:
+            spans.append((srcs[0], srcs[0] + bt * c_in * dim_x * item,
+                          False))
+    else:
+        srcs, counts = _table_entries(name, "input", x, dtype, c_in, dim_x,
+                                      spans)
+    if sum(counts) != bt:
+        raise ValueError(
+            f"{name}: the entries hold {sum(counts)} rows, not bt={bt}"
+        )
+    if isinstance(out, np.ndarray):
+        # One buffer receives every entry's rows, in entry order.
+        row = c_out * dim_x * item
+        base = _buffer_entry(name, "output", out, dtype, bt * c_out * dim_x)
+        if base:
+            spans.append((base, base + bt * row, True))
+        dsts, off = [], 0
+        for n in counts:
+            dsts.append(base + off * row if n else 0)
+            off += n
+    else:
+        dsts, rows = _table_entries(name, "output", out, dtype, c_out,
+                                    dim_x, spans)
+        if rows != counts:
+            raise ValueError(
+                f"{name}: output entries of {rows} rows for input entries "
+                f"of {counts}"
+            )
+    # Sweep the touched byte ranges in address order: an output must
+    # start past every earlier range, an input past every earlier output.
+    spans.sort()
+    reach_any = reach_out = 0
+    for start, end, is_out in spans:
+        if start < (reach_any if is_out else reach_out):
+            raise ValueError(
+                f"{name}: an output entry overlaps an input or another "
+                f"output"
+            )
+        reach_any = max(reach_any, end)
+        if is_out:
+            reach_out = max(reach_out, end)
+    return srcs + dsts, counts
+
 
 class _Kernels:
     """ctypes bindings for one loaded kernel library.
 
-    Array operands cross as ``void*`` from ``ndarray.ctypes.data``, which
-    costs about half of ``data_as`` — it matters once a small
-    contraction runs in a few microseconds.  The C side trusts its
-    sizes, so every operand is checked first (:meth:`_bind`).
+    Array operands cross as ``void*`` addresses (:func:`_address`), a
+    fraction of the cost of ``data_as`` — it matters once a small
+    contraction runs in a few microseconds, or a row table lists a
+    whole micro-batch.  The C side trusts its sizes, so every operand is
+    checked first (:meth:`_bind`, :func:`_row_tables`).
     """
 
     def __init__(self, lib_path: str, variant: str):
@@ -188,7 +313,7 @@ class _Kernels:
                     ("panel_contract", 3, 4), ("decomp_reduce", 3, 3),
                     ("expand_mul", 3, 3), ("transpose", 2, 3),
                     ("decomp_mirror", 4, 4), ("expand_head_tail", 6, 4),
-                    ("fused_tile_c2c_1d", 12, 6),
+                    ("fused_tile_c2c_1d", 13, 6),
                     ("pruned_rfft_rows", 8, 4),
                     ("pruned_irfft_rows", 10, 4),
                     ("spectral_steps", 4, 9)):
@@ -197,12 +322,14 @@ class _Kernels:
                 fn.restype = None
                 self._fn[name, suffix] = fn
 
-    def _bind(self, name: str, *operands):
-        """The ``name`` kernel for the first operand's dtype, and each
-        operand's address.  Every ``(array, count)`` must be a C-contiguous
-        array of that dtype holding at least ``count`` elements; anything
-        else raises before C could read or write past a buffer."""
-        dtype = operands[0][0].dtype
+    def _bind(self, name: str, *operands, dtype=None):
+        """The ``name`` kernel for ``dtype`` (default: the first operand's),
+        and each operand's address.  Every ``(array, count)`` must be a
+        C-contiguous array of that dtype holding at least ``count``
+        elements; anything else raises before C could read or write past
+        a buffer."""
+        if dtype is None:
+            dtype = operands[0][0].dtype
         suffix = _SUFFIX.get(dtype)
         if suffix is None:
             raise TypeError(f"{name}: unsupported dtype {dtype}")
@@ -214,7 +341,7 @@ class _Kernels:
                     f"{name}: operand {arr.dtype}{arr.shape} is not a "
                     f"C-contiguous {dtype} buffer of {count} elements"
                 )
-            addresses.append(arr.ctypes.data)
+            addresses.append(_address(arr))
         return self._fn[name, suffix], addresses
 
     def stockham(self, x: np.ndarray, out: np.ndarray, scratch: np.ndarray,
@@ -270,49 +397,67 @@ class _Kernels:
                               (out, batch * s * q))
         fn(*ptrs, batch, m, s, q)
 
-    def fused_tile_c2c_1d(self, x: np.ndarray, w: np.ndarray,
-                          tw_fwd: np.ndarray, tw_inv: np.ndarray,
-                          wd_fwd: np.ndarray, wd_inv: np.ndarray,
-                          gather: np.ndarray, fftbuf: np.ndarray,
-                          scratch: np.ndarray, spec: np.ndarray,
-                          acc: np.ndarray, out: np.ndarray, bt: int,
+    def fused_tile_c2c_1d(self, x, w: np.ndarray, tw_fwd: np.ndarray,
+                          tw_inv: np.ndarray, wd_fwd: np.ndarray,
+                          wd_inv: np.ndarray, gather: np.ndarray,
+                          fftbuf: np.ndarray, scratch: np.ndarray,
+                          spec: np.ndarray, acc: np.ndarray, out, bt: int,
                           c_in: int, c_out: int, dim_x: int, modes: int,
                           k_tb: int) -> None:
-        """``bt`` signal rows of the fused 1-D C2C pass: ``out[bt, c_out,
-        dim_x]`` from ``x[bt, c_in, dim_x]`` and the ``(c_in, c_out)``
-        weight ``w``, with ``dim_x = p * modes`` (see ``_kernels.c``).
+        """``bt`` signal rows of the fused 1-D C2C pass, read from ``x``
+        and written to ``out`` with the ``(c_in, c_out)`` weight ``w``,
+        with ``dim_x = p * modes`` (see ``_kernels.c``).
+
+        ``x`` and ``out`` give the row tables.  ``x`` is a sequence of
+        arrays, entry ``i`` reading the ``rows_i`` signals of ``x[i]``
+        of shape ``(rows_i, c_in, dim_x)``, with ``bt`` the sum of the
+        ``rows_i``; or one array, a one-entry table of ``bt`` rows that
+        need only hold that many elements.  ``out`` is a sequence of
+        arrays, entry ``i`` writing ``out[i]`` of shape ``(rows_i,
+        c_out, dim_x)``; or one array holding at least ``bt * c_out *
+        dim_x`` elements that receives every entry's rows in entry
+        order.  The binding builds the tables of base addresses and row
+        counts itself: every entry must be a C-contiguous, aligned
+        array of the working dtype, every output writable, and no output
+        may overlap an input or another output.
+
         ``tw_*`` are the Stockham stage tables of length ``modes``,
         ``wd_*`` the ``(p, modes)`` decomposition twiddles (unused, and
         may be empty, when ``p == 1``); the workspaces hold one signal
         row: ``gather``, ``fftbuf`` and ``scratch`` ``max(k_tb, c_out) *
         dim_x`` elements, ``spec`` ``k_tb * modes`` (``p > 1``) and
         ``acc`` ``c_out * modes``."""
+        name = "fused_tile_c2c_1d"
         if modes < 1 or modes & (modes - 1):
-            raise ValueError(
-                f"fused_tile_c2c_1d: modes={modes} is not a power of two"
-            )
+            raise ValueError(f"{name}: modes={modes} is not a power of two")
         p = dim_x // modes
         if p < 1 or dim_x != p * modes:
             raise ValueError(
-                f"fused_tile_c2c_1d: dim_x={dim_x} is not a multiple of "
-                f"modes={modes}"
+                f"{name}: dim_x={dim_x} is not a multiple of modes={modes}"
             )
         if k_tb < 1:
-            raise ValueError(f"fused_tile_c2c_1d: k_tb={k_tb} is not >= 1")
+            raise ValueError(f"{name}: k_tb={k_tb} is not >= 1")
         if bt < 0 or c_in < 1 or c_out < 1:
             raise ValueError(
-                f"fused_tile_c2c_1d: bad extents bt={bt}, c_in={c_in}, "
-                f"c_out={c_out}"
+                f"{name}: bad extents bt={bt}, c_in={c_in}, c_out={c_out}"
             )
         row = max(k_tb, c_out) * dim_x
         wd = p * modes if p > 1 else 0
+        dtype = x.dtype if isinstance(x, np.ndarray) else w.dtype
         fn, ptrs = self._bind(
-            "fused_tile_c2c_1d", (x, bt * c_in * dim_x), (w, c_in * c_out),
-            (tw_fwd, modes - 1), (tw_inv, modes - 1), (wd_fwd, wd),
-            (wd_inv, wd), (gather, row), (fftbuf, row), (scratch, row),
+            name, (w, c_in * c_out), (tw_fwd, modes - 1),
+            (tw_inv, modes - 1), (wd_fwd, wd), (wd_inv, wd), (gather, row),
+            (fftbuf, row), (scratch, row),
             (spec, k_tb * modes if p > 1 else 0), (acc, c_out * modes),
-            (out, bt * c_out * dim_x))
-        fn(*ptrs, bt, c_in, c_out, dim_x, modes, k_tb)
+            dtype=dtype)
+        bases, counts = _row_tables(name, x, out, bt, dtype, c_in, c_out,
+                                    dim_x)
+        n = len(counts)
+        bases = np.array(bases, np.uintp)
+        counts = np.array(counts, _C_LONG)
+        table = _address(bases)
+        fn(table, table + n * bases.itemsize, _address(counts), *ptrs, n,
+           c_in, c_out, dim_x, modes, k_tb)
 
     def spectral_steps(self, sk: np.ndarray, w: np.ndarray, work: np.ndarray,
                        out: np.ndarray, bt: int, c: int, mx: int, my: int,
@@ -430,8 +575,9 @@ _SIGNED = (0.0, -0.0, 1.0, -1.0)
 
 
 #: (batch, c_in, c_out, modes, p, k_tb, signal_tile) probes of the
-#: fused C2C tile driver: p = 1 and p > 1, each with a ragged tail panel
-#: (c_in = 5 at k_tb = 2) and a partial last tile (3 rows in tiles of 2).
+#: fused C2C tile driver, each one call with a row-table entry per tile:
+#: p = 1 and p > 1, each with a ragged tail panel (c_in = 5 at k_tb = 2)
+#: and a partial last tile (3 rows in tiles of 2).
 _FUSED_TILE_PROBES = [
     (3, 5, 3, 16, 1, 2, 2),
     (3, 5, 3, 16, 4, 2, 2),
@@ -695,8 +841,10 @@ def _self_check(k: _Kernels) -> bool:
             k.pruned_irfft_rows(*ops, tw, *work, got, rows, 2 * s * q, q, m)
             if not _same_bits(_irfft_rows_by_stages(k, *ops, tw), got):
                 return False
-        # The fused C2C tile driver against the per-stage composition,
-        # one tile at a time.
+        # The fused C2C tile driver against the per-stage composition:
+        # one row-table call whose entries are the probe's tiles, each
+        # copied to its own input and output array, with an empty entry
+        # between the first two.
         for (batch, c_in, c_out, modes, p, k_tb,
              tile) in _FUSED_TILE_PROBES:
             dim_x = p * modes
@@ -708,15 +856,14 @@ def _self_check(k: _Kernels) -> bool:
             row = max(k_tb, c_out) * dim_x
             work = [np.empty(size, dtype) for size in
                     (row, row, row, k_tb * modes, c_out * modes)]
-            got = np.empty((batch, c_out, dim_x), dtype)
-            for b0 in range(0, batch, tile):
-                b1 = min(b0 + tile, batch)
-                k.fused_tile_c2c_1d(x[b0:b1], w, *tables, *work,
-                                    got[b0:b1], b1 - b0, c_in, c_out,
-                                    dim_x, modes, k_tb)
-                ref = _fused_tile_by_stages(k, x[b0:b1], w, tables,
-                                            modes, k_tb)
-                if not _same_bits(ref, got[b0:b1]):
+            xs = [x[b0:b0 + tile].copy() for b0 in range(0, batch, tile)]
+            xs.insert(1, x[:0].copy())
+            outs = [np.empty((len(t), c_out, dim_x), dtype) for t in xs]
+            k.fused_tile_c2c_1d(xs, w, *tables, *work, outs, batch, c_in,
+                                c_out, dim_x, modes, k_tb)
+            for xt, got in zip(xs, outs):
+                ref = _fused_tile_by_stages(k, xt, w, tables, modes, k_tb)
+                if not _same_bits(ref, got):
                     return False
         # The rollout step driver against the Python step loop: a 2-D
         # Hermitian column with a k-panel tail (c = 5 at k_tb = 2) and

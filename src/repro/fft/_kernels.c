@@ -48,9 +48,11 @@
  * staged kernels stay exported as the drivers' oracle.
  *
  * The fused 1-D C2C executor runs its whole batch in one call to the
- * driver fused_tile_c2c_1d at the end of this file: gather, forward
- * Stockham, decomp_reduce, panel_contract in canonical k_tb panel order,
- * expand_mul, inverse Stockham and scatter, calling the kernels above
+ * driver fused_tile_c2c_1d at the end of this file, reading each
+ * request and writing each result in place through row tables: gather,
+ * forward Stockham, decomp_reduce, panel_contract in canonical k_tb
+ * panel order, expand_mul, inverse Stockham and scatter, calling the
+ * kernels above
  * on the operands the executor's Python stage loop passes them.  It
  * streams each signal row through all stages, so a row's working set
  * stays in cache; every stage is row-independent and each row's panels
@@ -990,9 +992,13 @@ EXPAND_HEAD_TAIL(expand_head_tail_f64, double, f64)
 /* Fused C2C tile driver (FFT -> CGEMM -> iFFT in one call)            */
 /* ------------------------------------------------------------------ */
 
-/* A batch of the fused 1-D C2C pass, x[bt, c_in, dim_x] ->
- * out[bt, c_out, dim_x] with dim_x = p * modes: the stage loop of
- * repro.core.compiled._StagedFused1D.run_fused, one kernel call per
+/* A batch of the fused 1-D C2C pass, read and written through row
+ * tables: entry e maps the rows[e] signals xs[e][rows[e], c_in, dim_x]
+ * to outs[e][rows[e], c_out, dim_x], with dim_x = p * modes.  The
+ * tables let a batch of separate requests run in place, with no
+ * concatenated input and no copy of each result out of a shared one; a
+ * contiguous batch is a one-entry table.  This is the stage loop of
+ * repro.core.compiled._StagedFused1D.run_rows, one kernel call per
  * stage replaced by one call per batch.  Each signal row streams
  * through the stages, so its working set stays in cache:
  *   for each k_tb panel of input channels, in channel order:
@@ -1011,7 +1017,14 @@ EXPAND_HEAD_TAIL(expand_head_tail_f64, double, f64)
  * Bits: every stage above is row-independent, and every panel of a row
  * is contracted in the same order as in the tile loop, so each output
  * element sees the same kernel operations on the same operands in the
- * same order as there; only the loop order across rows changes.
+ * same order as there; only the loop order across rows changes, and
+ * where a row lives.
+ *
+ * The tables come from the Python binding, which builds them from
+ * arrays it has checked (dtype, C-contiguity, shape, no output
+ * overlapping an input or another output); the driver trusts them.
+ * Bases need only the element type's alignment: every vector load and
+ * store in the kernels is unaligned.
  *
  * The driver is deliberately not FMA_TARGET.  GCC will not inline a
  * function whose target is wider than its caller's, so Stockham and
@@ -1024,14 +1037,16 @@ EXPAND_HEAD_TAIL(expand_head_tail_f64, double, f64)
  * max(k_tb, c_out) * dim_x elements, a takes k_tb * modes (p > 1 only)
  * and acc takes c_out * modes. */
 #define FUSED_TILE_C2C_1D(NAME, T, SFX)                                  \
-void NAME(const T* x, const T* w, const T* tw_fwd, const T* tw_inv,      \
+void NAME(const T* const* xs, T* const* outs, const long* rows,          \
+          const T* w, const T* tw_fwd, const T* tw_inv,                  \
           const T* wd_fwd, const T* wd_inv, T* g, T* f, T* s, T* a,      \
-          T* acc, T* out, long bt, long c_in, long c_out, long dim_x,    \
+          T* acc, long entries, long c_in, long c_out, long dim_x,       \
           long modes, long k_tb) {                                       \
     long p = dim_x / modes;                                              \
     T div_by = (T)modes, mul_by = (T)((double)modes / (double)dim_x);    \
-    for (long b = 0; b < bt; b++) {                                      \
-        const T* xb = x + 2*b*c_in*dim_x;                                \
+    for (long e = 0; e < entries; e++)                                   \
+    for (long b = 0; b < rows[e]; b++) {                                 \
+        const T* xb = xs[e] + 2*b*c_in*dim_x;                            \
         for (long i = 0; i < 2*c_out*modes; i++) acc[i] = 0;             \
         for (long k0 = 0; k0 < c_in; k0 += k_tb) {                       \
             long kt = c_in - k0 < k_tb ? c_in - k0 : k_tb;               \
@@ -1049,7 +1064,7 @@ void NAME(const T* x, const T* w, const T* tw_fwd, const T* tw_inv,      \
             panel_contract_##SFX(spec, w + 2*k0*c_out, acc,              \
                                  1, kt, modes, c_out);                   \
         }                                                                \
-        T* ob = out + 2*b*c_out*dim_x;                                   \
+        T* ob = outs[e] + 2*b*c_out*dim_x;                               \
         if (p > 1) {                                                     \
             expand_mul_##SFX(acc, wd_inv, g, c_out, p, modes);           \
             stockham_##SFX(g, f, s, tw_inv, c_out*p, modes,              \

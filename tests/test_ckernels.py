@@ -568,7 +568,10 @@ def test_self_check_probes_the_staging_kernels(kernels, name, out_arg,
 
     def off_by_one_ulp(*args):
         real(*args)
-        last = args[out_arg].reshape(-1)[-1:].view(args[out_arg].real.dtype)
+        out = args[out_arg]
+        if isinstance(out, list):  # a row table: nudge its last entry
+            out = out[-1]
+        last = out.reshape(-1)[-1:].view(out.real.dtype)
         last[-1] = np.nextafter(last[-1], np.inf)
 
     monkeypatch.setattr(kernels, name, off_by_one_ulp)
