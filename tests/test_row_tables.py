@@ -9,8 +9,8 @@ out.  Covered here:
 
 * the binding: a multi-entry table equals one call per entry, byte for
   byte, with guarded outputs; every bad entry (dtype, layout, shape,
-  row count, read-only or overlapping output) raises ``ValueError``
-  before C runs;
+  row count, alignment, read-only or overlapping output) raises
+  ``ValueError`` before C runs;
 * serving: ``infer_many`` and ``rollout(steps=1)`` over groups that mix
   0-, 1- and 3-row requests, a ragged tail, widened float32,
   Fortran-order, byte-swapped and complex128 requests equal serial
@@ -50,6 +50,15 @@ def _complex(rng, shape, dtype=np.complex64):
 def _same_bytes(got, want) -> bool:
     return (got.dtype == want.dtype and got.shape == want.shape
             and got.tobytes() == want.tobytes())
+
+
+def _unaligned(x):
+    """A C-contiguous copy of ``x`` at an odd byte address."""
+    buf = np.zeros(x.nbytes + 1, np.uint8)
+    out = buf[1:].view(x.dtype).reshape(x.shape)
+    out[...] = x
+    assert not out.flags.aligned
+    return out
 
 
 def _assert_owned(results, inputs):
@@ -172,6 +181,8 @@ def _bad_tables():
         ("not an array", lambda xs, o, bt: (replace(xs, 0, xs[0].tolist()),
                                             o, bt)),
         ("read-only output", read_only),
+        ("unaligned input",
+         lambda xs, o, bt: (replace(xs, 0, _unaligned(xs[0])), o, bt)),
         ("output overlaps an input", overlapping_input),
         ("output buffer overlaps an input", overlapping_block),
         ("output overlaps an output",
@@ -208,16 +219,17 @@ MAX_BATCH = 4
 
 def _mixed_requests(rng, w):
     """Requests for the C2C model ``(w, MODES)`` in five groups at
-    ``MAX_BATCH``: six complex64 (0, 1, 3, Fortran 3, 1 and 2 rows: a
-    full group and a ragged tail), two float32, two '>c8' and three
-    complex128 (0, 3 and 1 rows), interleaved."""
+    ``MAX_BATCH``: six complex64 (0, 1, 3, Fortran 3, 1 and unaligned 2
+    rows: a full group and a ragged tail), two float32, two '>c8' and
+    three complex128 (0, 3 and 1 rows), interleaved."""
     model = (w, MODES)
 
     def c64(n):
         return _complex(rng, (n, C_IN, DIM_X))
 
     groups = [
-        [c64(0), c64(1), c64(3), np.asfortranarray(c64(3)), c64(1), c64(2)],
+        [c64(0), c64(1), c64(3), np.asfortranarray(c64(3)), c64(1),
+         _unaligned(c64(2))],
         [rng.standard_normal((n, C_IN, DIM_X)).astype(np.float32)
          for n in (1, 3)],
         [c64(n).astype(">c8") for n in (1, 3)],
