@@ -1021,8 +1021,9 @@ EXPAND_HEAD_TAIL(expand_head_tail_f64, double, f64)
  * where a row lives.
  *
  * The tables come from the Python binding, which builds them from
- * arrays it has checked (dtype, C-contiguity, shape, no output
- * overlapping an input or another output); the driver trusts them.
+ * arrays it has checked (dtype, C-contiguity, alignment, shape, writable
+ * outputs, no output overlapping an input or another output); the
+ * driver trusts them.
  * Bases need only the element type's alignment: every vector load and
  * store in the kernels is unaligned.
  *
