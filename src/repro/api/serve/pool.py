@@ -114,8 +114,9 @@ from repro.api.serve.shm import (
 )
 from repro.api.serve.worker import worker_main
 from repro.api.session import DTYPE_POLICIES, LatencyReservoir, \
-    ROLLOUT_PROFILES, Session, SpectralModel, _as_spectral_model
-from repro.core.compiled import _positive_int
+    ROLLOUT_PROFILES, Session, SpectralModel, _as_spectral_model, \
+    _optional_positive_int
+from repro.core.compiled import _integer, _positive_int
 from repro.core.dtypes import complex_dtype_for
 from repro.fft.compiled import resolve_backend_kernels
 
@@ -476,22 +477,22 @@ class ServePool:
                 f"unknown on_crash policy {on_crash!r}; expected 'retry' "
                 f"or 'fail'"
             )
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if queue_depth < 1:
-            raise ValueError(f"queue_depth must be >= 1, got {queue_depth}")
-        self.workers = int(workers) if workers is not None else default_workers()
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
+        self.max_batch = _positive_int("max_batch", max_batch)
+        self.queue_depth = _positive_int("queue_depth", queue_depth)
+        self.workers = (default_workers() if workers is None
+                        else _positive_int("workers", workers))
+        self.max_requests_per_worker = _optional_positive_int(
+            "max_requests_per_worker", max_requests_per_worker)
+        self.max_retries = _integer("max_retries", max_retries)
+        if self.max_retries < 0:
+            raise ValueError(
+                f"max_retries must be >= 0, got {self.max_retries}"
+            )
+        self.ring_bytes = _positive_int("ring_bytes", ring_bytes)
         self.backend = backend
         self.dtype_policy = dtype_policy
-        self.max_batch = int(max_batch)
-        self.queue_depth = int(queue_depth)
         self.saturation = saturation
-        self.max_requests_per_worker = max_requests_per_worker
         self.on_crash = on_crash
-        self.max_retries = int(max_retries)
-        self.ring_bytes = int(ring_bytes)
         self.health = health if health is not None else HealthPolicy()
         if isinstance(faults, str):
             faults = FaultPlan.parse(faults)

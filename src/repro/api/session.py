@@ -137,10 +137,9 @@ class SpectralModel:
             raise ValueError(
                 f"weight must be (C_in, C_out), got {self.weight.shape}"
             )
-        self.modes = (
-            tuple(int(m) for m in modes)
-            if isinstance(modes, (tuple, list))
-            else (int(modes),)
+        self.modes = tuple(
+            _positive_int("modes", m) for m in
+            (modes if isinstance(modes, (tuple, list)) else (modes,))
         )
         self.symmetric = bool(symmetric)
 
@@ -479,11 +478,11 @@ class Session:
 
         Keyed on the weight array's identity (plus modes and the
         symmetric flag): serving the same layer again reuses the staged
-        executor — weight panels, FFT plans and tile workspaces are paid
-        once per (geometry, dtype).  The executor stages against this
-        session's plan caches and backend.  Weights are staged at first
-        execution; build a new executor (or :meth:`clear_all_caches`)
-        after mutating the array in place.
+        executor — the weight cast is paid once per dtype, FFT plans and
+        workspaces once per (geometry, dtype).  The executor stages
+        against this session's plan caches and backend.  Weights are
+        staged at first execution; build a new executor (or
+        :meth:`clear_all_caches`) after mutating the array in place.
         """
         self._check_open()
         model = SpectralModel(weight, modes, symmetric)
@@ -581,23 +580,22 @@ class Session:
         """Run one batch through ``model``: a single request, or the
         concatenated requests of a group that is not served in place
         (see :meth:`_serve_streams`)."""
-        executor = self._resolve_executor(model)
-        if executor is None:
-            # An arbitrary model (e.g. a repro.nn Module): run it under
-            # this session's cache scope so its spectral layers resolve
-            # plans from the session's caches and backend.  Serialised
-            # like an executor — nn modules cache forward state, so
-            # concurrent calls on one model would corrupt it.
+        target = self._resolve_executor(model)
+        if target is None:
             if not callable(model):
                 raise TypeError(
                     f"cannot serve model of type {type(model).__name__}; "
                     "expected a SpectralModel, a (weight, modes[, symmetric]) "
                     "tuple, a compiled executor, or a callable model"
                 )
-            with self._serve_lock_for(model), self.activate():
-                return model(x)
-        with self._serve_lock_for(executor):
-            return executor(x)
+            target = model
+        # Under this session's cache scope, so an arbitrary model (e.g. a
+        # repro.nn Module) and an executor built without ``plans=``
+        # resolve plans from the session's caches and backend.
+        # Serialised per served object — executors own workspaces and nn
+        # modules cache forward state.
+        with self._serve_lock_for(target), self.activate():
+            return target(x)
 
     def infer(self, model, x: np.ndarray) -> np.ndarray:
         """Serve one inference request.
@@ -605,8 +603,10 @@ class Session:
         ``model`` is a :class:`SpectralModel` (or the
         ``(weight, modes[, symmetric])`` tuple shorthand, pooled by
         weight identity), a prebuilt compiled executor, or any callable
-        model (a :mod:`repro.nn` network) — the latter runs under
-        :meth:`activate` so it hits this session's caches.
+        model (a :mod:`repro.nn` network).  Every model runs under
+        :meth:`activate`, so it hits this session's caches and backend;
+        a prebuilt executor built without ``plans=`` stages each
+        geometry against the caches active at its first call there.
         """
         self._check_open()
         x = self._apply_dtype_policy(np.asarray(x))
@@ -849,13 +849,13 @@ class Session:
         streams by (model, geometry, dtype) and step each group as one
         state.
 
-        A one-step exact group of a 1-D C2C executor on the C backend is
-        served in place (:meth:`_serve_rows`): no concatenated state and
-        no copy-out.  Every other exact group is concatenated along the
-        batch axis, runs one executor call per step and has every
-        stream's rows copied back out; that path is also the in-place
-        one's oracle.  The fast profile synthesises each stream's result
-        from its own rows of the group's kept spectra."""
+        A one-step exact group of a 1-D C2C executor is served in place
+        (:meth:`_serve_rows`): no concatenated state and no copy-out.
+        Every other exact group is concatenated along the batch axis,
+        runs one executor call per step and has every stream's rows
+        copied back out; that path is also the in-place one's oracle.
+        The fast profile synthesises each stream's result from its own
+        rows of the group's kept spectra."""
         items = [
             (model, self._apply_dtype_policy(np.asarray(x)))
             for model, x in streams
@@ -917,19 +917,18 @@ class Session:
         in place, or None where the group takes the concatenating path.
 
         Only a non-symmetric :class:`CompiledSpectralConv1D` (pooled, or
-        passed as the model) on the C backend qualifies: its fused
-        driver reads every request where it lies and writes each result
-        into its own rows of one new buffer, in one call through row
-        tables, so the results are the call's only large allocation.  The
+        passed as the model) qualifies: each result is its own rows of
+        one new buffer, written by one fused pass over the group (on the
+        C backend one driver call that reads every request where it
+        lies), so the results are the call's only large allocation.  The
         bytes are those of ``executor(np.concatenate(xs))`` split per
         request."""
         executor = self._resolve_executor(model)
         if (type(executor) is not CompiledSpectralConv1D
-                or executor.symmetric
-                or executor._plan_caches().kernels() is None):
+                or executor.symmetric):
             return None
         t0 = time.perf_counter()
-        with self._serve_lock_for(executor):
+        with self._serve_lock_for(executor), self.activate():
             outs = executor._call_rows(xs)
         self._record(xs[0].shape[1:], len(xs), time.perf_counter() - t0)
         return outs
@@ -1021,8 +1020,9 @@ class Session:
         # column in 2D), and projecting *before* synthesis would change
         # the kept output, so the order matters.  The last step's
         # reanalysis would feed no step, so it is skipped.
-        if executor is not None:
-            with self._serve_lock_for(executor):
+        served = executor if executor is not None else layer
+        with self._serve_lock_for(served), self.activate():
+            if executor is not None:
                 sk = executor.forward_spectrum(state)
                 t0 = time.perf_counter()
                 spectra = executor.rollout_spectrum(sk, steps, spatial_arg,
@@ -1033,7 +1033,6 @@ class Session:
                              (time.perf_counter() - t0) / steps, steps)
                 return _synthesise_streams(executor.inverse_spectrum,
                                            spectra, sizes, keep, spatial_arg)
-        with self._serve_lock_for(layer), self.activate():
             sk = layer.spectrum(state)
             kept = []
             for step in range(steps):

@@ -3,24 +3,23 @@
 The legacy fused loops (:mod:`repro.core.legacy`) re-cast the same
 weight panel on every tile of every signal block and re-staged their FFT
 setup per call.  A :class:`CompiledSpectralConv1D` /
-:class:`CompiledSpectralConv2D` executor does all of that at *build*
-time — weights cast once and pre-sliced into contiguous k-panels, FFT
-plans resolved from the global cache (:mod:`repro.fft.compiled`),
-decomposition twiddles pre-cast, tile workspaces allocated — so each
-execution runs only the k-loop arithmetic.  Outputs are byte-identical
-to the legacy loops (property-tested): the executors replay the same
-tile/panel accumulation order, so not a single floating-point operation
-changes, only where the operands live.
+:class:`CompiledSpectralConv2D` executor stages all of that once — the
+weight cast once per working dtype, FFT plans resolved from the plan
+caches (:mod:`repro.fft.compiled`), decomposition twiddles pre-cast per
+signal length — so each execution runs only the arithmetic.  Outputs
+are byte-identical to the legacy loops (property-tested): the executors
+replay the same ``k_tb`` panel accumulation order, so not a single
+floating-point operation changes, only where the operands live.
 
 The fused C2C dataflow (the 1-D executor, and the 2-D executor's
 per-pencil stage) runs the whole batch as one call into the C tile
 driver ``fused_tile_c2c_1d`` when the C kernels are loaded — TurboFNO's
 one FFT -> CGEMM -> iFFT kernel, with each signal row streamed through
-the stages in cache.  Without them the batch runs through a Python loop
-over NumPy stages in tiles of ``signal_tile`` rows, which is also the
-driver's oracle.
+the stages in cache.  Without them the batch runs whole through the
+NumPy stages (gather and FFT, the k-panel CGEMM, the pruned inverse),
+which are also the driver's oracle.
 
-The symmetric (rfft/irfft) convention has one untiled dataflow: its
+The symmetric (rfft/irfft) convention has one dataflow: its
 ``__call__`` runs the same three staged halves as its spectrum entry
 points — pruned R2C analysis, the k-panel CGEMM shared with every
 ``step_spectrum``, pruned C2R synthesis — so ``self(x)`` and
@@ -35,12 +34,12 @@ one from ``repro.api.plan(...).compile_executor``) to amortise the
 staging across calls.  :func:`fused_fft_gemm_1d` and :func:`fused_gemm_ifft_1d` are the
 partially fused stage-B/C dataflows of Table 2, on the same staging.
 
-Executors own mutable tile workspaces and are **not** thread-safe; share
+Executors own mutable workspaces and are **not** thread-safe; share
 one per thread (the plan caches underneath serialise themselves).
 
 Every executor resolves its FFT/rfft plans from one
 :class:`repro.fft.compiled.PlanCaches` set — the one passed as
-``plans=``, else the set active on the building thread
+``plans=``, else the set active on the calling thread
 (:func:`repro.fft.compiled.current_plan_caches`).  A
 :class:`repro.api.Session` passes its own set, so pooled executors
 carry the session's backend and never share workspaces with other
@@ -82,7 +81,6 @@ __all__ = [
 ]
 
 _DEFAULT_K_TB = 8
-_DEFAULT_SIGNAL_TILE = 16
 
 
 def _check_inputs(x: np.ndarray, weight: np.ndarray, ndim: int) -> None:
@@ -96,22 +94,27 @@ def _check_inputs(x: np.ndarray, weight: np.ndarray, ndim: int) -> None:
         )
 
 
-def _positive_int(name: str, value) -> int:
-    """Check a count (``k_tb``, ``signal_tile``, ``steps``, ``workers``,
-    ...) and return it as a Python int."""
+def _integer(name: str, value) -> int:
+    """Check an integer argument and return it as a Python int."""
     # A non-integer would otherwise surface as a raw TypeError from
-    # range() at the first call, or pass unchecked on the C backend;
-    # value <= 0 as a ZeroDivisionError, a NumPy shape error or, with no
-    # k-panels at all, an all-zero output.  A bool is a flag, not a
-    # count, although operator.index accepts it.
+    # range() or a bitwise test at the first call, or be truncated.  A
+    # bool is a flag, not a count, although operator.index accepts it.
     try:
         if isinstance(value, (bool, np.bool_)):
             raise TypeError
-        value = operator.index(value)
+        return operator.index(value)
     except TypeError:
         raise TypeError(
             f"{name} must be an integer, got {value!r}"
         ) from None
+
+
+def _positive_int(name: str, value) -> int:
+    """Check a count (``k_tb``, ``modes``, ``steps``, ``workers``, ...)
+    and return it as a Python int."""
+    # value <= 0 would surface as a ZeroDivisionError, a NumPy shape
+    # error or, with no k-panels at all, an all-zero output.
+    value = _integer(name, value)
     if value < 1:
         raise ValueError(f"{name} must be positive, got {value}")
     return value
@@ -120,19 +123,19 @@ def _positive_int(name: str, value) -> int:
 class _StagedFused1D:
     """Everything a fused 1-D pass needs, staged for one (dtype, dim_x).
 
-    Replays the exact legacy dataflow (tile loop -> k-loop -> epilogue)
-    with all per-call setup hoisted: pre-cast weight panels, cached FFT
-    plans for the kept-mode length, pre-cast decomposition twiddles, and
-    reusable workspaces.  With the C kernels loaded, :meth:`run_rows`
-    makes one tile-driver call for a whole list of requests, read and
-    written in place through row tables (workspaces for one streamed
-    row); otherwise it runs the Python stage loop over
-    ``signal_tile``-row tiles (workspaces for one tile), the NumPy
-    fallback and the driver's oracle.
+    Replays the exact legacy dataflow (k-loop -> epilogue) with all
+    per-call setup hoisted: the weight cast (the executor's, shared by
+    every length of its dtype), cached FFT plans for the kept-mode
+    length and pre-cast decomposition twiddles.  With the C kernels
+    loaded, :meth:`run_rows` makes one tile-driver call for a whole list
+    of requests, read and written in place through row tables
+    (workspaces for one streamed row); otherwise it runs the requests as
+    one batch through the NumPy stages, :meth:`run_fft_gemm` then the
+    epilogue, which are the NumPy fallback and the driver's oracle.
     """
 
     def __init__(self, weight: np.ndarray, modes: int, dim_x: int,
-                 k_tb: int, signal_tile: int, dtype: np.dtype,
+                 k_tb: int, dtype: np.dtype,
                  plans: PlanCaches | None = None):
         # Same split validation (and messages) the first inner
         # truncated_fft of the legacy loop would have raised.
@@ -144,17 +147,13 @@ class _StagedFused1D:
         self.modes = modes
         self.dim_x = dim_x
         self.k_tb = k_tb
-        self.signal_tile = signal_tile
         self.dtype = dtype
         self.c_in = c_in
         self.c_out = c_out
         self.p = dim_x // modes
         self.plans = plans if plans is not None else current_plan_caches()
-        # the hoisted weight cast: once at staging, not per tile; the C
-        # tile driver takes the whole (C_in, C_out) cast, the Python
-        # loop its k-panels
-        self.weight = weight.astype(dtype, order="C")
-        self.panels = _weight_panels(self.weight, k_tb, dtype)
+        # No copy when the weight is already cast (an executor's is).
+        self.weight = np.ascontiguousarray(weight, dtype=dtype)
         self.fwd = self.plans.fft(modes, dtype, inverse=False)
         if self.p > 1:
             self.wd_f = np.ascontiguousarray(
@@ -162,12 +161,10 @@ class _StagedFused1D:
             )
         else:
             self.wd_f = None
-        # The inverse side and the workspaces are staged lazily: the
-        # forward-only stage-B pass never touches them, and each backend
-        # sizes its own.
+        # The inverse side and the driver's workspaces are staged
+        # lazily: the forward-only stage-B pass never touches them.
         self.inv = None
         self.wd_i = None
-        self._gather = None
         self._driver_ops = None
         self._x_stage = np.empty(0, dtype)
 
@@ -183,75 +180,59 @@ class _StagedFused1D:
                 ).astype(self.dtype)
             )
 
-    def _ensure_tiles(self) -> None:
-        """Stage the epilogue tables and the Python loop's per-tile
-        workspaces (lazily: only the fully fused pass needs them)."""
-        if self._gather is not None:
-            return
+    # -- the NumPy stages, each over a whole batch -----------------------
+
+    def _spectrum(self, xs: list) -> np.ndarray:
+        """Truncated FFT of the requests ``xs`` as one batch, ``(batch,
+        C_in, modes)``: each request gathered into its own rows, then
+        one FFT execution and (p > 1) one decomposition reduce."""
+        batch = sum(x.shape[0] for x in xs)
+        p, modes, c_in = self.p, self.modes, self.c_in
+        gat = np.empty((batch, c_in, p, modes), self.dtype)
+        off = 0
+        for x in xs:
+            rows = x.shape[0]
+            gat[off: off + rows] = x.reshape(rows, c_in, modes, p).transpose(
+                0, 1, 3, 2)
+            off += rows
+        fbuf = self.fwd.execute(gat.reshape(batch * c_in * p, modes))
+        if p == 1:
+            return fbuf.reshape(batch, c_in, modes)
+        spec = np.empty((batch, c_in, modes), self.dtype)
+        decomp_reduce(fbuf.reshape(batch * c_in, p, modes), self.wd_f,
+                      spec.reshape(batch * c_in, modes),
+                      kernels=self.plans.kernels())
+        return spec
+
+    def _epilogue(self, acc: np.ndarray, out: np.ndarray) -> None:
+        """Pruned inverse transform of a batch's accumulated
+        ``(batch, C_out, modes)`` spectrum into ``out``."""
         self._ensure_inverse()
-        dtype, modes = self.dtype, self.modes
-        # Reusable ping-pong workspaces, sized for one signal tile.
-        rows = self.signal_tile * max(self.k_tb, self.c_out) * self.p
-        self._gather = np.empty((rows, modes), dtype)
-        self._fftbuf = np.empty((rows, modes), dtype)
-        self._acc = np.empty((self.signal_tile, self.c_out, modes), dtype)
-        self._dec = np.empty(self.signal_tile * self.k_tb * modes, dtype)
-
-    # -- one signal tile ------------------------------------------------
-
-    def _forward_panel(self, x, b0, b1, k0, k1):
-        """Truncated FFT of one (tile, k-panel) slice: ``(bt, kt,
-        modes)``, one gather, one FFT execution and (p > 1) one
-        decomposition reduce."""
-        bt, kt = b1 - b0, k1 - k0
-        p, modes = self.p, self.modes
-        rows = bt * kt * p
-        gat = self._gather[:rows]
-        if p > 1:
-            src = x[b0:b1, k0:k1, :].reshape(bt, kt, modes, p)
-            gat.reshape(bt, kt, p, modes)[...] = src.transpose(0, 1, 3, 2)
-        else:
-            gat.reshape(bt, kt, modes)[...] = x[b0:b1, k0:k1, :]
-        fbuf = self._fftbuf[:rows]
-        self.fwd.execute(gat, out=fbuf)
-        if p > 1:
-            dec = self._dec[: bt * kt * modes]
-            decomp_reduce(fbuf.reshape(bt * kt, p, modes), self.wd_f,
-                          dec.reshape(bt * kt, modes),
-                          kernels=self.plans.kernels())
-            return dec.reshape(bt, kt, modes)
-        return fbuf.reshape(bt, kt, modes)
-
-    def _epilogue(self, acc, out, b0, b1):
-        """Pruned inverse transform of the accumulated C tile."""
-        bt = b1 - b0
+        batch = acc.shape[0]
         p, modes, c_out = self.p, self.modes, self.c_out
-        rows = bt * c_out * p
+        rows = batch * c_out
         if p > 1:
-            sc = self._gather[:rows]
-            expand_mul(acc.reshape(bt * c_out, modes), self.wd_i,
-                       sc.reshape(bt * c_out, p, modes),
+            sc = np.empty((rows, p, modes), self.dtype)
+            expand_mul(acc.reshape(rows, modes), self.wd_i, sc,
                        kernels=self.plans.kernels())
-            y = self._fftbuf[:rows]
-            self.inv.execute(sc, out=y, div_by=float(modes),
-                             mul_by=float(modes / self.dim_x))
-            out[b0:b1].reshape(bt, c_out, modes, p)[...] = (
-                y.reshape(bt, c_out, p, modes).transpose(0, 1, 3, 2)
+            y = self.inv.execute(sc.reshape(rows * p, modes),
+                                 div_by=float(modes),
+                                 mul_by=float(modes / self.dim_x))
+            out.reshape(batch, c_out, modes, p)[...] = (
+                y.reshape(batch, c_out, p, modes).transpose(0, 1, 3, 2)
             )
         else:
-            sc = self._gather[:rows]
-            sc.reshape(bt, c_out, modes)[...] = acc
-            self.inv.execute(
-                sc, out=out[b0:b1].reshape(rows, modes),
-                div_by=float(modes),
-            )
+            self.inv.execute(acc.reshape(rows, modes),
+                             out=out.reshape(rows, modes),
+                             div_by=float(modes))
 
     # -- whole passes ---------------------------------------------------
 
-    def _run_driver(self, xs: list, kernels) -> list:
+    def _run_driver(self, xs: list, block: np.ndarray, kernels) -> None:
         """:meth:`run_rows` on the C tile driver: one checked kernel call
-        runs every request, streaming each row through every stage, so
-        the workspaces hold one row (see ``_kernels.c``)."""
+        runs every request into ``block``, streaming each row through
+        every stage, so the workspaces hold one row (see
+        ``_kernels.c``)."""
         if self._driver_ops is None:
             self._ensure_inverse()
             dtype, p, modes = self.dtype, self.p, self.modes
@@ -266,14 +247,6 @@ class _StagedFused1D:
                 np.empty(self.c_out * modes, dtype),
             )
         dtype = self.dtype
-        # One block holds every result, each request's its own rows.
-        # One allocation per request would be too small to lift glibc's
-        # dynamic mmap and trim thresholds, so freeing a burst's results
-        # would trim the heap and the next burst would fault the pages
-        # back in: about 430 minor faults per warm 48-request burst of
-        # three 16-request groups, against none with one block each.
-        block = np.empty((sum(x.shape[0] for x in xs), self.c_out,
-                          self.dim_x), dtype)
         convert = [i for i, x in enumerate(xs)
                    if x.dtype != dtype or not x.flags.c_contiguous
                    or not x.flags.aligned]
@@ -296,29 +269,6 @@ class _StagedFused1D:
                                   self.weight, *self._driver_ops, block,
                                   len(block), self.c_in, self.c_out,
                                   self.dim_x, self.modes, self.k_tb)
-        if len(xs) == 1:
-            return [block]
-        outs, off = [], 0
-        for x in xs:
-            outs.append(block[off: off + len(x)])
-            off += len(x)
-        return outs
-
-    def _run_loop(self, x: np.ndarray, kernels) -> np.ndarray:
-        """The Python stage loop over ``signal_tile``-row tiles: the
-        NumPy fallback and the driver's oracle."""
-        self._ensure_tiles()
-        batch = x.shape[0]
-        out = np.empty((batch, self.c_out, self.dim_x), self.dtype)
-        for b0 in range(0, batch, self.signal_tile):
-            b1 = min(b0 + self.signal_tile, batch)
-            acc = self._acc[: b1 - b0]
-            acc[...] = 0
-            for (k0, k1, wp) in self.panels:
-                panel_contract(self._forward_panel(x, b0, b1, k0, k1), wp,
-                               acc, kernels=kernels)
-            self._epilogue(acc, out, b0, b1)
-        return out
 
     def run_rows(self, xs: list) -> list:
         """Stage D over separate requests: the fully fused FFT -> CGEMM
@@ -329,43 +279,54 @@ class _StagedFused1D:
         With the C kernels loaded every request runs in one driver call
         that reads it in place and writes its result directly (only a
         request in another dtype or layout is converted first, into a
-        reused staging buffer); otherwise each runs through the Python
-        stage loop, which is also the oracle the driver is tested
-        against.  A weight with no input or no output channels always
-        takes the loop: the driver requires both extents."""
+        reused staging buffer); otherwise the requests run as one batch
+        through the NumPy stages, each gathered from where it lies: the
+        oracle the driver is tested against.  A weight with no input or
+        no output channels always takes the NumPy stages: the driver
+        requires both extents."""
+        # One block holds every result, each request's its own rows.
+        # One allocation per request would be too small to lift glibc's
+        # dynamic mmap and trim thresholds, so freeing a burst's results
+        # would trim the heap and the next burst would fault the pages
+        # back in: about 430 minor faults per warm 48-request burst of
+        # three 16-request groups, against none with one block each.
+        block = np.empty((sum(x.shape[0] for x in xs), self.c_out,
+                          self.dim_x), self.dtype)
+        outs, off = [], 0
+        for x in xs:
+            outs.append(block[off: off + len(x)])
+            off += len(x)
         kernels = self.plans.kernels()
         if kernels is not None and self.c_in and self.c_out:
-            return self._run_driver(xs, kernels)
-        return [self._run_loop(x, kernels) for x in xs]
+            self._run_driver(xs, block, kernels)
+        else:
+            self._epilogue(self.run_fft_gemm(xs), block)
+        return [block] if len(xs) == 1 else outs
 
     def run_fused(self, x: np.ndarray) -> np.ndarray:
         """Stage D over one batch: :meth:`run_rows` of ``[x]``."""
         return self.run_rows([x])[0]
 
-    def run_fft_gemm(self, x: np.ndarray) -> np.ndarray:
-        """Stage B: FFT fused into the k-loop, full batch per panel."""
-        batch = x.shape[0]
-        acc = np.zeros((batch, self.c_out, self.modes), self.dtype)
-        p, modes = self.p, self.modes
-        for (k0, k1, wp) in self.panels:
-            kt = k1 - k0
-            rows = batch * kt * p
-            gat = np.empty((rows, modes), self.dtype)
-            if p > 1:
-                src = x[:, k0:k1, :].reshape(batch, kt, modes, p)
-                gat.reshape(batch, kt, p, modes)[...] = src.transpose(0, 1, 3, 2)
-            else:
-                gat.reshape(batch, kt, modes)[...] = x[:, k0:k1, :]
-            fbuf = self.fwd.execute(gat)
-            if p > 1:
-                a = np.empty((batch, kt, modes), self.dtype)
-                decomp_reduce(fbuf.reshape(batch * kt, p, modes), self.wd_f,
-                              a.reshape(batch * kt, modes),
-                              kernels=self.plans.kernels())
-            else:
-                a = fbuf.reshape(batch, kt, modes)
-            panel_contract(a, wp, acc, kernels=self.plans.kernels())
-        return acc
+    def run_fft_gemm(self, xs: list) -> np.ndarray:
+        """Stage B over the requests ``xs`` as one batch: the truncated
+        spectrum contracted with the weight in ``k_tb`` panels,
+        ``(batch, C_out, modes)``."""
+        return _contract(self._spectrum(xs), self.weight, self.k_tb,
+                         self.plans.kernels())
+
+
+def _contract(a: np.ndarray, weight: np.ndarray, k_tb: int,
+              kernels) -> np.ndarray:
+    """The k-panel CGEMM every path shares: ``einsum("bkm,ko->bom", a,
+    weight)`` accumulated one ``k_tb``-channel panel at a time, in the
+    canonical order that fixes the output bits.  ``weight`` is the
+    C-contiguous cast in the working dtype, so each panel is a view."""
+    batch, c_in, m = a.shape
+    acc = np.zeros((batch, weight.shape[1], m), weight.dtype)
+    for k0 in range(0, c_in, k_tb):
+        panel = np.ascontiguousarray(a[:, k0:k0 + k_tb], dtype=weight.dtype)
+        panel_contract(panel, weight[k0:k0 + k_tb], acc, kernels=kernels)
+    return acc
 
 
 def fused_fft_gemm_1d(
@@ -381,14 +342,14 @@ def fused_fft_gemm_1d(
     separate iFFT kernel.
     """
     k_tb = _positive_int("k_tb", k_tb)
+    modes = _positive_int("modes", modes)
     x = np.asarray(x)
     weight = np.asarray(weight)
     _check_inputs(x, weight, 3)
     staged = _StagedFused1D(
-        weight, modes, x.shape[2], k_tb, _DEFAULT_SIGNAL_TILE,
-        complex_dtype_for(x.dtype),
+        weight, modes, x.shape[2], k_tb, complex_dtype_for(x.dtype),
     )
-    return staged.run_fft_gemm(x)
+    return staged.run_fft_gemm([x])
 
 
 def fused_gemm_ifft_1d(
@@ -408,15 +369,9 @@ def fused_gemm_ifft_1d(
     xk_low = np.asarray(xk_low)
     weight = np.asarray(weight)
     _check_inputs(xk_low, weight, 3)
-    batch, c_in, modes = xk_low.shape
-    c_out = weight.shape[1]
     dtype = complex_dtype_for(xk_low.dtype)
-    wc = weight.astype(dtype)  # hoisted out of the k-loop
-    acc = np.zeros((batch, c_out, modes), dtype=dtype)
-    for k0 in range(0, c_in, k_tb):
-        k1 = min(k0 + k_tb, c_in)
-        a = np.ascontiguousarray(xk_low[:, k0:k1, :], dtype=dtype)
-        panel_contract(a, np.ascontiguousarray(wc[k0:k1]), acc)
+    acc = _contract(xk_low, weight.astype(dtype, order="C"), k_tb,
+                    current_plan_caches().kernels())
     return truncated_ifft(acc, dim_x, axis=-1)
 
 
@@ -462,17 +417,6 @@ def _rollout_loop(sk: np.ndarray, steps: int, keep: str, step,
         if i + 1 < steps:
             sk = reanalyze(yk)
     return np.stack(kept) if keep == "all" else yk
-
-
-def _weight_panels(weight: np.ndarray, k_tb: int, dtype: np.dtype):
-    """Pre-cast contiguous k-panels of a (C_in, C_out) weight matrix."""
-    c_in = weight.shape[0]
-    wc = weight.astype(dtype)
-    return [
-        (k0, min(k0 + k_tb, c_in),
-         np.ascontiguousarray(wc[k0:min(k0 + k_tb, c_in)]))
-        for k0 in range(0, c_in, k_tb)
-    ]
 
 
 def _require_part(plan, modes: int, what: str) -> None:
@@ -544,11 +488,11 @@ def _check_spectrum(sk: np.ndarray, modes: tuple, channels=None) -> None:
 class _SpectralExecutor:
     """Staging the 1-D and 2-D executors share.
 
-    Holds the construction-time ``k_tb``/``signal_tile`` checks, the
-    plan-cache set, the weight k-panels (cast once per working dtype),
-    the fused stages (one per dtype and length) and, for the symmetric
-    convention, the pruned R2C/C2R plan pair (checked and resolved once
-    per dtype and grid).
+    Holds the construction-time ``k_tb`` check, the plan-cache set, the
+    weight cast (once per working dtype, shared by every stage, the
+    k-panel CGEMM and the step driver), the fused stages (one per dtype
+    and length) and, for the symmetric convention, the pruned R2C/C2R
+    plan pair (checked and resolved once per dtype and grid).
 
     Both conventions run their spectrum entry points through three
     private staged halves: ``_analyse`` (truncated forward transform),
@@ -563,33 +507,37 @@ class _SpectralExecutor:
     """
 
     def __init__(self, weight: np.ndarray, modes: tuple, k_tb: int,
-                 signal_tile: int, symmetric: bool,
-                 plans: PlanCaches | None):
-        k_tb = _positive_int("k_tb", k_tb)
-        signal_tile = _positive_int("signal_tile", signal_tile)
+                 symmetric: bool, plans: PlanCaches | None):
         self.weight = weight
-        self.k_tb = k_tb
-        self.signal_tile = signal_tile
+        self.k_tb = _positive_int("k_tb", k_tb)
         self.symmetric = symmetric
         self._modes = modes
         self._plans = plans
         self._staged: dict[tuple, _StagedFused1D] = {}
-        self._panels: dict = {}
         self._cast: dict = {}
         self._real: dict = {}
 
     def _plan_caches(self) -> PlanCaches:
         return self._plans if self._plans is not None else current_plan_caches()
 
+    def _weight_for(self, dtype: np.dtype) -> np.ndarray:
+        """The weight cast to ``dtype`` in C order, once per dtype on
+        first use."""
+        weight = self._cast.get(dtype)
+        if weight is None:
+            weight = self._cast[dtype] = self.weight.astype(dtype, order="C")
+        return weight
+
     def _stage_for(self, dtype: np.dtype, length: int) -> _StagedFused1D:
         """The fused stage over signals of ``length`` (X in 1-D, the
-        pencil length Y in 2-D), staged once per ``(dtype, length)``."""
+        pencil length Y in 2-D), staged once per ``(dtype, length)``
+        against the plan caches active then."""
         key = (dtype, length)
         staged = self._staged.get(key)
         if staged is None:
             staged = _StagedFused1D(
-                self.weight, self._modes[-1], length, self.k_tb,
-                self.signal_tile, dtype, plans=self._plan_caches(),
+                self._weight_for(dtype), self._modes[-1], length, self.k_tb,
+                dtype, plans=self._plan_caches(),
             )
             self._staged[key] = staged
         return staged
@@ -597,20 +545,13 @@ class _SpectralExecutor:
     def _step(self, sk: np.ndarray, dtype: np.dtype) -> np.ndarray:
         """The middle staged half: one k-panel CGEMM over the kept
         spectrum (a 2-D corner flattened), accumulated panel by panel in
-        the canonical ``k_tb`` order the fused tile loop uses."""
-        panels = self._panels.get(dtype)
-        if panels is None:
-            panels = _weight_panels(self.weight, self.k_tb, dtype)
-            self._panels[dtype] = panels
-        batch, c_out = sk.shape[0], self.weight.shape[1]
-        m = math.prod(self._modes)
-        flat = sk.reshape(batch, sk.shape[1], m)
-        acc = np.zeros((batch, c_out, m), dtype)
-        kernels = self._plan_caches().kernels()
-        for (k0, k1, wp) in panels:
-            a = np.ascontiguousarray(flat[:, k0:k1], dtype=dtype)
-            panel_contract(a, wp, acc, kernels=kernels)
-        return acc.reshape((batch, c_out) + self._modes)
+        the canonical ``k_tb`` order the fused pass uses."""
+        batch = sk.shape[0]
+        flat = sk.reshape(batch, sk.shape[1], math.prod(self._modes))
+        acc = _contract(flat,
+                        self._weight_for(dtype), self.k_tb,
+                        self._plan_caches().kernels())
+        return acc.reshape((batch, acc.shape[1]) + self._modes)
 
     def _project(self, yk: np.ndarray, dim_x: int) -> np.ndarray:
         """The reanalysis of a checked output spectrum: the identity for
@@ -680,9 +621,7 @@ class _SpectralExecutor:
                 sk, steps, keep, lambda s: self._step(s, dtype),
                 lambda yk: self._project(yk, dim_x),
             )
-        weight = self._cast.get(dtype)
-        if weight is None:
-            weight = self._cast[dtype] = self.weight.astype(dtype, order="C")
+        weight = self._weight_for(dtype)
         out = np.empty(((steps,) if keep == "all" else ()) + sk.shape, dtype)
         mx, my = (self._modes + (1,))[:2]
         projection = ("none" if not self.symmetric
@@ -736,16 +675,20 @@ class CompiledSpectralConv1D(_SpectralExecutor):
     ``modes <= X/2``.
 
     ``k_tb`` is the CGEMM's k-panel width: it fixes the accumulation
-    order, and so the output bits.  ``signal_tile`` sizes the NumPy
-    fallback's tile workspaces; every value gives the same bytes, and
-    the C driver runs the whole batch in one call regardless.
+    order, and so the output bits.  Both substrates run each batch
+    whole: the C driver in one call, the NumPy fallback as one pass of
+    each stage.
+
+    ``plans`` pins the executor to one plan-cache set.  Without it,
+    each (dtype, X) is staged against the set active at its first call
+    (a :class:`repro.api.Session` activates its own around every call);
+    the spectrum entry points resolve the active set at every call.
     """
 
     ndim = 1
 
     def __init__(self, weight: np.ndarray, modes: int,
                  k_tb: int = _DEFAULT_K_TB,
-                 signal_tile: int = _DEFAULT_SIGNAL_TILE,
                  symmetric: bool = False,
                  plans: PlanCaches | None = None):
         weight = np.asarray(weight)
@@ -753,11 +696,8 @@ class CompiledSpectralConv1D(_SpectralExecutor):
             raise ValueError(
                 f"weight must be (C_in, C_out), got {weight.shape}"
             )
-        if modes < 1:
-            raise ValueError(f"modes must be positive, got {modes}")
-        self.modes = modes
-        super().__init__(weight, (modes,), k_tb, signal_tile, symmetric,
-                         plans)
+        self.modes = modes = _positive_int("modes", modes)
+        super().__init__(weight, (modes,), k_tb, symmetric, plans)
 
     # -- the staged halves ----------------------------------------------
 
@@ -933,17 +873,15 @@ class CompiledSpectralConv2D(_SpectralExecutor):
     straight from the kept modes, no Hermitian-half zero-pad) and a
     real-valued output.  Requires ``modes_y <= Y/2``.
 
-    ``k_tb`` and ``signal_tile`` work as on
-    :class:`CompiledSpectralConv1D`, applied to the per-pencil fused
-    stage along Y (a ``batch * modes_x`` pencil batch of the 1-D
-    computation).
+    ``k_tb`` and ``plans`` work as on :class:`CompiledSpectralConv1D`,
+    ``k_tb`` applied to the per-pencil fused stage along Y (a
+    ``batch * modes_x`` pencil batch of the 1-D computation).
     """
 
     ndim = 2
 
     def __init__(self, weight: np.ndarray, modes_x: int, modes_y: int,
                  k_tb: int = _DEFAULT_K_TB,
-                 signal_tile: int = _DEFAULT_SIGNAL_TILE,
                  symmetric: bool = False,
                  plans: PlanCaches | None = None):
         weight = np.asarray(weight)
@@ -951,14 +889,9 @@ class CompiledSpectralConv2D(_SpectralExecutor):
             raise ValueError(
                 f"weight must be (C_in, C_out), got {weight.shape}"
             )
-        if modes_x < 1 or modes_y < 1:
-            raise ValueError(
-                f"modes must be positive, got ({modes_x}, {modes_y})"
-            )
-        self.modes_x = modes_x
-        self.modes_y = modes_y
-        super().__init__(weight, (modes_x, modes_y), k_tb, signal_tile,
-                         symmetric, plans)
+        self.modes_x = modes_x = _positive_int("modes_x", modes_x)
+        self.modes_y = modes_y = _positive_int("modes_y", modes_y)
+        super().__init__(weight, (modes_x, modes_y), k_tb, symmetric, plans)
 
     # -- the staged halves ----------------------------------------------
 
@@ -1136,7 +1069,6 @@ def compile_spectral_conv(
     weight: np.ndarray,
     modes: int | tuple[int, ...],
     k_tb: int = _DEFAULT_K_TB,
-    signal_tile: int = _DEFAULT_SIGNAL_TILE,
     symmetric: bool = False,
     plans: PlanCaches | None = None,
 ):
@@ -1152,18 +1084,16 @@ def compile_spectral_conv(
     if isinstance(modes, tuple):
         if len(modes) == 1:
             return CompiledSpectralConv1D(
-                weight, modes[0], k_tb, signal_tile, symmetric=symmetric,
-                plans=plans,
+                weight, modes[0], k_tb, symmetric=symmetric, plans=plans,
             )
         if len(modes) == 2:
             return CompiledSpectralConv2D(
-                weight, modes[0], modes[1], k_tb, signal_tile,
-                symmetric=symmetric, plans=plans,
+                weight, modes[0], modes[1], k_tb, symmetric=symmetric,
+                plans=plans,
             )
         raise ValueError(
             f"modes must have 1 or 2 entries, got {len(modes)}"
         )
     return CompiledSpectralConv1D(
-        weight, int(modes), k_tb, signal_tile, symmetric=symmetric,
-        plans=plans,
+        weight, modes, k_tb, symmetric=symmetric, plans=plans,
     )

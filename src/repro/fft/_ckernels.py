@@ -574,7 +574,7 @@ _STOCKHAM_PROBES = [
 _SIGNED = (0.0, -0.0, 1.0, -1.0)
 
 
-#: (batch, c_in, c_out, modes, p, k_tb, signal_tile) probes of the
+#: (batch, c_in, c_out, modes, p, k_tb, tile) probes of the
 #: fused C2C tile driver, each one call with a row-table entry per tile:
 #: p = 1 and p > 1, each with a ragged tail panel (c_in = 5 at k_tb = 2)
 #: and a partial last tile (3 rows in tiles of 2).

@@ -132,6 +132,11 @@ FFT_PLAN_CACHE_SIZE = 256
 #: resident memory bounded no matter how large one call was.
 WORKSPACE_RETAIN_BYTES = 64 * 1024 * 1024
 
+#: Elements per block of the NumPy Stockham stage loop: the rows of a
+#: block (128 KiB in complex64) stay in cache through every stage, where
+#: a whole large batch would stream each stage through memory.
+_NUMPY_BLOCK_ELEMS = 1 << 14
+
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
@@ -172,15 +177,11 @@ def resolve_backend_kernels(backend: str):
 _SCOPED = object()
 
 
-def _scoped_kernels():
-    return current_plan_caches().kernels()
-
-
 def panel_contract(
     a: np.ndarray, w: np.ndarray, acc: np.ndarray, kernels=_SCOPED
 ) -> None:
     """``acc += einsum("bkm,ko->bom", a, w)`` (contiguous operands)."""
-    k = _scoped_kernels() if kernels is _SCOPED else kernels
+    k = current_plan_caches().kernels() if kernels is _SCOPED else kernels
     bt, kt, m = a.shape
     o = w.shape[1]
     if k is not None:
@@ -193,7 +194,7 @@ def decomp_reduce(
     y: np.ndarray, wd: np.ndarray, out: np.ndarray, kernels=_SCOPED
 ) -> None:
     """``out[...] = einsum("bpk,pk->bk", y, wd)`` (contiguous operands)."""
-    k = _scoped_kernels() if kernels is _SCOPED else kernels
+    k = current_plan_caches().kernels() if kernels is _SCOPED else kernels
     batch, p, q = y.shape
     if k is not None:
         k.decomp_reduce(y, wd, out, batch, p, q)
@@ -205,7 +206,7 @@ def expand_mul(
     x: np.ndarray, wd: np.ndarray, out: np.ndarray, kernels=_SCOPED
 ) -> None:
     """``out[...] = x[:, None, :] * wd`` (contiguous operands)."""
-    k = _scoped_kernels() if kernels is _SCOPED else kernels
+    k = current_plan_caches().kernels() if kernels is _SCOPED else kernels
     batch, q = x.shape
     s = wd.shape[0]
     if k is not None:
@@ -371,7 +372,15 @@ class CompiledFFTPlan:
 
     def _execute_numpy(self, flat, out, div_by, mul_by) -> None:
         """Buffered NumPy stage loop (bit-identical to the legacy path,
-        minus the per-call twiddle casts and buffer churn)."""
+        minus the per-call twiddle casts and buffer churn), over blocks
+        of rows small enough that every stage's operands stay in cache;
+        rows are independent, so blocking never changes a bit."""
+        step = max(1, _NUMPY_BLOCK_ELEMS // flat.shape[1])
+        for r0 in range(0, flat.shape[0], step):
+            self._execute_block(flat[r0: r0 + step], out[r0: r0 + step],
+                                div_by, mul_by)
+
+    def _execute_block(self, flat, out, div_by, mul_by) -> None:
         rows, n = flat.shape
         if n == 1:
             np.copyto(out, flat)
@@ -416,7 +425,7 @@ class CompiledPrunedPlan(_WorkspaceOwner):
     """
 
     def __init__(self, n: int, part: int, dtype: np.dtype, kind: str,
-                 caches: "PlanCaches | None" = None):
+                 caches: "PlanCaches"):
         if kind not in ("trunc", "pad", "itrunc"):
             raise ValueError(f"unknown pruned-plan kind {kind!r}")
         self.n = n
@@ -426,8 +435,7 @@ class CompiledPrunedPlan(_WorkspaceOwner):
         self.split = n // part  # P (trunc) or S (pad/itrunc)
         self._caches = caches
         inverse = kind == "itrunc"
-        fft_lookup = caches.fft if caches is not None else get_fft_plan
-        self._fft = fft_lookup(part, dtype, inverse)
+        self._fft = caches.fft(part, dtype, inverse)
         if part < n:
             wd = decomposition_twiddles(n, self.split, part, inverse=inverse)
             self._wd = np.ascontiguousarray(wd.astype(self.dtype))
@@ -443,9 +451,7 @@ class CompiledPrunedPlan(_WorkspaceOwner):
         )
 
     def _kernels(self):
-        if self._caches is not None:
-            return self._caches.kernels()
-        return _scoped_kernels()
+        return self._caches.kernels()
 
     # -- axis-last entry point (callers have already done moveaxis) ----
 
@@ -559,16 +565,15 @@ class CompiledRFFTPlan(_WorkspaceOwner):
     """
 
     def __init__(self, n: int, dtype: np.dtype,
-                 caches: "PlanCaches | None" = None):
+                 caches: "PlanCaches"):
         if not _is_power_of_two(n):
             raise ValueError(f"n must be a power of two, got {n}")
         self.n = n
         self.dtype = np.dtype(dtype)
         self.real_dtype = _real_dtype_of(self.dtype)
         self.half = n // 2
-        fft_lookup = caches.fft if caches is not None else get_fft_plan
         if n > 1:
-            self._sub = fft_lookup(self.half, self.dtype, inverse=False)
+            self._sub = caches.fft(self.half, self.dtype, inverse=False)
             k = np.arange(self.half + 1)
             # W_n^k pre-folded with the -i/2 of the odd-part term.
             wm = (-0.5j * np.exp(-2j * np.pi * k / n)).astype(self.dtype)
@@ -625,16 +630,15 @@ class CompiledIRFFTPlan(_WorkspaceOwner):
     """
 
     def __init__(self, n: int, dtype: np.dtype,
-                 caches: "PlanCaches | None" = None):
+                 caches: "PlanCaches"):
         if not _is_power_of_two(n):
             raise ValueError(f"n must be a power of two, got {n}")
         self.n = n
         self.dtype = np.dtype(dtype)
         self.real_dtype = _real_dtype_of(self.dtype)
         self.half = n // 2
-        fft_lookup = caches.fft if caches is not None else get_fft_plan
         if n > 1:
-            self._sub = fft_lookup(self.half, self.dtype, inverse=True)
+            self._sub = caches.fft(self.half, self.dtype, inverse=True)
             k = np.arange(self.half)
             # conj(W_n^k) pre-folded with the +i/2 of the odd-part term.
             wj = (0.5j * np.exp(+2j * np.pi * k / n)).astype(self.dtype)
@@ -749,7 +753,7 @@ class CompiledPrunedRFFTPlan(_WorkspaceOwner):
     """
 
     def __init__(self, n: int, part: int, dtype: np.dtype,
-                 caches: "PlanCaches | None" = None):
+                 caches: "PlanCaches"):
         bins = _validate_rfft_part(n, part)
         self.n = n
         self.part = part
@@ -758,23 +762,21 @@ class CompiledPrunedRFFTPlan(_WorkspaceOwner):
         self.half = n // 2
         self._caches = caches
         h = self.half
-        real_lookup = caches.rfft if caches is not None else get_rfft_plan
-        fft_lookup = caches.fft if caches is not None else get_fft_plan
         self._full = None
         self._sub = None
         if part == bins or n == 1:
             self._strategy = "full"
-            self._full = real_lookup(n, self.dtype)
+            self._full = caches.rfft(n, self.dtype)
         elif _next_pow2(part) > h // 2:
             self._strategy = "slice"
-            self._full = real_lookup(n, self.dtype)
+            self._full = caches.rfft(n, self.dtype)
         else:
             self._strategy = "decomp"
             q = _next_pow2(part)
             p = h // q
             self._q = q
             self._split = p
-            self._sub = fft_lookup(q, self.dtype, inverse=False)
+            self._sub = caches.fft(q, self.dtype, inverse=False)
             wd = decomposition_twiddles(h, p, q, inverse=False)
             k = np.arange(q)
             wm = -0.5j * np.exp(-2j * np.pi * k / n)
@@ -793,9 +795,7 @@ class CompiledPrunedRFFTPlan(_WorkspaceOwner):
         )
 
     def _kernels(self):
-        if self._caches is not None:
-            return self._caches.kernels()
-        return _scoped_kernels()
+        return self._caches.kernels()
 
     def execute(self, flat: np.ndarray) -> np.ndarray:
         """First ``part`` half-spectrum bins of every row of a
@@ -865,7 +865,7 @@ class CompiledPrunedIRFFTPlan(_WorkspaceOwner):
     """
 
     def __init__(self, n: int, part: int, dtype: np.dtype,
-                 caches: "PlanCaches | None" = None):
+                 caches: "PlanCaches"):
         bins = _validate_rfft_part(n, part)
         self.n = n
         self.part = part
@@ -874,23 +874,21 @@ class CompiledPrunedIRFFTPlan(_WorkspaceOwner):
         self.half = n // 2
         self._caches = caches
         h = self.half
-        real_lookup = caches.irfft if caches is not None else get_irfft_plan
-        fft_lookup = caches.fft if caches is not None else get_fft_plan
         self._full = None
         self._sub = None
         if part == bins or n == 1:
             self._strategy = "full"
-            self._full = real_lookup(n, self.dtype)
+            self._full = caches.irfft(n, self.dtype)
         elif _next_pow2(part) > h // 2:
             self._strategy = "pad"
-            self._full = real_lookup(n, self.dtype)
+            self._full = caches.irfft(n, self.dtype)
         else:
             self._strategy = "decomp"
             q = _next_pow2(part)
             s = h // q
             self._q = q
             self._split = s
-            self._sub = fft_lookup(q, self.dtype, inverse=True)
+            self._sub = caches.fft(q, self.dtype, inverse=True)
             j = np.arange(part)
             wj = 0.5j * np.exp(+2j * np.pi * j / n)
             ch = (0.5 + wj).astype(self.dtype)       # head: Z[j] = ch[j] X[j]
@@ -917,9 +915,7 @@ class CompiledPrunedIRFFTPlan(_WorkspaceOwner):
         )
 
     def _kernels(self):
-        if self._caches is not None:
-            return self._caches.kernels()
-        return _scoped_kernels()
+        return self._caches.kernels()
 
     def _check_bins(self, flat: np.ndarray) -> None:
         rows, bins = flat.shape

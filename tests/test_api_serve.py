@@ -406,6 +406,50 @@ class TestServePoolConfig:
         with pytest.raises((ValueError, RuntimeError)):
             ServePool(backend="not-a-backend")
 
+    @pytest.mark.parametrize("name,value,exc", [
+        (name, value, TypeError)
+        for name in ("max_batch", "queue_depth", "workers", "ring_bytes",
+                     "max_retries", "max_requests_per_worker")
+        for value in (2.5, True, "8")
+    ] + [
+        ("max_batch", 0, ValueError), ("queue_depth", -1, ValueError),
+        ("workers", 0, ValueError), ("ring_bytes", 0, ValueError),
+        ("max_retries", -1, ValueError),
+        ("max_requests_per_worker", 0, ValueError),
+    ])
+    def test_counts_checked_before_any_worker_starts(self, monkeypatch,
+                                                     name, value, exc):
+        """A fractional count is never truncated, nor a flag counted,
+        and every check fires before a worker process exists."""
+        spawned = []
+        spawn = ServePool._spawn_handle
+
+        def counting(self, shard):
+            spawned.append(shard)
+            return spawn(self, shard)
+
+        monkeypatch.setattr(ServePool, "_spawn_handle", counting)
+        pool = None
+        try:
+            with pytest.raises(exc, match=name):
+                pool = ServePool(**{"workers": 1, "backend": "numpy",
+                                    name: value})
+        finally:
+            if pool is not None:
+                pool.close()
+        assert spawned == []
+
+    def test_numpy_integer_counts_are_accepted(self):
+        with ServePool(workers=np.int64(1), backend="numpy",
+                       max_batch=np.int32(4), queue_depth=np.int64(2),
+                       max_retries=0, ring_bytes=np.int64(1 << 16),
+                       max_requests_per_worker=np.int16(5)) as pool:
+            counts = (pool.workers, pool.max_batch, pool.queue_depth,
+                      pool.max_retries, pool.ring_bytes,
+                      pool.max_requests_per_worker)
+            assert counts == (1, 4, 2, 0, 1 << 16, 5)
+            assert all(type(c) is int for c in counts)
+
     def test_non_model_request_rejected(self):
         with ServePool(workers=1, backend="numpy") as pool:
             with pytest.raises(TypeError):

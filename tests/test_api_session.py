@@ -301,6 +301,50 @@ class TestBackendIsolation:
             sessions[name].close()
 
 
+    @pytest.mark.skipif(not kernels_available(),
+                        reason="C kernels unavailable")
+    @pytest.mark.parametrize("how", ["infer", "infer_many", "exact",
+                                     "fast"])
+    def test_prebuilt_executor_follows_the_session_backend(
+            self, rng, monkeypatch, how):
+        """A fresh executor built without ``plans=`` is served on the
+        session's backend: not one C kernel call under a NumPy session,
+        and the bytes a C session serves."""
+        from repro.fft._ckernels import get_kernels
+
+        kernels, calls = get_kernels(), []
+        for name in dir(type(kernels)):
+            real = getattr(kernels, name)
+            if name.startswith("_") or not callable(real):
+                continue
+
+            def counting(*args, _real=real, _name=name):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(kernels, name, counting)
+        w = _weight(rng)
+        xs = [x for _, x in _requests(rng, w, n_requests=4)]
+
+        def serve(backend):
+            conv = CompiledSpectralConv1D(w, 32)
+            with api.Session(backend=backend, private_caches=True) as s:
+                if how == "infer":
+                    return [s.infer(conv, x) for x in xs]
+                streams = [(conv, x) for x in xs]
+                if how == "infer_many":
+                    return s.infer_many(streams)
+                return s.rollout(streams=streams, steps=3, profile=how)
+
+        want = serve("ckernels")
+        assert calls  # the counters see the C session's calls
+        calls.clear()
+        got = serve("numpy")
+        assert calls == []
+        assert all(g.dtype == r.dtype and g.tobytes() == r.tobytes()
+                   for g, r in zip(got, want))
+
+
 class TestInference:
     def test_infer_matches_spectral_conv(self, rng):
         w = _weight(rng)

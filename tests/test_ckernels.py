@@ -21,9 +21,9 @@ R2C/C2R plans' staging) promise the bits of the NumPy compositions they
 replace, which :mod:`repro.fft.compiled` keeps as their fallbacks, under
 the same contract as ``stockham``.
 
-``fused_tile_c2c_1d`` (one signal tile of the fused 1-D C2C executor)
-promises the bits of the executor's Python stage loop, which runs on
-the NumPy fallback.
+``fused_tile_c2c_1d`` (one batch of the fused 1-D C2C executor)
+promises the bits of the executor's whole-batch NumPy stages, which run
+on the NumPy fallback.
 """
 
 import numpy as np
@@ -599,7 +599,7 @@ def test_self_check_rejects_per_component_scaling(kernels, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The fused C2C tile driver against the executor's Python stage loop
+# The fused C2C tile driver against the executor's NumPy stages
 # ---------------------------------------------------------------------------
 
 #: C_in -> C_out, never square.  At k_tb = 4: full panels only (32), a
@@ -639,7 +639,7 @@ def _fused_tile(kernels, staged, x):
 def test_fused_tile_matches_python_stage_loop(kernels, p, c_in, k_tb, bt,
                                               dtype):
     """One call per batch is byte-identical to the executor's NumPy
-    stage loop, on twelve-decade data with signed zeros: p = 1 (no
+    stages, on twelve-decade data with signed zeros: p = 1 (no
     decomposition) and p > 1, full and ragged tail panels, a panel
     wider than C_in, one to sixteen rows."""
     c_out, dim_x = FUSED_CHANNELS[c_in], p * FUSED_MODES
@@ -648,8 +648,8 @@ def test_fused_tile_matches_python_stage_loop(kernels, p, c_in, k_tb, bt,
                        [0.0, -0.0])
     w = _with_specials(rng, _adversarial(rng, (c_in, c_out), dtype),
                        [0.0, -0.0])
-    staged = _StagedFused1D(w, FUSED_MODES, dim_x, k_tb, 16,
-                            np.dtype(dtype), plans=_numpy_plans)
+    staged = _StagedFused1D(w, FUSED_MODES, dim_x, k_tb, np.dtype(dtype),
+                            plans=_numpy_plans)
     ref = staged.run_fused(x)
     got = _fused_tile(kernels, staged, x)
     assert np.array_equal(_bits(got), _bits(ref))

@@ -12,6 +12,7 @@ from repro.baselines.pytorch_fno import (
     pytorch_like_spectral_conv_1d,
     pytorch_like_spectral_conv_2d,
 )
+from repro.core import legacy
 from repro.core.compiled import (
     CompiledSpectralConv1D,
     CompiledSpectralConv2D,
@@ -53,10 +54,15 @@ class TestFused1D:
 
     @pytest.mark.parametrize("signal_tile", [1, 2, 7, 100])
     def test_signal_tiling_irrelevant_to_result(self, rng, signal_tile):
+        """The untiled executor has the bytes of the legacy loop at any
+        signal tile."""
         x = rng.standard_normal((5, 6, 32)) + 0j
         w = _weights(rng, 6, 6)
         ref = pytorch_like_spectral_conv_1d(x, w, 8)
-        out = CompiledSpectralConv1D(w, 8, signal_tile=signal_tile)(x)
+        out = CompiledSpectralConv1D(w, 8)(x)
+        tiled = legacy.fused_fft_gemm_ifft_1d(x, w, 8,
+                                              signal_tile=signal_tile)
+        assert out.tobytes() == tiled.tobytes()
         assert np.allclose(out, ref, atol=1e-10)
 
     def test_complex64_pipeline(self, rng):
@@ -115,8 +121,10 @@ class TestFused2D:
         w = _weights(rng, 6, 6)
         ref = CompiledSpectralConv2D(w, 4, 8)(x)
         for k_tb, tile in [(2, 3), (6, 1), (8, 100)]:
-            out = CompiledSpectralConv2D(w, 4, 8, k_tb=k_tb,
-                                         signal_tile=tile)(x)
+            out = CompiledSpectralConv2D(w, 4, 8, k_tb=k_tb)(x)
+            tiled = legacy.fused_fft_gemm_ifft_2d(x, w, 4, 8, k_tb=k_tb,
+                                                  signal_tile=tile)
+            assert out.tobytes() == tiled.tobytes()
             assert np.allclose(out, ref, atol=1e-10)
 
     def test_modes_validation(self, rng):

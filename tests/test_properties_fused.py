@@ -3,7 +3,8 @@
 Hypothesis drives random layer geometries through two invariants:
 
 1. the fused single-kernel dataflow always equals the staged oracle, for
-   any tiling of the k-loop and signal dimensions;
+   any tiling of the k-loop, and the legacy loop's bytes at any signal
+   tile;
 2. along the Table 2 ladder, modelled DRAM traffic and kernel launches are
    monotone non-increasing for *every* problem shape (fusion can cost
    time via recompute, but it never adds memory transactions or
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.pytorch_fno import pytorch_like_spectral_conv_1d
+from repro.core import legacy
 from repro.core.compiled import CompiledSpectralConv1D
 from repro.core.config import FNO1DProblem, FNO2DProblem
 from repro.core.pipeline_model import build_pipeline_1d, build_pipeline_2d
@@ -47,8 +49,9 @@ class TestFusedEqualsOracle:
         )
         w = (rng.standard_normal((c_in, c_out))
              + 1j * rng.standard_normal((c_in, c_out))) / max(c_in, 1)
-        fused = CompiledSpectralConv1D(w, modes, k_tb=k_tb,
-                                       signal_tile=tile)(x)
+        fused = CompiledSpectralConv1D(w, modes, k_tb=k_tb)(x)
+        tiled = legacy.fused_fft_gemm_ifft_1d(x, w, modes, k_tb, tile)
+        assert fused.tobytes() == tiled.tobytes()
         oracle = pytorch_like_spectral_conv_1d(x, w, modes)
         scale = 1 + np.abs(oracle).max()
         assert np.allclose(fused, oracle, atol=1e-8 * scale)

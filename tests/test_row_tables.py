@@ -15,9 +15,10 @@ out.  Covered here:
   0-, 1- and 3-row requests, a ragged tail, widened float32,
   Fortran-order, byte-swapped and complex128 requests equal serial
   ``Session.infer`` byte for byte on both backends; no result shares
-  memory with a request or another result; on the C backend each group
-  is one driver call and nothing is concatenated, while 2-D, symmetric
-  and NumPy-fallback groups keep the concatenating path;
+  memory with a request or another result; no 1-D C2C group is
+  concatenated on either backend, and on the C backend each is one
+  driver call, while 2-D and symmetric groups keep the concatenating
+  path;
 * the allocation bound of a warm ``infer_c2c_1d``-shaped burst;
 * the ``workers``/``queue_depth`` checks of ``infer_many`` and
   ``rollout``.
@@ -77,7 +78,7 @@ def _assert_owned(results, inputs):
 def _staged(dtype, p, backend="ckernels", c_in=C_IN, c_out=C_OUT):
     rng = np.random.default_rng(p)
     w = _complex(rng, (c_in, c_out), dtype)
-    return _StagedFused1D(w, MODES, p * MODES, 3, 4, np.dtype(dtype),
+    return _StagedFused1D(w, MODES, p * MODES, 3, np.dtype(dtype),
                           plans=PlanCaches(backend=backend))
 
 
@@ -108,7 +109,7 @@ def _guarded(shape, dtype, fill=7 + 7j):
 def test_table_matches_the_stage_loop_per_entry(dtype, p):
     """A table of separate requests (an empty one among them) and a
     table of views of one buffer in reverse order both give each entry
-    the bytes of the NumPy stage loop over that entry alone; nothing is
+    the bytes of the NumPy stages over that entry alone; nothing is
     written outside an output."""
     staged, oracle = _staged(dtype, p), _staged(dtype, p, "numpy")
     rng = np.random.default_rng(10 * p)
@@ -302,9 +303,7 @@ def test_mixed_groups_equal_serial_infer(backend, how, rng, counters):
     _assert_owned(got, [x for _, x in requests])
     if backend == "ckernels":
         assert counters["driver"] == GROUPS
-        assert counters["concatenate"] == 0
-    else:
-        assert counters["concatenate"] == GROUPS
+    assert counters["concatenate"] == 0
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -324,7 +323,7 @@ def test_compiled_executor_and_keep_all(backend, rng, counters):
     for g, ref in zip(got, want):
         assert _same_bytes(g, ref[None])
     _assert_owned(got, [x for _, x in requests])
-    assert counters["concatenate"] == (0 if backend == "ckernels" else 1)
+    assert counters["concatenate"] == 0
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

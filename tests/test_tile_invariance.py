@@ -1,21 +1,21 @@
-"""Tile invariance: the signal tile may never change a single bit.
+"""Tile invariance: the untiled executors give the tiled oracle's bits.
 
-On the C backend the fused C2C dataflow runs the whole batch in one
-``fused_tile_c2c_1d`` call; on the NumPy fallback ``signal_tile`` sizes
-the Python stage loop's tile workspaces.  Either way the output must be
-byte-for-byte the frozen :mod:`repro.core.legacy` oracle's at the same
-accumulation width ``k_tb``.  This suite enforces that by differential
-testing: randomized geometries, dtypes, memory layouts, batch shapes and
-explicit ``signal_tile`` values, on both substrates.  Edge tiles are
-pinned explicitly: batches smaller than the signal tile, channel counts
-smaller than ``k_tb``, ragged final panels, the degenerate
-one-everything geometry, and weights with no input or no output
-channels.  Inputs the C driver cannot take as they are (read-only,
-broadcast, Fortran-ordered, reversed) go through the reusable staging
-buffer, which must never alias an input or a returned output, and an
-empty batch returns an empty result.  It also pins the driver contract
-itself: any batch, however its input is laid out, costs exactly one
-driver call.
+The fused C2C dataflow runs each batch whole: on the C backend in one
+``fused_tile_c2c_1d`` call, on the NumPy fallback as one pass of each
+NumPy stage.  Either way the output must be byte-for-byte the frozen
+:mod:`repro.core.legacy` loop's at the same accumulation width ``k_tb``
+and at *any* of its signal tiles.  This suite enforces that by
+differential testing: randomized geometries, dtypes, memory layouts,
+batch shapes and legacy ``signal_tile`` values, on both substrates.
+Edge cases are pinned explicitly: batches below, at and above the
+legacy default tile of 16, channel counts smaller than ``k_tb``, ragged
+final panels, the degenerate one-everything geometry, and weights with
+no input or no output channels.  Inputs the C driver cannot take as
+they are (read-only, broadcast, Fortran-ordered, reversed) go through
+the reusable staging buffer, which must never alias an input or a
+returned output, and an empty batch returns an empty result.  It also
+pins the driver contract itself: any batch, however its input is laid
+out, costs exactly one driver call.
 
 The randomized grid is deterministic (seeded) so failures reproduce.
 """
@@ -33,6 +33,7 @@ from repro.core.compiled import (
     CompiledSpectralConv1D,
     CompiledSpectralConv2D,
     compile_spectral_conv,
+    fused_fft_gemm_1d,
 )
 from repro.fft._ckernels import kernels_available
 from repro.fft.compiled import PlanCaches
@@ -88,11 +89,11 @@ def _random_case_1d(rng):
     batch = int(rng.integers(1, 41))
     c_in = int(rng.integers(1, 21))
     c_out = int(rng.integers(1, 13))
-    signal_tile = int(rng.integers(1, 65))
+    legacy_tile = int(rng.integers(1, 65))
     k_tb = int(rng.choice([1, 3, 8, 16]))
     dtype = rng.choice([np.float32, np.float64, np.complex64])
     layout = rng.choice(["contiguous", "strided", "transposed"])
-    return (batch, c_in, c_out, dim_x, modes, signal_tile, k_tb, dtype,
+    return (batch, c_in, c_out, dim_x, modes, legacy_tile, k_tb, dtype,
             layout)
 
 
@@ -100,49 +101,50 @@ class TestFuzzFused1D:
     @pytest.mark.parametrize("trial", range(14))
     def test_randomized_signal_tiles_match_oracle(self, backend, trial):
         rng = np.random.default_rng(1000 + trial)
-        (batch, c_in, c_out, dim_x, modes, signal_tile, k_tb, dtype,
+        (batch, c_in, c_out, dim_x, modes, legacy_tile, k_tb, dtype,
          layout) = _random_case_1d(rng)
         wdtype = np.complex128 if dtype == np.float64 else np.complex64
         w = _weight(rng, c_in, c_out, wdtype)
         x = _signal(rng, (batch, c_in, dim_x), dtype, layout)
         oracle = legacy.fused_fft_gemm_ifft_1d(x, w, modes, k_tb)
-        default = CompiledSpectralConv1D(w, modes, k_tb)(x)
-        tiled = CompiledSpectralConv1D(w, modes, k_tb, signal_tile)(x)
-        assert _bit_equal(default, oracle)
-        assert _bit_equal(tiled, oracle), (
-            f"signal_tile={signal_tile} k_tb={k_tb} changed bits for "
+        tiled = legacy.fused_fft_gemm_ifft_1d(x, w, modes, k_tb, legacy_tile)
+        out = CompiledSpectralConv1D(w, modes, k_tb)(x)
+        assert _bit_equal(tiled, oracle)
+        assert _bit_equal(out, tiled), (
+            f"legacy tile {legacy_tile}, k_tb={k_tb}: bits differ for "
             f"B={batch} C={c_in}x{c_out} X={dim_x} m={modes} "
             f"{np.dtype(dtype).name} {layout} [{backend}]"
         )
 
-    @pytest.mark.parametrize("batch,c_in,signal_tile,k_tb", [
-        (3, 9, 16, 8),      # batch < signal_tile
-        (2, 5, 64, 8),      # batch << signal_tile, ragged panel
+    @pytest.mark.parametrize("batch,c_in,legacy_tile,k_tb", [
+        (3, 9, 16, 8),      # batch < legacy tile
+        (2, 5, 64, 8),      # batch << legacy tile, ragged panel
         (40, 3, 16, 8),     # c_in < k_tb: one ragged panel only
         (7, 6, 32, 4),      # ragged tail panel after a full one
         (1, 1, 1, 8),       # the degenerate one-everything case
         (33, 24, 8, 8),     # three full panels, partial last tile
-        (16, 20, 5, 16),    # ragged tail panel after a full one
+        (16, 20, 5, 16),    # batch at the default tile, ragged panel
+        (17, 20, 16, 8),    # one row past the default tile
     ])
-    def test_edge_tiles(self, backend, batch, c_in, signal_tile, k_tb):
+    def test_edge_tiles(self, backend, batch, c_in, legacy_tile, k_tb):
         rng = np.random.default_rng(batch * 100 + c_in)
         w = _weight(rng, c_in, 4, np.complex64)
         x = _signal(rng, (batch, c_in, 32), np.float32, "contiguous")
-        oracle = legacy.fused_fft_gemm_ifft_1d(x, w, 16, k_tb)
-        tiled = CompiledSpectralConv1D(w, 16, k_tb, signal_tile)(x)
-        assert _bit_equal(tiled, oracle)
+        oracle = legacy.fused_fft_gemm_ifft_1d(x, w, 16, k_tb, legacy_tile)
+        out = CompiledSpectralConv1D(w, 16, k_tb)(x)
+        assert _bit_equal(out, oracle)
 
     def test_interleaved_executors_share_plans(self, backend):
-        """Executors of one weight with distinct signal tiles interleave
+        """Executors of one weight with distinct ``k_tb`` interleave
         through the shared plan caches without cross-talk."""
         rng = np.random.default_rng(7)
         w = _weight(rng, 10, 5, np.complex64)
-        convs = [CompiledSpectralConv1D(w, 16, signal_tile=st)
-                 for st in (16, 4, 64)]
+        convs = {k_tb: CompiledSpectralConv1D(w, 16, k_tb)
+                 for k_tb in (8, 3, 16)}
         for trial in range(3):
             x = _signal(rng, (11, 10, 32), np.float32, "contiguous")
-            ref = legacy.fused_fft_gemm_ifft_1d(x, w, 16)
-            for conv in convs:
+            for k_tb, conv in convs.items():
+                ref = legacy.fused_fft_gemm_ifft_1d(x, w, 16, k_tb)
                 assert _bit_equal(conv(x), ref)
 
     def test_staging_cached_per_dtype_and_length(self, backend):
@@ -158,6 +160,49 @@ class TestFuzzFused1D:
         ]
 
 
+def _arrays(obj):
+    """Every array an object's attributes hold, directly or in a tuple,
+    list or dict value."""
+    for value in vars(obj).values():
+        items = (value.values() if isinstance(value, dict)
+                 else value if isinstance(value, (tuple, list)) else [value])
+        yield from (v for v in items if isinstance(v, np.ndarray))
+
+
+class TestWeightStaging:
+    """An executor casts its weight once per working dtype, on first
+    use; every fused stage of that dtype, whatever its length, and the
+    spectrum CGEMM share that one cast, and no k-panel copy is kept."""
+
+    @pytest.mark.parametrize("ndim", [1, 2])
+    def test_one_cast_per_dtype_shared_across_geometries(self, backend,
+                                                         ndim):
+        rng = np.random.default_rng(17)
+        w = _weight(rng, 6, 6, np.complex64)
+        conv = (CompiledSpectralConv1D(w, 8) if ndim == 1
+                else CompiledSpectralConv2D(w, 4, 8))
+        assert conv._cast == {}
+        grids = [(n,) for n in (16, 32, 64)] if ndim == 1 else [
+            (8, n) for n in (16, 32)]
+        for grid in grids:
+            for dtype in (np.float32, np.complex64, np.float64):
+                x = _signal(rng, (3, 6) + grid, dtype, "contiguous")
+                conv(x)
+                sk = conv.forward_spectrum(x)
+                conv.rollout_spectrum(sk, 2, grid if ndim == 2 else grid[0])
+                conv.step_spectrum(sk)
+        casts = conv._cast
+        assert sorted(np.dtype(d).name for d in casts) == [
+            "complex128", "complex64"]
+        assert len(conv._staged) == 2 * len(grids)
+        for (dtype, _), stage in conv._staged.items():
+            assert stage.weight is casts[dtype]
+            for arr in _arrays(stage):
+                if arr is not stage.weight:
+                    assert not any(np.shares_memory(arr, c)
+                                   for c in casts.values())
+
+
 class TestFuzzFused2D:
     @pytest.mark.parametrize("trial", range(8))
     def test_randomized_signal_tiles_match_oracle(self, backend, trial):
@@ -169,16 +214,16 @@ class TestFuzzFused2D:
         batch = int(rng.integers(1, 9))
         c_in = int(rng.integers(1, 17))
         c_out = int(rng.integers(1, 9))
-        signal_tile = int(rng.integers(1, 65))
+        legacy_tile = int(rng.integers(1, 65))
         dtype = rng.choice([np.float32, np.complex64])
         layout = rng.choice(["contiguous", "strided"])
         w = _weight(rng, c_in, c_out, np.complex64)
         x = _signal(rng, (batch, c_in, dim_x, dim_y), dtype, layout)
-        oracle = legacy.fused_fft_gemm_ifft_2d(x, w, mx, my)
-        tiled = CompiledSpectralConv2D(w, mx, my,
-                                       signal_tile=signal_tile)(x)
-        assert _bit_equal(tiled, oracle), (
-            f"signal_tile={signal_tile} changed bits for B={batch} "
+        oracle = legacy.fused_fft_gemm_ifft_2d(x, w, mx, my,
+                                               signal_tile=legacy_tile)
+        out = CompiledSpectralConv2D(w, mx, my)(x)
+        assert _bit_equal(out, oracle), (
+            f"legacy tile {legacy_tile}: bits differ for B={batch} "
             f"C={c_in}x{c_out} grid={dim_x}x{dim_y} m={mx}x{my} "
             f"{np.dtype(dtype).name} {layout} [{backend}]"
         )
@@ -331,7 +376,7 @@ class TestOneDriverCall:
         rng = np.random.default_rng(9)
         wdtype = np.complex128 if dtype == np.complex128 else np.complex64
         w = _weight(rng, 10, 5, wdtype)
-        conv = CompiledSpectralConv1D(w, 16, signal_tile=4,
+        conv = CompiledSpectralConv1D(w, 16,
                                       plans=PlanCaches(backend="ckernels"))
         for batch in (37, 5):
             x = _signal(rng, (batch, 10, 32), dtype, layout)
@@ -355,44 +400,61 @@ class TestConstruction:
     """Checks that fire when an executor is built, not at its first
     call, and keywords of the removed tile autotuner."""
 
-    @pytest.mark.parametrize("signal_tile", [0, -3])
-    def test_signal_tile_must_be_positive(self, signal_tile):
+    @staticmethod
+    def _builds(modes):
+        """Every constructor that takes ``modes``, at ``modes`` on one axis."""
         w = np.ones((4, 4), np.complex64)
-        builds = [
-            lambda: CompiledSpectralConv1D(w, 8, signal_tile=signal_tile),
-            lambda: CompiledSpectralConv1D(w, 8, signal_tile=signal_tile,
-                                           symmetric=True),
-            lambda: CompiledSpectralConv2D(w, 4, 8,
-                                           signal_tile=signal_tile),
-            lambda: compile_spectral_conv(w, 8, signal_tile=signal_tile),
-            lambda: compile_spectral_conv(w, (4, 8),
-                                          signal_tile=signal_tile),
+        return [
+            lambda: CompiledSpectralConv1D(w, modes),
+            lambda: CompiledSpectralConv1D(w, modes, symmetric=True),
+            lambda: CompiledSpectralConv2D(w, modes, 8),
+            lambda: CompiledSpectralConv2D(w, 4, modes),
+            lambda: compile_spectral_conv(w, modes),
+            lambda: compile_spectral_conv(w, (modes,)),
+            lambda: compile_spectral_conv(w, (4, modes)),
+            lambda: api.SpectralModel(w, modes),
+            lambda: api.SpectralModel(w, [modes, 8]),
+            lambda: fused_fft_gemm_1d(np.ones((1, 4, 32)), w, modes),
         ]
-        for build in builds:
-            with pytest.raises(ValueError,
-                               match="signal_tile must be positive"):
+
+    @pytest.mark.parametrize("modes", [0, -3])
+    def test_modes_must_be_positive(self, modes):
+        for build in self._builds(modes):
+            with pytest.raises(ValueError, match="modes.* must be positive"):
                 build()
 
-    @pytest.mark.parametrize("signal_tile", [2.5, "8", None])
-    def test_signal_tile_must_be_an_integer(self, signal_tile):
-        """On every backend: the C driver never reads ``signal_tile``,
-        so a non-integer must not wait for the NumPy loop's range()."""
-        w = np.ones((4, 4), np.complex64)
-        for modes in (8, (4, 8)):
-            for symmetric in (False, True):
-                with pytest.raises(TypeError,
-                                   match="signal_tile must be an integer"):
-                    compile_spectral_conv(w, modes, symmetric=symmetric,
-                                          signal_tile=signal_tile)
+    @pytest.mark.parametrize("modes", [16.9, 8.5, True, np.bool_(True),
+                                       "8", None, np.float64(8)])
+    def test_modes_must_be_an_integer(self, modes):
+        """A fractional count is never truncated, nor a flag counted:
+        ``modes=16.9`` kept 16 modes and ``modes=True`` one."""
+        for build in self._builds(modes):
+            with pytest.raises(TypeError, match="modes.* must be an integer"):
+                build()
 
-    def test_numpy_integer_tiles_are_accepted(self, backend):
+    def test_signal_tile_is_gone(self):
+        """Both substrates run each batch whole, so no constructor takes a
+        signal tile any more."""
+        w = np.ones((4, 4), np.complex64)
+        for build in (
+            lambda: CompiledSpectralConv1D(w, 8, signal_tile=16),
+            lambda: CompiledSpectralConv2D(w, 4, 8, signal_tile=16),
+            lambda: compile_spectral_conv(w, 8, signal_tile=16),
+        ):
+            with pytest.raises(TypeError, match="signal_tile"):
+                build()
+
+    def test_numpy_integer_counts_are_accepted(self, backend):
         rng = np.random.default_rng(16)
         w = _weight(rng, 6, 3, np.complex64)
-        conv = CompiledSpectralConv1D(w, 8, k_tb=np.int64(4),
-                                      signal_tile=np.int32(3))
-        assert type(conv.k_tb) is int and type(conv.signal_tile) is int
+        conv = CompiledSpectralConv1D(w, np.int32(8), k_tb=np.int64(4))
+        assert type(conv.k_tb) is int and type(conv.modes) is int
         x = _signal(rng, (7, 6, 32), np.float32, "contiguous")
         assert _bit_equal(conv(x), legacy.fused_fft_gemm_ifft_1d(x, w, 8, 4))
+        model = api.SpectralModel(w, (np.int64(8),))
+        assert model.modes == (8,) and type(model.modes[0]) is int
+        conv2 = compile_spectral_conv(w, (np.uint8(4), np.int16(8)))
+        assert (type(conv2.modes_x), type(conv2.modes_y)) == (int, int)
 
     def test_tile_autotuner_is_gone(self):
         from repro.api.serve import ServePool
