@@ -18,6 +18,10 @@ from repro.core.compiled import compile_spectral_conv
 __all__ = ["spectral_conv"]
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 def spectral_conv(
     x: np.ndarray,
     weight: np.ndarray,
@@ -47,8 +51,9 @@ def spectral_conv(
     def as_mode(v) -> int:
         # numbers.Integral admits numpy integer scalars (e.g. sweep-array
         # elements), not just builtin int; everything else (floats from
-        # sweep arithmetic, strings) is rejected rather than truncated.
-        if not isinstance(v, numbers.Integral):
+        # sweep arithmetic, strings, a bool flag) is rejected rather than
+        # truncated or taken as 0 or 1.
+        if not _is_int(v):
             raise ValueError(
                 f"modes must be an integer or a tuple of integers, got {v!r}"
             )
@@ -60,7 +65,7 @@ def spectral_conv(
             f"array; got ndim={x.ndim}"
         )
     spatial = x.ndim - 2
-    if isinstance(modes, numbers.Integral):
+    if _is_int(modes):
         per_axis = (int(modes),) * spatial
     else:
         try:

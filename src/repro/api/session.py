@@ -447,10 +447,10 @@ class Session:
     def _warm_geometry(self, spatial: tuple, modes: tuple, cdt) -> None:
         caches = self.plan_caches
         n_last, m_last = spatial[-1], modes[-1]
-        # The fused family along the innermost axis.
-        caches.fft(m_last, cdt, inverse=False)
-        caches.fft(m_last, cdt, inverse=True)
-        if m_last < n_last and is_power_of_two(m_last):
+        # The fused family along the innermost axis: the pruned pair a
+        # fused stage takes (also at m == n), which builds the kept-mode
+        # FFT plans in both directions.
+        if m_last <= n_last and is_power_of_two(m_last):
             caches.pruned(n_last, m_last, cdt, "trunc")
             caches.pruned(n_last, m_last, cdt, "itrunc")
         # The symmetric (half-spectrum) family — the pruned-R2C plans

@@ -4,20 +4,22 @@ The legacy fused loops (:mod:`repro.core.legacy`) re-cast the same
 weight panel on every tile of every signal block and re-staged their FFT
 setup per call.  A :class:`CompiledSpectralConv1D` /
 :class:`CompiledSpectralConv2D` executor stages all of that once — the
-weight cast once per working dtype, FFT plans resolved from the plan
-caches (:mod:`repro.fft.compiled`), decomposition twiddles pre-cast per
-signal length — so each execution runs only the arithmetic.  Outputs
-are byte-identical to the legacy loops (property-tested): the executors
-replay the same ``k_tb`` panel accumulation order, so not a single
-floating-point operation changes, only where the operands live.
+weight cast once per working dtype, the pruned FFT plans (with their
+pre-cast decomposition twiddles) taken from the plan caches
+(:mod:`repro.fft.compiled`) — so each execution runs only the
+arithmetic.  Outputs are byte-identical to the legacy loops
+(property-tested): the executors replay the same ``k_tb`` panel
+accumulation order, so not a single floating-point operation changes,
+only where the operands live.
 
 The fused C2C dataflow (the 1-D executor, and the 2-D executor's
 per-pencil stage) runs the whole batch as one call into the C tile
 driver ``fused_tile_c2c_1d`` when the C kernels are loaded — TurboFNO's
 one FFT -> CGEMM -> iFFT kernel, with each signal row streamed through
 the stages in cache.  Without them the batch runs whole through the
-NumPy stages (gather and FFT, the k-panel CGEMM, the pruned inverse),
-which are also the driver's oracle.
+same cached pruned plans the functional API runs (the truncated FFT,
+the k-panel CGEMM, the zero-padded inverse), which are also the
+driver's oracle; the driver reads its tables from those plans too.
 
 The symmetric (rfft/irfft) convention has one dataflow: its
 ``__call__`` runs the same three staged halves as its spectrum entry
@@ -58,8 +60,6 @@ from repro.fft.compiled import (
     PlanCaches,
     PrunedPartMismatchError,
     current_plan_caches,
-    decomp_reduce,
-    expand_mul,
     panel_contract,
 )
 from repro.fft.pruned import (
@@ -70,7 +70,6 @@ from repro.fft.pruned import (
     truncated_ifft,
 )
 from repro.fft.stockham import _check_length
-from repro.fft.twiddle import decomposition_twiddles
 
 __all__ = [
     "CompiledSpectralConv1D",
@@ -125,13 +124,16 @@ class _StagedFused1D:
 
     Replays the exact legacy dataflow (k-loop -> epilogue) with all
     per-call setup hoisted: the weight cast (the executor's, shared by
-    every length of its dtype), cached FFT plans for the kept-mode
-    length and pre-cast decomposition twiddles.  With the C kernels
-    loaded, :meth:`run_rows` makes one tile-driver call for a whole list
-    of requests, read and written in place through row tables
-    (workspaces for one streamed row); otherwise it runs the requests as
-    one batch through the NumPy stages, :meth:`run_fft_gemm` then the
-    epilogue, which are the NumPy fallback and the driver's oracle.
+    every length of its dtype) and the plan-cache set's pruned pair
+    along ``dim_x``, ``trunc`` (the truncated FFT) and ``itrunc`` (the
+    zero-padded inverse) — the same cached plans the functional API
+    runs.  With the C kernels loaded, :meth:`run_rows` makes one
+    tile-driver call for a whole list of requests, read and written in
+    place through row tables (workspaces for one streamed row), with
+    every table the driver reads taken from those two plans; otherwise
+    it runs the requests as one batch through the plans themselves,
+    ``trunc.apply`` -> k-panel CGEMM -> ``itrunc.apply``, which is the
+    NumPy fallback and the driver's oracle.
     """
 
     def __init__(self, weight: np.ndarray, modes: int, dim_x: int,
@@ -154,79 +156,11 @@ class _StagedFused1D:
         self.plans = plans if plans is not None else current_plan_caches()
         # No copy when the weight is already cast (an executor's is).
         self.weight = np.ascontiguousarray(weight, dtype=dtype)
-        self.fwd = self.plans.fft(modes, dtype, inverse=False)
-        if self.p > 1:
-            self.wd_f = np.ascontiguousarray(
-                decomposition_twiddles(dim_x, self.p, modes).astype(dtype)
-            )
-        else:
-            self.wd_f = None
-        # The inverse side and the driver's workspaces are staged
-        # lazily: the forward-only stage-B pass never touches them.
-        self.inv = None
-        self.wd_i = None
+        self.trunc = self.plans.pruned(dim_x, modes, dtype, "trunc")
+        self.itrunc = self.plans.pruned(dim_x, modes, dtype, "itrunc")
+        # The driver's workspaces are staged at its first call.
         self._driver_ops = None
         self._x_stage = np.empty(0, dtype)
-
-    def _ensure_inverse(self) -> None:
-        """Stage the epilogue's inverse plan and twiddles."""
-        if self.inv is not None:
-            return
-        self.inv = self.plans.fft(self.modes, self.dtype, inverse=True)
-        if self.p > 1:
-            self.wd_i = np.ascontiguousarray(
-                decomposition_twiddles(
-                    self.dim_x, self.p, self.modes, inverse=True
-                ).astype(self.dtype)
-            )
-
-    # -- the NumPy stages, each over a whole batch -----------------------
-
-    def _spectrum(self, xs: list) -> np.ndarray:
-        """Truncated FFT of the requests ``xs`` as one batch, ``(batch,
-        C_in, modes)``: each request gathered into its own rows, then
-        one FFT execution and (p > 1) one decomposition reduce."""
-        batch = sum(x.shape[0] for x in xs)
-        p, modes, c_in = self.p, self.modes, self.c_in
-        gat = np.empty((batch, c_in, p, modes), self.dtype)
-        off = 0
-        for x in xs:
-            rows = x.shape[0]
-            gat[off: off + rows] = x.reshape(rows, c_in, modes, p).transpose(
-                0, 1, 3, 2)
-            off += rows
-        fbuf = self.fwd.execute(gat.reshape(batch * c_in * p, modes))
-        if p == 1:
-            return fbuf.reshape(batch, c_in, modes)
-        spec = np.empty((batch, c_in, modes), self.dtype)
-        decomp_reduce(fbuf.reshape(batch * c_in, p, modes), self.wd_f,
-                      spec.reshape(batch * c_in, modes),
-                      kernels=self.plans.kernels())
-        return spec
-
-    def _epilogue(self, acc: np.ndarray, out: np.ndarray) -> None:
-        """Pruned inverse transform of a batch's accumulated
-        ``(batch, C_out, modes)`` spectrum into ``out``."""
-        self._ensure_inverse()
-        batch = acc.shape[0]
-        p, modes, c_out = self.p, self.modes, self.c_out
-        rows = batch * c_out
-        if p > 1:
-            sc = np.empty((rows, p, modes), self.dtype)
-            expand_mul(acc.reshape(rows, modes), self.wd_i, sc,
-                       kernels=self.plans.kernels())
-            y = self.inv.execute(sc.reshape(rows * p, modes),
-                                 div_by=float(modes),
-                                 mul_by=float(modes / self.dim_x))
-            out.reshape(batch, c_out, modes, p)[...] = (
-                y.reshape(batch, c_out, p, modes).transpose(0, 1, 3, 2)
-            )
-        else:
-            self.inv.execute(acc.reshape(rows, modes),
-                             out=out.reshape(rows, modes),
-                             div_by=float(modes))
-
-    # -- whole passes ---------------------------------------------------
 
     def _run_driver(self, xs: list, block: np.ndarray, kernels) -> None:
         """:meth:`run_rows` on the C tile driver: one checked kernel call
@@ -234,13 +168,13 @@ class _StagedFused1D:
         every stage, so the workspaces hold one row (see
         ``_kernels.c``)."""
         if self._driver_ops is None:
-            self._ensure_inverse()
             dtype, p, modes = self.dtype, self.p, self.modes
             row = max(self.k_tb, self.c_out) * self.dim_x
             none = np.empty(0, dtype)
             self._driver_ops = (
-                self.fwd.twiddles, self.inv.twiddles,
-                none if p == 1 else self.wd_f, none if p == 1 else self.wd_i,
+                self.trunc.fft.twiddles, self.itrunc.fft.twiddles,
+                none if p == 1 else self.trunc.wd,
+                none if p == 1 else self.itrunc.wd,
                 np.empty(row, dtype), np.empty(row, dtype),
                 np.empty(row, dtype),
                 np.empty(self.k_tb * modes if p > 1 else 0, dtype),
@@ -280,28 +214,30 @@ class _StagedFused1D:
         that reads it in place and writes its result directly (only a
         request in another dtype or layout is converted first, into a
         reused staging buffer); otherwise the requests run as one batch
-        through the NumPy stages, each gathered from where it lies: the
+        through the pruned plans, each gathered from where it lies: the
         oracle the driver is tested against.  A weight with no input or
-        no output channels always takes the NumPy stages: the driver
-        requires both extents."""
+        no output channels always takes the plans: the driver requires
+        both extents."""
         # One block holds every result, each request's its own rows.
         # One allocation per request would be too small to lift glibc's
         # dynamic mmap and trim thresholds, so freeing a burst's results
         # would trim the heap and the next burst would fault the pages
         # back in: about 430 minor faults per warm 48-request burst of
         # three 16-request groups, against none with one block each.
-        block = np.empty((sum(x.shape[0] for x in xs), self.c_out,
-                          self.dim_x), self.dtype)
+        kernels = self.plans.kernels()
+        if kernels is not None and self.c_in and self.c_out:
+            block = np.empty((sum(len(x) for x in xs), self.c_out,
+                              self.dim_x), self.dtype)
+            self._run_driver(xs, block, kernels)
+        else:
+            block = self.itrunc.apply(self.run_fft_gemm(xs))
+        if len(xs) == 1:
+            return [block]
         outs, off = [], 0
         for x in xs:
             outs.append(block[off: off + len(x)])
             off += len(x)
-        kernels = self.plans.kernels()
-        if kernels is not None and self.c_in and self.c_out:
-            self._run_driver(xs, block, kernels)
-        else:
-            self._epilogue(self.run_fft_gemm(xs), block)
-        return [block] if len(xs) == 1 else outs
+        return outs
 
     def run_fused(self, x: np.ndarray) -> np.ndarray:
         """Stage D over one batch: :meth:`run_rows` of ``[x]``."""
@@ -311,7 +247,7 @@ class _StagedFused1D:
         """Stage B over the requests ``xs`` as one batch: the truncated
         spectrum contracted with the weight in ``k_tb`` panels,
         ``(batch, C_out, modes)``."""
-        return _contract(self._spectrum(xs), self.weight, self.k_tb,
+        return _contract(self.trunc.apply(xs), self.weight, self.k_tb,
                          self.plans.kernels())
 
 
@@ -366,6 +302,7 @@ def fused_gemm_ifft_1d(
     the C tile straight from "shared memory".
     """
     k_tb = _positive_int("k_tb", k_tb)
+    dim_x = _positive_int("dim_x", dim_x)
     xk_low = np.asarray(xk_low)
     weight = np.asarray(weight)
     _check_inputs(xk_low, weight, 3)

@@ -76,6 +76,7 @@ if not parallel.
 
 from __future__ import annotations
 
+import math
 import threading
 from contextlib import contextmanager
 from functools import lru_cache
@@ -421,7 +422,10 @@ class CompiledPrunedPlan(_WorkspaceOwner):
     ``caches`` names the owning :class:`PlanCaches`: the sub-transform's
     plan is resolved from the same set (so a private cache set never
     leaks plans into — or out of — the process-wide default), and the
-    helper kernels follow that set's backend.
+    helper kernels follow that set's backend.  ``fft`` is that
+    length-``part`` sub-plan and ``wd`` the pre-cast ``(split, part)``
+    decomposition twiddles (``None`` when ``part == n``): the tables the
+    fused C2C driver reads too.
     """
 
     def __init__(self, n: int, part: int, dtype: np.dtype, kind: str,
@@ -435,13 +439,13 @@ class CompiledPrunedPlan(_WorkspaceOwner):
         self.split = n // part  # P (trunc) or S (pad/itrunc)
         self._caches = caches
         inverse = kind == "itrunc"
-        self._fft = caches.fft(part, dtype, inverse)
+        self.fft = caches.fft(part, dtype, inverse)
         if part < n:
             wd = decomposition_twiddles(n, self.split, part, inverse=inverse)
-            self._wd = np.ascontiguousarray(wd.astype(self.dtype))
-            self._wd.setflags(write=False)
+            self.wd = np.ascontiguousarray(wd.astype(self.dtype))
+            self.wd.setflags(write=False)
         else:
-            self._wd = None
+            self.wd = None
         self._init_workspaces()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -455,88 +459,70 @@ class CompiledPrunedPlan(_WorkspaceOwner):
 
     # -- axis-last entry point (callers have already done moveaxis) ----
 
-    def apply(self, moved: np.ndarray) -> np.ndarray:
-        """Run the pruned transform over the last axis of ``moved``."""
-        lead = moved.shape[:-1]
-        batch = 1
-        for d in lead:
-            batch *= d
-        if self.kind == "trunc":
-            out = self._trunc(moved, lead, batch)
-        elif self.kind == "pad":
-            out = self._pad(moved, lead, batch)
+    def apply(self, moved) -> np.ndarray:
+        """Run the pruned transform over the last axis of ``moved``: one
+        array, or a list of arrays stacked along their first axis.
+
+        Each array is gathered (and cast) from where it lies into the
+        plan's workspace, so a list is never concatenated; the
+        workspaces are filled and read under the plan's lock."""
+        if isinstance(moved, list):
+            parts = moved
+            lead = (sum(len(a) for a in parts), *parts[0].shape[1:-1])
         else:
-            out = self._itrunc(moved, lead, batch)
-        return out
-
-    def _full_flat(self, moved, batch, n):
-        """Gather+cast an arbitrary-layout (..., n) array to (batch, n)."""
-        buf = self._ws("gather", batch * n)[: batch * n]
-        view = buf.reshape(*moved.shape[:-1], n)
-        view[...] = moved
-        return buf.reshape(batch, n)
-
-    def _trunc(self, moved, lead, batch):
-        n, q, p = self.n, self.part, self.split
-        if p == 1:
-            flat = self._full_flat(moved, batch, n)
+            parts, lead = [moved], moved.shape[:-1]
+        batch = math.prod(lead)
+        n, part, split = self.n, self.part, self.split
+        inverse = self.kind == "itrunc"
+        if self.kind == "trunc" and split > 1:
             with self._lock:
-                out = self._fft.execute(flat)
-            return out.reshape(*lead, n)
+                # The P subsequences: buf[b, p, k] = moved[b, k*P + p].
+                buf = _gather(parts, self._ws("gather", batch * n), split)
+                fbuf = self._ws("fft", batch * n)[: batch * n]
+                self.fft.execute(buf.reshape(batch * split, part),
+                                 out=fbuf.reshape(batch * split, part))
+                out = np.empty((batch, part), self.dtype)
+                decomp_reduce(fbuf.reshape(batch, split, part), self.wd, out,
+                              kernels=self._kernels())
+            return out.reshape(*lead, part)
         with self._lock:
-            # Gather the P subsequences: buf[b, p, k] = moved[b, k*P + p].
-            buf = self._ws("gather", batch * n)
-            bview = buf[: batch * n].reshape(*lead, p, q)
-            bview[...] = np.swapaxes(moved.reshape(*lead, q, p), -1, -2)
-            fbuf = self._ws("fft", batch * n)[: batch * n].reshape(-1, q)
-            self._fft.execute(buf[: batch * n].reshape(batch * p, q), out=fbuf)
-            out = np.empty((batch, q), self.dtype)
-            decomp_reduce(fbuf.reshape(batch, p, q), self._wd, out,
-                          kernels=self._kernels())
-        return out.reshape(*lead, q)
-
-    def _pad(self, moved, lead, batch):
-        n, live, s = self.n, self.part, self.split
-        if s == 1:
-            flat = self._full_flat(moved, batch, n)
-            with self._lock:
-                out = self._fft.execute(flat)
-            return out.reshape(*lead, n)
-        with self._lock:
-            flat = self._full_flat(moved, batch, live)
+            flat = _gather(parts, self._ws("gather", batch * part)).reshape(
+                batch, part)
+            if split == 1:  # part == n: the plain transform
+                out = self.fft.execute(flat,
+                                       div_by=float(n) if inverse else None)
+                return out.reshape(*lead, n)
             sc = self._ws("scaled", batch * n)[: batch * n]
-            expand_mul(flat, self._wd, sc.reshape(batch, s, live),
+            expand_mul(flat, self.wd, sc.reshape(batch, split, part),
                        kernels=self._kernels())
-            y = self._fft.execute(sc.reshape(batch * s, live))
-        out = np.empty((*lead, n), self.dtype)
-        # Interleave: out[..., ss + s*t] = y[..., ss, t].
-        out.reshape(*lead, live, s)[...] = np.swapaxes(
-            y.reshape(*lead, s, live), -1, -2
-        )
-        return out
-
-    def _itrunc(self, moved, lead, batch):
-        n, live, s = self.n, self.part, self.split
-        if s == 1:
-            flat = self._full_flat(moved, batch, n)
-            with self._lock:
-                out = self._fft.execute(flat, div_by=float(n))
-            return out.reshape(*lead, n)
-        with self._lock:
-            flat = self._full_flat(moved, batch, live)
-            sc = self._ws("scaled", batch * n)[: batch * n]
-            expand_mul(flat, self._wd, sc.reshape(batch, s, live),
-                       kernels=self._kernels())
-            y = self._fft.execute(
-                sc.reshape(batch * s, live),
-                div_by=float(live),
-                mul_by=float(live / n),
+            y = self.fft.execute(
+                sc.reshape(batch * split, part),
+                div_by=float(part) if inverse else None,
+                mul_by=float(part / n) if inverse else None,
             )
         out = np.empty((*lead, n), self.dtype)
-        out.reshape(*lead, live, s)[...] = np.swapaxes(
-            y.reshape(*lead, s, live), -1, -2
+        # Interleave: out[..., s + S*t] = y[..., s, t].
+        out.reshape(*lead, part, split)[...] = np.swapaxes(
+            y.reshape(*lead, split, part), -1, -2
         )
         return out
+
+
+def _gather(parts: list, buf: np.ndarray, split: int = 1) -> np.ndarray:
+    """Copy (and cast) the arrays ``parts`` into consecutive elements of
+    ``buf``; return the filled prefix.  ``split > 1`` gathers each last
+    axis as ``split`` subsequences: ``[..., s, k] = [..., k*split + s]``."""
+    off = 0
+    for a in parts:
+        *lead, width = a.shape
+        dst = buf[off: off + a.size]
+        if split == 1:
+            dst.reshape(a.shape)[...] = a
+        else:
+            dst.reshape(*lead, split, width // split)[...] = np.swapaxes(
+                a.reshape(*lead, width // split, split), -1, -2)
+        off += a.size
+    return buf[:off]
 
 
 # ---------------------------------------------------------------------------

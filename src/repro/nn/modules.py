@@ -30,6 +30,7 @@ import numpy as np
 from repro.core.compiled import (
     CompiledSpectralConv1D,
     CompiledSpectralConv2D,
+    _project_dc_real,
     _project_herm_x,
 )
 from repro.fft.pruned import padded_ifft_auto as _pad_ifft
@@ -277,9 +278,7 @@ class SpectralConv1d(Module):
                 "reanalysis (the spatial .real projection mixes bins); "
                 "use the exact rollout profile"
             )
-        yk = np.asarray(yk).copy()
-        yk[..., 0] = yk[..., 0].real
-        return yk
+        return _project_dc_real(np.asarray(yk))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 3 or x.shape[1] != self.c_in:

@@ -32,6 +32,14 @@ a real bug:
     ``_stats_lock``; a ``with self._stats_lock:`` block that acquires
     ``self._lock`` inside is a deadlock waiting for its second thread.
     (The runtime companion is :mod:`repro.tools.locks`.)
+``workspace-lock``
+    A cached plan is shared by every thread that looks it up, and so
+    are its workspaces.  In ``fft/compiled.py`` every ``self._ws(...)``
+    and ``self._scratch_for(...)`` call must sit lexically inside
+    ``with self._lock:`` (a nested function does not inherit the
+    block), so no thread fills a workspace that another is still
+    reading.  Gathering into the shared buffer before taking the lock
+    corrupted concurrent ``part == n`` pruned transforms.
 ``serve-except``
     ``except Exception`` in ``api/serve/`` must either produce a typed
     :class:`~repro.api.serve.health.ServeError` (so callers can tell
@@ -416,6 +424,39 @@ def _check_lock_order(tree, path, lines) -> list[Finding]:
 
 
 # ---------------------------------------------------------------------------
+# Rule: workspace-lock
+# ---------------------------------------------------------------------------
+
+#: The calls that hand out a plan's shared workspaces.
+_WORKSPACE_CALLS = ("self._ws", "self._scratch_for")
+
+
+def _check_workspace_lock(tree, path, lines) -> list[Finding]:
+    findings = []
+
+    def visit(node, locked):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            locked = False  # runs later, outside any enclosing block
+        elif (isinstance(node, ast.Call)
+              and _dotted(node.func) in _WORKSPACE_CALLS and not locked):
+            findings.append(Finding(
+                "workspace-lock", path, node.lineno,
+                f"{_dotted(node.func)}(...) outside 'with self._lock:' "
+                f"hands a shared plan workspace to a thread that does "
+                f"not hold the plan's lock",
+            ))
+        for child in ast.iter_child_nodes(node):
+            visit(child, locked or (
+                isinstance(node, ast.With) and child in node.body
+                and any(_dotted(item.context_expr) == "self._lock"
+                        for item in node.items)))
+
+    visit(tree, False)
+    return findings
+
+
+# ---------------------------------------------------------------------------
 # Rule: serve-except
 # ---------------------------------------------------------------------------
 
@@ -684,6 +725,17 @@ RULES: dict[str, Rule] = {
             ),
             includes=("src/repro/**",),
             check=_check_lock_order,
+        ),
+        Rule(
+            name="workspace-lock",
+            description=(
+                "in fft/compiled.py every self._ws(...) and "
+                "self._scratch_for(...) call sits inside 'with "
+                "self._lock:': cached plans, and so their workspaces, are "
+                "shared across threads"
+            ),
+            includes=("src/repro/fft/compiled.py",),
+            check=_check_workspace_lock,
         ),
         Rule(
             name="serve-except",

@@ -388,6 +388,14 @@ class TestSpectralConvFacade:
         with pytest.raises(ValueError, match="integer"):
             api.spectral_conv(x, np.eye(8), 8.0)
 
+    @pytest.mark.parametrize("modes,spatial",
+                             [(True, (32,)), ((True, 4), (32, 8))])
+    def test_bool_modes_rejected(self, modes, spatial):
+        """A bool is a flag, not a mode count: it is not taken as 1."""
+        x = np.ones((2, 8) + spatial, np.complex64)
+        with pytest.raises(ValueError, match="integer"):
+            api.spectral_conv(x, np.eye(8), modes)
+
     def test_bad_rank_rejected(self, rng):
         with pytest.raises(ValueError, match="ndim=2"):
             api.spectral_conv(np.zeros((4, 4)), np.eye(4), 2)

@@ -637,20 +637,30 @@ class TestWarmupAndStats:
         s.close()
 
     def test_warmup_makes_first_infer_hit_caches(self, rng):
+        """After ``warmup`` a first ``infer`` builds no plan: kept modes
+        below the length, ``modes == dim_x`` in 1-D, and a 2-D problem
+        whose fused Y stage keeps every bin (``modes_y == Y``)."""
         w = _weight(rng, k=64)
-        prob = FNO1DProblem(batch=4, hidden=64, dim_x=128, modes=64)
-        s = api.Session(private_caches=True)
-        s.warmup([prob])
-        before = s.plan_caches.cache_info()
-        x = (rng.standard_normal((4, 64, 128))
-             + 1j * rng.standard_normal((4, 64, 128))).astype(np.complex64)
-        s.infer((w, 64), x)
-        after = s.plan_caches.cache_info()
-        # no new FFT-plan construction: every lookup was a hit
-        assert sum(i.currsize for i in after) == sum(
-            i.currsize for i in before
-        )
-        s.close()
+        cases = [
+            (FNO1DProblem(batch=4, hidden=64, dim_x=128, modes=64), 64),
+            (FNO1DProblem(batch=4, hidden=64, dim_x=128, modes=128), 128),
+            (FNO2DProblem(batch=2, hidden=64, dim_x=32, dim_y=16,
+                          modes_x=8, modes_y=16), (8, 16)),
+        ]
+        for prob, modes in cases:
+            s = api.Session(private_caches=True)
+            s.warmup([prob])
+            before = s.plan_caches.cache_info()
+            shape = (prob.batch, 64) + tuple(prob.spatial_shape)
+            x = (rng.standard_normal(shape)
+                 + 1j * rng.standard_normal(shape)).astype(np.complex64)
+            s.infer((w, modes), x)
+            after = s.plan_caches.cache_info()
+            # no new FFT-plan construction: every lookup was a hit
+            assert sum(i.currsize for i in after) == sum(
+                i.currsize for i in before
+            ), prob
+            s.close()
 
     def test_stats_shape(self, rng):
         w = _weight(rng)

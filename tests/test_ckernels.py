@@ -616,15 +616,15 @@ def _fused_tile(kernels, staged, x):
     documented and framed by sentinels."""
     bt, c_in, dim_x = x.shape
     c_out, modes, p = staged.c_out, staged.modes, staged.p
-    staged._ensure_inverse()
     row = max(staged.k_tb, c_out) * dim_x
     sizes = (row, row, row, staged.k_tb * modes if p > 1 else 0,
              c_out * modes, bt * c_out * dim_x)
     bufs = [_guarded((size,), x.dtype, 7 + 7j) for size in sizes]
     none = np.empty(0, x.dtype)
     kernels.fused_tile_c2c_1d(
-        x, staged.weight, staged.fwd.twiddles, staged.inv.twiddles,
-        staged.wd_f if p > 1 else none, staged.wd_i if p > 1 else none,
+        x, staged.weight, staged.trunc.fft.twiddles,
+        staged.itrunc.fft.twiddles, staged.trunc.wd if p > 1 else none,
+        staged.itrunc.wd if p > 1 else none,
         *(view for _, view in bufs), bt, c_in, c_out, dim_x, modes,
         staged.k_tb)
     assert all(buf[0] == buf[-1] == 7 + 7j for buf, _ in bufs)

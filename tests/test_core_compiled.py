@@ -14,6 +14,7 @@ from repro.core.compiled import (
 )
 from repro.core.config import FNO1DProblem, FNO2DProblem
 from repro.fft._ckernels import kernels_available
+from repro.fft.compiled import PlanCaches
 
 BACKENDS = ["ckernels", "numpy"] if kernels_available() else ["numpy"]
 
@@ -158,6 +159,40 @@ def test_executor_reuse_across_calls_and_shapes(backend):
     assert _bit_equal(conv(x64), legacy.fused_fft_gemm_ifft_1d(x64, w, 8))
 
 
+@pytest.mark.parametrize("p", [1, 4])
+@pytest.mark.parametrize("backend_name", BACKENDS)
+def test_fused_stage_runs_on_the_cached_pruned_plans(backend_name, p):
+    """A fused stage holds no transform table of its own: after one call
+    its ``trunc``/``itrunc`` are its set's cached pruned plans, and the
+    tables the C driver reads are those plans' arrays, so executors
+    built per call on one set share every table."""
+    plans = PlanCaches(backend=backend_name)
+    rng = np.random.default_rng(p)
+    w = _weight(5, 3, np.complex64, rng)
+    x = _x((2, 5, 8 * p), np.complex64, rng)
+    stages = []
+    for _ in range(2):
+        conv = CompiledSpectralConv1D(w, 8, plans=plans)
+        conv(x)
+        (stage,) = conv._staged.values()
+        stages.append(stage)
+    trunc = plans.pruned(8 * p, 8, np.complex64, "trunc")
+    itrunc = plans.pruned(8 * p, 8, np.complex64, "itrunc")
+    for stage in stages:
+        assert stage.trunc is trunc and stage.itrunc is itrunc
+        assert not {"fwd", "inv", "wd_f", "wd_i"} & set(vars(stage))
+        ops = stage._driver_ops
+        if plans.kernels() is None:
+            assert ops is None
+            continue
+        assert ops[0] is trunc.fft.twiddles
+        assert ops[1] is itrunc.fft.twiddles
+        if p > 1:
+            assert ops[2] is trunc.wd and ops[3] is itrunc.wd
+        else:
+            assert trunc.wd is None and ops[2].size == ops[3].size == 0
+
+
 def test_executor_rejects_bad_inputs():
     w = np.ones((4, 4), np.complex64)
     conv = CompiledSpectralConv1D(w, 8)
@@ -220,6 +255,18 @@ def test_non_integer_k_tb_is_rejected(entry, k_tb):
     }[entry]
     with pytest.raises(TypeError, match="k_tb must be an integer"):
         run()
+
+
+@pytest.mark.parametrize("dim_x", [32.5, "32", True])
+def test_non_integer_dim_x_is_rejected(dim_x):
+    """``fused_gemm_ifft_1d`` checks ``dim_x`` like every other count:
+    a typed error naming it, not a raw bitwise or comparison TypeError,
+    and a bool is not taken as 1."""
+    xk = np.ones((2, 4, 4), np.complex64)
+    with pytest.raises(TypeError, match="dim_x must be an integer"):
+        core_compiled.fused_gemm_ifft_1d(xk, np.ones((4, 3)), dim_x)
+    with pytest.raises(ValueError, match="dim_x must be positive"):
+        core_compiled.fused_gemm_ifft_1d(xk, np.ones((4, 3)), 0)
 
 
 def test_compile_spectral_conv_factory():

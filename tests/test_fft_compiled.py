@@ -2,6 +2,9 @@
 functional paths, plan caching behaves like a plan cache, and the NumPy
 fallback path is held to the same bit-exactness bar as the C kernels."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from repro.fft._ckernels import kernels_available
 DTYPES = (np.float32, np.float64, np.complex64, np.complex128)
 
 BACKENDS = ["ckernels", "numpy"] if kernels_available() else ["numpy"]
+KINDS = ("trunc", "pad", "itrunc")
 
 
 @pytest.fixture(params=BACKENDS)
@@ -193,6 +197,63 @@ def test_execution_does_not_mutate_input(backend):
     pruned.truncated_fft(x, 4)
     pruned.truncated_ifft(x[:, :4], 16)
     assert np.array_equal(x, kept)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("backend_name", BACKENDS)
+def test_degenerate_pruned_plan_is_thread_safe(backend_name, kind):
+    """Two threads applying one ``part == n`` pruned plan at once each
+    get the serial bytes: the shared gather workspace is filled under
+    the plan's lock, never before it.  A short switch interval makes
+    the interleaving that corrupted it likely."""
+    plan = compiled.PlanCaches(backend=backend_name).pruned(
+        256, 256, np.complex64, kind)
+    rng = np.random.default_rng(11)
+    xs = [_data((8, 256), np.complex64, rng, "sliced") for _ in range(2)]
+    want = [plan.apply(x) for x in xs]
+    wrong = [0, 0]
+
+    def hammer(i):
+        for _ in range(1000):
+            wrong[i] += not _bit_equal(plan.apply(xs[i]), want[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=hammer, args=(i,))
+                   for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == [0, 0]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("part", [4, 16, 64])
+@pytest.mark.parametrize("backend_name", BACKENDS)
+def test_pruned_apply_takes_a_list_in_place(backend_name, part, kind,
+                                             monkeypatch):
+    """A list of arrays stacked along their first axis gives the bytes
+    of their concatenation, each array gathered from where it lies
+    (strided, Fortran-ordered, another dtype, empty) without one
+    ``np.concatenate``."""
+    plan = compiled.PlanCaches(backend=backend_name).pruned(
+        64, part, np.complex64, kind)
+    width = 64 if kind == "trunc" else part
+    rng = np.random.default_rng(part)
+    parts = [_data((3, 2, width), np.complex64, rng, "sliced"),
+             _data((0, 2, width), np.complex64, rng),
+             _data((2, 2, width), np.complex128, rng, "F"),
+             _data((1, 2, width), np.float32, rng)]
+    whole = np.concatenate(parts).astype(np.complex64)
+    want = plan.apply(whole)
+    monkeypatch.setattr(np, "concatenate", None)
+    got = plan.apply(parts)
+    assert got.shape == want.shape == (6, 2, 64 if kind != "trunc" else part)
+    assert _bit_equal(got, want)
 
 
 def test_workspace_arena_distinct_tags_coexist():

@@ -233,6 +233,37 @@ class TestLockOrder:
         assert run_lint(tmp_path, ["lock-order"]) == []
 
 
+class TestWorkspaceLock:
+    def test_flags_workspace_taken_before_the_lock(self, tmp_path):
+        _write(tmp_path, "src/repro/fft/compiled.py", """\
+            class Plan:
+                def apply(self, x):
+                    buf = self._ws("gather", x.size)
+                    with self._lock:
+                        def later():
+                            return self._scratch_for(x.size)
+                        return later, buf
+            """)
+        findings = run_lint(tmp_path, ["workspace-lock"])
+        assert [f.line for f in findings] == [3, 6]
+        assert "self._ws" in findings[0].message
+
+    def test_workspace_under_the_lock_passes(self, tmp_path):
+        _write(tmp_path, "src/repro/fft/compiled.py", """\
+            class Plan:
+                def apply(self, x):
+                    with self._lock:
+                        buf = self._ws("gather", x.size)
+                        return self._scratch_for(x.size), buf
+            """)
+        _write(tmp_path, "src/repro/fft/other.py", """\
+            class Plan:
+                def apply(self, x):
+                    return self._ws("gather", x.size)
+            """)
+        assert run_lint(tmp_path, ["workspace-lock"]) == []
+
+
 class TestServeExcept:
     def test_flags_unannotated_broad_handler(self, tmp_path):
         _write(tmp_path, "src/repro/api/serve/bad.py", """\
