@@ -97,11 +97,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 
 def _ladder_problem(args: argparse.Namespace):
-    """Resolve the problem geometry from the CLI flags.
-
-    ``--fft`` remains a deprecated alias: it sets the 1-D FFT size, or the
-    DimY size in 2-D (the pre-facade behavior, where DimX was hardcoded).
-    """
+    """Resolve the problem geometry from the CLI flags."""
     from repro.core.config import FNO1DProblem, FNO2DProblem
 
     def pick(*values: int | None) -> int:
@@ -115,11 +111,11 @@ def _ladder_problem(args: argparse.Namespace):
                 "--fft-y only applies to --dim 2; use --fft-x for the 1-D "
                 "FFT size"
             )
-        dim_x = pick(args.fft_x, args.fft, 128)
+        dim_x = pick(args.fft_x, 128)
         return FNO1DProblem(batch=args.batch, hidden=args.k, dim_x=dim_x,
                             modes=args.modes)
     dim_x = pick(args.fft_x, 256)
-    dim_y = pick(args.fft_y, args.fft, 128)
+    dim_y = pick(args.fft_y, 128)
     return FNO2DProblem(batch=args.batch, hidden=args.k, dim_x=dim_x,
                         dim_y=dim_y, modes_x=args.modes, modes_y=args.modes)
 
@@ -462,8 +458,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="FFT size along DimX (1-D: 128, 2-D: 256)")
     p_lad.add_argument("--fft-y", type=int, default=None,
                        help="FFT size along DimY, 2-D only (default 128)")
-    p_lad.add_argument("--fft", type=int, default=None,
-                       help="deprecated: 1-D FFT size / 2-D DimY size")
     p_lad.add_argument("--modes", type=int, default=64)
     p_lad.add_argument("--device", default=None,
                        help="registered device name (a100, h100)")

@@ -1198,7 +1198,7 @@ class ServePool:
             elif kind == "warmed":
                 handle.last_progress = time.monotonic()
                 handle.warmed.set()
-            elif kind in ("res", "err", "exp"):
+            elif kind in ("res", "err"):
                 handle.last_progress = time.monotonic()
                 self._complete(handle, msg)
             elif kind == "stats":
@@ -1237,14 +1237,14 @@ class ServePool:
                     shape, np.dtype(dtype), buffer=handle.resp_shm.buf,
                     offset=pending.resp_off,
                 ))
-        elif kind == "exp":
-            error = DeadlineExceeded(
-                f"request {rid} ({format_geometry(pending.gkey)}) expired "
-                f"before execution on worker {handle.shard}"
-            )
         else:  # "err"
             _, _, name, message = msg
-            if name == "CorruptedHeader":
+            if name == "DeadlineExceeded":
+                error = DeadlineExceeded(
+                    f"request {rid} ({format_geometry(pending.gkey)}) "
+                    f"expired before execution on worker {handle.shard}"
+                )
+            elif name == "CorruptedHeader":
                 error = CorruptedHeader(message)
             elif name == "InfrastructureError":
                 # Substrate fault on the worker: keep it typed so the

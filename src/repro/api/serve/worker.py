@@ -42,9 +42,11 @@ Parent -> worker, over the request queue
 
 Worker -> parent, over the response pipe
     ``("ready", pid, backend)`` | ``("res", rid, shape, dtype, nbytes,
-    csum)`` | ``("err", rid, exc_name, message)`` | ``("exp", rid)`` |
-    ``("hb", served, busy_since)`` | ``("warmed", count)`` |
-    ``("stats", token, payload)``
+    csum)`` | ``("err", rid, exc_name, message)`` | ``("hb", served,
+    busy_since)`` | ``("warmed", count)`` | ``("stats", token, payload)``
+
+    Every failed request is one ``"err"``: a header that expired before
+    it ran is ``("err", rid, "DeadlineExceeded", message)``.
 
 Health: a worker-side timer thread heartbeats ``("hb", served,
 busy_since)`` every ``hb_interval`` seconds.  ``busy_since`` is the
@@ -149,7 +151,9 @@ class _WorkerBody:
                            "request header failed its checksum"))
                 continue
             if deadline is not None and time.monotonic() >= deadline:
-                self.send(("exp", rid))  # expired: skip, don't serve late
+                # Expired: skip it, never serve it late.
+                self.send(("err", rid, "DeadlineExceeded",
+                           "expired before execution"))
                 continue
             fault = self.injector.fire("crash_before", rid, retries)
             if fault is not None:

@@ -77,6 +77,7 @@ if not parallel.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from contextlib import contextmanager
 from functools import lru_cache
@@ -141,6 +142,21 @@ _NUMPY_BLOCK_ELEMS = 1 << 14
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
+
+
+def _integer(name: str, value) -> int:
+    """Check an integer argument and return it as a Python int."""
+    # A non-integer would otherwise surface as a raw TypeError from
+    # range() or a bitwise test at the first call, or be truncated.  A
+    # bool is a flag, not a count, although operator.index accepts it.
+    try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(
+            f"{name} must be an integer, got {value!r}"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +448,12 @@ class CompiledPrunedPlan(_WorkspaceOwner):
                  caches: "PlanCaches"):
         if kind not in ("trunc", "pad", "itrunc"):
             raise ValueError(f"unknown pruned-plan kind {kind!r}")
+        if not (_is_power_of_two(n) and _is_power_of_two(part)
+                and part <= n):
+            raise ValueError(
+                f"a pruned plan needs powers of two part <= n, got "
+                f"n={n}, part={part}"
+            )
         self.n = n
         self.part = part
         self.dtype = np.dtype(dtype)
@@ -1023,35 +1045,41 @@ class PlanCaches:
             inverse: bool = False) -> CompiledFFTPlan:
         """The cached plan for a length-``n`` transform (see
         :func:`get_fft_plan`)."""
-        return self._fft_cached(int(n), complex_dtype_for(dtype), bool(inverse))
+        return self._fft_cached(_integer("n", n), complex_dtype_for(dtype),
+                                bool(inverse))
 
     def pruned(self, n: int, part: int, dtype=np.complex64,
                kind: str = "trunc") -> CompiledPrunedPlan:
         """The cached plan for one pruned-transform split."""
         return self._pruned_cached(
-            int(n), int(part), complex_dtype_for(dtype), kind
+            _integer("n", n), _integer("part", part),
+            complex_dtype_for(dtype), kind,
         )
 
     def rfft(self, n: int, dtype=np.float32) -> CompiledRFFTPlan:
         """The cached R2C plan for a length-``n`` real transform."""
-        return self._real_cached(int(n), complex_dtype_for(dtype), False)
+        return self._real_cached(_integer("n", n), complex_dtype_for(dtype),
+                                 False)
 
     def irfft(self, n: int, dtype=np.complex64) -> CompiledIRFFTPlan:
         """The cached C2R plan for a length-``n`` real output."""
-        return self._real_cached(int(n), complex_dtype_for(dtype), True)
+        return self._real_cached(_integer("n", n), complex_dtype_for(dtype),
+                                 True)
 
     def pruned_rfft(self, n: int, part: int,
                     dtype=np.float32) -> CompiledPrunedRFFTPlan:
         """The cached truncated-R2C plan (first ``part`` bins)."""
         return self._pruned_real_cached(
-            int(n), int(part), complex_dtype_for(dtype), False
+            _integer("n", n), _integer("part", part),
+            complex_dtype_for(dtype), False,
         )
 
     def pruned_irfft(self, n: int, part: int,
                      dtype=np.complex64) -> CompiledPrunedIRFFTPlan:
         """The cached truncated-C2R plan (``part`` bins in)."""
         return self._pruned_real_cached(
-            int(n), int(part), complex_dtype_for(dtype), True
+            _integer("n", n), _integer("part", part),
+            complex_dtype_for(dtype), True,
         )
 
     def kernels(self):

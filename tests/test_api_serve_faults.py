@@ -403,6 +403,26 @@ class TestDeadlines:
             assert handle.resp_arena.in_flight == 0
         assert stats["admission"]["expired"] >= 1
 
+    def test_worker_skips_expired_header(self):
+        # The parent's sweep is parked (60 s interval), so only the
+        # worker can notice request 1's lapsed budget: it skips the
+        # header and answers with one "err" of kind DeadlineExceeded.
+        w, x = _weight(), _signal((2, 4, 128))
+        plan = FaultPlan([Fault("latency", 0, seconds=0.6)])
+        health = HealthPolicy(sweep_interval=60.0)
+        with ServePool(workers=1, backend="numpy", faults=plan,
+                       health=health) as pool:
+            slow = pool.submit((w, 16), x)
+            doomed = pool.submit((w, 16), x, deadline=0.2)
+            assert np.array_equal(slow.result(120), _ref((w, 16), x))
+            with pytest.raises(DeadlineExceeded, match="before execution"):
+                doomed.result(120)
+            stats = pool.stats(timeout=10)
+            handle = pool._handles[0]
+            assert handle.req_arena.in_flight == 0
+            assert handle.resp_arena.in_flight == 0
+        assert stats["admission"]["expired"] == 1
+
     def test_negative_deadline_rejected(self):
         w, x = _weight(), _signal((2, 4, 128))
         with ServePool(workers=1, backend="numpy") as pool:

@@ -30,11 +30,15 @@ class TestLadder:
         assert geom["spatial_shape"] == [128, 64]
         assert geom["modes_shape"] == [32, 32]
 
-    def test_legacy_fft_flag_still_sets_dim_y(self, capsys):
-        assert main(["ladder", "--dim", "2", "--k", "16", "--batch", "4",
-                     "--fft", "64", "--modes", "32", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["stages"][0]["problem"]["spatial_shape"] == [256, 64]
+    def test_removed_fft_flag_is_a_usage_error(self, capsys):
+        """The deprecated ``--fft`` alias is gone: the bare prefix is an
+        ambiguous abbreviation of ``--fft-x``/``--fft-y``."""
+        with pytest.raises(SystemExit) as exc:
+            main(["ladder", "--dim", "2", "--k", "16", "--batch", "4",
+                  "--fft", "64", "--modes", "32", "--json"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "ambiguous option: --fft could match --fft-x, --fft-y" in err
 
     def test_json_output_structure(self, capsys):
         assert main(["ladder", "--dim", "1", "--k", "32", "--batch", "64",

@@ -282,6 +282,18 @@ def test_compile_spectral_conv_factory():
     assert compile_spectral_conv(w, (8, 4), symmetric=True).symmetric
 
 
+@pytest.mark.parametrize("name", ["__call__", "forward_spectrum",
+                                  "step_spectrum", "inverse_spectrum",
+                                  "reanalyze_spectrum"])
+def test_both_ranks_share_one_entry_point(name):
+    """Each executor class names the entry point in its own namespace
+    (where class-level wrappers find it), and both name the same
+    function: one implementation serves both ranks."""
+    one = vars(CompiledSpectralConv1D)[name]
+    assert vars(CompiledSpectralConv2D)[name] is one
+    assert one is vars(core_compiled._SpectralExecutor)[name]
+
+
 # ---------------------------------------------------------------------------
 # symmetric (half-spectrum) executors
 # ---------------------------------------------------------------------------

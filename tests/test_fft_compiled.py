@@ -158,6 +158,41 @@ def test_same_key_returns_same_plan_object():
     assert compiled.get_pruned_plan(128, 32, np.complex64, "pad") is not q1
 
 
+@pytest.mark.parametrize("lookup,args,name", [
+    (compiled.get_fft_plan, (16.7,), "n"),
+    (compiled.get_fft_plan, (True,), "n"),
+    (compiled.get_fft_plan, (np.float64(16),), "n"),
+    (compiled.get_rfft_plan, (16.0,), "n"),
+    (compiled.get_irfft_plan, (True,), "n"),
+    (compiled.get_pruned_plan, (256.0, 4), "n"),
+    (compiled.get_pruned_plan, (256, 2.5), "part"),
+    (compiled.get_pruned_plan, (256, True), "part"),
+    (compiled.get_pruned_rfft_plan, (256, 2.5), "part"),
+    (compiled.get_pruned_irfft_plan, (256, np.True_), "part"),
+])
+def test_plan_lookups_reject_non_integer_sizes(lookup, args, name):
+    """A size is never truncated (16.7 -> 16) or read from a bool."""
+    with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+        lookup(*args)
+
+
+def test_plan_lookups_share_plans_across_integer_types():
+    plans = compiled.PlanCaches(backend="numpy")
+    assert plans.fft(np.int64(32)) is plans.fft(32)
+    assert plans.pruned(np.int32(64), np.int64(8)) is plans.pruned(64, 8)
+
+
+@pytest.mark.parametrize("n,part", [(256, 0), (256, 512), (256, 3),
+                                    (24, 8), (256, -4)])
+def test_pruned_plan_rejects_a_bad_split(n, part):
+    """Checked when the plan is built, naming both sizes: no leaked
+    ZeroDivisionError, and no plan with ``split == 0``."""
+    with pytest.raises(ValueError,
+                       match=f"powers of two part <= n, got n={n}, "
+                             f"part={part}"):
+        compiled.get_pruned_plan(n, part)
+
+
 def test_clear_plan_cache_resets_objects():
     p1 = compiled.get_fft_plan(32, np.complex64)
     compiled.clear_fft_plan_cache()

@@ -445,6 +445,27 @@ class TestOneDriverCall:
         assert stats["latency"]["count"] == 14
         assert stats["rollout"] == {"streams": 5, "steps": 35}
 
+    def test_class_level_wrap_keeps_the_driver(self, calls, rng,
+                                               monkeypatch):
+        """A wrapper set on the public class itself, as perfbench's
+        tracer sets one, is still the stock method: the rollout stays
+        one driver call and never enters the wrapper."""
+        stock = vars(CompiledSpectralConv2D)["step_spectrum"]
+        entered = []
+
+        def traced(self, sk):
+            entered.append(sk.shape)
+            return stock(self, sk)
+
+        monkeypatch.setattr(CompiledSpectralConv2D, "step_spectrum", traced)
+        ex = CompiledSpectralConv2D(_cplx(rng, (4, 4), np.complex64), 5, 4,
+                                    symmetric=True, plans=_plans("ckernels"))
+        sk = _cplx(rng, (2, 4, 5, 4), np.complex64)
+        got = ex.rollout_spectrum(sk, 3, (8, 8), "all")
+        assert calls == ["spectral_steps"]
+        assert entered == []
+        assert _same(got, _loop(ex, sk, 3, (8, 8), "all"))
+
 
 def test_serve_pool_fast_matches_the_loop_before(rng):
     streams = _streams(rng, 2, (5, 4), True, np.complex64, (1, 2, 1))
