@@ -17,7 +17,10 @@ and legacy outputs — the compiled layer's contract is byte identity.
 Exit status is the CI gate: non-zero when the compiled path is slower
 than legacy on the 1-D fused case (tolerance 0.85x when the C kernels
 are unavailable and both paths run the same NumPy substrate, where the
-residual difference is staging overhead vs noise).
+residual difference is staging overhead vs noise).  The gate's two
+sides are timed in alternating pairs and it reads the median of the
+pairs' speedups, so host drift between two separately timed blocks
+cannot fail it on unchanged code.
 
 Usage::
 
@@ -31,6 +34,7 @@ import json
 import os
 import pathlib
 import platform
+import statistics
 import sys
 import time
 
@@ -70,6 +74,23 @@ def _timeit(fn, repeats: int) -> float:
     return best
 
 
+def _paired(legacy, compiled, pairs: int) -> tuple[float, float, float]:
+    """Time ``legacy`` and ``compiled`` in ``pairs`` alternating pairs
+    (which side runs first alternates too); return each side's median
+    and the median of the pairs' ``legacy / compiled`` ratios."""
+    legacy()
+    compiled()  # warm
+    t_leg, t_cmp = [], []
+    sides = [(legacy, t_leg), (compiled, t_cmp)]
+    for i in range(pairs):
+        for fn, times in sides if i % 2 == 0 else sides[::-1]:
+            t0 = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - t0)
+    ratio = statistics.median(a / b for a, b in zip(t_leg, t_cmp))
+    return statistics.median(t_leg), statistics.median(t_cmp), ratio
+
+
 def bench_fused_1d(cases, repeats, rng):
     rows = []
     for (batch, k, n, dim_x, modes) in cases:
@@ -81,14 +102,14 @@ def bench_fused_1d(cases, repeats, rng):
         got = conv(x)
         if not np.array_equal(ref, got):
             raise SystemExit("1-D compiled output != legacy output")
-        t_leg = _timeit(lambda: core_legacy.fused_fft_gemm_ifft_1d(x, w, modes),
-                        repeats)
-        t_cmp = _timeit(lambda: conv(x), repeats)
+        t_leg, t_cmp, speedup = _paired(
+            lambda: core_legacy.fused_fft_gemm_ifft_1d(x, w, modes),
+            lambda: conv(x), 2 * repeats + 1)
         rows.append({
             "case": f"BS={batch} K={k} N={n} X={dim_x} modes={modes}",
             "legacy_ms": t_leg * 1e3,
             "compiled_ms": t_cmp * 1e3,
-            "speedup": t_leg / t_cmp,
+            "speedup": speedup,
             "outputs_equal": True,
         })
     return rows

@@ -850,12 +850,16 @@ class Session:
         state.
 
         A one-step exact group of a 1-D C2C executor is served in place
-        (:meth:`_serve_rows`): no concatenated state and no copy-out.
-        Every other exact group is concatenated along the batch axis,
-        runs one executor call per step and has every stream's rows
-        copied back out; that path is also the in-place one's oracle.
-        The fast profile synthesises each stream's result from its own
-        rows of the group's kept spectra."""
+        (:meth:`_serve_rows`), and so is an exact group of a symmetric
+        2-D executor whose grid the plane drivers cover
+        (:meth:`_serve_steps`, every step in one executor call): no
+        concatenated state and no copy-out.  Every other exact group is
+        concatenated along the batch axis, runs one executor call per
+        step and has every stream's rows copied back out; that path is
+        also the in-place ones' oracle.  The fast profile synthesises
+        each stream's result from its own rows of the group's kept
+        spectra, and a symmetric 2-D group on the plane drivers is
+        analysed in place too."""
         items = [
             (model, self._apply_dtype_policy(np.asarray(x)))
             for model, x in streams
@@ -872,13 +876,11 @@ class Session:
                     for i, out in zip(idxs, outs):
                         results[i] = out[None] if keep == "all" else out
                     return
-            state0 = xs[0] if len(xs) == 1 else np.concatenate(xs, axis=0)
             if profile == "fast":
-                outs = self._rollout_fast(model, state0, steps, keep,
-                                          [len(x) for x in xs])
+                outs = self._rollout_fast(model, xs, steps, keep)
                 if check_rtol is not None:
-                    ref = self._rollout_exact(model, state0, steps, "last",
-                                              len(idxs))[-1]
+                    ref = self._rollout_exact(model, _stacked(xs), steps,
+                                              "last", len(idxs))[-1]
                     last = [out[-1] if keep == "all" else out
                             for out in outs]
                     if not np.allclose(np.concatenate(last), ref,
@@ -890,7 +892,12 @@ class Session:
                 for i, out in zip(idxs, outs):
                     results[i] = out
                 return
-            kept = self._rollout_exact(model, state0, steps, keep,
+            outs = self._serve_steps(model, xs, steps, keep)
+            if outs is not None:
+                for i, out in zip(idxs, outs):
+                    results[i] = out
+                return
+            kept = self._rollout_exact(model, _stacked(xs), steps, keep,
                                        len(idxs))
             if len(xs) == 1:
                 results[idxs[0]] = (np.stack(kept) if keep == "all"
@@ -931,6 +938,32 @@ class Session:
         with self._serve_lock_for(executor), self.activate():
             outs = executor._call_rows(xs)
         self._record(xs[0].shape[1:], len(xs), time.perf_counter() - t0)
+        return outs
+
+    def _serve_steps(self, model, xs: list, steps: int,
+                     keep: str) -> list | None:
+        """Every step of an exact rollout over a group's states ``xs`` in
+        one executor call, or None where the group takes the
+        concatenating path.
+
+        Only a symmetric :class:`CompiledSpectralConv2D` (exactly that
+        class, pooled or passed as the model) with a square weight on
+        the C backend qualifies, and only where its plane drivers cover
+        the grid (:meth:`CompiledSpectralConv2D._exact_steps`): each
+        state is read in place, each stream's kept states are written
+        into its own buffer, and no intermediate state is written
+        whole.  The bytes are the eager loop's.  Each step records one
+        batch, an equal share of the call's wall time."""
+        executor = self._resolve_executor(model)
+        if (type(executor) is not CompiledSpectralConv2D
+                or not executor.symmetric):
+            return None
+        t0 = time.perf_counter()
+        with self._serve_lock_for(executor), self.activate():
+            outs = executor._exact_steps(xs, steps, keep)
+        if outs is not None:
+            self._record(xs[0].shape[1:], len(xs),
+                         (time.perf_counter() - t0) / steps, steps)
         return outs
 
     def _rollout_exact(self, model, state: np.ndarray, steps: int,
@@ -1000,17 +1033,22 @@ class Session:
             "layer); arbitrary callables must use profile='exact'"
         )
 
-    def _rollout_fast(self, model, state: np.ndarray, steps: int,
-                      keep: str, sizes: list[int]) -> list[np.ndarray]:
-        """The spectrum-resident loop over a group's concatenated
-        streams of ``sizes`` rows: forward transform once, CGEMM per
-        step, and each stream's kept states synthesised from its own
-        rows of the kept spectra."""
+    def _rollout_fast(self, model, xs: list, steps: int,
+                      keep: str) -> list[np.ndarray]:
+        """The spectrum-resident loop over a group's streams ``xs``:
+        forward transform once, CGEMM per step, and each stream's kept
+        states synthesised from its own rows of the kept spectra.  A
+        symmetric :class:`CompiledSpectralConv2D` (exactly that class)
+        whose plane drivers cover the grid analyses the streams in place
+        and synthesises them all in one driver call; every other group
+        is concatenated first."""
         executor, layer = self._fast_stepper(model)
-        geometry = state.shape[1:]
-        spatial = state.shape[2:]
+        geometry = xs[0].shape[1:]
+        spatial = geometry[1:]
         spatial_arg = spatial if len(spatial) == 2 else spatial[0]
+        sizes = [len(x) for x in xs]
         requests = len(sizes)
+        in_place = type(executor) is CompiledSpectralConv2D
         # Every kept state is synthesised from the *pre-projection*
         # output spectrum yk, and the next step is fed its reanalysis —
         # the spectrum the next step's forward transform would compute
@@ -1023,7 +1061,9 @@ class Session:
         served = executor if executor is not None else layer
         with self._serve_lock_for(served), self.activate():
             if executor is not None:
-                sk = executor.forward_spectrum(state)
+                sk = executor._analyse_rows(xs) if in_place else None
+                if sk is None:
+                    sk = executor.forward_spectrum(_stacked(xs))
                 t0 = time.perf_counter()
                 spectra = executor.rollout_spectrum(sk, steps, spatial_arg,
                                                     keep)
@@ -1031,9 +1071,14 @@ class Session:
                 # equal share of its wall time.
                 self._record(geometry, requests,
                              (time.perf_counter() - t0) / steps, steps)
+                outs = (executor._synthesise_rows(spectra, sizes, keep,
+                                                  spatial)
+                        if in_place else None)
+                if outs is not None:
+                    return outs
                 return _synthesise_streams(executor.inverse_spectrum,
                                            spectra, sizes, keep, spatial_arg)
-            sk = layer.spectrum(state)
+            sk = layer.spectrum(_stacked(xs))
             kept = []
             for step in range(steps):
                 t0 = time.perf_counter()
@@ -1107,6 +1152,12 @@ class Session:
             "rollout": rollout,
             "per_geometry": per_geometry,
         }
+
+
+def _stacked(xs: list) -> np.ndarray:
+    """A group's states as one state: concatenated along the batch
+    axis, or the one state itself."""
+    return xs[0] if len(xs) == 1 else np.concatenate(xs, axis=0)
 
 
 def _synthesise_streams(synthesise, spectra: np.ndarray, sizes: list[int],

@@ -29,7 +29,9 @@ The symmetric (rfft/irfft) convention has one dataflow: its
 points — pruned R2C analysis, the k-panel CGEMM shared with every
 ``step_spectrum``, pruned C2R synthesis — so ``self(x)`` and
 ``inverse_spectrum(step_spectrum(forward_spectrum(x)))`` are the same
-computation, byte for byte.
+computation, byte for byte.  In 2-D on the C backend each half is one
+call to a plane driver (``sym2d_analyse``/``sym2d_synthesise``) that
+streams every (batch, channel) plane through both axes in cache.
 
 Every shared-weight Fourier layer outside :class:`repro.api.Session`
 runs through these executors: :func:`repro.api.spectral_conv` and the
@@ -54,7 +56,6 @@ sessions; staging captures the set once per geometry.
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 
@@ -254,6 +255,63 @@ def _contract(a: np.ndarray, weight: np.ndarray, k_tb: int,
     return acc
 
 
+class _SymPlanes:
+    """The symmetric 2-D plane drivers staged for one (dtype, grid).
+
+    Holds the tables the C drivers ``sym2d_analyse`` and
+    ``sym2d_synthesise`` read, all from the executor's cached plans:
+    the pruned R2C/C2R pair along Y (its ``decomp`` strategy's
+    ``tables``) and the pruned C2C pair along X, ``trunc`` and
+    ``itrunc``.  Each driver call streams every ``(b, c)`` plane through
+    both axes with the staged path's kernels in the staged path's
+    order, so it gives the staged bytes (see ``_kernels.c``).
+    Workspaces are per call: a caller passes one to a series of its own
+    calls, or each call allocates its own.
+    """
+
+    def __init__(self, rfft, irfft, trunc, itrunc, modes: tuple,
+                 spatial: tuple):
+        self.dtype = rfft.dtype
+        self.real = rfft.real_dtype
+        self.fwd = (*rfft.tables, trunc.fft.twiddles, trunc.wd)
+        self.inv = (*irfft.tables, itrunc.fft.twiddles, itrunc.wd)
+        # (dim_x, dim_y, mx, my, q): q is the R2C sub-transform length.
+        self.geometry = (*spatial, *modes, rfft.tables[0].shape[1])
+
+    def workspace(self, kernels) -> np.ndarray:
+        return np.empty(kernels.sym2d_workspace(*self.geometry[:4]),
+                        self.dtype)
+
+    def analyse(self, kernels, xs: list, ws=None) -> np.ndarray:
+        """The kept corners ``(rows, C, mx, my)`` of the real states
+        ``xs`` (one geometry), in order, in one driver call that reads
+        each state where it lies (one in another dtype or layout is
+        converted first)."""
+        real = self.real
+        xs = [x if x.dtype == real and x.flags.c_contiguous
+              and x.flags.aligned else np.array(x, real, order="C")
+              for x in xs]
+        bt, c = sum(len(x) for x in xs), xs[0].shape[1]
+        _, _, mx, my, _ = self.geometry
+        sk = np.empty((bt, c, mx, my), self.dtype)
+        kernels.sym2d_analyse(
+            xs, sk, self.fwd, self.workspace(kernels) if ws is None else ws,
+            bt, c, *self.geometry)
+        return sk
+
+    def synthesise(self, kernels, sk: np.ndarray, outs, nxt=None,
+                   ws=None) -> None:
+        """The real planes of the corners ``sk`` written through the
+        arrays ``outs`` (entry order), or held in the workspace only
+        (``outs=None``); given ``nxt``, each plane's re-analysis is
+        written there too."""
+        sk = np.ascontiguousarray(sk, dtype=self.dtype)
+        kernels.sym2d_synthesise(
+            sk, outs, nxt, self.inv, self.fwd,
+            self.workspace(kernels) if ws is None else ws, len(sk),
+            sk.shape[1], *self.geometry)
+
+
 def fused_fft_gemm_1d(
     x: np.ndarray,
     weight: np.ndarray,
@@ -371,7 +429,8 @@ def _real_pair(plans: PlanCaches, n: int, part: int, dtype, what: str):
 def _check_spatial(spatial, ndim: int) -> tuple:
     """The ``spatial`` grid of a spectrum entry point as a tuple of
     ``ndim`` lengths: 1-D takes an int or a 1-sequence, 2-D a
-    2-sequence, and every length must be an integer >= 1."""
+    2-sequence, and every length must be an integer >= 1 (a bool is
+    not a length)."""
     if ndim == 1 and not isinstance(spatial, (tuple, list)):
         spatial = (spatial,)
     if not isinstance(spatial, (tuple, list)):
@@ -384,7 +443,7 @@ def _check_spatial(spatial, ndim: int) -> tuple:
             f"spatial must hold {ndim} grid length(s), got {spatial!r}"
         )
     try:
-        lengths = tuple(operator.index(s) for s in spatial)
+        lengths = tuple(_integer("spatial", s) for s in spatial)
     except TypeError:
         raise TypeError(
             f"spatial lengths must be integers, got {spatial!r}"
@@ -437,6 +496,18 @@ class _SpectralExecutor:
     entry points never call one another; :meth:`rollout_spectrum` steps
     through ``step_spectrum`` and ``reanalyze_spectrum`` only where a
     subclass or an instance replaces them.
+
+    On the C backend a symmetric 2-D executor runs each half as one
+    plane-driver call (:meth:`_planes`, :class:`_SymPlanes`): every
+    ``(b, c)`` plane streams through both axes in cache, with the
+    staged halves' kernels in their order, so the bytes do not change.
+    The staged halves (``_analyse_staged``, ``_synthesise_staged``)
+    stay as the NumPy fallback, the drivers' oracle and the path of
+    every geometry the drivers do not cover.
+    :class:`CompiledSpectralConv2D` also serves a group of states on
+    the drivers for :class:`repro.api.Session`: ``_analyse_rows``,
+    ``_synthesise_rows`` and ``_exact_steps`` (every step of an exact
+    rollout in one call).
     """
 
     def __init__(self, weight: np.ndarray, modes: tuple, k_tb: int,
@@ -449,6 +520,7 @@ class _SpectralExecutor:
         self._staged: dict[tuple, _StagedFused1D] = {}
         self._cast: dict = {}
         self._real: dict = {}
+        self._plane_drivers: dict = {}
 
     def _plan_caches(self) -> PlanCaches:
         return self._plans if self._plans is not None else current_plan_caches()
@@ -619,6 +691,20 @@ class _SpectralExecutor:
             raise ValueError("symmetric executor expects real input")
         return spatial
 
+    def _check_rows(self, xs: list, what: str) -> tuple:
+        """Check a group of inputs that must share one dtype and
+        geometry (:meth:`_check_input` on the first); return their grid
+        and working dtype."""
+        first = xs[0]
+        spatial = self._check_input(first)
+        for x in xs[1:]:
+            if x.dtype != first.dtype or x.shape[1:] != first.shape[1:]:
+                raise ValueError(
+                    f"{what} needs one dtype and geometry; got "
+                    f"{x.dtype}{x.shape} after {first.dtype}{first.shape}"
+                )
+        return spatial, complex_dtype_for(first.dtype)
+
     # -- the staged halves ----------------------------------------------
 
     def _real_plans(self, dtype: np.dtype, spatial: tuple):
@@ -641,7 +727,45 @@ class _SpectralExecutor:
             self._real[(dtype, spatial)] = pair
         return pair
 
+    def _planes(self, dtype: np.dtype, spatial: tuple, channels: int):
+        """The plane drivers of a symmetric 2-D grid as ``(planes,
+        kernels)``, or None where the staged halves run: 1-D or C2C
+        executors, no channels, the NumPy fallback, and every geometry
+        the drivers do not cover — an R2C strategy other than
+        ``decomp``, or ``modes_x`` not a power of two below ``dim_x``.
+        Staged once per (dtype, grid) after the pruned R2C/C2R pair
+        (whose checks it raises)."""
+        if self.ndim != 2 or not self.symmetric or not channels:
+            return None
+        plans = self._plan_caches()
+        kernels = plans.kernels()
+        if kernels is None:
+            return None
+        planes = self._plane_drivers.get((dtype, spatial))
+        if planes is None:
+            rfft, irfft = self._real_plans(dtype, spatial)
+            dim_x, mx = spatial[0], self._modes[0]
+            planes = False
+            if (rfft.tables is not None and irfft.tables is not None
+                    and mx < dim_x and not mx & (mx - 1)):
+                planes = _SymPlanes(
+                    rfft, irfft, plans.pruned(dim_x, mx, dtype, "trunc"),
+                    plans.pruned(dim_x, mx, dtype, "itrunc"), self._modes,
+                    spatial)
+            self._plane_drivers[(dtype, spatial)] = planes
+        return (planes, kernels) if planes else None
+
     def _analyse(self, x: np.ndarray, dtype: np.dtype) -> np.ndarray:
+        """The forward half: one ``sym2d_analyse`` call where the plane
+        drivers cover the grid (:meth:`_planes`), else
+        :meth:`_analyse_staged`; the same bytes either way."""
+        drivers = self._planes(dtype, x.shape[2:], x.shape[1])
+        if drivers is not None:
+            planes, kernels = drivers
+            return planes.analyse(kernels, [x])
+        return self._analyse_staged(x, dtype)
+
+    def _analyse_staged(self, x: np.ndarray, dtype: np.dtype) -> np.ndarray:
         """The forward staged half: the truncated spectrum of a checked
         input — pruned R2C along the last axis then pruned C2C along the
         outer axis (symmetric), or pruned C2C along every axis in
@@ -661,13 +785,27 @@ class _SpectralExecutor:
         return sk
 
     def _synthesise(self, yk: np.ndarray, spatial: tuple) -> np.ndarray:
-        """The inverse staged half, mirroring :meth:`_analyse`: pruned
-        C2C inverse along the outer axis then pruned C2R along the last
-        (symmetric, real output), or zero-padded C2C inverses along
-        every axis, last first.  Checks the state's rank and kept modes
-        against the executor and the grid against the modes."""
+        """The inverse half: one ``sym2d_synthesise`` call where the
+        plane drivers cover the grid (:meth:`_planes`), else the staged
+        half, which mirrors :meth:`_analyse_staged`: pruned C2C inverse
+        along the outer axis then pruned C2R along the last (symmetric,
+        real output), or zero-padded C2C inverses along every axis, last
+        first.  Checks the state's rank and kept modes against the
+        executor and the grid against the modes."""
         _check_spectrum(yk, self._modes)
         dtype = complex_dtype_for(yk.dtype)
+        drivers = self._planes(dtype, spatial, yk.shape[1])
+        if drivers is not None:
+            planes, kernels = drivers
+            out = np.empty(yk.shape[:2] + spatial, planes.real)
+            planes.synthesise(kernels, yk, [out])
+            return out
+        return self._synthesise_staged(yk, spatial, dtype)
+
+    def _synthesise_staged(self, yk: np.ndarray, spatial: tuple,
+                           dtype: np.dtype) -> np.ndarray:
+        """The inverse staged half of a checked state (see
+        :meth:`_synthesise`)."""
         if self.symmetric:
             _, irfft = self._real_plans(dtype, spatial)
             sk, axes = np.ascontiguousarray(yk, dtype=dtype), self.ndim - 1
@@ -840,15 +978,7 @@ class CompiledSpectralConv1D(_SpectralExecutor):
         :meth:`_StagedFused1D.run_rows`)."""
         if self.symmetric:
             raise ValueError("_call_rows serves the C2C convention only")
-        first = xs[0]
-        (dim_x,) = self._check_input(first)
-        for x in xs[1:]:
-            if x.dtype != first.dtype or x.shape[1:] != first.shape[1:]:
-                raise ValueError(
-                    f"_call_rows needs one dtype and geometry; got "
-                    f"{x.dtype}{x.shape} after {first.dtype}{first.shape}"
-                )
-        dtype = complex_dtype_for(first.dtype)
+        (dim_x,), dtype = self._check_rows(xs, "_call_rows")
         return self._stage_for(dtype, dim_x).run_rows(xs)
 
 
@@ -895,6 +1025,87 @@ class CompiledSpectralConv2D(_SpectralExecutor):
     step_spectrum = _SpectralExecutor.step_spectrum
     inverse_spectrum = _SpectralExecutor.inverse_spectrum
     reanalyze_spectrum = _SpectralExecutor.reanalyze_spectrum
+
+    # -- a group of states on the plane drivers (rollout serving) -------
+    #
+    # Each returns None where the plane drivers do not cover the group
+    # (see _planes); the caller then runs the staged path on the
+    # concatenated group, which gives the same bytes.
+
+    def _analyse_rows(self, xs: list) -> np.ndarray | None:
+        """``forward_spectrum`` of the concatenated states ``xs`` (one
+        dtype and geometry), byte for byte, in one ``sym2d_analyse``
+        call that reads each state where it lies."""
+        spatial, dtype = self._check_rows(xs, "_analyse_rows")
+        drivers = self._planes(dtype, spatial, xs[0].shape[1])
+        if drivers is None:
+            return None
+        planes, kernels = drivers
+        return planes.analyse(kernels, xs)
+
+    def _synthesise_rows(self, spectra: np.ndarray, sizes: list,
+                         keep: str, spatial: tuple) -> list | None:
+        """Each stream's ``inverse_spectrum`` of its own rows of a
+        group's kept spectra — ``(batch, C, mx, my)`` for
+        ``keep="last"``, ``(steps, batch, C, mx, my)`` for ``"all"``,
+        with ``sizes`` the streams' row counts — in one
+        ``sym2d_synthesise`` call that writes each stream's result (one
+        buffer per stream) through its output table."""
+        _check_spectrum(spectra[-1] if keep == "all" else spectra,
+                        self._modes)
+        drivers = self._planes(spectra.dtype, spatial, spectra.shape[-3])
+        if drivers is None:
+            return None
+        planes, kernels = drivers
+        lead, tail = spectra.shape[:-3], spectra.shape[-3:-2] + spatial
+        outs = [np.empty(lead[:-1] + (n,) + tail, planes.real)
+                for n in sizes]
+        # Entry order is row order: step-major for keep="all".
+        table = (outs if keep == "last"
+                 else [out[i] for i in range(len(spectra)) for out in outs])
+        planes.synthesise(kernels, spectra.reshape((-1,) + spectra.shape[-3:]),
+                          table)
+        return outs
+
+    def _exact_steps(self, xs: list, steps: int,
+                     keep: str = "last") -> list | None:
+        """The exact rollout of every state in ``xs`` (one dtype and
+        geometry): ``steps`` applications of ``self``, each output the
+        next step's input, byte for byte the eager loop ``for _ in
+        range(steps): x = self(x)`` per state.  Returns each state's
+        last output, or its ``(steps, rows, C, X, Y)`` trajectory for
+        ``keep="all"``, each in its own buffer.
+
+        Runs on the plane drivers: one ``sym2d_analyse`` call, then per
+        step one ``spectral_steps`` call (the ``k_tb``-panel CGEMM in
+        canonical order, read in place) and one ``sym2d_synthesise``
+        call that writes only the kept outputs and re-analyses each
+        plane it synthesises into the next step's state, so no
+        intermediate spatial state is ever written whole.  Needs a
+        square weight; returns None where the drivers do not cover the
+        group (:meth:`_planes`)."""
+        spatial, dtype = self._check_rows(xs, "_exact_steps")
+        c, c_out = self.weight.shape
+        drivers = self._planes(dtype, spatial, c) if c == c_out else None
+        if drivers is None:
+            return None
+        planes, kernels = drivers
+        lead = (steps,) if keep == "all" else ()
+        outs = [np.empty(lead + (len(x), c) + spatial, planes.real)
+                for x in xs]
+        ws = planes.workspace(kernels)
+        sk = planes.analyse(kernels, xs, ws)
+        y, nxt, work = np.empty_like(sk), np.empty_like(sk), np.empty_like(sk)
+        weight, (mx, my) = self._weight_for(dtype), self._modes
+        for step in range(steps):
+            kernels.spectral_steps(sk, weight, work, y, len(sk), c, mx, my,
+                                   self.k_tb, 1, spatial[0], "none", "last")
+            last = step + 1 == steps
+            table = ([out[step] for out in outs] if keep == "all"
+                     else outs if last else None)
+            planes.synthesise(kernels, y, table, None if last else nxt, ws)
+            sk, nxt = nxt, sk
+        return outs
 
 
 def compile_spectral_conv(

@@ -32,7 +32,14 @@ rejects the library on any mismatch:
 * the rollout step driver ``spectral_steps`` against the executors'
   Python step loop (``panel_contract`` per copied k-panel, then the
   NumPy reanalysis): a 2-D Hermitian case with a k-panel tail and
-  overlapping mirror bins, and the 1-D DC case with signed zeros.
+  overlapping mirror bins, and the 1-D DC case with signed zeros;
+* the symmetric 2-D plane drivers ``sym2d_analyse`` and
+  ``sym2d_synthesise`` against the staged kernel sequence of the
+  executor's halves (the row stages over the whole batch, then the
+  X-axis pass over every sub-column), in one call whose row table holds
+  two states and an empty one, across a full AVX2 block of kept bins
+  plus a tail; the re-analysis the synthesis writes must equal the
+  analysis of its output.
 
 Every probe runs in both precisions.
 
@@ -63,6 +70,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
 import shutil
 import subprocess
@@ -164,6 +172,11 @@ SPECTRAL_PROJECTIONS = {"none": 0, "dc_real": 1, "herm_x": 2}
 #: Kernel-name suffix per supported element type.
 _SUFFIX = {np.dtype(np.complex64): "f32", np.dtype(np.complex128): "f64"}
 
+#: The real dtype of each supported element type (the plane drivers'
+#: spatial states).
+_REAL_DTYPE = {np.dtype(np.complex64): np.dtype(np.float32),
+               np.dtype(np.complex128): np.dtype(np.float64)}
+
 #: The NumPy dtype of a C ``long`` (a row table's row counts).
 _C_LONG = np.dtype(f"i{ctypes.sizeof(ctypes.c_long)}")
 
@@ -181,7 +194,7 @@ def _bad_entry(name: str, role: str, i: int, arr, dtype: np.dtype,
                want: str) -> ValueError:
     what = (f"{arr.dtype}{arr.shape}" if isinstance(arr, np.ndarray)
             else f"a {type(arr).__name__}")
-    writable = ", writable" if role == "output" else ""
+    writable = ", writable" if role != "input" else ""
     return ValueError(
         f"{name}: {role} entry {i} {what} is not a C-contiguous, "
         f"aligned{writable} {dtype} {want}"
@@ -189,35 +202,43 @@ def _bad_entry(name: str, role: str, i: int, arr, dtype: np.dtype,
 
 
 def _buffer_entry(name: str, role: str, arr, dtype: np.dtype,
-                  count: int) -> int:
-    """Check a one-array table operand of at least ``count`` elements;
-    return its address (0 when ``count`` is 0: C never touches it)."""
+                  count: int, spans: list | None = None) -> int:
+    """Check a one-array table operand of at least ``count`` elements
+    (writable unless ``role`` is ``"input"``); return its address (0
+    when ``count`` is 0: C never touches it), and add the touched byte
+    range to ``spans`` if given."""
     if (not isinstance(arr, np.ndarray) or arr.dtype != dtype
             or not arr.flags.c_contiguous or not arr.flags.aligned
-            or (role == "output" and not arr.flags.writeable)
+            or (role != "input" and not arr.flags.writeable)
             or arr.size < count):
         raise _bad_entry(name, role, 0, arr, dtype,
                          f"buffer of {count} elements")
-    return _address(arr) if count else 0
+    if not count:
+        return 0
+    base = _address(arr)
+    if spans is not None:
+        spans.append((base, base + count * dtype.itemsize, role != "input"))
+    return base
 
 
-def _table_entries(name: str, role: str, arrs, dtype: np.dtype, c: int,
-                   dim_x: int, spans: list) -> tuple[list, list]:
-    """Check a list of ``(rows, c, dim_x)`` table entries; return their
+def _table_entries(name: str, role: str, arrs, dtype: np.dtype, tail: tuple,
+                   spans: list) -> tuple[list, list]:
+    """Check a list of ``(rows, *tail)`` table entries; return their
     base addresses (0 for an empty entry) and row counts, and add each
     entry's touched byte range to ``spans``."""
     bases, counts = [], []
-    tail, row = (c, dim_x), c * dim_x * dtype.itemsize
+    row = math.prod(tail) * dtype.itemsize
     is_out = role == "output"
     for i, arr in enumerate(arrs):
         if not isinstance(arr, np.ndarray):
             raise _bad_entry(name, role, i, arr, dtype, "array")
         shape, flags = arr.shape, arr.flags
-        if (arr.dtype != dtype or len(shape) != 3 or shape[1:] != tail
+        if (arr.dtype != dtype or shape[1:] != tail
                 or not flags.c_contiguous or not flags.aligned
                 or (is_out and not flags.writeable)):
+            want = ", ".join(map(str, ("rows",) + tail))
             raise _bad_entry(name, role, i, arr, dtype,
-                             f"array of shape (rows, {c}, {dim_x})")
+                             f"array of shape ({want})")
         n, base = shape[0], 0
         if n:
             # The inline form of _address: this loop runs per request.
@@ -229,50 +250,12 @@ def _table_entries(name: str, role: str, arrs, dtype: np.dtype, c: int,
     return bases, counts
 
 
-def _row_tables(name: str, x, out, bt: int, dtype: np.dtype, c_in: int,
-                c_out: int, dim_x: int) -> tuple[list[int], list[int]]:
-    """Check and build the row tables of a fused driver call: the
-    entries' source and destination base addresses, and their row
-    counts (see :meth:`_Kernels.fused_tile_c2c_1d`).
-
-    No output may overlap an input or another output: the driver
-    writes each row as it goes, so an overlap would feed it its own
+def _check_overlap(name: str, spans: list) -> None:
+    """Sweep the touched byte ranges ``(start, end, is_out)`` in address
+    order: an output must start past every earlier range, an input past
+    every earlier output.  A driver writes each row as it goes, so an
+    output overlapping an input or another output would feed it its own
     results."""
-    spans: list = []
-    item = dtype.itemsize
-    if isinstance(x, np.ndarray):
-        srcs = [_buffer_entry(name, "input", x, dtype, bt * c_in * dim_x)]
-        counts = [bt]
-        if srcs[0]:
-            spans.append((srcs[0], srcs[0] + bt * c_in * dim_x * item,
-                          False))
-    else:
-        srcs, counts = _table_entries(name, "input", x, dtype, c_in, dim_x,
-                                      spans)
-    if sum(counts) != bt:
-        raise ValueError(
-            f"{name}: the entries hold {sum(counts)} rows, not bt={bt}"
-        )
-    if isinstance(out, np.ndarray):
-        # One buffer receives every entry's rows, in entry order.
-        row = c_out * dim_x * item
-        base = _buffer_entry(name, "output", out, dtype, bt * c_out * dim_x)
-        if base:
-            spans.append((base, base + bt * row, True))
-        dsts, off = [], 0
-        for n in counts:
-            dsts.append(base + off * row if n else 0)
-            off += n
-    else:
-        dsts, rows = _table_entries(name, "output", out, dtype, c_out,
-                                    dim_x, spans)
-        if rows != counts:
-            raise ValueError(
-                f"{name}: output entries of {rows} rows for input entries "
-                f"of {counts}"
-            )
-    # Sweep the touched byte ranges in address order: an output must
-    # start past every earlier range, an input past every earlier output.
     spans.sort()
     reach_any = reach_out = 0
     for start, end, is_out in spans:
@@ -284,6 +267,44 @@ def _row_tables(name: str, x, out, bt: int, dtype: np.dtype, c_in: int,
         reach_any = max(reach_any, end)
         if is_out:
             reach_out = max(reach_out, end)
+
+
+def _row_tables(name: str, x, out, bt: int, dtype: np.dtype, c_in: int,
+                c_out: int, dim_x: int) -> tuple[list[int], list[int]]:
+    """Check and build the row tables of a fused driver call: the
+    entries' source and destination base addresses, and their row
+    counts (see :meth:`_Kernels.fused_tile_c2c_1d`).  No output may
+    overlap an input or another output (:func:`_check_overlap`)."""
+    spans: list = []
+    if isinstance(x, np.ndarray):
+        srcs = [_buffer_entry(name, "input", x, dtype, bt * c_in * dim_x,
+                              spans)]
+        counts = [bt]
+    else:
+        srcs, counts = _table_entries(name, "input", x, dtype,
+                                      (c_in, dim_x), spans)
+    if sum(counts) != bt:
+        raise ValueError(
+            f"{name}: the entries hold {sum(counts)} rows, not bt={bt}"
+        )
+    if isinstance(out, np.ndarray):
+        # One buffer receives every entry's rows, in entry order.
+        row = c_out * dim_x * dtype.itemsize
+        base = _buffer_entry(name, "output", out, dtype, bt * c_out * dim_x,
+                             spans)
+        dsts, off = [], 0
+        for n in counts:
+            dsts.append(base + off * row if n else 0)
+            off += n
+    else:
+        dsts, rows = _table_entries(name, "output", out, dtype,
+                                    (c_out, dim_x), spans)
+        if rows != counts:
+            raise ValueError(
+                f"{name}: output entries of {rows} rows for input entries "
+                f"of {counts}"
+            )
+    _check_overlap(name, spans)
     return srcs + dsts, counts
 
 
@@ -316,7 +337,9 @@ class _Kernels:
                     ("fused_tile_c2c_1d", 13, 6),
                     ("pruned_rfft_rows", 8, 4),
                     ("pruned_irfft_rows", 10, 4),
-                    ("spectral_steps", 4, 9)):
+                    ("spectral_steps", 4, 9),
+                    ("sym2d_analyse", 9, 7),
+                    ("sym2d_synthesise", 17, 7)):
                 fn = getattr(lib, f"{name}_{suffix}")
                 fn.argtypes = [ptr] * nptr + [ctypes.c_long] * nlong
                 fn.restype = None
@@ -552,6 +575,123 @@ class _Kernels:
             (scratch, h), (out, rows * h))
         fn(*ptrs, rows, s, q, m)
 
+    @staticmethod
+    def sym2d_workspace(dim_x: int, dim_y: int, mx: int, my: int) -> int:
+        """Elements of a plane driver's workspace (see ``_kernels.c``)."""
+        h = dim_y // 2
+        return 4 * dim_x * h + 4 * dim_x * my + mx * my
+
+    def _sym2d_bind(self, name: str, tables, ws: np.ndarray, spans: list,
+                    bt: int, c: int, dim_x: int, dim_y: int, mx: int,
+                    my: int, q: int):
+        """Check a plane driver's geometry, its plan tables and its
+        workspace; return the kernel, the tables' addresses, the
+        workspace's and the row split ``p = dim_y/2 / q``.  ``tables``
+        is the forward ``(u, v, tw_y, tw_x, wd_x)`` or the inverse
+        ``(ch, ct, wdh, wdt, tw_y, tw_x, wd_x)``."""
+        if bt < 0 or c < 1:
+            raise ValueError(f"{name}: bad extents bt={bt}, c={c}")
+        p = self._split(name, bt, dim_y, q, my)
+        if mx < 1 or mx & (mx - 1):
+            raise ValueError(f"{name}: mx={mx} is not a power of two")
+        split = dim_x // mx
+        if split < 2 or dim_x != split * mx:
+            raise ValueError(
+                f"{name}: dim_x={dim_x} is not split * mx={mx} with "
+                f"split >= 2"
+            )
+        h = p * q
+        sizes = ((h, h, q - 1) if len(tables) == 5
+                 else (my, my - 1, h, h, q - 1))
+        sizes += (mx - 1, split * mx)
+        if len(tables) != len(sizes):
+            raise ValueError(f"{name}: expected {len(sizes)} plan tables")
+        dtype = tables[0].dtype
+        fn, ptrs = self._bind(name, *zip(tables, sizes), dtype=dtype)
+        wsp = _buffer_entry(name, "workspace", ws, dtype,
+                            self.sym2d_workspace(dim_x, dim_y, mx, my),
+                            spans)
+        return fn, ptrs, wsp, p
+
+    def sym2d_analyse(self, xs, sk: np.ndarray, fwd, ws: np.ndarray,
+                      bt: int, c: int, dim_x: int, dim_y: int, mx: int,
+                      my: int, q: int) -> None:
+        """The symmetric 2-D forward half, one ``(b, c)`` plane at a
+        time (see ``_kernels.c``): the states ``xs``, a sequence of real
+        ``(rows_i, c, dim_x, dim_y)`` arrays whose rows sum to ``bt``,
+        into their kept corners ``sk[bt, c, mx, my]`` in entry order.
+        ``fwd`` is ``(u, v, tw_y, tw_x, wd_x)``: the pruned R2C plan's
+        ``(dim_y/2/q, q)`` recombination weights and length-``q`` stage
+        table, then the pruned C2C plan's length-``mx`` stage table and
+        ``(dim_x/mx, mx)`` decomposition twiddles; ``ws`` holds
+        :meth:`sym2d_workspace` elements.  Every entry must be a
+        C-contiguous, aligned array of the real dtype, and neither
+        ``sk`` nor ``ws`` may overlap an input or each other."""
+        name = "sym2d_analyse"
+        spans: list = []
+        fn, ptrs, wsp, p = self._sym2d_bind(name, fwd, ws, spans, bt, c,
+                                            dim_x, dim_y, mx, my, q)
+        dtype = fwd[0].dtype
+        bases, counts = _table_entries(name, "input", xs,
+                                       _REAL_DTYPE[dtype],
+                                       (c, dim_x, dim_y), spans)
+        if sum(counts) != bt:
+            raise ValueError(
+                f"{name}: the entries hold {sum(counts)} rows, not bt={bt}"
+            )
+        out = _buffer_entry(name, "output", sk, dtype, bt * c * mx * my,
+                            spans)
+        _check_overlap(name, spans)
+        bases = np.array(bases, np.uintp)
+        counts = np.array(counts, _C_LONG)
+        fn(_address(bases), _address(counts), out, *ptrs, wsp, len(counts),
+           c, dim_x, p, q, my, mx)
+
+    def sym2d_synthesise(self, sk: np.ndarray, out, nxt, inv, fwd,
+                         ws: np.ndarray, bt: int, c: int, dim_x: int,
+                         dim_y: int, mx: int, my: int, q: int) -> None:
+        """The symmetric 2-D inverse half, one plane at a time (see
+        ``_kernels.c``): the kept corners ``sk[bt, c, mx, my]`` into the
+        real planes of ``out``, a sequence of ``(rows_i, c, dim_x,
+        dim_y)`` arrays whose rows sum to ``bt`` (entry order), or, with
+        ``out=None``, into the workspace only.  Given ``nxt`` (``bt * c
+        * mx * my`` elements), each written plane is analysed again into
+        it with the forward tables ``fwd`` (see :meth:`sym2d_analyse`).
+        ``inv`` is ``(ch, ct, wdh, wdt, tw_y, tw_x, wd_x)``: the pruned
+        C2R plan's head and tail weights, ``(dim_y/2/q, q)`` expansion
+        twiddles and inverse stage table, then the pruned C2C inverse's.
+        No output, ``nxt`` or ``ws`` may overlap ``sk`` or another."""
+        name = "sym2d_synthesise"
+        spans: list = []
+        fn, ptrs, wsp, p = self._sym2d_bind(name, inv, ws, spans, bt, c,
+                                            dim_x, dim_y, mx, my, q)
+        dtype = inv[0].dtype
+        corner = bt * c * mx * my
+        src = _buffer_entry(name, "input", sk, dtype, corner, spans)
+        if out is None:
+            bases, counts = [0], [bt]
+        else:
+            bases, counts = _table_entries(name, "output", out,
+                                           _REAL_DTYPE[dtype],
+                                           (c, dim_x, dim_y), spans)
+            if sum(counts) != bt:
+                raise ValueError(
+                    f"{name}: the entries hold {sum(counts)} rows, not "
+                    f"bt={bt}"
+                )
+        fptrs, dst = [0] * 5, 0
+        if nxt is not None:
+            if fwd is None:
+                raise ValueError(f"{name}: nxt needs the forward tables")
+            _, fptrs, _, _ = self._sym2d_bind(name, fwd, ws, [], bt, c,
+                                              dim_x, dim_y, mx, my, q)
+            dst = _buffer_entry(name, "output", nxt, dtype, corner, spans)
+        _check_overlap(name, spans)
+        bases = np.array(bases, np.uintp)
+        counts = np.array(counts, _C_LONG)
+        fn(src, 0 if out is None else _address(bases), _address(counts),
+           dst, *ptrs, *fptrs, wsp, len(counts), c, dim_x, p, q, my, mx)
+
 
 #: (n, rows, inverse, div_by, mul_by) full-transform probes of the
 #: Stockham kernel.  Together they reach every pass kind of the AVX2
@@ -692,6 +832,50 @@ def _spectral_steps_by_kernels(k: _Kernels, sk: np.ndarray, w: np.ndarray,
         if step + 1 < steps:
             sk = project(kept[-1])
     return np.stack(kept) if keep == "all" else kept[-1]
+
+
+def _sym2d_analyse_by_stages(k: _Kernels, x: np.ndarray, fwd,
+                             mx: int, my: int) -> np.ndarray:
+    """The symmetric 2-D forward half as the executor's staged path runs
+    it on the C kernels: the R2C row stages over every row of the real
+    states ``x[bt, c, X, Y]``, then the pruned C2C plan's stages over
+    every sub-column; returns ``sk[bt, c, mx, my]``.  ``fwd`` is
+    ``(u, v, tw_y, tw_x, wd_x)``: the plane driver's oracle."""
+    u, v, tw_y, tw_x, wd_x = fwd
+    bt, c, dim_x, dim_y = x.shape
+    split, lead = dim_x // mx, bt * c * my
+    rows = _rfft_rows_by_stages(k, x.reshape(-1, dim_y).view(u.dtype), u, v,
+                                tw_y, my)
+    cols = rows.reshape(bt * c, dim_x, my).swapaxes(1, 2)
+    g = np.ascontiguousarray(
+        cols.reshape(lead, mx, split).swapaxes(1, 2))  # [., j, t] = [., tP+j]
+    f = np.empty_like(g)
+    k.stockham(g, f, np.empty_like(g), tw_x, lead * split, mx, None, None)
+    red = np.empty((lead, mx), u.dtype)
+    k.decomp_reduce(f, wd_x, red, lead, split, mx)
+    return np.ascontiguousarray(red.reshape(bt, c, my, mx).swapaxes(2, 3))
+
+
+def _sym2d_synthesise_by_stages(k: _Kernels, sk: np.ndarray, inv,
+                                dim_x: int, dim_y: int) -> np.ndarray:
+    """The symmetric 2-D inverse half as the staged path runs it: the
+    pruned C2C inverse's stages over every sub-column of ``sk[bt, c,
+    mx, my]``, then the C2R row stages over every row; returns the real
+    ``(bt, c, dim_x, dim_y)`` states.  ``inv`` is ``(ch, ct, wdh, wdt,
+    tw_y, tw_x, wd_x)``: the plane driver's oracle."""
+    ch, ct, wdh, wdt, tw_y, tw_x, wd_x = inv
+    bt, c, mx, my = sk.shape
+    split, lead = dim_x // mx, bt * c * my
+    flat = np.ascontiguousarray(sk.swapaxes(2, 3)).reshape(lead, mx)
+    e = np.empty((lead, split, mx), sk.dtype)
+    k.expand_mul(flat, wd_x, e, lead, split, mx)
+    y = np.empty_like(e)
+    k.stockham(e, y, np.empty_like(e), tw_x, lead * split, mx, float(mx),
+               mx / dim_x)
+    cols = y.swapaxes(1, 2).reshape(bt, c, my, dim_x)  # [., tP+s] = [., s, t]
+    rows = np.ascontiguousarray(cols.swapaxes(2, 3)).reshape(-1, my)
+    z = _irfft_rows_by_stages(k, rows, ch, ct, wdh, wdt, tw_y)
+    return z.view(_REAL_DTYPE[sk.dtype]).reshape(bt, c, dim_x, dim_y)
 
 
 def _unfused_tail_probe(dtype) -> tuple[np.ndarray, ...]:
@@ -884,7 +1068,37 @@ def _self_check(k: _Kernels) -> bool:
                                              projection, keep)
             if not _same_bits(ref, got.reshape(ref.shape)):
                 return False
+        if not _sym2d_matches(k, cplx, dtype):
+            return False
     return True
+
+
+def _sym2d_matches(k: _Kernels, cplx, dtype) -> bool:
+    """The plane drivers against their staged oracles on one probe:
+    planes of 8 x 64 (X split 2 of mx = 4; 11 kept bins of q = 16 over
+    row split 2, a full AVX2 block plus a tail), one channel, three
+    states in a row table with an empty entry, random tables.  The
+    synthesis writes through a table and re-analyses every plane, which
+    must equal the (checked) analysis of what it wrote."""
+    dim_x, dim_y, mx, my, q = 8, 64, 4, 11, 16
+    fwd = (cplx(2, q), cplx(2, q), cplx(q - 1), cplx(mx - 1), cplx(2, mx))
+    inv = (cplx(my), cplx(my - 1), cplx(2, q), cplx(2, q), cplx(q - 1),
+           cplx(mx - 1), cplx(2, mx))
+    real = _REAL_DTYPE[np.dtype(dtype)]
+    xs = [cplx(n, 1, dim_x, dim_y // 2).view(real) for n in (2, 0, 1)]
+    ws = np.empty(k.sym2d_workspace(dim_x, dim_y, mx, my), dtype)
+    geometry = (dim_x, dim_y, mx, my, q)
+    sk, again = (np.empty((3, 1, mx, my), dtype) for _ in range(2))
+    k.sym2d_analyse(xs, sk, fwd, ws, 3, 1, *geometry)
+    outs, nxt = [np.empty_like(x) for x in xs], np.empty_like(sk)
+    k.sym2d_synthesise(sk, outs, nxt, inv, fwd, ws, 3, 1, *geometry)
+    k.sym2d_analyse(outs, again, fwd, ws, 3, 1, *geometry)
+    state = np.concatenate(xs)
+    return (_same_bits(_sym2d_analyse_by_stages(k, state, fwd, mx, my), sk)
+            and _same_bits(_sym2d_synthesise_by_stages(k, sk, inv, dim_x,
+                                                       dim_y),
+                           np.concatenate(outs))
+            and _same_bits(again, nxt))
 
 
 def _build_blocker() -> str | None:

@@ -66,6 +66,12 @@
  * the executor's reanalysis (identity, DC made real, or the Hermitian
  * y-DC column replayed from its NumPy expression).
  *
+ * The symmetric 2-D executor's halves run one (b, c) plane at a time
+ * through sym2d_analyse and sym2d_synthesise at the end of this file:
+ * the pruned R2C plan's stages over the plane's rows, then the X-axis
+ * pruned C2C pass, so a plane's intermediates never leave cache; an
+ * exact rollout re-analyses each synthesised plane in the same call.
+ *
  * The file is compiled with -ffp-contract=off and WITHOUT -mfma: GCC's
  * vectorizer introduces FMAs into plain expressions whenever the FMA ISA
  * is enabled globally (even under -ffp-contract=off), which would break
@@ -680,12 +686,54 @@ EXPAND_MUL(expand_mul_f64, double, fma)
  * `dst[...] = np.swapaxes(src, -1, -2)`: the pruned R2C gather of the P
  * subsequences, the pruned C2R interleave into the packed output, and
  * the fused C2C tile driver's gather and scatter.  The inner loop runs
- * over the longer of the two axes (the other is often a split of 2-8). */
-#define TRANSPOSE(NAME, T)                                               \
+ * over the longer of the two axes (the other is often a split of 2-8).
+ * In the AVX2 build, R and C both multiples of W (4 complex floats, 2
+ * complex doubles per vector) copy W x W blocks through registers. */
+#ifdef AVX2_KERNELS
+static inline void transpose_block_f32(const float* sb, float* db, long R,
+                                       long C, long r, long c) {
+    __m256d a0 = _mm256_loadu_pd((const double*)(sb + 2*(r*C + c)));
+    __m256d a1 = _mm256_loadu_pd((const double*)(sb + 2*((r+1)*C + c)));
+    __m256d a2 = _mm256_loadu_pd((const double*)(sb + 2*((r+2)*C + c)));
+    __m256d a3 = _mm256_loadu_pd((const double*)(sb + 2*((r+3)*C + c)));
+    __m256d t0 = _mm256_unpacklo_pd(a0, a1), t1 = _mm256_unpackhi_pd(a0, a1);
+    __m256d t2 = _mm256_unpacklo_pd(a2, a3), t3 = _mm256_unpackhi_pd(a2, a3);
+    _mm256_storeu_pd((double*)(db + 2*(c*R + r)),
+                     _mm256_permute2f128_pd(t0, t2, 0x20));
+    _mm256_storeu_pd((double*)(db + 2*((c+1)*R + r)),
+                     _mm256_permute2f128_pd(t1, t3, 0x20));
+    _mm256_storeu_pd((double*)(db + 2*((c+2)*R + r)),
+                     _mm256_permute2f128_pd(t0, t2, 0x31));
+    _mm256_storeu_pd((double*)(db + 2*((c+3)*R + r)),
+                     _mm256_permute2f128_pd(t1, t3, 0x31));
+}
+
+static inline void transpose_block_f64(const double* sb, double* db,
+                                       long R, long C, long r, long c) {
+    __m256d a0 = _mm256_loadu_pd(sb + 2*(r*C + c));
+    __m256d a1 = _mm256_loadu_pd(sb + 2*((r+1)*C + c));
+    _mm256_storeu_pd(db + 2*(c*R + r), _mm256_permute2f128_pd(a0, a1, 0x20));
+    _mm256_storeu_pd(db + 2*((c+1)*R + r),
+                     _mm256_permute2f128_pd(a0, a1, 0x31));
+}
+
+#define TRANSPOSE_BLOCKS(SFX, W)                                         \
+        if (R % (W) == 0 && C % (W) == 0) {                              \
+            for (long r = 0; r < R; r += (W))                            \
+                for (long c = 0; c < C; c += (W))                        \
+                    transpose_block_##SFX(sb, db, R, C, r, c);           \
+            continue;                                                    \
+        }
+#else
+#define TRANSPOSE_BLOCKS(SFX, W)
+#endif
+
+#define TRANSPOSE(NAME, T, SFX, W)                                       \
 void NAME(const T* src, T* dst, long B, long R, long C) {                \
     for (long b = 0; b < B; b++) {                                       \
         const T* sb = src + 2*b*R*C;                                     \
         T* db = dst + 2*b*R*C;                                           \
+        TRANSPOSE_BLOCKS(SFX, W)                                         \
         if (C > R) {                                                     \
             for (long r = 0; r < R; r++) {                               \
                 const T* sp = sb + 2*r*C;                                \
@@ -706,8 +754,8 @@ void NAME(const T* src, T* dst, long B, long R, long C) {                \
     }                                                                    \
 }
 
-TRANSPOSE(transpose_f32, float)
-TRANSPOSE(transpose_f64, double)
+TRANSPOSE(transpose_f32, float, f32, 4)
+TRANSPOSE(transpose_f64, double, f64, 2)
 
 /* out[B,k] = sum_p u[p,k] y[B,p,k] + sum_p v[p,k] conj(y[B,p,(q-k)%q])
  * for k < m.  This is the pruned R2C recombination
@@ -1245,3 +1293,173 @@ void NAME(const T* sk, const T* w, T* work, T* out, long bt, long c,     \
 
 SPECTRAL_STEPS(spectral_steps_f32, float, f32)
 SPECTRAL_STEPS(spectral_steps_f64, double, f64)
+
+/* ------------------------------------------------------------------ */
+/* Symmetric 2-D plane drivers (R2C rows + X-axis pass per plane)      */
+/* ------------------------------------------------------------------ */
+
+/* The symmetric 2-D executor's forward and inverse halves, one (b, c)
+ * plane at a time.  A plane is X real rows of length Y = 2h (h = p*q),
+ * read as packed complex z[X, h]; its kept corner is sk[mx, my]: my <= q
+ * half-spectrum bins along Y, mx first bins along X with X = P * mx and
+ * P >= 2.  The halves are the staged path of
+ * repro.core.compiled._SpectralExecutor (the pruned R2C plan along Y,
+ * then the pruned C2C plan along X; the X inverse, then the pruned C2R
+ * plan) with every stage kept, each run over one plane instead of the
+ * whole batch:
+ *   analyse, z[X, h] -> sk[mx, my], the rows in chunks:
+ *     gather  : g[x, j, t] = z[x, t*p + j]             (transpose)
+ *     FFT     : forward Stockham over the chunk's sub-rows of length q
+ *     mirror  : r[x] = the my recombined bins of row x (decomp_mirror)
+ *     gather  : cg[ky, j, t] = r[t*P + j, ky]
+ *     FFT     : forward Stockham over the my*P sub-columns of length mx
+ *     reduce  : cr[ky, kx] = sum_j cf[ky, j, kx] * wd[j, kx]
+ *                                                      (decomp_reduce)
+ *     store   : sk[kx, ky] = cr[ky, kx]                (transpose)
+ *   synthesise, sk[mx, my] -> z[X, h]:
+ *     gather  : cr[ky, kx] = sk[kx, ky]                (transpose)
+ *     expand  : cg[ky, s, kx] = cr[ky, kx] * wd[s, kx] (expand_mul)
+ *     iFFT    : inverse Stockham over the sub-columns, / mx then
+ *               * (mx / X)
+ *     scatter : r[t*P + s, ky] = cf[ky, s, t]
+ *     then the rows in chunks:
+ *     expand  : g[x] = r[x]'s head/tail rows times wdh, wdt
+ *                                                   (expand_head_tail)
+ *     iFFT    : inverse Stockham over the chunk's sub-rows, / q then
+ *               * (q / h)
+ *     scatter : z[x, t*p + s] = f[x, s, t]             (transpose)
+ * A plane's intermediates stay in cache from one axis to the other;
+ * the staged path writes the whole (B, C, X, my) intermediate to
+ * memory and back, with a strided copy on each side.
+ *
+ * Bits: every stage is independent across rows and sub-columns, and
+ * each runs the kernel the staged path runs on the same operands in
+ * the same order, so the bytes are the staged path's.  The staged
+ * path's two choices that depend on a call's row count cannot differ
+ * here: Stockham multiplies a one-element array unfused, but every
+ * Stockham call here has 2p >= 2 or my*P >= 2 rows; expand_head_tail
+ * forms its tail product unfused only for a one-row call, and it is
+ * called with chunks of at least 2 rows.  The executor takes the staged
+ * path for every geometry these drivers do not cover (an R2C strategy
+ * other than decomp, P = 1, mx not a power of two).
+ *
+ * sym2d_analyse reads the planes through a row table (entry e: rows[e]
+ * states xs[e][rows[e], c, X, Y]) and writes sk[bt, c, mx, my] in
+ * entry order.  sym2d_synthesise reads sk[bt, c, mx, my] and writes
+ * through an output row table (outs[e][rows[e], c, X, Y]), or, with no
+ * table, holds each plane in the workspace only; given `next`, it runs
+ * the analysis on each plane it has just written (the next rollout
+ * step's state), so an intermediate state of a rollout is never
+ * written to memory whole.  The tables come from the Python binding,
+ * which checks every entry, operand and the geometry first.
+ *
+ * The workspace holds one plane: g, f and s (the row stages) take X*h
+ * elements each, of which a chunk uses a prefix; r, cg, cf and cs take
+ * X*my each, cr mx*my, and the held plane (synthesise without an
+ * output table) X*h.  The row stages run over chunks of rows
+ * (SYM2D_CHUNK), not one row at a time as pruned_rfft_rows does: a
+ * kernel call on one row is too short to amortise its set-up, and a
+ * chunk's buffers still fit in L1.  Like the other drivers these are
+ * not FMA_TARGET (see fused_tile_c2c_1d). */
+
+/* Rows per row-stage call: 8 KB of complex values per buffer, so the
+ * three row buffers of a chunk stay in L1, and at least 2 (X >= 2 is a
+ * power of two, so a chunk divides it). */
+#define SYM2D_CHUNK(T, X, h)                                             \
+    (8192 / (long)(2*sizeof(T)*(h)) < 2 ? 2                              \
+     : 8192 / (long)(2*sizeof(T)*(h)) > (X) ? (X)                        \
+     : 8192 / (long)(2*sizeof(T)*(h)))
+
+#define SYM2D_PLANES(SFX, T)                                             \
+static void sym2d_analyse_plane_##SFX(                                   \
+        const T* z, T* sk, const T* u, const T* v, const T* tw_y,        \
+        const T* tw_x, const T* wd_x, T* ws, long X, long p, long q,     \
+        long my, long mx) {                                              \
+    long h = p*q, P = X/mx, cols = X*my;                                 \
+    T *g = ws, *f = g + 2*X*h, *s = f + 2*X*h, *r = s + 2*X*h;           \
+    T *cg = r + 2*cols, *cf = cg + 2*cols, *cs = cf + 2*cols;            \
+    T *cr = cs + 2*cols;                                                 \
+    for (long x0 = 0, n = SYM2D_CHUNK(T, X, h); x0 < X; x0 += n) {       \
+        transpose_##SFX(z + 2*x0*h, g, n, q, p);                         \
+        stockham_##SFX(g, f, s, tw_y, n*p, q, 0, 0, 0, 0);               \
+        decomp_mirror_##SFX(f, u, v, r + 2*x0*my, n, p, q, my);          \
+    }                                                                    \
+    for (long t = 0; t < mx; t++)                                        \
+        for (long j = 0; j < P; j++) {                                   \
+            const T* rp = r + 2*(t*P + j)*my;                            \
+            for (long ky = 0; ky < my; ky++) {                           \
+                cg[2*((ky*P + j)*mx + t)] = rp[2*ky];                    \
+                cg[2*((ky*P + j)*mx + t)+1] = rp[2*ky+1];                \
+            }                                                            \
+        }                                                                \
+    stockham_##SFX(cg, cf, cs, tw_x, my*P, mx, 0, 0, 0, 0);              \
+    decomp_reduce_##SFX(cf, wd_x, cr, my, P, mx);                        \
+    transpose_##SFX(cr, sk, 1, my, mx);                                  \
+}                                                                        \
+                                                                         \
+static void sym2d_synthesise_plane_##SFX(                                \
+        const T* sk, T* z, const T* ch, const T* ct, const T* wdh,       \
+        const T* wdt, const T* tw_y, const T* tw_x, const T* wd_x,       \
+        T* ws, long X, long p, long q, long my, long mx) {               \
+    long h = p*q, P = X/mx, cols = X*my;                                 \
+    T ydiv = (T)q, ymul = (T)((double)q / (double)h);                    \
+    T xdiv = (T)mx, xmul = (T)((double)mx / (double)X);                  \
+    T *g = ws, *f = g + 2*X*h, *s = f + 2*X*h, *r = s + 2*X*h;           \
+    T *cg = r + 2*cols, *cf = cg + 2*cols, *cs = cf + 2*cols;            \
+    T *cr = cs + 2*cols;                                                 \
+    transpose_##SFX(sk, cr, 1, mx, my);                                  \
+    expand_mul_##SFX(cr, wd_x, cg, my, P, mx);                           \
+    stockham_##SFX(cg, cf, cs, tw_x, my*P, mx, 1, xdiv, 1, xmul);        \
+    for (long t = 0; t < mx; t++)                                        \
+        for (long j = 0; j < P; j++) {                                   \
+            T* rp = r + 2*(t*P + j)*my;                                  \
+            for (long ky = 0; ky < my; ky++) {                           \
+                rp[2*ky] = cf[2*((ky*P + j)*mx + t)];                    \
+                rp[2*ky+1] = cf[2*((ky*P + j)*mx + t)+1];                \
+            }                                                            \
+        }                                                                \
+    for (long x0 = 0, n = SYM2D_CHUNK(T, X, h); x0 < X; x0 += n) {       \
+        expand_head_tail_##SFX(r + 2*x0*my, ch, ct, wdh, wdt, g, n, my,  \
+                               p, q);                                    \
+        stockham_##SFX(g, f, s, tw_y, n*p, q, 1, ydiv, 1, ymul);         \
+        transpose_##SFX(f, z + 2*x0*h, n, p, q);                         \
+    }                                                                    \
+}                                                                        \
+                                                                         \
+void sym2d_analyse_##SFX(const T* const* xs, const long* rows, T* sk,    \
+                         const T* u, const T* v, const T* tw_y,          \
+                         const T* tw_x, const T* wd_x, T* ws,            \
+                         long entries, long c, long X, long p, long q,   \
+                         long my, long mx) {                             \
+    long plane = X*p*q, corner = mx*my;                                  \
+    for (long e = 0; e < entries; e++)                                   \
+        for (long i = 0; i < rows[e]*c; i++, sk += 2*corner)             \
+            sym2d_analyse_plane_##SFX(xs[e] + 2*i*plane, sk, u, v, tw_y, \
+                                      tw_x, wd_x, ws, X, p, q, my, mx);  \
+}                                                                        \
+                                                                         \
+void sym2d_synthesise_##SFX(                                             \
+        const T* sk, T* const* outs, const long* rows, T* next,          \
+        const T* ch, const T* ct, const T* wdh, const T* wdt,            \
+        const T* tw_yi, const T* tw_xi, const T* wd_xi, const T* u,      \
+        const T* v, const T* tw_yf, const T* tw_xf, const T* wd_xf,      \
+        T* ws, long entries, long c, long X, long p, long q, long my,    \
+        long mx) {                                                       \
+    long plane = X*p*q, corner = mx*my;                                  \
+    T* held = ws + 2*(3*X*p*q + 4*X*my + corner);                          \
+    for (long e = 0; e < entries; e++)                                   \
+        for (long i = 0; i < rows[e]*c; i++, sk += 2*corner) {           \
+            T* z = outs ? outs[e] + 2*i*plane : held;                    \
+            sym2d_synthesise_plane_##SFX(sk, z, ch, ct, wdh, wdt, tw_yi, \
+                                         tw_xi, wd_xi, ws, X, p, q, my,  \
+                                         mx);                            \
+            if (next) {                                                  \
+                sym2d_analyse_plane_##SFX(z, next, u, v, tw_yf, tw_xf,   \
+                                          wd_xf, ws, X, p, q, my, mx);   \
+                next += 2*corner;                                        \
+            }                                                            \
+        }                                                                \
+}
+
+SYM2D_PLANES(f32, float)
+SYM2D_PLANES(f64, double)

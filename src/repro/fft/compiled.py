@@ -749,7 +749,10 @@ class CompiledPrunedRFFTPlan(_WorkspaceOwner):
     recombination in workspaces of ``h`` elements each, so its working
     set stays in L1 and no ``rows * h`` intermediate is retained.  The
     NumPy backend runs the same three stages over the whole batch, and
-    the driver must match that staged sequence bit for bit.
+    the driver must match that staged sequence bit for bit.  ``tables``
+    holds what the drivers read, ``(u, v, tw)``: ``U`` and ``V`` as
+    ``(P, q)`` arrays and the length-``q`` stage table (``None`` for the
+    other strategies); the symmetric 2-D plane drivers read it too.
 
     ``part == n//2 + 1`` delegates to the plain
     :class:`CompiledRFFTPlan` (bit-exact alias); ``q > h/2`` (no whole
@@ -772,6 +775,7 @@ class CompiledPrunedRFFTPlan(_WorkspaceOwner):
         h = self.half
         self._full = None
         self._sub = None
+        self.tables = None
         if part == bins or n == 1:
             self._strategy = "full"
             self._full = caches.rfft(n, self.dtype)
@@ -794,6 +798,7 @@ class CompiledPrunedRFFTPlan(_WorkspaceOwner):
             v.setflags(write=False)
             self._u = u
             self._v = v
+            self.tables = (u, v, self._sub.twiddles)
         self._init_workspaces()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -830,7 +835,7 @@ class CompiledPrunedRFFTPlan(_WorkspaceOwner):
             if kernels is not None:
                 work = self._ws("row", 3 * h)
                 kernels.pruned_rfft_rows(
-                    z, self._u, self._v, self._sub.twiddles, work[:h],
+                    z, *self.tables, work[:h],
                     work[h:2 * h], work[2 * h:3 * h], out, rows, self.n, q,
                     self.part,
                 )
@@ -864,7 +869,9 @@ class CompiledPrunedIRFFTPlan(_WorkspaceOwner):
     ``pruned_irfft_rows`` runs expansion, sub-inverse and interleave
     one row at a time in ``h``-element workspaces, straight into the
     output; the NumPy backend runs the same stages over the whole
-    batch.
+    batch.  ``tables`` is ``(ch, ct, wdh, wdt, tw)``, the head and tail
+    weights, the ``(S, q)`` expansion twiddles and the stage table
+    (``None`` for the other strategies).
 
     Degenerate/fallback strategies and the bit-identity contract mirror
     the forward plan (``part == n//2 + 1`` aliases
@@ -884,6 +891,7 @@ class CompiledPrunedIRFFTPlan(_WorkspaceOwner):
         h = self.half
         self._full = None
         self._sub = None
+        self.tables = None
         if part == bins or n == 1:
             self._strategy = "full"
             self._full = caches.irfft(n, self.dtype)
@@ -914,6 +922,7 @@ class CompiledPrunedIRFFTPlan(_WorkspaceOwner):
             self._wdt = np.ascontiguousarray(wdt.astype(self.dtype))
             self._wdh.setflags(write=False)
             self._wdt.setflags(write=False)
+            self.tables = (ch, ct, self._wdh, self._wdt, self._sub.twiddles)
         self._init_workspaces()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -962,8 +971,7 @@ class CompiledPrunedIRFFTPlan(_WorkspaceOwner):
             if kernels is not None:
                 work = self._ws("row", 3 * h)
                 kernels.pruned_irfft_rows(
-                    flat, self._ch, self._ct, self._wdh, self._wdt,
-                    self._sub.twiddles, work[:h], work[h:2 * h],
+                    flat, *self.tables, work[:h], work[h:2 * h],
                     work[2 * h:3 * h], z, rows, self.n, q, self.part,
                 )
                 return out

@@ -540,12 +540,16 @@ def test_c2c_reanalysis_checks_the_spectrum(modes, shape):
     assert conv.reanalyze_spectrum(sk) is sk
 
 
-#: (ndim, spatial, error): grids with a non-integer length, the wrong
-#: arity, or a non-positive length.
+#: (ndim, spatial, error): grids with a non-integer or bool length, the
+#: wrong arity, or a non-positive length.
 _BAD_SPATIAL = [
     (1, 64.7, TypeError),
     (1, (64.0,), TypeError),
     (1, "64", TypeError),
+    (1, True, TypeError),
+    (1, (np.True_,), TypeError),
+    (2, (True, 64), TypeError),
+    (2, (16, np.True_), TypeError),
     (1, (64, 5), ValueError),
     (1, (), ValueError),
     (1, 0, ValueError),
@@ -558,7 +562,7 @@ _BAD_SPATIAL = [
 ]
 
 
-@pytest.mark.parametrize("method", ["inverse", "reanalyze"])
+@pytest.mark.parametrize("method", ["inverse", "reanalyze", "rollout"])
 @pytest.mark.parametrize("symmetric", [False, True])
 @pytest.mark.parametrize("ndim,spatial,error", _BAD_SPATIAL)
 def test_spectrum_entry_points_check_spatial(backend, ndim, spatial, error,
@@ -566,16 +570,18 @@ def test_spectrum_entry_points_check_spatial(backend, ndim, spatial, error,
     """A ``spatial`` grid that is not one integer length per axis (an
     int or a 1-sequence in 1-D, a 2-sequence in 2-D) raises a typed
     error naming ``spatial``, instead of a raw NumPy error, a silently
-    dropped axis or a truncated length."""
+    dropped axis, a truncated length or, for a bool, a length-1 grid."""
     modes = (8,) if ndim == 1 else (4, 8)
     conv = compile_spectral_conv(
         np.ones((4, 4), np.complex64), modes, symmetric=symmetric
     )
     sk = np.ones((2, 4) + modes, np.complex64)
-    fn = (conv.inverse_spectrum if method == "inverse"
-          else conv.reanalyze_spectrum)
+    fn = {"inverse": conv.inverse_spectrum,
+          "reanalyze": conv.reanalyze_spectrum,
+          "rollout": lambda sk, spatial: conv.rollout_spectrum(sk, 2,
+                                                               spatial)}
     with pytest.raises(error, match="spatial"):
-        fn(sk, spatial)
+        fn[method](sk, spatial)
 
 
 @pytest.mark.parametrize("symmetric", [False, True])
