@@ -55,6 +55,9 @@ from repro.core.compiled import (
     CompiledSpectralConv1D,
     CompiledSpectralConv2D,
     _positive_int,
+    _split,
+    _stacked,
+    _synthesise_streams,
     compile_spectral_conv,
 )
 from repro.core.config import TurboFNOConfig
@@ -577,9 +580,9 @@ class Session:
         return None
 
     def _execute(self, model, x: np.ndarray) -> np.ndarray:
-        """Run one batch through ``model``: a single request, or the
-        concatenated requests of a group that is not served in place
-        (see :meth:`_serve_streams`)."""
+        """Run one batch through ``model``: a single request, or one
+        step of a generic group's concatenated state (see
+        :meth:`_serve_streams`)."""
         target = self._resolve_executor(model)
         if target is None:
             if not callable(model):
@@ -628,20 +631,25 @@ class Session:
         micro-batches of up to ``max_batch`` requests, and each
         micro-batch runs its pooled executor *once*, amortising staging,
         plan lookups and Python dispatch that the per-request path pays
-        per call.  A micro-batch of a 1-D C2C executor on the C backend
-        is served in place: one driver call reads every request where it
-        lies and writes each result straight into its own rows of one
-        new buffer per micro-batch.  Any other micro-batch (2-D or
-        symmetric executors, callables, the NumPy fallback) is
+        per call.  A micro-batch of a compiled executor is one executor
+        call that returns each result in its own buffer.  On the C
+        backend a 1-D C2C micro-batch is one driver call that reads
+        every request where it lies and writes each result into its own
+        rows of one new buffer, and a symmetric 2-D one on a grid the
+        plane drivers cover is analysed and synthesised in place the
+        same way; a 2-D C2C micro-batch runs on the concatenated
+        requests and a symmetric one off the drivers synthesises each
+        request's result on its own.  A callable's micro-batch is
         concatenated along the batch axis and each result copied out.
-        Grouping preserves arrival order within a group and
-        results are returned in request order, **bit-identical** to
-        serial per-request execution either way: every operator in the
+        Grouping preserves arrival order within a group and results are
+        returned in request order, **bit-identical** to serial
+        per-request execution on every path: every operator in the
         stack is row-independent along the batch axis, so batching
-        changes where rows live, not one floating-point operation.  No
-        result shares memory with a request or with another result,
-        though an in-place result held alone keeps its micro-batch's
-        buffer alive.
+        changes where rows live, not one floating-point operation (the
+        one-row C2R synthesis, whose bits depend on its row count,
+        always runs per request).  No result shares memory with a
+        request or with another result, though a result held alone may
+        keep its micro-batch's buffer alive.
 
         ``workers > 1`` drains the micro-batch queue (bounded at
         ``queue_depth``, default ``2 * workers``) with a thread pool;
@@ -764,7 +772,10 @@ class Session:
         (``for _ in range(steps): x = model(x)``): it is the same
         computation through the same pooled executor, and micro-batched
         streams stay bit-identical because every operator is
-        row-independent along the batch axis.
+        row-independent along the batch axis (and a one-row symmetric
+        state is synthesised on its own, see :meth:`infer_many`).  A
+        compiled executor's group runs every step in one executor call
+        that re-analyses each step's output where it is synthesised.
 
         ``profile="fast"`` keeps the state resident in the truncated
         spectrum: one forward transform up front, then only the spectral
@@ -788,9 +799,10 @@ class Session:
         ``keep="last"`` returns the final state per stream;
         ``keep="all"`` the whole ``(steps, *state.shape)`` trajectory.
         Per-step latencies land in the stats reservoirs
-        (:meth:`stats` ``["latency"]`` / ``["per_geometry"][g]["latency"]``);
-        where one call runs every step of a fast rollout, each step's
-        sample is that call's wall time divided by ``steps``.
+        (:meth:`stats` ``["latency"]`` / ``["per_geometry"][g]["latency"]``):
+        a group of a compiled executor runs every step in one call, under
+        either profile, and each step's sample is that call's wall time
+        (analysis and synthesis included) divided by ``steps``.
         """
         self._check_open()
         steps = _positive_int("steps", steps)
@@ -849,17 +861,18 @@ class Session:
         streams by (model, geometry, dtype) and step each group as one
         state.
 
-        A one-step exact group of a 1-D C2C executor is served in place
-        (:meth:`_serve_rows`), and so is an exact group of a symmetric
-        2-D executor whose grid the plane drivers cover
-        (:meth:`_serve_steps`, every step in one executor call): no
-        concatenated state and no copy-out.  Every other exact group is
-        concatenated along the batch axis, runs one executor call per
-        step and has every stream's rows copied back out; that path is
-        also the in-place ones' oracle.  The fast profile synthesises
-        each stream's result from its own rows of the group's kept
-        spectra, and a symmetric 2-D group on the plane drivers is
-        analysed in place too."""
+        A group of a stock compiled executor (exactly
+        :class:`CompiledSpectralConv1D` or ``2D``, pooled or passed as
+        the model) is one timed executor call that runs every step and
+        returns each stream's result in its own buffer; the executor
+        picks the path (in place on the C drivers where they cover the
+        group, else staged), and each step records one batch, an equal
+        share of the call's wall time.  Every other group (callables,
+        nn layers, executor subclasses) steps through the generic
+        loops: :meth:`_rollout_exact`, the oracle, concatenates the
+        group, calls the model once per step and copies every stream's
+        rows back out; :meth:`_rollout_fast` runs the model's public
+        spectrum methods."""
         items = [
             (model, self._apply_dtype_policy(np.asarray(x)))
             for model, x in streams
@@ -870,47 +883,29 @@ class Session:
         def run_job(idxs: list[int]) -> None:
             model = items[idxs[0]][0]
             xs = [items[i][1] for i in idxs]
-            if steps == 1 and profile == "exact":
-                outs = self._serve_rows(model, xs)
-                if outs is not None:
-                    for i, out in zip(idxs, outs):
-                        results[i] = out[None] if keep == "all" else out
-                    return
-            if profile == "fast":
+            executor = self._resolve_executor(model)
+            if type(executor) in _COMPILED_EXECUTORS:
+                t0 = time.perf_counter()
+                with self._serve_lock_for(executor), self.activate():
+                    outs = executor._serve(xs, steps, profile, keep)
+                self._record(xs[0].shape[1:], len(xs),
+                             (time.perf_counter() - t0) / steps, steps)
+            elif profile == "fast":
                 outs = self._rollout_fast(model, xs, steps, keep)
-                if check_rtol is not None:
-                    ref = self._rollout_exact(model, _stacked(xs), steps,
-                                              "last", len(idxs))[-1]
-                    last = [out[-1] if keep == "all" else out
-                            for out in outs]
-                    if not np.allclose(np.concatenate(last), ref,
-                                       rtol=check_rtol, atol=check_rtol):
+            else:
+                outs = self._rollout_exact(model, xs, steps, keep)
+            if check_rtol is not None:
+                refs = self._rollout_exact(model, xs, steps, "last")
+                for out, ref in zip(outs, refs):
+                    if not np.allclose(out[-1] if keep == "all" else out,
+                                       ref, rtol=check_rtol,
+                                       atol=check_rtol):
                         raise ValueError(
                             f"fast rollout diverged from the exact loop "
                             f"beyond rtol={check_rtol} after {steps} steps"
                         )
-                for i, out in zip(idxs, outs):
-                    results[i] = out
-                return
-            outs = self._serve_steps(model, xs, steps, keep)
-            if outs is not None:
-                for i, out in zip(idxs, outs):
-                    results[i] = out
-                return
-            kept = self._rollout_exact(model, _stacked(xs), steps, keep,
-                                       len(idxs))
-            if len(xs) == 1:
-                results[idxs[0]] = (np.stack(kept) if keep == "all"
-                                    else kept[-1])
-                return
-            off = 0
-            for i, x in zip(idxs, xs):
-                sl = slice(off, off + x.shape[0])
-                off += x.shape[0]
-                # Copy each stream's rows out: a view would pin the
-                # whole concatenated state alive per surviving result.
-                results[i] = (np.stack([s[sl] for s in kept])
-                              if keep == "all" else np.array(kept[-1][sl]))
+            for i, out in zip(idxs, outs):
+                results[i] = out
 
         if workers is not None and workers > 1 and len(jobs) > 1:
             self._drain_jobs(jobs, run_job, workers, queue_depth)
@@ -919,65 +914,21 @@ class Session:
                 run_job(job)
         return results
 
-    def _serve_rows(self, model, xs: list) -> list | None:
-        """One model application over a group's requests ``xs`` served
-        in place, or None where the group takes the concatenating path.
-
-        Only a non-symmetric :class:`CompiledSpectralConv1D` (pooled, or
-        passed as the model) qualifies: each result is its own rows of
-        one new buffer, written by one fused pass over the group (on the
-        C backend one driver call that reads every request where it
-        lies), so the results are the call's only large allocation.  The
-        bytes are those of ``executor(np.concatenate(xs))`` split per
-        request."""
-        executor = self._resolve_executor(model)
-        if (type(executor) is not CompiledSpectralConv1D
-                or executor.symmetric):
-            return None
-        t0 = time.perf_counter()
-        with self._serve_lock_for(executor), self.activate():
-            outs = executor._call_rows(xs)
-        self._record(xs[0].shape[1:], len(xs), time.perf_counter() - t0)
-        return outs
-
-    def _serve_steps(self, model, xs: list, steps: int,
-                     keep: str) -> list | None:
-        """Every step of an exact rollout over a group's states ``xs`` in
-        one executor call, or None where the group takes the
-        concatenating path.
-
-        Only a symmetric :class:`CompiledSpectralConv2D` (exactly that
-        class, pooled or passed as the model) with a square weight on
-        the C backend qualifies, and only where its plane drivers cover
-        the grid (:meth:`CompiledSpectralConv2D._exact_steps`): each
-        state is read in place, each stream's kept states are written
-        into its own buffer, and no intermediate state is written
-        whole.  The bytes are the eager loop's.  Each step records one
-        batch, an equal share of the call's wall time."""
-        executor = self._resolve_executor(model)
-        if (type(executor) is not CompiledSpectralConv2D
-                or not executor.symmetric):
-            return None
-        t0 = time.perf_counter()
-        with self._serve_lock_for(executor), self.activate():
-            outs = executor._exact_steps(xs, steps, keep)
-        if outs is not None:
-            self._record(xs[0].shape[1:], len(xs),
-                         (time.perf_counter() - t0) / steps, steps)
-        return outs
-
-    def _rollout_exact(self, model, state: np.ndarray, steps: int,
-                       keep: str, requests: int) -> list[np.ndarray]:
-        """The default stepping loop: the model applied once per step
-        through :meth:`_execute` — the same pooled-executor call the
-        eager loop makes, hence bit-identical to it.  Only an output
-        that feeds a further step must keep the input's shape."""
+    def _rollout_exact(self, model, xs: list, steps: int,
+                       keep: str) -> list[np.ndarray]:
+        """The generic stepping loop over a group's streams ``xs``: the
+        model applied once per step to the concatenated state through
+        :meth:`_execute` — the same call the eager loop makes, hence
+        bit-identical to it — and each stream's rows copied back out.
+        Only an output that feeds a further step must keep the input's
+        shape."""
+        state = _stacked(xs)
         geometry = state.shape[1:]
         kept: list[np.ndarray] = []
         for step in range(steps):
             t0 = time.perf_counter()
             out = np.asarray(self._execute(model, state))
-            self._record(geometry, requests, time.perf_counter() - t0)
+            self._record(geometry, len(xs), time.perf_counter() - t0)
             if step + 1 < steps and out.shape != state.shape:
                 raise ValueError(
                     f"rollout requires a shape-preserving model: step "
@@ -986,15 +937,21 @@ class Session:
             state = out
             if keep == "all":
                 kept.append(state)
+        if len(xs) == 1:
+            return [np.stack(kept) if keep == "all" else state]
+        sizes = [len(x) for x in xs]
+        # Copy each stream's rows out: a view would pin the whole
+        # concatenated state alive per surviving result.
         if keep == "last":
-            kept.append(state)
-        return kept
+            return [np.array(rows) for rows in _split(state, sizes)]
+        return [np.stack(frames)
+                for frames in zip(*(_split(k, sizes) for k in kept))]
 
     def _fast_stepper(self, model):
-        """Resolve ``model`` to its spectrum-resident stepper.
-
-        Returns ``(executor, None)`` for poolable/compiled executors or
-        ``(None, layer)`` for a symmetric nn spectral layer; raises
+        """Resolve ``model`` to its spectrum-resident stepper: the object
+        to serialise on and its ``(forward, step, reanalyze,
+        synthesise)`` methods — an executor's public spectrum entry
+        points, or a symmetric nn spectral layer's.  Raises
         ``ValueError`` for models whose inter-step path is not linear in
         the spectrum.
         """
@@ -1007,7 +964,10 @@ class Session:
                     f"which needs a square (C, C) weight; got "
                     f"({c_in}, {c_out})"
                 )
-            return executor, None
+            return executor, (executor.forward_spectrum,
+                              executor.step_spectrum,
+                              executor.reanalyze_spectrum,
+                              executor.inverse_spectrum)
         from repro.nn.modules import SpectralConv1d, SpectralConv2d
 
         if isinstance(model, (SpectralConv1d, SpectralConv2d)):
@@ -1025,7 +985,8 @@ class Session:
                     f"profile='fast' needs a square layer "
                     f"(c_in == c_out), got ({model.c_in}, {model.c_out})"
                 )
-            return None, model
+            return model, (model.spectrum, model.apply_modes,
+                           model.reanalyze_spectrum, model.from_spectrum)
         raise ValueError(
             "profile='fast' requires a spectrum-capable model (a "
             "SpectralModel / (weight, modes[, symmetric]) tuple, a "
@@ -1035,20 +996,16 @@ class Session:
 
     def _rollout_fast(self, model, xs: list, steps: int,
                       keep: str) -> list[np.ndarray]:
-        """The spectrum-resident loop over a group's streams ``xs``:
-        forward transform once, CGEMM per step, and each stream's kept
-        states synthesised from its own rows of the kept spectra.  A
-        symmetric :class:`CompiledSpectralConv2D` (exactly that class)
-        whose plane drivers cover the grid analyses the streams in place
-        and synthesises them all in one driver call; every other group
-        is concatenated first."""
-        executor, layer = self._fast_stepper(model)
+        """The generic spectrum-resident loop over a group's streams
+        ``xs`` through the model's public spectrum methods: forward
+        transform of the concatenated state once, one step per step, and
+        each stream's kept states synthesised from its own rows of the
+        kept spectra."""
+        served, (forward, step_fn, reanalyze, synthesise) = (
+            self._fast_stepper(model))
         geometry = xs[0].shape[1:]
         spatial = geometry[1:]
         spatial_arg = spatial if len(spatial) == 2 else spatial[0]
-        sizes = [len(x) for x in xs]
-        requests = len(sizes)
-        in_place = type(executor) is CompiledSpectralConv2D
         # Every kept state is synthesised from the *pre-projection*
         # output spectrum yk, and the next step is fed its reanalysis —
         # the spectrum the next step's forward transform would compute
@@ -1058,39 +1015,21 @@ class Session:
         # column in 2D), and projecting *before* synthesis would change
         # the kept output, so the order matters.  The last step's
         # reanalysis would feed no step, so it is skipped.
-        served = executor if executor is not None else layer
         with self._serve_lock_for(served), self.activate():
-            if executor is not None:
-                sk = executor._analyse_rows(xs) if in_place else None
-                if sk is None:
-                    sk = executor.forward_spectrum(_stacked(xs))
-                t0 = time.perf_counter()
-                spectra = executor.rollout_spectrum(sk, steps, spatial_arg,
-                                                    keep)
-                # One call runs every step: each step's sample is an
-                # equal share of its wall time.
-                self._record(geometry, requests,
-                             (time.perf_counter() - t0) / steps, steps)
-                outs = (executor._synthesise_rows(spectra, sizes, keep,
-                                                  spatial)
-                        if in_place else None)
-                if outs is not None:
-                    return outs
-                return _synthesise_streams(executor.inverse_spectrum,
-                                           spectra, sizes, keep, spatial_arg)
-            sk = layer.spectrum(_stacked(xs))
+            sk = forward(_stacked(xs))
             kept = []
             for step in range(steps):
                 t0 = time.perf_counter()
-                yk = layer.apply_modes(sk)
-                self._record(geometry, requests, time.perf_counter() - t0)
+                yk = step_fn(sk)
+                self._record(geometry, len(xs), time.perf_counter() - t0)
                 if keep == "all":
                     kept.append(yk)
                 if step + 1 < steps:
-                    sk = layer.reanalyze_spectrum(yk, spatial_arg)
+                    sk = reanalyze(yk, spatial_arg)
             spectra = np.stack(kept) if keep == "all" else yk
-            return _synthesise_streams(layer.from_spectrum, spectra, sizes,
-                                       keep, spatial_arg)
+            return _synthesise_streams(synthesise, spectra,
+                                       [len(x) for x in xs], keep,
+                                       spatial_arg)
 
     # -- observability --------------------------------------------------
 
@@ -1103,9 +1042,10 @@ class Session:
         request/batch counts (a rollout step counts each of its streams
         as one request), measured throughput and latency
         percentiles (p50/p95/p99 seconds from a bounded reservoir — one
-        sample per executed micro-batch or rollout step; the steps of a
-        fast rollout that run in one call each record an equal share of
-        its wall time); ``latency`` aggregates the same across all
+        sample per executed micro-batch or rollout step; a compiled
+        executor's group runs every step in one call, and each step
+        records an equal share of its wall time); ``latency`` aggregates
+        the same across all
         geometries; ``rollout`` counts streams and stream-steps served
         by :meth:`rollout`.
         """
@@ -1152,38 +1092,6 @@ class Session:
             "rollout": rollout,
             "per_geometry": per_geometry,
         }
-
-
-def _stacked(xs: list) -> np.ndarray:
-    """A group's states as one state: concatenated along the batch
-    axis, or the one state itself."""
-    return xs[0] if len(xs) == 1 else np.concatenate(xs, axis=0)
-
-
-def _synthesise_streams(synthesise, spectra: np.ndarray, sizes: list[int],
-                        keep: str, spatial) -> list[np.ndarray]:
-    """Each stream's spatial result from its own rows of a group's kept
-    spectra — ``(batch, C, *modes)`` for ``keep="last"``, ``(steps,
-    batch, C, *modes)`` for ``keep="all"`` — in one ``synthesise(rows,
-    spatial)`` call per stream, so a stream's bits never depend on the
-    streams grouped with it.  The result owns its buffer, so no stream
-    pins the group's state."""
-    results, off = [], 0
-    for n in sizes:
-        if keep == "last":
-            results.append(synthesise(spectra[off:off + n], spatial))
-        elif n * spectra.shape[2] > 1:
-            rows = spectra[:, off:off + n]
-            y = synthesise(rows.reshape((-1,) + rows.shape[2:]), spatial)
-            results.append(y.reshape(rows.shape[:2] + y.shape[1:]))
-        else:
-            # A one-row state synthesises frame by frame: NumPy forms a
-            # one-row C2R call's tail product unfused (and the kernels
-            # replay it), so stacking the frames would change its bits.
-            results.append(np.stack([synthesise(frame, spatial)
-                                     for frame in spectra[:, off:off + n]]))
-        off += n
-    return results
 
 
 # ---------------------------------------------------------------------------

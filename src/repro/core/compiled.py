@@ -33,6 +33,12 @@ computation, byte for byte.  In 2-D on the C backend each half is one
 call to a plane driver (``sym2d_analyse``/``sym2d_synthesise``) that
 streams every (batch, channel) plane through both axes in cache.
 
+A group of requests or rollout streams runs through one private entry
+point, ``_SpectralExecutor._serve``, which :class:`repro.api.Session`
+calls once per group of a stock executor: every step in one call, each
+state's result in its own buffer.  It is the one place a group picks
+between the C drivers and the staged halves.
+
 Every shared-weight Fourier layer outside :class:`repro.api.Session`
 runs through these executors: :func:`repro.api.spectral_conv` and the
 shared-weight :mod:`repro.nn` layers build one per call, which still
@@ -221,13 +227,7 @@ class _StagedFused1D:
             self._run_driver(xs, block, kernels)
         else:
             block = self.itrunc.apply(self.run_fft_gemm(xs))
-        if len(xs) == 1:
-            return [block]
-        outs, off = [], 0
-        for x in xs:
-            outs.append(block[off: off + len(x)])
-            off += len(x)
-        return outs
+        return _split(block, [len(x) for x in xs])
 
     def run_fused(self, x: np.ndarray) -> np.ndarray:
         """Stage D over one batch: :meth:`run_rows` of ``[x]``."""
@@ -403,6 +403,50 @@ def _rollout_loop(sk: np.ndarray, steps: int, keep: str, step,
     return np.stack(kept) if keep == "all" else yk
 
 
+def _stacked(xs: list) -> np.ndarray:
+    """A group's states as one state: concatenated along the batch
+    axis, or the one state itself."""
+    return xs[0] if len(xs) == 1 else np.concatenate(xs, axis=0)
+
+
+def _split(block: np.ndarray, sizes: list) -> list:
+    """Each stream's own rows of a group's ``block``, in order: disjoint
+    views (the block itself for a single stream)."""
+    if len(sizes) == 1:
+        return [block]
+    outs, off = [], 0
+    for n in sizes:
+        outs.append(block[off:off + n])
+        off += n
+    return outs
+
+
+def _synthesise_streams(synthesise, spectra: np.ndarray, sizes: list,
+                        keep: str, spatial) -> list:
+    """Each stream's spatial result from its own rows of a group's kept
+    spectra — ``(batch, C, *modes)`` for ``keep="last"``, ``(steps,
+    batch, C, *modes)`` for ``keep="all"`` — in one ``synthesise(rows,
+    spatial)`` call per stream, so a stream's bits never depend on the
+    streams grouped with it.  The result owns its buffer, so no stream
+    pins the group's state."""
+    results, off = [], 0
+    for n in sizes:
+        if keep == "last":
+            results.append(synthesise(spectra[off:off + n], spatial))
+        elif n * spectra.shape[2] > 1:
+            rows = spectra[:, off:off + n]
+            y = synthesise(rows.reshape((-1,) + rows.shape[2:]), spatial)
+            results.append(y.reshape(rows.shape[:2] + y.shape[1:]))
+        else:
+            # A one-row state synthesises frame by frame: NumPy forms a
+            # one-row C2R call's tail product unfused (and the kernels
+            # replay it), so stacking the frames would change its bits.
+            results.append(np.stack([synthesise(frame, spatial)
+                                     for frame in spectra[:, off:off + n]]))
+        off += n
+    return results
+
+
 def _require_part(plan, modes: int, what: str) -> None:
     """Typed guard: a staged pruned real plan must truncate to exactly
     the executor's kept modes — a disagreement means the truncation the
@@ -503,11 +547,17 @@ class _SpectralExecutor:
     staged halves' kernels in their order, so the bytes do not change.
     The staged halves (``_analyse_staged``, ``_synthesise_staged``)
     stay as the NumPy fallback, the drivers' oracle and the path of
-    every geometry the drivers do not cover.
-    :class:`CompiledSpectralConv2D` also serves a group of states on
-    the drivers for :class:`repro.api.Session`: ``_analyse_rows``,
-    ``_synthesise_rows`` and ``_exact_steps`` (every step of an exact
-    rollout in one call).
+    every geometry the drivers do not cover.  ``_analyse`` and
+    ``_synthesise`` take a group of states and give each its own
+    output, the row-table shape the drivers read, so one copy of each
+    half serves one request and a group alike; the staged synthesis
+    runs once per state, so no state's bits depend on its group.
+
+    :meth:`_serve` is the one group entry point
+    (:class:`repro.api.Session` serves every group of a stock executor
+    through it) and the one place a group picks between the drivers
+    and the staged halves: every step of an exact or fast rollout, or
+    one inference step, in one call, each result in its own buffer.
     """
 
     def __init__(self, weight: np.ndarray, modes: tuple, k_tb: int,
@@ -647,7 +697,7 @@ class _SpectralExecutor:
         checked against the staged plans."""
         rfft, _ = self._real_plans(dtype, x.shape[2:])
         if xk_trunc is None:
-            return self._analyse(x, dtype)
+            return self._analyse([x], dtype)
         if xk_trunc.shape[-1] != rfft.part:
             raise PrunedPartMismatchError(
                 f"xk_trunc carries {xk_trunc.shape[-1]} bins but the "
@@ -755,15 +805,18 @@ class _SpectralExecutor:
             self._plane_drivers[(dtype, spatial)] = planes
         return (planes, kernels) if planes else None
 
-    def _analyse(self, x: np.ndarray, dtype: np.dtype) -> np.ndarray:
-        """The forward half: one ``sym2d_analyse`` call where the plane
-        drivers cover the grid (:meth:`_planes`), else
-        :meth:`_analyse_staged`; the same bytes either way."""
-        drivers = self._planes(dtype, x.shape[2:], x.shape[1])
+    def _analyse(self, xs: list, dtype: np.dtype) -> np.ndarray:
+        """The forward half over the checked states ``xs`` (one dtype
+        and geometry): their spectra in order, as one ``(rows, C,
+        *modes)`` array.  Where the plane drivers cover the grid
+        (:meth:`_planes`) one ``sym2d_analyse`` call reads every state
+        where it lies; else :meth:`_analyse_staged` runs over the
+        stacked states.  The same bytes either way."""
+        drivers = self._planes(dtype, xs[0].shape[2:], xs[0].shape[1])
         if drivers is not None:
             planes, kernels = drivers
-            return planes.analyse(kernels, [x])
-        return self._analyse_staged(x, dtype)
+            return planes.analyse(kernels, xs)
+        return self._analyse_staged(_stacked(xs), dtype)
 
     def _analyse_staged(self, x: np.ndarray, dtype: np.dtype) -> np.ndarray:
         """The forward staged half: the truncated spectrum of a checked
@@ -784,28 +837,45 @@ class _SpectralExecutor:
                                     caches=self._plan_caches())
         return sk
 
-    def _synthesise(self, yk: np.ndarray, spatial: tuple) -> np.ndarray:
-        """The inverse half: one ``sym2d_synthesise`` call where the
-        plane drivers cover the grid (:meth:`_planes`), else the staged
-        half, which mirrors :meth:`_analyse_staged`: pruned C2C inverse
-        along the outer axis then pruned C2R along the last (symmetric,
-        real output), or zero-padded C2C inverses along every axis, last
-        first.  Checks the state's rank and kept modes against the
-        executor and the grid against the modes."""
-        _check_spectrum(yk, self._modes)
-        dtype = complex_dtype_for(yk.dtype)
-        drivers = self._planes(dtype, spatial, yk.shape[1])
-        if drivers is not None:
-            planes, kernels = drivers
-            out = np.empty(yk.shape[:2] + spatial, planes.real)
-            planes.synthesise(kernels, yk, [out])
-            return out
-        return self._synthesise_staged(yk, spatial, dtype)
+    def _synthesise(self, spectra: np.ndarray, spatial: tuple,
+                    sizes: list | None = None, keep: str = "last") -> list:
+        """The inverse half: each stream's spatial states from its own
+        rows of ``spectra`` — ``(rows, C, *modes)`` for ``keep="last"``,
+        ``(steps, rows, C, *modes)`` for ``"all"``; ``sizes`` are the
+        streams' row counts, one stream of every row by default — each
+        in its own buffer.  Where the plane drivers cover the grid
+        (:meth:`_planes`) one ``sym2d_synthesise`` call writes every
+        result through its row table; else the staged half runs once
+        per stream (:func:`_synthesise_streams`), so a stream's bits
+        never depend on the streams grouped with it.  Checks the state's
+        rank and kept modes against the executor."""
+        frame = spectra[-1] if keep == "all" else spectra
+        _check_spectrum(frame, self._modes)
+        sizes = [len(frame)] if sizes is None else sizes
+        dtype = complex_dtype_for(spectra.dtype)
+        drivers = self._planes(dtype, spatial, frame.shape[1])
+        if drivers is None:
+            return _synthesise_streams(
+                lambda rows, grid: self._synthesise_staged(rows, grid, dtype),
+                spectra, sizes, keep, spatial)
+        planes, kernels = drivers
+        lead, tail = spectra.shape[:-3], spectra.shape[-3:-2] + spatial
+        outs = [np.empty(lead[:-1] + (n,) + tail, planes.real)
+                for n in sizes]
+        # Entry order is row order: step-major for keep="all".
+        table = (outs if keep == "last"
+                 else [out[i] for i in range(len(spectra)) for out in outs])
+        planes.synthesise(kernels, spectra.reshape((-1,) + frame.shape[1:]),
+                          table)
+        return outs
 
     def _synthesise_staged(self, yk: np.ndarray, spatial: tuple,
                            dtype: np.dtype) -> np.ndarray:
-        """The inverse staged half of a checked state (see
-        :meth:`_synthesise`)."""
+        """The inverse staged half of a checked state, mirroring
+        :meth:`_analyse_staged`: pruned C2C inverse along the outer axis
+        then pruned C2R along the last (symmetric, real output), or
+        zero-padded C2C inverses along every axis, last first.  Checks
+        the grid against the modes."""
         if self.symmetric:
             _, irfft = self._real_plans(dtype, spatial)
             sk, axes = np.ascontiguousarray(yk, dtype=dtype), self.ndim - 1
@@ -838,7 +908,7 @@ class _SpectralExecutor:
         """
         x = np.asarray(x)
         self._check_input(x)
-        return self._analyse(x, complex_dtype_for(x.dtype))
+        return self._analyse([x], complex_dtype_for(x.dtype))
 
     def step_spectrum(self, sk: np.ndarray) -> np.ndarray:
         """One spectral-conv application entirely in the spectrum: the
@@ -860,7 +930,7 @@ class _SpectralExecutor:
         (complex output, like the fused pass), or — symmetric — the C2R
         half-spectrum inverse (real output)."""
         return self._synthesise(np.asarray(sk),
-                                _check_spatial(spatial, self.ndim))
+                                _check_spatial(spatial, self.ndim))[0]
 
     def reanalyze_spectrum(self, sk: np.ndarray, spatial=None) -> np.ndarray:
         """The output spectrum as the *next* step's forward analysis
@@ -896,7 +966,7 @@ class _SpectralExecutor:
         dtype = complex_dtype_for(x.dtype)
         if self.symmetric:
             sk = self._symmetric_spectrum(x, xk_trunc, dtype)
-            return self._synthesise(self._step(sk, dtype), spatial)
+            return self._synthesise(self._step(sk, dtype), spatial)[0]
         if self.ndim == 1:
             return self._stage_for(dtype, spatial[0]).run_fused(x)
         batch, c_in, dim_x, dim_y = x.shape
@@ -917,6 +987,83 @@ class _SpectralExecutor:
         # Width iFFT with built-in zero padding.
         return truncated_ifft(yk_x, dim_x, axis=2, caches=plans)
 
+    # -- a group of requests or rollout streams (Session serving) -------
+
+    def _serve(self, xs: list, steps: int, profile: str,
+               keep: str) -> list:
+        """Serve the group ``xs`` (states of one dtype and geometry) for
+        :class:`repro.api.Session`: ``steps`` applications of the
+        operator per state, each output the next step's input.  Returns
+        each state's last output, or its ``(steps, *shape)`` trajectory
+        for ``keep="all"``, each in its own buffer (disjoint rows of one
+        buffer where one pass writes the whole group).
+
+        ``profile="exact"`` gives the bytes of the eager loop ``for _ in
+        range(steps): x = self(x)`` per state.  A C2C 1-D step is one
+        fused pass over the states where they lie (on the C backend one
+        driver call, :meth:`_StagedFused1D.run_rows`); a C2C 2-D step is
+        ``self`` over the stacked group.  A symmetric step is
+        :meth:`_analyse` -> :meth:`_step` -> :meth:`_synthesise`, whose
+        output the next step re-analyses; where the plane drivers cover
+        the grid and the weight is square, that is one
+        ``sym2d_analyse`` call, then per step one ``spectral_steps``
+        call and one ``sym2d_synthesise`` call that writes only the
+        kept outputs and re-analyses each plane it synthesises into the
+        next state, so no intermediate state is ever written whole.
+
+        ``profile="fast"`` analyses the group once, runs every step in
+        :meth:`rollout_spectrum` and synthesises each state's kept
+        outputs from its own rows of the kept spectra."""
+        spatial, dtype = self._check_rows(xs, "a served group")
+        sizes = [len(x) for x in xs]
+        if profile == "fast":
+            spectra = self.rollout_spectrum(self._analyse(xs, dtype), steps,
+                                            spatial, keep)
+            return self._synthesise(spectra, spatial, sizes, keep)
+        c, c_out = self.weight.shape
+        if steps > 1 and c != c_out:
+            raise ValueError(
+                f"rollout requires a shape-preserving model: a ({c}, "
+                f"{c_out}) weight cannot feed its output to a further step"
+            )
+        drivers = self._planes(dtype, spatial, c) if c == c_out else None
+        if drivers is not None:
+            planes, kernels = drivers
+            lead = (steps,) if keep == "all" else ()
+            outs = [np.empty(lead + (n, c) + spatial, planes.real)
+                    for n in sizes]
+            ws = planes.workspace(kernels)
+            sk = planes.analyse(kernels, xs, ws)
+            y, nxt, work = (np.empty_like(sk), np.empty_like(sk),
+                            np.empty_like(sk))
+            weight, (mx, my) = self._weight_for(dtype), self._modes
+            for step in range(steps):
+                kernels.spectral_steps(sk, weight, work, y, len(sk), c, mx,
+                                       my, self.k_tb, 1, spatial[0], "none",
+                                       "last")
+                last = step + 1 == steps
+                table = ([out[step] for out in outs] if keep == "all"
+                         else outs if last else None)
+                planes.synthesise(kernels, y, table, None if last else nxt,
+                                  ws)
+                sk, nxt = nxt, sk
+            return outs
+        if self.symmetric:
+            def apply(group):
+                sk = self._step(self._analyse(group, dtype), dtype)
+                return self._synthesise(sk, spatial, sizes)
+        elif self.ndim == 1:
+            apply = self._stage_for(dtype, spatial[0]).run_rows
+        else:
+            def apply(group):
+                return _split(self(_stacked(group)), sizes)
+        frames = []
+        for _ in range(steps):
+            xs = apply(xs)
+            if keep == "all":
+                frames.append(xs)
+        return xs if keep == "last" else [np.stack(f) for f in zip(*frames)]
+
 
 class CompiledSpectralConv1D(_SpectralExecutor):
     """Reusable executor for the fused 1-D spectral convolution.
@@ -927,7 +1074,7 @@ class CompiledSpectralConv1D(_SpectralExecutor):
     :func:`repro.core.legacy.fused_fft_gemm_ifft_1d`.  Every method is
     :class:`_SpectralExecutor`'s, shared with
     :class:`CompiledSpectralConv2D`; this class adds only its
-    constructor and :meth:`_call_rows`.
+    constructor.
 
     ``symmetric=True`` selects the original FNO's rfft/irfft filter
     convention instead of the paper's first-bins C2C filter: real input,
@@ -969,17 +1116,6 @@ class CompiledSpectralConv1D(_SpectralExecutor):
     step_spectrum = _SpectralExecutor.step_spectrum
     inverse_spectrum = _SpectralExecutor.inverse_spectrum
     reanalyze_spectrum = _SpectralExecutor.reanalyze_spectrum
-
-    def _call_rows(self, xs: list) -> list:
-        """``[self(x) for x in xs]`` for C2C requests sharing one dtype
-        and ``(C_in, X)``, byte for byte, as one fused pass: on the C
-        backend one driver call reads every request in place and writes
-        each result into its own rows of one new buffer (see
-        :meth:`_StagedFused1D.run_rows`)."""
-        if self.symmetric:
-            raise ValueError("_call_rows serves the C2C convention only")
-        (dim_x,), dtype = self._check_rows(xs, "_call_rows")
-        return self._stage_for(dtype, dim_x).run_rows(xs)
 
 
 class CompiledSpectralConv2D(_SpectralExecutor):
@@ -1025,87 +1161,6 @@ class CompiledSpectralConv2D(_SpectralExecutor):
     step_spectrum = _SpectralExecutor.step_spectrum
     inverse_spectrum = _SpectralExecutor.inverse_spectrum
     reanalyze_spectrum = _SpectralExecutor.reanalyze_spectrum
-
-    # -- a group of states on the plane drivers (rollout serving) -------
-    #
-    # Each returns None where the plane drivers do not cover the group
-    # (see _planes); the caller then runs the staged path on the
-    # concatenated group, which gives the same bytes.
-
-    def _analyse_rows(self, xs: list) -> np.ndarray | None:
-        """``forward_spectrum`` of the concatenated states ``xs`` (one
-        dtype and geometry), byte for byte, in one ``sym2d_analyse``
-        call that reads each state where it lies."""
-        spatial, dtype = self._check_rows(xs, "_analyse_rows")
-        drivers = self._planes(dtype, spatial, xs[0].shape[1])
-        if drivers is None:
-            return None
-        planes, kernels = drivers
-        return planes.analyse(kernels, xs)
-
-    def _synthesise_rows(self, spectra: np.ndarray, sizes: list,
-                         keep: str, spatial: tuple) -> list | None:
-        """Each stream's ``inverse_spectrum`` of its own rows of a
-        group's kept spectra — ``(batch, C, mx, my)`` for
-        ``keep="last"``, ``(steps, batch, C, mx, my)`` for ``"all"``,
-        with ``sizes`` the streams' row counts — in one
-        ``sym2d_synthesise`` call that writes each stream's result (one
-        buffer per stream) through its output table."""
-        _check_spectrum(spectra[-1] if keep == "all" else spectra,
-                        self._modes)
-        drivers = self._planes(spectra.dtype, spatial, spectra.shape[-3])
-        if drivers is None:
-            return None
-        planes, kernels = drivers
-        lead, tail = spectra.shape[:-3], spectra.shape[-3:-2] + spatial
-        outs = [np.empty(lead[:-1] + (n,) + tail, planes.real)
-                for n in sizes]
-        # Entry order is row order: step-major for keep="all".
-        table = (outs if keep == "last"
-                 else [out[i] for i in range(len(spectra)) for out in outs])
-        planes.synthesise(kernels, spectra.reshape((-1,) + spectra.shape[-3:]),
-                          table)
-        return outs
-
-    def _exact_steps(self, xs: list, steps: int,
-                     keep: str = "last") -> list | None:
-        """The exact rollout of every state in ``xs`` (one dtype and
-        geometry): ``steps`` applications of ``self``, each output the
-        next step's input, byte for byte the eager loop ``for _ in
-        range(steps): x = self(x)`` per state.  Returns each state's
-        last output, or its ``(steps, rows, C, X, Y)`` trajectory for
-        ``keep="all"``, each in its own buffer.
-
-        Runs on the plane drivers: one ``sym2d_analyse`` call, then per
-        step one ``spectral_steps`` call (the ``k_tb``-panel CGEMM in
-        canonical order, read in place) and one ``sym2d_synthesise``
-        call that writes only the kept outputs and re-analyses each
-        plane it synthesises into the next step's state, so no
-        intermediate spatial state is ever written whole.  Needs a
-        square weight; returns None where the drivers do not cover the
-        group (:meth:`_planes`)."""
-        spatial, dtype = self._check_rows(xs, "_exact_steps")
-        c, c_out = self.weight.shape
-        drivers = self._planes(dtype, spatial, c) if c == c_out else None
-        if drivers is None:
-            return None
-        planes, kernels = drivers
-        lead = (steps,) if keep == "all" else ()
-        outs = [np.empty(lead + (len(x), c) + spatial, planes.real)
-                for x in xs]
-        ws = planes.workspace(kernels)
-        sk = planes.analyse(kernels, xs, ws)
-        y, nxt, work = np.empty_like(sk), np.empty_like(sk), np.empty_like(sk)
-        weight, (mx, my) = self._weight_for(dtype), self._modes
-        for step in range(steps):
-            kernels.spectral_steps(sk, weight, work, y, len(sk), c, mx, my,
-                                   self.k_tb, 1, spatial[0], "none", "last")
-            last = step + 1 == steps
-            table = ([out[step] for out in outs] if keep == "all"
-                     else outs if last else None)
-            planes.synthesise(kernels, y, table, None if last else nxt, ws)
-            sk, nxt = nxt, sk
-        return outs
 
 
 def compile_spectral_conv(

@@ -582,6 +582,94 @@ class TestOneServingPath:
         assert geo["requests"] == 4  # 2 streams x 2 steps
         assert geo["batches"] == 2  # one grouped executor call per step
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("modes,grid", [(2, (8,)), ((1, 2), (1, 8))])
+    def test_grouped_one_row_symmetric_requests_equal_serial_infer(
+            self, backend, modes, grid):
+        """One-row symmetric requests (B = C = 1, two kept modes, and a
+        2-D grid of one row that the plane drivers do not cover) end in
+        a one-row C2R call, whose tail product NumPy forms unfused:
+        grouped, each request still gets its serial bits, in
+        ``infer_many`` and in every step of an exact rollout."""
+        def same(a, b):
+            return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+        with api.Session(backend=backend, private_caches=True) as s:
+            for seed in range(20):
+                rng = np.random.default_rng(seed)
+                w = (rng.standard_normal((1, 1))
+                     + 1j * rng.standard_normal((1, 1))).astype(np.complex64)
+                model = api.SpectralModel(w, modes, symmetric=True)
+                streams = [(model, rng.standard_normal((1, 1, *grid))
+                            .astype(np.float32)) for _ in range(3)]
+                once = [s.infer(model, x) for _, x in streams]
+                twice = [s.infer(model, y) for y in once]
+                many = s.infer_many(streams)
+                last = s.rollout(streams=streams, steps=2)
+                trajectory = s.rollout(streams=streams, steps=2, keep="all")
+                for i in range(3):
+                    assert same(many[i], once[i]), (seed, i)
+                    assert same(last[i], twice[i]), (seed, i)
+                    assert same(trajectory[i],
+                                np.stack([once[i], twice[i]])), (seed, i)
+
+    @pytest.mark.parametrize("profile", ["infer_many", "exact", "fast"])
+    @pytest.mark.parametrize("modes,grid,symmetric", [
+        (16, (64,), False), (16, (64,), True), ((4, 5), (16, 32), True),
+        ((8, 8), (32, 32), False),
+    ])
+    def test_executor_groups_record_a_batch_per_step(self, rng, profile,
+                                                     modes, grid, symmetric):
+        """A compiled executor's group runs every step in one call and
+        records ``steps`` batches of every stream in the group, under
+        each profile: the counts of one executor call per step."""
+        model = api.SpectralModel(_weight(rng), modes, symmetric=symmetric)
+        streams = [(model, rng.standard_normal((1 + i % 2, 8, *grid))
+                    .astype(np.float32)) for i in range(5)]
+        steps = 1 if profile == "infer_many" else 3
+        with api.Session() as s:
+            if profile == "infer_many":
+                s.infer_many(streams, max_batch=3)
+            else:
+                s.rollout(streams=streams, steps=steps, profile=profile,
+                          max_batch=3)
+            geo = s.stats()["per_geometry"]["x".join(map(str, (8, *grid)))]
+        assert geo["requests"] == 5 * steps
+        assert geo["batches"] == 2 * steps  # groups of 3 and 2 streams
+        assert geo["latency"]["count"] == 2 * steps
+
+    def test_executor_subclass_keeps_its_overrides(self, rng):
+        """Only the stock executor classes are served through their
+        group hook: a subclass is stepped through its own ``__call__``
+        (exact) and ``step_spectrum`` (fast), with the stock bytes."""
+        calls = []
+
+        class Counted(CompiledSpectralConv1D):
+            def __call__(self, x, xk_trunc=None):
+                calls.append("call")
+                return super().__call__(x, xk_trunc)
+
+            def step_spectrum(self, sk):
+                calls.append("step")
+                return super().step_spectrum(sk)
+
+        w = _weight(rng)
+        xs = [rng.standard_normal((n, 8, 64)).astype(np.float32)
+              for n in (1, 2)]
+        counted = Counted(w, 16, symmetric=True)
+        stock = CompiledSpectralConv1D(w, 16, symmetric=True)
+        with api.Session() as s:
+            for profile in ("exact", "fast"):
+                calls.clear()
+                got = s.rollout(streams=[(counted, x) for x in xs],
+                                steps=3, profile=profile)
+                assert calls == ["call" if profile == "exact"
+                                 else "step"] * 3
+                want = s.rollout(streams=[(stock, x) for x in xs], steps=3,
+                                 profile=profile)
+                for a, b in zip(got, want, strict=True):
+                    assert a.tobytes() == b.tobytes()
+
     def test_infer_many_serves_low_rank_callable(self, rng):
         """``infer_many`` serves opaque callables of any rank; only
         ``rollout`` demands a ``(batch, C, *spatial)`` state."""

@@ -8,9 +8,9 @@ through row tables.  Both promise the bytes of the staged path they
 replace — the same kernels stage by stage over the whole batch
 (``_analyse_staged`` / ``_synthesise_staged`` and the loader's oracles)
 and the NumPy fallback — for every compiled flag variant, in both
-precisions, with signed zeros and infinities.  ``_exact_steps`` (every
-step of an exact rollout in one executor call) must give the eager
-loop's bytes.  Geometries the drivers do not cover keep the staged path.
+precisions, with signed zeros and infinities.  ``_serve`` (every step
+of an exact rollout in one executor call) must give the eager loop's
+bytes.  Geometries the drivers do not cover keep the staged path.
 """
 
 import itertools
@@ -196,7 +196,7 @@ def test_special_values_match_the_staged_kernels(kernels, dtype):
 
 
 # ---------------------------------------------------------------------------
-# The executor's halves, and _exact_steps, against the staged path
+# The executor's halves, and _serve, against the staged path
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -219,27 +219,32 @@ def test_halves_match_the_staged_path_and_numpy(geometry, dtype):
     assert _same_bits(ex(x), ref(x))
 
 
+def _eager(executor, x, steps, keep="last"):
+    """``steps`` applications of ``executor``, each output the next
+    input: the last output, or all of them stacked."""
+    kept = []
+    for _ in range(steps):
+        x = executor(x)
+        kept.append(x)
+    return np.stack(kept) if keep == "all" else kept[-1]
+
+
 @pytest.mark.parametrize("keep", ["last", "all"])
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("geometry", COVERED)
 def test_exact_steps_match_the_eager_loop(geometry, dtype, keep):
     """Ragged states (1, 0, 2 rows, one Fortran-ordered) stepped four
-    times in one call equal each state's eager loop on the NumPy
-    fallback; every result owns its buffer."""
+    times in one ``_serve`` call equal each state's eager loop on the
+    NumPy fallback; every result owns its buffer."""
     dim_x, dim_y, mx, my = geometry
     rng = np.random.default_rng(dim_x + dim_y + my)
     w = _weight(rng, 2, dtype)
     ex, ref = _executor(w, mx, my), _executor(w, mx, my, "numpy")
     xs = _states(rng, (1, 0, 2), 2, dim_x, dim_y, dtype, (0.0, -0.0))
     xs[2] = np.asfortranarray(xs[2])
-    outs = ex._exact_steps(xs, 4, keep)
+    outs = ex._serve(xs, 4, "exact", keep)
     for x, got in zip(xs, outs, strict=True):
-        kept = []
-        for _ in range(4):
-            x = ref(x)
-            kept.append(x)
-        want = np.stack(kept) if keep == "all" else kept[-1]
-        assert _same_bits(got, want)
+        assert _same_bits(got, _eager(ref, x, 4, keep))
     assert not any(np.shares_memory(a, b)
                    for a, b in itertools.combinations(outs + xs, 2))
 
@@ -247,29 +252,42 @@ def test_exact_steps_match_the_eager_loop(geometry, dtype, keep):
 @pytest.mark.parametrize("geometry", FALLBACK)
 def test_other_geometries_keep_the_staged_path(geometry):
     """The drivers cover none of these: the halves run staged (with the
-    NumPy fallback's bytes) and ``_exact_steps`` declines the group."""
+    NumPy fallback's bytes), and so does ``_serve`` of a group, exact
+    and fast."""
     dim_x, dim_y, mx, my = geometry
     rng = np.random.default_rng(3)
     w = _weight(rng, 2, np.complex64)
     ex, ref = _executor(w, mx, my), _executor(w, mx, my, "numpy")
     assert ex._planes(np.dtype(np.complex64), (dim_x, dim_y), 2) is None
     xs = _states(rng, (1, 2), 2, dim_x, dim_y, np.complex64)
-    assert ex._exact_steps(xs, 2) is None
-    assert ex._analyse_rows(xs) is None
+    for got, x in zip(ex._serve(xs, 2, "exact", "last"), xs, strict=True):
+        assert _same_bits(got, _eager(ref, x, 2))
+    for got, want in zip(ex._serve(xs, 2, "fast", "all"),
+                         ref._serve(xs, 2, "fast", "all"), strict=True):
+        assert _same_bits(got, want)
     assert _same_bits(ex(xs[1]), ref(xs[1]))
 
 
-def test_numpy_backend_and_non_square_weights_decline():
+def test_numpy_backend_and_non_square_weights_take_the_staged_path():
+    """On the NumPy backend, and with a non-square weight (no fused
+    step loop), ``_serve`` runs the staged halves with the bytes of the
+    eager loop; the non-square executor's halves still run on the
+    drivers."""
     rng = np.random.default_rng(4)
     w = _weight(rng, 2, np.complex64)
     xs = _states(rng, (1,), 2, 16, 32, np.complex64)
+    cd = np.dtype(np.complex64)
     numpy = _executor(w, 4, 5, "numpy")
-    assert numpy._exact_steps(xs, 2) is None
-    assert numpy._analyse_rows(xs) is None
-    narrow = CompiledSpectralConv2D(w[:, :1], 4, 5, symmetric=True,
-                                    plans=PlanCaches("ckernels"))
-    assert narrow._exact_steps(xs, 1) is None
-    assert narrow._analyse_rows(xs) is not None  # the forward half still
+    assert numpy._planes(cd, (16, 32), 2) is None
+    (got,) = numpy._serve(xs, 2, "exact", "last")
+    assert _same_bits(got, _eager(numpy, xs[0], 2))
+    narrow, narrow_ref = (
+        CompiledSpectralConv2D(w[:, :1], 4, 5, symmetric=True,
+                               plans=PlanCaches(backend))
+        for backend in ("ckernels", "numpy"))
+    assert narrow._planes(cd, (16, 32), 2) is not None  # the halves still
+    (got,) = narrow._serve(xs, 1, "exact", "last")
+    assert _same_bits(got, _eager(narrow_ref, xs[0], 1))
 
 
 # ---------------------------------------------------------------------------
