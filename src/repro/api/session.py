@@ -192,14 +192,22 @@ class LatencyReservoir:
         self._samples: list[float] = []
         self._rng = random.Random(seed)
 
-    def record(self, seconds: float) -> None:
-        self.count += 1
-        if len(self._samples) < self.capacity:
-            self._samples.append(float(seconds))
-            return
-        j = self._rng.randrange(self.count)
-        if j < self.capacity:
-            self._samples[j] = float(seconds)
+    def record(self, seconds: float, n: int = 1) -> None:
+        """Record ``n`` observations of ``seconds``: the same sample,
+        and the same draws, as ``n`` single calls."""
+        value, samples = float(seconds), self._samples
+        capacity = self.capacity
+        fill = min(n, capacity - len(samples))
+        if fill > 0:
+            samples.extend([value] * fill)
+            self.count += fill
+            n -= fill
+        randrange = self._rng.randrange
+        for count in range(self.count + 1, self.count + n + 1):
+            j = randrange(count)
+            if j < capacity:
+                samples[j] = value
+        self.count += n
 
     def percentiles(self) -> dict:
         """``{"p50", "p95", "p99", "samples", "count"}`` (seconds);
@@ -565,9 +573,8 @@ class Session:
             # One latency sample per serving call: every request in a
             # micro-batch (every stream in a rollout step) experienced
             # this wall time.
-            for _ in range(calls):
-                stats.latency.record(seconds)
-                self._latency.record(seconds)
+            stats.latency.record(seconds, calls)
+            self._latency.record(seconds, calls)
 
     def _resolve_executor(self, model):
         """The compiled executor that serves ``model``, or None for an
@@ -640,7 +647,9 @@ class Session:
         same way; a 2-D C2C micro-batch runs on the concatenated
         requests and a symmetric one off the drivers synthesises each
         request's result on its own.  A callable's micro-batch is
-        concatenated along the batch axis and each result copied out.
+        concatenated along the batch axis and each result copied out,
+        except that a one-row request (one batch row of one channel)
+        runs on its own.
         Grouping preserves arrival order within a group and results are
         returned in request order, **bit-identical** to serial
         per-request execution on every path: every operator in the
@@ -870,9 +879,11 @@ class Session:
         share of the call's wall time.  Every other group (callables,
         nn layers, executor subclasses) steps through the generic
         loops: :meth:`_rollout_exact`, the oracle, concatenates the
-        group, calls the model once per step and copies every stream's
+        group's multi-row streams, calls the model once per step on
+        them and once on each one-row stream, and copies every stream's
         rows back out; :meth:`_rollout_fast` runs the model's public
-        spectrum methods."""
+        spectrum methods.  ``check_rtol``'s exact reference is not
+        recorded as traffic."""
         items = [
             (model, self._apply_dtype_policy(np.asarray(x)))
             for model, x in streams
@@ -895,7 +906,8 @@ class Session:
             else:
                 outs = self._rollout_exact(model, xs, steps, keep)
             if check_rtol is not None:
-                refs = self._rollout_exact(model, xs, steps, "last")
+                refs = self._rollout_exact(model, xs, steps, "last",
+                                           record=False)
                 for out, ref in zip(outs, refs):
                     if not np.allclose(out[-1] if keep == "all" else out,
                                        ref, rtol=check_rtol,
@@ -914,38 +926,58 @@ class Session:
                 run_job(job)
         return results
 
-    def _rollout_exact(self, model, xs: list, steps: int,
-                       keep: str) -> list[np.ndarray]:
-        """The generic stepping loop over a group's streams ``xs``: the
-        model applied once per step to the concatenated state through
-        :meth:`_execute` — the same call the eager loop makes, hence
-        bit-identical to it — and each stream's rows copied back out.
+    def _rollout_exact(self, model, xs: list, steps: int, keep: str,
+                       record: bool = True) -> list[np.ndarray]:
+        """The generic stepping loop over a group's streams ``xs``: per
+        step, the model applied through :meth:`_execute` to the
+        concatenated state of the group's multi-row streams, and to each
+        one-row stream (one batch row of one channel) on its own, so
+        every call is one the eager loop makes, hence bit-identical to
+        it (NumPy forms a one-row C2R call's tail product unfused, so
+        grouping a one-row state would change its bits).  Each step
+        records one batch for the whole group unless ``record`` is
+        false (the reference loop behind ``check_rtol``).  Each
+        stream's rows are copied back out of a concatenated state.
         Only an output that feeds a further step must keep the input's
         shape."""
-        state = _stacked(xs)
-        geometry = state.shape[1:]
-        kept: list[np.ndarray] = []
+        alone = [int(np.prod(x.shape[:2])) == 1 for x in xs]
+        parts = [[i] for i, one in enumerate(alone) if one]
+        rest = [i for i, one in enumerate(alone) if not one]
+        parts += [rest] if rest else []
+        states = [_stacked([xs[i] for i in part]) for part in parts]
+        geometry = xs[0].shape[1:]
+        kept: list[list[np.ndarray]] = []
         for step in range(steps):
             t0 = time.perf_counter()
-            out = np.asarray(self._execute(model, state))
-            self._record(geometry, len(xs), time.perf_counter() - t0)
-            if step + 1 < steps and out.shape != state.shape:
-                raise ValueError(
-                    f"rollout requires a shape-preserving model: step "
-                    f"{step + 1} mapped {state.shape} -> {out.shape}"
-                )
-            state = out
+            outs = [np.asarray(self._execute(model, state))
+                    for state in states]
+            if record:
+                self._record(geometry, len(xs), time.perf_counter() - t0)
+            for state, out in zip(states, outs):
+                if step + 1 < steps and out.shape != state.shape:
+                    raise ValueError(
+                        f"rollout requires a shape-preserving model: step "
+                        f"{step + 1} mapped {state.shape} -> {out.shape}"
+                    )
+            states = outs
             if keep == "all":
-                kept.append(state)
-        if len(xs) == 1:
-            return [np.stack(kept) if keep == "all" else state]
-        sizes = [len(x) for x in xs]
-        # Copy each stream's rows out: a view would pin the whole
-        # concatenated state alive per surviving result.
-        if keep == "last":
-            return [np.array(rows) for rows in _split(state, sizes)]
-        return [np.stack(frames)
-                for frames in zip(*(_split(k, sizes) for k in kept))]
+                kept.append(states)
+        results: list = [None] * len(xs)
+        for j, part in enumerate(parts):
+            sizes = [len(xs[i]) for i in part]
+            frames = [k[j] for k in kept]
+            if len(part) == 1:
+                outs = [np.stack(frames) if keep == "all" else states[j]]
+            elif keep == "last":
+                # Copy each stream's rows out: a view would pin the
+                # whole concatenated state alive per surviving result.
+                outs = [np.array(rows) for rows in _split(states[j], sizes)]
+            else:
+                outs = [np.stack(f) for f in
+                        zip(*(_split(k, sizes) for k in frames))]
+            for i, out in zip(part, outs):
+                results[i] = out
+        return results
 
     def _fast_stepper(self, model):
         """Resolve ``model`` to its spectrum-resident stepper: the object

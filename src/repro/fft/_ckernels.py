@@ -39,7 +39,7 @@ rejects the library on any mismatch:
   X-axis pass over every sub-column), in one call whose row table holds
   two states and an empty one, across a full AVX2 block of kept bins
   plus a tail; the re-analysis the synthesis writes must equal the
-  analysis of its output.
+  analysis of its output, with or without an output table.
 
 Every probe runs in both precisions.
 
@@ -1079,7 +1079,9 @@ def _sym2d_matches(k: _Kernels, cplx, dtype) -> bool:
     row split 2, a full AVX2 block plus a tail), one channel, three
     states in a row table with an empty entry, random tables.  The
     synthesis writes through a table and re-analyses every plane, which
-    must equal the (checked) analysis of what it wrote."""
+    must equal the (checked) analysis of what it wrote; without a table
+    (the plane held in the workspace only) its re-analysis must be the
+    same."""
     dim_x, dim_y, mx, my, q = 8, 64, 4, 11, 16
     fwd = (cplx(2, q), cplx(2, q), cplx(q - 1), cplx(mx - 1), cplx(2, mx))
     inv = (cplx(my), cplx(my - 1), cplx(2, q), cplx(2, q), cplx(q - 1),
@@ -1093,12 +1095,14 @@ def _sym2d_matches(k: _Kernels, cplx, dtype) -> bool:
     outs, nxt = [np.empty_like(x) for x in xs], np.empty_like(sk)
     k.sym2d_synthesise(sk, outs, nxt, inv, fwd, ws, 3, 1, *geometry)
     k.sym2d_analyse(outs, again, fwd, ws, 3, 1, *geometry)
+    held = np.empty_like(sk)
+    k.sym2d_synthesise(sk, None, held, inv, fwd, ws, 3, 1, *geometry)
     state = np.concatenate(xs)
     return (_same_bits(_sym2d_analyse_by_stages(k, state, fwd, mx, my), sk)
             and _same_bits(_sym2d_synthesise_by_stages(k, sk, inv, dim_x,
                                                        dim_y),
                            np.concatenate(outs))
-            and _same_bits(again, nxt))
+            and _same_bits(again, nxt) and _same_bits(held, nxt))
 
 
 def _build_blocker() -> str | None:

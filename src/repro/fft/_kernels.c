@@ -87,8 +87,8 @@
  *     can be contracted;
  *   - decomp_mirror: blocks of 8 (4 in double) kept bins with re/im
  *     split, plain multiplies and adds, p summed in order;
- *   - expand_head_tail's product loop: the same blocks, with the
- *     ufunc multiply's explicit fmsub/fmadd.
+ *   - expand_head_tail's head/tail build and product loop: the same
+ *     blocks, with the ufunc multiply's explicit fmsub/fmadd.
  * Their tails (and blocks wider than the data) run the scalar tiles.
  * All four keep the scalar loops' bits on every non-NaN value; only NaN
  * payloads and signs may differ.  The generic build runs the scalar
@@ -690,30 +690,32 @@ EXPAND_MUL(expand_mul_f64, double, fma)
  * In the AVX2 build, R and C both multiples of W (4 complex floats, 2
  * complex doubles per vector) copy W x W blocks through registers. */
 #ifdef AVX2_KERNELS
-static inline void transpose_block_f32(const float* sb, float* db, long R,
-                                       long C, long r, long c) {
-    __m256d a0 = _mm256_loadu_pd((const double*)(sb + 2*(r*C + c)));
-    __m256d a1 = _mm256_loadu_pd((const double*)(sb + 2*((r+1)*C + c)));
-    __m256d a2 = _mm256_loadu_pd((const double*)(sb + 2*((r+2)*C + c)));
-    __m256d a3 = _mm256_loadu_pd((const double*)(sb + 2*((r+3)*C + c)));
+/* One W x W block, db[c, r] = sb[r, c], at row strides ss (source) and
+ * ds (destination) in complex elements. */
+static inline void transpose_block_f32(const float* sb, float* db, long ds,
+                                       long ss, long r, long c) {
+    __m256d a0 = _mm256_loadu_pd((const double*)(sb + 2*(r*ss + c)));
+    __m256d a1 = _mm256_loadu_pd((const double*)(sb + 2*((r+1)*ss + c)));
+    __m256d a2 = _mm256_loadu_pd((const double*)(sb + 2*((r+2)*ss + c)));
+    __m256d a3 = _mm256_loadu_pd((const double*)(sb + 2*((r+3)*ss + c)));
     __m256d t0 = _mm256_unpacklo_pd(a0, a1), t1 = _mm256_unpackhi_pd(a0, a1);
     __m256d t2 = _mm256_unpacklo_pd(a2, a3), t3 = _mm256_unpackhi_pd(a2, a3);
-    _mm256_storeu_pd((double*)(db + 2*(c*R + r)),
+    _mm256_storeu_pd((double*)(db + 2*(c*ds + r)),
                      _mm256_permute2f128_pd(t0, t2, 0x20));
-    _mm256_storeu_pd((double*)(db + 2*((c+1)*R + r)),
+    _mm256_storeu_pd((double*)(db + 2*((c+1)*ds + r)),
                      _mm256_permute2f128_pd(t1, t3, 0x20));
-    _mm256_storeu_pd((double*)(db + 2*((c+2)*R + r)),
+    _mm256_storeu_pd((double*)(db + 2*((c+2)*ds + r)),
                      _mm256_permute2f128_pd(t0, t2, 0x31));
-    _mm256_storeu_pd((double*)(db + 2*((c+3)*R + r)),
+    _mm256_storeu_pd((double*)(db + 2*((c+3)*ds + r)),
                      _mm256_permute2f128_pd(t1, t3, 0x31));
 }
 
 static inline void transpose_block_f64(const double* sb, double* db,
-                                       long R, long C, long r, long c) {
-    __m256d a0 = _mm256_loadu_pd(sb + 2*(r*C + c));
-    __m256d a1 = _mm256_loadu_pd(sb + 2*((r+1)*C + c));
-    _mm256_storeu_pd(db + 2*(c*R + r), _mm256_permute2f128_pd(a0, a1, 0x20));
-    _mm256_storeu_pd(db + 2*((c+1)*R + r),
+                                       long ds, long ss, long r, long c) {
+    __m256d a0 = _mm256_loadu_pd(sb + 2*(r*ss + c));
+    __m256d a1 = _mm256_loadu_pd(sb + 2*((r+1)*ss + c));
+    _mm256_storeu_pd(db + 2*(c*ds + r), _mm256_permute2f128_pd(a0, a1, 0x20));
+    _mm256_storeu_pd(db + 2*((c+1)*ds + r),
                      _mm256_permute2f128_pd(a0, a1, 0x31));
 }
 
@@ -824,11 +826,11 @@ static inline void store_split_pd(double* p, __m256d re, __m256d im) {
     _mm256_storeu_pd(p + 4, _mm256_unpackhi_pd(re, im));
 }
 
-/* conj(y[(q - k0 - k) % q]) for k = 0..7, split.  A complex float is
- * one 64-bit lane: lanes k = 0..3 are bins q-k0 .. q-k0-3 (at k0 = 0,
- * bin 0 then q-1 .. q-3), lanes k = 4..7 bins q-k0-4 .. q-k0-7. */
-static inline void mirror_ps(const float* y, long q, long k0, __m256* re,
-                             __m256* im) {
+/* y[(q - k0 - k) % q] for k = 0..7, split.  A complex float is one
+ * 64-bit lane: lanes k = 0..3 are bins q-k0 .. q-k0-3 (at k0 = 0, bin 0
+ * then q-1 .. q-3), lanes k = 4..7 bins q-k0-4 .. q-k0-7. */
+static inline void reversed_ps(const float* y, long q, long k0, __m256* re,
+                               __m256* im) {
     __m256d m0, m1 = _mm256_permute4x64_pd(
         _mm256_castps_pd(_mm256_loadu_ps(y + 2*(q - k0 - 7))), 0x1B);
     if (k0 == 0)
@@ -840,13 +842,12 @@ static inline void mirror_ps(const float* y, long q, long k0, __m256* re,
             _mm256_castps_pd(_mm256_loadu_ps(y + 2*(q - k0 - 3))), 0x1B);
     __m256 v0 = _mm256_castpd_ps(m0), v1 = _mm256_castpd_ps(m1);
     *re = _mm256_shuffle_ps(v0, v1, 0x88);
-    *im = _mm256_xor_ps(_mm256_shuffle_ps(v0, v1, 0xDD),
-                        _mm256_set1_ps(-0.0f));
+    *im = _mm256_shuffle_ps(v0, v1, 0xDD);
 }
 
 /* The same for k = 0..3 in double, one complex per 128-bit half. */
-static inline void mirror_pd(const double* y, long q, long k0, __m256d* re,
-                             __m256d* im) {
+static inline void reversed_pd(const double* y, long q, long k0,
+                               __m256d* re, __m256d* im) {
     __m256d m0, m1 = _mm256_permute4x64_pd(
         _mm256_loadu_pd(y + 2*(q - k0 - 3)), 0x4E);
     if (k0 == 0)
@@ -856,7 +857,21 @@ static inline void mirror_pd(const double* y, long q, long k0, __m256d* re,
         m0 = _mm256_permute4x64_pd(_mm256_loadu_pd(y + 2*(q - k0 - 1)),
                                    0x4E);
     *re = _mm256_unpacklo_pd(m0, m1);
-    *im = _mm256_xor_pd(_mm256_unpackhi_pd(m0, m1), _mm256_set1_pd(-0.0));
+    *im = _mm256_unpackhi_pd(m0, m1);
+}
+
+/* conj(y[(q - k0 - k) % q]), split: the reversed load, then conj flips
+ * the sign bit. */
+static inline void mirror_ps(const float* y, long q, long k0, __m256* re,
+                             __m256* im) {
+    reversed_ps(y, q, k0, re, im);
+    *im = _mm256_xor_ps(*im, _mm256_set1_ps(-0.0f));
+}
+
+static inline void mirror_pd(const double* y, long q, long k0, __m256d* re,
+                             __m256d* im) {
+    reversed_pd(y, q, k0, re, im);
+    *im = _mm256_xor_pd(*im, _mm256_set1_pd(-0.0));
 }
 
 #define MIRROR_BLOCK(NAME, T, V, SFX)                                    \
@@ -968,12 +983,87 @@ HEAD_TAIL_BLOCK(head_tail_block_f64, double, __m256d, pd)
     for (; kv + (MB) <= w; kv += (MB))                                   \
         head_tail_block_##SFX(hb + 2*kv, tb + 2*kv, wdh + 2*(t0 + kv),   \
                               wdt + 2*(t0 + kv), ob + 2*(t0 + kv), s, q);
+
+/* The AVX2 head/tail build: hb and tb for the MB bins t .. t+MB-1, with
+ * HEAD_TAIL_BIN's products as fmsub/fmadd (CMUL_RE and CMUL_IM exactly).
+ * Head bins split-load x and ch, bin 0's imaginary input blended to
+ * +0; tail bins take conj(x[q-t]) and ct[q-t-1] as reversed loads
+ * (mirror and reversed over q - 1), bin 0's tail product then blended
+ * to +0 (its lanes read x[0] and ct[0], in bounds whenever bin 1 is a
+ * tail bin).  A block whose head or tail is all +0 stores +0 there.
+ * Returns 0 and writes nothing for a block that mixes head (or tail)
+ * bins with zero ones; HEAD_TAIL_BIN builds those. */
+#define HEAD_TAIL_BUILD(NAME, T, V, SFX, MB)                             \
+static inline FMA_TARGET int NAME(const T* xb, const T* ch, const T* ct, \
+                                  T* hb, T* tb, long m, long q, long t) {\
+    int head = t + (MB) <= m, tail = (t ? t : 1) + m > q;                \
+    if ((!head && t < m) || (!tail && t + (MB) - 1 + m > q)) return 0;   \
+    V zero = _mm256_setzero_##SFX(), hr = zero, hi = zero;               \
+    V tr = zero, ti = zero;                                              \
+    if (head) {                                                          \
+        V xr, xi, cr, ci;                                                \
+        split_##SFX(xb + 2*t, &xr, &xi);                                 \
+        split_##SFX(ch + 2*t, &cr, &ci);                                 \
+        if (t == 0) xi = _mm256_blend_##SFX(xi, zero, 1);                \
+        hr = _mm256_fmsub_##SFX(xr, cr, _mm256_mul_##SFX(xi, ci));       \
+        hi = _mm256_fmadd_##SFX(xr, ci, _mm256_mul_##SFX(xi, cr));       \
+    }                                                                    \
+    if (tail) {                                                          \
+        V xr, xi, cr, ci;                                                \
+        mirror_##SFX(xb, q, t, &xr, &xi);                                \
+        reversed_##SFX(ct, q - 1, t, &cr, &ci);                          \
+        tr = _mm256_fmsub_##SFX(xr, cr, _mm256_mul_##SFX(xi, ci));       \
+        ti = _mm256_fmadd_##SFX(xr, ci, _mm256_mul_##SFX(xi, cr));       \
+        if (t == 0) {                                                    \
+            tr = _mm256_blend_##SFX(tr, zero, 1);                        \
+            ti = _mm256_blend_##SFX(ti, zero, 1);                        \
+        }                                                                \
+    }                                                                    \
+    store_split_##SFX(hb, hr, hi);                                       \
+    store_split_##SFX(tb, tr, ti);                                       \
+    return 1;                                                            \
+}
+
+HEAD_TAIL_BUILD(head_tail_build_f32, float, __m256, ps, 8)
+HEAD_TAIL_BUILD(head_tail_build_f64, double, __m256d, pd, 4)
+
+#define HEAD_TAIL_BUILDS(T, FMAF, SFX, MB)                               \
+    for (; kb + (MB) <= w; kb += (MB))                                   \
+        if (scalar_tail || !head_tail_build_##SFX(                       \
+                xb, ch, ct, hb + 2*kb, tb + 2*kb, m, q, t0 + kb))        \
+            for (long k = kb; k < kb + (MB); k++)                        \
+                HEAD_TAIL_BIN(T, FMAF, k)
 #else
 #define HEAD_TAIL_BLOCKS(SFX, MB)
+#define HEAD_TAIL_BUILDS(T, FMAF, SFX, MB)
 #endif
 
-/* One row of the expansion, x[m] -> out[s, q].  scalar_tail belongs to
- * the whole call (B == 1 && m == 2), not to the row. */
+/* Bin t0 + k of the head and tail rows, into hb[k] and tb[k]. */
+#define HEAD_TAIL_BIN(T, FMAF, k)                                        \
+    {                                                                    \
+        long t = t0 + (k), r = q - t;                                    \
+        T hr = 0, hi = 0, tr = 0, ti = 0;                                \
+        if (t < m) {                                                     \
+            T xr = xb[2*t], xi = t ? xb[2*t+1] : 0;                      \
+            hr = CMUL_RE(FMAF, xr, xi, ch[2*t], ch[2*t+1]);              \
+            hi = CMUL_IM(FMAF, xr, xi, ch[2*t], ch[2*t+1]);              \
+        }                                                                \
+        if (t > 0 && r < m && scalar_tail) {                             \
+            tr = sr; ti = si;                                            \
+        } else if (t > 0 && r < m) {                                     \
+            T xr = xb[2*r], xi = -xb[2*r+1];                             \
+            const T* c = ct + 2*(r-1);                                   \
+            tr = CMUL_RE(FMAF, xr, xi, c[0], c[1]);                      \
+            ti = CMUL_IM(FMAF, xr, xi, c[0], c[1]);                      \
+        }                                                                \
+        hb[2*(k)] = hr; hb[2*(k)+1] = hi;                                \
+        tb[2*(k)] = tr; tb[2*(k)+1] = ti;                                \
+    }
+
+/* One row of the expansion, x[m] -> out[s, q]: per tile, the head and
+ * tail rows (AVX2 blocks, then scalar bins), then the products.
+ * scalar_tail belongs to the whole call (B == 1 && m == 2), not to the
+ * row; its bins are always built scalar. */
 #define HEAD_TAIL_ROW(NAME, T, FMAF, UNFUSED, SFX, MB)                   \
 static FMA_TARGET void NAME(const T* xb, const T* ch, const T* ct,       \
                             const T* wdh, const T* wdt, T* ob,           \
@@ -983,25 +1073,10 @@ static FMA_TARGET void NAME(const T* xb, const T* ch, const T* ct,       \
     if (scalar_tail) UNFUSED(xb[2], -xb[3], ct[0], ct[1], &sr, &si);     \
     for (long t0 = 0; t0 < q; t0 += HEAD_TAIL_TILE) {                    \
         long w = q - t0 < HEAD_TAIL_TILE ? q - t0 : HEAD_TAIL_TILE;      \
-        for (long k = 0; k < w; k++) {                                   \
-            long t = t0 + k, r = q - t;                                  \
-            T hr = 0, hi = 0, tr = 0, ti = 0;                            \
-            if (t < m) {                                                 \
-                T xr = xb[2*t], xi = t ? xb[2*t+1] : 0;                  \
-                hr = CMUL_RE(FMAF, xr, xi, ch[2*t], ch[2*t+1]);          \
-                hi = CMUL_IM(FMAF, xr, xi, ch[2*t], ch[2*t+1]);          \
-            }                                                            \
-            if (t > 0 && r < m && scalar_tail) {                         \
-                tr = sr; ti = si;                                        \
-            } else if (t > 0 && r < m) {                                 \
-                T xr = xb[2*r], xi = -xb[2*r+1];                         \
-                const T* c = ct + 2*(r-1);                               \
-                tr = CMUL_RE(FMAF, xr, xi, c[0], c[1]);                  \
-                ti = CMUL_IM(FMAF, xr, xi, c[0], c[1]);                  \
-            }                                                            \
-            hb[2*k] = hr; hb[2*k+1] = hi;                                \
-            tb[2*k] = tr; tb[2*k+1] = ti;                                \
-        }                                                                \
+        long kb = 0;                                                     \
+        HEAD_TAIL_BUILDS(T, FMAF, SFX, MB)                               \
+        for (long k = kb; k < w; k++)                                    \
+            HEAD_TAIL_BIN(T, FMAF, k)                                    \
         long kv = 0;                                                     \
         HEAD_TAIL_BLOCKS(SFX, MB)                                        \
         for (long ss = 0; ss < s; ss++) {                                \
@@ -1316,7 +1391,7 @@ SPECTRAL_STEPS(spectral_steps_f64, double, f64)
  *     reduce  : cr[ky, kx] = sum_j cf[ky, j, kx] * wd[j, kx]
  *                                                      (decomp_reduce)
  *     store   : sk[kx, ky] = cr[ky, kx]                (transpose)
- *   synthesise, sk[mx, my] -> z[X, h]:
+ *   synthesise, sk[mx, my] -> held[X, p, q] (and z[X, h]):
  *     gather  : cr[ky, kx] = sk[kx, ky]                (transpose)
  *     expand  : cg[ky, s, kx] = cr[ky, kx] * wd[s, kx] (expand_mul)
  *     iFFT    : inverse Stockham over the sub-columns, / mx then
@@ -1326,8 +1401,16 @@ SPECTRAL_STEPS(spectral_steps_f64, double, f64)
  *     expand  : g[x] = r[x]'s head/tail rows times wdh, wdt
  *                                                   (expand_head_tail)
  *     iFFT    : inverse Stockham over the chunk's sub-rows, / q then
- *               * (q / h)
- *     scatter : z[x, t*p + s] = f[x, s, t]             (transpose)
+ *               * (q / h), written as held[x, s, t]
+ *     scatter : z[x, t*p + s] = held[x, s, t]  (transpose; output
+ *               table only)
+ * The synthesised plane is always held in the workspace in that
+ * sub-row layout, which is the analysis's gathered layout: g[x, j, t] =
+ * z[x, t*p + j] = held[x, j, t].  So the re-analysis of a synthesised
+ * plane has no gather: its forward Stockham reads the held plane as it
+ * lies, with or without an output table (the scatter and gather it
+ * skips are a pure-copy identity).  The X-axis column gathers and
+ * scatters are per-j strided transposes (strided_transpose).
  * A plane's intermediates stay in cache from one axis to the other;
  * the staged path writes the whole (B, C, X, my) intermediate to
  * memory and back, with a strided copy on each side.
@@ -1348,15 +1431,16 @@ SPECTRAL_STEPS(spectral_steps_f64, double, f64)
  * entry order.  sym2d_synthesise reads sk[bt, c, mx, my] and writes
  * through an output row table (outs[e][rows[e], c, X, Y]), or, with no
  * table, holds each plane in the workspace only; given `next`, it runs
- * the analysis on each plane it has just written (the next rollout
- * step's state), so an intermediate state of a rollout is never
- * written to memory whole.  The tables come from the Python binding,
- * which checks every entry, operand and the geometry first.
+ * the analysis on each plane it has just synthesised (the next rollout
+ * step's state), from the held plane, so an intermediate state of a
+ * rollout is never written to memory whole.  The tables come from the
+ * Python binding, which checks every entry, operand and the geometry
+ * first.
  *
  * The workspace holds one plane: g, f and s (the row stages) take X*h
  * elements each, of which a chunk uses a prefix; r, cg, cf and cs take
- * X*my each, cr mx*my, and the held plane (synthesise without an
- * output table) X*h.  The row stages run over chunks of rows
+ * X*my each, cr mx*my, and the held plane (synthesise; the inverse
+ * row Stockham's output) X*h.  The row stages run over chunks of rows
  * (SYM2D_CHUNK), not one row at a time as pruned_rfft_rows does: a
  * kernel call on one row is too short to amortise its set-up, and a
  * chunk's buffers still fit in L1.  Like the other drivers these are
@@ -1370,28 +1454,58 @@ SPECTRAL_STEPS(spectral_steps_f64, double, f64)
      : 8192 / (long)(2*sizeof(T)*(h)) > (X) ? (X)                        \
      : 8192 / (long)(2*sizeof(T)*(h)))
 
+/* dst[c*ds + r] = src[r*ss + c] over an R x C block of complex values
+ * at row strides ss and ds, a pure copy: the X-axis column passes, per
+ * j, gather cg[ky, j, t] = r[t*P + j, ky] (R = mx, C = my) and scatter
+ * r[t*P + s, ky] = cf[ky, s, t] (R = my, C = mx).  In the AVX2 build, R
+ * and C both multiples of W copy W x W blocks (transpose_block). */
+#ifdef AVX2_KERNELS
+#define STRIDED_BLOCKS(SFX, W)                                           \
+    if (R % (W) == 0 && C % (W) == 0) {                                  \
+        for (long r = 0; r < R; r += (W))                                \
+            for (long c = 0; c < C; c += (W))                            \
+                transpose_block_##SFX(src, dst, ds, ss, r, c);           \
+        return;                                                          \
+    }
+#else
+#define STRIDED_BLOCKS(SFX, W)
+#endif
+
+#define STRIDED_TRANSPOSE(NAME, T, SFX, W)                               \
+static void NAME(const T* src, T* dst, long R, long C, long ss,          \
+                 long ds) {                                              \
+    STRIDED_BLOCKS(SFX, W)                                               \
+    for (long r = 0; r < R; r++)                                         \
+        for (long c = 0; c < C; c++) {                                   \
+            dst[2*(c*ds + r)] = src[2*(r*ss + c)];                       \
+            dst[2*(c*ds + r)+1] = src[2*(r*ss + c)+1];                   \
+        }                                                                \
+}
+
+STRIDED_TRANSPOSE(strided_transpose_f32, float, f32, 4)
+STRIDED_TRANSPOSE(strided_transpose_f64, double, f64, 2)
+
 #define SYM2D_PLANES(SFX, T)                                             \
 static void sym2d_analyse_plane_##SFX(                                   \
-        const T* z, T* sk, const T* u, const T* v, const T* tw_y,        \
-        const T* tw_x, const T* wd_x, T* ws, long X, long p, long q,     \
-        long my, long mx) {                                              \
+        const T* z, int held, T* sk, const T* u, const T* v,             \
+        const T* tw_y, const T* tw_x, const T* wd_x, T* ws, long X,      \
+        long p, long q, long my, long mx) {                              \
     long h = p*q, P = X/mx, cols = X*my;                                 \
     T *g = ws, *f = g + 2*X*h, *s = f + 2*X*h, *r = s + 2*X*h;           \
     T *cg = r + 2*cols, *cf = cg + 2*cols, *cs = cf + 2*cols;            \
     T *cr = cs + 2*cols;                                                 \
     for (long x0 = 0, n = SYM2D_CHUNK(T, X, h); x0 < X; x0 += n) {       \
-        transpose_##SFX(z + 2*x0*h, g, n, q, p);                         \
-        stockham_##SFX(g, f, s, tw_y, n*p, q, 0, 0, 0, 0);               \
+        const T* rows = z + 2*x0*h;                                      \
+        if (!held) {                                                     \
+            transpose_##SFX(rows, g, n, q, p);                           \
+            rows = g;                                                    \
+        }                                                                \
+        stockham_##SFX(rows, f, s, tw_y, n*p, q, 0, 0, 0, 0);            \
         decomp_mirror_##SFX(f, u, v, r + 2*x0*my, n, p, q, my);          \
     }                                                                    \
-    for (long t = 0; t < mx; t++)                                        \
-        for (long j = 0; j < P; j++) {                                   \
-            const T* rp = r + 2*(t*P + j)*my;                            \
-            for (long ky = 0; ky < my; ky++) {                           \
-                cg[2*((ky*P + j)*mx + t)] = rp[2*ky];                    \
-                cg[2*((ky*P + j)*mx + t)+1] = rp[2*ky+1];                \
-            }                                                            \
-        }                                                                \
+    for (long j = 0; j < P; j++)                                         \
+        strided_transpose_##SFX(r + 2*j*my, cg + 2*j*mx, mx, my, P*my,   \
+                                P*mx);                                   \
     stockham_##SFX(cg, cf, cs, tw_x, my*P, mx, 0, 0, 0, 0);              \
     decomp_reduce_##SFX(cf, wd_x, cr, my, P, mx);                        \
     transpose_##SFX(cr, sk, 1, my, mx);                                  \
@@ -1406,23 +1520,19 @@ static void sym2d_synthesise_plane_##SFX(                                \
     T xdiv = (T)mx, xmul = (T)((double)mx / (double)X);                  \
     T *g = ws, *f = g + 2*X*h, *s = f + 2*X*h, *r = s + 2*X*h;           \
     T *cg = r + 2*cols, *cf = cg + 2*cols, *cs = cf + 2*cols;            \
-    T *cr = cs + 2*cols;                                                 \
+    T *cr = cs + 2*cols, *held = cr + 2*mx*my;                           \
     transpose_##SFX(sk, cr, 1, mx, my);                                  \
     expand_mul_##SFX(cr, wd_x, cg, my, P, mx);                           \
     stockham_##SFX(cg, cf, cs, tw_x, my*P, mx, 1, xdiv, 1, xmul);        \
-    for (long t = 0; t < mx; t++)                                        \
-        for (long j = 0; j < P; j++) {                                   \
-            T* rp = r + 2*(t*P + j)*my;                                  \
-            for (long ky = 0; ky < my; ky++) {                           \
-                rp[2*ky] = cf[2*((ky*P + j)*mx + t)];                    \
-                rp[2*ky+1] = cf[2*((ky*P + j)*mx + t)+1];                \
-            }                                                            \
-        }                                                                \
+    for (long j = 0; j < P; j++)                                         \
+        strided_transpose_##SFX(cf + 2*j*mx, r + 2*j*my, my, mx, P*mx,   \
+                                P*my);                                   \
     for (long x0 = 0, n = SYM2D_CHUNK(T, X, h); x0 < X; x0 += n) {       \
         expand_head_tail_##SFX(r + 2*x0*my, ch, ct, wdh, wdt, g, n, my,  \
                                p, q);                                    \
-        stockham_##SFX(g, f, s, tw_y, n*p, q, 1, ydiv, 1, ymul);         \
-        transpose_##SFX(f, z + 2*x0*h, n, p, q);                         \
+        stockham_##SFX(g, held + 2*x0*h, s, tw_y, n*p, q, 1, ydiv, 1,    \
+                       ymul);                                            \
+        if (z) transpose_##SFX(held + 2*x0*h, z + 2*x0*h, n, p, q);      \
     }                                                                    \
 }                                                                        \
                                                                          \
@@ -1434,8 +1544,9 @@ void sym2d_analyse_##SFX(const T* const* xs, const long* rows, T* sk,    \
     long plane = X*p*q, corner = mx*my;                                  \
     for (long e = 0; e < entries; e++)                                   \
         for (long i = 0; i < rows[e]*c; i++, sk += 2*corner)             \
-            sym2d_analyse_plane_##SFX(xs[e] + 2*i*plane, sk, u, v, tw_y, \
-                                      tw_x, wd_x, ws, X, p, q, my, mx);  \
+            sym2d_analyse_plane_##SFX(xs[e] + 2*i*plane, 0, sk, u, v,    \
+                                      tw_y, tw_x, wd_x, ws, X, p, q, my, \
+                                      mx);                               \
 }                                                                        \
                                                                          \
 void sym2d_synthesise_##SFX(                                             \
@@ -1446,16 +1557,17 @@ void sym2d_synthesise_##SFX(                                             \
         T* ws, long entries, long c, long X, long p, long q, long my,    \
         long mx) {                                                       \
     long plane = X*p*q, corner = mx*my;                                  \
-    T* held = ws + 2*(3*X*p*q + 4*X*my + corner);                          \
+    const T* held = ws + 2*(3*X*p*q + 4*X*my + corner);                  \
     for (long e = 0; e < entries; e++)                                   \
         for (long i = 0; i < rows[e]*c; i++, sk += 2*corner) {           \
-            T* z = outs ? outs[e] + 2*i*plane : held;                    \
+            T* z = outs ? outs[e] + 2*i*plane : 0;                       \
             sym2d_synthesise_plane_##SFX(sk, z, ch, ct, wdh, wdt, tw_yi, \
                                          tw_xi, wd_xi, ws, X, p, q, my,  \
                                          mx);                            \
             if (next) {                                                  \
-                sym2d_analyse_plane_##SFX(z, next, u, v, tw_yf, tw_xf,   \
-                                          wd_xf, ws, X, p, q, my, mx);   \
+                sym2d_analyse_plane_##SFX(held, 1, next, u, v, tw_yf,    \
+                                          tw_xf, wd_xf, ws, X, p, q, my, \
+                                          mx);                           \
                 next += 2*corner;                                        \
             }                                                            \
         }                                                                \

@@ -338,6 +338,25 @@ class TestLatencyReservoir:
             r2.record(float(i))
         assert r2.percentiles() == p
 
+    @pytest.mark.parametrize("capacity,before", [(8, 0), (8, 5), (8, 30),
+                                                 (64, 3)])
+    def test_counted_record_equals_single_records(self, capacity, before):
+        """``record(s, n)`` fills and replaces exactly as ``n`` single
+        calls, sample for sample, from an empty, a partly filled and a
+        full reservoir, and leaves the RNG where they leave it."""
+        batched, single = (LatencyReservoir(capacity=capacity)
+                           for _ in range(2))
+        for i in range(before):
+            batched.record(float(i))
+            single.record(float(i))
+        for value, n in ((0.5, 1), (1.5, 7), (2.5, 0), (3.5, 40)):
+            batched.record(value, n)
+            for _ in range(n):
+                single.record(value)
+            assert batched.count == single.count
+            assert batched._samples == single._samples
+        assert batched._rng.random() == single._rng.random()
+
     def test_session_stats_surfaces(self, rng):
         w = _weight(rng)
         model = SpectralModel(w, 16)

@@ -613,6 +613,64 @@ class TestOneServingPath:
                     assert same(trajectory[i],
                                 np.stack([once[i], twice[i]])), (seed, i)
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_grouped_one_row_symmetric_layers_equal_serial_infer(
+            self, backend, dim):
+        """One-row requests (B = C = 1, two kept modes) of a symmetric
+        nn layer, grouped, get their serial ``infer`` bits in
+        ``infer_many`` and in every step of an exact rollout, although
+        the layer's one-row C2R call forms its tail product unfused;
+        each step still records one batch for the group."""
+        from repro.nn.modules import SpectralConv1d, SpectralConv2d
+
+        def same(a, b):
+            return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+        grid = (8,) if dim == 1 else (1, 8)
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            layer = (SpectralConv1d(1, 1, 2, rng, symmetric=True)
+                     if dim == 1 else
+                     SpectralConv2d(1, 1, 1, 2, rng, symmetric=True))
+            streams = [(layer, rng.standard_normal((1, 1, *grid))
+                        .astype(np.float32)) for _ in range(3)]
+            with api.Session(backend=backend, private_caches=True) as s:
+                once = [s.infer(layer, x) for _, x in streams]
+                twice = [s.infer(layer, y) for y in once]
+                many = s.infer_many(streams)
+                last = s.rollout(streams=streams, steps=2)
+                trajectory = s.rollout(streams=streams, steps=2, keep="all")
+                geo = s.stats()["per_geometry"]["x".join(map(str,
+                                                             (1, *grid)))]
+            for i in range(3):
+                assert same(many[i], once[i]), (seed, i)
+                assert same(last[i], twice[i]), (seed, i)
+                assert same(trajectory[i], np.stack([once[i], twice[i]])), (
+                    seed, i)
+            # 6 serial calls, then one batch per step of each grouped call.
+            assert geo["batches"] == 6 + 1 + 2 + 2
+            assert geo["requests"] == 6 + 3 * (1 + 2 + 2)
+
+    def test_check_rtol_reference_is_not_traffic(self, rng):
+        """``check_rtol``'s exact reference loop records nothing: a fast
+        rollout counts its own steps only, with or without the check,
+        and the latency reservoirs hold only its samples (equal shares
+        of its one executor call)."""
+        model = api.SpectralModel(_weight(rng, 1), 4, symmetric=True)
+        x = rng.standard_normal((2, 1, 16)).astype(np.float32)
+        for check in (None, 1e-3):
+            with api.Session() as s:
+                s.rollout(model, x, steps=4, profile="fast",
+                          check_rtol=check)
+                geo = s.stats()["per_geometry"]["1x16"]
+                reservoirs = [s._latency,
+                              next(iter(s._geometry_stats.values())).latency]
+            assert geo["requests"] == 4 and geo["batches"] == 4, check
+            for reservoir in reservoirs:
+                assert reservoir.count == 4
+                assert len(set(reservoir._samples)) == 1
+
     @pytest.mark.parametrize("profile", ["infer_many", "exact", "fast"])
     @pytest.mark.parametrize("modes,grid,symmetric", [
         (16, (64,), False), (16, (64,), True), ((4, 5), (16, 32), True),

@@ -3,8 +3,9 @@
 On the C backend a symmetric ``CompiledSpectralConv2D`` runs its halves
 one ``(b, c)`` plane at a time: ``sym2d_analyse`` (the pruned R2C rows,
 then the pruned C2C pass along X) and ``sym2d_synthesise`` (its mirror,
-optionally re-analysing each plane it writes), reading and writing
-through row tables.  Both promise the bytes of the staged path they
+optionally re-analysing each plane it synthesises from the copy it
+holds in its workspace, with or without an output table), reading and
+writing through row tables.  Both promise the bytes of the staged path they
 replace — the same kernels stage by stage over the whole batch
 (``_analyse_staged`` / ``_synthesise_staged`` and the loader's oracles)
 and the NumPy fallback — for every compiled flag variant, in both
@@ -193,6 +194,44 @@ def test_special_values_match_the_staged_kernels(kernels, dtype):
                              *geo)
     assert _same_bits(out, _ckernels._sym2d_synthesise_by_stages(
         kernels, spec, planes.inv, dim_x, dim_y))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("geometry", COVERED)
+def test_held_and_tabled_syntheses_reanalyse_alike(kernels, geometry,
+                                                   dtype):
+    """The synthesis holds every plane in the workspace in the analysis's
+    sub-row layout and re-analyses it from there, with or without an
+    output table: both calls give the same ``next`` bytes, which are
+    the analysis of the planes written through the table, on plain
+    corners and on corners with signed zeros, infinities and NaN."""
+    dim_x, dim_y, mx, my = geometry
+    rng = np.random.default_rng(dim_x * 10 + dim_y + my)
+    c = 2
+    planes = _planes(_weight(rng, c, dtype), mx, my, dim_x, dim_y)
+    geo = planes.geometry
+    xs = _states(rng, (3,), c, dim_x, dim_y, dtype, (0.0, -0.0))
+    ws = np.empty(kernels.sym2d_workspace(*geo[:4]), dtype)
+    sk = np.empty((3, c, mx, my), dtype)
+    kernels.sym2d_analyse(xs, sk, planes.fwd, ws, 3, c, *geo)
+    special = sk.copy()
+    flat = special.reshape(-1)
+    flat[::5] = -0.0
+    flat[1::7] = complex(-np.inf, 0.0)
+    flat[2::11] = complex(0.0, np.inf)
+    flat[3::13] = complex(np.nan, 1.0)
+    for corner in (sk, special):
+        outs = [np.empty_like(xs[0])]
+        tabled, held, again = (np.empty_like(corner) for _ in range(3))
+        with np.errstate(all="ignore"):
+            kernels.sym2d_synthesise(corner, outs, tabled, planes.inv,
+                                     planes.fwd, ws, 3, c, *geo)
+            kernels.sym2d_synthesise(corner, None, held, planes.inv,
+                                     planes.fwd, ws, 3, c, *geo)
+            kernels.sym2d_analyse(outs, again, planes.fwd, ws, 3, c, *geo)
+        assert _same_bits(held, tabled)
+        assert _same_bits(again, tabled)
+    assert np.isnan(held).any()
 
 
 # ---------------------------------------------------------------------------
@@ -514,3 +553,18 @@ def test_exact_rollout_equals_the_eager_loop():
             for _ in range(4):
                 x = s.infer(model, x)
             assert _same_bits(g, x)
+
+
+def test_exact_rollout_keeps_every_step_of_the_eager_loop():
+    """``keep="all"`` on the plane drivers: every kept step of every
+    stream equals the eager loop's state at that step."""
+    rng = np.random.default_rng(11)
+    streams = _session_streams(rng, (1, 2))
+    with Session(backend="ckernels", private_caches=True) as s:
+        got = s.rollout(streams=streams, steps=3, keep="all")
+        for (model, x), g in zip(streams, got, strict=True):
+            frames = []
+            for _ in range(3):
+                x = s.infer(model, x)
+                frames.append(x)
+            assert _same_bits(g, np.stack(frames))
