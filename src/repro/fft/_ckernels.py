@@ -19,7 +19,7 @@ rejects the library on any mismatch:
   tails, and ``expand_mul`` against the ufunc's FMA complex multiply;
 * the pruned R2C/C2R staging kernels (``transpose``, ``decomp_mirror``,
   ``expand_head_tail``) against the NumPy compositions they replace,
-  across a full AVX2 block of bins plus a scalar tail and with one row
+  across full vector blocks of bins plus a scalar tail and with one row
   and one tail bin;
 * the pruned R2C/C2R row drivers ``pruned_rfft_rows`` and
   ``pruned_irfft_rows`` against the staged kernel sequence they stream,
@@ -41,7 +41,19 @@ rejects the library on any mismatch:
   plus a tail; the re-analysis the synthesis writes must equal the
   analysis of its output, with or without an output table.
 
-Every probe runs in both precisions.
+Every probe runs in both precisions, at the vector tier the library
+picked for this process.
+
+The ``fma-target`` build runs its vector kernels (``stockham``,
+``panel_contract``, ``decomp_mirror`` and the C2R head/tail expansion)
+at one of two tiers: ``avx2``, with 256-bit registers, or ``avx512``,
+with 512-bit registers (two Stockham rows per register, blocks of 16
+modes or bins, 8 in double).  The library picks the tier itself, once
+per process, from CPUID and XCR0 (``avx512f``, ``avx512dq`` and
+``avx512vl`` supported by the CPU and saved by the OS); the ``generic``
+build runs the ``scalar`` loops.  There is no public switch: every lane
+runs the same operations at either tier, so the bytes do not depend on
+it.  :func:`build_info` names it, e.g. ``loaded (fma-target, avx512)``.
 
 Environment knobs
 -----------------
@@ -68,6 +80,7 @@ Environment knobs
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import math
@@ -84,7 +97,8 @@ __all__ = ["get_kernels", "kernels_available", "build_info"]
 _SOURCE = os.path.join(os.path.dirname(__file__), "_kernels.c")
 
 #: (extra cflags, description) variants tried in order.  The first set
-#: enables the per-function FMA/AVX2 target attribute on x86-64; the
+#: enables the per-function FMA/AVX2 target attribute on x86-64 (and
+#: the AVX-512 tier's, which runs only where the CPU has it); the
 #: second compiles everything generically (explicit fma()/fmaf() calls
 #: then go through libm, which is slower but bit-exact).
 _FLAG_VARIANTS = [
@@ -168,6 +182,13 @@ def _compile(cc: str, extra: list[str], tag: str) -> str | None:
 #: C2C identity, the symmetric 1-D DC bin made real, and the symmetric
 #: 2-D Hermitian y-DC column.
 SPECTRAL_PROJECTIONS = {"none": 0, "dc_real": 1, "herm_x": 2}
+
+#: The vector tiers of a kernel library by their C codes
+#: (``vector_tier`` in ``_kernels.c``): the ``generic`` build runs
+#: ``scalar``; the ``fma-target`` build runs ``avx2``, or ``avx512``
+#: where the CPU and OS support avx512f/dq/vl.  The bytes do not depend
+#: on the tier.
+TIERS = ("scalar", "avx2", "avx512")
 
 #: Kernel-name suffix per supported element type.
 _SUFFIX = {np.dtype(np.complex64): "f32", np.dtype(np.complex128): "f64"}
@@ -323,6 +344,9 @@ class _Kernels:
         self.path = lib_path
         self.variant = variant
         self._fn = {}
+        self._tier = lib.vector_tier
+        self._tier.argtypes = [ctypes.c_long]
+        self._tier.restype = ctypes.c_long
         ptr = ctypes.c_void_p
         for suffix, ct in (("f32", ctypes.c_float), ("f64", ctypes.c_double)):
             fn = getattr(lib, f"stockham_{suffix}")
@@ -344,6 +368,28 @@ class _Kernels:
                 fn.argtypes = [ptr] * nptr + [ctypes.c_long] * nlong
                 fn.restype = None
                 self._fn[name, suffix] = fn
+
+    @property
+    def tier(self) -> str:
+        """The vector tier the kernels run at (one of :data:`TIERS`)."""
+        return TIERS[self._tier(-1)]
+
+    @contextlib.contextmanager
+    def _forced_tier(self, tier: str):
+        """Run the kernels at ``tier`` inside the block, for tests that
+        compare the tiers.  The tier is the library's, so it holds for
+        every binding of the same file in the process; it is restored
+        on exit.  Raises ValueError when this build or CPU lacks it."""
+        before = self._tier(-1)
+        try:
+            if TIERS[self._tier(TIERS.index(tier))] != tier:
+                raise ValueError(
+                    f"vector tier {tier!r} is not available in the "
+                    f"{self.variant} build on this CPU"
+                )
+            yield self
+        finally:
+            self._tier(before)
 
     def _bind(self, name: str, *operands, dtype=None):
         """The ``name`` kernel for ``dtype`` (default: the first operand's),
@@ -694,20 +740,22 @@ class _Kernels:
 
 
 #: (n, rows, inverse, div_by, mul_by) full-transform probes of the
-#: Stockham kernel.  Together they reach every pass kind of the AVX2
-#: build in both dtypes: the first stage pair (half = 1 and 2, narrower
-#: than a float vector), later pairs with one and several vectors per
-#: row, the odd last radix-2 stage, and the scalar fallback for rows
-#: shorter than four vectors (n < 16 float, n < 8 double); forward and
-#: inverse tables; div-only and div+mul scaling of a last pair and of a
-#: last radix-2 stage.
+#: Stockham kernel.  Together they reach every pass kind of the vector
+#: tiers in both dtypes, each over pairs of rows and an odd last row
+#: (the AVX-512 tier's paired path and its AVX2 leftover): the
+#: register-resident rows of n = 4W (16 float, 8 double), the first
+#: stage pair (half = 1 and 2, narrower than a vector) of longer rows,
+#: later pairs with one and several vectors per row, the odd last
+#: radix-2 stage, and the scalar fallback for shorter rows (n < 16
+#: float, n < 8 double); forward and inverse tables; div-only and
+#: div+mul scaling of a last pair and of a last radix-2 stage.
 _STOCKHAM_PROBES = [
     (2, 3, False, None, None),
     (4, 3, True, 4.0, None),
     (8, 5, False, 8.0, 0.5),
     (16, 3, True, 16.0, None),
     (32, 3, True, 32.0, 0.375),
-    (64, 2, False, 64.0, None),
+    (64, 3, False, 64.0, None),
 ]
 
 #: The signed values of the scaling probe.
@@ -952,15 +1000,17 @@ def _self_check(k: _Kernels) -> bool:
             if not _stockham_matches(k, x, True, float(x.shape[1]), 0.375):
                 return False
         # The contraction kernels tile the unit-stride index: probe a
-        # full tile plus a tail (m = 64 + 6, q = 16 + 6).  The panel
-        # probe also runs the AVX2 build's 8 (4 in double) mode by 4
-        # channel register blocks with both tails: m = 70 leaves 6 (2)
-        # modes, o = 5 one channel.
+        # full tile plus a tail (m = 64 + 14, q = 16 + 6).  The panel
+        # probe also runs the vector tiers' register blocks of modes by
+        # 4 channels with both tails: m = 78 is four 16-mode AVX-512
+        # blocks, one 8-mode AVX2 block and 6 modes in float (nine
+        # 8-mode blocks, one 4-mode block and 2 in double); o = 5
+        # leaves one channel.
         # panel contract == acc += einsum
-        a, w, acc0 = cplx(3, 4, 70), cplx(4, 5), cplx(3, 5, 70)
+        a, w, acc0 = cplx(3, 4, 78), cplx(4, 5), cplx(3, 5, 78)
         ref = acc0 + np.einsum("bkm,ko->bom", a, w)
         got = acc0.copy()
-        k.panel_contract(a, w, got, 3, 4, 70, 5)
+        k.panel_contract(a, w, got, 3, 4, 78, 5)
         if not _same_bits(ref, got):
             return False
         # decomp reduce == einsum "...pk,pk->...k"
@@ -979,20 +1029,21 @@ def _self_check(k: _Kernels) -> bool:
             return False
         # The pruned R2C/C2R staging kernels against the NumPy
         # compositions they replace: a transpose; the mirrored pair
-        # across a full tile plus a tail of kept bins (m = 16 + 3 of
-        # q = 22, in the AVX2 build 2 blocks of 8, 4 of 4 in double,
-        # plus 3); the head/tail expansion across a full 64-bin tile
-        # (8 or 16 blocks) plus a 6-bin scalar tail (q = 70), and with
-        # one row and one tail bin.
+        # across full tiles plus a tail of kept bins (m = 32 + 11 of
+        # q = 48: in float two AVX-512 blocks of 16, one AVX2 block of 8
+        # and 3 scalar bins, in double five blocks of 8 and 3); the
+        # head/tail expansion across a full 64-bin tile (head, mixed and
+        # tail blocks) plus a 6-bin scalar tail (q = 70), and with one
+        # row and one tail bin.
         src = cplx(3, 5, 7)
         got = np.empty((3, 7, 5), dtype)
         k.transpose(src, got, 3, 5, 7)
         if not _same_bits(np.ascontiguousarray(np.swapaxes(src, 1, 2)), got):
             return False
-        u, v = cplx(3, 22), cplx(3, 22)
-        ref, got = np.empty((4, 19), dtype), np.empty((4, 19), dtype)
+        y, u, v = cplx(4, 3, 48), cplx(3, 48), cplx(3, 48)
+        ref, got = np.empty((4, 43), dtype), np.empty((4, 43), dtype)
         compiled.decomp_mirror(y, u, v, ref)
-        k.decomp_mirror(y, u, v, got, 4, 3, 22, 19)
+        k.decomp_mirror(y, u, v, got, 4, 3, 48, 43)
         if not _same_bits(ref, got):
             return False
         x3, ch, ct = cplx(3, 37), cplx(37), cplx(36)
@@ -1145,7 +1196,8 @@ def get_kernels() -> _Kernels | None:
             continue
         if _self_check(kernels):
             _state["kernels"] = kernels
-            _state["info"] = f"loaded ({tag}) from {lib_path}"
+            _state["info"] = (f"loaded ({tag}, {kernels.tier}) from "
+                              f"{lib_path}")
             return kernels
         _state["info"] = f"variant {tag} failed the bit-exactness self-check"
     return _state["kernels"]

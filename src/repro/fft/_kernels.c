@@ -77,19 +77,25 @@
  * is enabled globally (even under -ffp-contract=off), which would break
  * the einsum replicas.  The kernels that *need* FMA semantics opt in
  * per-function via the target attribute when REPRO_TARGET_FMA is set.
- * That build (AVX2_KERNELS) writes four kernels in AVX2 intrinsics:
+ * That build (AVX2_KERNELS) writes four kernels in vector intrinsics,
+ * each at two tiers, AVX2 (256-bit registers) and AVX-512 (512-bit),
+ * one of which runs per process (see vector_tier below):
  *   - the Stockham FFT (GCC leaves the interleaved FMA butterfly
  *     scalar): every stage runs full vectors, including the half = 1
- *     and 2 stages, and stages run in pairs through registers;
+ *     and 2 stages, and stages run in pairs through registers; the
+ *     AVX-512 tier runs two rows per register, one per 256-bit half;
  *   - panel_contract (GCC's vectorized tile loop reloads its partial
  *     sums every k): a register block of modes by output channels,
- *     with plain multiplies and adds only and no FMA target, so nothing
- *     can be contracted;
- *   - decomp_mirror: blocks of 8 (4 in double) kept bins with re/im
- *     split, plain multiplies and adds, p summed in order;
+ *     with plain multiplies and adds only (the AVX2 block without an
+ *     FMA target), so nothing can be contracted;
+ *   - decomp_mirror: blocks of 8 (4 in double) kept bins, 16 (8) in
+ *     the AVX-512 tier, with re/im split, plain multiplies and adds, p
+ *     summed in order;
  *   - expand_head_tail's head/tail build and product loop: the same
  *     blocks, with the ufunc multiply's explicit fmsub/fmadd.
- * Their tails (and blocks wider than the data) run the scalar tiles.
+ * Each tier's ops per lane are the scalar loops' ops, so the bytes do
+ * not depend on the tier.  Their tails (and blocks wider than the data)
+ * run the smaller blocks, then the scalar tiles.
  * All four keep the scalar loops' bits on every non-NaN value; only NaN
  * payloads and signs may differ.  The generic build runs the scalar
  * loops, which stay the reference.  repro.fft._ckernels self-checks
@@ -102,10 +108,45 @@
 #if defined(__x86_64__) && defined(REPRO_TARGET_FMA)
 #include <immintrin.h>
 #define FMA_TARGET __attribute__((target("fma,avx2")))
+#define ZMM_TARGET \
+    __attribute__((target("avx512f,avx512dq,avx512vl,avx2,fma")))
 #define AVX2_KERNELS 1
 #else
 #define FMA_TARGET
 #endif
+
+/* The vector tier the kernels run at: the scalar loops (the generic
+ * build), AVX2 (256-bit registers), or AVX-512 (512-bit registers, two
+ * rows or twice the modes per register).  The AVX2 build picks AVX-512
+ * once per process, before any kernel runs, when the CPU reports
+ * avx512f/dq/vl and the OS saves their registers (CPUID and XCR0, as
+ * __builtin_cpu_supports reads them); both tiers give the same bytes.
+ * vector_tier(want) sets a tier the host supports (want < 0 only
+ * queries) and returns the tier in effect: the loader reports it, and
+ * the tier tests run every kernel at both tiers. */
+#define TIER_SCALAR 0
+#define TIER_AVX2 1
+#define TIER_AVX512 2
+
+#ifdef AVX2_KERNELS
+#define TIER_FLOOR TIER_AVX2
+static int tier = TIER_AVX2, tier_best = TIER_AVX2;
+
+__attribute__((constructor)) static void pick_tier(void) {
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq")
+            && __builtin_cpu_supports("avx512vl"))
+        tier = tier_best = TIER_AVX512;
+}
+#else
+#define TIER_FLOOR TIER_SCALAR
+static int tier = TIER_SCALAR, tier_best = TIER_SCALAR;
+#endif
+
+long vector_tier(long want) {
+    if (want >= TIER_FLOOR && want <= tier_best) tier = (int)want;
+    return tier;
+}
 
 /* NumPy's scalar-loop complex multiply.  It stays out of the FMA target
  * functions: GCC contracts plain expressions inside them. */
@@ -214,9 +255,11 @@ STOCKHAM_SCALAR(, stockham_f64, double, fma, cmul_unfused_f64)
 STOCKHAM_SCALAR(static, stockham_scalar_f32, float, fmaf, cmul_unfused_f32)
 STOCKHAM_SCALAR(static, stockham_scalar_f64, double, fma, cmul_unfused_f64)
 
-/* AVX2 transform, bit-identical to the scalar one on every non-NaN
- * value.  A vector holds W = 4 (float) or 2 (double) interleaved complex
- * values, and each step below is one vector of every operand:
+/* Vector transform, bit-identical to the scalar one on every non-NaN
+ * value.  Each row runs in W = 4 (float) or 2 (double) interleaved
+ * complex values per step, one step per ymm register (the AVX2 tier)
+ * or per 256-bit half of a zmm register, two rows per zmm (the AVX-512
+ * tier); each step below is one such step of every operand:
  *   - w*b: fmaddsub(wr, b, wi*swap(b)) is fma(wr, br, -(wi*bi)) in the
  *     real lanes and fma(wr, bi, wi*br) in the imaginary lanes, the
  *     scalar recurrence exactly (negating wi*bi is exact).
@@ -225,203 +268,331 @@ STOCKHAM_SCALAR(static, stockham_scalar_f64, double, fma, cmul_unfused_f64)
  *     row is read and written once per two stages.  Row quarters x0..x3
  *     at complex index i, n/4+i, n/2+i, 3n/4+i feed the four outputs
  *     at 4i - 3j + {0, h, 2h, 3h} (j = i mod h).
- *   - The first pair (h = 1, 2) is narrower than a vector: the loop
- *     runs over i with broadcast twiddles, and a 4x4 (float) or 2x2
- *     (double) transpose of complex values interleaves the outputs.
- *     Later pairs (h >= 4) are plain vector loops.
+ *   - The first pair (h = 1, 2) is narrower than a step: the loop runs
+ *     over i with broadcast twiddles, and a 4x4 (float) or 2x2 (double)
+ *     transpose of complex values interleaves each row's outputs (one
+ *     permutex2var per output vector in the AVX-512 tier).  Later pairs
+ *     (h >= W) are plain vector loops.
  *   - An odd stage count leaves a last radix-2 stage, half = n/2.
+ *   - A row of n = 4W is one step of the first pair, whose outputs are
+ *     the quarters of the stages after it, so it runs every stage in
+ *     registers.
  *   - div/mul are the scalar code's complex ops on every lane.
- * Rows shorter than 4W run the scalar transform.  Only NaN payloads and
- * signs may differ from the scalar build. */
+ * In the AVX-512 tier the two rows' quarters are loaded and stored as
+ * 256-bit halves and every twiddle is broadcast to both halves, so each
+ * half runs the AVX2 tier's operation sequence on its own row; an odd
+ * last row runs the AVX2 tier.  The tier is picked once per process
+ * (vector_tier), and the bytes do not depend on it.  Rows shorter than
+ * 4W run the scalar transform.  Only NaN payloads and signs may differ
+ * from the scalar build. */
 
-static inline FMA_TARGET __m256 cmul_ps(__m256 wr, __m256 wi, __m256 b) {
-    __m256 bs = _mm256_permute_ps(b, 0xB1);          /* bi br per pair */
-    return _mm256_fmaddsub_ps(wr, b, _mm256_mul_ps(wi, bs));
+/* The lane primitives of each vector type H: ps/pd (one row per ymm),
+ * zps/zpd (two rows per zmm, one per 256-bit half).  ld/st move one
+ * step of each of the vector's rows (rs apart), twl loads W complex
+ * twiddles into every row's half, swap exchanges each complex value's
+ * parts, re/im copy its real/imaginary part into both of its lanes. */
+static inline __m256 ld_ps(const float* p, long rs) {
+    (void)rs;
+    return _mm256_loadu_ps(p);
+}
+static inline void st_ps(float* p, long rs, __m256 v) {
+    (void)rs;
+    _mm256_storeu_ps(p, v);
+}
+static inline __m256 twl_ps(const float* t) { return _mm256_loadu_ps(t); }
+static inline __m256 swap_ps(__m256 v) { return _mm256_permute_ps(v, 0xB1); }
+static inline __m256 re_ps(__m256 v) { return _mm256_moveldup_ps(v); }
+static inline __m256 im_ps(__m256 v) { return _mm256_movehdup_ps(v); }
+
+static inline __m256d ld_pd(const double* p, long rs) {
+    (void)rs;
+    return _mm256_loadu_pd(p);
+}
+static inline void st_pd(double* p, long rs, __m256d v) {
+    (void)rs;
+    _mm256_storeu_pd(p, v);
+}
+static inline __m256d twl_pd(const double* t) { return _mm256_loadu_pd(t); }
+static inline __m256d swap_pd(__m256d v) { return _mm256_permute_pd(v, 0x5); }
+static inline __m256d re_pd(__m256d v) { return _mm256_movedup_pd(v); }
+static inline __m256d im_pd(__m256d v) { return _mm256_permute_pd(v, 0xF); }
+
+static inline ZMM_TARGET __m512 ld_zps(const float* p, long rs) {
+    return _mm512_insertf32x8(_mm512_castps256_ps512(_mm256_loadu_ps(p)),
+                              _mm256_loadu_ps(p + rs), 1);
+}
+static inline ZMM_TARGET void st_zps(float* p, long rs, __m512 v) {
+    _mm256_storeu_ps(p, _mm512_castps512_ps256(v));
+    _mm256_storeu_ps(p + rs, _mm512_extractf32x8_ps(v, 1));
+}
+static inline ZMM_TARGET __m512 twl_zps(const float* t) {
+    return _mm512_broadcast_f32x8(_mm256_loadu_ps(t));
+}
+static inline ZMM_TARGET __m512 swap_zps(__m512 v) {
+    return _mm512_permute_ps(v, 0xB1);
+}
+static inline ZMM_TARGET __m512 re_zps(__m512 v) {
+    return _mm512_moveldup_ps(v);
+}
+static inline ZMM_TARGET __m512 im_zps(__m512 v) {
+    return _mm512_movehdup_ps(v);
 }
 
-static inline FMA_TARGET __m256d cmul_pd(__m256d wr, __m256d wi,
-                                         __m256d b) {
-    __m256d bs = _mm256_permute_pd(b, 0x5);
-    return _mm256_fmaddsub_pd(wr, b, _mm256_mul_pd(wi, bs));
+static inline ZMM_TARGET __m512d ld_zpd(const double* p, long rs) {
+    return _mm512_insertf64x4(_mm512_castpd256_pd512(_mm256_loadu_pd(p)),
+                              _mm256_loadu_pd(p + rs), 1);
+}
+static inline ZMM_TARGET void st_zpd(double* p, long rs, __m512d v) {
+    _mm256_storeu_pd(p, _mm512_castpd512_pd256(v));
+    _mm256_storeu_pd(p + rs, _mm512_extractf64x4_pd(v, 1));
+}
+static inline ZMM_TARGET __m512d twl_zpd(const double* t) {
+    return _mm512_broadcast_f64x4(_mm256_loadu_pd(t));
+}
+static inline ZMM_TARGET __m512d swap_zpd(__m512d v) {
+    return _mm512_permute_pd(v, 0x55);
+}
+static inline ZMM_TARGET __m512d re_zpd(__m512d v) {
+    return _mm512_movedup_pd(v);
+}
+static inline ZMM_TARGET __m512d im_zpd(__m512d v) {
+    return _mm512_permute_pd(v, 0xFF);
 }
 
-/* *p = a + w*b, *m = a - w*b; wr/wi hold w's parts in every lane of
- * its complex value. */
-static inline FMA_TARGET void bfly_ps(__m256 a, __m256 b, __m256 wr,
-                                      __m256 wi, __m256* p, __m256* m) {
-    __m256 wb = cmul_ps(wr, wi, b);
-    *p = _mm256_add_ps(a, wb);
-    *m = _mm256_sub_ps(a, wb);
+/* The complex helpers of vector type H (intrinsics PFX_op_SFX):
+ *   - cmul: w*b, wr/wi holding w's parts in every lane of its value;
+ *   - bfly: *p = a + w*b, *m = a - w*b;
+ *   - tw: the (wr, wi) lane split of W twiddles at t;
+ *   - scale: SCALE_COMPLEX on every value.  rat holds (rat, -rat) per
+ *     complex value, so v + swap(v)*rat is (re + im*rat, im - re*rat);
+ *     mb holds (mul_by, 0), and multiplying v by it is the ufunc
+ *     multiply of cmul.  The vector passes never see a one-element
+ *     array. */
+#define COMPLEX_HELPERS(H, T, V, PFX, SFX, TGT)                          \
+static inline TGT V cmul_##H(V wr, V wi, V b) {                          \
+    return PFX##_fmaddsub_##SFX(wr, b, PFX##_mul_##SFX(wi, swap_##H(b)));\
+}                                                                        \
+                                                                         \
+static inline TGT void bfly_##H(V a, V b, V wr, V wi, V* p, V* m) {      \
+    V wb = cmul_##H(wr, wi, b);                                          \
+    *p = PFX##_add_##SFX(a, wb);                                         \
+    *m = PFX##_sub_##SFX(a, wb);                                         \
+}                                                                        \
+                                                                         \
+static inline TGT void tw_##H(const T* t, V* wr, V* wi) {                \
+    V w = twl_##H(t);                                                    \
+    *wr = re_##H(w);                                                     \
+    *wi = im_##H(w);                                                     \
+}                                                                        \
+                                                                         \
+static inline TGT V scale_##H(V v, int do_div, V rat, V scl, int do_mul, \
+                              V mb) {                                    \
+    if (do_div) {                                                        \
+        V t = PFX##_mul_##SFX(swap_##H(v), rat);                         \
+        v = PFX##_mul_##SFX(PFX##_add_##SFX(v, t), scl);                 \
+    }                                                                    \
+    if (do_mul)                                                          \
+        v = cmul_##H(re_##H(v), im_##H(v), mb);                          \
+    return v;                                                            \
 }
 
-static inline FMA_TARGET void bfly_pd(__m256d a, __m256d b, __m256d wr,
-                                      __m256d wi, __m256d* p, __m256d* m) {
-    __m256d wb = cmul_pd(wr, wi, b);
-    *p = _mm256_add_pd(a, wb);
-    *m = _mm256_sub_pd(a, wb);
+COMPLEX_HELPERS(ps, float, __m256, _mm256, ps, FMA_TARGET)
+COMPLEX_HELPERS(pd, double, __m256d, _mm256, pd, FMA_TARGET)
+COMPLEX_HELPERS(zps, float, __m512, _mm512, ps, ZMM_TARGET)
+COMPLEX_HELPERS(zpd, double, __m512d, _mm512, pd, ZMM_TARGET)
+
+/* The first pair's outputs of one step: lane k of (a, b, c, d) in a row
+ * is out[4(i+k) + 0, 1, 2, 3]; v[0..3] receive them in memory order, W
+ * complex values of each row apiece. */
+static inline FMA_TARGET void first_mix_ps(__m256 a, __m256 b, __m256 c,
+                                           __m256 d, __m256* v) {
+    __m256d ab0 = _mm256_unpacklo_pd(_mm256_castps_pd(a),
+                                     _mm256_castps_pd(b));
+    __m256d ab1 = _mm256_unpackhi_pd(_mm256_castps_pd(a),
+                                     _mm256_castps_pd(b));
+    __m256d cd0 = _mm256_unpacklo_pd(_mm256_castps_pd(c),
+                                     _mm256_castps_pd(d));
+    __m256d cd1 = _mm256_unpackhi_pd(_mm256_castps_pd(c),
+                                     _mm256_castps_pd(d));
+    v[0] = _mm256_castpd_ps(_mm256_permute2f128_pd(ab0, cd0, 0x20));
+    v[1] = _mm256_castpd_ps(_mm256_permute2f128_pd(ab1, cd1, 0x20));
+    v[2] = _mm256_castpd_ps(_mm256_permute2f128_pd(ab0, cd0, 0x31));
+    v[3] = _mm256_castpd_ps(_mm256_permute2f128_pd(ab1, cd1, 0x31));
 }
 
-/* The (wr, wi) lane split of one vector of twiddles at t. */
-static inline FMA_TARGET void tw_ps(const float* t, __m256* wr,
-                                    __m256* wi) {
-    __m256 w = _mm256_loadu_ps(t);
-    *wr = _mm256_moveldup_ps(w);
-    *wi = _mm256_movehdup_ps(w);
+static inline FMA_TARGET void first_mix_pd(__m256d a, __m256d b, __m256d c,
+                                           __m256d d, __m256d* v) {
+    v[0] = _mm256_permute2f128_pd(a, b, 0x20);
+    v[1] = _mm256_permute2f128_pd(c, d, 0x20);
+    v[2] = _mm256_permute2f128_pd(a, b, 0x31);
+    v[3] = _mm256_permute2f128_pd(c, d, 0x31);
 }
 
-static inline FMA_TARGET void tw_pd(const double* t, __m256d* wr,
-                                    __m256d* wi) {
-    __m256d w = _mm256_loadu_pd(t);
-    *wr = _mm256_movedup_pd(w);
-    *wi = _mm256_permute_pd(w, 0xF);
+/* The same per 256-bit half: each output vector gathers one row's
+ * 128-bit lanes from two sources in one permutex2var (lanes 0-7 the
+ * first source, 8-15 the second, both halves at once). */
+#define FIRST_LO _mm512_setr_epi64(0, 1, 8, 9, 4, 5, 12, 13)
+#define FIRST_HI _mm512_setr_epi64(2, 3, 10, 11, 6, 7, 14, 15)
+
+static inline ZMM_TARGET void first_mix_zps(__m512 a, __m512 b, __m512 c,
+                                            __m512 d, __m512* v) {
+    __m512d ab0 = _mm512_unpacklo_pd(_mm512_castps_pd(a),
+                                     _mm512_castps_pd(b));
+    __m512d ab1 = _mm512_unpackhi_pd(_mm512_castps_pd(a),
+                                     _mm512_castps_pd(b));
+    __m512d cd0 = _mm512_unpacklo_pd(_mm512_castps_pd(c),
+                                     _mm512_castps_pd(d));
+    __m512d cd1 = _mm512_unpackhi_pd(_mm512_castps_pd(c),
+                                     _mm512_castps_pd(d));
+    v[0] = _mm512_castpd_ps(_mm512_permutex2var_pd(ab0, FIRST_LO, cd0));
+    v[1] = _mm512_castpd_ps(_mm512_permutex2var_pd(ab1, FIRST_LO, cd1));
+    v[2] = _mm512_castpd_ps(_mm512_permutex2var_pd(ab0, FIRST_HI, cd0));
+    v[3] = _mm512_castpd_ps(_mm512_permutex2var_pd(ab1, FIRST_HI, cd1));
 }
 
-/* SCALE_COMPLEX on one vector.  rat holds (rat, -rat) per complex
- * value, so v + swap(v)*rat is (re + im*rat, im - re*rat); mb holds
- * (mul_by, 0), and multiplying v by it is the ufunc multiply of cmul.
- * The vector passes never see a one-element array. */
-static inline FMA_TARGET __m256 scale_ps(__m256 v, int do_div, __m256 rat,
-                                         __m256 scl, int do_mul,
-                                         __m256 mb) {
-    if (do_div) {
-        __m256 t = _mm256_mul_ps(_mm256_permute_ps(v, 0xB1), rat);
-        v = _mm256_mul_ps(_mm256_add_ps(v, t), scl);
+static inline ZMM_TARGET void first_mix_zpd(__m512d a, __m512d b,
+                                            __m512d c, __m512d d,
+                                            __m512d* v) {
+    v[0] = _mm512_permutex2var_pd(a, FIRST_LO, b);
+    v[1] = _mm512_permutex2var_pd(c, FIRST_LO, d);
+    v[2] = _mm512_permutex2var_pd(a, FIRST_HI, b);
+    v[3] = _mm512_permutex2var_pd(c, FIRST_HI, d);
+}
+
+/* The steps every pass is made of, on the vectors of type V (helpers
+ * H); rs is the row stride of the vector's rows.
+ *   - FIRST_STEP: stages h = 1, 2 of the quarters at complex index i of
+ *     rows r (n = 4q), with the broadcast twiddles u (wr, wi of stage 1,
+ *     then of the two stage-2 values), into v (first_mix order).
+ *   - PAIR_STEP: stages h and 2h of the quarters x, with the (wr, wi)
+ *     splits w of the twiddles at j, h+j and 2h+j; the four outputs go
+ *     to op, op + 2h, op + 4h, op + 6h.
+ *   - RADIX2_STEP: one radix-2 stage of a and b, outputs to o0 and o1.
+ * The last two scale their stores with the enclosing pass's do_div, vr,
+ * vs, do_mul and vm. */
+#define FIRST_STEP(V, H, r, q, i, rs, u, v)                              \
+    {                                                                    \
+        V p0, m0, p1, m1, a, b, c, d;                                    \
+        bfly_##H(ld_##H((r) + 2*(i), rs), ld_##H((r) + 2*(2*(q)+(i)), rs),\
+                 u[0], u[1], &p0, &m0);                                  \
+        bfly_##H(ld_##H((r) + 2*((q)+(i)), rs),                          \
+                 ld_##H((r) + 2*(3*(q)+(i)), rs), u[0], u[1], &p1, &m1); \
+        bfly_##H(p0, p1, u[2], u[3], &a, &c);                            \
+        bfly_##H(m0, m1, u[4], u[5], &b, &d);                            \
+        first_mix_##H(a, b, c, d, v);                                    \
     }
-    if (do_mul)
-        v = cmul_ps(_mm256_moveldup_ps(v), _mm256_movehdup_ps(v), mb);
-    return v;
-}
 
-static inline FMA_TARGET __m256d scale_pd(__m256d v, int do_div,
-                                          __m256d rat, __m256d scl,
-                                          int do_mul, __m256d mb) {
-    if (do_div) {
-        __m256d t = _mm256_mul_pd(_mm256_permute_pd(v, 0x5), rat);
-        v = _mm256_mul_pd(_mm256_add_pd(v, t), scl);
+#define PAIR_STEP(V, H, x, w, op, h, rs)                                 \
+    {                                                                    \
+        V p0, m0, p1, m1, a, b, c, d;                                    \
+        bfly_##H(x[0], x[2], w[0], w[1], &p0, &m0);                      \
+        bfly_##H(x[1], x[3], w[0], w[1], &p1, &m1);                      \
+        bfly_##H(p0, p1, w[2], w[3], &a, &c);                            \
+        bfly_##H(m0, m1, w[4], w[5], &b, &d);                            \
+        st_##H(op, rs, scale_##H(a, do_div, vr, vs, do_mul, vm));        \
+        st_##H((op) + 2*(h), rs, scale_##H(b, do_div, vr, vs, do_mul, vm));\
+        st_##H((op) + 4*(h), rs, scale_##H(c, do_div, vr, vs, do_mul, vm));\
+        st_##H((op) + 6*(h), rs, scale_##H(d, do_div, vr, vs, do_mul, vm));\
     }
-    if (do_mul)
-        v = cmul_pd(_mm256_movedup_pd(v), _mm256_permute_pd(v, 0xF), mb);
-    return v;
-}
 
-/* Stages h = 1, 2 (never the last: n >= 4W).  Lane k of (a, b, c, d)
- * is out[4(i+k) + 0, 1, 2, 3]. */
-static FMA_TARGET void first_pair_f32(const float* cur, float* nxt,
-                                      const float* twp, long rows, long n) {
-    const __m256 wr = _mm256_set1_ps(twp[0]), wi = _mm256_set1_ps(twp[1]);
-    const __m256 ur = _mm256_set1_ps(twp[2]), ui = _mm256_set1_ps(twp[3]);
-    const __m256 vr = _mm256_set1_ps(twp[4]), vi = _mm256_set1_ps(twp[5]);
-    long q = n / 4;
-    for (long row = 0; row < rows; row++) {
-        const float* r = cur + 2*row*n;
-        float* o = nxt + 2*row*n;
-        for (long i = 0; i < q; i += 4) {
-            __m256 p0, m0, p1, m1, a, b, c, d;
-            bfly_ps(_mm256_loadu_ps(r + 2*i), _mm256_loadu_ps(r + 2*(2*q+i)),
-                    wr, wi, &p0, &m0);
-            bfly_ps(_mm256_loadu_ps(r + 2*(q+i)),
-                    _mm256_loadu_ps(r + 2*(3*q+i)), wr, wi, &p1, &m1);
-            bfly_ps(p0, p1, ur, ui, &a, &c);
-            bfly_ps(m0, m1, vr, vi, &b, &d);
-            __m256d ab0 = _mm256_unpacklo_pd(_mm256_castps_pd(a),
-                                             _mm256_castps_pd(b));
-            __m256d ab1 = _mm256_unpackhi_pd(_mm256_castps_pd(a),
-                                             _mm256_castps_pd(b));
-            __m256d cd0 = _mm256_unpacklo_pd(_mm256_castps_pd(c),
-                                             _mm256_castps_pd(d));
-            __m256d cd1 = _mm256_unpackhi_pd(_mm256_castps_pd(c),
-                                             _mm256_castps_pd(d));
-            _mm256_storeu_ps(o + 8*i, _mm256_castpd_ps(
-                _mm256_permute2f128_pd(ab0, cd0, 0x20)));
-            _mm256_storeu_ps(o + 8*i + 8, _mm256_castpd_ps(
-                _mm256_permute2f128_pd(ab1, cd1, 0x20)));
-            _mm256_storeu_ps(o + 8*i + 16, _mm256_castpd_ps(
-                _mm256_permute2f128_pd(ab0, cd0, 0x31)));
-            _mm256_storeu_ps(o + 8*i + 24, _mm256_castpd_ps(
-                _mm256_permute2f128_pd(ab1, cd1, 0x31)));
-        }
+#define RADIX2_STEP(V, H, a, b, wr, wi, o0, o1, rs)                      \
+    {                                                                    \
+        V p, m;                                                          \
+        bfly_##H(a, b, wr, wi, &p, &m);                                  \
+        st_##H(o0, rs, scale_##H(p, do_div, vr, vs, do_mul, vm));        \
+        st_##H(o1, rs, scale_##H(m, do_div, vr, vs, do_mul, vm));        \
     }
-}
 
-static FMA_TARGET void first_pair_f64(const double* cur, double* nxt,
-                                      const double* twp, long rows,
-                                      long n) {
-    const __m256d wr = _mm256_set1_pd(twp[0]), wi = _mm256_set1_pd(twp[1]);
-    const __m256d ur = _mm256_set1_pd(twp[2]), ui = _mm256_set1_pd(twp[3]);
-    const __m256d vr = _mm256_set1_pd(twp[4]), vi = _mm256_set1_pd(twp[5]);
-    long q = n / 4;
-    for (long row = 0; row < rows; row++) {
-        const double* r = cur + 2*row*n;
-        double* o = nxt + 2*row*n;
-        for (long i = 0; i < q; i += 2) {
-            __m256d p0, m0, p1, m1, a, b, c, d;
-            bfly_pd(_mm256_loadu_pd(r + 2*i), _mm256_loadu_pd(r + 2*(2*q+i)),
-                    wr, wi, &p0, &m0);
-            bfly_pd(_mm256_loadu_pd(r + 2*(q+i)),
-                    _mm256_loadu_pd(r + 2*(3*q+i)), wr, wi, &p1, &m1);
-            bfly_pd(p0, p1, ur, ui, &a, &c);
-            bfly_pd(m0, m1, vr, vi, &b, &d);
-            _mm256_storeu_pd(o + 8*i, _mm256_permute2f128_pd(a, b, 0x20));
-            _mm256_storeu_pd(o + 8*i + 4, _mm256_permute2f128_pd(c, d, 0x20));
-            _mm256_storeu_pd(o + 8*i + 8, _mm256_permute2f128_pd(a, b, 0x31));
-            _mm256_storeu_pd(o + 8*i + 12,
-                             _mm256_permute2f128_pd(c, d, 0x31));
-        }
-    }
+/* The twiddles of stages 1 and 2, broadcast (FIRST_STEP's u); and the
+ * Smith terms and multiplier of the scaling as vectors (scale's rat,
+ * scl and mb).  PAIRS(re, im) is a vector of (re, im) in every value. */
+#define FIRST_TWIDDLES(V, PFX, SFX, tw)                                  \
+    V u[6];                                                              \
+    for (int k = 0; k < 6; k++) u[k] = PFX##_set1_##SFX((tw)[k]);
+
+#define SCALE_TERMS(T, V, PFX, SFX, PAIRS)                               \
+    T rat = 0, scl = 0;                                                  \
+    if (do_div) { rat = (T)0 / div_by; scl = (T)1 / (div_by + 0*rat); }  \
+    V vr = PAIRS(rat, -rat), vs = PFX##_set1_##SFX(scl);                 \
+    V vm = PAIRS(mul_by, (T)0);
+
+/* Stages h = 1, 2 (never the last: n >= 8W), over the rows R at a time
+ * (every full group of R rows). */
+#define FIRST_PAIR(NAME, T, V, PFX, SFX, H, W, R, TGT)                   \
+static TGT void NAME(const T* cur, T* nxt, const T* twp, long rows,      \
+                     long n) {                                           \
+    FIRST_TWIDDLES(V, PFX, SFX, twp)                                     \
+    long q = n / 4, rs = 2*n;                                            \
+    for (long row = 0; row + (R) <= rows; row += (R)) {                  \
+        const T* r = cur + 2*row*n;                                      \
+        T* o = nxt + 2*row*n;                                            \
+        for (long i = 0; i < q; i += (W)) {                              \
+            V v[4];                                                      \
+            FIRST_STEP(V, H, r, q, i, rs, u, v)                          \
+            for (int k = 0; k < 4; k++)                                  \
+                st_##H(o + 8*i + 2*k*(W), rs, v[k]);                     \
+        }                                                                \
+    }                                                                    \
 }
 
 /* Stages h and 2h (h >= W), or with pair = 0 the single radix-2 stage
- * h = n/2; the last pass scales its stores. */
-#define AVX2_PASS(NAME, T, V, SFX, W, PAIRS)                             \
-static FMA_TARGET void NAME(const T* cur, T* nxt, const T* twp,          \
-                            long rows, long n, long h, int pair,         \
-                            int do_div, T div_by, int do_mul,            \
-                            T mul_by) {                                  \
-    T rat = 0, scl = 0;                                                  \
-    if (do_div) { rat = (T)0 / div_by; scl = (T)1 / (div_by + 0*rat); }  \
-    V vr = PAIRS(rat, -rat), vs = _mm256_set1_##SFX(scl);                \
-    V vm = PAIRS(mul_by, (T)0);                                          \
-    long q = n / 4;                                                      \
-    for (long row = 0; row < rows; row++) {                              \
+ * h = n/2, over the rows R at a time; the last pass scales its
+ * stores. */
+#define STOCKHAM_PASS(NAME, T, V, PFX, SFX, H, W, R, TGT, PAIRS)         \
+static TGT void NAME(const T* cur, T* nxt, const T* twp, long rows,      \
+                     long n, long h, int pair, int do_div, T div_by,     \
+                     int do_mul, T mul_by) {                             \
+    SCALE_TERMS(T, V, PFX, SFX, PAIRS)                                   \
+    long q = n / 4, rs = 2*n;                                            \
+    for (long row = 0; row + (R) <= rows; row += (R)) {                  \
         const T* r = cur + 2*row*n;                                      \
         T* o = nxt + 2*row*n;                                            \
         if (pair) {                                                      \
-            for (long i = 0; i < q; i += W) {                            \
+            for (long i = 0; i < q; i += (W)) {                          \
                 long j = i & (h - 1);                                    \
-                V wr, wi, p0, m0, p1, m1, a, b, c, d;                    \
-                tw_##SFX(twp + 2*j, &wr, &wi);                           \
-                bfly_##SFX(_mm256_loadu_##SFX(r + 2*i),                  \
-                           _mm256_loadu_##SFX(r + 2*(2*q+i)),            \
-                           wr, wi, &p0, &m0);                            \
-                bfly_##SFX(_mm256_loadu_##SFX(r + 2*(q+i)),              \
-                           _mm256_loadu_##SFX(r + 2*(3*q+i)),            \
-                           wr, wi, &p1, &m1);                            \
-                tw_##SFX(twp + 2*(h+j), &wr, &wi);                       \
-                bfly_##SFX(p0, p1, wr, wi, &a, &c);                      \
-                tw_##SFX(twp + 2*(2*h+j), &wr, &wi);                     \
-                bfly_##SFX(m0, m1, wr, wi, &b, &d);                      \
-                T* op = o + 2*(4*i - 3*j);                               \
-                _mm256_storeu_##SFX(op,                                  \
-                    scale_##SFX(a, do_div, vr, vs, do_mul, vm));         \
-                _mm256_storeu_##SFX(op + 2*h,                            \
-                    scale_##SFX(b, do_div, vr, vs, do_mul, vm));         \
-                _mm256_storeu_##SFX(op + 4*h,                            \
-                    scale_##SFX(c, do_div, vr, vs, do_mul, vm));         \
-                _mm256_storeu_##SFX(op + 6*h,                            \
-                    scale_##SFX(d, do_div, vr, vs, do_mul, vm));         \
+                V x[4], w[6];                                            \
+                for (int k = 0; k < 4; k++)                              \
+                    x[k] = ld_##H(r + 2*(k*q + i), rs);                  \
+                for (int k = 0; k < 3; k++)                              \
+                    tw_##H(twp + 2*(k*h + j), &w[2*k], &w[2*k+1]);       \
+                PAIR_STEP(V, H, x, w, o + 2*(4*i - 3*j), h, rs)          \
             }                                                            \
         } else {                                                         \
-            for (long i = 0; i < 2*q; i += W) {                          \
-                V wr, wi, p, m;                                          \
-                tw_##SFX(twp + 2*i, &wr, &wi);                           \
-                bfly_##SFX(_mm256_loadu_##SFX(r + 2*i),                  \
-                           _mm256_loadu_##SFX(r + 2*(2*q+i)),            \
-                           wr, wi, &p, &m);                              \
-                _mm256_storeu_##SFX(o + 2*i,                             \
-                    scale_##SFX(p, do_div, vr, vs, do_mul, vm));         \
-                _mm256_storeu_##SFX(o + 2*(2*q+i),                       \
-                    scale_##SFX(m, do_div, vr, vs, do_mul, vm));         \
+            for (long i = 0; i < 2*q; i += (W)) {                        \
+                V wr, wi;                                                \
+                tw_##H(twp + 2*i, &wr, &wi);                             \
+                RADIX2_STEP(V, H, ld_##H(r + 2*i, rs),                   \
+                            ld_##H(r + 2*(2*q+i), rs), wr, wi, o + 2*i,  \
+                            o + 2*(2*q+i), rs)                           \
             }                                                            \
+        }                                                                \
+    }                                                                    \
+}
+
+/* Rows of n = 4W, one step each, R at a time: the first pair's outputs
+ * are the last stages' quarters, so the transform runs in registers and
+ * every twiddle is split once per call.  log2(W) stages follow the
+ * first pair: a pair with h = W (float) or a radix-2 stage (double). */
+#define STOCKHAM_SHORT(NAME, T, V, PFX, SFX, H, W, R, TGT, PAIRS)        \
+static TGT void NAME(const T* x, T* out, const T* tw, long rows,         \
+                     int do_div, T div_by, int do_mul, T mul_by) {       \
+    SCALE_TERMS(T, V, PFX, SFX, PAIRS)                                   \
+    FIRST_TWIDDLES(V, PFX, SFX, tw)                                      \
+    long n = 4*(W), rs = 2*n;                                            \
+    V w[6];                                                              \
+    for (int k = 0; k < ((W) == 4 ? 3 : 2); k++)                         \
+        tw_##H(tw + 2*3 + 2*k*(W), &w[2*k], &w[2*k+1]);                  \
+    for (long row = 0; row + (R) <= rows; row += (R)) {                  \
+        const T* r = x + 2*row*n;                                        \
+        T* o = out + 2*row*n;                                            \
+        V v[4];                                                          \
+        FIRST_STEP(V, H, r, W, 0, rs, u, v)                              \
+        if ((W) == 4) {                                                  \
+            PAIR_STEP(V, H, v, w, o, W, rs)                              \
+        } else {                                                         \
+            RADIX2_STEP(V, H, v[0], v[2], w[0], w[1], o, o + 4*(W), rs)  \
+            RADIX2_STEP(V, H, v[1], v[3], w[2], w[3], o + 2*(W),         \
+                        o + 6*(W), rs)                                   \
         }                                                                \
     }                                                                    \
 }
@@ -429,19 +600,18 @@ static FMA_TARGET void NAME(const T* cur, T* nxt, const T* twp,          \
 /* A vector of (re, im) repeated over its complex values. */
 #define PAIRS_PS(re, im) _mm256_setr_ps(re, im, re, im, re, im, re, im)
 #define PAIRS_PD(re, im) _mm256_setr_pd(re, im, re, im)
+#define PAIRS_ZPS(re, im) _mm512_setr4_ps(re, im, re, im)
+#define PAIRS_ZPD(re, im) _mm512_setr4_pd(re, im, re, im)
 
-AVX2_PASS(pass_f32, float, __m256, ps, 4, PAIRS_PS)
-AVX2_PASS(pass_f64, double, __m256d, pd, 2, PAIRS_PD)
-
-/* The first pair, then pairs of stages, then a last radix-2 stage when
- * the stage count is odd; the last pass writes `out`. */
-#define STOCKHAM_VECTOR(NAME, T, W, SCALAR, FIRST, PASS)                 \
-FMA_TARGET void NAME(const T* x, T* out, T* scratch, const T* tw,        \
+/* Rows of 4W run SHORT; longer ones the first pair, then pairs of
+ * stages, then a last radix-2 stage when the stage count is odd; the
+ * last pass writes `out`.  n >= 4W. */
+#define STOCKHAM_STAGES(NAME, T, W, TGT, SHORT, FIRST, PASS)             \
+static TGT void NAME(const T* x, T* out, T* scratch, const T* tw,        \
                      long rows, long n, int do_div, T div_by,            \
                      int do_mul, T mul_by) {                             \
-    if (n < 4*(W)) {                                                     \
-        SCALAR(x, out, scratch, tw, rows, n, do_div, div_by,             \
-               do_mul, mul_by);                                          \
+    if (n == 4*(W)) {                                                    \
+        SHORT(x, out, tw, rows, do_div, div_by, do_mul, mul_by);         \
         return;                                                          \
     }                                                                    \
     long nstages = 0;                                                    \
@@ -461,10 +631,50 @@ FMA_TARGET void NAME(const T* x, T* out, T* scratch, const T* tw,        \
     }                                                                    \
 }
 
-STOCKHAM_VECTOR(stockham_f32, float, 4, stockham_scalar_f32,
-                first_pair_f32, pass_f32)
-STOCKHAM_VECTOR(stockham_f64, double, 2, stockham_scalar_f64,
-                first_pair_f64, pass_f64)
+/* One tier's transform from its steps: the vector type, intrinsics
+ * prefix and suffix, helper name, W and rows per vector. */
+#define STOCKHAM_TIER(NAME, T, V, PFX, SFX, H, W, R, TGT, PAIRS)         \
+STOCKHAM_SHORT(NAME##_short, T, V, PFX, SFX, H, W, R, TGT, PAIRS)        \
+FIRST_PAIR(NAME##_first, T, V, PFX, SFX, H, W, R, TGT)                   \
+STOCKHAM_PASS(NAME##_pass, T, V, PFX, SFX, H, W, R, TGT, PAIRS)          \
+STOCKHAM_STAGES(NAME, T, W, TGT, NAME##_short, NAME##_first, NAME##_pass)
+
+STOCKHAM_TIER(stockham_ps, float, __m256, _mm256, ps, ps, 4, 1,
+              FMA_TARGET, PAIRS_PS)
+STOCKHAM_TIER(stockham_pd, double, __m256d, _mm256, pd, pd, 2, 1,
+              FMA_TARGET, PAIRS_PD)
+STOCKHAM_TIER(stockham_zps, float, __m512, _mm512, ps, zps, 4, 2,
+              ZMM_TARGET, PAIRS_ZPS)
+STOCKHAM_TIER(stockham_zpd, double, __m512d, _mm512, pd, zpd, 2, 2,
+              ZMM_TARGET, PAIRS_ZPD)
+
+/* Rows shorter than 4W run scalar; in the AVX-512 tier the rows run in
+ * pairs and an odd last row runs the AVX2 tier (every buffer is
+ * row-major, so a row's slice is a transform of its own). */
+#define STOCKHAM_VECTOR(NAME, T, W, SCALAR, YMM, ZMM)                    \
+FMA_TARGET void NAME(const T* x, T* out, T* scratch, const T* tw,        \
+                     long rows, long n, int do_div, T div_by,            \
+                     int do_mul, T mul_by) {                             \
+    if (n < 4*(W)) {                                                     \
+        SCALAR(x, out, scratch, tw, rows, n, do_div, div_by,             \
+               do_mul, mul_by);                                          \
+        return;                                                          \
+    }                                                                    \
+    long paired = tier == TIER_AVX512 ? rows - rows % 2 : 0;             \
+    if (paired)                                                          \
+        ZMM(x, out, scratch, tw, paired, n, do_div, div_by, do_mul,      \
+            mul_by);                                                     \
+    if (paired < rows) {                                                 \
+        long off = 2*paired*n;                                           \
+        YMM(x + off, out + off, scratch + off, tw, rows - paired, n,     \
+            do_div, div_by, do_mul, mul_by);                             \
+    }                                                                    \
+}
+
+STOCKHAM_VECTOR(stockham_f32, float, 4, stockham_scalar_f32, stockham_ps,
+                stockham_zps)
+STOCKHAM_VECTOR(stockham_f64, double, 2, stockham_scalar_f64, stockham_pd,
+                stockham_zpd)
 #endif
 
 /* ------------------------------------------------------------------ */
@@ -521,16 +731,19 @@ void NAME(const T* a, const T* w, T* acc,                                \
 PANEL_CONTRACT(panel_contract_f32, float)
 PANEL_CONTRACT(panel_contract_f64, double)
 #else
-/* The AVX2 contraction: register blocks of MB modes (one vector of real
- * parts) by PANEL_OB output channels.  Per k, the block's a values are
+/* The vector contraction: register blocks of MB modes (one vector of
+ * real parts; 8 (4 in double) in the AVX2 tier, 16 (8) in the AVX-512
+ * tier) by PANEL_OB output channels.  Per k, the block's a values are
  * loaded as two interleaved vectors and split once into real and
  * imaginary parts (in a lane order shared by both, undone at the store);
  * each channel then broadcasts its w[k, oo] and updates its two partial
  * sum vectors.  Each element's ops are PANEL_CONTRACT_TILE's: sums from
  * +0, t += ar*wr - ai*wi and t += ar*wi + ai*wr for k in order, then
- * acc += t, as plain vector multiplies, subtracts and adds.  The m % MB
- * modes of the full channel blocks and the o % PANEL_OB trailing
- * channels run through PANEL_CONTRACT_TILE. */
+ * acc += t, as plain vector multiplies, subtracts and adds, so the
+ * bytes do not depend on the tier.  In the AVX-512 tier an 8 (4) mode
+ * remainder of the full channel blocks runs one AVX2 block.  The modes
+ * left over and the o % PANEL_OB trailing channels run through
+ * PANEL_CONTRACT_TILE. */
 #define PANEL_OB 4
 
 static inline void split_ps(const float* p, __m256* re, __m256* im) {
@@ -559,44 +772,100 @@ static inline void add_split_pd(double* p, __m256d re, __m256d im) {
                                           _mm256_unpackhi_pd(re, im)));
 }
 
-/* acc[b, oo..oo+PANEL_OB, m0..m0+MB] += the block's panel sums. */
-#define PANEL_BLOCK(NAME, T, V, SFX)                                     \
-static inline void NAME(const T* ab, const T* w, T* accb, long kt,       \
-                        long m, long o, long oo, long m0) {              \
+/* The same over zmm registers: the shuffles and unpacks work per
+ * 128-bit lane, so the lane order is the AVX2 one, repeated. */
+static inline ZMM_TARGET void split_zps(const float* p, __m512* re,
+                                        __m512* im) {
+    __m512 v0 = _mm512_loadu_ps(p), v1 = _mm512_loadu_ps(p + 16);
+    *re = _mm512_shuffle_ps(v0, v1, 0x88);
+    *im = _mm512_shuffle_ps(v0, v1, 0xDD);
+}
+
+static inline ZMM_TARGET void add_split_zps(float* p, __m512 re,
+                                            __m512 im) {
+    _mm512_storeu_ps(p, _mm512_add_ps(_mm512_loadu_ps(p),
+                                      _mm512_unpacklo_ps(re, im)));
+    _mm512_storeu_ps(p + 16, _mm512_add_ps(_mm512_loadu_ps(p + 16),
+                                           _mm512_unpackhi_ps(re, im)));
+}
+
+static inline ZMM_TARGET void split_zpd(const double* p, __m512d* re,
+                                        __m512d* im) {
+    __m512d v0 = _mm512_loadu_pd(p), v1 = _mm512_loadu_pd(p + 8);
+    *re = _mm512_unpacklo_pd(v0, v1);
+    *im = _mm512_unpackhi_pd(v0, v1);
+}
+
+static inline ZMM_TARGET void add_split_zpd(double* p, __m512d re,
+                                            __m512d im) {
+    _mm512_storeu_pd(p, _mm512_add_pd(_mm512_loadu_pd(p),
+                                      _mm512_unpacklo_pd(re, im)));
+    _mm512_storeu_pd(p + 8, _mm512_add_pd(_mm512_loadu_pd(p + 8),
+                                          _mm512_unpackhi_pd(re, im)));
+}
+
+/* acc[b, oo..oo+PANEL_OB, m0..m0+MB] += the block's panel sums.  The
+ * AVX2 block has no target, so the non-target panel_contract inlines it
+ * and nothing can be contracted.  The AVX-512 block needs the zmm
+ * target, which enables FMA; it holds intrinsics only, whose multiplies
+ * and adds -ffp-contract=off keeps separate, and it runs inside
+ * PANEL_ZBLOCKS, away from the scalar tiles. */
+#define PANEL_BLOCK(NAME, T, V, PFX, SFX, H, TGT)                        \
+static inline TGT void NAME(const T* ab, const T* w, T* accb, long kt,   \
+                            long m, long o, long oo, long m0) {          \
     V tr[PANEL_OB], ti[PANEL_OB];                                        \
     for (int j = 0; j < PANEL_OB; j++)                                   \
-        tr[j] = ti[j] = _mm256_setzero_##SFX();                          \
+        tr[j] = ti[j] = PFX##_setzero_##SFX();                           \
     for (long k = 0; k < kt; k++) {                                      \
         V ar, ai;                                                        \
-        split_##SFX(ab + 2*(k*m + m0), &ar, &ai);                        \
+        split_##H(ab + 2*(k*m + m0), &ar, &ai);                          \
         const T* wk = w + 2*(k*o + oo);                                  \
         for (int j = 0; j < PANEL_OB; j++) {                             \
-            V wr = _mm256_set1_##SFX(wk[2*j]);                           \
-            V wi = _mm256_set1_##SFX(wk[2*j+1]);                         \
-            tr[j] = _mm256_add_##SFX(tr[j], _mm256_sub_##SFX(            \
-                _mm256_mul_##SFX(ar, wr), _mm256_mul_##SFX(ai, wi)));    \
-            ti[j] = _mm256_add_##SFX(ti[j], _mm256_add_##SFX(            \
-                _mm256_mul_##SFX(ar, wi), _mm256_mul_##SFX(ai, wr)));    \
+            V wr = PFX##_set1_##SFX(wk[2*j]);                            \
+            V wi = PFX##_set1_##SFX(wk[2*j+1]);                          \
+            tr[j] = PFX##_add_##SFX(tr[j], PFX##_sub_##SFX(              \
+                PFX##_mul_##SFX(ar, wr), PFX##_mul_##SFX(ai, wi)));      \
+            ti[j] = PFX##_add_##SFX(ti[j], PFX##_add_##SFX(              \
+                PFX##_mul_##SFX(ar, wi), PFX##_mul_##SFX(ai, wr)));      \
         }                                                                \
     }                                                                    \
     for (int j = 0; j < PANEL_OB; j++)                                   \
-        add_split_##SFX(accb + 2*((oo + j)*m + m0), tr[j], ti[j]);       \
+        add_split_##H(accb + 2*((oo + j)*m + m0), tr[j], ti[j]);         \
 }
 
-PANEL_BLOCK(panel_block_f32, float, __m256, ps)
-PANEL_BLOCK(panel_block_f64, double, __m256d, pd)
+PANEL_BLOCK(panel_block_f32, float, __m256, _mm256, ps, ps, )
+PANEL_BLOCK(panel_block_f64, double, __m256d, _mm256, pd, pd, )
+PANEL_BLOCK(panel_block_zf32, float, __m512, _mm512, ps, zps, ZMM_TARGET)
+PANEL_BLOCK(panel_block_zf64, double, __m512d, _mm512, pd, zpd, ZMM_TARGET)
 
-/* The blocks, then every mode outside them: the last m % MB of each
- * blocked channel, all m of the trailing channels. */
-#define PANEL_CONTRACT(NAME, T, MB, BLOCK)                               \
+/* The AVX-512 blocks of one batch row: modes 0..m_z of every full
+ * channel block. */
+#define PANEL_ZBLOCKS(NAME, MB, BLOCK, T)                                \
+static ZMM_TARGET void NAME(const T* ab, const T* w, T* accb, long kt,   \
+                            long m, long o, long o_full, long m_z) {     \
+    for (long o0 = 0; o0 < o_full; o0 += PANEL_OB)                       \
+        for (long m0 = 0; m0 < m_z; m0 += (MB))                          \
+            BLOCK(ab, w, accb, kt, m, o, o0, m0);                        \
+}
+
+PANEL_ZBLOCKS(panel_zblocks_f32, 16, panel_block_zf32, float)
+PANEL_ZBLOCKS(panel_zblocks_f64, 8, panel_block_zf64, double)
+
+/* The AVX-512 blocks (that tier only), the AVX2 blocks, then every mode
+ * outside them: the last modes of each blocked channel, all m of the
+ * trailing channels. */
+#define PANEL_CONTRACT(NAME, T, MB, BLOCK, ZBLOCKS)                      \
 void NAME(const T* a, const T* w, T* acc,                                \
           long bt, long kt, long m, long o) {                            \
-    long m_full = m - m % (MB), o_full = o - o % PANEL_OB;               \
+    long m_z = tier == TIER_AVX512 ? m - m % (2*(MB)) : 0;               \
+    long m_full = m - (m - m_z) % (MB), o_full = o - o % PANEL_OB;       \
     for (long b = 0; b < bt; b++) {                                      \
         const T* ab = a + 2*b*kt*m;                                      \
         T* accb = acc + 2*b*o*m;                                         \
+        if (m_z && o_full)                                               \
+            ZBLOCKS(ab, w, accb, kt, m, o, o_full, m_z);                 \
         for (long o0 = 0; o0 < o_full; o0 += PANEL_OB)                   \
-            for (long m0 = 0; m0 < m_full; m0 += (MB))                   \
+            for (long m0 = m_z; m0 < m_full; m0 += (MB))                 \
                 BLOCK(ab, w, accb, kt, m, o, o0, m0);                    \
         for (long oo = 0; oo < o; oo++) {                                \
             T* accp = accb + 2*oo*m;                                     \
@@ -608,8 +877,10 @@ void NAME(const T* a, const T* w, T* acc,                                \
     }                                                                    \
 }
 
-PANEL_CONTRACT(panel_contract_f32, float, 8, panel_block_f32)
-PANEL_CONTRACT(panel_contract_f64, double, 4, panel_block_f64)
+PANEL_CONTRACT(panel_contract_f32, float, 8, panel_block_f32,
+               panel_zblocks_f32)
+PANEL_CONTRACT(panel_contract_f64, double, 4, panel_block_f64,
+               panel_zblocks_f64)
 #endif
 
 /* out[B,q] = sum_p y[B,p,q] * wd[p,q]
@@ -807,15 +1078,16 @@ TRANSPOSE(transpose_f64, double, f64, 2)
     }
 
 #ifdef AVX2_KERNELS
-/* The AVX2 recombination: a block of MB kept bins (one vector of real
- * parts) per register set.  Per p, the y, u, v and mirrored values are
- * split into real and imaginary parts (split_ps order, undone at the
- * store).  The mirror is two reversed vector loads with an explicit
- * index, never an integer modulo; bin 0 mirrors itself and is blended
- * in, and conj flips the sign bit.  Each bin's ops are
- * DECOMP_MIRROR_TILE's: four sums from +0, the products as plain
- * multiplies, subtracts and adds with p in order, then one add per
- * component. */
+/* The vector recombination: a block of MB kept bins (one vector of real
+ * parts; 8 (4 in double) in the AVX2 tier, 16 (8) in the AVX-512 tier)
+ * per register set.  Per p, the y, u, v and mirrored values are split
+ * into real and imaginary parts (split_ps order, undone at the store).
+ * The mirror is two reversed vector loads with an explicit index, never
+ * an integer modulo; bin 0 mirrors itself and is blended in, and conj
+ * flips the sign bit.  Each bin's ops are DECOMP_MIRROR_TILE's: four
+ * sums from +0, the products as plain multiplies, subtracts and adds
+ * with p in order, then one add per component, so the bytes do not
+ * depend on the tier. */
 static inline void store_split_ps(float* p, __m256 re, __m256 im) {
     _mm256_storeu_ps(p, _mm256_unpacklo_ps(re, im));
     _mm256_storeu_ps(p + 8, _mm256_unpackhi_ps(re, im));
@@ -824,6 +1096,18 @@ static inline void store_split_ps(float* p, __m256 re, __m256 im) {
 static inline void store_split_pd(double* p, __m256d re, __m256d im) {
     _mm256_storeu_pd(p, _mm256_unpacklo_pd(re, im));
     _mm256_storeu_pd(p + 4, _mm256_unpackhi_pd(re, im));
+}
+
+static inline ZMM_TARGET void store_split_zps(float* p, __m512 re,
+                                              __m512 im) {
+    _mm512_storeu_ps(p, _mm512_unpacklo_ps(re, im));
+    _mm512_storeu_ps(p + 16, _mm512_unpackhi_ps(re, im));
+}
+
+static inline ZMM_TARGET void store_split_zpd(double* p, __m512d re,
+                                              __m512d im) {
+    _mm512_storeu_pd(p, _mm512_unpacklo_pd(re, im));
+    _mm512_storeu_pd(p + 8, _mm512_unpackhi_pd(re, im));
 }
 
 /* y[(q - k0 - k) % q] for k = 0..7, split.  A complex float is one
@@ -860,71 +1144,121 @@ static inline void reversed_pd(const double* y, long q, long k0,
     *im = _mm256_unpackhi_pd(m0, m1);
 }
 
+/* The same for k = 0..15 in float: lanes k = 0..7 are bins q-k0 ..
+ * q-k0-7 (at k0 = 0, bin 0 from y then q-1 .. q-7), lanes 8..15 bins
+ * q-k0-8 .. q-k0-15, each a reversed zmm load. */
+static inline ZMM_TARGET void reversed_zps(const float* y, long q, long k0,
+                                           __m512* re, __m512* im) {
+    const __m512i rev = _mm512_setr_epi64(7, 6, 5, 4, 3, 2, 1, 0);
+    __m512d m0, m1 = _mm512_permutexvar_pd(
+        rev, _mm512_castps_pd(_mm512_loadu_ps(y + 2*(q - k0 - 15))));
+    if (k0 == 0)
+        m0 = _mm512_permutex2var_pd(
+            _mm512_castps_pd(_mm512_loadu_ps(y + 2*(q - 8))),
+            _mm512_setr_epi64(8, 7, 6, 5, 4, 3, 2, 1),
+            _mm512_castps_pd(_mm512_loadu_ps(y)));
+    else
+        m0 = _mm512_permutexvar_pd(
+            rev, _mm512_castps_pd(_mm512_loadu_ps(y + 2*(q - k0 - 7))));
+    __m512 v0 = _mm512_castpd_ps(m0), v1 = _mm512_castpd_ps(m1);
+    *re = _mm512_shuffle_ps(v0, v1, 0x88);
+    *im = _mm512_shuffle_ps(v0, v1, 0xDD);
+}
+
+/* The same for k = 0..7 in double, one complex per 128-bit lane. */
+static inline ZMM_TARGET void reversed_zpd(const double* y, long q,
+                                           long k0, __m512d* re,
+                                           __m512d* im) {
+    __m512d a = _mm512_loadu_pd(y + 2*(q - k0 - 7));
+    __m512d m0, m1 = _mm512_shuffle_f64x2(a, a, 0x1B);
+    if (k0 == 0) {
+        m0 = _mm512_permutex2var_pd(_mm512_loadu_pd(y + 2*(q - 4)),
+                                    _mm512_setr_epi64(8, 9, 6, 7, 4, 5, 2, 3),
+                                    _mm512_loadu_pd(y));
+    } else {
+        a = _mm512_loadu_pd(y + 2*(q - k0 - 3));
+        m0 = _mm512_shuffle_f64x2(a, a, 0x1B);
+    }
+    *re = _mm512_unpacklo_pd(m0, m1);
+    *im = _mm512_unpackhi_pd(m0, m1);
+}
+
 /* conj(y[(q - k0 - k) % q]), split: the reversed load, then conj flips
  * the sign bit. */
-static inline void mirror_ps(const float* y, long q, long k0, __m256* re,
-                             __m256* im) {
-    reversed_ps(y, q, k0, re, im);
-    *im = _mm256_xor_ps(*im, _mm256_set1_ps(-0.0f));
+#define MIRROR_LOAD(H, T, V, PFX, SFX, TGT)                              \
+static inline TGT void mirror_##H(const T* y, long q, long k0, V* re,    \
+                                  V* im) {                               \
+    reversed_##H(y, q, k0, re, im);                                      \
+    *im = PFX##_xor_##SFX(*im, PFX##_set1_##SFX(-(T)0));                 \
 }
 
-static inline void mirror_pd(const double* y, long q, long k0, __m256d* re,
-                             __m256d* im) {
-    reversed_pd(y, q, k0, re, im);
-    *im = _mm256_xor_pd(*im, _mm256_set1_pd(-0.0));
-}
+MIRROR_LOAD(ps, float, __m256, _mm256, ps, )
+MIRROR_LOAD(pd, double, __m256d, _mm256, pd, )
+MIRROR_LOAD(zps, float, __m512, _mm512, ps, ZMM_TARGET)
+MIRROR_LOAD(zpd, double, __m512d, _mm512, pd, ZMM_TARGET)
 
-#define MIRROR_BLOCK(NAME, T, V, SFX)                                    \
-static inline void NAME(const T* yb, const T* u, const T* v, T* ob,      \
-                        long p, long q, long k0) {                       \
-    V ar = _mm256_setzero_##SFX(), ai = ar, br = ar, bi = ar;            \
-    for (long pp = 0; pp < p; pp++) {                                    \
-        const T* yrow = yb + 2*pp*q;                                     \
-        V yr, yi, ur, ui, cr, ci, vr, vi;                                \
-        split_##SFX(yrow + 2*k0, &yr, &yi);                              \
-        split_##SFX(u + 2*(pp*q + k0), &ur, &ui);                        \
-        mirror_##SFX(yrow, q, k0, &cr, &ci);                             \
-        split_##SFX(v + 2*(pp*q + k0), &vr, &vi);                        \
-        ar = _mm256_add_##SFX(ar, _mm256_sub_##SFX(                      \
-            _mm256_mul_##SFX(yr, ur), _mm256_mul_##SFX(yi, ui)));        \
-        ai = _mm256_add_##SFX(ai, _mm256_add_##SFX(                      \
-            _mm256_mul_##SFX(yr, ui), _mm256_mul_##SFX(yi, ur)));        \
-        br = _mm256_add_##SFX(br, _mm256_sub_##SFX(                      \
-            _mm256_mul_##SFX(cr, vr), _mm256_mul_##SFX(ci, vi)));        \
-        bi = _mm256_add_##SFX(bi, _mm256_add_##SFX(                      \
-            _mm256_mul_##SFX(cr, vi), _mm256_mul_##SFX(ci, vr)));        \
+/* The blocks of one row from bin k0 on; returns the first bin after
+ * them. */
+#define MIRROR_BLOCKS(NAME, T, V, PFX, SFX, H, MB, TGT)                  \
+static inline TGT long NAME(const T* yb, const T* u, const T* v, T* ob, \
+                            long p, long q, long m, long k0) {           \
+    for (; k0 + (MB) <= m; k0 += (MB)) {                                 \
+        V ar = PFX##_setzero_##SFX(), ai = ar, br = ar, bi = ar;         \
+        for (long pp = 0; pp < p; pp++) {                                \
+            const T* yrow = yb + 2*pp*q;                                 \
+            V yr, yi, ur, ui, cr, ci, vr, vi;                            \
+            split_##H(yrow + 2*k0, &yr, &yi);                            \
+            split_##H(u + 2*(pp*q + k0), &ur, &ui);                      \
+            mirror_##H(yrow, q, k0, &cr, &ci);                           \
+            split_##H(v + 2*(pp*q + k0), &vr, &vi);                      \
+            ar = PFX##_add_##SFX(ar, PFX##_sub_##SFX(                    \
+                PFX##_mul_##SFX(yr, ur), PFX##_mul_##SFX(yi, ui)));      \
+            ai = PFX##_add_##SFX(ai, PFX##_add_##SFX(                    \
+                PFX##_mul_##SFX(yr, ui), PFX##_mul_##SFX(yi, ur)));      \
+            br = PFX##_add_##SFX(br, PFX##_sub_##SFX(                    \
+                PFX##_mul_##SFX(cr, vr), PFX##_mul_##SFX(ci, vi)));      \
+            bi = PFX##_add_##SFX(bi, PFX##_add_##SFX(                    \
+                PFX##_mul_##SFX(cr, vi), PFX##_mul_##SFX(ci, vr)));      \
+        }                                                                \
+        store_split_##H(ob + 2*k0, PFX##_add_##SFX(ar, br),              \
+                        PFX##_add_##SFX(ai, bi));                        \
     }                                                                    \
-    store_split_##SFX(ob + 2*k0, _mm256_add_##SFX(ar, br),               \
-                      _mm256_add_##SFX(ai, bi));                         \
+    return k0;                                                           \
 }
 
-MIRROR_BLOCK(mirror_block_f32, float, __m256, ps)
-MIRROR_BLOCK(mirror_block_f64, double, __m256d, pd)
+MIRROR_BLOCKS(mirror_blocks_f32, float, __m256, _mm256, ps, ps, 8, )
+MIRROR_BLOCKS(mirror_blocks_f64, double, __m256d, _mm256, pd, pd, 4, )
+MIRROR_BLOCKS(mirror_zblocks_f32, float, __m512, _mm512, ps, zps, 16,
+              ZMM_TARGET)
+MIRROR_BLOCKS(mirror_zblocks_f64, double, __m512d, _mm512, pd, zpd, 8,
+              ZMM_TARGET)
 
-#define MIRROR_BLOCKS(SFX, MB)                                           \
-    for (; k0 + (MB) <= m; k0 += (MB))                                   \
-        mirror_block_##SFX(yb, u, v, ob, p, q, k0);
+#define MIRROR_VECTORS(SFX)                                              \
+    if (tier == TIER_AVX512)                                             \
+        k0 = mirror_zblocks_##SFX(yb, u, v, ob, p, q, m, k0);            \
+    k0 = mirror_blocks_##SFX(yb, u, v, ob, p, q, m, k0);
 #else
-#define MIRROR_BLOCKS(SFX, MB)
+#define MIRROR_VECTORS(SFX)
 #endif
 
-/* The blocks (AVX2 build), then the remaining bins in scalar tiles. */
-#define DECOMP_MIRROR(NAME, T, SFX, MB)                                  \
+/* The blocks (AVX-512, then AVX2), then the remaining bins in scalar
+ * tiles. */
+#define DECOMP_MIRROR(NAME, T, SFX)                                      \
 void NAME(const T* y, const T* u, const T* v, T* out,                    \
           long B, long p, long q, long m) {                              \
     for (long b = 0; b < B; b++) {                                       \
         const T* yb = y + 2*b*p*q;                                       \
         T* ob = out + 2*b*m;                                             \
         long k0 = 0;                                                     \
-        MIRROR_BLOCKS(SFX, MB)                                           \
+        MIRROR_VECTORS(SFX)                                              \
         for (; k0 + DECOMP_TILE <= m; k0 += DECOMP_TILE)                 \
             DECOMP_MIRROR_TILE(T, DECOMP_TILE)                           \
         if (k0 < m) DECOMP_MIRROR_TILE(T, m - k0)                        \
     }                                                                    \
 }
 
-DECOMP_MIRROR(decomp_mirror_f32, float, f32, 8)
-DECOMP_MIRROR(decomp_mirror_f64, double, f64, 4)
+DECOMP_MIRROR(decomp_mirror_f32, float, f32)
+DECOMP_MIRROR(decomp_mirror_f64, double, f64)
 
 /* Sub-transform bins staged per tile of the head/tail expansion. */
 #define HEAD_TAIL_TILE 64
@@ -949,93 +1283,113 @@ DECOMP_MIRROR(decomp_mirror_f64, double, f64, 4)
 #define CMUL_IM(FMAF, ar, ai, br, bi) FMAF(ar, bi, (ai)*(br))
 
 #ifdef AVX2_KERNELS
-/* The AVX2 product loop: MB bins of every sub-row per step, every
- * operand split into real and imaginary parts (split_ps order, undone
- * at the store); the head and tail values are split once per step.
+/* The vector product loop: MB bins of every sub-row per step (8 (4 in
+ * double) in the AVX2 tier, 16 (8) in the AVX-512 tier), every operand
+ * split into real and imaginary parts (split_ps order, undone at the
+ * store); the head and tail values are split once per step.
  * fmsub(hr, wr, hi*wi) and fmadd(hr, wi, hi*wr) are CMUL_RE and CMUL_IM
  * exactly (one rounding of the inner product, one of the fused op),
  * then one add per component. */
-#define HEAD_TAIL_BLOCK(NAME, T, V, SFX)                                 \
-static inline FMA_TARGET void NAME(const T* hb, const T* tb,             \
-                                   const T* wdh, const T* wdt, T* ob,    \
-                                   long s, long q) {                     \
+#define HEAD_TAIL_BLOCK(H, T, V, PFX, SFX, TGT)                          \
+static inline TGT void head_tail_block_##H(const T* hb, const T* tb,     \
+                                           const T* wdh, const T* wdt,   \
+                                           T* ob, long s, long q) {      \
     V hr, hi, tr, ti;                                                    \
-    split_##SFX(hb, &hr, &hi);                                           \
-    split_##SFX(tb, &tr, &ti);                                           \
+    split_##H(hb, &hr, &hi);                                             \
+    split_##H(tb, &tr, &ti);                                             \
     for (long ss = 0; ss < s; ss++) {                                    \
         V wr, wi, vr, vi;                                                \
-        split_##SFX(wdh + 2*ss*q, &wr, &wi);                             \
-        split_##SFX(wdt + 2*ss*q, &vr, &vi);                             \
-        V re = _mm256_add_##SFX(                                         \
-            _mm256_fmsub_##SFX(hr, wr, _mm256_mul_##SFX(hi, wi)),        \
-            _mm256_fmsub_##SFX(tr, vr, _mm256_mul_##SFX(ti, vi)));       \
-        V im = _mm256_add_##SFX(                                         \
-            _mm256_fmadd_##SFX(hr, wi, _mm256_mul_##SFX(hi, wr)),        \
-            _mm256_fmadd_##SFX(tr, vi, _mm256_mul_##SFX(ti, vr)));       \
-        store_split_##SFX(ob + 2*ss*q, re, im);                          \
+        split_##H(wdh + 2*ss*q, &wr, &wi);                               \
+        split_##H(wdt + 2*ss*q, &vr, &vi);                               \
+        V re = PFX##_add_##SFX(                                          \
+            PFX##_fmsub_##SFX(hr, wr, PFX##_mul_##SFX(hi, wi)),          \
+            PFX##_fmsub_##SFX(tr, vr, PFX##_mul_##SFX(ti, vi)));         \
+        V im = PFX##_add_##SFX(                                          \
+            PFX##_fmadd_##SFX(hr, wi, PFX##_mul_##SFX(hi, wr)),          \
+            PFX##_fmadd_##SFX(tr, vi, PFX##_mul_##SFX(ti, vr)));         \
+        store_split_##H(ob + 2*ss*q, re, im);                            \
     }                                                                    \
 }
 
-HEAD_TAIL_BLOCK(head_tail_block_f32, float, __m256, ps)
-HEAD_TAIL_BLOCK(head_tail_block_f64, double, __m256d, pd)
+HEAD_TAIL_BLOCK(ps, float, __m256, _mm256, ps, FMA_TARGET)
+HEAD_TAIL_BLOCK(pd, double, __m256d, _mm256, pd, FMA_TARGET)
+HEAD_TAIL_BLOCK(zps, float, __m512, _mm512, ps, ZMM_TARGET)
+HEAD_TAIL_BLOCK(zpd, double, __m512d, _mm512, pd, ZMM_TARGET)
 
-#define HEAD_TAIL_BLOCKS(SFX, MB)                                        \
+#define HEAD_TAIL_BLOCKS(H, MB)                                          \
     for (; kv + (MB) <= w; kv += (MB))                                   \
-        head_tail_block_##SFX(hb + 2*kv, tb + 2*kv, wdh + 2*(t0 + kv),   \
-                              wdt + 2*(t0 + kv), ob + 2*(t0 + kv), s, q);
+        head_tail_block_##H(hb + 2*kv, tb + 2*kv, wdh + 2*(t0 + kv),     \
+                            wdt + 2*(t0 + kv), ob + 2*(t0 + kv), s, q);
 
-/* The AVX2 head/tail build: hb and tb for the MB bins t .. t+MB-1, with
- * HEAD_TAIL_BIN's products as fmsub/fmadd (CMUL_RE and CMUL_IM exactly).
- * Head bins split-load x and ch, bin 0's imaginary input blended to
- * +0; tail bins take conj(x[q-t]) and ct[q-t-1] as reversed loads
- * (mirror and reversed over q - 1), bin 0's tail product then blended
- * to +0 (its lanes read x[0] and ct[0], in bounds whenever bin 1 is a
- * tail bin).  A block whose head or tail is all +0 stores +0 there.
- * Returns 0 and writes nothing for a block that mixes head (or tail)
- * bins with zero ones; HEAD_TAIL_BIN builds those. */
-#define HEAD_TAIL_BUILD(NAME, T, V, SFX, MB)                             \
-static inline FMA_TARGET int NAME(const T* xb, const T* ch, const T* ct, \
-                                  T* hb, T* tb, long m, long q, long t) {\
+/* v with its first lane (bin 0's, in split order) set to +0. */
+static inline __m256 zero_first_ps(__m256 v) {
+    return _mm256_blend_ps(v, _mm256_setzero_ps(), 1);
+}
+static inline __m256d zero_first_pd(__m256d v) {
+    return _mm256_blend_pd(v, _mm256_setzero_pd(), 1);
+}
+static inline ZMM_TARGET __m512 zero_first_zps(__m512 v) {
+    return _mm512_mask_blend_ps(1, v, _mm512_setzero_ps());
+}
+static inline ZMM_TARGET __m512d zero_first_zpd(__m512d v) {
+    return _mm512_mask_blend_pd(1, v, _mm512_setzero_pd());
+}
+
+/* The vector head/tail build: hb and tb for the MB bins t .. t+MB-1,
+ * with HEAD_TAIL_BIN's products as fmsub/fmadd (CMUL_RE and CMUL_IM
+ * exactly).  Head bins split-load x and ch, bin 0's imaginary input
+ * blended to +0; tail bins take conj(x[q-t]) and ct[q-t-1] as reversed
+ * loads (mirror and reversed over q - 1), bin 0's tail product then
+ * blended to +0 (its lanes read x[0] and ct[0], in bounds whenever bin
+ * 1 is a tail bin).  A block whose head or tail is all +0 stores +0
+ * there.  Returns 0 and writes nothing for a block that mixes head (or
+ * tail) bins with zero ones; HEAD_TAIL_BIN builds those. */
+#define HEAD_TAIL_BUILD(H, T, V, PFX, SFX, MB, TGT)                      \
+static inline TGT int head_tail_build_##H(const T* xb, const T* ch,      \
+                                          const T* ct, T* hb, T* tb,     \
+                                          long m, long q, long t) {      \
     int head = t + (MB) <= m, tail = (t ? t : 1) + m > q;                \
     if ((!head && t < m) || (!tail && t + (MB) - 1 + m > q)) return 0;   \
-    V zero = _mm256_setzero_##SFX(), hr = zero, hi = zero;               \
+    V zero = PFX##_setzero_##SFX(), hr = zero, hi = zero;                \
     V tr = zero, ti = zero;                                              \
     if (head) {                                                          \
         V xr, xi, cr, ci;                                                \
-        split_##SFX(xb + 2*t, &xr, &xi);                                 \
-        split_##SFX(ch + 2*t, &cr, &ci);                                 \
-        if (t == 0) xi = _mm256_blend_##SFX(xi, zero, 1);                \
-        hr = _mm256_fmsub_##SFX(xr, cr, _mm256_mul_##SFX(xi, ci));       \
-        hi = _mm256_fmadd_##SFX(xr, ci, _mm256_mul_##SFX(xi, cr));       \
+        split_##H(xb + 2*t, &xr, &xi);                                   \
+        split_##H(ch + 2*t, &cr, &ci);                                   \
+        if (t == 0) xi = zero_first_##H(xi);                             \
+        hr = PFX##_fmsub_##SFX(xr, cr, PFX##_mul_##SFX(xi, ci));         \
+        hi = PFX##_fmadd_##SFX(xr, ci, PFX##_mul_##SFX(xi, cr));         \
     }                                                                    \
     if (tail) {                                                          \
         V xr, xi, cr, ci;                                                \
-        mirror_##SFX(xb, q, t, &xr, &xi);                                \
-        reversed_##SFX(ct, q - 1, t, &cr, &ci);                          \
-        tr = _mm256_fmsub_##SFX(xr, cr, _mm256_mul_##SFX(xi, ci));       \
-        ti = _mm256_fmadd_##SFX(xr, ci, _mm256_mul_##SFX(xi, cr));       \
+        mirror_##H(xb, q, t, &xr, &xi);                                  \
+        reversed_##H(ct, q - 1, t, &cr, &ci);                            \
+        tr = PFX##_fmsub_##SFX(xr, cr, PFX##_mul_##SFX(xi, ci));         \
+        ti = PFX##_fmadd_##SFX(xr, ci, PFX##_mul_##SFX(xi, cr));         \
         if (t == 0) {                                                    \
-            tr = _mm256_blend_##SFX(tr, zero, 1);                        \
-            ti = _mm256_blend_##SFX(ti, zero, 1);                        \
+            tr = zero_first_##H(tr);                                     \
+            ti = zero_first_##H(ti);                                     \
         }                                                                \
     }                                                                    \
-    store_split_##SFX(hb, hr, hi);                                       \
-    store_split_##SFX(tb, tr, ti);                                       \
+    store_split_##H(hb, hr, hi);                                         \
+    store_split_##H(tb, tr, ti);                                         \
     return 1;                                                            \
 }
 
-HEAD_TAIL_BUILD(head_tail_build_f32, float, __m256, ps, 8)
-HEAD_TAIL_BUILD(head_tail_build_f64, double, __m256d, pd, 4)
+HEAD_TAIL_BUILD(ps, float, __m256, _mm256, ps, 8, FMA_TARGET)
+HEAD_TAIL_BUILD(pd, double, __m256d, _mm256, pd, 4, FMA_TARGET)
+HEAD_TAIL_BUILD(zps, float, __m512, _mm512, ps, 16, ZMM_TARGET)
+HEAD_TAIL_BUILD(zpd, double, __m512d, _mm512, pd, 8, ZMM_TARGET)
 
-#define HEAD_TAIL_BUILDS(T, FMAF, SFX, MB)                               \
+#define HEAD_TAIL_BUILDS(T, FMAF, H, MB)                                 \
     for (; kb + (MB) <= w; kb += (MB))                                   \
-        if (scalar_tail || !head_tail_build_##SFX(                       \
+        if (scalar_tail || !head_tail_build_##H(                         \
                 xb, ch, ct, hb + 2*kb, tb + 2*kb, m, q, t0 + kb))        \
             for (long k = kb; k < kb + (MB); k++)                        \
                 HEAD_TAIL_BIN(T, FMAF, k)
 #else
-#define HEAD_TAIL_BLOCKS(SFX, MB)
-#define HEAD_TAIL_BUILDS(T, FMAF, SFX, MB)
+#define HEAD_TAIL_BLOCKS(H, MB)
+#define HEAD_TAIL_BUILDS(T, FMAF, H, MB)
 #endif
 
 /* Bin t0 + k of the head and tail rows, into hb[k] and tb[k]. */
@@ -1061,24 +1415,27 @@ HEAD_TAIL_BUILD(head_tail_build_f64, double, __m256d, pd, 4)
     }
 
 /* One row of the expansion, x[m] -> out[s, q]: per tile, the head and
- * tail rows (AVX2 blocks, then scalar bins), then the products.
- * scalar_tail belongs to the whole call (B == 1 && m == 2), not to the
- * row; its bins are always built scalar. */
-#define HEAD_TAIL_ROW(NAME, T, FMAF, UNFUSED, SFX, MB)                   \
-static FMA_TARGET void NAME(const T* xb, const T* ch, const T* ct,       \
-                            const T* wdh, const T* wdt, T* ob,           \
-                            long m, long s, long q, int scalar_tail) {   \
+ * tail rows (vector blocks of H, then of YH, then scalar bins), then
+ * the products the same way.  scalar_tail belongs to the whole call
+ * (B == 1 && m == 2), not to the row; its bins are always built
+ * scalar. */
+#define HEAD_TAIL_ROW(NAME, T, FMAF, UNFUSED, H, MB, YH, YMB, TGT)       \
+static TGT void NAME(const T* xb, const T* ch, const T* ct,              \
+                     const T* wdh, const T* wdt, T* ob,                  \
+                     long m, long s, long q, int scalar_tail) {          \
     T hb[2*HEAD_TAIL_TILE], tb[2*HEAD_TAIL_TILE];                        \
     T sr = 0, si = 0;                                                    \
     if (scalar_tail) UNFUSED(xb[2], -xb[3], ct[0], ct[1], &sr, &si);     \
     for (long t0 = 0; t0 < q; t0 += HEAD_TAIL_TILE) {                    \
         long w = q - t0 < HEAD_TAIL_TILE ? q - t0 : HEAD_TAIL_TILE;      \
         long kb = 0;                                                     \
-        HEAD_TAIL_BUILDS(T, FMAF, SFX, MB)                               \
+        HEAD_TAIL_BUILDS(T, FMAF, H, MB)                                 \
+        HEAD_TAIL_BUILDS(T, FMAF, YH, YMB)                               \
         for (long k = kb; k < w; k++)                                    \
             HEAD_TAIL_BIN(T, FMAF, k)                                    \
         long kv = 0;                                                     \
-        HEAD_TAIL_BLOCKS(SFX, MB)                                        \
+        HEAD_TAIL_BLOCKS(H, MB)                                          \
+        HEAD_TAIL_BLOCKS(YH, YMB)                                        \
         for (long ss = 0; ss < s; ss++) {                                \
             const T* hp = wdh + 2*(ss*q + t0);                           \
             const T* tp = wdt + 2*(ss*q + t0);                           \
@@ -1097,8 +1454,34 @@ static FMA_TARGET void NAME(const T* xb, const T* ch, const T* ct,       \
     }                                                                    \
 }
 
-HEAD_TAIL_ROW(head_tail_row_f32, float, fmaf, cmul_unfused_f32, f32, 8)
-HEAD_TAIL_ROW(head_tail_row_f64, double, fma, cmul_unfused_f64, f64, 4)
+#ifdef AVX2_KERNELS
+HEAD_TAIL_ROW(head_tail_yrow_f32, float, fmaf, cmul_unfused_f32, ps, 8, ps,
+              8, FMA_TARGET)
+HEAD_TAIL_ROW(head_tail_yrow_f64, double, fma, cmul_unfused_f64, pd, 4, pd,
+              4, FMA_TARGET)
+HEAD_TAIL_ROW(head_tail_zrow_f32, float, fmaf, cmul_unfused_f32, zps, 16,
+              ps, 8, ZMM_TARGET)
+HEAD_TAIL_ROW(head_tail_zrow_f64, double, fma, cmul_unfused_f64, zpd, 8,
+              pd, 4, ZMM_TARGET)
+
+/* The row of the process's tier. */
+#define HEAD_TAIL_TIERS(SFX, T)                                          \
+static void head_tail_row_##SFX(const T* xb, const T* ch, const T* ct,   \
+                                const T* wdh, const T* wdt, T* ob,       \
+                                long m, long s, long q,                  \
+                                int scalar_tail) {                       \
+    (tier == TIER_AVX512 ? head_tail_zrow_##SFX : head_tail_yrow_##SFX)( \
+        xb, ch, ct, wdh, wdt, ob, m, s, q, scalar_tail);                 \
+}
+
+HEAD_TAIL_TIERS(f32, float)
+HEAD_TAIL_TIERS(f64, double)
+#else
+HEAD_TAIL_ROW(head_tail_row_f32, float, fmaf, cmul_unfused_f32, , , , ,
+              FMA_TARGET)
+HEAD_TAIL_ROW(head_tail_row_f64, double, fma, cmul_unfused_f64, , , , ,
+              FMA_TARGET)
+#endif
 
 #define EXPAND_HEAD_TAIL(NAME, T, SFX)                                   \
 void NAME(const T* x, const T* ch, const T* ct, const T* wdh,            \

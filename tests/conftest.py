@@ -21,8 +21,9 @@ def rng2() -> np.random.Generator:
 #: The suites the sanitized-kernel CI job runs (``pytest -m
 #: asan_kernels`` with ``_kernels.c`` built under ASan+UBSan): the
 #: kernel, FFT-plan, executor, fused-operator, nn-layer, rollout,
-#: session, tile-invariance, row-driver, step-driver, row-table and
-#: plane-driver suites, each of which drives the C kernels.  Listed
+#: session, tile-invariance, row-driver, step-driver, row-table,
+#: plane-driver and vector-tier suites, each of which drives the C
+#: kernels.  Listed
 #: here only; CI selects them with ``-m asan_kernels``.
 ASAN_KERNEL_SUITES = frozenset({
     "test_ckernels.py",
@@ -39,6 +40,7 @@ ASAN_KERNEL_SUITES = frozenset({
     "test_spectral_steps.py",
     "test_row_tables.py",
     "test_sym2d_drivers.py",
+    "test_vector_tiers.py",
 })
 
 

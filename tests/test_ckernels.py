@@ -313,6 +313,32 @@ def test_stockham_scaling_matches_numpy_fallback_on_signed_grid(
 
 @pytest.mark.skipif(not _ckernels.kernels_available(),
                     reason="the C kernels did not load here")
+def test_build_info_names_the_variant_and_the_vector_tier():
+    """A fingerprint or a bug report shows which code ran: the loaded
+    flag variant and the vector tier it picked from the CPU (``scalar``
+    exactly for the generic build)."""
+    k = _ckernels.get_kernels()
+    assert _ckernels.build_info().startswith(
+        f"loaded ({k.variant}, {k.tier}) from ")
+    assert k.tier in _ckernels.TIERS
+    assert (k.tier == "scalar") == k.variant.startswith("generic")
+
+
+def test_each_variant_reports_its_tiers(kernels):
+    """The generic build runs only the scalar loops and cannot be forced
+    to a vector tier; the fma-target build runs AVX2 or AVX-512."""
+    if kernels.variant.startswith("generic"):
+        assert kernels.tier == "scalar"
+        with pytest.raises(ValueError):
+            with kernels._forced_tier("avx2"):
+                pass
+        assert kernels.tier == "scalar"
+    else:
+        assert kernels.tier in ("avx2", "avx512")
+
+
+@pytest.mark.skipif(not _ckernels.kernels_available(),
+                    reason="the C kernels did not load here")
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("n", [2, 4, 8, 64])
 def test_pruned_irfft_part_one_matches_across_backends(n, dtype):
