@@ -279,8 +279,8 @@ class _SymPlanes:
         self.geometry = (*spatial, *modes, rfft.tables[0].shape[1])
 
     def workspace(self, kernels) -> np.ndarray:
-        return np.empty(kernels.sym2d_workspace(*self.geometry[:4]),
-                        self.dtype)
+        return np.empty(kernels.sym2d_workspace(*self.geometry[:4],
+                                                self.dtype), self.dtype)
 
     def analyse(self, kernels, xs: list, ws=None) -> np.ndarray:
         """The kept corners ``(rows, C, mx, my)`` of the real states

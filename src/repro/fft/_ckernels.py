@@ -22,8 +22,9 @@ rejects the library on any mismatch:
   across full vector blocks of bins plus a scalar tail and with one row
   and one tail bin;
 * the pruned R2C/C2R row drivers ``pruned_rfft_rows`` and
-  ``pruned_irfft_rows`` against the staged kernel sequence they stream,
-  across a full block plus a tail and (C2R) the one-row ``m = 2`` call;
+  ``pruned_irfft_rows`` against the staged kernel sequence, across a
+  full block plus a tail, in a call of a chunk of rows and one row more
+  and (C2R) the one-row ``m = 2`` call;
 * the fused C2C tile driver ``fused_tile_c2c_1d`` against the same tile
   composed from the per-stage kernels above, for ``p = 1`` and
   ``p > 1``, a ragged tail panel and a partial last tile, in one call
@@ -42,7 +43,8 @@ rejects the library on any mismatch:
   analysis of its output, with or without an output table.
 
 Every probe runs in both precisions, at the vector tier the library
-picked for this process.
+picked for this process; a library failing at ``avx512`` but passing
+at ``avx2`` is kept, pinned at ``avx2`` for good.
 
 The ``fma-target`` build runs its vector kernels (``stockham``,
 ``panel_contract``, ``decomp_mirror`` and the C2R head/tail expansion)
@@ -243,10 +245,11 @@ def _buffer_entry(name: str, role: str, arr, dtype: np.dtype,
 
 
 def _table_entries(name: str, role: str, arrs, dtype: np.dtype, tail: tuple,
-                   spans: list) -> tuple[list, list]:
-    """Check a list of ``(rows, *tail)`` table entries; return their
-    base addresses (0 for an empty entry) and row counts, and add each
-    entry's touched byte range to ``spans``."""
+                   spans: list, bt: int | None = None) -> tuple[list, list]:
+    """Check a list of ``(rows, *tail)`` table entries, whose rows must
+    sum to ``bt`` if given; return their base addresses (0 for an empty
+    entry) and row counts, and add each entry's touched byte range to
+    ``spans``."""
     bases, counts = [], []
     row = math.prod(tail) * dtype.itemsize
     is_out = role == "output"
@@ -268,6 +271,10 @@ def _table_entries(name: str, role: str, arrs, dtype: np.dtype, tail: tuple,
             spans.append((base, base + n * row, is_out))
         bases.append(base)
         counts.append(n)
+    if bt is not None and sum(counts) != bt:
+        raise ValueError(
+            f"{name}: the entries hold {sum(counts)} rows, not bt={bt}"
+        )
     return bases, counts
 
 
@@ -303,11 +310,7 @@ def _row_tables(name: str, x, out, bt: int, dtype: np.dtype, c_in: int,
         counts = [bt]
     else:
         srcs, counts = _table_entries(name, "input", x, dtype,
-                                      (c_in, dim_x), spans)
-    if sum(counts) != bt:
-        raise ValueError(
-            f"{name}: the entries hold {sum(counts)} rows, not bt={bt}"
-        )
+                                      (c_in, dim_x), spans, bt)
     if isinstance(out, np.ndarray):
         # One buffer receives every entry's rows, in entry order.
         row = c_out * dim_x * dtype.itemsize
@@ -344,9 +347,10 @@ class _Kernels:
         self.path = lib_path
         self.variant = variant
         self._fn = {}
-        self._tier = lib.vector_tier
-        self._tier.argtypes = [ctypes.c_long]
-        self._tier.restype = ctypes.c_long
+        self._tier, self._cap = lib.vector_tier, lib.vector_tier_cap
+        for fn in (self._tier, self._cap):
+            fn.argtypes = [ctypes.c_long]
+            fn.restype = ctypes.c_long
         ptr = ctypes.c_void_p
         for suffix, ct in (("f32", ctypes.c_float), ("f64", ctypes.c_double)):
             fn = getattr(lib, f"stockham_{suffix}")
@@ -359,11 +363,11 @@ class _Kernels:
                     ("expand_mul", 3, 3), ("transpose", 2, 3),
                     ("decomp_mirror", 4, 4), ("expand_head_tail", 6, 4),
                     ("fused_tile_c2c_1d", 13, 6),
-                    ("pruned_rfft_rows", 8, 4),
-                    ("pruned_irfft_rows", 10, 4),
+                    ("pruned_rfft_rows", 6, 5),
+                    ("pruned_irfft_rows", 8, 5),
                     ("spectral_steps", 4, 9),
-                    ("sym2d_analyse", 9, 7),
-                    ("sym2d_synthesise", 17, 7)):
+                    ("sym2d_analyse", 9, 8),
+                    ("sym2d_synthesise", 17, 8)):
                 fn = getattr(lib, f"{name}_{suffix}")
                 fn.argtypes = [ptr] * nptr + [ctypes.c_long] * nlong
                 fn.restype = None
@@ -569,72 +573,82 @@ class _Kernels:
 
     @staticmethod
     def _split(name: str, rows: int, n: int, q: int, m: int) -> int:
-        """Check a pruned real plan's geometry; return its split
-        ``n/2 / q``."""
+        """Check a pruned real plan's geometry; return its split ``n/2 /
+        q``, at least 2 as every row stage's Stockham call needs."""
         if q < 1 or q & (q - 1):
             raise ValueError(f"{name}: q={q} is not a power of two")
-        h = n // 2
-        split = h // q
-        if split < 1 or n != 2 * split * q:
-            raise ValueError(f"{name}: n={n} is not 2 * split * q={q}")
+        split = n // 2 // q
+        if split < 2 or n != 2 * split * q:
+            raise ValueError(
+                f"{name}: n={n} is not 2 * split * q={q} with split >= 2"
+            )
         if not 1 <= m <= q:
             raise ValueError(f"{name}: m={m} outside [1, {q}]")
         if rows < 0:
             raise ValueError(f"{name}: rows={rows} is negative")
         return split
 
+    @staticmethod
+    def row_chunk(dtype, h: int) -> int:
+        """Rows per kernel call of a pruned R2C/C2R row stage on rows of
+        ``h`` complex values: as many as fit 8 KB per buffer (L1), or 1."""
+        return max(1, 8192 // (np.dtype(dtype).itemsize * h))
+
+    @classmethod
+    def row_workspace(cls, dtype, n: int) -> int:
+        """Elements of a row driver's workspace on real rows of length n."""
+        return 3 * cls.row_chunk(dtype, n // 2) * (n // 2)
+
     def pruned_rfft_rows(self, z: np.ndarray, u: np.ndarray, v: np.ndarray,
-                         tw: np.ndarray, gather: np.ndarray,
-                         fftbuf: np.ndarray, scratch: np.ndarray,
-                         out: np.ndarray, rows: int, n: int, q: int,
-                         m: int) -> None:
+                         tw: np.ndarray, ws: np.ndarray, out: np.ndarray,
+                         rows: int, n: int, q: int, m: int) -> None:
         """The pruned R2C plan's decomp strategy over ``rows`` real rows
         of length ``n``, packed as complex ``z[rows, n/2]``: the first
         ``m`` recombined bins into ``out[rows, m]`` (see ``_kernels.c``).
         ``u``/``v`` are the ``(n/2/q, q)`` recombination weights, ``tw``
-        the length-``q`` forward stage table; the workspaces hold one
-        row, ``n/2`` elements each."""
+        the length-``q`` forward stage table; ``ws`` holds
+        :meth:`row_workspace` elements."""
         p = self._split("pruned_rfft_rows", rows, n, q, m)
-        h = p * q
+        h, chunk = p * q, self.row_chunk(z.dtype, p * q)
         fn, ptrs = self._bind(
             "pruned_rfft_rows", (z, rows * h), (u, h), (v, h), (tw, q - 1),
-            (gather, h), (fftbuf, h), (scratch, h), (out, rows * m))
-        fn(*ptrs, rows, p, q, m)
+            (ws, 3 * chunk * h), (out, rows * m))
+        fn(*ptrs, rows, p, q, m, chunk)
 
     def pruned_irfft_rows(self, x: np.ndarray, ch: np.ndarray,
                           ct: np.ndarray, wdh: np.ndarray, wdt: np.ndarray,
-                          tw: np.ndarray, expand: np.ndarray,
-                          fftbuf: np.ndarray, scratch: np.ndarray,
-                          out: np.ndarray, rows: int, n: int, q: int,
-                          m: int) -> None:
+                          tw: np.ndarray, ws: np.ndarray, out: np.ndarray,
+                          rows: int, n: int, q: int, m: int) -> None:
         """The pruned C2R plan's decomp strategy: real rows of length
         ``n``, packed as complex ``out[rows, n/2]``, from the ``m`` kept
         bins ``x[rows, m]`` (see ``_kernels.c``).  ``ch``/``ct`` are the
         head and tail weights, ``wdh``/``wdt`` the ``(n/2/q, q)``
         expansion twiddles, ``tw`` the length-``q`` inverse stage table;
-        the workspaces hold one row, ``n/2`` elements each."""
+        ``ws`` holds :meth:`row_workspace` elements."""
         s = self._split("pruned_irfft_rows", rows, n, q, m)
-        h = s * q
+        h, chunk = s * q, self.row_chunk(x.dtype, s * q)
         fn, ptrs = self._bind(
             "pruned_irfft_rows", (x, rows * m), (ch, m), (ct, m - 1),
-            (wdh, h), (wdt, h), (tw, q - 1), (expand, h), (fftbuf, h),
-            (scratch, h), (out, rows * h))
-        fn(*ptrs, rows, s, q, m)
+            (wdh, h), (wdt, h), (tw, q - 1), (ws, 3 * chunk * h),
+            (out, rows * h))
+        fn(*ptrs, rows, s, q, m, chunk)
 
-    @staticmethod
-    def sym2d_workspace(dim_x: int, dim_y: int, mx: int, my: int) -> int:
-        """Elements of a plane driver's workspace (see ``_kernels.c``)."""
-        h = dim_y // 2
-        return 4 * dim_x * h + 4 * dim_x * my + mx * my
+    @classmethod
+    def sym2d_workspace(cls, dim_x: int, dim_y: int, mx: int, my: int,
+                        dtype) -> int:
+        """Elements of a plane driver's workspace: the row stages', then
+        column buffers, corner and held plane (see ``_kernels.c``)."""
+        return (cls.row_workspace(dtype, dim_y) + dim_x * (dim_y // 2)
+                + 4 * dim_x * my + mx * my)
 
     def _sym2d_bind(self, name: str, tables, ws: np.ndarray, spans: list,
                     bt: int, c: int, dim_x: int, dim_y: int, mx: int,
                     my: int, q: int):
         """Check a plane driver's geometry, its plan tables and its
         workspace; return the kernel, the tables' addresses, the
-        workspace's and the row split ``p = dim_y/2 / q``.  ``tables``
-        is the forward ``(u, v, tw_y, tw_x, wd_x)`` or the inverse
-        ``(ch, ct, wdh, wdt, tw_y, tw_x, wd_x)``."""
+        workspace's, the row split ``p = dim_y/2 / q`` and the chunk.
+        ``tables`` is the forward ``(u, v, tw_y, tw_x, wd_x)`` or the
+        inverse ``(ch, ct, wdh, wdt, tw_y, tw_x, wd_x)``."""
         if bt < 0 or c < 1:
             raise ValueError(f"{name}: bad extents bt={bt}, c={c}")
         p = self._split(name, bt, dim_y, q, my)
@@ -655,9 +669,9 @@ class _Kernels:
         dtype = tables[0].dtype
         fn, ptrs = self._bind(name, *zip(tables, sizes), dtype=dtype)
         wsp = _buffer_entry(name, "workspace", ws, dtype,
-                            self.sym2d_workspace(dim_x, dim_y, mx, my),
-                            spans)
-        return fn, ptrs, wsp, p
+                            self.sym2d_workspace(dim_x, dim_y, mx, my,
+                                                 dtype), spans)
+        return fn, ptrs, wsp, p, self.row_chunk(dtype, h)
 
     def sym2d_analyse(self, xs, sk: np.ndarray, fwd, ws: np.ndarray,
                       bt: int, c: int, dim_x: int, dim_y: int, mx: int,
@@ -675,23 +689,19 @@ class _Kernels:
         ``sk`` nor ``ws`` may overlap an input or each other."""
         name = "sym2d_analyse"
         spans: list = []
-        fn, ptrs, wsp, p = self._sym2d_bind(name, fwd, ws, spans, bt, c,
-                                            dim_x, dim_y, mx, my, q)
+        fn, ptrs, wsp, p, chunk = self._sym2d_bind(name, fwd, ws, spans, bt,
+                                                   c, dim_x, dim_y, mx, my, q)
         dtype = fwd[0].dtype
         bases, counts = _table_entries(name, "input", xs,
                                        _REAL_DTYPE[dtype],
-                                       (c, dim_x, dim_y), spans)
-        if sum(counts) != bt:
-            raise ValueError(
-                f"{name}: the entries hold {sum(counts)} rows, not bt={bt}"
-            )
+                                       (c, dim_x, dim_y), spans, bt)
         out = _buffer_entry(name, "output", sk, dtype, bt * c * mx * my,
                             spans)
         _check_overlap(name, spans)
         bases = np.array(bases, np.uintp)
         counts = np.array(counts, _C_LONG)
         fn(_address(bases), _address(counts), out, *ptrs, wsp, len(counts),
-           c, dim_x, p, q, my, mx)
+           c, dim_x, p, q, my, mx, chunk)
 
     def sym2d_synthesise(self, sk: np.ndarray, out, nxt, inv, fwd,
                          ws: np.ndarray, bt: int, c: int, dim_x: int,
@@ -709,8 +719,8 @@ class _Kernels:
         No output, ``nxt`` or ``ws`` may overlap ``sk`` or another."""
         name = "sym2d_synthesise"
         spans: list = []
-        fn, ptrs, wsp, p = self._sym2d_bind(name, inv, ws, spans, bt, c,
-                                            dim_x, dim_y, mx, my, q)
+        fn, ptrs, wsp, p, chunk = self._sym2d_bind(name, inv, ws, spans, bt,
+                                                   c, dim_x, dim_y, mx, my, q)
         dtype = inv[0].dtype
         corner = bt * c * mx * my
         src = _buffer_entry(name, "input", sk, dtype, corner, spans)
@@ -719,24 +729,20 @@ class _Kernels:
         else:
             bases, counts = _table_entries(name, "output", out,
                                            _REAL_DTYPE[dtype],
-                                           (c, dim_x, dim_y), spans)
-            if sum(counts) != bt:
-                raise ValueError(
-                    f"{name}: the entries hold {sum(counts)} rows, not "
-                    f"bt={bt}"
-                )
+                                           (c, dim_x, dim_y), spans, bt)
         fptrs, dst = [0] * 5, 0
         if nxt is not None:
             if fwd is None:
                 raise ValueError(f"{name}: nxt needs the forward tables")
-            _, fptrs, _, _ = self._sym2d_bind(name, fwd, ws, [], bt, c,
-                                              dim_x, dim_y, mx, my, q)
+            fptrs = self._sym2d_bind(name, fwd, ws, [], bt, c, dim_x, dim_y,
+                                     mx, my, q)[1]
             dst = _buffer_entry(name, "output", nxt, dtype, corner, spans)
         _check_overlap(name, spans)
         bases = np.array(bases, np.uintp)
         counts = np.array(counts, _C_LONG)
         fn(src, 0 if out is None else _address(bases), _address(counts),
-           dst, *ptrs, *fptrs, wsp, len(counts), c, dim_x, p, q, my, mx)
+           dst, *ptrs, *fptrs, wsp, len(counts), c, dim_x, p, q, my, mx,
+           chunk)
 
 
 #: (n, rows, inverse, div_by, mul_by) full-transform probes of the
@@ -1058,22 +1064,26 @@ def _self_check(k: _Kernels) -> bool:
                 return False
         # The pruned R2C/C2R row drivers against their staged kernel
         # sequences: 11 kept bins of q = 16 (a full AVX2 block plus a
-        # tail) over split 2, and the one-row, one-tail-bin C2R call.
+        # tail) over split 2, in one call of a chunk and one row more
+        # (a last chunk of one row), and the one-row, one-tail-bin C2R
+        # call.
         tw_f, tw_i = (_stage_table(16, dtype, inv) for inv in (False, True))
-        z, u, v = cplx(3, 32), cplx(2, 16), cplx(2, 16)
-        work = [np.empty(32, dtype) for _ in range(3)]
-        got = np.empty((3, 11), dtype)
-        k.pruned_rfft_rows(z, u, v, tw_f, *work, got, 3, 64, 16, 11)
+        rows = k.row_chunk(dtype, 32) + 1
+        z, u, v = cplx(rows, 32), cplx(2, 16), cplx(2, 16)
+        got = np.empty((rows, 11), dtype)
+        ws = np.empty(k.row_workspace(dtype, 64), dtype)
+        k.pruned_rfft_rows(z, u, v, tw_f, ws, got, rows, 64, 16, 11)
         if not _same_bits(_rfft_rows_by_stages(k, z, u, v, tw_f, 11), got):
             return False
         x1, *probe = _unfused_tail_probe(dtype)
         x1[0, 0] = 0  # a zero head bin keeps the tail product's bits
-        for ops, tw in (((cplx(3, 11), cplx(11), cplx(10), cplx(2, 16),
+        for ops, tw in (((cplx(rows, 11), cplx(11), cplx(10), cplx(2, 16),
                           cplx(2, 16)), tw_i),
                         ((x1, *probe), _stage_table(2, dtype, True))):
             (rows, m), (s, q) = ops[0].shape, ops[3].shape
             got = np.empty((rows, s * q), dtype)
-            k.pruned_irfft_rows(*ops, tw, *work, got, rows, 2 * s * q, q, m)
+            ws = np.empty(k.row_workspace(dtype, 2 * s * q), dtype)
+            k.pruned_irfft_rows(*ops, tw, ws, got, rows, 2 * s * q, q, m)
             if not _same_bits(_irfft_rows_by_stages(k, *ops, tw), got):
                 return False
         # The fused C2C tile driver against the per-stage composition:
@@ -1139,7 +1149,7 @@ def _sym2d_matches(k: _Kernels, cplx, dtype) -> bool:
            cplx(mx - 1), cplx(2, mx))
     real = _REAL_DTYPE[np.dtype(dtype)]
     xs = [cplx(n, 1, dim_x, dim_y // 2).view(real) for n in (2, 0, 1)]
-    ws = np.empty(k.sym2d_workspace(dim_x, dim_y, mx, my), dtype)
+    ws = np.empty(k.sym2d_workspace(dim_x, dim_y, mx, my, dtype), dtype)
     geometry = (dim_x, dim_y, mx, my, q)
     sk, again = (np.empty((3, 1, mx, my), dtype) for _ in range(2))
     k.sym2d_analyse(xs, sk, fwd, ws, 3, 1, *geometry)
@@ -1176,6 +1186,17 @@ def _build_blocker() -> str | None:
     return None
 
 
+def _passes_self_check(kernels: _Kernels) -> bool:
+    """Whether ``kernels`` pass :func:`_self_check` at the picked tier or,
+    failing at ``avx512``, at ``avx2``, where the library then stays."""
+    if _self_check(kernels):
+        return True
+    if kernels.tier != "avx512":
+        return False
+    kernels._cap(TIERS.index("avx2"))
+    return _self_check(kernels)
+
+
 def get_kernels() -> _Kernels | None:
     """The loaded, validated kernel bindings — or None (NumPy fallback)."""
     if _state["tried"]:
@@ -1194,10 +1215,12 @@ def get_kernels() -> _Kernels | None:
             kernels = _Kernels(lib_path, tag)
         except OSError:
             continue
-        if _self_check(kernels):
+        picked = kernels.tier
+        if _passes_self_check(kernels):
             _state["kernels"] = kernels
-            _state["info"] = (f"loaded ({tag}, {kernels.tier}) from "
-                              f"{lib_path}")
+            _state["info"] = f"loaded ({tag}, {kernels.tier}) from {lib_path}"
+            if kernels.tier != picked:
+                _state["info"] += f"; its {picked} tier failed the self-check"
             return kernels
         _state["info"] = f"variant {tag} failed the bit-exactness self-check"
     return _state["kernels"]

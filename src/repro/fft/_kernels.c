@@ -42,10 +42,12 @@
  *   - expand_head_tail : hb[:, :m] = x * ch; hb[:, 0] = x[:, 0].real *
  *                        ch[0]; tb[:, q - r] = conj(x[:, r]) * ct;
  *                        out = hb[:, None] * wdh + tb[:, None] * wdt.
- * The compiled plans run them through the row drivers pruned_rfft_rows
- * and pruned_irfft_rows at the end of this file, which stream each row
- * through the staging kernels and Stockham in L1-sized workspaces; the
- * staged kernels stay exported as the drivers' oracle.
+ * Each plan's stages are written once, as a row stage (rfft_stage,
+ * irfft_stage near the end of this file) that runs them over a run of
+ * rows in chunks whose buffers stay in L1.  The compiled plans call the
+ * stages through the row drivers pruned_rfft_rows and pruned_irfft_rows,
+ * and the symmetric 2-D plane drivers call them on each plane's rows;
+ * the staged kernels stay exported as the drivers' oracle.
  *
  * The fused 1-D C2C executor runs its whole batch in one call to the
  * driver fused_tile_c2c_1d at the end of this file, reading each
@@ -67,9 +69,9 @@
  * y-DC column replayed from its NumPy expression).
  *
  * The symmetric 2-D executor's halves run one (b, c) plane at a time
- * through sym2d_analyse and sym2d_synthesise at the end of this file:
- * the pruned R2C plan's stages over the plane's rows, then the X-axis
- * pruned C2C pass, so a plane's intermediates never leave cache; an
+ * through sym2d_analyse and sym2d_synthesise: the R2C row stage over
+ * the plane's rows, then the X-axis pruned C2C pass (and back through
+ * the C2R row stage), so a plane's intermediates never leave cache; an
  * exact rollout re-analyses each synthesised plane in the same call.
  *
  * The file is compiled with -ffp-contract=off and WITHOUT -mfma: GCC's
@@ -123,7 +125,10 @@
  * __builtin_cpu_supports reads them); both tiers give the same bytes.
  * vector_tier(want) sets a tier the host supports (want < 0 only
  * queries) and returns the tier in effect: the loader reports it, and
- * the tier tests run every kernel at both tiers. */
+ * the tier tests run every kernel at both tiers.  vector_tier_cap(best)
+ * lowers the highest tier vector_tier may set to best for the rest of
+ * the process: the loader pins a library whose self-check fails at its
+ * picked tier but passes below it. */
 #define TIER_SCALAR 0
 #define TIER_AVX2 1
 #define TIER_AVX512 2
@@ -146,6 +151,12 @@ static int tier = TIER_SCALAR, tier_best = TIER_SCALAR;
 long vector_tier(long want) {
     if (want >= TIER_FLOOR && want <= tier_best) tier = (int)want;
     return tier;
+}
+
+long vector_tier_cap(long best) {
+    if (best >= TIER_FLOOR && best < tier_best) tier_best = (int)best;
+    if (tier > tier_best) tier = tier_best;
+    return tier_best;
 }
 
 /* NumPy's scalar-loop complex multiply.  It stays out of the FMA target
@@ -953,13 +964,16 @@ EXPAND_MUL(expand_mul_f64, double, fma)
 /* Pruned R2C/C2R staging (the decomp strategy's gather and scatter)   */
 /* ------------------------------------------------------------------ */
 
-/* dst[b,c,r] = src[b,r,c] over complex values: a pure copy.  This is
- * `dst[...] = np.swapaxes(src, -1, -2)`: the pruned R2C gather of the P
- * subsequences, the pruned C2R interleave into the packed output, and
- * the fused C2C tile driver's gather and scatter.  The inner loop runs
+/* dst[c*ds + r] = src[r*ss + c] over an R x C block of complex values
+ * at row strides ss (source) and ds (destination): a pure copy, and
+ * every gather and scatter in this file.  In the AVX2 build, R and C
+ * both multiples of W (4 complex floats, 2 complex doubles per vector)
+ * copy W x W blocks through registers; otherwise the inner loop runs
  * over the longer of the two axes (the other is often a split of 2-8).
- * In the AVX2 build, R and C both multiples of W (4 complex floats, 2
- * complex doubles per vector) copy W x W blocks through registers. */
+ * transpose, dst[b,c,r] = src[b,r,c], is `dst[...] = np.swapaxes(src,
+ * -1, -2)`: the pruned R2C gather of the P subsequences, the pruned C2R
+ * interleave into the packed output, and the fused C2C tile driver's
+ * gather and scatter. */
 #ifdef AVX2_KERNELS
 /* One W x W block, db[c, r] = sb[r, c], at row strides ss (source) and
  * ds (destination) in complex elements. */
@@ -990,45 +1004,43 @@ static inline void transpose_block_f64(const double* sb, double* db,
                      _mm256_permute2f128_pd(a0, a1, 0x31));
 }
 
-#define TRANSPOSE_BLOCKS(SFX, W)                                         \
-        if (R % (W) == 0 && C % (W) == 0) {                              \
-            for (long r = 0; r < R; r += (W))                            \
-                for (long c = 0; c < C; c += (W))                        \
-                    transpose_block_##SFX(sb, db, R, C, r, c);           \
-            continue;                                                    \
-        }
+#define COPY_BLOCKS(SFX, W)                                              \
+    if (R % (W) == 0 && C % (W) == 0) {                                  \
+        for (long r = 0; r < R; r += (W))                                \
+            for (long c = 0; c < C; c += (W))                            \
+                transpose_block_##SFX(src, dst, ds, ss, r, c);           \
+        return;                                                          \
+    }
 #else
-#define TRANSPOSE_BLOCKS(SFX, W)
+#define COPY_BLOCKS(SFX, W)
 #endif
 
-#define TRANSPOSE(NAME, T, SFX, W)                                       \
-void NAME(const T* src, T* dst, long B, long R, long C) {                \
-    for (long b = 0; b < B; b++) {                                       \
-        const T* sb = src + 2*b*R*C;                                     \
-        T* db = dst + 2*b*R*C;                                           \
-        TRANSPOSE_BLOCKS(SFX, W)                                         \
-        if (C > R) {                                                     \
-            for (long r = 0; r < R; r++) {                               \
-                const T* sp = sb + 2*r*C;                                \
-                for (long c = 0; c < C; c++) {                           \
-                    db[2*(c*R + r)] = sp[2*c];                           \
-                    db[2*(c*R + r)+1] = sp[2*c+1];                       \
-                }                                                        \
-            }                                                            \
-            continue;                                                    \
-        }                                                                \
-        for (long c = 0; c < C; c++) {                                   \
-            T* dp = db + 2*c*R;                                          \
-            for (long r = 0; r < R; r++) {                               \
-                dp[2*r] = sb[2*(r*C + c)];                               \
-                dp[2*r+1] = sb[2*(r*C + c)+1];                           \
-            }                                                            \
-        }                                                                \
+#define COPY_ONE(r, c)                                                   \
+    {                                                                    \
+        dst[2*((c)*ds + (r))] = src[2*((r)*ss + (c))];                   \
+        dst[2*((c)*ds + (r))+1] = src[2*((r)*ss + (c))+1];               \
+    }
+
+#define COPY_KERNEL(SFX, T, W)                                           \
+static void copy_transposed_##SFX(const T* src, T* dst, long R, long C,  \
+                                  long ss, long ds) {                    \
+    COPY_BLOCKS(SFX, W)                                                  \
+    if (C > R) {                                                         \
+        for (long r = 0; r < R; r++)                                     \
+            for (long c = 0; c < C; c++) COPY_ONE(r, c)                  \
+    } else {                                                             \
+        for (long c = 0; c < C; c++)                                     \
+            for (long r = 0; r < R; r++) COPY_ONE(r, c)                  \
     }                                                                    \
+}                                                                        \
+                                                                         \
+void transpose_##SFX(const T* src, T* dst, long B, long R, long C) {     \
+    for (long b = 0; b < B; b++)                                         \
+        copy_transposed_##SFX(src + 2*b*R*C, dst + 2*b*R*C, R, C, C, R); \
 }
 
-TRANSPOSE(transpose_f32, float, f32, 4)
-TRANSPOSE(transpose_f64, double, f64, 2)
+COPY_KERNEL(f32, float, 4)
+COPY_KERNEL(f64, double, 2)
 
 /* out[B,k] = sum_p u[p,k] y[B,p,k] + sum_p v[p,k] conj(y[B,p,(q-k)%q])
  * for k < m.  This is the pruned R2C recombination
@@ -1588,62 +1600,6 @@ FUSED_TILE_C2C_1D(fused_tile_c2c_1d_f32, float, f32)
 FUSED_TILE_C2C_1D(fused_tile_c2c_1d_f64, double, f64)
 
 /* ------------------------------------------------------------------ */
-/* Pruned R2C/C2R row drivers (the decomp strategy in one call)        */
-/* ------------------------------------------------------------------ */
-
-/* The pruned R2C plan over `rows` packed rows z[rows, h] (h = p*q, the
- * real rows viewed as complex) -> out[rows, m], one row at a time:
- *   gather : g[j, t] = z[b, t*p + j]                    (transpose)
- *   FFT    : forward Stockham over the p sub-rows of length q
- *   mirror : out[b] = the recombined m kept bins         (decomp_mirror)
- * and the pruned C2R plan, x[rows, m] -> out[rows, h]:
- *   expand : e[ss, t] = head/tail rows times wdh, wdt    (expand_head_tail)
- *   iFFT   : inverse Stockham over the s sub-rows, / q then * (q / h)
- *   scatter: out[b, t*s + ss] = f[ss, t]                 (transpose)
- * Each stage is row-independent, so every output element sees the same
- * kernel operations on the same operands in the same order as the
- * plans' staged kernel sequence over the whole batch; only the loop
- * order across rows changes.  The one batch-wide choice, expand_head_
- * tail's unfused tail product (rows == 1 && m == 2), is made for the
- * whole call.  The Stockham calls see p (or s) rows instead of rows*p:
- * its only row-count choice, the scalar-loop multiply of a one-element
- * array, needs rows*s == 1, which a decomposition (s >= 2) never has.
- *
- * Workspaces hold one row: g, f and the Stockham scratch take h
- * elements each, so a row's working set stays in L1.  Like the C2C tile
- * driver these are not FMA_TARGET (see there). */
-#define PRUNED_RFFT_ROWS(NAME, T, SFX)                                   \
-void NAME(const T* z, const T* u, const T* v, const T* tw, T* g, T* f,   \
-          T* s, T* out, long rows, long p, long q, long m) {             \
-    for (long b = 0; b < rows; b++) {                                    \
-        transpose_##SFX(z + 2*b*p*q, g, 1, q, p);                        \
-        stockham_##SFX(g, f, s, tw, p, q, 0, 0, 0, 0);                   \
-        decomp_mirror_##SFX(f, u, v, out + 2*b*m, 1, p, q, m);           \
-    }                                                                    \
-}
-
-PRUNED_RFFT_ROWS(pruned_rfft_rows_f32, float, f32)
-PRUNED_RFFT_ROWS(pruned_rfft_rows_f64, double, f64)
-
-#define PRUNED_IRFFT_ROWS(NAME, T, SFX)                                  \
-void NAME(const T* x, const T* ch, const T* ct, const T* wdh,            \
-          const T* wdt, const T* tw, T* g, T* f, T* s, T* out,           \
-          long rows, long sp, long q, long m) {                          \
-    long h = sp*q;                                                       \
-    T div_by = (T)q, mul_by = (T)((double)q / (double)h);                \
-    int scalar_tail = rows == 1 && m == 2;                               \
-    for (long b = 0; b < rows; b++) {                                    \
-        head_tail_row_##SFX(x + 2*b*m, ch, ct, wdh, wdt, g, m, sp, q,    \
-                            scalar_tail);                                \
-        stockham_##SFX(g, f, s, tw, sp, q, 1, div_by, 1, mul_by);        \
-        transpose_##SFX(f, out + 2*b*h, 1, sp, q);                       \
-    }                                                                    \
-}
-
-PRUNED_IRFFT_ROWS(pruned_irfft_rows_f32, float, f32)
-PRUNED_IRFFT_ROWS(pruned_irfft_rows_f64, double, f64)
-
-/* ------------------------------------------------------------------ */
 /* Spectrum-resident rollout driver (K steps in one call)              */
 /* ------------------------------------------------------------------ */
 
@@ -1753,61 +1709,87 @@ SPECTRAL_STEPS(spectral_steps_f32, float, f32)
 SPECTRAL_STEPS(spectral_steps_f64, double, f64)
 
 /* ------------------------------------------------------------------ */
-/* Symmetric 2-D plane drivers (R2C rows + X-axis pass per plane)      */
+/* Pruned R2C/C2R row stages, row drivers and 2-D plane drivers        */
 /* ------------------------------------------------------------------ */
 
-/* The symmetric 2-D executor's forward and inverse halves, one (b, c)
- * plane at a time.  A plane is X real rows of length Y = 2h (h = p*q),
- * read as packed complex z[X, h]; its kept corner is sk[mx, my]: my <= q
- * half-spectrum bins along Y, mx first bins along X with X = P * mx and
- * P >= 2.  The halves are the staged path of
+/* The pruned R2C and C2R plans' decomp strategy, each written once as a
+ * row stage over a run of `rows` rows of h = p*q complex values (real
+ * rows of length 2h viewed as complex), `chunk` rows per kernel call:
+ *   rfft_stage, z[rows, h] -> out[rows, m]:
+ *     gather : g[x, j, t] = z[x, t*p + j]          (transpose; packed z)
+ *     FFT    : forward Stockham over the chunk's sub-rows of length q
+ *     mirror : out[x] = the m recombined bins       (decomp_mirror)
+ *   irfft_stage, x[rows, m] -> out[rows, h] (s = p):
+ *     expand : g[x] = x[x]'s head/tail rows times wdh, wdt
+ *                                                   (expand_head_tail)
+ *     iFFT   : inverse Stockham over the chunk's sub-rows, / q then
+ *              * (q / h), into held[x, s, t] when given, else a chunk
+ *              buffer
+ *     scatter: out[x, t*s + ss] = f[x, ss, t]       (transpose; given
+ *              out only)
+ * The workspace holds three chunk buffers of chunk*h elements: g, f
+ * and the Stockham scratch.  The binding (repro.fft._ckernels, its
+ * row_chunk) picks the chunk: as many rows as fit 8 KB of complex
+ * values per buffer, so a chunk's buffers stay in L1 (a longer row runs
+ * alone), since a kernel call on one short row is too short to amortise
+ * its set-up.  The last chunk of a run takes the rows left.
+ *
+ * Bits: every stage is row-independent, so every output element sees
+ * the same kernel operations on the same operands in the same order as
+ * the plans' staged kernel sequence over the whole batch; only which
+ * rows share a kernel call changes.  The staged sequence's two choices
+ * that depend on a call's row count stay the run's: expand_head_tail's
+ * unfused tail product (rows == 1 && m == 2) is chosen once from the
+ * run's rows, never per chunk, and Stockham's scalar-loop multiply of a
+ * one-element array needs a one-row call, while every call here has at
+ * least p >= 2 rows (a decomposition splits h at least in two).
+ *
+ * The row drivers pruned_rfft_rows and pruned_irfft_rows run one stage
+ * over every row of a call; the compiled plans call them once per
+ * execution.
+ *
+ * The plane drivers run the symmetric 2-D executor's forward and
+ * inverse halves one (b, c) plane at a time.  A plane is X real rows of
+ * length Y = 2h, read as packed complex z[X, h]; its kept corner is
+ * sk[mx, my]: my <= q half-spectrum bins along Y, mx first bins along X
+ * with X = P * mx and P >= 2.  The halves are the staged path of
  * repro.core.compiled._SpectralExecutor (the pruned R2C plan along Y,
  * then the pruned C2C plan along X; the X inverse, then the pruned C2R
  * plan) with every stage kept, each run over one plane instead of the
  * whole batch:
- *   analyse, z[X, h] -> sk[mx, my], the rows in chunks:
- *     gather  : g[x, j, t] = z[x, t*p + j]             (transpose)
- *     FFT     : forward Stockham over the chunk's sub-rows of length q
- *     mirror  : r[x] = the my recombined bins of row x (decomp_mirror)
+ *   analyse, z[X, h] -> sk[mx, my]:
+ *     rows    : r[x] = rfft_stage of the plane's rows, m = my
  *     gather  : cg[ky, j, t] = r[t*P + j, ky]
  *     FFT     : forward Stockham over the my*P sub-columns of length mx
  *     reduce  : cr[ky, kx] = sum_j cf[ky, j, kx] * wd[j, kx]
  *                                                      (decomp_reduce)
- *     store   : sk[kx, ky] = cr[ky, kx]                (transpose)
+ *     store   : sk[kx, ky] = cr[ky, kx]
  *   synthesise, sk[mx, my] -> held[X, p, q] (and z[X, h]):
- *     gather  : cr[ky, kx] = sk[kx, ky]                (transpose)
+ *     gather  : cr[ky, kx] = sk[kx, ky]
  *     expand  : cg[ky, s, kx] = cr[ky, kx] * wd[s, kx] (expand_mul)
  *     iFFT    : inverse Stockham over the sub-columns, / mx then
  *               * (mx / X)
  *     scatter : r[t*P + s, ky] = cf[ky, s, t]
- *     then the rows in chunks:
- *     expand  : g[x] = r[x]'s head/tail rows times wdh, wdt
- *                                                   (expand_head_tail)
- *     iFFT    : inverse Stockham over the chunk's sub-rows, / q then
- *               * (q / h), written as held[x, s, t]
- *     scatter : z[x, t*p + s] = held[x, s, t]  (transpose; output
- *               table only)
- * The synthesised plane is always held in the workspace in that
- * sub-row layout, which is the analysis's gathered layout: g[x, j, t] =
- * z[x, t*p + j] = held[x, j, t].  So the re-analysis of a synthesised
- * plane has no gather: its forward Stockham reads the held plane as it
- * lies, with or without an output table (the scatter and gather it
- * skips are a pure-copy identity).  The X-axis column gathers and
- * scatters are per-j strided transposes (strided_transpose).
- * A plane's intermediates stay in cache from one axis to the other;
- * the staged path writes the whole (B, C, X, my) intermediate to
- * memory and back, with a strided copy on each side.
+ *     rows    : irfft_stage of r into the held plane, scattered to z
+ *               given an output table
+ * Every gather, store and scatter is the copy kernel, the column ones
+ * once per j at strides P*my and P*mx.  The synthesised plane is always
+ * held in the workspace in the sub-row layout, which is the analysis's
+ * gathered layout: g[x, j, t] = z[x, t*p + j] = held[x, j, t].  So the
+ * re-analysis of a synthesised plane runs rfft_stage on the held plane
+ * as it lies, with no gather, with or without an output table (the
+ * scatter and gather it skips are a pure-copy identity).  A plane's
+ * intermediates stay in cache from one axis to the other; the staged
+ * path writes the whole (B, C, X, my) intermediate to memory and back,
+ * with a strided copy on each side.
  *
- * Bits: every stage is independent across rows and sub-columns, and
- * each runs the kernel the staged path runs on the same operands in
- * the same order, so the bytes are the staged path's.  The staged
- * path's two choices that depend on a call's row count cannot differ
- * here: Stockham multiplies a one-element array unfused, but every
- * Stockham call here has 2p >= 2 or my*P >= 2 rows; expand_head_tail
- * forms its tail product unfused only for a one-row call, and it is
- * called with chunks of at least 2 rows.  The executor takes the staged
- * path for every geometry these drivers do not cover (an R2C strategy
- * other than decomp, P = 1, mx not a power of two).
+ * Bits: each stage runs the kernel the staged path runs on the same
+ * operands in the same order, so the bytes are the staged path's.  The
+ * row stages run over a plane's X >= 2 rows, and the X-axis Stockham
+ * calls have my*P >= 2 rows, so no call-size choice can differ from the
+ * staged path's.  The executor takes the staged path for every geometry
+ * these drivers do not cover (an R2C strategy other than decomp, P = 1,
+ * mx not a power of two).
  *
  * sym2d_analyse reads the planes through a row table (entry e: rows[e]
  * states xs[e][rows[e], c, X, Y]) and writes sk[bt, c, mx, my] in
@@ -1820,116 +1802,112 @@ SPECTRAL_STEPS(spectral_steps_f64, double, f64)
  * Python binding, which checks every entry, operand and the geometry
  * first.
  *
- * The workspace holds one plane: g, f and s (the row stages) take X*h
- * elements each, of which a chunk uses a prefix; r, cg, cf and cs take
- * X*my each, cr mx*my, and the held plane (synthesise; the inverse
- * row Stockham's output) X*h.  The row stages run over chunks of rows
- * (SYM2D_CHUNK), not one row at a time as pruned_rfft_rows does: a
- * kernel call on one row is too short to amortise its set-up, and a
- * chunk's buffers still fit in L1.  Like the other drivers these are
- * not FMA_TARGET (see fused_tile_c2c_1d). */
-
-/* Rows per row-stage call: 8 KB of complex values per buffer, so the
- * three row buffers of a chunk stay in L1, and at least 2 (X >= 2 is a
- * power of two, so a chunk divides it). */
-#define SYM2D_CHUNK(T, X, h)                                             \
-    (8192 / (long)(2*sizeof(T)*(h)) < 2 ? 2                              \
-     : 8192 / (long)(2*sizeof(T)*(h)) > (X) ? (X)                        \
-     : 8192 / (long)(2*sizeof(T)*(h)))
-
-/* dst[c*ds + r] = src[r*ss + c] over an R x C block of complex values
- * at row strides ss and ds, a pure copy: the X-axis column passes, per
- * j, gather cg[ky, j, t] = r[t*P + j, ky] (R = mx, C = my) and scatter
- * r[t*P + s, ky] = cf[ky, s, t] (R = my, C = mx).  In the AVX2 build, R
- * and C both multiples of W copy W x W blocks (transpose_block). */
-#ifdef AVX2_KERNELS
-#define STRIDED_BLOCKS(SFX, W)                                           \
-    if (R % (W) == 0 && C % (W) == 0) {                                  \
-        for (long r = 0; r < R; r += (W))                                \
-            for (long c = 0; c < C; c += (W))                            \
-                transpose_block_##SFX(src, dst, ds, ss, r, c);           \
-        return;                                                          \
-    }
-#else
-#define STRIDED_BLOCKS(SFX, W)
-#endif
-
-#define STRIDED_TRANSPOSE(NAME, T, SFX, W)                               \
-static void NAME(const T* src, T* dst, long R, long C, long ss,          \
-                 long ds) {                                              \
-    STRIDED_BLOCKS(SFX, W)                                               \
-    for (long r = 0; r < R; r++)                                         \
-        for (long c = 0; c < C; c++) {                                   \
-            dst[2*(c*ds + r)] = src[2*(r*ss + c)];                       \
-            dst[2*(c*ds + r)+1] = src[2*(r*ss + c)+1];                   \
+ * The plane drivers' workspace is the row stages' (3*chunk*h), then r,
+ * cg, cf and cs of X*my elements each, cr of mx*my and the held plane
+ * (synthesise) of X*h.  Like the C2C tile driver, none of these
+ * functions is FMA_TARGET (see there). */
+#define ROW_STAGES(SFX, T)                                               \
+static void rfft_stage_##SFX(const T* z, int packed, const T* u,         \
+                             const T* v, const T* tw, T* ws, T* out,     \
+                             long rows, long chunk, long p, long q,      \
+                             long m) {                                   \
+    long h = p*q;                                                        \
+    T *g = ws, *f = g + 2*chunk*h, *s = f + 2*chunk*h;                   \
+    for (long x0 = 0; x0 < rows; x0 += chunk) {                          \
+        long n = rows - x0 < chunk ? rows - x0 : chunk;                  \
+        const T* src = z + 2*x0*h;                                       \
+        if (packed) {                                                    \
+            transpose_##SFX(src, g, n, q, p);                            \
+            src = g;                                                     \
         }                                                                \
+        stockham_##SFX(src, f, s, tw, n*p, q, 0, 0, 0, 0);               \
+        decomp_mirror_##SFX(f, u, v, out + 2*x0*m, n, p, q, m);          \
+    }                                                                    \
+}                                                                        \
+                                                                         \
+static void irfft_stage_##SFX(const T* x, const T* ch, const T* ct,      \
+                              const T* wdh, const T* wdt, const T* tw,   \
+                              T* ws, T* held, T* out, long rows,         \
+                              long chunk, long sp, long q, long m) {     \
+    long h = sp*q;                                                       \
+    T div_by = (T)q, mul_by = (T)((double)q / (double)h);                \
+    int scalar_tail = rows == 1 && m == 2;                               \
+    T *g = ws, *f = g + 2*chunk*h, *s = f + 2*chunk*h;                   \
+    for (long x0 = 0; x0 < rows; x0 += chunk) {                          \
+        long n = rows - x0 < chunk ? rows - x0 : chunk;                  \
+        T* y = held ? held + 2*x0*h : f;                                 \
+        for (long b = 0; b < n; b++)                                     \
+            head_tail_row_##SFX(x + 2*(x0 + b)*m, ch, ct, wdh, wdt,      \
+                                g + 2*b*h, m, sp, q, scalar_tail);       \
+        stockham_##SFX(g, y, s, tw, n*sp, q, 1, div_by, 1, mul_by);      \
+        if (out) transpose_##SFX(y, out + 2*x0*h, n, sp, q);             \
+    }                                                                    \
+}                                                                        \
+                                                                         \
+void pruned_rfft_rows_##SFX(const T* z, const T* u, const T* v,          \
+                            const T* tw, T* ws, T* out, long rows,       \
+                            long p, long q, long m, long chunk) {        \
+    rfft_stage_##SFX(z, 1, u, v, tw, ws, out, rows, chunk, p, q, m);     \
+}                                                                        \
+                                                                         \
+void pruned_irfft_rows_##SFX(const T* x, const T* ch, const T* ct,       \
+                             const T* wdh, const T* wdt, const T* tw,    \
+                             T* ws, T* out, long rows, long sp, long q,  \
+                             long m, long chunk) {                       \
+    irfft_stage_##SFX(x, ch, ct, wdh, wdt, tw, ws, 0, out, rows, chunk,  \
+                      sp, q, m);                                         \
 }
 
-STRIDED_TRANSPOSE(strided_transpose_f32, float, f32, 4)
-STRIDED_TRANSPOSE(strided_transpose_f64, double, f64, 2)
+ROW_STAGES(f32, float)
+ROW_STAGES(f64, double)
 
 #define SYM2D_PLANES(SFX, T)                                             \
 static void sym2d_analyse_plane_##SFX(                                   \
         const T* z, int held, T* sk, const T* u, const T* v,             \
         const T* tw_y, const T* tw_x, const T* wd_x, T* ws, long X,      \
-        long p, long q, long my, long mx) {                              \
-    long h = p*q, P = X/mx, cols = X*my;                                 \
-    T *g = ws, *f = g + 2*X*h, *s = f + 2*X*h, *r = s + 2*X*h;           \
-    T *cg = r + 2*cols, *cf = cg + 2*cols, *cs = cf + 2*cols;            \
-    T *cr = cs + 2*cols;                                                 \
-    for (long x0 = 0, n = SYM2D_CHUNK(T, X, h); x0 < X; x0 += n) {       \
-        const T* rows = z + 2*x0*h;                                      \
-        if (!held) {                                                     \
-            transpose_##SFX(rows, g, n, q, p);                           \
-            rows = g;                                                    \
-        }                                                                \
-        stockham_##SFX(rows, f, s, tw_y, n*p, q, 0, 0, 0, 0);            \
-        decomp_mirror_##SFX(f, u, v, r + 2*x0*my, n, p, q, my);          \
-    }                                                                    \
+        long p, long q, long my, long mx, long chunk) {                  \
+    long P = X/mx, cols = X*my;                                          \
+    T *r = ws + 2*3*chunk*p*q, *cg = r + 2*cols, *cf = cg + 2*cols;      \
+    T *cs = cf + 2*cols, *cr = cs + 2*cols;                              \
+    rfft_stage_##SFX(z, !held, u, v, tw_y, ws, r, X, chunk, p, q, my);   \
     for (long j = 0; j < P; j++)                                         \
-        strided_transpose_##SFX(r + 2*j*my, cg + 2*j*mx, mx, my, P*my,   \
-                                P*mx);                                   \
+        copy_transposed_##SFX(r + 2*j*my, cg + 2*j*mx, mx, my, P*my,     \
+                              P*mx);                                     \
     stockham_##SFX(cg, cf, cs, tw_x, my*P, mx, 0, 0, 0, 0);              \
     decomp_reduce_##SFX(cf, wd_x, cr, my, P, mx);                        \
-    transpose_##SFX(cr, sk, 1, my, mx);                                  \
+    copy_transposed_##SFX(cr, sk, my, mx, mx, my);                       \
 }                                                                        \
                                                                          \
 static void sym2d_synthesise_plane_##SFX(                                \
         const T* sk, T* z, const T* ch, const T* ct, const T* wdh,       \
         const T* wdt, const T* tw_y, const T* tw_x, const T* wd_x,       \
-        T* ws, long X, long p, long q, long my, long mx) {               \
-    long h = p*q, P = X/mx, cols = X*my;                                 \
-    T ydiv = (T)q, ymul = (T)((double)q / (double)h);                    \
+        T* ws, T* held, long X, long p, long q, long my, long mx,        \
+        long chunk) {                                                    \
+    long P = X/mx, cols = X*my;                                          \
     T xdiv = (T)mx, xmul = (T)((double)mx / (double)X);                  \
-    T *g = ws, *f = g + 2*X*h, *s = f + 2*X*h, *r = s + 2*X*h;           \
-    T *cg = r + 2*cols, *cf = cg + 2*cols, *cs = cf + 2*cols;            \
-    T *cr = cs + 2*cols, *held = cr + 2*mx*my;                           \
-    transpose_##SFX(sk, cr, 1, mx, my);                                  \
+    T *r = ws + 2*3*chunk*p*q, *cg = r + 2*cols, *cf = cg + 2*cols;      \
+    T *cs = cf + 2*cols, *cr = cs + 2*cols;                              \
+    copy_transposed_##SFX(sk, cr, mx, my, my, mx);                       \
     expand_mul_##SFX(cr, wd_x, cg, my, P, mx);                           \
     stockham_##SFX(cg, cf, cs, tw_x, my*P, mx, 1, xdiv, 1, xmul);        \
     for (long j = 0; j < P; j++)                                         \
-        strided_transpose_##SFX(cf + 2*j*mx, r + 2*j*my, my, mx, P*mx,   \
-                                P*my);                                   \
-    for (long x0 = 0, n = SYM2D_CHUNK(T, X, h); x0 < X; x0 += n) {       \
-        expand_head_tail_##SFX(r + 2*x0*my, ch, ct, wdh, wdt, g, n, my,  \
-                               p, q);                                    \
-        stockham_##SFX(g, held + 2*x0*h, s, tw_y, n*p, q, 1, ydiv, 1,    \
-                       ymul);                                            \
-        if (z) transpose_##SFX(held + 2*x0*h, z + 2*x0*h, n, p, q);      \
-    }                                                                    \
+        copy_transposed_##SFX(cf + 2*j*mx, r + 2*j*my, my, mx, P*mx,     \
+                              P*my);                                     \
+    irfft_stage_##SFX(r, ch, ct, wdh, wdt, tw_y, ws, held, z, X, chunk,  \
+                      p, q, my);                                         \
 }                                                                        \
                                                                          \
 void sym2d_analyse_##SFX(const T* const* xs, const long* rows, T* sk,    \
                          const T* u, const T* v, const T* tw_y,          \
                          const T* tw_x, const T* wd_x, T* ws,            \
                          long entries, long c, long X, long p, long q,   \
-                         long my, long mx) {                             \
+                         long my, long mx, long chunk) {                 \
     long plane = X*p*q, corner = mx*my;                                  \
     for (long e = 0; e < entries; e++)                                   \
         for (long i = 0; i < rows[e]*c; i++, sk += 2*corner)             \
             sym2d_analyse_plane_##SFX(xs[e] + 2*i*plane, 0, sk, u, v,    \
                                       tw_y, tw_x, wd_x, ws, X, p, q, my, \
-                                      mx);                               \
+                                      mx, chunk);                        \
 }                                                                        \
                                                                          \
 void sym2d_synthesise_##SFX(                                             \
@@ -1938,19 +1916,19 @@ void sym2d_synthesise_##SFX(                                             \
         const T* tw_yi, const T* tw_xi, const T* wd_xi, const T* u,      \
         const T* v, const T* tw_yf, const T* tw_xf, const T* wd_xf,      \
         T* ws, long entries, long c, long X, long p, long q, long my,    \
-        long mx) {                                                       \
+        long mx, long chunk) {                                           \
     long plane = X*p*q, corner = mx*my;                                  \
-    const T* held = ws + 2*(3*X*p*q + 4*X*my + corner);                  \
+    T* held = ws + 2*(3*chunk*p*q + 4*X*my + corner);                    \
     for (long e = 0; e < entries; e++)                                   \
         for (long i = 0; i < rows[e]*c; i++, sk += 2*corner) {           \
             T* z = outs ? outs[e] + 2*i*plane : 0;                       \
             sym2d_synthesise_plane_##SFX(sk, z, ch, ct, wdh, wdt, tw_yi, \
-                                         tw_xi, wd_xi, ws, X, p, q, my,  \
-                                         mx);                            \
+                                         tw_xi, wd_xi, ws, held, X, p,   \
+                                         q, my, mx, chunk);              \
             if (next) {                                                  \
                 sym2d_analyse_plane_##SFX(held, 1, next, u, v, tw_yf,    \
                                           tw_xf, wd_xf, ws, X, p, q, my, \
-                                          mx);                           \
+                                          mx, chunk);                    \
                 next += 2*corner;                                        \
             }                                                            \
         }                                                                \

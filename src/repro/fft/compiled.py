@@ -41,10 +41,10 @@ same plan/execute split for the NumPy substrate:
     ``q = next_pow2(part)`` and recombines only the kept bins, and the
     C2R adjoint synthesises a real signal from the truncated half
     spectrum without ever materialising the full Hermitian half.
-    On the C backend the decomposition runs as one row-streaming
-    driver call per execution.  ``part == n//2 + 1`` degenerates to the
-    plain packed-real plans (bit-exact alias); ``part > n//4`` falls
-    back to transform-then-slice (bit-exact vs
+    On the C backend the decomposition runs as one driver call per
+    execution, each stage over chunks of rows.  ``part == n//2 + 1``
+    degenerates to the plain packed-real plans (bit-exact alias);
+    ``part > n//4`` falls back to transform-then-slice (bit-exact vs
     :class:`CompiledRFFTPlan` plus a slice), since
     the decomposition only saves work once a whole sub-transform stage
     can be dropped.
@@ -464,8 +464,7 @@ class CompiledPrunedPlan(_WorkspaceOwner):
         self.fft = caches.fft(part, dtype, inverse)
         if part < n:
             wd = decomposition_twiddles(n, self.split, part, inverse=inverse)
-            self.wd = np.ascontiguousarray(wd.astype(self.dtype))
-            self.wd.setflags(write=False)
+            self.wd = _table(wd, self.dtype)
         else:
             self.wd = None
         self._init_workspaces()
@@ -584,9 +583,7 @@ class CompiledRFFTPlan(_WorkspaceOwner):
             self._sub = caches.fft(self.half, self.dtype, inverse=False)
             k = np.arange(self.half + 1)
             # W_n^k pre-folded with the -i/2 of the odd-part term.
-            wm = (-0.5j * np.exp(-2j * np.pi * k / n)).astype(self.dtype)
-            wm.setflags(write=False)
-            self._wm = wm
+            self._wm = _table(-0.5j * np.exp(-2j * np.pi * k / n), self.dtype)
             self._idx = k % self.half            # Z[k mod h]
             self._ridx = (self.half - k) % self.half  # Z[(h-k) mod h]
         self._init_workspaces()
@@ -649,9 +646,7 @@ class CompiledIRFFTPlan(_WorkspaceOwner):
             self._sub = caches.fft(self.half, self.dtype, inverse=True)
             k = np.arange(self.half)
             # conj(W_n^k) pre-folded with the +i/2 of the odd-part term.
-            wj = (0.5j * np.exp(+2j * np.pi * k / n)).astype(self.dtype)
-            wj.setflags(write=False)
-            self._wj = wj
+            self._wj = _table(0.5j * np.exp(+2j * np.pi * k / n), self.dtype)
         self._init_workspaces()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -705,6 +700,14 @@ class PrunedPartMismatchError(ValueError):
     """
 
 
+def _table(values: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """A plan table: ``values`` cast to ``dtype``, C-contiguous and
+    read-only."""
+    table = np.ascontiguousarray(values.astype(dtype))
+    table.setflags(write=False)
+    return table
+
+
 def _next_pow2(m: int) -> int:
     return 1 << (max(int(m), 1) - 1).bit_length()
 
@@ -721,7 +724,44 @@ def _validate_rfft_part(n: int, part: int) -> int:
     return bins
 
 
-class CompiledPrunedRFFTPlan(_WorkspaceOwner):
+class _PrunedRealPlan(_WorkspaceOwner):
+    """What the pruned R2C and C2R plans share: the strategy for
+    ``(n, part)`` and, on ``decomp``, the split ``h/q`` and the
+    length-``q`` sub-transform plan (see the subclasses)."""
+
+    def __init__(self, n: int, part: int, dtype: np.dtype,
+                 caches: "PlanCaches", inverse: bool):
+        bins = _validate_rfft_part(n, part)
+        self.n, self.part, self.half = n, part, n // 2
+        self.dtype = np.dtype(dtype)
+        self.real_dtype = _real_dtype_of(self.dtype)
+        self._caches = caches
+        self._full = self._sub = self.tables = None
+        if part == bins or n == 1:
+            self._strategy = "full"
+        elif _next_pow2(part) > self.half // 2:  # no whole stage to drop
+            self._strategy = "pad" if inverse else "slice"
+        else:
+            self._strategy = "decomp"
+            self._q = _next_pow2(part)
+            self._split = self.half // self._q
+            self._sub = caches.fft(self._q, self.dtype, inverse=inverse)
+        if self._strategy != "decomp":
+            full = caches.irfft if inverse else caches.rfft
+            self._full = full(n, self.dtype)
+        self._init_workspaces()
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"{type(self).__name__}(n={self.n}, part={self.part}, "
+            f"{self.real_dtype.name}, {self._strategy})"
+        )
+
+    def _kernels(self):
+        return self._caches.kernels()
+
+
+class CompiledPrunedRFFTPlan(_PrunedRealPlan):
     """R2C transform keeping only the first ``part`` half-spectrum bins.
 
     The packed-real trick needs *two* spectra of the length-``h = n/2``
@@ -744,12 +784,13 @@ class CompiledPrunedRFFTPlan(_WorkspaceOwner):
     recombined, and the sub-transforms stop ``log2(h/q)`` stages early.
 
     On the C backend the whole ``decomp`` strategy is one call to the
-    row driver ``pruned_rfft_rows``: each row streams through the
-    gather, the Stockham batch over its P sub-rows and the mirrored
-    recombination in workspaces of ``h`` elements each, so its working
-    set stays in L1 and no ``rows * h`` intermediate is retained.  The
-    NumPy backend runs the same three stages over the whole batch, and
-    the driver must match that staged sequence bit for bit.  ``tables``
+    row driver ``pruned_rfft_rows``: the gather, the Stockham batch
+    over the P sub-rows and the mirrored recombination run over one
+    chunk of rows at a time (``_Kernels.row_chunk``), in a workspace of
+    three chunk buffers that stays in L1, so no ``rows * h``
+    intermediate is retained.  The NumPy backend runs the same three
+    stages over the whole batch, and the driver must match that staged
+    sequence bit for bit.  ``tables``
     holds what the drivers read, ``(u, v, tw)``: ``U`` and ``V`` as
     ``(P, q)`` arrays and the length-``q`` stage table (``None`` for the
     other strategies); the symmetric 2-D plane drivers read it too.
@@ -765,50 +806,15 @@ class CompiledPrunedRFFTPlan(_WorkspaceOwner):
 
     def __init__(self, n: int, part: int, dtype: np.dtype,
                  caches: "PlanCaches"):
-        bins = _validate_rfft_part(n, part)
-        self.n = n
-        self.part = part
-        self.dtype = np.dtype(dtype)
-        self.real_dtype = _real_dtype_of(self.dtype)
-        self.half = n // 2
-        self._caches = caches
-        h = self.half
-        self._full = None
-        self._sub = None
-        self.tables = None
-        if part == bins or n == 1:
-            self._strategy = "full"
-            self._full = caches.rfft(n, self.dtype)
-        elif _next_pow2(part) > h // 2:
-            self._strategy = "slice"
-            self._full = caches.rfft(n, self.dtype)
-        else:
-            self._strategy = "decomp"
-            q = _next_pow2(part)
-            p = h // q
-            self._q = q
-            self._split = p
-            self._sub = caches.fft(q, self.dtype, inverse=False)
+        super().__init__(n, part, dtype, caches, inverse=False)
+        if self._strategy == "decomp":
+            h, q, p = self.half, self._q, self._split
             wd = decomposition_twiddles(h, p, q, inverse=False)
             k = np.arange(q)
             wm = -0.5j * np.exp(-2j * np.pi * k / n)
-            u = np.ascontiguousarray((wd * (0.5 + wm)).astype(self.dtype))
-            v = np.ascontiguousarray((wd * (0.5 - wm)).astype(self.dtype))
-            u.setflags(write=False)
-            v.setflags(write=False)
-            self._u = u
-            self._v = v
-            self.tables = (u, v, self._sub.twiddles)
-        self._init_workspaces()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CompiledPrunedRFFTPlan(n={self.n}, part={self.part}, "
-            f"{self.real_dtype.name}, {self._strategy})"
-        )
-
-    def _kernels(self):
-        return self._caches.kernels()
+            self._u = _table(wd * (0.5 + wm), self.dtype)
+            self._v = _table(wd * (0.5 - wm), self.dtype)
+            self.tables = (self._u, self._v, self._sub.twiddles)
 
     def execute(self, flat: np.ndarray) -> np.ndarray:
         """First ``part`` half-spectrum bins of every row of a
@@ -833,11 +839,10 @@ class CompiledPrunedRFFTPlan(_WorkspaceOwner):
         with self._lock:
             z = flat.view(self.dtype)  # free (rows, h) packing
             if kernels is not None:
-                work = self._ws("row", 3 * h)
                 kernels.pruned_rfft_rows(
-                    z, *self.tables, work[:h],
-                    work[h:2 * h], work[2 * h:3 * h], out, rows, self.n, q,
-                    self.part,
+                    z, *self.tables,
+                    self._ws("row", kernels.row_workspace(self.dtype, self.n)),
+                    out, rows, self.n, q, self.part,
                 )
                 return out
             # Gather the P subsequences: g[b, p, t] = z[b, t*P + p].
@@ -849,7 +854,7 @@ class CompiledPrunedRFFTPlan(_WorkspaceOwner):
         return out
 
 
-class CompiledPrunedIRFFTPlan(_WorkspaceOwner):
+class CompiledPrunedIRFFTPlan(_PrunedRealPlan):
     """C2R transform synthesising from ``part`` half-spectrum bins.
 
     The adjoint of :class:`CompiledPrunedRFFTPlan`: the packed spectrum
@@ -867,11 +872,11 @@ class CompiledPrunedIRFFTPlan(_WorkspaceOwner):
     half is never materialised and the inverse butterflies stop
     ``log2(h/q)`` stages early.  On the C backend the row driver
     ``pruned_irfft_rows`` runs expansion, sub-inverse and interleave
-    one row at a time in ``h``-element workspaces, straight into the
-    output; the NumPy backend runs the same stages over the whole
-    batch.  ``tables`` is ``(ch, ct, wdh, wdt, tw)``, the head and tail
-    weights, the ``(S, q)`` expansion twiddles and the stage table
-    (``None`` for the other strategies).
+    over one chunk of rows at a time in a workspace of three chunk
+    buffers, straight into the output; the NumPy backend runs the
+    same stages over the whole batch.  ``tables`` is ``(ch, ct, wdh,
+    wdt, tw)``, the head and tail weights, the ``(S, q)`` expansion
+    twiddles and the stage table (``None`` for the other strategies).
 
     Degenerate/fallback strategies and the bit-identity contract mirror
     the forward plan (``part == n//2 + 1`` aliases
@@ -881,58 +886,22 @@ class CompiledPrunedIRFFTPlan(_WorkspaceOwner):
 
     def __init__(self, n: int, part: int, dtype: np.dtype,
                  caches: "PlanCaches"):
-        bins = _validate_rfft_part(n, part)
-        self.n = n
-        self.part = part
-        self.dtype = np.dtype(dtype)
-        self.real_dtype = _real_dtype_of(self.dtype)
-        self.half = n // 2
-        self._caches = caches
-        h = self.half
-        self._full = None
-        self._sub = None
-        self.tables = None
-        if part == bins or n == 1:
-            self._strategy = "full"
-            self._full = caches.irfft(n, self.dtype)
-        elif _next_pow2(part) > h // 2:
-            self._strategy = "pad"
-            self._full = caches.irfft(n, self.dtype)
-        else:
-            self._strategy = "decomp"
-            q = _next_pow2(part)
-            s = h // q
-            self._q = q
-            self._split = s
-            self._sub = caches.fft(q, self.dtype, inverse=True)
+        super().__init__(n, part, dtype, caches, inverse=True)
+        if self._strategy == "decomp":
+            h, q, s = self.half, self._q, self._split
             j = np.arange(part)
             wj = 0.5j * np.exp(+2j * np.pi * j / n)
-            ch = (0.5 + wj).astype(self.dtype)       # head: Z[j] = ch[j] X[j]
+            self._ch = _table(0.5 + wj, self.dtype)  # head: Z[j] = ch[j] X[j]
             r = np.arange(1, part)
             wjt = 0.5j * np.exp(+2j * np.pi * (h - r) / n)
-            ct = (0.5 - wjt).astype(self.dtype)  # tail: Z[h-r] = ct conj(X[r])
-            ch.setflags(write=False)
-            ct.setflags(write=False)
-            self._ch = ch
-            self._ct = ct  # tail bin r lands at t = (h - r) mod q = q - r
+            # tail: Z[h-r] = ct conj(X[r]); bin r lands at t = q - r
+            self._ct = _table(0.5 - wjt, self.dtype)
             ss, t = np.ogrid[0:s, 0:q]
-            wdh = np.exp(+2j * np.pi * ss * t / h)
-            wdt = np.exp(+2j * np.pi * ss * (t - q) / h)
-            self._wdh = np.ascontiguousarray(wdh.astype(self.dtype))
-            self._wdt = np.ascontiguousarray(wdt.astype(self.dtype))
-            self._wdh.setflags(write=False)
-            self._wdt.setflags(write=False)
-            self.tables = (ch, ct, self._wdh, self._wdt, self._sub.twiddles)
-        self._init_workspaces()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CompiledPrunedIRFFTPlan(n={self.n}, part={self.part}, "
-            f"{self.real_dtype.name}, {self._strategy})"
-        )
-
-    def _kernels(self):
-        return self._caches.kernels()
+            self._wdh = _table(np.exp(+2j * np.pi * ss * t / h), self.dtype)
+            self._wdt = _table(np.exp(+2j * np.pi * ss * (t - q) / h),
+                               self.dtype)
+            self.tables = (self._ch, self._ct, self._wdh, self._wdt,
+                           self._sub.twiddles)
 
     def _check_bins(self, flat: np.ndarray) -> None:
         rows, bins = flat.shape
@@ -969,10 +938,10 @@ class CompiledPrunedIRFFTPlan(_WorkspaceOwner):
         z = out.view(self.dtype)  # packed (rows, h): even=Re, odd=Im
         with self._lock:
             if kernels is not None:
-                work = self._ws("row", 3 * h)
                 kernels.pruned_irfft_rows(
-                    flat, *self.tables, work[:h], work[h:2 * h],
-                    work[2 * h:3 * h], z, rows, self.n, q, self.part,
+                    flat, *self.tables,
+                    self._ws("row", kernels.row_workspace(self.dtype, self.n)),
+                    z, rows, self.n, q, self.part,
                 )
                 return out
             # Head block hb[b, t] = ch[t] X[b, t] (t < part, Im(DC)

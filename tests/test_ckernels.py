@@ -26,6 +26,9 @@ promises the bits of the executor's whole-batch NumPy stages, which run
 on the NumPy fallback.
 """
 
+import os
+import shutil
+
 import numpy as np
 import pytest
 
@@ -337,6 +340,85 @@ def test_each_variant_reports_its_tiers(kernels):
         assert kernels.tier in ("avx2", "avx512")
 
 
+@pytest.fixture
+def private_loader(monkeypatch, tmp_path):
+    """``get_kernels`` from a fresh loader state over a private copy of
+    the ``fma-target`` library: a copy is a separate load with its own
+    vector tier, so pinning it leaves the library every other test uses
+    alone.  The loader's state is restored afterwards.  Returns the
+    variant's tag and the library the other tests load."""
+    flags, fma_tag = _ckernels._flag_variants()[0]
+    shared = _ckernels._compile(_ckernels._find_cc(), flags, fma_tag)
+    if shared is None:
+        pytest.skip(f"variant {fma_tag} does not build here")
+    compile_ = _ckernels._compile
+
+    def copying(cc, extra, tag):
+        path = compile_(cc, extra, tag)
+        if path is None or tag != fma_tag:
+            return path
+        copy = tmp_path / os.path.basename(path)
+        if not copy.exists():
+            shutil.copyfile(path, copy)
+        return str(copy)
+
+    monkeypatch.setattr(_ckernels, "_compile", copying)
+    monkeypatch.setattr(_ckernels, "_state",
+                        {"kernels": None, "tried": False,
+                         "info": "not loaded"})
+    return fma_tag, shared
+
+
+def _failing_self_check(monkeypatch, fails):
+    """Make the loader's self-check fail wherever ``fails(kernels)``;
+    return the (variant, tier) pairs it ran at."""
+    check, runs = _ckernels._self_check, []
+
+    def patched(k):
+        runs.append((k.variant, k.tier))
+        return not fails(k) and check(k)
+
+    monkeypatch.setattr(_ckernels, "_self_check", patched)
+    return runs
+
+
+def test_self_check_failing_at_avx512_pins_avx2(private_loader, monkeypatch):
+    """A library that fails the self-check at the AVX-512 tier it picked
+    but passes at AVX2 is kept, pinned at AVX2 for the process: the
+    failed tier cannot be forced again, and ``build_info`` names the
+    tier in effect."""
+    fma_tag, shared = private_loader
+    try:
+        with _ckernels._Kernels(shared, fma_tag)._forced_tier("avx512"):
+            pass
+    except ValueError:
+        pytest.skip("this CPU lacks the avx512 tier (avx512f/dq/vl with OS "
+                    "support), so the loader never checks a library there")
+    runs = _failing_self_check(monkeypatch, lambda k: k.tier == "avx512")
+    k = _ckernels.get_kernels()
+    assert runs == [(fma_tag, "avx512"), (fma_tag, "avx2")]
+    assert k.variant == fma_tag and k.tier == "avx2"
+    with pytest.raises(ValueError, match="avx512"):
+        with k._forced_tier("avx512"):
+            pass
+    assert k.tier == "avx2"
+    assert _ckernels.build_info().startswith(f"loaded ({fma_tag}, avx2) from ")
+    assert "avx512 tier failed" in _ckernels.build_info()
+
+
+def test_self_check_failing_at_every_tier_falls_back_to_generic(
+        private_loader, monkeypatch):
+    """A library that fails at AVX2 as well (or at its only tier) is
+    refused, and the generic build loads."""
+    fma_tag, _ = private_loader
+    runs = _failing_self_check(monkeypatch,
+                               lambda k: k.variant == fma_tag)
+    k = _ckernels.get_kernels()
+    assert k is not None and k.variant != fma_tag and k.tier == "scalar"
+    assert [tier for variant, tier in runs if variant == fma_tag][-1] == "avx2"
+    assert _ckernels.build_info().startswith(f"loaded ({k.variant}, scalar) ")
+
+
 @pytest.mark.skipif(not _ckernels.kernels_available(),
                     reason="the C kernels did not load here")
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -579,8 +661,8 @@ def test_one_row_one_tail_bin_keeps_the_unfused_product(kernels, dtype):
                                           ("decomp_mirror", 3),
                                           ("expand_head_tail", 5),
                                           ("fused_tile_c2c_1d", 11),
-                                          ("pruned_rfft_rows", 7),
-                                          ("pruned_irfft_rows", 9),
+                                          ("pruned_rfft_rows", 5),
+                                          ("pruned_irfft_rows", 7),
                                           ("spectral_steps", 3),
                                           ("panel_contract", 2),
                                           ("stockham", 1)])

@@ -3,20 +3,23 @@
 On the C backend a pruned real plan's ``decomp`` strategy runs in one
 call: ``pruned_rfft_rows`` (gather, Stockham over the p sub-rows,
 ``decomp_mirror``) or ``pruned_irfft_rows`` (``expand_head_tail``,
-Stockham with the chained ``/q`` and ``*q/h``, interleave), each row
-streamed through every stage.  Both promise the bits of the same
-kernels run stage by stage over the whole batch (the loader's oracle,
-``_ckernels._rfft_rows_by_stages`` / ``_irfft_rows_by_stages``) and of
-the plans' NumPy fallback, for every compiled flag variant: equal bytes
-on every non-NaN component, signed zeros and infinities included, and
-NaN in the same places.
+Stockham with the chained ``/q`` and ``*q/h``, interleave), each stage
+run over chunks of rows (``_Kernels.row_chunk``).  Both promise the
+bits of the same kernels run stage by stage over the whole batch (the
+loader's oracle, ``_ckernels._rfft_rows_by_stages`` /
+``_irfft_rows_by_stages``) and of the plans' NumPy fallback, for every
+compiled flag variant: equal bytes on every non-NaN component, signed
+zeros and infinities included, and NaN in the same places.
 
 The AVX2 build's ``decomp_mirror`` and ``expand_head_tail`` work in
 blocks of 8 (float) or 4 (double) bins with scalar tails, so the parts
 cover sub-transforms shorter than, equal to and longer than a block,
 with ragged kept bins.  With one row and one tail bin NumPy forms the
 C2R tail product without FMA; that choice belongs to the whole call,
-which part = 2 at rows 0..3 pins.
+which part = 2 at rows 0..3 pins, and at row counts around a chunk,
+where a last chunk of one row stays fused.  Row counts around a chunk
+run at n = 64 (a chunk of 32 rows in float, 16 in double), n = 512 (4
+and 2) and n = 1024 (2 and 1).
 """
 
 import numpy as np
@@ -46,6 +49,20 @@ def kernels(request):
 
 def _real(dtype):
     return np.float32 if dtype == np.complex64 else np.float64
+
+
+#: Row counts around the row stages' chunk, as (chunks, extra rows).
+AROUND_CHUNK = {"chunk-1": (1, -1), "chunk": (1, 0), "chunk+1": (1, 1),
+                "2chunk+1": (2, 1)}
+
+
+def _row_count(rows, n, dtype):
+    """``rows`` itself, or the row count ``rows`` names in
+    :data:`AROUND_CHUNK` for rows of length ``n``."""
+    if isinstance(rows, int):
+        return rows
+    chunks, extra = AROUND_CHUNK[rows]
+    return chunks * _ckernels._Kernels.row_chunk(dtype, n // 2) + extra
 
 
 def _guarded(size, dtype):
@@ -93,13 +110,12 @@ def _run_rfft(kernels, plan, x):
     """The forward driver over real rows ``x``, every workspace and the
     output guarded."""
     rows, n = x.shape
-    h, q = n // 2, plan._q
-    work = [_guarded(h, plan.dtype) for _ in range(3)]
+    work = _guarded(kernels.row_workspace(plan.dtype, n), plan.dtype)
     out = _guarded(rows * plan.part, plan.dtype)
     kernels.pruned_rfft_rows(
-        x.view(plan.dtype), plan._u, plan._v, plan._sub.twiddles,
-        *(view for _, view in work), out[1], rows, n, q, plan.part)
-    assert _intact(*work, out)
+        x.view(plan.dtype), plan._u, plan._v, plan._sub.twiddles, work[1],
+        out[1], rows, n, plan._q, plan.part)
+    assert _intact(work, out)
     return out[1].reshape(rows, plan.part)
 
 
@@ -107,34 +123,38 @@ def _run_irfft(kernels, plan, xk):
     """The inverse driver over kept bins ``xk``, guarded likewise;
     returns packed complex rows ``(rows, n/2)``."""
     rows, h = xk.shape[0], plan.half
-    work = [_guarded(h, plan.dtype) for _ in range(3)]
+    work = _guarded(kernels.row_workspace(plan.dtype, plan.n), plan.dtype)
     out = _guarded(rows * h, plan.dtype)
     kernels.pruned_irfft_rows(
         xk, plan._ch, plan._ct, plan._wdh, plan._wdt, plan._sub.twiddles,
-        *(view for _, view in work), out[1], rows, plan.n, plan._q,
-        plan.part)
-    assert _intact(*work, out)
+        work[1], out[1], rows, plan.n, plan._q, plan.part)
+    assert _intact(work, out)
     return out[1].reshape(rows, h)
 
 
 def _cases():
-    """(n, part) pairs on the decomp strategy: q below, at and above the
-    AVX2 block, kept bins at, below and straddling a block."""
+    """(n, part, rows) on the decomp strategy: three rows at q below, at
+    and above the AVX2 block, kept bins at, below and straddling a
+    block; then row counts around a chunk at n = 64, 512 and 1024."""
     for n in (8, 16, 32, 64, 128, 256, 512, 1024):
         for part in (1, 2, 3, 4, 5, 8, 11, 16, 19, 32, 45, 64, 100, 256):
             if compiled._next_pow2(part) <= n // 4:
-                yield n, part
+                yield pytest.param(n, part, 3, id=f"{n}-{part}")
+    for n, part in ((64, 11), (512, 11), (1024, 11)):
+        for rows in AROUND_CHUNK:
+            yield pytest.param(n, part, rows, id=f"{n}-{part}-{rows}")
 
 
 CASES = list(_cases())
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("n,part", CASES)
-def test_rfft_driver_matches_stages_and_numpy(kernels, n, part, dtype):
+@pytest.mark.parametrize("n,part,rows", CASES)
+def test_rfft_driver_matches_stages_and_numpy(kernels, n, part, rows,
+                                              dtype):
     rng = np.random.default_rng(n * 1000 + part)
     plan = _numpy_plans.pruned_rfft(n, part, _real(dtype))
-    x = _adversarial(rng, (3, n), _real(dtype))
+    x = _adversarial(rng, (_row_count(rows, n, dtype), n), _real(dtype))
     got = _run_rfft(kernels, plan, x)
     staged = _ckernels._rfft_rows_by_stages(
         kernels, x.view(plan.dtype), plan._u, plan._v, plan._sub.twiddles,
@@ -144,11 +164,12 @@ def test_rfft_driver_matches_stages_and_numpy(kernels, n, part, dtype):
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("n,part", CASES)
-def test_irfft_driver_matches_stages_and_numpy(kernels, n, part, dtype):
+@pytest.mark.parametrize("n,part,rows", CASES)
+def test_irfft_driver_matches_stages_and_numpy(kernels, n, part, rows,
+                                               dtype):
     rng = np.random.default_rng(n * 1000 + part + 1)
     plan = _numpy_plans.pruned_irfft(n, part, dtype)
-    xk = _adversarial(rng, (3, part), dtype)
+    xk = _adversarial(rng, (_row_count(rows, n, dtype), part), dtype)
     got = _run_irfft(kernels, plan, xk)
     staged = _ckernels._irfft_rows_by_stages(
         kernels, xk, plan._ch, plan._ct, plan._wdh, plan._wdt,
@@ -158,25 +179,27 @@ def test_irfft_driver_matches_stages_and_numpy(kernels, n, part, dtype):
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("rows", [0, 1, 2, 3])
+@pytest.mark.parametrize("rows", [0, 1, 2, 3, *AROUND_CHUNK])
 def test_one_tail_bin_choice_belongs_to_the_call(kernels, rows, dtype):
     """Part 2 has one tail bin: the tail product is unfused only when
-    the call has one row.  On the probe operands, where the two differ,
-    the driver matches the staged sequence at every row count, and its
-    one-row result is not the first row of a two-row call."""
+    the call has one row, never for a last chunk of one row.  On the
+    probe operands, where the two differ, the driver matches the staged
+    sequence at every row count, and its one-row result is not the
+    first row of a two-row call."""
     x, *ops = _ckernels._unfused_tail_probe(dtype)
     x[0, 0] = 0  # a zero head bin passes the tail product's bits through
     tw = _ckernels._stage_table(2, dtype, True)
-    work = [_guarded(4, dtype) for _ in range(3)]
+    work = _guarded(kernels.row_workspace(dtype, 8), dtype)
 
     def driver(xs):
         out = _guarded(len(xs) * 4, dtype)
-        kernels.pruned_irfft_rows(xs, *ops, tw, *(v for _, v in work),
-                                  out[1], len(xs), 8, 2, 2)
-        assert _intact(*work, out)
+        kernels.pruned_irfft_rows(xs, *ops, tw, work[1], out[1], len(xs), 8,
+                                  2, 2)
+        assert _intact(work, out)
         return out[1].reshape(len(xs), 4)
 
-    xs = np.ascontiguousarray(np.repeat(x, rows, axis=0))
+    xs = np.ascontiguousarray(np.repeat(x, _row_count(rows, 8, dtype),
+                                        axis=0))
     got = driver(xs)
     assert _same_bits_or_both_nan(
         got, _ckernels._irfft_rows_by_stages(kernels, xs, *ops, tw))
@@ -185,14 +208,14 @@ def test_one_tail_bin_choice_belongs_to_the_call(kernels, rows, dtype):
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("rows", [0, 1, 2, 3])
+@pytest.mark.parametrize("rows", [0, 1, 2, 3, *AROUND_CHUNK])
 def test_part_two_matches_numpy_at_every_row_count(kernels, rows, dtype):
-    rng = np.random.default_rng(rows)
-    for n in (8, 64):
+    rng = np.random.default_rng(_row_count(rows, 8, dtype))
+    for n in (8, 64, 512, 1024):
         fwd = _numpy_plans.pruned_rfft(n, 2, _real(dtype))
         inv = _numpy_plans.pruned_irfft(n, 2, dtype)
-        x = _adversarial(rng, (rows, n), _real(dtype))
-        xk = _adversarial(rng, (rows, 2), dtype)
+        x = _adversarial(rng, (_row_count(rows, n, dtype), n), _real(dtype))
+        xk = _adversarial(rng, (_row_count(rows, n, dtype), 2), dtype)
         assert _same_bits_or_both_nan(_run_rfft(kernels, fwd, x),
                                       fwd.execute(x))
         assert _same_bits_or_both_nan(_run_irfft(kernels, inv, xk),
@@ -231,7 +254,7 @@ def test_geometry_and_operands_are_checked(kernels):
     plan = _numpy_plans.pruned_rfft(64, 11, np.float32)
     inv = _numpy_plans.pruned_irfft(64, 11, c64)
     z, out = np.ones((2, 32), c64), np.zeros((2, 11), c64)
-    work = [np.zeros(32, c64) for _ in range(3)]
+    work = [np.zeros(kernels.row_workspace(c64, 64), c64)]
     fwd_ops = (z, plan._u, plan._v, plan._sub.twiddles, *work, out)
     for exc, match, args in [
         (ValueError, "power of two", (2, 64, 12, 11)),
@@ -246,7 +269,7 @@ def test_geometry_and_operands_are_checked(kernels):
             kernels.pruned_rfft_rows(*fwd_ops, *args)
     with pytest.raises(ValueError, match="C-contiguous"):
         kernels.pruned_rfft_rows(z, plan._u, plan._v, plan._sub.twiddles,
-                                 work[0][:31], *work[1:], out, 2, 64, 16, 11)
+                                 work[0][:-1], out, 2, 64, 16, 11)
     xk = np.ones((2, 11), c64)
     inv_ops = (xk, inv._ch, inv._ct, inv._wdh, inv._wdt, inv._sub.twiddles,
                *work)

@@ -147,7 +147,7 @@ def test_drivers_match_the_staged_kernels(kernels, geometry, dtype):
     planes = _planes(_weight(rng, c, dtype), mx, my, dim_x, dim_y)
     xs = _states(rng, (2, 0, 3, 1), c, dim_x, dim_y, dtype, (0.0, -0.0))
     bt, geo = 6, planes.geometry
-    ws = _guarded((kernels.sym2d_workspace(*geo[:4]),), dtype)
+    ws = _guarded((kernels.sym2d_workspace(*geo[:4], dtype),), dtype)
     sk = _guarded((bt, c, mx, my), dtype)
     kernels.sym2d_analyse(xs, sk[1], planes.fwd, ws[1], bt, c, *geo)
     state = np.concatenate(xs)
@@ -181,7 +181,7 @@ def test_special_values_match_the_staged_kernels(kernels, dtype):
     geo = planes.geometry
     (x,) = _states(rng, (2,), 2, dim_x, dim_y, dtype,
                    (0.0, -0.0, np.inf, -np.inf, np.nan))
-    ws = np.empty(kernels.sym2d_workspace(*geo[:4]), dtype)
+    ws = np.empty(kernels.sym2d_workspace(*geo[:4], dtype), dtype)
     sk = np.empty((2, 2, mx, my), dtype)
     kernels.sym2d_analyse([x], sk, planes.fwd, ws, 2, 2, *geo)
     assert _same_bits(sk, _ckernels._sym2d_analyse_by_stages(
@@ -211,7 +211,7 @@ def test_held_and_tabled_syntheses_reanalyse_alike(kernels, geometry,
     planes = _planes(_weight(rng, c, dtype), mx, my, dim_x, dim_y)
     geo = planes.geometry
     xs = _states(rng, (3,), c, dim_x, dim_y, dtype, (0.0, -0.0))
-    ws = np.empty(kernels.sym2d_workspace(*geo[:4]), dtype)
+    ws = np.empty(kernels.sym2d_workspace(*geo[:4], dtype), dtype)
     sk = np.empty((3, c, mx, my), dtype)
     kernels.sym2d_analyse(xs, sk, planes.fwd, ws, 3, c, *geo)
     special = sk.copy()
@@ -341,7 +341,8 @@ def _operands(rng):
     planes = _planes(w, DIMS[2], DIMS[3], DIMS[0], DIMS[1])
     xs = _states(rng, (2, 1), 2, DIMS[0], DIMS[1], np.complex64)
     sk = np.zeros((3, 2, DIMS[2], DIMS[3]), np.complex64)
-    ws = np.zeros(_ckernels._Kernels.sym2d_workspace(*DIMS), np.complex64)
+    ws = np.zeros(_ckernels._Kernels.sym2d_workspace(*DIMS, np.complex64),
+                  np.complex64)
     return planes, xs, sk, ws
 
 

@@ -295,27 +295,31 @@ def test_fused_tile_tiers_agree(kernels, tier, dtype, modes, p):
     assert _same_bytes(got, oracle)
 
 
-@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("rows", [1, 3, pytest.param(None, id="2chunk+1")])
 @pytest.mark.parametrize("q,m", [(16, 16), (16, 11), (32, 32), (32, 24),
                                  (64, 40)])
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_row_drivers_tiers_agree(kernels, tier, dtype, q, m, rows):
     """The pruned R2C and C2R row drivers over split 2 and 4: kept bins
     filling 16-bin (8 in double) blocks, with AVX2 blocks and scalar
-    bins after them; m = q makes every bin a head and a tail bin."""
-    rng = np.random.default_rng(q * 10 + m + rows)
+    bins after them; m = q makes every bin a head and a tail bin.
+    ``rows=None`` runs two chunks of rows and one row more."""
+    rng = np.random.default_rng(q * 10 + m + (rows or 0))
     tw_f, tw_i = (_ckernels._stage_table(q, dtype, inv)
                   for inv in (False, True))
+    chunks = rows is None
     for split in (2, 4):
         h = split * q
+        if chunks:
+            rows = 2 * kernels.row_chunk(dtype, h) + 1
         z, u, v = (_cplx(rng, s, dtype) for s in ((rows, h), (split, q),
                                                    (split, q)))
+        ws = np.empty(kernels.row_workspace(dtype, 2 * h), dtype)
 
         def rfft():
             out = np.empty((rows, m), dtype)
-            kernels.pruned_rfft_rows(z, u, v, tw_f, *(np.empty(h, dtype)
-                                                      for _ in range(3)),
-                                     out, rows, 2 * h, q, m)
+            kernels.pruned_rfft_rows(z, u, v, tw_f, ws, out, rows, 2 * h, q,
+                                     m)
             return out
 
         got, ref = _at(kernels, tier, rfft), _at(kernels, "avx2", rfft)
@@ -327,9 +331,7 @@ def test_row_drivers_tiers_agree(kernels, tier, dtype, q, m, rows):
 
         def irfft():
             out = np.empty((rows, h), dtype)
-            kernels.pruned_irfft_rows(*ops, tw_i, *(np.empty(h, dtype)
-                                                    for _ in range(3)),
-                                      out, rows, 2 * h, q, m)
+            kernels.pruned_irfft_rows(*ops, tw_i, ws, out, rows, 2 * h, q, m)
             return out
 
         got, ref = _at(kernels, tier, irfft), _at(kernels, "avx2", irfft)
@@ -363,7 +365,8 @@ def test_plane_drivers_tiers_agree(kernels, tier, dtype, geometry):
           for n in (2, 0, 1)]
     xs[0].reshape(-1)[::13] = -0.0
     geo = (dim_x, dim_y, mx, my, q)
-    ws = np.empty(kernels.sym2d_workspace(dim_x, dim_y, mx, my), dtype)
+    ws = np.empty(kernels.sym2d_workspace(dim_x, dim_y, mx, my, dtype),
+                  dtype)
 
     def run():
         sk, nxt, held = (np.empty((3, 2, mx, my), dtype) for _ in range(3))
